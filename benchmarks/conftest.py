@@ -1,6 +1,6 @@
 """Shared fixtures for the figure-regeneration benchmarks.
 
-Benchmarks run the same harness as ``python -m repro.eval.figures`` at a
+Benchmarks run the same harness as ``python -m repro figures`` at a
 reduced workload scale so the whole suite finishes in minutes.  Every
 benchmark also *asserts the paper's qualitative shape* (who wins, which
 direction the trend goes), so a regression in the reproduction fails the

@@ -10,9 +10,8 @@ made whole-system persistent by compiling it with the Capri compiler.
 
 The table itself lives in the workload registry
 (:mod:`repro.workloads.kvstore`, registry name ``kv_store``) so sweeps,
-fault campaigns, the persistency checker, and the multi-tenant service
-front-end (``python -m repro serve``) all share this one builder; this
-script is the single-machine demo: apply a workload of puts/deletes,
+fault campaigns, and the persistency checker all share this one
+builder; this script is the single-machine demo: apply a workload of puts/deletes,
 kill the power mid-flight several times, recover, and show the final
 table matches an uninterrupted run exactly — including tombstones and
 probe chains, the classic prey of torn hash-table updates.

@@ -10,15 +10,17 @@ profile    workload characterisation tables
 report     one-shot full evaluation report (all figures + analyses)
 figures    individual paper figures (fig8, fig9, …)
 ablations  hardware-parameter ablation sweeps
-serve      async multi-tenant persistence service over TCP
-loadgen    crash-injected traffic generator for the service
+recovery   recovery-latency analysis over sampled crash points
+energy     residual-energy comparison against eADR / BBB
 ========   ==========================================================
 
-Each subcommand delegates to the existing module (``repro.sweep.cli``,
-``repro.fault``, ``repro.check``, ``repro.eval.profile``,
+Each subcommand delegates to the ``main`` of one module
+(``repro.sweep.cli``, ``repro.fault.cli``, ``repro.check.cli``,
+``repro.trace.cli``, ``repro.litmus.cli``, ``repro.eval.profile``,
 ``repro.eval.make_report``, ``repro.eval.figures``,
-``repro.eval.ablations``); the old per-module entry points keep working
-and print a pointer here.
+``repro.eval.ablations``, ``repro.eval.recovery_analysis``,
+``repro.eval.energy``).  This is the only entry point: those modules
+have no ``__main__`` of their own.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ subcommands:
   report     one-shot full evaluation report
   figures    individual paper figures (fig8, fig9, ...)
   ablations  hardware-parameter ablation sweeps
-  serve      async multi-tenant persistence service over TCP
-  loadgen    crash-injected traffic generator for the service
+  recovery   recovery-latency analysis over sampled crash points
+  energy     residual-energy comparison against eADR / BBB
 
 `python -m repro <subcommand> --help` shows the subcommand's options.
 """
@@ -50,9 +52,9 @@ def _dispatch(command: str):
     if command == "sweep":
         from repro.sweep.cli import main
     elif command == "fault":
-        from repro.fault.__main__ import main
+        from repro.fault.cli import main
     elif command == "check":
-        from repro.check.__main__ import main
+        from repro.check.cli import main
     elif command == "trace":
         from repro.trace.cli import main
     elif command == "litmus":
@@ -65,10 +67,10 @@ def _dispatch(command: str):
         from repro.eval.figures import main
     elif command == "ablations":
         from repro.eval.ablations import main
-    elif command == "serve":
-        from repro.service.server import main
-    elif command == "loadgen":
-        from repro.service.loadgen import main
+    elif command == "recovery":
+        from repro.eval.recovery_analysis import main
+    elif command == "energy":
+        from repro.eval.energy import main
     else:
         return None
     return main

@@ -13,9 +13,7 @@ Code-change invalidation is *dependency-recorded*, not key-embedded
 :class:`repro.deps.UsageProbe` and reports which subsystems the run
 exercised (:attr:`RunResult.deps`); cache entries store those
 subsystems' content hashes and stay valid until one of *them* changes —
-editing an eval script no longer cold-starts every simulation.  The
-whole-tree :func:`code_version` remains as the fallback validity check
-for entries that predate per-subsystem recording.
+editing an eval script no longer cold-starts every simulation.
 
 This module is also the **stable facade**: everything in ``__all__`` is
 public API with compatibility expectations; reach into submodules only
@@ -43,7 +41,6 @@ from repro.compiler import CapriCompiler, OptConfig
 from repro.deps import (
     UsageProbe,
     changed_subsystems_since,
-    code_version,
     subsystem_hashes,
 )
 
@@ -182,8 +179,7 @@ class RunSpec:
         whether a cached result is still *valid* for this fingerprint is
         decided per entry from its recorded subsystem dependencies
         (:mod:`repro.deps`, checked in :meth:`ResultCache.get
-        <repro.sweep.cache.ResultCache.get>`), falling back to the
-        whole-tree :func:`code_version` for pre-deps entries.
+        <repro.sweep.cache.ResultCache.get>`).
         """
         token = {
             "schema": _FINGERPRINT_SCHEMA,
@@ -371,7 +367,6 @@ __all__ = [
     "metrics_to_dict",
     "metrics_from_dict",
     # versioning / dependency fingerprints (repro.deps)
-    "code_version",
     "subsystem_hashes",
     "changed_subsystems_since",
     "UsageProbe",

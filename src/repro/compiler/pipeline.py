@@ -92,8 +92,6 @@ class OptConfig:
         """All optimisations: full Capri."""
         return OptConfig(threshold=threshold)
 
-    full = licm  # alias
-
     @staticmethod
     def inlined(threshold: int = DEFAULT_THRESHOLD) -> "OptConfig":
         """Full Capri plus small-function inlining (extension)."""

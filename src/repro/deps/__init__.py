@@ -16,12 +16,10 @@ to predict — and then verify — exactly which figures a change affects.
 """
 
 from repro.deps.fingerprint import (
-    CODE_VERSION_ENV,
     SUBSYSTEM_SALT_ENV,
     SUBSYSTEMS,
     DepsError,
     changed_subsystems_since,
-    code_version,
     deps_token,
     package_root,
     subsystem_for_module,
@@ -32,13 +30,11 @@ from repro.deps.fingerprint import (
 from repro.deps.probe import UsageProbe, touch
 
 __all__ = [
-    "CODE_VERSION_ENV",
     "SUBSYSTEM_SALT_ENV",
     "SUBSYSTEMS",
     "DepsError",
     "UsageProbe",
     "changed_subsystems_since",
-    "code_version",
     "deps_token",
     "package_root",
     "subsystem_for_module",

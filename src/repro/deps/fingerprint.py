@@ -1,7 +1,7 @@
 """Subsystem-granularity content fingerprints.
 
 The package is partitioned into declared *subsystems* — compiler, arch,
-check, workloads, trace, fault, eval glue, service, plus a ``core`` of
+check, workloads, trace, fault, litmus, eval glue, plus a ``core`` of
 shared plumbing — and each gets one sha256 content hash over its source
 files.  Cache entries (:mod:`repro.sweep.cache`) record the subsystem
 hashes their run actually depended on (:mod:`repro.deps.probe`), so a
@@ -15,16 +15,12 @@ file under ``src/repro`` maps to exactly one subsystem via
 implicit dependency of every run — safe by construction: a file nobody
 classified invalidates everything that ran).
 
-Environment knobs (both honoured by :func:`subsystem_hashes`):
+Environment knob (honoured by :func:`subsystem_hashes`):
 
-``REPRO_CODE_VERSION``
-    The historical whole-tree override.  When set, every subsystem hash
-    derives from it — the existing test idiom "bump the version, watch
-    everything invalidate" keeps working unchanged.
 ``REPRO_SUBSYSTEM_SALT``
     ``"arch=x,eval=y"`` mixes a salt into the named subsystems only.
     Tests use it to simulate a source edit in one subsystem without
-    touching files.
+    touching files; naming every subsystem invalidates everything.
 
 Delta sweeps (``repro sweep --since <rev>``) compare the working tree's
 hashes against :func:`subsystem_hashes_at_rev`, which reads blobs
@@ -40,9 +36,6 @@ import subprocess
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-#: Environment override for the whole-tree code version (legacy knob).
-CODE_VERSION_ENV = "REPRO_CODE_VERSION"
-
 #: ``"name=salt,name=salt"`` — perturb named subsystem hashes (tests).
 SUBSYSTEM_SALT_ENV = "REPRO_SUBSYSTEM_SALT"
 
@@ -55,7 +48,6 @@ SUBSYSTEMS: Tuple[str, ...] = (
     "eval",
     "fault",
     "litmus",
-    "service",
     "trace",
     "workloads",
 )
@@ -72,7 +64,6 @@ _DIR_MAP: Dict[str, str] = {
     "litmus": "litmus",
     "eval": "eval",
     "sweep": "eval",  # engine/cache/CLI glue: orchestration, not semantics
-    "service": "service",
     "isa": "core",  # the functional machine: everything executes on it
     "deps": "core",
 }
@@ -156,17 +147,9 @@ def _parse_salt(raw: str) -> Dict[str, str]:
     return out
 
 
-def _apply_env(hashes: Dict[str, str]) -> Dict[str, str]:
-    env_version = os.environ.get(CODE_VERSION_ENV)
-    if env_version:
-        # Legacy whole-tree override: derive every subsystem hash from it
-        # so bumping the env invalidates everything, exactly as before.
-        hashes = {
-            name: hashlib.sha256(f"{env_version}:{name}".encode())
-            .hexdigest()[:16]
-            for name in hashes
-        }
-    salt_raw = os.environ.get(SUBSYSTEM_SALT_ENV)
+def _apply_salt(
+    hashes: Dict[str, str], salt_raw: Optional[str]
+) -> Dict[str, str]:
     if salt_raw:
         hashes = dict(hashes)
         for name, salt in _parse_salt(salt_raw).items():
@@ -177,48 +160,29 @@ def _apply_env(hashes: Dict[str, str]) -> Dict[str, str]:
     return hashes
 
 
-#: memo: (REPRO_CODE_VERSION, REPRO_SUBSYSTEM_SALT) -> hashes
-_HASHES: Dict[Tuple[Optional[str], Optional[str]], Dict[str, str]] = {}
+#: memo: REPRO_SUBSYSTEM_SALT -> hashes
+_HASHES: Dict[Optional[str], Dict[str, str]] = {}
 _TREE_HASHES: Optional[Dict[str, str]] = None
 
 
 def subsystem_hashes(package: Optional[Path] = None) -> Dict[str, str]:
     """Current content hash per subsystem (``{name: 16-hex}``).
 
-    With no argument, hashes the installed package with the environment
-    overrides applied, memoised per (version, salt) environment — the
+    With no argument, hashes the installed package with the salt
+    override applied, memoised per salt environment — the
     hot path for cache validation.  An explicit ``package`` path hashes
     that tree raw (tests point this at synthetic packages).
     """
     if package is not None:
         return _scan_tree(Path(package))
     global _TREE_HASHES
-    key = (
-        os.environ.get(CODE_VERSION_ENV),
-        os.environ.get(SUBSYSTEM_SALT_ENV),
-    )
-    cached = _HASHES.get(key)
+    salt_raw = os.environ.get(SUBSYSTEM_SALT_ENV)
+    cached = _HASHES.get(salt_raw)
     if cached is None:
         if _TREE_HASHES is None:
             _TREE_HASHES = _scan_tree(package_root())
-        cached = _HASHES[key] = _apply_env(_TREE_HASHES)
+        cached = _HASHES[salt_raw] = _apply_salt(_TREE_HASHES, salt_raw)
     return cached
-
-
-def code_version() -> str:
-    """Whole-tree content hash (the schema-v1 fallback key).
-
-    Kept for entries and callers that predate subsystem granularity: a
-    cache payload carrying ``code_version`` but no ``deps`` is validated
-    against this.  ``REPRO_CODE_VERSION`` overrides, as always.
-    """
-    env = os.environ.get(CODE_VERSION_ENV)
-    if env:
-        return env
-    return _digest(
-        (name, value.encode())
-        for name, value in sorted(subsystem_hashes().items())
-    )
 
 
 def deps_token(names: Iterable[str]) -> Dict[str, str]:
@@ -312,7 +276,7 @@ def changed_subsystems_since(
     """Subsystems whose hash differs between ``rev`` and the present.
 
     "The present" means :func:`subsystem_hashes` — the working tree with
-    the environment overrides applied — matching exactly what cache
+    the salt override applied — matching exactly what cache
     validation compares entries against, so a delta sweep's re-run set
     agrees with what the cache will actually miss on.
     """

@@ -10,8 +10,8 @@
 
 Command line::
 
-    python -m repro.eval.figures fig8 [--scale S] [--suite NAME]
-    python -m repro.eval.figures fig9|fig10|fig11|headline|naive|all
+    python -m repro figures fig8 [--scale S] [--suite NAME]
+    python -m repro figures fig9|fig10|fig11|headline|naive|all
 """
 
 from repro.eval.harness import BenchmarkResult, EvalHarness

@@ -22,14 +22,13 @@ grid and completed cells are served from the on-disk result cache.
 
 Command line::
 
-    python -m repro.eval.ablations {frontend,proxybw,nvmbw,prevention,inlining,all}
+    python -m repro ablations {frontend,proxybw,nvmbw,prevention,inlining,all}
         [--workers N]
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import Dict, List, Optional, Sequence
 
 from repro.api import RunResult, RunSpec
@@ -252,7 +251,7 @@ _ABLATIONS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(prog="repro.eval.ablations")
+    parser = argparse.ArgumentParser(prog="python -m repro ablations")
     parser.add_argument("ablation", choices=[*_ABLATIONS, "all"])
     parser.add_argument("--scale", type=float, default=0.5)
     parser.add_argument("--workers", type=int, default=0,
@@ -267,11 +266,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(format_table(title, rows, columns, cells))
         print()
     return 0
-
-
-if __name__ == "__main__":
-    print(
-        "note: `python -m repro ablations …` is the consolidated entry point",
-        file=sys.stderr,
-    )
-    sys.exit(main())

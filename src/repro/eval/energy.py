@@ -16,13 +16,12 @@ nJ/64B-line range); the *ratios* are the result.
 
 Command line::
 
-    python -m repro.eval.energy [--cores N] [--threshold T]
+    python -m repro energy [--cores N] [--threshold T]
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
@@ -107,7 +106,7 @@ def drain_budgets(
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(prog="repro.eval.energy")
+    parser = argparse.ArgumentParser(prog="python -m repro energy")
     parser.add_argument("--cores", type=int, default=8)
     parser.add_argument("--threshold", type=int, default=256)
     parser.add_argument(
@@ -141,7 +140,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"\nCapri's persistent domain is {eadr / capri:,.0f}x smaller "
           f"than eADR's — the Section 1.2 argument, quantified.")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -14,14 +14,13 @@ naive     async two-phase stores vs. the naive synchronous design ("2x")
 
 Run as a module::
 
-    python -m repro.eval.figures fig8 --scale 1.0
-    python -m repro.eval.figures all
+    python -m repro figures fig8 --scale 1.0
+    python -m repro figures all
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import Dict, List, Optional, Sequence
 
 from repro.arch.params import PersistMode, SimParams
@@ -223,7 +222,7 @@ def render_figure(
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro.eval.figures",
+        prog="python -m repro figures",
         description="Regenerate the paper's evaluation figures.",
     )
     parser.add_argument(
@@ -270,11 +269,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ))
         print()
     return 0
-
-
-if __name__ == "__main__":
-    print(
-        "note: `python -m repro figures …` is the consolidated entry point",
-        file=sys.stderr,
-    )
-    sys.exit(main())

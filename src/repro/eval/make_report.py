@@ -1,6 +1,6 @@
 """One-shot evaluation report: every figure + analysis into one markdown file.
 
-``python -m repro.eval.make_report [--out results/REPORT.md] [--scale S]``
+``python -m repro report [--out results/REPORT.md] [--scale S]``
 regenerates the complete evaluation — the four paper figures, the
 headline and naive comparisons, and the extension analyses — and writes
 a single self-contained markdown report with a reproduction manifest
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import sys
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -55,13 +54,13 @@ def generate_report(scale: float = 1.0, workers: int = 0) -> str:
 
     for fig in ["fig8", "fig9", "fig10", "fig11"]:
         parts.append(f"## {fig}")
-        parts.append(f"`python -m repro.eval.figures {fig} --scale {scale}`")
+        parts.append(f"`python -m repro figures {fig} --scale {scale}`")
         parts.append(
             _md_block(figures.render_figure(fig, scale=scale, workers=workers))
         )
 
     parts.append("## headline")
-    parts.append(f"`python -m repro.eval.figures headline --scale {scale}`")
+    parts.append(f"`python -m repro figures headline --scale {scale}`")
     over = figures.headline(scale=scale)
     lines = ["suite      overhead", "-----      --------"]
     for suite, pct in over.items():
@@ -69,7 +68,7 @@ def generate_report(scale: float = 1.0, workers: int = 0) -> str:
     parts.append(_md_block("\n".join(lines)))
 
     parts.append("## naive comparison")
-    parts.append(f"`python -m repro.eval.figures naive --scale {scale}`")
+    parts.append(f"`python -m repro figures naive --scale {scale}`")
     cells = figures.naive_comparison(scale=scale)
     rows = add_suite_gmeans(
         cells, figures.FIGURE_SUITES, ["capri", "naive-sync"]
@@ -86,7 +85,7 @@ def generate_report(scale: float = 1.0, workers: int = 0) -> str:
     )
 
     parts.append("## extension analyses")
-    parts.append("`python -m repro.eval.ablations nvmbw|prevention|inlining|cores`")
+    parts.append("`python -m repro ablations nvmbw|prevention|inlining|cores`")
     ablation_scale = min(scale, 0.5)
     for title, cells in [
         ("NVM write parallelism",
@@ -103,7 +102,7 @@ def generate_report(scale: float = 1.0, workers: int = 0) -> str:
         parts.append(_md_block(format_table(title, rows, columns, cells)))
 
     parts.append("## recovery latency")
-    parts.append("`python -m repro.eval.recovery_analysis`")
+    parts.append("`python -m repro recovery`")
     sweep = analyze_recovery("genome", threshold=256, scale=min(scale, 0.5))
     parts.append(
         _md_block(
@@ -116,7 +115,7 @@ def generate_report(scale: float = 1.0, workers: int = 0) -> str:
     )
 
     parts.append("## residual energy (Section 1.2)")
-    parts.append("`python -m repro.eval.energy --memory-mode`")
+    parts.append("`python -m repro energy --memory-mode`")
     budgets = drain_budgets(num_cores=8, include_dram_cache=True)
     cells = {name: b.row() for name, b in budgets.items()}
     parts.append(
@@ -134,13 +133,13 @@ def generate_report(scale: float = 1.0, workers: int = 0) -> str:
 
     parts.append(
         f"---\nGenerated in {time.time() - start:.0f} s by "
-        "`python -m repro.eval.make_report`."
+        "`python -m repro report`."
     )
     return "\n".join(parts)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(prog="repro.eval.make_report")
+    parser = argparse.ArgumentParser(prog="python -m repro report")
     parser.add_argument("--out", default="results/REPORT.md")
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--workers", type=int, default=0,
@@ -152,11 +151,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         fh.write(report)
     print(f"wrote {args.out} ({len(report.splitlines())} lines)")
     return 0
-
-
-if __name__ == "__main__":
-    print(
-        "note: `python -m repro report …` is the consolidated entry point",
-        file=sys.stderr,
-    )
-    sys.exit(main())

@@ -20,15 +20,14 @@ performance table in docs/PERFORMANCE.md.
 
 Command line::
 
-    python -m repro.eval.profile [names...] [--scale S]
-    python -m repro.eval.profile genome ssca2 --json -          # stdout
-    python -m repro.eval.profile genome --json profile.json     # file
+    python -m repro profile [names...] [--scale S]
+    python -m repro profile genome ssca2 --json -          # stdout
+    python -m repro profile genome --json profile.json     # file
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
@@ -220,9 +219,9 @@ def measure_throughput(
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.jsonout import add_json_arg, resolved_json_out, write_envelope
+    from repro.jsonout import add_json_arg, write_envelope
 
-    parser = argparse.ArgumentParser(prog="repro.eval.profile")
+    parser = argparse.ArgumentParser(prog="python -m repro profile")
     parser.add_argument("names", nargs="*", default=None)
     parser.add_argument("--scale", type=float, default=0.5)
     add_json_arg(
@@ -232,7 +231,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "envelope to PATH ('-' for stdout, suppressing the table)",
     )
     args = parser.parse_args(argv)
-    json_out = resolved_json_out(args, prog="repro profile")
+    json_out = args.json_out
     names = args.names or workload_names()
 
     from repro.eval.report import format_table
@@ -272,11 +271,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if json_out:
         print(f"profile written to {json_out}")
     return 0
-
-
-if __name__ == "__main__":
-    print(
-        "note: `python -m repro profile …` is the consolidated entry point",
-        file=sys.stderr,
-    )
-    sys.exit(main())

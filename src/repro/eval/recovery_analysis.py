@@ -16,13 +16,12 @@ under the Table 1 latencies.  :func:`recovery_latency_model` turns one
 
 Command line::
 
-    python -m repro.eval.recovery_analysis [--workload N] [--threshold T]
+    python -m repro recovery [--workload N] [--threshold T]
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -146,7 +145,7 @@ def analyze_recovery(
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(prog="repro.eval.recovery_analysis")
+    parser = argparse.ArgumentParser(prog="python -m repro recovery")
     parser.add_argument("--workload", default="genome")
     parser.add_argument("--threshold", type=int, default=256)
     parser.add_argument("--scale", type=float, default=0.4)
@@ -168,7 +167,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"estimated recovery time: mean {sweep.mean_ns / 1000:.2f} us, "
           f"max {sweep.max_ns / 1000:.2f} us — independent of run length.")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -18,8 +18,8 @@ Turns crash testing from anecdote into campaign:
 
 Command line::
 
-    python -m repro.fault --workload genome --scale 0.1 --sample 50
-    python -m repro.fault --workload deep-call --multi-crash --depth 2
+    python -m repro fault --workload genome --scale 0.1 --sample 50
+    python -m repro fault --workload deep-call --multi-crash --depth 2
 """
 
 from repro.fault.campaign import (

@@ -205,7 +205,7 @@ class CampaignResult:
         }
 
     def to_stats(self) -> Dict[str, object]:
-        """JSON-ready artifact for ``--stats-json`` / SweepReport."""
+        """JSON-ready artifact for ``--json`` / SweepReport."""
         out: Dict[str, object] = {
             "workload": self.workload,
             "models": list(self.models),

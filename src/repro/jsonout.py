@@ -7,10 +7,7 @@ envelope::
     {"schema": 1, "command": "<subcommand>", "data": {...}}
 
 Consumers dispatch on ``command`` and version-check ``schema`` once,
-instead of guessing at five ad-hoc layouts.  The older per-command flags
-(``--stats-json``) remain as hidden deprecated aliases that warn once
-per process and produce the *new* envelope — scripts keep working, but
-they are told where to move.
+instead of guessing at five ad-hoc layouts.
 """
 
 from __future__ import annotations
@@ -18,12 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict
 
 #: Bump when the envelope layout itself (not a command's data) changes.
 ENVELOPE_SCHEMA = 1
-
-_warned: Set[str] = set()
 
 
 def envelope(command: str, data: Any) -> Dict[str, Any]:
@@ -49,45 +44,11 @@ def write_envelope(path: str, command: str, data: Any) -> Dict[str, Any]:
 
 def add_json_arg(
     parser: argparse.ArgumentParser,
-    legacy: Optional[str] = None,
     help: str = "write the machine-readable envelope "
     '({"schema": N, "command": ..., "data": ...}) to PATH '
     "('-' for stdout)",
 ) -> None:
-    """Register the unified ``--json`` flag (plus a hidden legacy alias).
-
-    ``legacy`` names the command's old flag (e.g. ``--stats-json``); it
-    keeps parsing but is suppressed from ``--help`` and warns once per
-    process when used.
-    """
+    """Register the unified ``--json`` flag (parsed into ``json_out``)."""
     parser.add_argument(
         "--json", dest="json_out", metavar="PATH", default=None, help=help
     )
-    if legacy:
-        parser.add_argument(
-            legacy,
-            dest="json_out_legacy",
-            metavar="PATH",
-            default=None,
-            help=argparse.SUPPRESS,
-        )
-
-
-def resolved_json_out(args: argparse.Namespace, prog: str) -> Optional[str]:
-    """The requested output path, honouring the deprecated alias.
-
-    ``--json`` wins when both are given.  The alias warns once per
-    process per command, on stderr (never into a ``--json -`` stream).
-    """
-    path = getattr(args, "json_out", None)
-    legacy = getattr(args, "json_out_legacy", None)
-    if path is not None:
-        return path
-    if legacy is not None and prog not in _warned:
-        _warned.add(prog)
-        print(
-            f"{prog}: --stats-json is deprecated; use --json "
-            "(same path semantics, schema-versioned envelope)",
-            file=sys.stderr,
-        )
-    return legacy

@@ -24,11 +24,10 @@ Four modes::
 from __future__ import annotations
 
 import argparse
-import sys
 import time
 from typing import List, Optional
 
-from repro.jsonout import add_json_arg, resolved_json_out, write_envelope
+from repro.jsonout import add_json_arg, write_envelope
 
 #: The pinned corpus seeds (tests/litmus/test_golden_corpus.py).
 DEFAULT_SEEDS = (0, 1, 2, 3, 4, 5)
@@ -281,7 +280,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     add_json_arg(parser)
     args = parser.parse_args(argv)
     args.seed_list = _parse_seeds(args.seeds, args.count)
-    json_out = resolved_json_out(args, prog="repro litmus")
+    json_out = args.json_out
     if args.mode == "generate":
         return _generate(args, json_out)
     if args.mode == "run":
@@ -289,11 +288,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.mode == "explore":
         return _explore(args, json_out)
     return _mutants(args, json_out)
-
-
-if __name__ == "__main__":
-    print(
-        "note: `python -m repro litmus ...` is the consolidated entry point",
-        file=sys.stderr,
-    )
-    sys.exit(main())

@@ -14,9 +14,11 @@ content-hash}``, recorded by the usage probe that watched the original
 run) is served only while every named subsystem's current hash
 (:func:`repro.deps.subsystem_hashes`) still matches — so editing an eval
 script leaves simulations warm, while editing ``arch/`` invalidates
-exactly the entries that exercised the architecture.  Entries with only
-the legacy whole-tree ``code_version`` fall back to comparing that;
-entries with neither (hand-rolled test payloads) are trusted as-is.
+exactly the entries that exercised the architecture.  Entries written
+before dependencies were recorded carry only a whole-tree version
+stamp (:data:`PRE_DEPS_KEY`) and are always stale: there is no longer a
+whole-tree hash to check them against.  Entries with neither
+(hand-rolled test payloads) are trusted as-is.
 Stale entries count as misses (and into :attr:`ResultCache.stale` /
 :attr:`ResultCache.stale_log` for delta reporting) and are overwritten
 in place by the re-run — quarantine stays reserved for corruption.
@@ -36,10 +38,17 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.deps import code_version, subsystem_hashes
+from repro.deps import subsystem_hashes
 
 #: Environment override for the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+#: The whole-tree version stamp of entries that predate ``deps`` maps.
+PRE_DEPS_KEY = "code_version"
+
+#: What :attr:`ResultCache.stale_log` names as the stale "subsystem" of
+#: such an entry.
+PRE_DEPS_STALE = "<pre-deps>"
 
 #: Default location, relative to the working directory.
 DEFAULT_CACHE_DIR = os.path.join("results", ".sweep-cache")
@@ -105,10 +114,9 @@ class ResultCache:
         """Which recorded dependencies no longer match the current code.
 
         An entry with a ``deps`` map is checked subsystem by subsystem;
-        one with only the legacy ``code_version`` is checked against the
-        whole-tree hash (reported as the pseudo-subsystem
-        ``"<code-version>"``); one with neither is trusted — there is
-        nothing to validate against.
+        one with only the pre-deps version stamp is always stale
+        (reported as the pseudo-subsystem :data:`PRE_DEPS_STALE`); one
+        with neither is trusted — there is nothing to validate against.
         """
         deps = payload.get("deps")
         if isinstance(deps, dict) and deps:
@@ -118,9 +126,8 @@ class ResultCache:
                 for name, stored in deps.items()
                 if current.get(name) != stored
             )
-        stored_version = payload.get("code_version")
-        if stored_version is not None and stored_version != code_version():
-            return ["<code-version>"]
+        if PRE_DEPS_KEY in payload:
+            return [PRE_DEPS_STALE]
         return []
 
     def put(self, fingerprint: str, payload: Dict[str, Any], kind: str = "runs") -> Path:

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.compiler import OptConfig
 from repro.deps import DepsError
 from repro.eval.report import format_table
-from repro.jsonout import add_json_arg, resolved_json_out, write_envelope
+from repro.jsonout import add_json_arg, write_envelope
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -156,7 +156,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for name in names
     }
     rows = [name for name in names if cells.get(name)]
-    json_out = resolved_json_out(args, prog="repro sweep")
+    json_out = args.json_out
     if json_out != "-":
         print(
             format_table(
@@ -200,7 +200,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 1
     return 0 if report.ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

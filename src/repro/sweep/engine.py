@@ -27,7 +27,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.api import (
     RunResult,
     RunSpec,
-    code_version,
     execute_spec,
     metrics_from_dict,
     metrics_to_dict,
@@ -415,10 +414,7 @@ def run_specs(
                         fp,
                         {
                             "kind": "metrics",
-                            # deps drive validation; code_version stays
-                            # as provenance + pre-deps fallback.
                             "deps": deps_token(deps),
-                            "code_version": code_version(),
                             "workload": status.spec.workload,
                             "label": status.spec.label,
                             "wall_s": wall,

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import sys
 import time
 from typing import List, Optional
 
 from repro.api import RunSpec
 from repro.compiler import OptConfig
-from repro.jsonout import add_json_arg, resolved_json_out, write_envelope
+from repro.jsonout import add_json_arg, write_envelope
 
 
 def _spec(args) -> RunSpec:
@@ -281,17 +280,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     add_json_arg(parser)
     args = parser.parse_args(argv)
-    json_out = resolved_json_out(args, prog="repro trace")
+    json_out = args.json_out
     if args.mode == "capture":
         return _capture(args, parser, json_out)
     if args.mode == "replay":
         return _replay(args, parser, json_out)
     return _bench(args, parser, json_out)
-
-
-if __name__ == "__main__":
-    print(
-        "note: `python -m repro trace ...` is the consolidated entry point",
-        file=sys.stderr,
-    )
-    sys.exit(main())

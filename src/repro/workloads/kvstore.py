@@ -4,10 +4,8 @@ The paper's Section 1 motivation made executable: a linear-probing hash
 table written with *no* transactions, no pmalloc, no flushes and no
 recovery code, made crash-consistent purely by compiling it under Capri.
 It started life as ``examples/kv_store.py``; promoting it into the
-registry means the sweep engine, the fault campaign, the persistency
-checker, and the multi-tenant service front-end
-(:mod:`repro.service`) all share one builder instead of four private
-copies.
+registry means the sweep engine, the fault campaign, and the
+persistency checker all share one builder instead of private copies.
 
 Two entry points:
 
@@ -17,8 +15,8 @@ Two entry points:
 * :func:`build_kv_service_module` — the same module with its
   :class:`KvLayout` (table/stats/result addresses), for callers that
   spawn the per-operation entry points (``kv_put``/``kv_get``/
-  ``kv_delete``) directly — one request per hart activation, the
-  service front-end's request model.
+  ``kv_delete``) directly — one request per hart activation
+  (``examples/kv_store.py`` and the tombstone regression tests).
 """
 
 from __future__ import annotations
@@ -152,12 +150,6 @@ def _build(slots: int) -> Tuple[Module, KvLayout]:
             f.add(idx, 1, dst=idx)
             f.and_(idx, slots - 1, dst=idx)
         f.ret(0)
-
-    # No-op boot entry: the cold-restart spawn point of a tenant with no
-    # in-flight request (recovery needs *a* spawn configuration even when
-    # there is nothing to replay).
-    with b.function("kv_boot") as f:
-        f.ret()
 
     # The batch driver every registry runner (sweeps, campaigns, the
     # checker) uses: a seeded put/get/delete mix over a small key space.

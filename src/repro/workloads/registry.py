@@ -117,8 +117,8 @@ _register("hot-writeback", "probe", probes.build_hot_writeback_probe)
 _register("deep-call", "probe", probes.build_deep_call_probe)
 
 # Application workloads outside the paper's figure suites: first-class
-# registry members (sweeps, fault campaigns, the checker, and the
-# service front-end all resolve them by name) but, like the probes,
+# registry members (sweeps, fault campaigns, and the checker all
+# resolve them by name) but, like the probes,
 # deliberately absent from SUITES so the figure axes are unchanged.
 _register("kv_store", "service", kvstore.build_kv_store)
 

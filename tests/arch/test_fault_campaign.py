@@ -139,7 +139,7 @@ class TestHarnessWiring:
 
 class TestCli:
     def test_main_clean_sweep_exits_zero(self, capsys):
-        from repro.fault.__main__ import main
+        from repro.fault.cli import main
 
         rc = main(
             [
@@ -156,7 +156,7 @@ class TestCli:
         assert "PASS" in out
 
     def test_main_adversarial_lenient(self, capsys):
-        from repro.fault.__main__ import main
+        from repro.fault.cli import main
 
         rc = main(
             [

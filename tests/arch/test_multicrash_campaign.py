@@ -197,8 +197,8 @@ class TestReporting:
 
 
 class TestCli:
-    def test_multi_crash_cli_with_stats_json(self, capsys, tmp_path):
-        from repro.fault.__main__ import main
+    def test_multi_crash_cli_with_json(self, capsys, tmp_path):
+        from repro.fault.cli import main
 
         out_path = tmp_path / "stats.json"
         rc = main([
@@ -207,19 +207,18 @@ class TestCli:
             "--sample", "5",
             "--multi-crash",
             "--secondary-sample", "3",
-            "--stats-json", str(out_path),
+            "--json", str(out_path),
         ])
         out = capsys.readouterr().out
         assert rc == 0
         assert "PASS" in out and "depth=2" in out
-        # --stats-json is a deprecated alias for --json: same envelope.
         payload = json.loads(out_path.read_text())
         assert payload["command"] == "fault"
         stats = payload["data"]
         assert stats["ok"] is True and stats["depth"] == 2
 
     def test_depth_requires_positive(self):
-        from repro.fault.__main__ import main
+        from repro.fault.cli import main
 
         with pytest.raises(SystemExit):
             main(["--workload", "deep-call", "--depth", "0"])

@@ -41,9 +41,6 @@ class TestOptConfig:
         assert cfg.threshold == 512
         assert cfg.licm_opt
 
-    def test_full_alias(self):
-        assert OptConfig.full() == OptConfig.licm()
-
 
 class TestPipeline:
     def test_volatile_config_returns_clone_without_boundaries(self):

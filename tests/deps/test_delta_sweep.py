@@ -89,8 +89,8 @@ class TestDeltaReport:
     ):
         specs = [spec()]
         run_specs(specs, cache=tmp_path)
-        monkeypatch.setenv("REPRO_SUBSYSTEM_SALT", "service=edited")
-        fake_rev(["service"])
+        monkeypatch.setenv("REPRO_SUBSYSTEM_SALT", "litmus=edited")
+        fake_rev(["litmus"])
         report = run_specs(
             specs, cache=tmp_path, since="HEAD~1"
         )

@@ -8,7 +8,6 @@ from repro.deps import (
     SUBSYSTEMS,
     DepsError,
     changed_subsystems_since,
-    code_version,
     deps_token,
     package_root,
     subsystem_for_module,
@@ -48,7 +47,7 @@ class TestPartition:
             ("fault/campaign.py", "fault"),
             ("trace/codec.py", "trace"),
             ("workloads/registry.py", "workloads"),
-            ("service/daemon.py", "service"),
+            ("service/daemon.py", "core"),  # retired subsystem: old revs still hash
         ],
     )
     def test_path_mapping(self, relpath, subsystem):
@@ -102,13 +101,15 @@ class TestHashes:
         assert before["eval"] == after["eval"]
         assert before["core"] == after["core"]  # both empty
 
-    def test_env_version_derives_all_hashes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CODE_VERSION", "vA")
+    def test_salting_every_subsystem_moves_all_hashes(self, monkeypatch):
+        def salt_all(tag):
+            return ",".join(f"{name}={tag}" for name in SUBSYSTEMS)
+
+        monkeypatch.setenv("REPRO_SUBSYSTEM_SALT", salt_all("vA"))
         a = subsystem_hashes()
-        monkeypatch.setenv("REPRO_CODE_VERSION", "vB")
+        monkeypatch.setenv("REPRO_SUBSYSTEM_SALT", salt_all("vB"))
         b = subsystem_hashes()
         assert all(a[name] != b[name] for name in SUBSYSTEMS)
-        assert code_version() == "vB"
 
     def test_salt_perturbs_named_subsystems_only(self, monkeypatch):
         base = subsystem_hashes()

@@ -11,8 +11,8 @@ misses.  That can be the right call, but it must be deliberate:
 3. note the schema change in DESIGN.md.
 
 Fingerprints are pure parameter addresses (schema v2): pinned digests
-must be identical on every machine and under any ``REPRO_CODE_VERSION``
-/ ``REPRO_SUBSYSTEM_SALT`` environment, so these tests set both.
+must be identical on every machine and under any ``REPRO_SUBSYSTEM_SALT``
+environment, so these tests set it.
 """
 
 import pytest
@@ -37,8 +37,7 @@ GOLDEN_TRACE = (
 
 @pytest.fixture(autouse=True)
 def hostile_environment(monkeypatch):
-    """Fingerprints must ignore every code-version knob."""
-    monkeypatch.setenv("REPRO_CODE_VERSION", "golden-test-noise")
+    """Fingerprints must ignore the subsystem-salt knob."""
     monkeypatch.setenv("REPRO_SUBSYSTEM_SALT", "arch=noise,eval=noise")
 
 

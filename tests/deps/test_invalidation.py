@@ -9,9 +9,10 @@ edit would.
 
 import pytest
 
-from repro.api import ResultCache, RunSpec, code_version
+from repro.api import ResultCache, RunSpec
 from repro.compiler import OptConfig
 from repro.deps import deps_token
+from repro.sweep.cache import PRE_DEPS_KEY, PRE_DEPS_STALE
 from repro.sweep.engine import run_specs
 
 TINY = 0.05
@@ -45,31 +46,37 @@ class TestCacheValidation:
         assert store.get("fp") is not None
         assert store.stale == 0
 
-    def test_legacy_code_version_entry_falls_back(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("deps", [None, {}], ids=["no-deps", "empty-deps"])
+    def test_pre_deps_entry_is_always_stale(self, tmp_path, deps):
+        # Entries from before dependency recording carry only a
+        # whole-tree version stamp: nothing can vouch for them, so they
+        # are refused (and re-run), never trusted as-is.
         store = ResultCache(tmp_path)
-        store.put("fp", {"metrics": {}, "code_version": code_version()})
-        assert store.get("fp") is not None
-        monkeypatch.setenv("REPRO_CODE_VERSION", "bumped")
+        payload = {"metrics": {"exec_cycles": 1.0}, PRE_DEPS_KEY: "old"}
+        if deps is not None:
+            payload["deps"] = deps
+        store.put("fp", payload)
         assert store.get("fp") is None
-        assert store.stale_log[("runs", "fp")]["subsystems"] == [
-            "<code-version>"
-        ]
+        assert store.get("fp") is None
+        assert store.stale == 2 and store.hits == 0
+        assert store.stale_log[("runs", "fp")] == {
+            "subsystems": [PRE_DEPS_STALE],
+            "metrics": {"exec_cycles": 1.0},
+        }
 
     def test_entry_without_any_token_is_trusted(self, tmp_path):
         store = ResultCache(tmp_path)
         store.put("fp", {"metrics": {"exec_cycles": 1.0}})
         assert store.get("fp") is not None
 
-    def test_deps_take_precedence_over_code_version(
-        self, tmp_path, monkeypatch
-    ):
-        # A matching deps token keeps the entry valid even when the
-        # legacy whole-tree version moved underneath it.
+    def test_deps_take_precedence_over_pre_deps_stamp(self, tmp_path):
+        # A matching deps token keeps the entry valid even when it also
+        # carries the old whole-tree stamp.
         store = ResultCache(tmp_path)
         token = deps_token(["eval"])
         store.put(
             "fp",
-            {"metrics": {}, "deps": token, "code_version": "something-old"},
+            {"metrics": {}, "deps": token, PRE_DEPS_KEY: "something-old"},
         )
         assert store.get("fp") is not None
 
@@ -118,7 +125,7 @@ class TestSweepInvalidation:
         assert all(len(h) == 16 for h in deps.values())
 
 
-@pytest.mark.parametrize("salt", ["check=x", "fault=x", "service=x"])
+@pytest.mark.parametrize("salt", ["check=x", "fault=x", "litmus=x"])
 def test_unexercised_subsystems_never_invalidate(tmp_path, monkeypatch, salt):
     specs = [spec()]
     assert run_specs(specs, cache=tmp_path).failures == 0

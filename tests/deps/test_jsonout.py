@@ -1,4 +1,4 @@
-"""The unified ``--json`` envelope and its deprecated ``--stats-json`` alias."""
+"""The unified ``--json`` envelope."""
 
 import argparse
 import json
@@ -9,7 +9,6 @@ from repro.jsonout import (
     ENVELOPE_SCHEMA,
     add_json_arg,
     envelope,
-    resolved_json_out,
     write_envelope,
 )
 
@@ -38,52 +37,25 @@ class TestEnvelope:
 
 
 class TestFlagResolution:
-    def _parser(self, legacy=None):
+    def _parser(self):
         parser = argparse.ArgumentParser(prog="t")
-        add_json_arg(parser, legacy=legacy)
+        add_json_arg(parser)
         return parser
 
     def test_json_flag(self):
         args = self._parser().parse_args(["--json", "out.json"])
-        assert resolved_json_out(args, prog="t") == "out.json"
+        assert args.json_out == "out.json"
 
     def test_default_is_none(self):
         args = self._parser().parse_args([])
-        assert resolved_json_out(args, prog="t") is None
-
-    def test_legacy_alias_still_works_and_warns(self, capsys):
-        import repro.jsonout as jsonout
-
-        jsonout._warned.discard("t-legacy")
-        parser = self._parser(legacy="--stats-json")
-        args = parser.parse_args(["--stats-json", "stats.json"])
-        assert resolved_json_out(args, prog="t-legacy") == "stats.json"
-        err = capsys.readouterr().err
-        assert "deprecated" in err and "--json" in err
-
-    def test_legacy_warns_only_once_per_prog(self, capsys):
-        import repro.jsonout as jsonout
-
-        jsonout._warned.discard("t-once")
-        parser = self._parser(legacy="--stats-json")
-        args = parser.parse_args(["--stats-json", "a.json"])
-        resolved_json_out(args, prog="t-once")
-        resolved_json_out(args, prog="t-once")
-        assert capsys.readouterr().err.count("deprecated") == 1
-
-    def test_new_flag_wins_over_legacy(self):
-        parser = self._parser(legacy="--stats-json")
-        args = parser.parse_args(
-            ["--stats-json", "old.json", "--json", "new.json"]
-        )
-        assert resolved_json_out(args, prog="t") == "new.json"
+        assert args.json_out is None
 
 
 class TestCommandIntegration:
     """Every repro subcommand speaks the same envelope."""
 
     def test_fault_json(self, tmp_path, capsys, monkeypatch):
-        from repro.fault.__main__ import main as fault_main
+        from repro.fault.cli import main as fault_main
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         out = tmp_path / "fault.json"
@@ -107,30 +79,8 @@ class TestCommandIntegration:
         assert payload["command"] == "fault"
         assert payload["data"]["counts"]["ok"] >= 1
 
-    def test_fault_legacy_stats_json_alias(self, tmp_path, capsys, monkeypatch):
-        from repro.fault.__main__ import main as fault_main
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        out = tmp_path / "fault.json"
-        rc = fault_main(
-            [
-                "--workload",
-                "stream-write",
-                "--scale",
-                "0.05",
-                "--sample",
-                "3",
-                "--no-minimize",
-                "--stats-json",
-                str(out),
-            ]
-        )
-        capsys.readouterr()
-        assert rc == 0
-        assert json.loads(out.read_text())["command"] == "fault"
-
     def test_check_json_stdout(self, capsys):
-        from repro.check.__main__ import main as check_main
+        from repro.check.cli import main as check_main
 
         rc = check_main(
             ["--workload", "stream-write", "--scale", "0.3", "--json", "-"]

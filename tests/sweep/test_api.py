@@ -6,7 +6,6 @@ import pytest
 
 from repro.api import (
     RunSpec,
-    code_version,
     execute_spec,
     metrics_from_dict,
     metrics_to_dict,
@@ -16,6 +15,13 @@ from repro.arch.system import run_workload
 from repro.compiler import OptConfig
 
 TINY = 0.05
+
+
+def salt_everything(tag: str) -> str:
+    """A ``REPRO_SUBSYSTEM_SALT`` value that moves every subsystem hash."""
+    from repro.deps import SUBSYSTEMS
+
+    return ",".join(f"{name}={tag}" for name in SUBSYSTEMS)
 
 
 def spec(**kw) -> RunSpec:
@@ -87,32 +93,26 @@ class TestFingerprint:
         # Schema v2: the fingerprint is code-independent — a code bump
         # must NOT move the key (invalidation happens per-entry via the
         # stored deps token, see test_invalidation in tests/deps).
-        monkeypatch.setenv("REPRO_CODE_VERSION", "v1")
+        monkeypatch.setenv("REPRO_SUBSYSTEM_SALT", salt_everything("v1"))
         fp1 = spec().fingerprint()
-        monkeypatch.setenv("REPRO_CODE_VERSION", "v2")
+        monkeypatch.setenv("REPRO_SUBSYSTEM_SALT", salt_everything("v2"))
         assert spec().fingerprint() == fp1
 
-    def test_code_version_bump_invalidates_cache_entries(
-        self, monkeypatch, tmp_path
-    ):
+    def test_code_bump_invalidates_cache_entries(self, monkeypatch, tmp_path):
         # The old schema-v1 guarantee, now delivered by validation: an
-        # entry written under v1 is refused once the code version moves.
-        from repro.api import ResultCache, code_version
+        # entry written under v1 is refused once the code moves.
+        from repro.api import ResultCache
+        from repro.deps import SUBSYSTEMS, deps_token
 
-        monkeypatch.setenv("REPRO_CODE_VERSION", "v1")
+        monkeypatch.setenv("REPRO_SUBSYSTEM_SALT", salt_everything("v1"))
         store = ResultCache(tmp_path / "cache")
         fp = spec().fingerprint()
         store.put(fp, {"metrics": {"exec_cycles": 1.0},
-                       "code_version": code_version()})
+                       "deps": deps_token(SUBSYSTEMS)})
         assert store.get(fp) is not None
-        monkeypatch.setenv("REPRO_CODE_VERSION", "v2")
+        monkeypatch.setenv("REPRO_SUBSYSTEM_SALT", salt_everything("v2"))
         assert store.get(fp) is None
         assert store.stale == 1
-
-    def test_code_version_hashes_sources(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CODE_VERSION", raising=False)
-        v = code_version()
-        assert len(v) == 16 and v == code_version()
 
     def test_canon_distinguishes_key_types(self):
         # Regression: stringified dict keys made {1: x} and {"1": x}

@@ -116,22 +116,39 @@ class TestSweepCLI:
         capsys.readouterr()
 
 
-class TestLegacyPointers:
-    """Old entry points keep working; they only add a stderr pointer."""
+def _usage_subcommands():
+    from repro.__main__ import _USAGE
 
-    @pytest.mark.parametrize(
-        "module, needle",
-        [
-            ("repro.eval.figures", "python -m repro figures"),
-            ("repro.eval.ablations", "python -m repro ablations"),
-            ("repro.eval.make_report", "python -m repro report"),
-            ("repro.eval.profile", "python -m repro profile"),
-            ("repro.fault.__main__", "python -m repro fault"),
-        ],
-    )
-    def test_pointer_text_present(self, module, needle):
-        import importlib
-        import inspect
+    listing = _USAGE.split("subcommands:\n", 1)[1].split("\n\n", 1)[0]
+    return [line.split()[0] for line in listing.splitlines()]
 
-        src = inspect.getsource(importlib.import_module(module))
-        assert needle in src
+
+class TestSingleEntryPoint:
+    """``python -m repro <sub>`` is the only way in."""
+
+    @pytest.mark.parametrize("sub", _usage_subcommands())
+    def test_every_listed_subcommand_dispatches(self, sub, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            repro_main([sub, "--help"])
+        assert exit_info.value.code == 0
+        assert f"python -m repro {sub}" in capsys.readouterr().out
+
+    def test_usage_lists_the_analyses(self):
+        assert {"recovery", "energy"} <= set(_usage_subcommands())
+
+    def test_module_entry_points_are_gone(self):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.fault", "--help"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode != 0
+        assert "repro.fault" in proc.stderr

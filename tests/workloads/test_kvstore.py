@@ -56,8 +56,8 @@ def test_overwrite_keeps_single_slot(built):
 
 def test_put_past_tombstone_finds_existing_key(built):
     """Regression: a tombstone in a key's probe chain must not cause a
-    re-put of that key to insert a duplicate (the loadgen oracle caught
-    exactly this as a stale acked value after a colliding delete)."""
+    re-put of that key to insert a duplicate (seen as a stale value
+    after a colliding delete)."""
     m = _machine(built)
     layout = built[1]
     # Fill a chain: with 16 slots, keys colliding mod 16 probe linearly.
