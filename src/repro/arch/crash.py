@@ -87,7 +87,7 @@ def capture_crash_state(system: CapriSystem) -> CrashState:
     Every mutable field is copied — the snapshot must never alias live
     pipeline state, or post-capture execution (and fault models mutating
     the snapshot) would corrupt each other.  :meth:`ProxyEntry.clone`
-    copies all mutable containers per slot, not just ``ckpts``.
+    copies every slot and gives each copy its own ``ckpts``.
     """
     if system.persist is None:
         raise ValueError("cannot capture crash state of a volatile system")

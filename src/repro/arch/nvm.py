@@ -21,6 +21,63 @@ from typing import Deque, Dict
 
 from repro.arch.params import SimParams
 
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_WORD_MASK = (1 << 64) - 1
+#: ``_FNV_PRIME ** k mod 2**64``: FNV-1a folds a zero byte as a bare
+#: multiply by the prime, so a run of ``k`` zero bytes is one multiply.
+_ZERO_RUN = tuple(pow(_FNV_PRIME, k, 1 << 64) for k in range(17))
+
+
+def _fnv_int(h: int, value: int) -> int:
+    """Fold ``value`` as its 16-byte little-endian two's complement.
+
+    Only the bytes below the trailing zero run go through the per-byte
+    loop; the zero run folds with one multiply, bit-identical to hashing
+    every byte.  A non-negative word hashes only its significant bytes
+    (a one-byte value is a single xor and multiply); a negative one has
+    no trailing zeros and takes all 16.  Values that do not fit in 16
+    bytes raise :class:`OverflowError`.
+    """
+    if 0 <= value < 256:
+        return ((h ^ value) * _ZERO_RUN[16]) & _WORD_MASK
+    data = value.to_bytes(16, "little", signed=True).rstrip(b"\x00")
+    for b in data:
+        h = ((h ^ b) * _FNV_PRIME) & _WORD_MASK
+    return (h * _ZERO_RUN[16 - len(data)]) & _WORD_MASK
+
+
+def _fnv_mix(h: int, value) -> int:
+    """Fold one value (int, bool, str, None, or tuple) into an FNV-1a hash.
+
+    Deliberately avoids Python's builtin ``hash`` (salted per process) so
+    checksums are reproducible across runs — fault-injection campaigns
+    promise determinism under a fixed seed.
+    """
+    if value is None:
+        data = b"\x00"
+    elif isinstance(value, bool):
+        data = b"\x01" if value else b"\x02"
+    elif isinstance(value, int):
+        return _fnv_int(h, value)
+    elif isinstance(value, str):
+        data = value.encode()
+    elif isinstance(value, tuple):
+        for v in value:
+            h = _fnv_mix(h, v)
+        return h
+    else:  # pragma: no cover - defensive
+        data = repr(value).encode()
+    for b in data:
+        h = ((h ^ b) * _FNV_PRIME) & _WORD_MASK
+    return h
+
+
+def word_checksum(addr: int, value: int) -> int:
+    """Integrity word for one NVM cell (the per-word ECC/CRC a real part
+    stores alongside the data array)."""
+    return _fnv_int(_fnv_int(_FNV_OFFSET, addr), value)
+
 
 @dataclass(frozen=True)
 class WpqRecord:
@@ -40,14 +97,10 @@ class WpqRecord:
 
     @staticmethod
     def make(addr: int, value: int, prev: int | None) -> "WpqRecord":
-        from repro.arch.proxy import word_checksum
-
         return WpqRecord(addr, value, prev, word_checksum(addr, value))
 
     @property
     def intact(self) -> bool:
-        from repro.arch.proxy import word_checksum
-
         return self.checksum == word_checksum(self.addr, self.value)
 
 
@@ -123,8 +176,6 @@ class NVMain:
         return t
 
     def ckpt_write(self, now: float, addr: int, value: int) -> float:
-        from repro.arch.proxy import word_checksum
-
         t = self.issue_write(now)
         self._journal(addr, value)
         self.image[addr] = value

@@ -32,47 +32,18 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.arch.nvm import NVMain
+from repro.arch.nvm import (
+    _FNV_OFFSET,
+    _FNV_PRIME,
+    _WORD_MASK,
+    NVMain,
+    _fnv_int,
+    _fnv_mix,
+)
 from repro.arch.params import SimParams
 
 KIND_DATA = 0
 KIND_BOUNDARY = 1
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_WORD_MASK = (1 << 64) - 1
-
-
-def _fnv_mix(h: int, value) -> int:
-    """Fold one value (int, str, None, or tuple) into an FNV-1a hash.
-
-    Deliberately avoids Python's builtin ``hash`` (salted per process) so
-    checksums are reproducible across runs — fault-injection campaigns
-    promise determinism under a fixed seed.
-    """
-    if value is None:
-        data = b"\x00"
-    elif isinstance(value, bool):
-        data = b"\x01" if value else b"\x02"
-    elif isinstance(value, int):
-        data = value.to_bytes(16, "little", signed=True)
-    elif isinstance(value, str):
-        data = value.encode()
-    elif isinstance(value, tuple):
-        for v in value:
-            h = _fnv_mix(h, v)
-        return h
-    else:  # pragma: no cover - defensive
-        data = repr(value).encode()
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & _WORD_MASK
-    return h
-
-
-def word_checksum(addr: int, value: int) -> int:
-    """Integrity word for one NVM cell (the per-word ECC/CRC a real part
-    stores alongside the data array)."""
-    return _fnv_mix(_fnv_mix(_FNV_OFFSET, addr), value)
 
 
 def _continuation_key(continuation) -> tuple:
@@ -99,17 +70,21 @@ def entry_checksum(entry: "ProxyEntry") -> int:
     through :meth:`ProxyEntry.refresh_checksum`; a fault that flips bits
     behind the checksum's back is therefore detectable at recovery.
     """
-    h = _FNV_OFFSET
-    h = _fnv_mix(h, entry.kind)
-    h = _fnv_mix(h, entry.addr)
-    h = _fnv_mix(h, entry.undo)
-    h = _fnv_mix(h, entry.redo)
-    h = _fnv_mix(h, entry.redo_valid)
-    h = _fnv_mix(h, entry.region_seq)
-    h = _fnv_mix(h, entry.region_id)
-    h = _fnv_mix(h, _continuation_key(entry.continuation))
-    for slot_addr in sorted(entry.ckpts):
-        h = _fnv_mix(h, (slot_addr, entry.ckpts[slot_addr]))
+    h = _fnv_int(_FNV_OFFSET, entry.kind)
+    h = _fnv_int(h, entry.addr)
+    h = _fnv_int(h, entry.undo)
+    h = _fnv_int(h, entry.redo)
+    # The valid bit folds as one byte, 0x01 when set and 0x02 when unset.
+    h = ((h ^ (1 if entry.redo_valid else 2)) * _FNV_PRIME) & _WORD_MASK
+    h = _fnv_int(h, entry.region_seq)
+    h = _fnv_int(h, entry.region_id)
+    if entry.continuation is None:
+        h = (h * _FNV_PRIME) & _WORD_MASK  # key (None,): one 0x00 byte
+    else:
+        h = _fnv_mix(h, _continuation_key(entry.continuation))
+    ckpts = entry.ckpts
+    for slot_addr in sorted(ckpts):
+        h = _fnv_int(_fnv_int(h, slot_addr), ckpts[slot_addr])
     return h
 
 
@@ -175,19 +150,24 @@ class ProxyEntry:
         """Copy with no shared mutable state (crash capture must not
         alias the live pipeline — see ``capture_crash_state``).
 
-        ``checksum`` is copied verbatim, *not* recomputed: a snapshot of
-        a torn entry must stay torn.
+        Slot by slot: ``ckpts`` is the only mutable field and is copied;
+        the frozen ``continuation`` is shared.  ``checksum`` is copied
+        verbatim, *not* recomputed: a snapshot of a torn entry must stay
+        torn.
         """
         dup = ProxyEntry.__new__(ProxyEntry)
-        for slot in ProxyEntry.__slots__:
-            value = getattr(self, slot)
-            if isinstance(value, dict):
-                value = dict(value)
-            elif isinstance(value, list):
-                value = list(value)
-            elif isinstance(value, set):
-                value = set(value)
-            setattr(dup, slot, value)
+        dup.kind = self.kind
+        dup.addr = self.addr
+        dup.undo = self.undo
+        dup.redo = self.redo
+        dup.redo_valid = self.redo_valid
+        dup.region_seq = self.region_seq
+        dup.create_time = self.create_time
+        dup.arrive_time = self.arrive_time
+        dup.region_id = self.region_id
+        dup.continuation = self.continuation  # frozen: safe to share
+        dup.ckpts = dict(self.ckpts)
+        dup.checksum = self.checksum
         return dup
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

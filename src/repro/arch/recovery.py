@@ -64,7 +64,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.arch.crash import CrashState
-from repro.arch.proxy import ProxyEntry, word_checksum
+from repro.arch.nvm import word_checksum
+from repro.arch.proxy import ProxyEntry
 from repro.ir.function import RecoveryBlock
 from repro.ir.instructions import BinOp, Move, UnOp, eval_binop, eval_unop
 from repro.ir.module import Module, ckpt_slot_addr, is_ckpt_addr
@@ -207,9 +208,11 @@ def _eval_recovery_block(rb: RecoveryBlock, regs: List[int]) -> None:
             raise RecoveryError(f"impure instruction in recovery block: {instr!r}")
 
 
-def _first_torn_boundary(entries: List[ProxyEntry]) -> Optional[int]:
+def _first_torn_boundary(
+    entries: List[ProxyEntry], intact: List[bool]
+) -> Optional[int]:
     for i, e in enumerate(entries):
-        if e.is_boundary and not e.intact:
+        if e.is_boundary and not intact[i]:
             return i
     return None
 
@@ -353,10 +356,14 @@ def _recovery_steps(
 
     for core in range(domain.num_cores):
         entries = entries_by_core[core]
+        # Each entry's integrity is verified once per recovery: the
+        # buffers are read-only until the commit step, so the verdict
+        # cannot change between the phases below.
+        intact = [e.intact for e in entries]
 
         if strict:
-            for e in entries:
-                if not e.intact:
+            for e, ok in zip(entries, intact):
+                if not ok:
                     raise TornEntryError(
                         f"core {core}: torn {'boundary' if e.is_boundary else 'data'}"
                         f" entry (seq {e.region_seq}"
@@ -367,11 +374,9 @@ def _recovery_steps(
         # A torn *boundary* makes its region's commit untrustworthy, and
         # entry ordering after it can no longer be anchored: cut the
         # timeline there and roll everything from the tear onwards back.
-        cut = _first_torn_boundary(entries)
-        truncated: List[ProxyEntry] = []
+        cut = _first_torn_boundary(entries, intact)
         if cut is not None:
             effective = entries[:cut]
-            truncated = entries[cut:]
             torn_boundary = entries[cut]
             report.add(
                 TORN_ENTRY,
@@ -398,7 +403,7 @@ def _recovery_steps(
                 continue
             for j in range(tail_start, i):
                 data = effective[j]
-                if not data.intact:
+                if not intact[j]:
                     report.add(
                         TORN_ENTRY,
                         core,
@@ -439,15 +444,17 @@ def _recovery_steps(
             out.regions_redone += 1
             tail_start = i + 1
 
-        # Phase B: the uncommitted tail — undo in reverse.  Entries past
-        # a torn boundary (``truncated``) are rolled back too: committed
-        # regions beyond the tear cannot be anchored to a trusted resume
-        # point, so the core rewinds to its last intact boundary.
-        tail = effective[tail_start:] + truncated
+        # Phase B: the uncommitted tail — undo in reverse.  Entries from
+        # a torn boundary onwards are rolled back too: committed regions
+        # beyond the tear cannot be anchored to a trusted resume point, so
+        # the core rewinds to its last intact boundary.  ``effective`` is
+        # a prefix of ``entries``, so both together are
+        # ``entries[tail_start:]``.
         rolled_any = False
-        for data in reversed(tail):
+        for j in range(len(entries) - 1, tail_start - 1, -1):
+            data = entries[j]
             if data.is_boundary:
-                if data.intact:
+                if intact[j]:
                     report.add(
                         ROLLED_BACK_REGION,
                         core,
@@ -456,7 +463,7 @@ def _recovery_steps(
                     )
                     report.rolled_back_committed += 1
                 continue
-            if not data.intact:
+            if not intact[j]:
                 report.add(
                     TORN_ENTRY,
                     core,
@@ -478,7 +485,7 @@ def _recovery_steps(
                 out.undo_words += 1
 
             yield emit, apply
-        if tail and rolled_any:
+        if rolled_any:
             out.regions_rolled_back += 1
 
         # Phase C: register restore + recovery blocks.

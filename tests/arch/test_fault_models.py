@@ -274,3 +274,31 @@ class TestCaptureAliasing:
         dup = e.clone()
         assert not dup.intact
         assert dup.checksum == e.checksum
+
+    def test_clone_copies_every_slot(self):
+        """Walks ``__slots__`` so a slot added without a matching line in
+        the explicit ``clone`` fails here."""
+        from repro.arch.proxy import KIND_BOUNDARY, ProxyEntry
+        from repro.isa.machine import Continuation
+
+        cont = Continuation("main", "body", 1, ())
+        e = ProxyEntry(
+            KIND_BOUNDARY,
+            4,
+            3.0,
+            addr=16,
+            undo=5,
+            redo=6,
+            region_id=9,
+            continuation=cont,
+            ckpts={0x100: 1, 0x108: 2},
+        )
+        e.arrive_time = 7.0
+        e.redo_valid = False
+        e.checksum ^= 1  # stale: clone must not recompute it
+        dup = e.clone()
+        for slot in ProxyEntry.__slots__:
+            assert getattr(dup, slot) == getattr(e, slot), slot
+        assert dup.ckpts is not e.ckpts
+        assert dup.checksum == e.checksum
+        assert not dup.intact
