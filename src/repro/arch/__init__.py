@@ -32,7 +32,6 @@ from repro.arch.crash import (
     CrashInjector,
     PowerFailure,
     run_until_crash,
-    run_until_crash_with_machine,
 )
 from repro.arch.recovery import (
     CheckpointMismatchError,
@@ -58,7 +57,6 @@ __all__ = [
     "CrashInjector",
     "PowerFailure",
     "run_until_crash",
-    "run_until_crash_with_machine",
     "RecoveryError",
     "TornEntryError",
     "CheckpointMismatchError",

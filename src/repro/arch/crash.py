@@ -207,35 +207,10 @@ def run_until_crash(
     finished before the crash point (the plan's event index was past the
     end of execution).
     """
-    state, _machine = run_until_crash_with_machine(
-        module,
-        spawns,
-        plan,
-        params=params,
-        threshold=threshold,
-        quantum=quantum,
-        max_steps=max_steps,
-    )
-    return state
-
-
-def run_until_crash_with_machine(
-    module: Module,
-    spawns: Sequence[Tuple[str, Sequence[int]]],
-    plan: CrashPlan,
-    params=None,
-    threshold: int = 256,
-    quantum: int = 32,
-    max_steps: int = 50_000_000,
-) -> Tuple[Optional[CrashState], Machine]:
-    """Like :func:`run_until_crash`, but also returns the (interrupted or
-    finished) machine — campaigns need its pre-crash I/O log, which is an
-    external effect the crash cannot undo."""
     machine, system = build_system(
         module, spawns, params=params, threshold=threshold, quantum=quantum
     )
-    state = run_built_until_crash(machine, system, plan, max_steps=max_steps)
-    return state, machine
+    return run_built_until_crash(machine, system, plan, max_steps=max_steps)
 
 
 def run_built_until_crash(

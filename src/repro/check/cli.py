@@ -126,7 +126,6 @@ def _mutants(args, parser, json_out) -> int:
             scale=args.scale if args.scale is not None else 1.0,
             threshold=args.threshold,
             mutants=mutants,
-            replay=args.replay,
         )
     except (KeyError, ValueError) as err:
         parser.error(str(err.args[0] if err.args else err))
@@ -221,13 +220,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--mutant",
         help="comma-separated mutant subset for --mutants "
         f"(known: {', '.join(MUTANT_EXPECTATIONS)})",
-    )
-    parser.add_argument(
-        "--replay",
-        action="store_true",
-        help="drive the matrix from captured traces (repro.trace) — one "
-        "functional capture per workload serves all mutants "
-        "(--mutants mode only)",
     )
     add_json_arg(
         parser,

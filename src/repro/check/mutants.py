@@ -12,15 +12,20 @@ protocol — and :func:`run_mutant_matrix` demands that:
   the taxonomy class the planted bug warrants* (a mutant "detected" as
   the wrong class is a mis-diagnosis, not a detection).
 
-Persistence-path mutants are detected by the online checker riding a
-normal run (a badly broken pipeline may deadlock its proxy buffers —
-``drop_boundary_entry`` fills both buffers with nothing ever draining —
-so :class:`~repro.arch.proxy.ProxyOverflowError` is tolerated and the
-end-of-run :meth:`~repro.check.checker.PersistencyChecker.finalize`
-still runs).  Recovery-path mutants cannot fire during forward
-execution; they are detected by crashing at several points, recovering
-with the mutation planted, and checking the recovered state against the
-model's committed prefix.
+Each matrix workload's event stream is captured once
+(:func:`repro.trace.record.capture_trace`) and every run below replays
+it: mutations live in the simulated pipelines and in recovery, never in
+the event stream.  Persistence-path mutants are detected by the online
+checker riding a replayed run (a badly broken pipeline may deadlock its
+proxy buffers — ``drop_boundary_entry`` fills both buffers with nothing
+ever draining — so :class:`~repro.arch.proxy.ProxyOverflowError` is
+tolerated and the end-of-run
+:meth:`~repro.check.checker.PersistencyChecker.finalize` still runs).
+Recovery-path mutants cannot fire during forward execution; they are
+detected by crashing at several points through a campaign source
+(:class:`repro.trace.replay.TraceCursor`), recovering with the mutation
+planted, and checking the recovered state against the model's committed
+prefix.
 """
 
 from __future__ import annotations
@@ -29,12 +34,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.arch.crash import (
-    CrashInjector,
-    CrashPlan,
-    PowerFailure,
-    run_built_until_crash,
-)
 from repro.arch.params import SimParams
 from repro.arch.persistence import ProtocolMutations
 from repro.arch.proxy import ProxyOverflowError
@@ -195,35 +194,15 @@ def checked_run(
     threshold: int,
     mutations: Optional[ProtocolMutations] = None,
     max_steps: int = _MAX_STEPS,
-    trace=None,
 ) -> Tuple[PersistencyChecker, Optional[str]]:
-    """One full checked run; returns (checker, tolerated-error).
+    """One full interpreted, checked run; returns (checker, tolerated-error).
 
     Never raises on a model violation — callers inspect the report.
     Pipeline deadlock (possible under mutation) and machine errors are
     tolerated and reported so :meth:`finalize` can still flag what the
     committed prefix lost.
-
-    With a captured :class:`~repro.trace.record.ExecTrace` as ``trace``,
-    the run replays the columns instead of re-interpreting — one
-    functional capture serves all twelve mutants (mutations live in the
-    simulated pipelines, never in the event stream).
     """
     error: Optional[str] = None
-    if trace is not None:
-        from repro.trace.replay import build_replay_system
-
-        system = build_replay_system(
-            trace, params=params, threshold=threshold, mutations=mutations
-        )
-        checker = PersistencyChecker.attach(system)
-        try:
-            trace.deliver(TeeObserver(checker, system), system=system)
-            system.finish()
-        except ProxyOverflowError as exc:
-            error = f"{type(exc).__name__}: {exc}"
-        checker.finalize(system)
-        return checker, error
     machine, system = build_system(
         module, spawns, params=params, threshold=threshold, mutations=mutations
     )
@@ -237,59 +216,52 @@ def checked_run(
     return checker, error
 
 
-def _recovery_probe(
-    module,
-    spawns,
+def _replayed_run(
+    trace,
     params: SimParams,
     threshold: int,
+    mutations: Optional[ProtocolMutations] = None,
+) -> Tuple[PersistencyChecker, Optional[str]]:
+    """:func:`checked_run` on a captured trace: one functional capture
+    serves the baseline and every persistence-path mutant."""
+    from repro.trace.replay import TraceReplayer
+
+    replayer = TraceReplayer(
+        trace, params=params, threshold=threshold, check=True, mutations=mutations
+    )
+    try:
+        replayer.run()
+    except ProxyOverflowError as exc:
+        replayer.checker.finalize(replayer.system)
+        return replayer.checker, f"{type(exc).__name__}: {exc}"
+    return replayer.checker, None
+
+
+def _recovery_probe(
+    source,
+    module,
     at_event: int,
     mutations: Optional[ProtocolMutations],
-    trace=None,
-) -> Optional[PersistencyChecker]:
+) -> Optional[CheckReport]:
     """Crash at ``at_event``, recover (optionally mutated), check.
 
-    Returns the checker (its report covers the online run up to the
-    crash, the crash-state sweep for unmutated probes, and the
-    recovered-state check), or ``None`` if the program finished before
-    the crash point or recovery itself refused the state.  ``trace``
-    replays the forward run from a capture (the forward protocol is
-    always faithful here — recovery mutants act only in :func:`recover`,
-    which still needs the module).
+    ``source`` is a checking campaign source (``capture_at`` contract,
+    see :func:`repro.fault.campaign.run_sweep_point`); its forward
+    protocol is always faithful — recovery mutants act only in
+    :func:`recover`.  Returns the point's report (the online run up to
+    the crash, the crash-state sweep, and the recovered-state check), or
+    ``None`` if the program finished before the crash point or recovery
+    itself refused the state.
     """
-    if trace is not None:
-        from repro.trace.replay import build_replay_system
-
-        system = build_replay_system(trace, params=params, threshold=threshold)
-        checker = PersistencyChecker.attach(system)
-        injector = CrashInjector(
-            system, CrashPlan(at_event), target=TeeObserver(checker, system)
-        )
-        state = None
-        try:
-            trace.deliver(injector, system=system)
-        except PowerFailure as pf:
-            state = pf.state
-    else:
-        machine, system = build_system(
-            module, spawns, params=params, threshold=threshold
-        )
-        checker = PersistencyChecker.attach(system)
-        state = run_built_until_crash(
-            machine, system, CrashPlan(at_event), extra_observer=checker
-        )
+    state, _machine, checker = source.capture_at(at_event)
     if state is None:
         return None
-    if mutations is None:
-        # Faithful probes also sweep the raw crash snapshot against the
-        # model — the mutated ones skip it (their snapshot comes from the
-        # faithful forward protocol and would add nothing).
-        checker.check_crash_state(state)
     try:
         recovered = recover(state, module, strict=True, mutations=mutations)
     except RecoveryError:
         return None
     checker.check_recovered(recovered)
-    return checker
+    return checker.report
 
 
 def run_mutant_matrix(
@@ -298,7 +270,6 @@ def run_mutant_matrix(
     threshold: int = 32,
     params: Optional[SimParams] = None,
     mutants: Optional[Sequence[str]] = None,
-    replay: bool = False,
 ) -> MutantMatrixResult:
     """Run every mutant against the matrix workloads.
 
@@ -307,11 +278,13 @@ def run_mutant_matrix(
     often, which is the window ``reorder_phase2`` and
     ``merge_across_regions`` need to act.
 
-    ``replay=True`` captures each workload's event stream once
-    (:mod:`repro.trace`) and replays it for the baseline, all
-    persistence-path mutants, and every recovery probe's forward run —
-    mutations are simulation-side, so one trace serves the whole matrix.
+    Each workload is captured once; its baseline, every
+    persistence-path mutant, and one probe cursor (shared by the
+    baseline and recovery-mutant probes) all replay that trace.
     """
+    from repro.trace.record import capture_trace
+    from repro.trace.replay import TraceCursor
+
     start = time.perf_counter()
     params = params if params is not None else matrix_params()
     names = tuple(mutants) if mutants is not None else tuple(MUTANT_EXPECTATIONS)
@@ -320,40 +293,26 @@ def run_mutant_matrix(
             raise ValueError(f"unknown mutant {name!r}")
 
     built: Dict[str, tuple] = {}
-    traces: Dict[str, object] = {}
-    golden_events: Dict[str, int] = {}
+    probe_points: Dict[str, List[int]] = {}
     baseline_reports: Dict[str, CheckReport] = {}
     for wl in workloads:
         module, spawns = _build_workload(wl, scale, threshold)
-        built[wl] = (module, spawns)
-        if replay:
-            from repro.trace.record import capture_trace
-
-            traces[wl] = capture_trace(module, spawns, max_steps=_MAX_STEPS)
-        checker, error = checked_run(
-            module, spawns, params, threshold, trace=traces.get(wl)
-        )
+        trace = capture_trace(module, spawns, max_steps=_MAX_STEPS)
+        source = TraceCursor(trace, params=params, threshold=threshold, check=True)
+        built[wl] = (module, trace, source)
+        checker, error = _replayed_run(trace, params, threshold)
         if error is not None:
             raise RuntimeError(f"unmutated run of {wl!r} failed: {error}")
         report = checker.report
-        golden_events[wl] = report.events
+        probe_points[wl] = [int(report.events * frac) for frac in CRASH_FRACTIONS]
         # Fold the faithful crash/recover probes into the baseline report:
         # the unmutated protocol must survive every probe violation-free.
-        for frac in CRASH_FRACTIONS:
-            probe = _recovery_probe(
-                module,
-                spawns,
-                params,
-                threshold,
-                int(report.events * frac),
-                mutations=None,
-                trace=traces.get(wl),
-            )
+        for at in probe_points[wl]:
+            probe = _recovery_probe(source, module, at, mutations=None)
             if probe is not None:
-                for v in probe.report.violations:
+                for v in probe.violations:
                     report.add(v)
-                report.suppressed += probe.report.suppressed
-                report.checks += probe.report.checks
+                report.suppressed += probe.suppressed
         baseline_reports[wl] = report
 
     outcomes: List[MutantOutcome] = []
@@ -361,29 +320,19 @@ def run_mutant_matrix(
         outcome = MutantOutcome(mutant=name, expected=MUTANT_EXPECTATIONS[name])
         mutation = ProtocolMutations.single(name)
         for wl in workloads:
-            module, spawns = built[wl]
+            module, trace, source = built[wl]
             if name in RECOVERY_MUTANTS:
-                reports: List[CheckReport] = []
-                for frac in CRASH_FRACTIONS:
-                    probe = _recovery_probe(
-                        module,
-                        spawns,
-                        params,
-                        threshold,
-                        int(golden_events[wl] * frac),
-                        mutations=mutation,
-                        trace=traces.get(wl),
+                reports = [
+                    probe
+                    for probe in (
+                        _recovery_probe(source, module, at, mutations=mutation)
+                        for at in probe_points[wl]
                     )
-                    if probe is not None:
-                        reports.append(probe.report)
+                    if probe is not None
+                ]
             else:
-                checker, error = checked_run(
-                    module,
-                    spawns,
-                    params,
-                    threshold,
-                    mutations=mutation,
-                    trace=traces.get(wl),
+                checker, error = _replayed_run(
+                    trace, params, threshold, mutations=mutation
                 )
                 if error is not None:
                     outcome.error = error

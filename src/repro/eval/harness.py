@@ -73,8 +73,7 @@ class EvalHarness:
         #: drive instrumented runs from captured columnar traces
         #: (:mod:`repro.trace`): the functional event stream is recorded
         #: once per (workload, config) and the architecture layers are
-        #: replayed per parameter point.  Fault campaigns started through
-        #: :meth:`fault_campaign` inherit the same replay mode.
+        #: replayed per parameter point.  (Fault campaigns always replay.)
         self.trace = trace
         #: baseline fingerprint -> volatile exec cycles.
         self._baseline_cache: Dict[str, float] = {}
@@ -273,6 +272,5 @@ class EvalHarness:
         cc.params = cc.params or self.params
         cc.quantum = self.quantum
         cc.check = cc.check or self.check
-        cc.replay = cc.replay or self.trace
         cc.depth = max(cc.depth, depth)
         return run_workload_campaign(name, cc, scale=self.scale)

@@ -8,10 +8,11 @@ surviving front-/back-end entries (at most FE + BE ≈ threshold + 33
 entries per core) plus one register reload and the region's recovery
 blocks.
 
-:func:`analyze_recovery` sweeps crash points over a workload and reports,
-per crash: entries scanned, undo/redo words written, checkpoint slots
-reloaded, recovery-block instructions executed, and a wall-clock estimate
-under the Table 1 latencies.  :func:`recovery_latency_model` turns one
+:func:`analyze_recovery` sweeps crash points over a workload — captured
+once and replayed by one :class:`~repro.trace.replay.TraceCursor` — and
+reports, per crash: entries scanned, undo/redo words written,
+checkpoint slots reloaded, recovery-block instructions executed, and a
+wall-clock estimate under the Table 1 latencies.  :func:`recovery_latency_model` turns one
 :class:`~repro.arch.recovery.RecoveredState` into nanoseconds.
 
 Command line::
@@ -25,10 +26,12 @@ import argparse
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.arch.crash import CrashPlan, CrashState, run_until_crash
+from repro.arch.crash import CrashState
 from repro.arch.params import SimParams
 from repro.arch.recovery import RecoveredState, recover
 from repro.compiler import CapriCompiler, OptConfig
+from repro.trace.record import capture_trace
+from repro.trace.replay import TraceCursor
 from repro.workloads import get_workload
 
 
@@ -121,20 +124,23 @@ def analyze_recovery(
     crash_points: Optional[Sequence[int]] = None,
     params: Optional[SimParams] = None,
 ) -> RecoverySweep:
-    """Sweep crash points and collect recovery costs."""
+    """Sweep crash points and collect recovery costs.
+
+    The workload is interpreted once; ascending crash points then cost
+    one replay of the trace in total.
+    """
     workload = get_workload(workload_name)
     module, spawns = workload.build(scale)
     capri = CapriCompiler(OptConfig.licm(threshold)).compile(module).module
+    cursor = TraceCursor(
+        capture_trace(capri, spawns),
+        params=params or SimParams.scaled(),
+        threshold=threshold,
+    )
     sweep = RecoverySweep(workload=workload_name, threshold=threshold)
     points = list(crash_points) if crash_points else list(range(50, 6000, 450))
     for at in points:
-        state = run_until_crash(
-            capri,
-            spawns,
-            CrashPlan(at),
-            params=params or SimParams.scaled(),
-            threshold=threshold,
-        )
+        state, _machine, _checker = cursor.capture_at(at)
         if state is None:
             break
         recovered = recover(state, capri)

@@ -8,10 +8,11 @@ Turns crash testing from anecdote into campaign:
   queue, corrupted register-checkpoint slots,
 * :mod:`repro.fault.oracle` — the differential oracle: a crash-free
   golden run, observational-equivalence checks (NVM image modulo the log
-  area, per-core at-least-once I/O), and failure minimization,
-* :mod:`repro.fault.campaign` — the runner: enumerate every observer
-  event of a workload (or a seeded sample), crash at each, inject
-  faults, recover, resume, and judge the outcome,
+  area, per-core at-least-once I/O), failure minimization, and the
+  interpreted reference crash capture replay is pinned against,
+* :mod:`repro.fault.campaign` — the runner: capture the workload's event
+  stream once, then crash at every observer event (or a seeded sample)
+  by replay, inject faults, recover, resume, and judge the outcome,
 * :mod:`repro.fault.multicrash` — the nested-failure mode: crash chains
   injected into recovery itself (``CampaignConfig.depth`` > 1), judged
   against the recovery-idempotence oracle on top of the usual two.
@@ -38,6 +39,7 @@ from repro.fault.models import (
 )
 from repro.fault.oracle import (
     GoldenResult,
+    InterpretedSource,
     OracleVerdict,
     differential_check,
     golden_run,
@@ -57,6 +59,7 @@ __all__ = [
     "available_models",
     "get_models",
     "GoldenResult",
+    "InterpretedSource",
     "OracleVerdict",
     "differential_check",
     "golden_run",

@@ -106,13 +106,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="chain budget per primary crash point (skipped chains are "
         "reported, never silent; default 96)",
     )
-    parser.add_argument(
-        "--replay",
-        action="store_true",
-        help="capture the workload's event stream once (repro.trace) and "
-        "replay it per crash point instead of re-interpreting — identical "
-        "verdicts, much faster exhaustive sweeps",
-    )
     add_json_arg(
         parser,
         help="write the campaign's machine-readable summary (counts, "
@@ -148,7 +141,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         depth=depth,
         secondary_sample=args.secondary_sample or None,
         max_chains_per_point=args.max_chains,
-        replay=args.replay,
     )
     try:
         result = run_workload_campaign(

@@ -9,8 +9,8 @@ re-entered recovery, up to ``CampaignConfig.depth`` total failures.
 
 Per primary crash point:
 
-1. capture the persistent domain (shared with the single-crash path),
-   apply the configured fault models,
+1. capture the persistent domain from the campaign's source (shared
+   with the single-crash path), apply the configured fault models,
 2. run one *uninterrupted* reference recovery — its step count bounds
    the secondary sweep and its :class:`RecoveredState` is the
    idempotence oracle's ground truth,
@@ -46,7 +46,6 @@ from repro.fault.campaign import (
     CampaignConfig,
     CrashOutcome,
     _point_rng,
-    capture_at,
     judge_recovered,
     report_fields,
     select_crash_points,
@@ -118,7 +117,7 @@ def run_multi_crash_point(
     event_index: int,
     models: Sequence[FaultModel],
     config: CampaignConfig,
-    source=None,
+    source,
 ) -> Tuple[List[CrashOutcome], int]:
     """Sweep crash chains rooted at one primary crash point.
 
@@ -126,13 +125,11 @@ def run_multi_crash_point(
     plain depth-1 leaf (no secondary crash) — depth > 1 strictly extends
     the single-crash sweep, never replaces it.
 
-    Only the *primary* capture consults ``source`` (trace replay): every
-    secondary crash operates on :class:`CrashState` clones inside
-    recovery, which never touches the interpreter anyway.
+    Only the *primary* capture consults ``source`` (see
+    :func:`~repro.fault.campaign.run_sweep_point`): every secondary crash
+    operates on :class:`CrashState` clones inside recovery.
     """
-    state, machine, checker = capture_at(
-        module, spawns, event_index, config, source=source
-    )
+    state, machine, checker = source.capture_at(event_index)
     if checker is not None and not checker.report.ok:
         return (
             [

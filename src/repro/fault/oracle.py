@@ -16,6 +16,11 @@ when
 :func:`minimize_failure` shrinks a failing (crash index, fault set) to a
 smaller reproducer by greedily dropping fault models and bisecting the
 event index downward.
+
+:class:`InterpretedSource` is the reference crash-capture engine: it
+re-interprets the IR from event 0 to every crash point.  Campaigns run on
+captured-trace replay (:class:`repro.trace.replay.TraceCampaignSource`);
+this source is what that engine is pinned against.
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.arch.crash import CrashPlan, run_built_until_crash
 from repro.arch.recovery import RecoveryReport
+from repro.arch.system import build_system
 from repro.ir.module import Module, is_ckpt_addr
 from repro.isa.machine import Machine
 from repro.isa.trace import TickCountingObserver
@@ -81,6 +88,69 @@ def golden_run(
         io_log=list(machine.io_log),
         total_events=counter.events,
     )
+
+
+class InterpretedSource:
+    """Reference crash capture: interpret the IR to each crash point.
+
+    Honours the campaign source contract of
+    :class:`repro.trace.replay.TraceCampaignSource`: ``capture_at(k)``
+    returns ``(state, machine, checker)`` — the captured persistent domain
+    (``None`` when the program finishes first), the interrupted machine
+    (its ``io_log`` is the pre-crash I/O), and, with ``config.check``, the
+    attached :class:`~repro.check.checker.PersistencyChecker` already fed
+    the crash-state comparison (or finalised when the program finished).
+
+    Every capture runs a fresh system from event 0, so a sweep costs
+    O(events²/2); :attr:`rebuilds` counts the captures after the first
+    (each one re-runs from event 0).
+    ``mutations`` plants protocol bugs in the simulated pipelines, as
+    ``TraceCampaignSource(mutations=)`` does for the replayed system.
+    """
+
+    def __init__(self, module: Module, spawns, config, mutations=None) -> None:
+        self.module = module
+        self.spawns = spawns
+        self.config = config
+        self.mutations = mutations
+        self._captures = 0
+
+    @property
+    def rebuilds(self) -> int:
+        return max(0, self._captures - 1)
+
+    def capture_at(self, event_index: int):
+        config = self.config
+        machine, system = build_system(
+            self.module,
+            self.spawns,
+            params=config.params,
+            threshold=config.threshold,
+            quantum=config.quantum,
+            mutations=self.mutations,
+        )
+        self._captures += 1
+        checker = None
+        if config.check:
+            from repro.check.checker import PersistencyChecker
+
+            checker = PersistencyChecker.attach(system)
+        state = run_built_until_crash(
+            machine,
+            system,
+            CrashPlan(event_index),
+            max_steps=config.max_steps,
+            extra_observer=checker,
+        )
+        if checker is not None:
+            if state is None:
+                system.finish()
+                checker.finalize(system)
+            else:
+                # The capture precedes fault injection, so the crash-state
+                # check is valid for every model combination.
+                checker.check_crash_state(state)
+        return state, machine, checker
 
 
 def _is_subsequence(needle: Sequence, haystack: Sequence) -> bool:

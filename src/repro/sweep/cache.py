@@ -4,7 +4,7 @@ Layout (one JSON file per completed run, sharded by fingerprint prefix)::
 
     <root>/
       runs/a3/a3f0…e9.json     completed SystemMetrics payloads
-      golden/41/41bc…77.json   fault-campaign golden runs
+      traces/41/41bc…77.json   captured campaign event streams (repro.trace)
       …                        any other namespace ("kind")
 
 Keys are :meth:`repro.api.RunSpec.fingerprint` digests — pure parameter

@@ -4,9 +4,10 @@ Capture one golden interpreted run into a structure-of-arrays
 :class:`ExecTrace` (:mod:`repro.trace.record`), persist it in the sweep
 result cache through a versioned, checksummed codec
 (:mod:`repro.trace.codec`), and drive the arch/persistence/checker
-layers straight from the columns (:mod:`repro.trace.replay`) — the fast
-path behind ``RunSpec(trace=True)``, ``CampaignConfig(replay=True)``,
-and the ``repro trace`` CLI (:mod:`repro.trace.cli`).
+layers straight from the columns (:mod:`repro.trace.replay`) — the
+engine behind every fault campaign (:mod:`repro.fault.campaign`), the
+fast path behind ``RunSpec(trace=True)``, and the ``repro trace`` CLI
+(:mod:`repro.trace.cli`).
 """
 
 from repro.trace.codec import (

@@ -9,9 +9,9 @@ Three modes::
     # SystemMetrics, field by field (exit 1 on any divergence):
     python -m repro trace replay --workload genome --scale 0.3 --check
 
-    # Campaign bench: one fault campaign interpreted and once replayed,
-    # verdicts compared point by point, speedup reported (exit 1 on any
-    # verdict divergence):
+    # Campaign bench: one fault campaign on the interpreted reference
+    # source and once replayed, verdicts compared point by point, speedup
+    # reported (exit 1 on any verdict divergence):
     python -m repro trace bench --workload genome --scale 0.2
 
 ``replay`` and ``bench`` are the CI smoke commands — they re-verify the
@@ -170,28 +170,44 @@ def _replay(args, parser, json_out) -> int:
 
 
 def _bench(args, parser, json_out) -> int:
-    from repro.fault.campaign import CampaignConfig, run_workload_campaign
+    from repro.compiler import CapriCompiler
+    from repro.fault.campaign import (
+        CampaignConfig,
+        run_campaign,
+        run_workload_campaign,
+    )
+    from repro.fault.oracle import InterpretedSource, golden_run
+    from repro.workloads import get_workload
 
-    def campaign(replay: bool):
-        config = CampaignConfig(
-            threshold=args.threshold,
-            quantum=args.quantum,
-            sample=args.sample,
-            check=args.check,
-            minimize=False,
-            replay=replay,
-        )
-        start = time.perf_counter()
-        try:
-            result = run_workload_campaign(
-                args.workload, config, scale=args.scale, cache=None
-            )
-        except KeyError as err:
-            parser.error(str(err.args[0] if err.args else err))
-        return result, time.perf_counter() - start
-
-    interpreted, t_int = campaign(replay=False)
-    replayed, t_rep = campaign(replay=True)
+    config = CampaignConfig(
+        threshold=args.threshold,
+        quantum=args.quantum,
+        sample=args.sample,
+        check=args.check,
+        minimize=False,
+    )
+    start = time.perf_counter()
+    try:
+        module, spawns = get_workload(args.workload).build(args.scale)
+    except KeyError as err:
+        parser.error(str(err.args[0] if err.args else err))
+    compiled = CapriCompiler(OptConfig.licm(args.threshold)).compile(module).module
+    interpreted = run_campaign(
+        compiled,
+        spawns,
+        config,
+        name=args.workload,
+        golden=golden_run(
+            compiled, spawns, quantum=config.quantum, max_steps=config.max_steps
+        ),
+        source=InterpretedSource(compiled, spawns, config),
+    )
+    t_int = time.perf_counter() - start
+    start = time.perf_counter()
+    replayed = run_workload_campaign(
+        args.workload, config, scale=args.scale, cache=None
+    )
+    t_rep = time.perf_counter() - start
 
     def verdicts(result):
         return [(o.event_index, o.status, tuple(o.chain)) for o in result.outcomes]

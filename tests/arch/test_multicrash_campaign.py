@@ -123,15 +123,22 @@ class TestDeterminism:
         ]
 
     def test_point_runner_returns_truncation(self):
-        from repro.fault.oracle import golden_run
         from repro.fault.models import get_models
+        from repro.trace.record import capture_trace
+        from repro.trace.replay import TraceCampaignSource, golden_from_trace
 
         module = compile_capri(build_update_loop(n_iters=8, arr_words=8))
         spawns = [("main", [])]
-        golden = golden_run(module, spawns)
+        trace = capture_trace(module, spawns)
         cfg = _config(secondary_sample=None, max_chains_per_point=2)
         outcomes, truncated = run_multi_crash_point(
-            module, spawns, golden, 40, get_models(["clean"]), cfg
+            module,
+            spawns,
+            golden_from_trace(trace),
+            40,
+            get_models(["clean"]),
+            cfg,
+            TraceCampaignSource(trace, cfg),
         )
         assert outcomes and truncated > 0
 

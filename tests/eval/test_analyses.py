@@ -87,6 +87,40 @@ class TestRecoveryAnalysis:
             assert cost.estimated_ns > 0
             assert cost.ckpt_slots_reloaded >= 0
 
+    def test_cursor_sweep_matches_interpreted_reference(self):
+        """The replay-cursor sweep must report exactly the costs that
+        re-interpreting to each crash point does."""
+        from repro.arch.crash import CrashPlan, run_until_crash
+        from repro.arch.recovery import recover
+        from repro.compiler import CapriCompiler, OptConfig
+        from repro.eval.recovery_analysis import recovery_latency_model
+        from repro.workloads import get_workload
+
+        threshold, scale = 64, 0.05
+        # Ascending, and running past the end of the ~960-event program.
+        points = list(range(20, 1100, 60))
+        sweep = analyze_recovery(
+            "genome", threshold=threshold, scale=scale, crash_points=points
+        )
+        module, spawns = get_workload("genome").build(scale)
+        capri = CapriCompiler(OptConfig.licm(threshold)).compile(module).module
+        reference = []
+        for at in points:
+            state = run_until_crash(
+                capri,
+                spawns,
+                CrashPlan(at),
+                params=SimParams.scaled(),
+                threshold=threshold,
+            )
+            if state is None:
+                break
+            cost = recovery_latency_model(state, recover(state, capri))
+            cost.crash_at = at
+            reference.append(cost)
+        assert 3 < len(reference) < len(points)
+        assert sweep.costs == reference
+
     def test_cli(self, capsys):
         rc = recovery_main(
             ["--workload", "genome", "--threshold", "64", "--scale", str(SCALE)]

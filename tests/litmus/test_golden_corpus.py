@@ -109,7 +109,6 @@ class TestExplorerCampaignAgreement:
                 threshold=32,
                 quantum=p.quantum,
                 params=litmus_params(),
-                replay=True,
             )
             source = TraceCampaignSource(trace, config)
             stride = max(1, len(trace) // 24)

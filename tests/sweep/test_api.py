@@ -186,7 +186,7 @@ class TestCampaignShim:
         assert cc.seed == 0xBEEF
         assert cc.sample == 3
 
-    def test_golden_run_cached(self, tmp_path):
+    def test_trace_cached(self, tmp_path):
         from repro.fault.campaign import CampaignConfig, run_workload_campaign
         from repro.sweep.cache import ResultCache
 
@@ -195,7 +195,7 @@ class TestCampaignShim:
         cold = run_workload_campaign("genome", cc, scale=0.05, cache=store)
         assert store.stores == 1 and store.hits == 0
         warm = run_workload_campaign("genome", cc, scale=0.05, cache=store)
-        assert store.hits == 1  # golden served from disk
+        assert store.hits == 1  # trace served from disk
         assert warm.total_events == cold.total_events
         assert warm.counts() == cold.counts()
 

@@ -1,10 +1,16 @@
-"""Campaign integration: replay mode must change wall-clock, never
-verdicts — single-crash sweeps, fault models, checker verdicts, nested
-crashes, and the mutant matrix all compare outcome-for-outcome."""
+"""Campaign integration: the replay engine must match the interpreted
+reference source (:class:`repro.fault.oracle.InterpretedSource`) outcome
+for outcome — single-crash sweeps, fault models and the minimizer,
+checker verdicts, and nested crashes."""
 
 import pytest
 
-from repro.fault.campaign import CampaignConfig, run_workload_campaign
+from repro.fault.campaign import (
+    CampaignConfig,
+    run_campaign,
+    run_workload_campaign,
+)
+from repro.fault.oracle import InterpretedSource, golden_run
 
 
 def _verdicts(result):
@@ -16,19 +22,29 @@ def _verdicts(result):
     ]
 
 
+def _reference_campaign(workload, config, scale):
+    """The campaign re-interpreted to every crash point."""
+    from repro.compiler import CapriCompiler, OptConfig
+    from repro.workloads import get_workload
+
+    module, spawns = get_workload(workload).build(scale)
+    module = CapriCompiler(OptConfig.licm(config.threshold)).compile(module).module
+    return run_campaign(
+        module,
+        spawns,
+        config,
+        name=workload,
+        golden=golden_run(
+            module, spawns, quantum=config.quantum, max_steps=config.max_steps
+        ),
+        source=InterpretedSource(module, spawns, config),
+    )
+
+
 def _run_both(config_kwargs, workload="genome", scale=0.08):
-    interpreted = run_workload_campaign(
-        workload,
-        CampaignConfig(replay=False, **config_kwargs),
-        scale=scale,
-        cache=None,
-    )
-    replayed = run_workload_campaign(
-        workload,
-        CampaignConfig(replay=True, **config_kwargs),
-        scale=scale,
-        cache=None,
-    )
+    config = CampaignConfig(**config_kwargs)
+    interpreted = _reference_campaign(workload, config, scale)
+    replayed = run_workload_campaign(workload, config, scale=scale, cache=None)
     assert interpreted.total_events == replayed.total_events
     assert _verdicts(interpreted) == _verdicts(replayed)
     assert interpreted.counts() == replayed.counts()
@@ -77,7 +93,6 @@ def test_exhaustive_sweep_single_pass():
     """Exhaustive ascending sweeps are the point of the cursor: the
     whole campaign must complete on one replay system (zero rebuilds)."""
     from repro.compiler import CapriCompiler, OptConfig
-    from repro.fault.campaign import run_campaign
     from repro.trace.record import capture_trace
     from repro.trace.replay import TraceCampaignSource, golden_from_trace
     from repro.workloads import get_workload
@@ -102,45 +117,19 @@ def test_exhaustive_sweep_single_pass():
     assert result.ok
     assert len(result.outcomes) == len(trace)
     assert source.rebuilds == 0
+    assert result.to_stats()["rebuilds"] == 0
 
 
-def test_harness_fault_campaign_inherits_replay():
-    from repro.eval.harness import EvalHarness
+def test_minimizer_rewinds_are_reported():
+    """The failure minimizer bisects *behind* the cursor; every rewind
+    rebuilds the replay system from event 0 and ``--json`` says so."""
+    from repro.arch.persistence import ProtocolMutations
 
-    h_interp = EvalHarness(scale=0.05)
-    h_replay = EvalHarness(scale=0.05, trace=True)
-    config = dict(threshold=32, sample=10, minimize=False)
-    a = h_interp.fault_campaign("genome", CampaignConfig(**config))
-    b = h_replay.fault_campaign("genome", CampaignConfig(**config))
-    assert _verdicts(a) == _verdicts(b)
-
-
-def test_mutant_matrix_identical_under_replay():
-    """One functional capture per workload must reproduce the exact
-    detection matrix: same detected set, same taxonomy classes, same
-    clean baselines."""
-    from repro.check.mutants import run_mutant_matrix
-
-    mutants = ["skip_undo_log", "recovery_skip_redo"]
-    interpreted = run_mutant_matrix(
-        workloads=["genome"], scale=0.3, threshold=32, mutants=mutants
-    )
-    replayed = run_mutant_matrix(
-        workloads=["genome"],
-        scale=0.3,
+    config = CampaignConfig(
         threshold=32,
-        mutants=mutants,
-        replay=True,
+        sample=12,
+        mutations=ProtocolMutations.single("recovery_skip_redo"),
     )
-    assert interpreted.ok and replayed.ok
-
-    def rows(result):
-        return [
-            (o.mutant, o.workload, o.detected, tuple(sorted(o.kinds)))
-            for o in result.outcomes
-        ]
-
-    assert rows(interpreted) == rows(replayed)
-    for name, report in interpreted.baseline_reports.items():
-        other = replayed.baseline_reports[name]
-        assert report.ok == other.ok
+    result = run_workload_campaign("genome", config, scale=0.05, cache=None)
+    assert not result.ok and result.minimized is not None
+    assert result.to_stats()["rebuilds"] > 0

@@ -123,8 +123,9 @@ def test_cursor_pre_crash_io_matches_machine():
     """The campaign reads the machine's pre-crash I/O log (effects that
     escaped the persistence domain); the cursor reconstructs it from the
     trace's I/O positions and must agree at every boundary case."""
-    from repro.arch.crash import run_until_crash_with_machine
     from repro.compiler import CapriCompiler, OptConfig
+    from repro.fault.campaign import CampaignConfig
+    from repro.fault.oracle import InterpretedSource
     from repro.ir import IRBuilder, verify_module
     from repro.trace.record import capture_trace
 
@@ -146,12 +147,11 @@ def test_cursor_pre_crash_io_matches_machine():
     # At an I/O event the crash fires *before* delegation (the write
     # must not escape); right after, it must have.
     mid = positions[len(positions) // 2]
+    reference = InterpretedSource(module, spawns, CampaignConfig(threshold=32))
     for k in (positions[0], positions[0] + 1, mid, mid + 1, len(trace) - 1):
         cursor = TraceCursor(trace, threshold=32)
         _, replayed_machine, _ = cursor.capture_at(k)
-        _, machine = run_until_crash_with_machine(
-            module, spawns, CrashPlan(k), threshold=32, quantum=32
-        )
+        _, machine, _ = reference.capture_at(k)
         assert replayed_machine.io_log == machine.io_log, k
 
 
