@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.arch.crash import CrashPlan, run_built_until_crash
 from repro.arch.recovery import RecoveryReport
 from repro.arch.system import build_system
-from repro.ir.module import Module, is_ckpt_addr
+from repro.ir.module import CKPT_BASE, CKPT_END, Module
 from repro.isa.machine import Machine
 from repro.isa.trace import TickCountingObserver
 
@@ -49,7 +49,7 @@ def data_image(machine: Machine) -> Dict[int, int]:
     return {
         addr: value
         for addr, value in machine.memory.items()
-        if not is_ckpt_addr(addr)
+        if not CKPT_BASE <= addr < CKPT_END
     }
 
 
@@ -193,12 +193,14 @@ def differential_check(
 ) -> OracleVerdict:
     """Compare a recovered-and-resumed execution against the golden run."""
     final = data_image(finished)
-    addrs = set(golden.data) | set(final)
-    mismatched = sorted(
-        addr
-        for addr in addrs
-        if golden.data.get(addr, 0) != final.get(addr, 0)
-    )
+    mismatched: List[int] = []
+    if final != golden.data:
+        addrs = set(golden.data) | set(final)
+        mismatched = sorted(
+            addr
+            for addr in addrs
+            if golden.data.get(addr, 0) != final.get(addr, 0)
+        )
 
     observed = list(pre_crash_io) + list(finished.io_log)
     fenced = set(report.quarantined_cores) if report is not None else set()

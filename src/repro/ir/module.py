@@ -46,6 +46,12 @@ CKPT_CORE_STRIDE = CKPT_FRAME_STRIDE * MAX_CALL_DEPTH
 #: Maximum number of architectural registers supported by checkpoint storage.
 MAX_REGS = CKPT_FRAME_STRIDE // WORD_BYTES
 
+#: Maximum number of cores with reserved checkpoint storage.
+MAX_CORES = 64
+
+#: End (exclusive) of the reserved checkpoint storage.
+CKPT_END = CKPT_BASE + MAX_CORES * CKPT_CORE_STRIDE
+
 
 def ckpt_slot_addr(core_id: int, reg_index: int, depth: int = 0) -> int:
     """Checkpoint-slot address for (core, call depth, register)."""
@@ -61,9 +67,9 @@ def ckpt_slot_addr(core_id: int, reg_index: int, depth: int = 0) -> int:
     )
 
 
-def is_ckpt_addr(addr: int, num_cores: int = 64) -> bool:
+def is_ckpt_addr(addr: int) -> bool:
     """True if ``addr`` falls inside the reserved checkpoint storage."""
-    return CKPT_BASE <= addr < CKPT_BASE + num_cores * CKPT_CORE_STRIDE
+    return CKPT_BASE <= addr < CKPT_END
 
 
 class Module:

@@ -19,6 +19,10 @@ WORD_BYTES = WORD_BITS // 8
 _WORD_MASK = (1 << WORD_BITS) - 1
 _SIGN_BIT = 1 << (WORD_BITS - 1)
 
+#: Range of a signed machine word; :func:`wrap_word` is the identity on it.
+WORD_MIN = -_SIGN_BIT
+WORD_MAX = _SIGN_BIT - 1
+
 
 def wrap_word(value: int) -> int:
     """Wrap an arbitrary Python int to a signed 64-bit machine word."""

@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.function import Function
 from repro.ir.instructions import (
+    BINARY_OPS,
     AtomicRMW,
     BinOp,
     Branch,
@@ -50,11 +51,18 @@ from repro.ir.instructions import (
     Store,
     UnOp,
     eval_atomic,
-    eval_binop,
     eval_unop,
 )
-from repro.ir.module import MAX_CALL_DEPTH, Module, ckpt_slot_addr
-from repro.ir.values import Imm, Reg, wrap_word
+from repro.ir.module import (
+    CKPT_BASE,
+    CKPT_CORE_STRIDE,
+    CKPT_FRAME_STRIDE,
+    MAX_CALL_DEPTH,
+    MAX_REGS,
+    Module,
+    ckpt_slot_addr,
+)
+from repro.ir.values import WORD_BYTES, WORD_MAX, WORD_MIN, Reg, wrap_word
 from repro.isa.trace import Observer
 
 
@@ -125,6 +133,7 @@ class Hart:
         "spawn_args",
         "spawn_func",
         "retired",
+        "exit_value",
     )
 
     def __init__(self, core_id: int, func: Function, args: Sequence[int]) -> None:
@@ -141,6 +150,8 @@ class Hart:
         self.spawn_func = func.name
         self.spawn_args = tuple(wrap_word(a) for a in args)
         self.retired = 0
+        #: Value returned by the top-level ``Ret`` (0 until then).
+        self.exit_value = 0
 
     @property
     def depth(self) -> int:
@@ -168,7 +179,8 @@ class Machine:
         The (possibly Capri-instrumented) program.
     quantum:
         Instructions executed per hart per scheduling turn.  Round-robin
-        with a fixed quantum keeps multi-hart runs deterministic.
+        with a fixed quantum keeps multi-hart runs deterministic; a lone
+        live hart runs on without yielding.
     """
 
     def __init__(self, module: Module, quantum: int = 32) -> None:
@@ -255,10 +267,13 @@ class Machine:
         live = [h for h in self.harts if h is not None and not h.halted]
         while live:
             progressed = False
+            # A lone hart has no one to yield to, and no observer sees
+            # quantum boundaries: give it the whole remaining budget.
+            quantum = self.quantum if len(live) > 1 else steps_left
             for hart in live:
                 if hart.halted:
                     continue
-                n = self._run_quantum(hart, obs, min(self.quantum, steps_left))
+                n = self._run_quantum(hart, obs, min(quantum, steps_left))
                 steps_left -= n
                 progressed = progressed or n > 0
                 if steps_left <= 0:
@@ -284,114 +299,157 @@ class Machine:
         obs.on_boundary(core, -1, hart.continuation())
 
     def _run_quantum(self, hart: Hart, obs: Observer, budget: int) -> int:
-        """Execute up to ``budget`` instructions on ``hart``."""
+        """Execute up to ``budget`` instructions on ``hart``.
+
+        The current block's instruction list, the index into it and the
+        register file live in locals; they are reloaded only when control
+        leaves the block (``Branch``/``Jump``/``Call``/``Ret``).
+        ``hart.index`` is written back before every callback that reads
+        the hart's position (``on_boundary``'s continuation, the call and
+        return helpers) and, through ``finally``, on every exit, so an
+        observer that raises mid-quantum leaves the hart at the
+        instruction whose event it was delivering.
+        """
         if budget <= 0:
             return 0
         if not hart.started:
             self._start_hart(hart, obs)
+        if hart.halted:
+            return 0
         executed = 0
         memory = self.memory
-        module = self.module
         core = hart.core_id
-        while executed < budget and not hart.halted:
-            block = hart.func.blocks[hart.label]
-            instr = block.instrs[hart.index]
-            regs = hart.regs
-            cls = type(instr)
-            obs.on_retire(core, cls.__name__)
-            executed += 1
-            advance = True
+        on_retire = obs.on_retire
+        blocks = hart.func.blocks
+        instrs = blocks[hart.label].instrs
+        index = hart.index
+        regs = hart.regs
+        core_slots = CKPT_BASE + core * CKPT_CORE_STRIDE
+        slot_base = core_slots + len(hart.callstack) * CKPT_FRAME_STRIDE
+        try:
+            while executed < budget:
+                instr = instrs[index]
+                cls = type(instr)
+                on_retire(core, cls.__name__)
+                executed += 1
 
-            if cls is BinOp:
-                lhs = instr.lhs
-                rhs = instr.rhs
-                a = regs[lhs.index] if type(lhs) is Reg else lhs.value
-                b = regs[rhs.index] if type(rhs) is Reg else rhs.value
-                regs[instr.dst.index] = eval_binop(instr.op, a, b)
-            elif cls is Move:
-                src = instr.src
-                regs[instr.dst.index] = (
-                    regs[src.index] if type(src) is Reg else src.value
-                )
-            elif cls is Load:
-                base = instr.addr
-                addr = (
-                    regs[base.index] if type(base) is Reg else base.value
-                ) + instr.offset
-                regs[instr.dst.index] = memory.get(addr, 0)
-                obs.on_load(core, addr)
-            elif cls is Store:
-                base = instr.addr
-                addr = (
-                    regs[base.index] if type(base) is Reg else base.value
-                ) + instr.offset
-                v = instr.value
-                value = regs[v.index] if type(v) is Reg else v.value
-                old = memory.get(addr, 0)
-                memory[addr] = value
-                obs.on_store(core, addr, value, old)
-            elif cls is Branch:
-                c = instr.cond
-                cond = regs[c.index] if type(c) is Reg else c.value
-                hart.label = instr.if_true if cond != 0 else instr.if_false
-                hart.index = 0
-                advance = False
-            elif cls is Jump:
-                hart.label = instr.target
-                hart.index = 0
-                advance = False
-            elif cls is UnOp:
-                s = instr.src
-                a = regs[s.index] if type(s) is Reg else s.value
-                regs[instr.dst.index] = eval_unop(instr.op, a)
-            elif cls is RegionBoundary:
-                # The continuation points at the *next* instruction: the
-                # first instruction of the region this boundary opens.
-                hart.index += 1
-                obs.on_boundary(core, instr.region_id, hart.continuation())
-                advance = False
-            elif cls is CheckpointStore:
-                reg = instr.src.index
-                value = regs[reg]
-                addr = ckpt_slot_addr(core, reg, hart.depth)
-                memory[addr] = value
-                obs.on_ckpt(core, reg, value, addr)
-            elif cls is Call:
-                self._do_call(hart, instr, obs)
-                advance = False
-            elif cls is Ret:
-                self._do_ret(hart, instr, obs)
-                advance = False
-            elif cls is AtomicRMW:
-                base = instr.addr
-                addr = (
-                    regs[base.index] if type(base) is Reg else base.value
-                ) + instr.offset
-                v = instr.value
-                value = regs[v.index] if type(v) is Reg else v.value
-                old = memory.get(addr, 0)
-                new = eval_atomic(instr.op, old, value)
-                memory[addr] = new
-                regs[instr.dst.index] = old
-                obs.on_atomic(core, addr, new, old)
-            elif cls is Fence:
-                obs.on_fence(core)
-            elif cls is IOWrite:
-                v = instr.value
-                value = regs[v.index] if type(v) is Reg else v.value
-                self.io_log.append((core, instr.port, value))
-                obs.on_io(core, instr.port, value)
-            elif cls is Halt:
-                hart.halted = True
-                obs.on_halt(core)
-                advance = False
-            elif cls is Nop:
-                pass
-            else:  # pragma: no cover - defensive
-                raise MachineError(f"unknown instruction {instr!r}")
-
-            if advance:
-                hart.index += 1
+                if cls is BinOp:
+                    lhs = instr.lhs
+                    rhs = instr.rhs
+                    value = BINARY_OPS[instr.op](
+                        regs[lhs.index] if type(lhs) is Reg else lhs.value,
+                        regs[rhs.index] if type(rhs) is Reg else rhs.value,
+                    )
+                    # wrap_word is the identity on in-range words.
+                    if not WORD_MIN <= value <= WORD_MAX:
+                        value = wrap_word(value)
+                    regs[instr.dst.index] = value
+                    index += 1
+                elif cls is Branch:
+                    c = instr.cond
+                    cond = regs[c.index] if type(c) is Reg else c.value
+                    label = instr.if_true if cond != 0 else instr.if_false
+                    hart.label = label
+                    instrs = blocks[label].instrs
+                    index = 0
+                elif cls is Jump:
+                    label = instr.target
+                    hart.label = label
+                    instrs = blocks[label].instrs
+                    index = 0
+                elif cls is Load:
+                    base = instr.addr
+                    addr = (
+                        regs[base.index] if type(base) is Reg else base.value
+                    ) + instr.offset
+                    regs[instr.dst.index] = memory.get(addr, 0)
+                    obs.on_load(core, addr)
+                    index += 1
+                elif cls is CheckpointStore:
+                    reg = instr.src.index
+                    value = regs[reg]
+                    if reg >= MAX_REGS:
+                        raise ValueError(
+                            f"register index {reg} outside checkpoint storage"
+                        )
+                    addr = slot_base + reg * WORD_BYTES
+                    memory[addr] = value
+                    obs.on_ckpt(core, reg, value, addr)
+                    index += 1
+                elif cls is Store:
+                    base = instr.addr
+                    addr = (
+                        regs[base.index] if type(base) is Reg else base.value
+                    ) + instr.offset
+                    v = instr.value
+                    value = regs[v.index] if type(v) is Reg else v.value
+                    old = memory.get(addr, 0)
+                    memory[addr] = value
+                    obs.on_store(core, addr, value, old)
+                    index += 1
+                elif cls is Move:
+                    src = instr.src
+                    regs[instr.dst.index] = (
+                        regs[src.index] if type(src) is Reg else src.value
+                    )
+                    index += 1
+                elif cls is RegionBoundary:
+                    # The continuation points at the *next* instruction:
+                    # the first instruction of the region this boundary
+                    # opens.
+                    index += 1
+                    hart.index = index
+                    obs.on_boundary(core, instr.region_id, hart.continuation())
+                elif cls is UnOp:
+                    s = instr.src
+                    a = regs[s.index] if type(s) is Reg else s.value
+                    regs[instr.dst.index] = eval_unop(instr.op, a)
+                    index += 1
+                elif cls is Call or cls is Ret:
+                    hart.index = index
+                    if cls is Call:
+                        self._do_call(hart, instr, obs)
+                    else:
+                        self._do_ret(hart, instr, obs)
+                        if hart.halted:
+                            break
+                    blocks = hart.func.blocks
+                    instrs = blocks[hart.label].instrs
+                    index = hart.index
+                    regs = hart.regs
+                    slot_base = core_slots + len(hart.callstack) * CKPT_FRAME_STRIDE
+                elif cls is AtomicRMW:
+                    base = instr.addr
+                    addr = (
+                        regs[base.index] if type(base) is Reg else base.value
+                    ) + instr.offset
+                    v = instr.value
+                    value = regs[v.index] if type(v) is Reg else v.value
+                    old = memory.get(addr, 0)
+                    new = eval_atomic(instr.op, old, value)
+                    memory[addr] = new
+                    regs[instr.dst.index] = old
+                    obs.on_atomic(core, addr, new, old)
+                    index += 1
+                elif cls is Fence:
+                    obs.on_fence(core)
+                    index += 1
+                elif cls is IOWrite:
+                    v = instr.value
+                    value = regs[v.index] if type(v) is Reg else v.value
+                    self.io_log.append((core, instr.port, value))
+                    obs.on_io(core, instr.port, value)
+                    index += 1
+                elif cls is Halt:
+                    hart.halted = True
+                    obs.on_halt(core)
+                    break
+                elif cls is Nop:
+                    index += 1
+                else:  # pragma: no cover - defensive
+                    raise MachineError(f"unknown instruction {instr!r}")
+        finally:
+            hart.index = index
         hart.retired += executed
         self.total_retired += executed
         return executed
@@ -436,6 +494,7 @@ class Machine:
             v = instr.value
             value = hart.regs[v.index] if type(v) is Reg else v.value
         if not hart.callstack:
+            hart.exit_value = value
             hart.halted = True
             obs.on_halt(hart.core_id)
             return
@@ -458,31 +517,9 @@ class Machine:
     ) -> int:
         """Spawn a single hart, run to completion, return its return value.
 
-        The return value of a top-level function is delivered through
-        register 0 convention-free: we capture it from the final ``Ret``.
+        The value is the one the hart's top-level ``Ret`` returned (0 if it
+        returned none or stopped at ``Halt``).
         """
-        capture = _ReturnCapture(observer or _NULL_OBSERVER)
         hart = self.spawn(func_name, args)
-        self._capture = capture
-        # Wrap: intercept the final ret by running normally and reading the
-        # hart's last known return; simplest is to wrap Ret in _do_ret.
-        old_do_ret = self._do_ret
-
-        def capturing_do_ret(h: Hart, instr: Ret, obs: Observer) -> None:
-            if not h.callstack and instr.value is not None:
-                v = instr.value
-                capture.value = h.regs[v.index] if type(v) is Reg else v.value
-            old_do_ret(h, instr, obs)
-
-        self._do_ret = capturing_do_ret  # type: ignore[method-assign]
-        try:
-            self.run(capture.observer, max_steps=max_steps)
-        finally:
-            self._do_ret = old_do_ret  # type: ignore[method-assign]
-        return capture.value
-
-
-class _ReturnCapture:
-    def __init__(self, observer: Observer) -> None:
-        self.observer = observer
-        self.value = 0
+        self.run(observer, max_steps=max_steps)
+        return hart.exit_value

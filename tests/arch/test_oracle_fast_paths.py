@@ -1,0 +1,72 @@
+"""The differential oracle's log-area mask and its equal-image fast path."""
+
+from __future__ import annotations
+
+from repro.fault.oracle import GoldenResult, data_image, differential_check
+from repro.ir.module import (
+    CKPT_BASE,
+    CKPT_END,
+    DATA_BASE,
+    Module,
+    ckpt_slot_addr,
+    is_ckpt_addr,
+)
+from repro.isa.machine import Machine
+
+
+def _machine(memory):
+    machine = Machine(Module("oracle"))
+    machine.memory = dict(memory)
+    return machine
+
+
+class TestDataImageMask:
+    def test_bounds_match_is_ckpt_addr(self):
+        probes = [
+            DATA_BASE,
+            CKPT_BASE - 8,
+            CKPT_BASE,
+            CKPT_BASE + 8,
+            ckpt_slot_addr(63, 511, 63),
+            CKPT_END - 8,
+            CKPT_END,
+            CKPT_END + 8,
+        ]
+        machine = _machine({addr: i + 1 for i, addr in enumerate(probes)})
+        expected = {
+            addr: value
+            for addr, value in machine.memory.items()
+            if not is_ckpt_addr(addr)
+        }
+        assert data_image(machine) == expected
+        assert sorted(expected) == [DATA_BASE, CKPT_BASE - 8, CKPT_END, CKPT_END + 8]
+
+    def test_ckpt_end_is_past_the_last_slot(self):
+        assert is_ckpt_addr(ckpt_slot_addr(63, 511, 63))
+        assert not is_ckpt_addr(CKPT_END)
+        assert CKPT_END == ckpt_slot_addr(63, 511, 63) + 8
+
+
+class TestDifferentialCheck:
+    def _golden(self, data):
+        return GoldenResult(data=dict(data), io_log=[], total_events=0)
+
+    def test_equal_images_are_equivalent(self):
+        golden = self._golden({DATA_BASE: 5, DATA_BASE + 8: 0})
+        finished = _machine({DATA_BASE: 5, DATA_BASE + 8: 0, CKPT_BASE: 9})
+        verdict = differential_check(golden, finished)
+        assert verdict.equivalent and verdict.mismatched_addrs == []
+
+    def test_absent_word_reads_as_zero(self):
+        # Unequal dicts, identical memory contents: the full scan runs and
+        # still finds nothing.
+        golden = self._golden({DATA_BASE: 5, DATA_BASE + 8: 0})
+        finished = _machine({DATA_BASE: 5})
+        assert differential_check(golden, finished).equivalent
+
+    def test_mismatches_sorted(self):
+        golden = self._golden({DATA_BASE: 5, DATA_BASE + 16: 7})
+        finished = _machine({DATA_BASE + 8: 1, DATA_BASE + 16: 7, DATA_BASE: 4})
+        verdict = differential_check(golden, finished)
+        assert not verdict.equivalent
+        assert verdict.mismatched_addrs == [DATA_BASE, DATA_BASE + 8]
