@@ -67,13 +67,15 @@ class CrashState:
     ckpt_shadow: Dict[int, int] = field(default_factory=dict)
 
     def clone(self) -> "CrashState":
-        """Independent deep copy — fault models mutate clones, never the
-        captured snapshot, so one capture can seed many injections."""
+        """A copy whose containers (image, entry lists, WPQ journal, PC
+        checkpoints, shadow words) are its own and whose proxy entries
+        are shared.  Entries are sealed (:class:`ProxyEntry`): recovery
+        only reassigns ``core_entries`` and fault models swap a tampered
+        copy into the clone's list, so one capture can seed many
+        recoveries and injections without either seeing the other."""
         return CrashState(
             nvm_image=dict(self.nvm_image),
-            core_entries=[
-                [e.clone() for e in entries] for entries in self.core_entries
-            ],
+            core_entries=[list(entries) for entries in self.core_entries],
             num_cores=self.num_cores,
             pc_checkpoints=dict(self.pc_checkpoints),
             wpq=list(self.wpq),
@@ -84,19 +86,19 @@ class CrashState:
 def capture_crash_state(system: CapriSystem) -> CrashState:
     """Snapshot the persistent domain of a (possibly mid-run) system.
 
-    Every mutable field is copied — the snapshot must never alias live
-    pipeline state, or post-capture execution (and fault models mutating
-    the snapshot) would corrupt each other.  :meth:`ProxyEntry.clone`
-    copies every slot and gives each copy its own ``ckpts``.
+    The containers are copied, so post-capture execution cannot change
+    which entries or words the snapshot holds.  The proxy entries
+    themselves are the live objects: they are sealed (see
+    :class:`ProxyEntry`), so the pipeline's later merges and valid-bit
+    scans swap in new entries rather than editing the ones captured here.
     """
     if system.persist is None:
         raise ValueError("cannot capture crash state of a volatile system")
-    core_entries: List[List[ProxyEntry]] = []
-    for pipe in system.persist.pipelines:
-        core_entries.append([e.clone() for e in pipe.entries_in_order()])
     return CrashState(
         nvm_image=dict(system.nvm.image),
-        core_entries=core_entries,
+        core_entries=[
+            pipe.entries_in_order() for pipe in system.persist.pipelines
+        ],
         num_cores=len(system.persist.pipelines),
         pc_checkpoints=dict(system.nvm.pc_checkpoints),
         wpq=list(system.nvm.wpq),

@@ -66,9 +66,10 @@ def entry_checksum(entry: "ProxyEntry") -> int:
 
     Timing bookkeeping (``create_time``/``arrive_time``) is excluded: it
     is simulator state, not part of what hardware writes to the buffer.
-    Every legitimate mutation of an entry (merge, valid-bit scan) goes
-    through :meth:`ProxyEntry.refresh_checksum`; a fault that flips bits
-    behind the checksum's back is therefore detectable at recovery.
+    Every legitimate mutation of an entry (merge, valid-bit scan) builds
+    a copy and re-checksums it with :meth:`ProxyEntry.refresh_checksum`;
+    a fault that flips bits behind the checksum's back is therefore
+    detectable at recovery.
     """
     h = _fnv_int(_FNV_OFFSET, entry.kind)
     h = _fnv_int(h, entry.addr)
@@ -89,7 +90,21 @@ def entry_checksum(entry: "ProxyEntry") -> int:
 
 
 class ProxyEntry:
-    """One front-/back-end proxy buffer entry (Figure 5)."""
+    """One front-/back-end proxy buffer entry (Figure 5).
+
+    Entries are *sealed*: once an entry sits in a buffer, no code edits
+    its durable fields in place.  A legitimate hardware edit (front-end
+    merge, Section 5.3.2 valid-bit scan) swaps a re-checksummed copy into
+    the buffer, and a fault model tampers with a copy in its own snapshot.
+    Crash snapshots therefore share the live entry objects, and an
+    entry's integrity verdict, once computed, holds for as long as its
+    payload and checksum are the ones it judged (``sealed``).
+
+    ``create_time``/``arrive_time`` are simulator timing, not durable
+    payload: they stay mutable (the proxy path stamps ``arrive_time`` on
+    transfer), lie outside the checksum and the seal, and are never read
+    from a crash snapshot.
+    """
 
     __slots__ = (
         "kind",
@@ -104,6 +119,9 @@ class ProxyEntry:
         "continuation",
         "ckpts",
         "checksum",
+        #: the durable fields and checksum judged by the last successful
+        #: :attr:`intact` check, or ``None`` before the first one.
+        "sealed",
     )
 
     def __init__(
@@ -130,6 +148,7 @@ class ProxyEntry:
         self.continuation = continuation
         self.ckpts = ckpts or {}
         self.checksum = entry_checksum(self)
+        self.sealed: Optional[tuple] = None
 
     @property
     def is_boundary(self) -> bool:
@@ -138,22 +157,47 @@ class ProxyEntry:
     @property
     def intact(self) -> bool:
         """Does the stored checksum match the payload?  False after a
-        torn write / bit flip that bypassed :meth:`refresh_checksum`."""
-        return self.checksum == entry_checksum(self)
+        torn write / bit flip that bypassed :meth:`refresh_checksum`.
+
+        A success seals the verdict to the exact payload and checksum it
+        judged; while both are unchanged the recompute is skipped.  Any
+        in-place edit, of the checksum included, breaks the seal and
+        forces the full recompute, so the verdict never differs from
+        ``checksum == entry_checksum(self)``.
+        """
+        payload = (
+            self.kind,
+            self.addr,
+            self.undo,
+            self.redo,
+            self.redo_valid,
+            self.region_seq,
+            self.region_id,
+            self.continuation,
+            tuple(self.ckpts.items()),
+            self.checksum,
+        )
+        if payload == self.sealed:
+            return True
+        if self.checksum != entry_checksum(self):
+            return False
+        self.sealed = payload
+        return True
 
     def refresh_checksum(self) -> None:
-        """Recompute integrity after a legitimate hardware mutation
-        (front-end merge, Section 5.3.2 valid-bit scan)."""
+        """Recompute integrity after a legitimate hardware mutation of a
+        fresh copy (front-end merge, Section 5.3.2 valid-bit scan)."""
         self.checksum = entry_checksum(self)
 
     def clone(self) -> "ProxyEntry":
-        """Copy with no shared mutable state (crash capture must not
-        alias the live pipeline — see ``capture_crash_state``).
+        """Copy with no shared mutable state: how hardware edits and
+        fault models get an entry of their own to change.
 
         Slot by slot: ``ckpts`` is the only mutable field and is copied;
-        the frozen ``continuation`` is shared.  ``checksum`` is copied
-        verbatim, *not* recomputed: a snapshot of a torn entry must stay
-        torn.
+        the frozen ``continuation`` is shared.  ``checksum`` and
+        ``sealed`` are copied verbatim, *not* recomputed: a copy of a
+        torn entry must stay torn, and the seal names the payload it
+        judged, so an edit to the copy still breaks it.
         """
         dup = ProxyEntry.__new__(ProxyEntry)
         dup.kind = self.kind
@@ -168,6 +212,7 @@ class ProxyEntry:
         dup.continuation = self.continuation  # frozen: safe to share
         dup.ckpts = dict(self.ckpts)
         dup.checksum = self.checksum
+        dup.sealed = self.sealed
         return dup
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -391,8 +436,10 @@ class CoreProxyPipeline:
             merged.region_seq == self.region_seq
             or (m is not None and m.merge_across_regions)
         ):
-            merged.redo = value
-            merged.refresh_checksum()
+            fresh = merged.clone()
+            fresh.redo = value
+            fresh.refresh_checksum()
+            self._swap(merged, fresh)
             self.entries_merged += 1
             if self.watcher is not None:
                 self.watcher.on_merge(
@@ -511,36 +558,51 @@ class CoreProxyPipeline:
         t = self._advance_until(committed_gone)
         return max(now, t, self.last_region_durable)
 
+    # ------------------------------------------------------ sealed-entry edits
+
+    def _swap(self, old: ProxyEntry, new: ProxyEntry) -> None:
+        """Put ``new`` where ``old`` sits in the buffers and the merge
+        index.  Entries are sealed (see :class:`ProxyEntry`): a crash
+        snapshot may share ``old``, so it is replaced, never edited."""
+        if self._fe_merge.get(old.addr) is old:
+            self._fe_merge[old.addr] = new
+        for buf in (self.fe, self.be):
+            for i, entry in enumerate(buf):
+                if entry is old:
+                    buf[i] = new
+                    return
+
+    def _invalidate(self, addr: Optional[int]) -> int:
+        """Swap in a re-checksummed copy, redo valid-bit unset, for every
+        valid data entry at ``addr`` (any address if ``None``)."""
+        hits = [
+            entry
+            for buf in (self.be, self.fe)
+            for entry in buf
+            if not entry.is_boundary
+            and entry.redo_valid
+            and (addr is None or entry.addr == addr)
+        ]
+        for entry in hits:
+            fresh = entry.clone()
+            fresh.redo_valid = False
+            fresh.refresh_checksum()
+            self._swap(entry, fresh)
+        return len(hits)
+
     # --------------------------------------------------------------- queries
 
     def invalidate_matching(self, addr: int) -> int:
         """Unset the redo valid-bit of every entry for ``addr`` (both the
         back-end scan and the in-flight monitoring of Section 5.3.2 — the
         simulator sees all in-flight entries directly)."""
-        count = 0
-        for entry in self.be:
-            if not entry.is_boundary and entry.addr == addr and entry.redo_valid:
-                entry.redo_valid = False
-                entry.refresh_checksum()
-                count += 1
-        for entry in self.fe:
-            if not entry.is_boundary and entry.addr == addr and entry.redo_valid:
-                entry.redo_valid = False
-                entry.refresh_checksum()
-                count += 1
-        return count
+        return self._invalidate(addr)
 
     def invalidate_all(self) -> int:
         """Unset every data entry's redo valid-bit regardless of address —
         only the ``invalidate_everything`` planted mutation calls this;
         correct hardware never would."""
-        count = 0
-        for entry in list(self.be) + list(self.fe):
-            if not entry.is_boundary and entry.redo_valid:
-                entry.redo_valid = False
-                entry.refresh_checksum()
-                count += 1
-        return count
+        return self._invalidate(None)
 
     def drain_everything(self) -> float:
         """Complete all pending pipeline work (end-of-run); returns time.
@@ -548,10 +610,6 @@ class CoreProxyPipeline:
         A trailing uncommitted region's entries stay put (no boundary ever
         arrives for them) — exactly the crash-time content recovery sees.
         """
-        def settled() -> bool:
-            ev = self._next_event()
-            return ev is None
-
         t = 0.0
         while True:
             ev = self._next_event()

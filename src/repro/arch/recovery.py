@@ -69,7 +69,7 @@ from repro.arch.proxy import ProxyEntry
 from repro.ir.function import RecoveryBlock
 from repro.ir.instructions import BinOp, Move, UnOp, eval_binop, eval_unop
 from repro.ir.module import Module, ckpt_slot_addr, is_ckpt_addr
-from repro.ir.values import Reg
+from repro.ir.values import WORD_BYTES, Reg
 from repro.isa.machine import Continuation, Machine
 from repro.isa.trace import Observer
 
@@ -231,10 +231,12 @@ def recover(
     (``recovery_skip_redo``, ``recovery_stale_pc``,
     ``recovery_early_clear``); leave ``None`` for the faithful protocol.
 
-    This is the pure, snapshot-in/state-out view: it clones ``state``
-    and drives :func:`run_recovery` over the clone with no observer, so
-    the caller's snapshot is never mutated.  Use :func:`run_recovery`
-    directly to model a recovery that can itself lose power.
+    This is the pure, snapshot-in/state-out view: it drives
+    :func:`run_recovery` with no observer over ``state.clone()``, whose
+    image, journal and entry lists are its own and whose sealed proxy
+    entries are shared (recovery never edits an entry), so the caller's
+    snapshot is never mutated.  Use :func:`run_recovery` directly to
+    model a recovery that can itself lose power.
     """
     return run_recovery(state.clone(), module, strict=strict, mutations=mutations)
 
@@ -358,7 +360,9 @@ def _recovery_steps(
         entries = entries_by_core[core]
         # Each entry's integrity is verified once per recovery: the
         # buffers are read-only until the commit step, so the verdict
-        # cannot change between the phases below.
+        # cannot change between the phases below.  A sealed entry
+        # (ProxyEntry.intact) skips the recompute at later crash points
+        # that share it.
         intact = [e.intact for e in entries]
 
         if strict:
@@ -518,10 +522,16 @@ def _recovery_steps(
             resumes.append(None)
             continue
         depth = cont.depth
+        num_regs = func.num_regs
+        # One validated slot base per core (the interpreter's per-frame
+        # slot base); the highest register is bounds-checked up front.
+        slot_base = ckpt_slot_addr(core, 0, depth)
+        if num_regs:
+            ckpt_slot_addr(core, num_regs - 1, depth)
         regs: List[int] = []
         corrupt_slot: Optional[int] = None
-        for r in range(func.num_regs):
-            slot = ckpt_slot_addr(core, r, depth)
+        for r in range(num_regs):
+            slot = slot_base + r * WORD_BYTES
             value = image.get(slot, 0)
             expected = shadow.get(slot)
             if slot in image or expected is not None:

@@ -12,6 +12,11 @@ The models deliberately *bypass* the integrity-refresh paths the
 legitimate hardware mutations use (``ProxyEntry.refresh_checksum``,
 ``NVMain.ckpt_write``): the stale checksum IS the fault signature
 recovery must catch.
+
+Proxy entries are sealed and shared between a capture, its clones and
+the live pipeline (see :class:`~repro.arch.proxy.ProxyEntry`), so an
+entry model never garbles the entry it was handed: it swaps
+``entry.clone()`` into the state's own list and tampers with that copy.
 """
 
 from __future__ import annotations
@@ -39,9 +44,10 @@ class FaultNote:
 
 
 class FaultModel:
-    """Base transformer.  Subclasses mutate ``state`` in place and report
-    what they did; an empty note list means the model found no applicable
-    target in this snapshot (e.g. no surviving data entries)."""
+    """Base transformer.  Subclasses mutate ``state``'s containers in
+    place (never a shared proxy entry) and report what they did; an
+    empty note list means the model found no applicable target in this
+    snapshot (e.g. no surviving data entries)."""
 
     name = "base"
 
@@ -52,22 +58,22 @@ class FaultModel:
         return f"<fault:{self.name}>"
 
 
-def _data_entries(state: CrashState) -> List[Tuple[int, ProxyEntry]]:
+def _entry_slots(state: CrashState, boundary: bool) -> List[Tuple[int, int]]:
+    """``(core, index)`` of every data (or boundary) entry in ``state``."""
     return [
-        (core, e)
+        (core, i)
         for core, entries in enumerate(state.core_entries)
-        for e in entries
-        if not e.is_boundary
+        for i, e in enumerate(entries)
+        if e.is_boundary == boundary
     ]
 
 
-def _boundary_entries(state: CrashState) -> List[Tuple[int, ProxyEntry]]:
-    return [
-        (core, e)
-        for core, entries in enumerate(state.core_entries)
-        for e in entries
-        if e.is_boundary
-    ]
+def _own_copy(state: CrashState, core: int, index: int) -> ProxyEntry:
+    """Swap a private copy of an entry into ``state`` and return it: the
+    original may be shared with other snapshots and the live pipeline."""
+    entries = state.core_entries[core]
+    entry = entries[index] = entries[index].clone()
+    return entry
 
 
 class CleanPowerLoss(FaultModel):
@@ -86,10 +92,11 @@ class TornEntryWrite(FaultModel):
     name = "torn-entry"
 
     def apply(self, state: CrashState, rng: random.Random) -> List[FaultNote]:
-        cands = _data_entries(state)
+        cands = _entry_slots(state, boundary=False)
         if not cands:
             return []
-        core, entry = rng.choice(cands)
+        core, index = rng.choice(cands)
+        entry = _own_copy(state, core, index)
         entry.undo ^= _GARBLE
         entry.redo ^= _GARBLE >> 8
         return [
@@ -110,10 +117,11 @@ class TornBoundaryWrite(FaultModel):
     name = "torn-boundary"
 
     def apply(self, state: CrashState, rng: random.Random) -> List[FaultNote]:
-        cands = _boundary_entries(state)
+        cands = _entry_slots(state, boundary=True)
         if not cands:
             return []
-        core, entry = rng.choice(cands)
+        core, index = rng.choice(cands)
+        entry = _own_copy(state, core, index)
         if entry.ckpts:
             slot = rng.choice(sorted(entry.ckpts))
             entry.ckpts[slot] ^= _GARBLE
@@ -142,12 +150,13 @@ class DroppedValidBits(FaultModel):
         self.k = k
 
     def apply(self, state: CrashState, rng: random.Random) -> List[FaultNote]:
-        cands = _data_entries(state)
+        cands = _entry_slots(state, boundary=False)
         if not cands:
             return []
         rng.shuffle(cands)
         notes: List[FaultNote] = []
-        for core, entry in cands[: self.k]:
+        for core, index in cands[: self.k]:
+            entry = _own_copy(state, core, index)
             entry.redo_valid = not entry.redo_valid
             notes.append(
                 FaultNote(

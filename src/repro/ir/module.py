@@ -55,6 +55,8 @@ CKPT_END = CKPT_BASE + MAX_CORES * CKPT_CORE_STRIDE
 
 def ckpt_slot_addr(core_id: int, reg_index: int, depth: int = 0) -> int:
     """Checkpoint-slot address for (core, call depth, register)."""
+    if not 0 <= core_id < MAX_CORES:
+        raise ValueError(f"core {core_id} outside checkpoint storage")
     if not 0 <= reg_index < MAX_REGS:
         raise ValueError(f"register index {reg_index} outside checkpoint storage")
     if not 0 <= depth < MAX_CALL_DEPTH:

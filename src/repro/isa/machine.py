@@ -58,6 +58,7 @@ from repro.ir.module import (
     CKPT_CORE_STRIDE,
     CKPT_FRAME_STRIDE,
     MAX_CALL_DEPTH,
+    MAX_CORES,
     MAX_REGS,
     Module,
     ckpt_slot_addr,
@@ -68,6 +69,15 @@ from repro.isa.trace import Observer
 
 class MachineError(Exception):
     """Raised on runtime errors: step-limit overrun, stack overflow, etc."""
+
+
+def _check_core_id(core_id: int) -> None:
+    """Harts write checkpoints to their core's slot range; a core id
+    without one would alias program memory."""
+    if not 0 <= core_id < MAX_CORES:
+        raise MachineError(
+            f"core {core_id} outside the {MAX_CORES} cores with checkpoint storage"
+        )
 
 
 #: Immutable snapshot of one suspended caller frame.
@@ -206,6 +216,7 @@ class Machine:
             raise MachineError(
                 f"spawn {func_name!r}: {len(args)} args, expected {func.num_params}"
             )
+        _check_core_id(len(self.harts))
         hart = Hart(len(self.harts), func, args)
         self.harts.append(hart)
         return hart
@@ -219,6 +230,7 @@ class Machine:
         checkpoint storage (plus recovery-block reconstruction) and the
         caller frames from the continuation snapshot.
         """
+        _check_core_id(core_id)
         func = self.module.functions[continuation.func_name]
         hart = Hart(core_id, func, ())
         hart.label = continuation.label

@@ -26,9 +26,11 @@ no IR re-interpretation, no functional machine.  Three consumers:
 Verdict identity with the interpreted path rests on three facts (argued
 in docs/INTERNALS.md): the functional machine is observer-independent,
 so the recorded stream *is* the stream any interpreted crash run would
-deliver; :func:`~repro.arch.crash.capture_crash_state` deep-copies and
-the checker's whole-state checks are read-only, so capturing at point k
-does not perturb the cursor's march to k+1; and the checker's streaming
+deliver; :func:`~repro.arch.crash.capture_crash_state` copies the
+containers and shares only sealed proxy entries, which the live pipeline
+replaces rather than edits, and the checker's whole-state checks are
+read-only, so capturing at point k does not perturb the cursor's march
+to k+1, nor that march the snapshot; and the checker's streaming
 violations are monotone in the prefix, so the per-point report is the
 stream-prefix violations plus this point's own whole-state findings —
 exactly what a fresh checker at that point would hold.
@@ -352,8 +354,9 @@ class TraceCursor:
             self._advance_to(event_index)
             state = capture_crash_state(self.system)
             if self.checker is not None:
-                # Deep-copied state + read-only whole-state check: the
-                # live cursor is unperturbed and keeps marching.
+                # Own containers, sealed shared entries and a read-only
+                # whole-state check: the live cursor is unperturbed and
+                # keeps marching.
                 self.checker.check_crash_state(state)
                 point_violations, point_suppressed = self._drain_new()
         machine = _ReplayedMachine(self._pre_crash_io(event_index))

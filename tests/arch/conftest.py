@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import pytest
 
@@ -74,3 +74,61 @@ def reference_run(module: Module, func: str = "main", args=()) -> Tuple[int, dic
     m = Machine(module)
     rv = m.run_function(func, args)
     return rv, data_memory(m)
+
+
+def entry_payloads(core_entries) -> list:
+    """Every durable field and the checksum of per-core entry lists —
+    what sharing an entry must never change."""
+    return [
+        [
+            (
+                e.kind,
+                e.addr,
+                e.undo,
+                e.redo,
+                e.redo_valid,
+                e.region_seq,
+                e.region_id,
+                e.continuation,
+                dict(e.ckpts),
+                e.checksum,
+            )
+            for e in entries
+        ]
+        for entries in core_entries
+    ]
+
+
+def mergeable_addr(pipe, held) -> Optional[int]:
+    """An address whose valid current-region front-end entry (the one
+    the next same-address store merges into) is among the entries
+    ``held``, with a valid data entry for another address held too."""
+    ids = {id(e) for e in held}
+    for addr, entry in pipe._fe_merge.items():
+        if id(entry) in ids and entry.redo_valid and any(
+            not e.is_boundary and e.redo_valid and e.addr != addr for e in held
+        ):
+            return addr
+    return None
+
+
+def edit_through_hardware(pipe, addr: int) -> None:
+    """Edit live entries the legitimate ways: a front-end merge into
+    ``addr``'s entry, a Section 5.3.2 valid-bit scan of another address,
+    then the planted ``invalidate_all``.  Each edit must take effect."""
+    target = pipe._fe_merge[addr]
+    merges = pipe.entries_merged
+    # Stamped at the target's creation, so no transfer moves it first.
+    pipe.record_store(target.create_time, addr, target.redo + 1, target.redo)
+    assert pipe.entries_merged == merges + 1
+    assert pipe._fe_merge[addr].redo == target.redo + 1
+    other = next(
+        e
+        for e in pipe.entries_in_order()
+        if not e.is_boundary and e.redo_valid and e.addr != addr
+    )
+    assert pipe.invalidate_matching(other.addr) >= 1
+    assert pipe.invalidate_all() >= 1
+    assert not any(
+        e.redo_valid for e in pipe.entries_in_order() if not e.is_boundary
+    )

@@ -103,6 +103,16 @@ class TestCheckpointLayout:
         with pytest.raises(ValueError):
             ckpt_slot_addr(0, MAX_REGS)
 
+    def test_out_of_range_core_rejected(self):
+        """A core without reserved storage must not alias program data:
+        core 64 would start at ``CKPT_END``, core -1 below ``CKPT_BASE``."""
+        from repro.ir.module import MAX_CORES
+
+        assert is_ckpt_addr(ckpt_slot_addr(MAX_CORES - 1, 0))
+        for core in (MAX_CORES, -1):
+            with pytest.raises(ValueError, match="core"):
+                ckpt_slot_addr(core, 3)
+
     def test_is_ckpt_addr(self):
         assert is_ckpt_addr(CKPT_BASE)
         assert is_ckpt_addr(ckpt_slot_addr(3, 7))

@@ -395,6 +395,24 @@ class TestMultiHart:
         with pytest.raises(MachineError, match="args"):
             m.spawn("worker", [1, 2])
 
+    def test_harts_limited_to_cores_with_checkpoint_storage(self):
+        """A hart past ``MAX_CORES`` would checkpoint into program data."""
+        from repro.ir.module import MAX_CORES
+        from repro.isa.machine import Continuation
+
+        module, _ = self._counter_module()
+        m = Machine(module)
+        for _ in range(MAX_CORES):
+            m.spawn("worker", [1])
+        with pytest.raises(MachineError, match="core 64"):
+            m.spawn("worker", [1])
+        entry = module.functions["worker"].entry.label
+        cont = Continuation("worker", entry, 0, ())
+        m.resume(MAX_CORES - 1, cont, [1])
+        for core in (MAX_CORES, -1):
+            with pytest.raises(MachineError, match="outside"):
+                m.resume(core, cont, [1])
+
     def test_quantum_validation(self):
         module, _ = self._counter_module()
         with pytest.raises(ValueError):
