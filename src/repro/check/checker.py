@@ -377,16 +377,18 @@ class PersistencyChecker(Observer):
         """Reference-recover ``nvm_image`` with the model's expected
         surviving entries and require the committed prefix back.  Value
         checks are meaningful only with stale-read prevention on (the
-        ablation knob deliberately lets NVM run stale).  Single-writer
-        addresses get an exact check; multi-writer addresses a
-        membership check against the per-core contribution set (the
-        litmus outcome-oracle rule) — unless a regular-path writeback
-        touched them, in which case only the structural checks apply."""
+        ablation knob deliberately lets NVM run stale).  Every address
+        is judged against :meth:`PersistencyModel.allowed_values`, the
+        one contribution rule (the litmus oracle projects the same
+        set): a single-writer address must equal its one member, a
+        multi-writer address must be a member — unless a regular-path
+        writeback touched it, in which case only the structural checks
+        apply."""
         if not self.model.prevention:
             return
         recovered = self.model.reference_recovery(nvm_image)
         for addr in self.model.single_writer_addrs():
-            want = self.model.expected_value(addr)
+            (want,) = self.model.allowed_values(addr)
             got = recovered.get(addr, 0)
             if got != want:
                 core = self.model.writers.get(addr, -1)
@@ -401,7 +403,6 @@ class PersistencyChecker(Observer):
             if addr in self.model.wb_addrs:
                 continue
             allowed = self.model.allowed_values(addr)
-            self.model.multi_writer_checks += 1
             got = recovered.get(addr, 0)
             if got not in allowed:
                 self._crash_violation(
@@ -428,7 +429,7 @@ class PersistencyChecker(Observer):
                 core = model.writers.get(addr, -1)
                 if core in quarantined:
                     continue
-                want = model.expected_value(addr)
+                (want,) = model.allowed_values(addr)
                 got = recovered.nvm_image.get(addr, 0)
                 if got != want:
                     # Distinguish "uncommitted value leaked" from "committed
@@ -451,7 +452,7 @@ class PersistencyChecker(Observer):
                     )
             if not quarantined:
                 # Multi-writer words: the recovered value must come from
-                # some touching core's contribution (litmus oracle rule).
+                # some touching core's contribution (``allowed_values``).
                 # Quarantine drops whole cores from recovery, which
                 # shrinks the contribution set in ways the model cannot
                 # attribute per-address, so any quarantine skips these.
@@ -459,7 +460,6 @@ class PersistencyChecker(Observer):
                     if is_ckpt_addr(addr) or addr in model.wb_addrs:
                         continue
                     allowed = model.allowed_values(addr)
-                    model.multi_writer_checks += 1
                     got = recovered.nvm_image.get(addr, 0)
                     if got not in allowed:
                         self._crash_violation(
@@ -475,10 +475,9 @@ class PersistencyChecker(Observer):
         for core, cm in model.cores.items():
             if core in quarantined or core >= len(recovered.resumes):
                 continue
-            committed = [r for r in cm.committed.values()]
-            if not committed:
+            last = cm.last_committed()
+            if last is None:
                 continue
-            last = max(committed, key=lambda r: r.seq)
             resume = recovered.resumes[core]
             if resume is None:
                 self._crash_violation(
@@ -537,7 +536,7 @@ class PersistencyChecker(Observer):
         if model.prevention and not leftover_committed:
             image = system.nvm.image
             for addr in model.single_writer_addrs():
-                want = model.expected_value(addr)
+                (want,) = model.allowed_values(addr, include_rollback=False)
                 got = image.get(addr, 0)
                 if got != want:
                     core = model.writers.get(addr, -1)
@@ -554,7 +553,6 @@ class PersistencyChecker(Observer):
                 # Nothing is open or pending after the terminal drain,
                 # so only committed-last values contribute.
                 allowed = model.allowed_values(addr, include_rollback=False)
-                model.multi_writer_checks += 1
                 got = image.get(addr, 0)
                 if got not in allowed:
                     self._crash_violation(

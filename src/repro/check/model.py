@@ -30,13 +30,17 @@ whole-state sweeps happen once per crash snapshot or at finalize.
 Multicore: for addresses written by more than one core the commit
 order across cores is ambiguous (two cores' committed redo for the
 same word race in recovery order), so exact-value checks are
-impossible.  First cut (PR 10, backed by the ``repro.litmus`` outcome
-oracle): such addresses get a *membership* check instead — the
+impossible.  Such addresses get a *membership* check instead — the
 recovered value must come from :meth:`PersistencyModel.allowed_values`
 (each touching core's committed-last redo, or its rollback target when
-a region is open).  Addresses that took a regular-path writeback fall
-back to the structural checks only (the writeback's interleaving with
-per-core recovery passes is not modelled).
+a region is open).  That method is the one statement of the
+contribution rule: single-writer exact checks read its one member, and
+the :mod:`repro.litmus` outcome oracle is a read-only projection of a
+model driven straight off a captured trace (the model is itself a
+machine :class:`~repro.isa.trace.Observer`).  Addresses that took a
+regular-path writeback fall back to the structural checks only (the
+writeback's interleaving with per-core recovery passes is not
+modelled).
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from repro.check.violations import (
     STALE_REDO_OVERWRITE,
     UNCOVERED_CKPT_SLOT,
 )
+from repro.isa.trace import Observer
 
 #: (kind, detail, addr, seq) — the checker wraps these with core/event
 #: index/witness.
@@ -148,15 +153,22 @@ class CoreModel:
         #: addr -> this core's latest *committed* redo value.
         self.committed_last: Dict[int, int] = {}
 
+    def last_committed(self) -> Optional[RegionRecord]:
+        """The newest committed region, or ``None`` before the first."""
+        return self.committed.get(self.next_seq - 1)
 
-class PersistencyModel:
-    """The whole-system automaton: per-core state + global value maps."""
+
+class PersistencyModel(Observer):
+    """The whole-system automaton: per-core state + global value maps.
+
+    It observes the machine directly (``on_store``/``on_atomic``/
+    ``on_ckpt``/``on_boundary`` are the ``machine_*`` events), so a
+    captured trace can drive it with no checker or system attached.
+    """
 
     def __init__(self, stale_read_prevention: bool = True) -> None:
         self.prevention = stale_read_prevention
         self.cores: Dict[int, CoreModel] = {}
-        #: addr -> value the committed prefix requires recovery to produce.
-        self.committed_value: Dict[int, int] = {}
         #: addr -> pre-first-store (initial) value.
         self.baseline: Dict[int, int] = {}
         #: ckpt slot -> latest committed value.
@@ -167,8 +179,6 @@ class PersistencyModel:
         #: skip them — the writeback races the recovery passes).
         self.wb_addrs: set = set()
         self.checks = 0
-        #: multi-writer membership checks performed (observability).
-        self.multi_writer_checks = 0
 
     def core(self, core: int) -> CoreModel:
         cm = self.cores.get(core)
@@ -187,8 +197,7 @@ class PersistencyModel:
             self.writers[addr] = core
         elif w != core:
             self.writers[addr] = MULTI_WRITER
-        if addr not in self.baseline and addr not in self.committed_value:
-            self.baseline[addr] = old
+        self.baseline.setdefault(addr, old)
         rec = cm.open_stores.get(addr)
         if rec is None:
             cm.open_stores[addr] = [old, old, value]
@@ -215,7 +224,6 @@ class PersistencyModel:
         )
         cm.committed[seq] = record
         for a, (_, redo) in record.stores.items():
-            self.committed_value[a] = redo
             cm.committed_last[a] = redo
         for slot, value in record.ckpts.items():
             self.committed_ckpt[slot] = value
@@ -226,6 +234,12 @@ class PersistencyModel:
         cm.staging = {}
         cm.merge_map = {}
         cm.next_seq = seq + 1
+
+    on_store = on_atomic = machine_store
+    on_boundary = machine_boundary
+
+    def on_ckpt(self, core: int, reg: int, value: int, addr: int) -> None:
+        self.machine_ckpt(core, addr, value)
 
     # ---------------------------------------------------------------- proxy hooks
 
@@ -570,12 +584,6 @@ class PersistencyModel:
                 image[item.addr] = item.undo
         return image
 
-    def expected_value(self, addr: int) -> int:
-        """The value recovery must produce for ``addr``."""
-        if addr in self.committed_value:
-            return self.committed_value[addr]
-        return self.baseline.get(addr, 0)
-
     def single_writer_addrs(self) -> List[int]:
         return [
             addr
@@ -592,8 +600,9 @@ class PersistencyModel:
 
     def allowed_values(self, addr: int, include_rollback: bool = True) -> set:
         """The set of values region-level strict persistency permits
-        recovery to leave at a multi-writer ``addr`` (the same
-        contribution rule as the :mod:`repro.litmus` outcome oracle).
+        recovery to leave at ``addr`` — the contribution rule, stated
+        once.  For a single-writer word the set has exactly one member,
+        the value recovery must produce.
 
         Each core that touched the word contributes exactly one value:
         its rollback target if it has an open (uncommitted) store and

@@ -10,8 +10,8 @@ against the spec.  This package is that engine for the Capri stack:
   region boundaries, shared/private address mixes) via
   :class:`repro.ir.IRBuilder`,
 * :mod:`repro.litmus.oracle` — the allowed-outcome oracle: per-address
-  post-crash value sets under region-level strict persistency (the
-  cross-core permitted set the checker's single-writer sweep lacks),
+  post-crash value sets under region-level strict persistency, read
+  off the :mod:`repro.check` reference automaton driven by a trace,
 * :mod:`repro.litmus.explore` — bounded-exhaustive enumeration of hart
   interleavings against the oracle and the :mod:`repro.check` reference
   automaton,
@@ -26,7 +26,7 @@ CLI: ``python -m repro litmus generate|run|explore|mutants``.
 """
 
 from repro.litmus.generate import LitmusProgram, generate_program, litmus_corpus
-from repro.litmus.oracle import LitmusOracle, OutcomeSnapshot
+from repro.litmus.oracle import OutcomeSnapshot
 from repro.litmus.explore import ExploreResult, explore_program
 from repro.litmus.matrix import (
     LitmusVerdict,
@@ -39,7 +39,6 @@ __all__ = [
     "LitmusProgram",
     "generate_program",
     "litmus_corpus",
-    "LitmusOracle",
     "OutcomeSnapshot",
     "ExploreResult",
     "explore_program",

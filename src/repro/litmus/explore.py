@@ -7,7 +7,7 @@ multiset permutations of those counts):
 
 * **spec layer** — every schedule drives a fresh functional
   :class:`~repro.isa.machine.Machine` observed by a
-  :class:`~repro.litmus.oracle.LitmusOracle`; the allowed post-crash
+  :class:`~repro.check.model.PersistencyModel`; the allowed post-crash
   sets of *every prefix of every schedule* are unioned into the
   program's interleaving-closed allowed set.  This is the set the
   campaign-agreement tests check observed outcomes against.
@@ -36,7 +36,6 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.isa.machine import Machine
 from repro.litmus.generate import LitmusProgram
-from repro.litmus.oracle import LitmusOracle
 
 
 @dataclass
@@ -127,24 +126,26 @@ def _spec_run(
     schedule: Sequence[int],
     union: Dict[int, set],
 ) -> None:
-    """Drive one schedule through machine+oracle, unioning every prefix.
+    """Drive one schedule through machine+model, unioning every prefix.
 
     Instruction-granular prefixes cover event-granular crash points:
     the machine emits an instruction's retire before its effect event,
     and a crash between the two leaves persistent state equal to one of
     the two adjacent instruction boundaries.
     """
+    from repro.check.model import PersistencyModel
+
     machine = Machine(program.module, quantum=program.quantum)
     for name, args in program.spawns:
         machine.spawn(name, args)
-    oracle = LitmusOracle()
+    model = PersistencyModel()
     for h in schedule:
         hart = machine.harts[h]
         if hart.halted:
             continue
-        machine._run_quantum(hart, oracle, 1)
-        for addr in oracle.touched:
-            union.setdefault(addr, set()).update(oracle.allowed_for(addr))
+        machine._run_quantum(hart, model, 1)
+        for addr in model.writers:
+            union.setdefault(addr, set()).update(model.allowed_values(addr))
 
 
 def _pipeline_run(

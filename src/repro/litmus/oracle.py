@@ -7,8 +7,7 @@ core at a time — committed redo in region order, then rollback of the
 uncommitted tail via intact undo — so the surviving value is the
 contribution of whichever core recovery happens to process last among
 those touching the address.  Cross-core processing order is the
-ambiguity (ROADMAP "checker under multicore interleavings"); the
-*per-address linearisation* set is exactly:
+ambiguity; the *per-address linearisation* set is exactly:
 
 * a core with an **open (uncommitted) store** to the address
   contributes the undo word of its first open store — its own redo (if
@@ -18,13 +17,14 @@ ambiguity (ROADMAP "checker under multicore interleavings"); the
 * an address no core has touched stays at the **baseline** (pre-first
   -store) value.
 
-The oracle consumes the same observer stream as the reference automaton
-(:mod:`repro.check.model`) and mirrors its commit rule exactly — a
-boundary commits iff the region has open stores, staged checkpoints, or
-is the implicit spawn region (id ``-1``).  It needs no load values and
-no machine, so a captured :class:`repro.trace.record.ExecTrace` can
-drive it standalone (``system=None``) — the matrix builds one snapshot
-per crash index from a single delivery pass.
+The oracle does not restate that rule: it drives the reference
+automaton (:class:`repro.check.model.PersistencyModel`, itself a
+machine observer) with the trace and reads the answer back —
+:meth:`~repro.check.model.PersistencyModel.allowed_values` per touched
+address and :meth:`~repro.check.model.CoreModel.last_committed` per
+core.  The model needs no load values and no machine, so a captured
+:class:`repro.trace.record.ExecTrace` drives it standalone — the matrix
+builds one snapshot per crash index from a single delivery pass.
 
 This is deliberately *per-address*: cross-address correlations (core A
 recovered-before-core-B for one word but after for another) are allowed
@@ -34,10 +34,11 @@ pipelines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.isa.trace import Observer
+if TYPE_CHECKING:  # repro.check is heavy to import; loaded on first use
+    from repro.check.model import PersistencyModel
 
 
 @dataclass
@@ -55,108 +56,18 @@ class OutcomeSnapshot:
         return value in self.allowed.get(addr, frozenset((baseline,)))
 
 
-class _CoreState:
-    __slots__ = ("open_first_old", "open_last", "staging", "committed_last", "committed_region")
-
-    def __init__(self) -> None:
-        #: addr -> undo word of the first open-region store (rollback target).
-        self.open_first_old: Dict[int, int] = {}
-        #: addr -> last value stored in the open region (redo-if-committed).
-        self.open_last: Dict[int, int] = {}
-        #: staged register checkpoints since the last emitted boundary.
-        self.staging: Dict[int, int] = {}
-        #: addr -> last committed redo value.
-        self.committed_last: Dict[int, int] = {}
-        self.committed_region: Optional[int] = None
-
-
-class LitmusOracle(Observer):
-    """Observer computing the allowed set incrementally, O(1) per event."""
-
-    def __init__(self) -> None:
-        self.cores: Dict[int, _CoreState] = {}
-        #: addr -> pre-first-store value (the no-contribution outcome).
-        self.baseline: Dict[int, int] = {}
-        #: every data address any store has touched.
-        self.touched: set = set()
-        self.events = 0
-
-    def _core(self, core: int) -> _CoreState:
-        st = self.cores.get(core)
-        if st is None:
-            st = self.cores[core] = _CoreState()
-        return st
-
-    # ------------------------------------------------------------- events
-
-    def on_retire(self, core, kind):
-        self.events += 1
-
-    def on_load(self, core, addr):
-        self.events += 1
-
-    def _store(self, core: int, addr: int, value: int, old: int) -> None:
-        st = self._core(core)
-        if addr not in self.baseline and addr not in self.touched:
-            self.baseline[addr] = old
-        self.touched.add(addr)
-        st.open_first_old.setdefault(addr, old)
-        st.open_last[addr] = value
-
-    def on_store(self, core, addr, value, old):
-        self._store(core, addr, value, old)
-        self.events += 1
-
-    def on_atomic(self, core, addr, value, old):
-        self._store(core, addr, value, old)
-        self.events += 1
-
-    def on_ckpt(self, core, reg, value, addr):
-        self._core(core).staging[addr] = value
-        self.events += 1
-
-    def on_boundary(self, core, region_id, continuation):
-        st = self._core(core)
-        # Mirror of repro.check.model.PersistencyModel.machine_boundary:
-        # empty regions emit no delimiter and commit nothing.
-        if st.open_last or st.staging or region_id == -1:
-            st.committed_last.update(st.open_last)
-            st.committed_region = region_id
-            st.open_first_old = {}
-            st.open_last = {}
-            st.staging = {}
-        self.events += 1
-
-    def on_fence(self, core):
-        self.events += 1
-
-    def on_io(self, core, port, value):
-        self.events += 1
-
-    def on_halt(self, core):
-        self.events += 1
-
-    # ---------------------------------------------------------- snapshots
-
-    def allowed_for(self, addr: int) -> FrozenSet[int]:
-        """The allowed post-crash value set for one address, now."""
-        contributions = set()
-        for st in self.cores.values():
-            if addr in st.open_first_old:
-                contributions.add(st.open_first_old[addr])
-            elif addr in st.committed_last:
-                contributions.add(st.committed_last[addr])
-        if not contributions:
-            contributions.add(self.baseline.get(addr, 0))
-        return frozenset(contributions)
-
-    def snapshot(self) -> OutcomeSnapshot:
-        return OutcomeSnapshot(
-            allowed={addr: self.allowed_for(addr) for addr in self.touched},
-            committed_region={
-                core: st.committed_region for core, st in self.cores.items()
-            },
-        )
+def outcome_snapshot(model: PersistencyModel) -> OutcomeSnapshot:
+    """Project ``model``'s contribution rule onto every touched address."""
+    committed_region: Dict[int, Optional[int]] = {}
+    for core, cm in model.cores.items():
+        last = cm.last_committed()
+        committed_region[core] = None if last is None else last.region_id
+    return OutcomeSnapshot(
+        allowed={
+            addr: frozenset(model.allowed_values(addr)) for addr in model.writers
+        },
+        committed_region=committed_region,
+    )
 
 
 def oracle_snapshots(trace) -> List[OutcomeSnapshot]:
@@ -167,14 +78,15 @@ def oracle_snapshots(trace) -> List[OutcomeSnapshot]:
     allowed set for that crash point, and ``snapshots[len(trace)]`` is
     the end-of-run set.
     """
+    from repro.check.model import PersistencyModel
     from repro.deps import touch
 
     touch("litmus")
-    oracle = LitmusOracle()
-    out = [oracle.snapshot()]
+    model = PersistencyModel()
+    out = [outcome_snapshot(model)]
     for i in range(len(trace)):
-        trace.deliver(oracle, start=i, stop=i + 1)
-        out.append(oracle.snapshot())
+        trace.deliver(model, start=i, stop=i + 1)
+        out.append(outcome_snapshot(model))
     return out
 
 

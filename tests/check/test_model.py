@@ -42,7 +42,7 @@ class TestCleanLifecycle:
         cm = m.cores[0]
         assert not cm.emitted
         assert cm.drained_boundaries == 1
-        assert m.committed_value[0x100] == 7
+        assert m.allowed_values(0x100) == {7}
 
     def test_empty_region_does_not_commit(self):
         m = PersistencyModel()
@@ -200,7 +200,24 @@ class TestReferenceRecovery:
     def test_expected_value_falls_back_to_baseline(self):
         m = PersistencyModel()
         m.machine_store(0, 0x300, 1, 17)  # never committed
-        assert m.expected_value(0x300) == 17
+        assert m.allowed_values(0x300) == {17}
+        assert m.allowed_values(0x300, include_rollback=False) == {17}
+
+    def test_reopened_single_writer_word_stays_singleton(self):
+        # One writer: store, commit, reopen — every step names exactly
+        # the one value recovery must produce.
+        m = PersistencyModel()
+        steps = [
+            (lambda: m.machine_store(0, 0x500, 5, 0), {0}, {0}),
+            (lambda: m.machine_boundary(0, 1, CONT), {5}, {5}),
+            (lambda: m.machine_store(0, 0x500, 9, 5), {5}, {5}),
+            (lambda: m.machine_store(0, 0x500, 11, 9), {5}, {5}),
+            (lambda: m.machine_boundary(0, 2, CONT), {11}, {11}),
+        ]
+        for step, want, committed_only in steps:
+            step()
+            assert m.allowed_values(0x500) == want
+            assert m.allowed_values(0x500, include_rollback=False) == committed_only
 
     def test_multi_writer_excluded_from_value_checks(self):
         m = PersistencyModel()
