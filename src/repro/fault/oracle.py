@@ -9,9 +9,11 @@ when
   (the register-checkpoint storage — recovery bookkeeping, not program
   state), and
 * per core, the golden I/O sequence is a subsequence of the observed
-  pre-crash + post-resume sequence: the Section 3.3 persist barrier
+  pre-crash + post-resume sequence, and every observed ``(port, value)``
+  is one of that core's golden events: the Section 3.3 persist barrier
   guarantees at-least-once delivery, so replayed duplicates are legal
-  but lost or reordered effects are not.
+  but lost, reordered or fabricated effects are not.  A core the
+  recovery report fenced off is exempt.
 
 :func:`minimize_failure` shrinks a failing (crash index, fault set) to a
 smaller reproducer by greedily dropping fault models and bisecting the
@@ -205,13 +207,12 @@ def differential_check(
     observed = list(pre_crash_io) + list(finished.io_log)
     fenced = set(report.quarantined_cores) if report is not None else set()
     io_ok = True
-    cores = {c for (c, _, _) in golden.io_log}
-    for core in cores:
-        if core in fenced:
-            continue
+    cores = {c for (c, _, _) in golden.io_log} | {c for (c, _, _) in observed}
+    for core in cores - fenced:
         want = [(p, v) for (c, p, v) in golden.io_log if c == core]
         got = [(p, v) for (c, p, v) in observed if c == core]
-        if not _is_subsequence(want, got):
+        # Replay may duplicate a golden event, never invent one.
+        if not _is_subsequence(want, got) or not set(got) <= set(want):
             io_ok = False
             break
 

@@ -321,6 +321,12 @@ class Machine:
         return helpers) and, through ``finally``, on every exit, so an
         observer that raises mid-quantum leaves the hart at the
         instruction whose event it was delivering.
+
+        An unobserved run (``obs`` is the null observer, as for every
+        resumed crash point) skips the two pieces of work only an
+        observer consumes: the per-instruction ``on_retire`` call and the
+        boundary's continuation snapshot.  Every architectural effect is
+        the same either way.
         """
         if budget <= 0:
             return 0
@@ -331,6 +337,7 @@ class Machine:
         executed = 0
         memory = self.memory
         core = hart.core_id
+        observed = obs is not _NULL_OBSERVER
         on_retire = obs.on_retire
         blocks = hart.func.blocks
         instrs = blocks[hart.label].instrs
@@ -342,7 +349,8 @@ class Machine:
             while executed < budget:
                 instr = instrs[index]
                 cls = type(instr)
-                on_retire(core, cls.__name__)
+                if observed:
+                    on_retire(core, cls.__name__)
                 executed += 1
 
                 if cls is BinOp:
@@ -410,8 +418,11 @@ class Machine:
                     # the first instruction of the region this boundary
                     # opens.
                     index += 1
-                    hart.index = index
-                    obs.on_boundary(core, instr.region_id, hart.continuation())
+                    if observed:
+                        hart.index = index
+                        obs.on_boundary(
+                            core, instr.region_id, hart.continuation()
+                        )
                 elif cls is UnOp:
                     s = instr.src
                     a = regs[s.index] if type(s) is Reg else s.value

@@ -38,7 +38,12 @@ injector) may rely on the following, pinned by
 5. **One tick per callback.** Crash indices (``CrashPlan.at_event``)
    and golden-run event counts share the same universe: every callback,
    including ``on_retire`` and ``on_halt``, counts as one event
-   (:class:`TickCountingObserver`).
+   (:class:`TickCountingObserver`).  Ticks are defined for observed
+   runs only.  A run without an observer (``Machine.run()`` with none)
+   delivers nothing: it skips ``on_retire`` and the boundary
+   continuations, and what it still dispatches goes to a no-op.  Any
+   observer that is passed, a plain :class:`Observer` included, gets
+   every callback.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
-"""The differential oracle's log-area mask and its equal-image fast path."""
+"""The differential oracle's log-area mask, its equal-image fast path and
+its I/O check."""
 
 from __future__ import annotations
 
+from repro.arch.recovery import RecoveryReport
 from repro.fault.oracle import GoldenResult, data_image, differential_check
 from repro.ir.module import (
     CKPT_BASE,
@@ -70,3 +72,48 @@ class TestDifferentialCheck:
         verdict = differential_check(golden, finished)
         assert not verdict.equivalent
         assert verdict.mismatched_addrs == [DATA_BASE, DATA_BASE + 8]
+
+
+class TestIoCheck:
+    """At-least-once delivery: duplicates pass, lost or invented events fail."""
+
+    GOLDEN_IO = [(0, 1, 10), (0, 1, 20)]
+
+    def _check(self, pre_crash, resumed, golden_io=GOLDEN_IO, report=None):
+        golden = GoldenResult(data={}, io_log=list(golden_io), total_events=0)
+        finished = _machine({})
+        finished.io_log = list(resumed)
+        return differential_check(golden, finished, pre_crash, report)
+
+    def test_replayed_duplicate_is_equivalent(self):
+        verdict = self._check([(0, 1, 10)], [(0, 1, 10), (0, 1, 20)])
+        assert verdict.equivalent and verdict.io_ok
+
+    def test_lost_event_is_not_equivalent(self):
+        verdict = self._check([(0, 1, 10)], [])
+        assert not verdict.equivalent and not verdict.io_ok
+
+    def test_fabricated_value_is_not_equivalent(self):
+        # The golden sequence is still a subsequence of what was observed;
+        # the 999 was never emitted by the crash-free run.
+        verdict = self._check([(0, 1, 10)], [(0, 1, 999), (0, 1, 20)])
+        assert not verdict.equivalent and not verdict.io_ok
+
+    def test_fabricated_port_is_not_equivalent(self):
+        verdict = self._check([(0, 1, 10)], [(0, 2, 10), (0, 1, 20)])
+        assert not verdict.io_ok
+
+    def test_io_from_a_silent_core_is_not_equivalent(self):
+        verdict = self._check([(0, 1, 10)], [(0, 1, 20), (1, 1, 10)])
+        assert not verdict.io_ok
+
+    def test_fenced_core_is_exempt(self):
+        report = RecoveryReport(quarantined_cores=[1])
+        report.add("bad_ckpt", 1, "fenced")
+        verdict = self._check(
+            [(0, 1, 10), (1, 1, 5)],
+            [(0, 1, 20), (1, 1, 999)],
+            golden_io=[(0, 1, 10), (0, 1, 20), (1, 1, 5), (1, 1, 6)],
+            report=report,
+        )
+        assert verdict.equivalent and verdict.io_ok

@@ -8,6 +8,10 @@ lone hart — as the oracle.  The production :class:`Machine` must deliver
 the same observer events in the same order, leave the same memory,
 I/O log and per-hart retired counts, fail at the same step, and leave an
 interrupted hart in the same place.
+
+A run without an observer skips the callbacks only an observer consumes,
+so :class:`TestUnobservedRuns` holds it to the same architectural
+outcome as a counted run on either machine.
 """
 
 from __future__ import annotations
@@ -46,8 +50,14 @@ from repro.ir.instructions import (
 from repro.ir.module import Module, ckpt_slot_addr
 from repro.ir.values import WORD_MAX, WORD_MIN, Imm, Reg
 from repro.isa.machine import Hart, Machine, MachineError
-from repro.isa.trace import CollectingObserver, Observer
+from repro.isa.trace import (
+    CollectingObserver,
+    CountingObserver,
+    Observer,
+    TickCountingObserver,
+)
 from repro.workloads import get_workload
+from tests.arch.test_io import build_logger
 
 
 class ReferenceMachine(Machine):
@@ -449,6 +459,159 @@ class TestInterruptedHart:
             assert machine.harts[0].index == 1
         assert errors[0] == errors[1]
         assert "register index 512" in errors[1]
+
+
+# -- unobserved runs -----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def deep_call():
+    return _compiled("deep-call", 0.1)
+
+
+@pytest.fixture(scope="module")
+def logger():
+    module, _ = build_logger(20)
+    module = CapriCompiler(OptConfig.licm(64)).compile(module).module
+    return module, [("main", ())]
+
+
+_PROGRAMS = ["genome", "ocean", "deep_call", "logger"]
+
+
+def _architectural(machine: Machine):
+    """Everything a run leaves behind that does not go through an observer."""
+    return (
+        machine.memory,
+        machine.io_log,
+        machine.total_retired,
+        [h.retired for h in machine.harts],
+        [h.exit_value for h in machine.harts],
+        [_hart_state(h) for h in machine.harts],
+    )
+
+
+def _three_runs(module, spawns, quantum, max_steps=50_000_000):
+    """Counted reference, counted production and unobserved production runs.
+
+    Returns each run's architectural outcome and the error it raised.
+    """
+    outcomes = []
+    for cls, obs in (
+        (ReferenceMachine, _Counting()),
+        (Machine, _Counting()),
+        (Machine, None),
+    ):
+        machine = _build(cls, module, spawns, quantum)
+        error = None
+        try:
+            machine.run(obs, max_steps=max_steps)
+        except MachineError as exc:
+            error = str(exc)
+        if obs is not None:
+            assert obs.retired == machine.total_retired
+        outcomes.append((_architectural(machine), error))
+    return outcomes
+
+
+class TestUnobservedRuns:
+    @pytest.mark.parametrize("quantum", [1, 7, 32])
+    @pytest.mark.parametrize("program", _PROGRAMS)
+    def test_same_result_as_counted_run(self, program, quantum, request):
+        module, spawns = request.getfixturevalue(program)
+        outcomes = _three_runs(module, spawns, quantum)
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[2][1] is None
+
+    def test_logger_emits_io(self, logger):
+        io_log = _three_runs(*logger, 32)[2][0][1]
+        assert [v for (_, _, v) in io_log] == [7 * i + 3 for i in range(20)]
+
+    @pytest.mark.parametrize("program", _PROGRAMS)
+    def test_max_steps_trip_point(self, program, request):
+        module, spawns = request.getfixturevalue(program)
+        total = _build(Machine, module, spawns, 32).run()
+        tripped = _three_runs(module, spawns, 32, max_steps=total)
+        assert tripped[0] == tripped[1] == tripped[2]
+        assert tripped[2][1] == f"machine exceeded max_steps={total}"
+        finished = _three_runs(module, spawns, 32, max_steps=total + 1)
+        assert finished[0] == finished[1] == finished[2]
+        assert finished[2][0][2] == total and finished[2][1] is None
+
+    @pytest.mark.parametrize("quantum", [7, 32])
+    @pytest.mark.parametrize("program", _PROGRAMS)
+    def test_interrupted_harts_match(self, program, quantum, request):
+        module, spawns = request.getfixturevalue(program)
+        total = _build(Machine, module, spawns, quantum).run()
+        mid_block = 0
+        for max_steps in sorted({1, 2, 3} | set(range(5, total, total // 13))):
+            outcomes = _three_runs(module, spawns, quantum, max_steps)
+            assert outcomes[0] == outcomes[1] == outcomes[2], max_steps
+            assert outcomes[2][1] is not None
+            harts = outcomes[2][0][-1]
+            mid_block += any(index > 0 for (_, _, index, *_) in harts)
+        assert mid_block > 5
+
+    def test_no_progress_error(self, ocean):
+        # A zero quantum is only reachable by assignment; it starves every
+        # hart of a multi-hart run before any event.
+        module, spawns = ocean
+        errors = []
+        for obs in (_Counting(), None):
+            machine = _build(Machine, module, spawns, 32)
+            machine.quantum = 0
+            with pytest.raises(MachineError, match="no hart can make progress"):
+                machine.run(obs)
+            errors.append(_architectural(machine))
+        assert errors[0] == errors[1]
+
+
+class TestObserverDelivery:
+    @pytest.mark.parametrize("program", _PROGRAMS)
+    def test_continuations_only_where_delivered(self, program, request, monkeypatch):
+        module, spawns = request.getfixturevalue(program)
+        calls = []
+        snapshot = Hart.continuation
+
+        def counting(hart):
+            calls.append(hart.core_id)
+            return snapshot(hart)
+
+        monkeypatch.setattr(Hart, "continuation", counting)
+        _build(Machine, module, spawns, 32).run()
+        # One per spawn prologue, none at the compiler's boundaries.
+        assert sorted(calls) == list(range(len(spawns)))
+
+        del calls[:]
+        obs = CountingObserver()
+        _build(Machine, module, spawns, 32).run(obs)
+        assert len(calls) == obs.boundaries > len(spawns)
+
+    @pytest.mark.parametrize("program", _PROGRAMS)
+    def test_plain_observer_gets_every_event(self, program, request, monkeypatch):
+        module, spawns = request.getfixturevalue(program)
+        expected = TickCountingObserver()
+        _build(Machine, module, spawns, 32).run(expected)
+
+        ticks = {}
+        for name in (
+            "on_retire", "on_load", "on_store", "on_ckpt", "on_boundary",
+            "on_fence", "on_atomic", "on_halt", "on_io",
+        ):
+            def tick(self, *args, _name=name):
+                ticks[_name] = ticks.get(_name, 0) + 1
+
+            monkeypatch.setattr(Observer, name, tick)
+        _build(Machine, module, spawns, 32).run(Observer())
+        assert sum(ticks.values()) == expected.events
+        assert ticks["on_retire"] > 0
+
+        # The null observer is the only one the machine skips.
+        ticks.clear()
+        machine = _build(Machine, module, spawns, 32)
+        machine.run()
+        assert "on_retire" not in ticks
+        assert ticks["on_boundary"] == len(spawns)
 
 
 # -- the one-call ALU -------------------------------------------------------
