@@ -28,6 +28,7 @@ from repro.ir.function import Function
 from repro.ir.instructions import CheckpointStore, RegionBoundary
 from repro.ir.liveness import compute_liveness
 from repro.ir.reaching import compute_reaching_defs
+from repro.ir.values import Reg
 
 #: A definition site pending a checkpoint: (block label, instr index, reg).
 _Site = Tuple[str, int, int]
@@ -65,8 +66,6 @@ def insert_checkpoints(func: Function) -> int:
     for label, sites in by_block.items():
         block = func.blocks[label]
         for (_, index, reg) in sorted(sites, key=lambda s: -s[1]):
-            from repro.ir.values import Reg
-
             block.instrs.insert(index + 1, CheckpointStore(Reg(reg)))
             inserted += 1
     func.meta["checkpoints_inserted"] = inserted

@@ -175,19 +175,18 @@ def check_checkpoint_coverage(func: Function) -> None:
         }
         for r in regions
     }
-    for reg, sites in rdefs.defs_of.items():
-        for (d_label, d_index, _) in sites:
-            if d_label not in cfg.rpo_index:
-                continue
-            violation = _find_uncovered_boundary(
-                func, cfg, liveness, recovered, d_label, d_index, reg
+    # Sites in (RPO, instruction) order, so the violation reported is the
+    # first in program order, whatever the hash seed.
+    for (d_label, d_index, reg) in rdefs.sites:
+        violation = _find_uncovered_boundary(
+            func, cfg, liveness, recovered, d_label, d_index, reg
+        )
+        if violation is not None:
+            raise CapriInvariantError(
+                f"{func.name}: def of r{reg} at {d_label}[{d_index}] "
+                f"reaches boundary block {violation!r} (r{reg} live) "
+                "with no checkpoint or recovery block on the path"
             )
-            if violation is not None:
-                raise CapriInvariantError(
-                    f"{func.name}: def of r{reg} at {d_label}[{d_index}] "
-                    f"reaches boundary block {violation!r} (r{reg} live) "
-                    "with no checkpoint or recovery block on the path"
-                )
 
 
 def check_recovery_blocks(func: Function) -> None:

@@ -5,24 +5,31 @@ boundaries: "the compiler performs static analysis over the control flow
 graph to identify live-in registers to the next region" (Section 3.2).
 This module provides block-level live-in/live-out sets plus an
 instruction-level refinement used when boundaries fall mid-block.
+
+Facts are bitsets: bit *r* is register *r*.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List
+from typing import Dict, FrozenSet
 
 from repro.ir.cfg import CFG
-from repro.ir.dataflow import solve_backward
+from repro.ir.dataflow import DecodedMasks, bit_indices, solve_backward
 from repro.ir.function import Function
 
 
-@dataclass
 class LivenessInfo:
-    """Per-block liveness facts for one function."""
+    """Per-block liveness facts for one function.
 
-    live_in: Dict[str, FrozenSet[int]]
-    live_out: Dict[str, FrozenSet[int]]
+    ``in_mask``/``out_mask`` hold the solved bitsets; ``live_in`` and
+    ``live_out`` are read-only frozenset views of them.
+    """
+
+    def __init__(self, in_mask: Dict[str, int], out_mask: Dict[str, int]) -> None:
+        self.in_mask = in_mask
+        self.out_mask = out_mask
+        self.live_in = DecodedMasks(in_mask, int)
+        self.live_out = DecodedMasks(out_mask, int)
 
     def live_before_index(self, func: Function, label: str, index: int) -> FrozenSet[int]:
         """Registers live immediately before ``block.instrs[index]``.
@@ -33,44 +40,34 @@ class LivenessInfo:
         block = func.blocks[label]
         if not 0 <= index <= len(block.instrs):
             raise IndexError(index)
-        live = set(self.live_out[label])
+        live = self.out_mask[label]
         for instr in reversed(block.instrs[index:]):
             for d in instr.defs():
-                live.discard(d.index)
+                live &= ~(1 << d.index)
             for u in instr.uses():
-                live.add(u.index)
-        return frozenset(live)
+                live |= 1 << u.index
+        return frozenset(bit_indices(live))
 
 
-def _block_use_def(func: Function, label: str) -> tuple[FrozenSet[int], FrozenSet[int]]:
-    """(use, def) sets: use = upward-exposed reads, def = any write."""
-    uses: set[int] = set()
-    defs: set[int] = set()
+def _block_use_def(func: Function, label: str) -> tuple[int, int]:
+    """(use, def) masks: use = upward-exposed reads, def = any write."""
+    uses = defs = 0
     for instr in func.blocks[label].instrs:
         for u in instr.uses():
-            if u.index not in defs:
-                uses.add(u.index)
+            bit = 1 << u.index
+            if not defs & bit:
+                uses |= bit
         for d in instr.defs():
-            defs.add(d.index)
-    return frozenset(uses), frozenset(defs)
+            defs |= 1 << d.index
+    return uses, defs
 
 
 def compute_liveness(func: Function, cfg: CFG | None = None) -> LivenessInfo:
     """Compute live-in/live-out register-index sets for every reachable block."""
     cfg = cfg or CFG(func)
-    use_def = {label: _block_use_def(func, label) for label in cfg.rpo}
-
-    def transfer(label: str, out: FrozenSet[int]) -> FrozenSet[int]:
-        use, defs = use_def[label]
-        return use | (out - defs)
-
-    live_in = solve_backward(cfg, transfer)
-    live_out: Dict[str, FrozenSet[int]] = {}
+    use: Dict[str, int] = {}
+    defs: Dict[str, int] = {}
     for label in cfg.rpo:
-        succs = cfg.succs[label]
-        live_out[label] = (
-            frozenset().union(*(live_in[s] for s in succs if s in live_in))
-            if succs
-            else frozenset()
-        )
-    return LivenessInfo(live_in=live_in, live_out=live_out)
+        use[label], defs[label] = _block_use_def(func, label)
+    out_mask, in_mask = solve_backward(cfg, use, defs)
+    return LivenessInfo(in_mask, out_mask)

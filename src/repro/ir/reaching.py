@@ -4,87 +4,97 @@ A *definition* is a (block label, instruction index) pair whose instruction
 writes some register.  The checkpoint-pruning pass (Section 4.4.1) uses
 reaching definitions to build the backward slice that reconstructs a pruned
 register value at recovery time.
+
+Facts are bitsets: bit *i* is the *i*-th definition site, numbered in
+(reverse postorder, instruction index) order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Tuple
 
 from repro.ir.cfg import CFG
-from repro.ir.dataflow import solve_forward
+from repro.ir.dataflow import DecodedMasks, bit_indices, solve_forward
 from repro.ir.function import Function
 
 #: A definition site: (block label, instruction index, register index).
 DefSite = Tuple[str, int, int]
 
 
-@dataclass
 class ReachingDefs:
-    """Reaching-definition facts for one function."""
+    """Reaching-definition facts for one function.
 
-    #: Definitions reaching the *entry* of each block.
-    reach_in: Dict[str, FrozenSet[DefSite]]
-    #: Definitions reaching the *exit* of each block.
-    reach_out: Dict[str, FrozenSet[DefSite]]
-    #: All definition sites of each register index.
-    defs_of: Dict[int, FrozenSet[DefSite]]
+    The ``*_mask`` dicts hold the solved bitsets; ``reach_in``,
+    ``reach_out`` and ``defs_of`` are read-only frozenset views of them.
+    """
 
-    def reaching_at(self, func: Function, label: str, index: int) -> FrozenSet[DefSite]:
-        """Definitions reaching immediately before ``block.instrs[index]``."""
-        block = func.blocks[label]
-        if not 0 <= index <= len(block.instrs):
-            raise IndexError(index)
-        live = set(self.reach_in[label])
-        for i, instr in enumerate(block.instrs[:index]):
-            for d in instr.defs():
-                live = {site for site in live if site[2] != d.index}
-                live.add((label, i, d.index))
-        return frozenset(live)
+    def __init__(
+        self,
+        sites: Tuple[DefSite, ...],
+        in_mask: Dict[str, int],
+        out_mask: Dict[str, int],
+        reg_mask: Dict[int, int],
+    ) -> None:
+        #: Every definition site of a reachable block, in bit order.
+        self.sites = sites
+        self.in_mask = in_mask
+        self.out_mask = out_mask
+        #: Bits of each register's definition sites.
+        self.reg_mask = reg_mask
+        site = sites.__getitem__
+        #: Definitions reaching the *entry* of each block.
+        self.reach_in = DecodedMasks(in_mask, site)
+        #: Definitions reaching the *exit* of each block.
+        self.reach_out = DecodedMasks(out_mask, site)
+        #: All definition sites of each register index.
+        self.defs_of = DecodedMasks(reg_mask, site)
 
     def reaching_defs_of(
         self, func: Function, label: str, index: int, reg_index: int
     ) -> FrozenSet[DefSite]:
         """Definition sites of ``reg_index`` reaching before instruction ``index``."""
-        return frozenset(
-            site
-            for site in self.reaching_at(func, label, index)
-            if site[2] == reg_index
-        )
+        instrs = func.blocks[label].instrs
+        if not 0 <= index <= len(instrs):
+            raise IndexError(index)
+        reach = self.in_mask[label]
+        for i in range(index - 1, -1, -1):
+            for d in instrs[i].defs():
+                if d.index == reg_index:
+                    return frozenset(((label, i, reg_index),))
+        sites = self.sites
+        mask = reach & self.reg_mask.get(reg_index, 0)
+        return frozenset(sites[i] for i in bit_indices(mask))
 
 
 def compute_reaching_defs(func: Function, cfg: CFG | None = None) -> ReachingDefs:
     """Compute reaching definitions for every reachable block."""
     cfg = cfg or CFG(func)
 
-    gen: Dict[str, FrozenSet[DefSite]] = {}
-    kill_regs: Dict[str, FrozenSet[int]] = {}
-    defs_of: Dict[int, set] = {}
+    sites: List[DefSite] = []
+    reg_mask: Dict[int, int] = {}
+    gen: Dict[str, int] = {}
+    block_regs: Dict[str, List[int]] = {}
     for label in cfg.rpo:
-        block = func.blocks[label]
-        last_def: Dict[int, DefSite] = {}
-        for i, instr in enumerate(block.instrs):
+        last_def: Dict[int, int] = {}
+        for i, instr in enumerate(func.blocks[label].instrs):
             for d in instr.defs():
-                site = (label, i, d.index)
-                last_def[d.index] = site
-                defs_of.setdefault(d.index, set()).add(site)
-        gen[label] = frozenset(last_def.values())
-        kill_regs[label] = frozenset(last_def.keys())
+                reg = d.index
+                bit = 1 << len(sites)
+                sites.append((label, i, reg))
+                reg_mask[reg] = reg_mask.get(reg, 0) | bit
+                last_def[reg] = bit
+        mask = 0
+        for bit in last_def.values():
+            mask |= bit
+        gen[label] = mask
+        block_regs[label] = list(last_def)
 
-    def transfer(label: str, in_set: FrozenSet[DefSite]) -> FrozenSet[DefSite]:
-        killed = kill_regs[label]
-        survive = frozenset(site for site in in_set if site[2] not in killed)
-        return survive | gen[label]
+    kill: Dict[str, int] = {}
+    for label, regs in block_regs.items():
+        mask = 0
+        for reg in regs:
+            mask |= reg_mask[reg]
+        kill[label] = mask
 
-    reach_out = solve_forward(cfg, transfer)
-    reach_in: Dict[str, FrozenSet[DefSite]] = {}
-    for label in cfg.rpo:
-        preds = [p for p in cfg.preds[label] if p in reach_out]
-        reach_in[label] = (
-            frozenset().union(*(reach_out[p] for p in preds)) if preds else frozenset()
-        )
-    return ReachingDefs(
-        reach_in=reach_in,
-        reach_out=reach_out,
-        defs_of={r: frozenset(s) for r, s in defs_of.items()},
-    )
+    in_mask, out_mask = solve_forward(cfg, gen, kill)
+    return ReachingDefs(tuple(sites), in_mask, out_mask, reg_mask)

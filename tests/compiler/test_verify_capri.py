@@ -5,8 +5,14 @@ Negative: hand-sabotaged instrumentation is caught — deleted checkpoints,
 oversized regions, impure recovery blocks.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.compiler import CapriCompiler, OptConfig
 from repro.compiler.verify_capri import (
     CapriInvariantError,
@@ -135,6 +141,55 @@ class TestNegative:
         del block.instrs[0]
         with pytest.raises(CapriInvariantError, match="cycle"):
             check_region_budget(func, 32)
+
+
+#: Builds a function whose register x has four defs (entry and three
+#: if-arms) all reaching a loop header where x is live, compiles it,
+#: strips every checkpoint, and prints the coverage violation.
+_UNCOVERED_DEFS = """
+from repro.compiler import CapriCompiler, OptConfig
+from repro.compiler.verify_capri import CapriInvariantError, check_checkpoint_coverage
+from repro.ir import IRBuilder
+from repro.ir.instructions import CheckpointStore
+
+b = IRBuilder("m")
+with b.function("f", params=["n"]) as f:
+    x = f.li(0)
+    for k in range(3):
+        with f.if_then(f.param(0)):
+            f.li(k + 1, dst=x)
+    with f.for_range(f.param(0)) as i:
+        f.store(x, i)
+    f.ret()
+func = CapriCompiler(OptConfig.ckpt(32)).compile(b.module).module.function("f")
+for block in func.blocks.values():
+    block.instrs[:] = [
+        ins for ins in block.instrs if not isinstance(ins, CheckpointStore)
+    ]
+try:
+    check_checkpoint_coverage(func)
+except CapriInvariantError as exc:
+    print(exc)
+"""
+
+
+class TestDeterministicReport:
+    def test_same_violation_under_every_hash_seed(self):
+        """Several defs are uncovered; the one reported is the first in
+        (RPO, instruction) order, not whichever a set yields first."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        messages = set()
+        for seed in ("1", "2", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            proc = subprocess.run(
+                [sys.executable, "-c", _UNCOVERED_DEFS],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            messages.add(proc.stdout.strip())
+        assert len(messages) == 1, messages
+        (message,) = messages
+        assert "def of r1 at entry[1]" in message, message
 
 
 class TestPipelineIntegration:
