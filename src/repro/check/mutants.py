@@ -246,7 +246,7 @@ def _recovery_probe(
     """Crash at ``at_event``, recover (optionally mutated), check.
 
     ``source`` is a checking campaign source (``capture_at`` contract,
-    see :func:`repro.fault.campaign.run_sweep_point`); its forward
+    see :func:`repro.fault.campaign.run_crash_point`); its forward
     protocol is always faithful — recovery mutants act only in
     :func:`recover`.  Returns the point's report (the online run up to
     the crash, the crash-state sweep, and the recovered-state check), or
@@ -310,9 +310,7 @@ def run_mutant_matrix(
         for at in probe_points[wl]:
             probe = _recovery_probe(source, module, at, mutations=None)
             if probe is not None:
-                for v in probe.violations:
-                    report.add(v)
-                report.suppressed += probe.suppressed
+                report.merge(probe.violations, probe.suppressed)
         baseline_reports[wl] = report
 
     outcomes: List[MutantOutcome] = []

@@ -135,6 +135,12 @@ class CheckReport:
             return
         self.violations.append(violation)
 
+    def merge(self, violations: Iterable[Violation], suppressed: int = 0) -> None:
+        """Fold another report's violations in under this report's cap."""
+        for v in violations:
+            self.add(v)
+        self.suppressed += suppressed
+
     def raise_if_violated(self) -> None:
         if not self.ok:
             raise PersistencyViolationError(self)
@@ -150,10 +156,15 @@ class CheckReport:
             counts[v.kind] = counts.get(v.kind, 0) + 1
         parts = [f"{k}×{n}" for k, n in sorted(counts.items())]
         extra = f" (+{self.suppressed} suppressed)" if self.suppressed else ""
+        text = (
+            f"persistency check FAILED — {len(self.violations)} violations"
+            f"{extra}"
+        )
+        if not self.violations:  # every one of them past the cap
+            return text
         first = self.violations[0]
         return (
-            f"persistency check FAILED — {len(self.violations)} violations"
-            f"{extra} [{', '.join(parts)}]; first: [{first.kind}] "
+            f"{text} [{', '.join(parts)}]; first: [{first.kind}] "
             f"event {first.event_index}: {first.detail}"
         )
 

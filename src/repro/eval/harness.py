@@ -17,7 +17,7 @@ memoisation of completed runs, structured progress.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional, Sequence, Union
 
 from repro.api import RunResult, RunSpec
@@ -254,23 +254,23 @@ class EvalHarness:
 
     # -- robustness ---------------------------------------------------------
 
-    def fault_campaign(self, name: str, campaign_config=None, depth: int = 1):
+    def fault_campaign(self, name: str, campaign_config=None):
         """Run a crash-consistency fault-injection campaign on a benchmark.
 
         Compiles ``name`` the same way :meth:`run` does and sweeps crash
-        points under :mod:`repro.fault` with this harness's parameters;
-        returns a :class:`~repro.fault.campaign.CampaignResult`.
-
-        ``depth`` > 1 (or a ``campaign_config`` with ``depth`` > 1)
-        switches on the nested-failure mode: crash chains injected into
-        recovery itself, judged against the idempotence oracle on top of
-        the differential one (:mod:`repro.fault.multicrash`).
+        points under :mod:`repro.fault` with this harness's parameters
+        (``campaign_config`` itself is left untouched); returns a
+        :class:`~repro.fault.campaign.CampaignResult`.  A
+        ``campaign_config`` with ``depth`` > 1 also injects crash chains
+        into recovery itself (:func:`repro.fault.campaign.run_crash_point`).
         """
         from repro.fault.campaign import CampaignConfig, run_workload_campaign
 
         cc = campaign_config or CampaignConfig()
-        cc.params = cc.params or self.params
-        cc.quantum = self.quantum
-        cc.check = cc.check or self.check
-        cc.depth = max(cc.depth, depth)
+        cc = replace(
+            cc,
+            params=cc.params or self.params,
+            quantum=self.quantum,
+            check=cc.check or self.check,
+        )
         return run_workload_campaign(name, cc, scale=self.scale)

@@ -12,25 +12,27 @@ Turns crash testing from anecdote into campaign:
   interpreted reference crash capture replay is pinned against,
 * :mod:`repro.fault.campaign` — the runner: capture the workload's event
   stream once, then crash at every observer event (or a seeded sample)
-  by replay, inject faults, recover, resume, and judge the outcome,
-* :mod:`repro.fault.multicrash` — the nested-failure mode: crash chains
-  injected into recovery itself (``CampaignConfig.depth`` > 1), judged
-  against the recovery-idempotence oracle on top of the usual two.
+  by replay, inject faults, recover, resume, and judge the outcome.  One
+  routine, :func:`~repro.fault.campaign.run_crash_point`, judges each
+  point; with ``CampaignConfig.depth`` > 1 it also injects crash chains
+  into recovery itself, judged against the recovery-idempotence oracle
+  (:func:`~repro.fault.campaign.diff_recoveries`) on top of the usual two.
 
 Command line::
 
     python -m repro fault --workload genome --scale 0.1 --sample 50
-    python -m repro fault --workload deep-call --multi-crash --depth 2
+    python -m repro fault --workload deep-call --depth 2
 """
 
 from repro.fault.campaign import (
     CampaignConfig,
     CampaignResult,
     CrashOutcome,
+    diff_recoveries,
     run_campaign,
+    run_crash_point,
     run_workload_campaign,
 )
-from repro.fault.multicrash import diff_recoveries, run_multi_crash_point
 from repro.fault.models import (
     FaultModel,
     FaultNote,
@@ -53,7 +55,7 @@ __all__ = [
     "run_campaign",
     "run_workload_campaign",
     "diff_recoveries",
-    "run_multi_crash_point",
+    "run_crash_point",
     "FaultModel",
     "FaultNote",
     "available_models",

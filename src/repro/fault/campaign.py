@@ -5,13 +5,14 @@ points (every observer event, or a deterministic seeded sample for long
 traces).  The workload's event stream is captured once
 (:func:`repro.trace.record.capture_trace`); every crash point is then
 served by a *source* replaying it
-(:class:`repro.trace.replay.TraceCampaignSource`).  Per point:
+(:class:`repro.trace.replay.TraceCampaignSource`).  Per point,
+:func:`run_crash_point`:
 
-1. advance the source to the crash point and capture the persistent
+1. advances the source to the crash point and captures the persistent
    domain (``source.capture_at``),
-2. apply the fault models to a clone of the snapshot,
-3. recover (strict or lenient) and resume to completion,
-4. judge the outcome against the differential oracle.
+2. applies the fault models to a clone of the snapshot,
+3. recovers (strict or lenient) and resumes to completion,
+4. judges the outcome against the differential oracle.
 
 Outcome classification — the campaign's contract is **zero silent
 mis-recoveries**:
@@ -30,6 +31,9 @@ status                    meaning
                           (:mod:`repro.check`) flagged the crash state or a
                           clean recovery — even if end-state differencing
                           passed (``config.check`` only)
+``divergent-recovery``    FAILURE: a recovery interrupted by a further crash
+                          did not converge to the uninterrupted one
+                          (``config.depth`` > 1 only)
 ``error``                 FAILURE: unexpected exception
 ========================  ====================================================
 
@@ -41,6 +45,18 @@ validated against the committed prefix.  The two oracles are
 complementary — the differential check catches wrong *end states*, the
 model checker catches protocol violations that happen not to corrupt this
 particular execution.
+
+Nested failures.  Real outages cluster (the repeated-failure regime of
+Ben-David et al.), so with ``CampaignConfig.depth`` = K > 1 each point
+also sweeps *crash chains*: a secondary crash at a chosen step of the
+point's recovery, then (K > 2) another inside the re-entered recovery,
+up to K failures in all.  Every chain leaf is judged three ways: the
+recovery-idempotence oracle (:func:`diff_recoveries` — the re-entered
+recovery must equal the uninterrupted one bit for bit), the checker,
+and the differential oracle.  The point's single-crash verdict always
+comes first, so depth K strictly extends depth 1.  Chains beyond
+``max_chains_per_point`` are counted (``truncated_chains``), never
+silently dropped.
 """
 
 from __future__ import annotations
@@ -49,8 +65,15 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.arch.crash import CrashInjector, CrashPlan, CrashState, PowerFailure
 from repro.arch.params import SimParams
-from repro.arch.recovery import RecoveryError, recover, resume_and_finish
+from repro.arch.recovery import (
+    RecoveredState,
+    RecoveryError,
+    recover,
+    resume_and_finish,
+    run_recovery,
+)
 from repro.fault.models import FaultModel, FaultNote, apply_faults, get_models
 from repro.fault.oracle import (
     GoldenResult,
@@ -90,7 +113,7 @@ class CampaignConfig:
     check: bool = False
     #: crash-chain depth: 1 = classic single-crash sweep; K > 1 adds
     #: crashes *inside recovery* (crash-after-crash) up to K total
-    #: failures per chain — see :mod:`repro.fault.multicrash`.
+    #: failures per chain — see :func:`run_crash_point`.
     depth: int = 1
     #: per-recovery secondary crash indices: None = exhaustive (every
     #: recovery step); else a seeded sample size.
@@ -100,7 +123,7 @@ class CampaignConfig:
     max_chains_per_point: int = 96
     #: planted recovery-protocol bugs (repro.arch.persistence.
     #: ProtocolMutations) threaded into every recovery the campaign
-    #: runs — the multi-crash mode's sensitivity ("teeth") knob.
+    #: runs — the nested-failure sweep's sensitivity ("teeth") knob.
     mutations: Optional[object] = None
     #: Read by no code: every campaign captures once and replays.  Kept
     #: only because the benchmark harness (perfbench/workloads.py and
@@ -321,7 +344,7 @@ def judge_recovered(
 ) -> CrashOutcome:
     """Resume a recovered state to completion and judge it against the
     differential oracle.  ``chain`` labels the secondary crash steps that
-    produced this recovery (multi-crash mode)."""
+    produced this recovery (``config.depth`` > 1)."""
     report = recovered.report
     try:
         finished = resume_and_finish(
@@ -384,7 +407,63 @@ def judge_recovered(
     )
 
 
-def run_sweep_point(
+#: Recovery stats compared by the idempotence oracle.  ``wpq_replayed``
+#: is deliberately absent: it counts only journal records that *changed*
+#: the image, so a re-entry (whose image already holds the replayed
+#: values) legitimately reports fewer.
+_STABLE_STATS = (
+    "regions_redone",
+    "regions_rolled_back",
+    "redo_words",
+    "undo_words",
+    "recovery_blocks_run",
+)
+
+
+def diff_recoveries(
+    ref: RecoveredState, got: RecoveredState
+) -> Optional[str]:
+    """``None`` when ``got`` converged to the reference recovery
+    bit-identically; else a description of the first divergence."""
+    if ref.nvm_image != got.nvm_image:
+        keys = sorted(
+            k
+            for k in set(ref.nvm_image) | set(got.nvm_image)
+            if ref.nvm_image.get(k) != got.nvm_image.get(k)
+        )
+        return (
+            f"nvm image diverges at {len(keys)} addrs "
+            f"(first: {[hex(a) for a in keys[:4]]})"
+        )
+    if ref.ckpt_shadow != got.ckpt_shadow:
+        return "checkpoint-array shadow words diverge"
+    if ref.resumes != got.resumes:
+        return "resume points diverge (continuation/registers lost)"
+    if list(ref.report.quarantined_cores) != list(got.report.quarantined_cores):
+        return (
+            f"fenced-core sets diverge: {ref.report.quarantined_cores} "
+            f"!= {got.report.quarantined_cores}"
+        )
+    if ref.report.tainted_addrs != got.report.tainted_addrs:
+        return "tainted address sets diverge"
+    for name in _STABLE_STATS:
+        if getattr(ref, name) != getattr(got, name):
+            return (
+                f"recovery stat {name} diverges: {getattr(ref, name)} != "
+                f"{getattr(got, name)} (steps lost or duplicated)"
+            )
+    return None
+
+
+def _chain_seed(seed: int, event_index: int, prefix: Tuple[int, ...]) -> int:
+    """Deterministic per-(point, chain-prefix) sampling seed."""
+    h = (seed << 16) ^ event_index
+    for j in prefix:
+        h = ((h * 1000003) & 0xFFFFFFFFFFFF) ^ (j + 1)
+    return h
+
+
+def run_crash_point(
     module: Module,
     spawns: Sequence[Tuple[str, Sequence[int]]],
     golden: GoldenResult,
@@ -392,25 +471,33 @@ def run_sweep_point(
     models: Sequence[FaultModel],
     config: CampaignConfig,
     source,
-) -> CrashOutcome:
-    """Crash at one event index, inject, recover, resume, judge.
+) -> Tuple[List[CrashOutcome], int]:
+    """Crash at one event index, inject, recover, resume, judge — and,
+    with ``config.depth`` > 1, sweep the crash chains rooted there.
+
+    Returns ``(outcomes, truncated_chains)``.  The first outcome is the
+    point's single-crash verdict; chain leaves follow, each after the
+    longer chains that extend it.
 
     ``source`` serves the crash capture: anything with a
     ``capture_at(event_index) -> (state, machine, checker)`` method —
     :class:`repro.trace.replay.TraceCampaignSource` in campaigns, the
     reference :class:`repro.fault.oracle.InterpretedSource` in tests.
-    Everything downstream (fault injection, recovery, resume, judging)
-    is state-based and identical either way.
+    Everything downstream (fault injection, recovery, resume, judging,
+    secondary crashes on :class:`CrashState` clones) is state-based and
+    identical either way.
     """
     state, crashed_machine, checker = source.capture_at(event_index)
     if checker is not None and not checker.report.ok:
-        return CrashOutcome(
-            event_index,
-            "model-violation",
-            detail=checker.report.summary(),
-        )
+        return [
+            CrashOutcome(
+                event_index,
+                "model-violation",
+                detail=checker.report.summary(),
+            )
+        ], 0
     if state is None:
-        return CrashOutcome(event_index, "finished")
+        return [CrashOutcome(event_index, "finished")], 0
     pre_crash_io = list(crashed_machine.io_log)
 
     mutated, notes = apply_faults(
@@ -418,46 +505,146 @@ def run_sweep_point(
     )
 
     try:
-        recovered = recover(
+        ref = recover(
             mutated, module, strict=config.strict, mutations=config.mutations
         )
     except RecoveryError as err:
         if notes:
-            return CrashOutcome(
+            outcome = CrashOutcome(
                 event_index,
                 "detected",
                 detail=f"{type(err).__name__}: {err}",
                 injected=len(notes),
             )
-        return CrashOutcome(
+        else:
+            outcome = CrashOutcome(
+                event_index,
+                "error",
+                detail=(
+                    "clean crash refused recovery — "
+                    f"{type(err).__name__}: {err}"
+                ),
+            )
+        return [outcome], 0
+
+    def judge(recovered: RecoveredState, chain: Tuple[int, ...] = ()):
+        if checker is not None and not notes:
+            # Second oracle: a *clean* recovery must land exactly on the
+            # model's committed prefix (faulted recoveries legitimately
+            # diverge — the differential oracle judges those).  The
+            # point's report accumulates over its chains; only the delta,
+            # suppressed violations included, belongs to this leaf.  (The
+            # import stays here: repro.check pulls in the compiler, which
+            # unchecked campaigns never load.)
+            from repro.check.violations import CheckReport
+
+            report = checker.report
+            seen, suppressed = len(report.violations), report.suppressed
+            checker.check_recovered(recovered)
+            leaf = CheckReport(
+                report.violations[seen:],
+                suppressed=report.suppressed - suppressed,
+            )
+            if not leaf.ok:
+                return CrashOutcome(
+                    event_index,
+                    "model-violation",
+                    detail=leaf.summary(),
+                    chain=chain,
+                    **report_fields(recovered.report),
+                )
+        return judge_recovered(
+            module,
+            spawns,
+            golden,
             event_index,
-            "error",
-            detail=f"clean crash refused recovery — {type(err).__name__}: {err}",
+            recovered,
+            pre_crash_io,
+            notes,
+            config,
+            chain=chain,
         )
 
-    report = recovered.report
-    if checker is not None and not notes:
-        # Second oracle: a *clean* recovery must land exactly on the
-        # model's committed prefix (faulted recoveries legitimately
-        # diverge — the differential oracle judges those).
-        checker.check_recovered(recovered)
-        if not checker.report.ok:
-            return CrashOutcome(
-                event_index,
-                "model-violation",
-                detail=checker.report.summary(),
-                **report_fields(report),
+    outcomes = [judge(ref)]
+    if config.depth <= 1:
+        return outcomes, 0
+
+    budget = max(1, config.max_chains_per_point)
+    truncated = 0
+
+    def sweep(domain: CrashState, prefix: Tuple[int, ...], steps: int) -> None:
+        """Crash the recovery of ``domain`` (``steps`` durable steps long
+        when uninterrupted) at sampled steps, and judge each re-entry."""
+        nonlocal budget, truncated
+        picks = select_crash_points(
+            steps,
+            config.secondary_sample,
+            _chain_seed(config.seed, event_index, prefix),
+        )
+        for idx, j in enumerate(picks):
+            if budget <= 0:
+                truncated += len(picks) - idx
+                return
+            budget -= 1
+            dom = domain.clone()
+            injector = CrashInjector(
+                None, CrashPlan(j), capture=lambda d=dom: d
             )
-    return judge_recovered(
-        module,
-        spawns,
-        golden,
-        event_index,
-        recovered,
-        pre_crash_io,
-        notes,
-        config,
-    )
+            try:
+                run_recovery(
+                    dom,
+                    module,
+                    strict=config.strict,
+                    mutations=config.mutations,
+                    observer=injector,
+                )
+                continue  # recovery finished before step j: no crash
+            except PowerFailure as pf:
+                crashed = pf.state
+            chain = prefix + (j,)
+            try:
+                final = recover(
+                    crashed,
+                    module,
+                    strict=config.strict,
+                    mutations=config.mutations,
+                )
+            except RecoveryError as err:
+                # The reference recovery succeeded but this re-entry
+                # refuses: the crash prefix destroyed recovery's inputs —
+                # exactly the non-idempotence the mode exists to expose.
+                outcomes.append(
+                    CrashOutcome(
+                        event_index,
+                        "divergent-recovery",
+                        detail=(
+                            f"re-entry refused after chain {list(chain)} — "
+                            f"{type(err).__name__}: {err}"
+                        ),
+                        injected=len(notes),
+                        chain=chain,
+                    )
+                )
+                continue
+            if len(chain) < config.depth - 1:
+                sweep(crashed, chain, final.steps)
+            divergence = diff_recoveries(ref, final)
+            if divergence is not None:
+                outcomes.append(
+                    CrashOutcome(
+                        event_index,
+                        "divergent-recovery",
+                        detail=divergence,
+                        injected=len(notes),
+                        chain=chain,
+                        **report_fields(final.report),
+                    )
+                )
+                continue
+            outcomes.append(judge(final, chain))
+
+    sweep(mutated, (), ref.steps)
+    return outcomes, truncated
 
 
 def run_campaign(
@@ -502,29 +689,21 @@ def run_campaign(
         total_events=golden.total_events,
         depth=max(1, config.depth),
     )
-    if config.depth > 1:
-        from repro.fault.multicrash import run_multi_crash_point
-
-        for at in points:
-            outcomes, truncated = run_multi_crash_point(
-                module, spawns, golden, at, models, config, source
-            )
-            result.outcomes.extend(outcomes)
-            result.truncated_chains += truncated
-    else:
-        for at in points:
-            result.outcomes.append(
-                run_sweep_point(
-                    module, spawns, golden, at, models, config, source
-                )
-            )
+    for at in points:
+        outcomes, truncated = run_crash_point(
+            module, spawns, golden, at, models, config, source
+        )
+        result.outcomes.extend(outcomes)
+        result.truncated_chains += truncated
 
     if config.minimize and result.failures and not result.failures[0].chain:
         first = result.failures[0]
 
         def still_fails(index: int, model_names: Tuple[str, ...]) -> bool:
-            probe = replace(config, models=model_names, minimize=False)
-            outcome = run_sweep_point(
+            probe = replace(
+                config, models=model_names, minimize=False, depth=1
+            )
+            outcomes, _ = run_crash_point(
                 module,
                 spawns,
                 golden,
@@ -533,7 +712,7 @@ def run_campaign(
                 probe,
                 source,
             )
-            return outcome.failed
+            return outcomes[0].failed
 
         result.minimized = minimize_failure(
             still_fails, first.event_index, tuple(result.models)

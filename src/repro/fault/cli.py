@@ -9,8 +9,9 @@ Examples::
     python -m repro fault --workload genome --scale 0.1 --sample 50 \\
         --models all --lenient
 
-    # Nested-failure sweep: crash, then crash again inside recovery:
-    python -m repro fault --workload update-loop --multi-crash --depth 2 \\
+    # Nested-failure sweep: crash, then crash again inside recovery
+    # (every point also gets its single-crash verdict):
+    python -m repro fault --workload deep-call --depth 2 \\
         --sample 20 --json out.json
 
 Exit status is non-zero iff the campaign found a failure (a silent
@@ -80,17 +81,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "second oracle at every sweep point",
     )
     parser.add_argument(
-        "--multi-crash",
-        action="store_true",
-        help="nested-failure mode: also inject crashes into recovery "
-        "itself (crash chains up to --depth total failures)",
-    )
-    parser.add_argument(
         "--depth",
         type=int,
-        default=None,
-        help="total crashes per chain (default 2 with --multi-crash); "
-        "implies --multi-crash when > 1",
+        default=1,
+        help="total crashes per chain: 1 = single-crash sweep; K > 1 also "
+        "injects crashes into recovery itself, up to K failures "
+        "(default 1)",
     )
     parser.add_argument(
         "--secondary-sample",
@@ -115,11 +111,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     json_out = args.json_out
 
-    depth = args.depth
-    if depth is None:
-        depth = 2 if args.multi_crash else 1
-    if depth < 1:
+    if args.depth < 1:
         parser.error("--depth must be >= 1")
+    if args.sample is not None and args.sample < 0:
+        parser.error("--sample must be >= 0")
+    if args.secondary_sample < 0:
+        parser.error("--secondary-sample must be >= 0")
+    if args.max_chains < 1:
+        parser.error("--max-chains must be >= 1")
 
     model_names = tuple(
         name.strip() for name in args.models.split(",") if name.strip()
@@ -138,7 +137,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         strict=strict,
         minimize=args.minimize,
         check=args.check,
-        depth=depth,
+        depth=args.depth,
         secondary_sample=args.secondary_sample or None,
         max_chains_per_point=args.max_chains,
     )

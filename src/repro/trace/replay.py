@@ -32,8 +32,9 @@ replaces rather than edits, and the checker's whole-state checks are
 read-only, so capturing at point k does not perturb the cursor's march
 to k+1, nor that march the snapshot; and the checker's streaming
 violations are monotone in the prefix, so the per-point report is the
-stream-prefix violations plus this point's own whole-state findings —
-exactly what a fresh checker at that point would hold.
+stream-prefix violations plus this point's own whole-state findings,
+capped per point — exactly what a fresh checker at that point would
+hold.
 """
 
 from __future__ import annotations
@@ -205,11 +206,12 @@ class _PointChecker:
 
     Presents the interpreted ``capture_at`` contract — a ``.report``
     (real :class:`CheckReport`: ``ok``/``summary()``/sliceable
-    ``violations``) and a ``check_recovered`` hook — while the violations
-    actually accumulate on the cursor's single checker.  The report holds
-    the stream-prefix violations (what a fresh checker would have flagged
-    on the way to this point) plus this point's own whole-state findings;
-    later whole-state checks route their *deltas* here.
+    ``violations``) and a ``check_recovered`` hook — while the checking
+    itself runs on the cursor's single checker.  The report holds the
+    stream-prefix violations (what a fresh checker would have flagged
+    on the way to this point) plus this point's own whole-state findings,
+    under the same violation cap a fresh checker applies; later
+    whole-state checks route their *deltas* here.
     """
 
     def __init__(
@@ -219,19 +221,18 @@ class _PointChecker:
         point_suppressed: int,
     ) -> None:
         self._cursor = cursor
-        self.report = CheckReport()
-        self.report.violations.extend(cursor._stream_violations)
-        self.report.violations.extend(point_violations)
-        self.report.suppressed = cursor._stream_suppressed + point_suppressed
-        self.report.events = cursor.pos
-        if cursor.checker is not None:
-            self.report.checks = cursor.checker.model.checks
+        stream = cursor._stream
+        self.report = CheckReport(
+            list(stream.violations),
+            events=cursor.pos,
+            checks=cursor.checker.model.checks,
+            suppressed=stream.suppressed,
+        )
+        self.report.merge(point_violations, point_suppressed)
 
     def check_recovered(self, recovered) -> None:
         self._cursor.checker.check_recovered(recovered)
-        fresh, suppressed = self._cursor._drain_new()
-        self.report.violations.extend(fresh)
-        self.report.suppressed += suppressed
+        self.report.merge(*self._cursor._drain_new())
         self.report.checks = self._cursor.checker.model.checks
 
 
@@ -287,21 +288,17 @@ class TraceCursor:
         self._finished = False
         #: violations flagged while *streaming* events — monotone in the
         #: prefix, hence shared by every later point's report.
-        self._stream_violations: List[Violation] = []
-        self._stream_suppressed = 0
-        self._seen_violations = 0
-        self._seen_suppressed = 0
+        self._stream = CheckReport()
 
     def _drain_new(self) -> Tuple[List[Violation], int]:
-        """Violations (and suppressed count) the checker added since the
-        last drain."""
+        """Take the violations (and suppressed count) the checker flagged
+        since the last drain out of its report, so that its cap fills per
+        drain, never across the points of a campaign."""
         if self.checker is None:
             return [], 0
         report = self.checker.report
-        fresh = list(report.violations[self._seen_violations:])
-        self._seen_violations = len(report.violations)
-        suppressed = report.suppressed - self._seen_suppressed
-        self._seen_suppressed = report.suppressed
+        fresh, suppressed = report.violations, report.suppressed
+        report.violations, report.suppressed = [], 0
         return fresh, suppressed
 
     def _advance_to(self, k: int) -> None:
@@ -312,9 +309,7 @@ class TraceCursor:
                 self.target, start=self.pos, stop=k, system=self.system
             )
             self.pos = k
-            fresh, suppressed = self._drain_new()
-            self._stream_violations.extend(fresh)
-            self._stream_suppressed += suppressed
+            self._stream.merge(*self._drain_new())
 
     def _pre_crash_io(self, k: int) -> List[tuple]:
         """I/O events issued at indices ≤ k — the machine appends to its
@@ -346,9 +341,7 @@ class TraceCursor:
                 self._finished = True
                 if self.checker is not None:
                     self.checker.finalize(self.system)
-                    fresh, suppressed = self._drain_new()
-                    self._stream_violations.extend(fresh)
-                    self._stream_suppressed += suppressed
+                    self._stream.merge(*self._drain_new())
             state = None
         else:
             self._advance_to(event_index)

@@ -124,6 +124,31 @@ class TestAdversarialSweep:
         )
 
 
+class TestCheckedCampaign:
+    def test_exhaustive_checked_sweep_of_recovery_mutant_completes(self):
+        """Regression: an exhaustive checked sweep under a planted
+        recovery bug flags enough violations to fill the checker's cap;
+        it must end with every flagged point filed as a model violation,
+        not die summarising a report that holds only suppressed ones."""
+        from repro.arch.persistence import ProtocolMutations
+        from repro.fault.campaign import run_workload_campaign
+
+        config = CampaignConfig(
+            check=True,
+            minimize=False,
+            mutations=ProtocolMutations.single("recovery_skip_redo"),
+        )
+        result = run_workload_campaign(
+            "genome", config, scale=0.05, cache=None
+        )
+        assert len(result.outcomes) == result.total_events
+        assert set(result.counts()) == {"ok", "model-violation"}
+        assert all(
+            o.detail.startswith("persistency check FAILED")
+            for o in result.failures
+        )
+
+
 class TestHarnessWiring:
     def test_eval_harness_campaign(self):
         from repro.eval.harness import EvalHarness
@@ -135,6 +160,21 @@ class TestHarnessWiring:
         )
         assert result.workload == "genome"
         assert result.ok, result.failures[0]
+
+    def test_eval_harness_leaves_caller_config_unchanged(self):
+        from dataclasses import asdict
+
+        from repro.arch.params import SimParams
+        from repro.eval.harness import EvalHarness
+
+        harness = EvalHarness(
+            scale=0.05, params=SimParams.scaled(), quantum=16, check=True
+        )
+        config = CampaignConfig(sample=3, minimize=False)
+        before = asdict(config)
+        result = harness.fault_campaign("genome", config)
+        assert result.ok, result.failures[0]
+        assert asdict(config) == before
 
 
 class TestCli:
@@ -173,6 +213,22 @@ class TestCli:
         )
         assert rc == 0
         assert "quarantined" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--sample", "-1"),
+            ("--secondary-sample", "-1"),
+            ("--max-chains", "0"),
+        ],
+    )
+    def test_out_of_range_count_is_a_usage_error(self, flag, value, capsys):
+        from repro.fault.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--workload", "genome", "--scale", "0.05", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_unknown_model_rejected(self):
         from repro.fault.models import get_models

@@ -18,9 +18,9 @@ from repro.fault.campaign import (
     FAILURE_STATUSES,
     CampaignConfig,
     run_campaign,
+    run_crash_point,
     run_workload_campaign,
 )
-from repro.fault.multicrash import run_multi_crash_point
 
 from tests.arch.conftest import build_update_loop, compile_capri
 
@@ -112,6 +112,37 @@ class TestMutantTeeth:
         assert result.ok, result.failures[0]
 
 
+class TestCheckedChains:
+    def test_leaves_past_the_violation_cap_are_model_violations(self):
+        """A point's chain leaves share one checker report.  Once it holds
+        its cap of violations, later ones are only counted as suppressed,
+        and a leaf judged on the recorded list alone fell through to the
+        differential oracle as a plain mismatch.  Leaves are judged on
+        both counts, and each leaf's detail describes only its own."""
+        muts = ProtocolMutations.single("recovery_skip_redo")
+        result = run_workload_campaign(
+            "genome",
+            _config(
+                sample=2, depth=3, secondary_sample=None, check=True,
+                mutations=muts,
+            ),
+            scale=0.05,
+            cache=None,
+        )
+        assert set(result.counts()) == {"ok", "model-violation"}
+        past_cap = [
+            o for o in result.outcomes
+            if o.detail.startswith("persistency check FAILED — 0 violations (+")
+        ]
+        assert past_cap
+        assert all(o.chain for o in past_cap)
+        assert all(
+            o.detail.startswith("persistency check FAILED — 1 violations ")
+            or o in past_cap
+            for o in result.failures
+        )
+
+
 class TestDeterminism:
     def test_same_seed_same_chains(self):
         module = compile_capri(build_update_loop(n_iters=8, arr_words=8))
@@ -131,7 +162,7 @@ class TestDeterminism:
         spawns = [("main", [])]
         trace = capture_trace(module, spawns)
         cfg = _config(secondary_sample=None, max_chains_per_point=2)
-        outcomes, truncated = run_multi_crash_point(
+        outcomes, truncated = run_crash_point(
             module,
             spawns,
             golden_from_trace(trace),
@@ -212,7 +243,7 @@ class TestCli:
             "--workload", "deep-call",
             "--scale", "0.05",
             "--sample", "5",
-            "--multi-crash",
+            "--depth", "2",
             "--secondary-sample", "3",
             "--json", str(out_path),
         ])

@@ -24,7 +24,7 @@ from repro.arch.crash import (
 )
 from repro.arch.recovery import recover, resume_and_finish, run_recovery
 from repro.fault.models import apply_faults, get_models
-from repro.fault.multicrash import diff_recoveries
+from repro.fault.campaign import diff_recoveries
 from repro.fault.oracle import differential_check, golden_run
 from repro.isa.trace import Observer
 

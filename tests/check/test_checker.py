@@ -8,7 +8,13 @@ from repro.arch.system import build_system, run_workload
 from repro.check import PersistencyViolationError
 from repro.check.checker import PersistencyChecker
 from repro.check.mutants import _build_workload, checked_run, matrix_params
-from repro.check.violations import CORRUPT_UNDO, LOST_REDO, OUT_OF_ORDER_DRAIN
+from repro.check.violations import (
+    CORRUPT_UNDO,
+    LOST_REDO,
+    OUT_OF_ORDER_DRAIN,
+    CheckReport,
+    Violation,
+)
 
 SCALE = 0.25
 THRESHOLD = 32
@@ -85,6 +91,29 @@ class TestMutantsOnline:
         # The summary names the class; raise_if_violated raises typed.
         with pytest.raises(PersistencyViolationError):
             checker.report.raise_if_violated()
+
+
+class TestReportSummary:
+    def test_only_suppressed_violations(self):
+        """Regression: a report whose violations all fell past the cap
+        (a delta taken off a full report) must summarise, not raise."""
+        report = CheckReport(suppressed=3)
+        assert not report.ok
+        assert report.summary() == (
+            "persistency check FAILED — 0 violations (+3 suppressed)"
+        )
+
+    def test_merge_applies_the_cap(self):
+        report = CheckReport()
+        flood = [Violation(LOST_REDO, 0, "x", i) for i in range(70)]
+        report.merge(flood, suppressed=2)
+        assert len(report.violations) == 64
+        assert report.violations == flood[:64]
+        assert report.suppressed == 6 + 2
+        assert report.summary().startswith(
+            "persistency check FAILED — 64 violations (+8 suppressed) "
+            "[lost-redo×64]; first: [lost-redo] event 0: x"
+        )
 
 
 class TestCrashStateChecks:

@@ -22,13 +22,18 @@ def _verdicts(result):
     ]
 
 
-def _reference_campaign(workload, config, scale):
-    """The campaign re-interpreted to every crash point."""
+def _compiled(workload, config, scale):
     from repro.compiler import CapriCompiler, OptConfig
     from repro.workloads import get_workload
 
     module, spawns = get_workload(workload).build(scale)
     module = CapriCompiler(OptConfig.licm(config.threshold)).compile(module).module
+    return module, spawns
+
+
+def _reference_campaign(workload, config, scale):
+    """The campaign re-interpreted to every crash point."""
+    module, spawns = _compiled(workload, config, scale)
     return run_campaign(
         module,
         spawns,
@@ -74,6 +79,47 @@ def test_fault_model_verdicts_and_minimizer_identical():
     assert (a is None) == (b is None)
     if a is not None:
         assert (a.event_index, a.models) == (b.event_index, b.models)
+
+
+def test_checked_verdicts_identical_past_the_violation_cap():
+    """The cursor checks every point on one long-lived checker; each
+    point's report must still be capped the way a fresh checker caps it,
+    or once the campaign as a whole passes the cap the reports fill with
+    ``+N suppressed`` in place of the point's own violations."""
+    from repro.arch.persistence import ProtocolMutations
+    from repro.check.violations import _MAX_VIOLATIONS
+    from repro.trace.record import capture_trace
+    from repro.trace.replay import TraceCampaignSource, golden_from_trace
+
+    flagged = []
+
+    class Tap(TraceCampaignSource):
+        def capture_at(self, event_index):
+            captured = super().capture_at(event_index)
+            flagged.append(captured[2].report)
+            return captured
+
+    config = CampaignConfig(
+        sample=600,
+        check=True,
+        minimize=False,
+        mutations=ProtocolMutations.single("recovery_skip_redo"),
+    )
+    interpreted = _reference_campaign("genome", config, 0.05)
+    module, spawns = _compiled("genome", config, 0.05)
+    trace = capture_trace(module, spawns, quantum=config.quantum)
+    replayed = run_campaign(
+        module,
+        spawns,
+        config,
+        name="genome",
+        golden=golden_from_trace(trace),
+        source=Tap(trace, config),
+    )
+    assert _verdicts(interpreted) == _verdicts(replayed)
+    assert sum(
+        len(r.violations) + r.suppressed for r in flagged
+    ) > 2 * _MAX_VIOLATIONS
 
 
 def test_multi_crash_verdicts_identical():
