@@ -10,7 +10,8 @@ remark).
 
 import pytest
 
-from repro.compiler import OptConfig
+from repro.compiler import OptConfig, region_means
+from repro.workloads import get_workload
 
 from benchmarks.conftest import REPRESENTATIVES
 
@@ -20,11 +21,12 @@ def test_fig10_region_instructions(benchmark, harness, name):
     ladder = OptConfig.ladder(256)
 
     def run_ladder():
-        out = {}
-        for label, config in ladder.items():
-            result = harness.run(name, config, label, collect_region_stats=True)
-            out[label] = result.region_stats.avg_instructions
-        return out
+        # The figure's own path: region means from the ladder's sweep cells.
+        row = harness.sweep([name], ladder)[name]
+        _, spawns = get_workload(name).build(harness.scale)
+        return {
+            label: region_means(r.metrics, spawns)[0] for label, r in row.items()
+        }
 
     series = benchmark.pedantic(run_ladder, rounds=1, iterations=1)
     # Unrolling lengthens regions substantially (paper: the key effect).

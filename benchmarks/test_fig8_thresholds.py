@@ -20,10 +20,9 @@ SHORT_SERIES = [32, 64, 256, 1024]
 @pytest.mark.parametrize("name", REPRESENTATIVES)
 def test_fig8_threshold_series(benchmark, harness, name):
     def run_series():
-        return {
-            t: harness.run(name, OptConfig.licm(t), f"t{t}").normalized_cycles
-            for t in SHORT_SERIES
-        }
+        configs = {f"t{t}": OptConfig.licm(t) for t in SHORT_SERIES}
+        row = harness.sweep([name], configs)[name]
+        return {t: row[f"t{t}"].normalized_cycles for t in SHORT_SERIES}
 
     series = benchmark.pedantic(run_series, rounds=1, iterations=1)
     # Paper shape: monotone non-increasing overhead with threshold.

@@ -17,10 +17,8 @@ def test_fig9_opt_ladder(benchmark, harness, name):
     ladder = OptConfig.ladder(256)
 
     def run_ladder():
-        return {
-            label: harness.run(name, config, label).normalized_cycles
-            for label, config in ladder.items()
-        }
+        row = harness.sweep([name], ladder)[name]
+        return {label: r.normalized_cycles for label, r in row.items()}
 
     series = benchmark.pedantic(run_ladder, rounds=1, iterations=1)
     # +ckpt (checkpoints without any optimisation) is the worst case.

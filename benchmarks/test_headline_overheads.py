@@ -10,30 +10,15 @@ digits to low teens, and the overall gmean is single-digit — same story,
 not the same decimals.  EXPERIMENTS.md records paper-vs-measured values.
 """
 
-import pytest
-
-from repro.compiler import OptConfig
-from repro.eval.report import geomean
-from repro.workloads import SUITES
+from repro.eval.figures import headline
 
 PAPER = {"cpu2017": 0.0, "stamp": 12.4, "splash3": 9.1, "overall": 5.1}
 
 
 def test_headline_suite_overheads(benchmark, harness):
-    def run_all():
-        out = {}
-        all_norms = []
-        for suite in ["cpu2017", "stamp", "splash3"]:
-            norms = [
-                harness.run(name, OptConfig.licm(256), "capri").normalized_cycles
-                for name in SUITES[suite]
-            ]
-            out[suite] = (geomean(norms) - 1.0) * 100.0
-            all_norms.extend(norms)
-        out["overall"] = (geomean(all_norms) - 1.0) * 100.0
-        return out
-
-    overheads = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    overheads = benchmark.pedantic(
+        lambda: headline(threshold=256, harness=harness), rounds=1, iterations=1
+    )
     # Headline band: lightweight WSP — single digits overall.
     assert 0.0 <= overheads["overall"] < 10.0, overheads
     # Every suite is within [0%, 20%): "failure atomicity on the cheap".

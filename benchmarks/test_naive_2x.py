@@ -28,9 +28,12 @@ def sync_harness():
 @pytest.mark.parametrize("name", ["519.lbm_r", "508.namd_r", "radix"])
 def test_naive_sync_vs_capri(benchmark, harness, sync_harness, name):
     def run_pair():
-        capri = harness.run(name, OptConfig.licm(256), "capri")
-        naive = sync_harness.run(name, OptConfig.ckpt(256), "naive")
-        return capri.normalized_cycles, naive.normalized_cycles
+        capri = harness.sweep([name], {"capri": OptConfig.licm(256)})
+        naive = sync_harness.sweep([name], {"naive": OptConfig.ckpt(256)})
+        return (
+            capri[name]["capri"].normalized_cycles,
+            naive[name]["naive"].normalized_cycles,
+        )
 
     capri, naive = benchmark.pedantic(run_pair, rounds=1, iterations=1)
     # Capri is strictly cheaper than the naive synchronous design.

@@ -14,7 +14,7 @@ Run:  python examples/threshold_sweep.py [--workload NAME]
 import argparse
 
 from repro.arch.params import SimParams
-from repro.compiler import OptConfig
+from repro.compiler import OptConfig, region_means
 from repro.eval.harness import EvalHarness
 from repro.workloads import get_workload, workload_names
 
@@ -32,23 +32,25 @@ def main() -> None:
 
     harness = EvalHarness(params=SimParams.scaled(), scale=args.scale)
     name = args.workload
-    print(f"benchmark: {name} (baseline "
-          f"{harness.baseline_cycles(name):.0f} cycles)\n")
+    thresholds = [32, 64, 128, 256, 512, 1024]
+    row = harness.sweep(
+        [name], {f"t{t}": OptConfig.licm(t) for t in thresholds}
+    )[name]
+    _, spawns = get_workload(name).build(args.scale)
+    baseline = row[f"t{thresholds[0]}"].baseline_cycles
+    print(f"benchmark: {name} (baseline {baseline:.0f} cycles)\n")
     print(f"{'threshold':>9s} {'norm.cycles':>12s} {'overhead':>9s} "
           f"{'ckpts':>7s} {'boundaries':>11s} {'regions/s len':>14s} "
           f"{'BE sram/core':>13s}")
 
-    for threshold in [32, 64, 128, 256, 512, 1024]:
-        result = harness.run(
-            name, OptConfig.licm(threshold), f"t{threshold}",
-            collect_region_stats=True,
-        )
+    for threshold in thresholds:
+        result = row[f"t{threshold}"]
         m = result.metrics
-        rs = result.region_stats
+        avg_instructions, _ = region_means(m, spawns)
         sram_kb = threshold * ENTRY_BYTES / 1024
         print(f"{threshold:9d} {result.normalized_cycles:12.3f} "
               f"{result.overhead_pct:8.1f}% {m.ckpt_stores:7d} "
-              f"{m.boundaries:11d} {rs.avg_instructions:14.1f} "
+              f"{m.boundaries:11d} {avg_instructions:14.1f} "
               f"{sram_kb:10.1f}KB")
 
     print(

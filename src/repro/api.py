@@ -20,9 +20,9 @@ public API with compatibility expectations; reach into submodules only
 for internals (the split is documented in DESIGN.md).
 
 Legacy call sites keep working: :func:`repro.arch.system.run_workload`
-accepts a :class:`RunSpec` in place of a module, ``EvalHarness.run`` keeps
-its name/config signature, and :class:`repro.fault.campaign.CampaignConfig`
-gains :meth:`~repro.fault.campaign.CampaignConfig.from_spec`.
+accepts a :class:`RunSpec` in place of a module, and
+:class:`repro.fault.campaign.CampaignConfig` gains
+:meth:`~repro.fault.campaign.CampaignConfig.from_spec`.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from repro.compiler.verify_capri import (
 )
 from repro.compiler.stats import (
     RegionStatsObserver,
+    region_means,
     static_region_stats,
     StaticRegionStats,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "verify_capri_function",
     "verify_capri_module",
     "RegionStatsObserver",
+    "region_means",
     "static_region_stats",
     "StaticRegionStats",
 ]

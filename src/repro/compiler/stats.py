@@ -5,14 +5,16 @@ The paper reports the *average number of instructions* per region
 region (Figure 11).  Both are dynamic quantities: a loop region executing
 a thousand times counts a thousand samples.  The
 :class:`RegionStatsObserver` measures them directly from the machine's
-event stream; :func:`static_region_stats` offers the cheaper static
-approximation used for quick sanity checks.
+event stream, with the length distributions ``repro profile`` reports;
+:func:`region_means` derives the two means from a finished run's
+counters, which is how the figures get them; :func:`static_region_stats`
+offers the cheaper static approximation used for quick sanity checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.ir.cfg import CFG
 from repro.ir.function import Function
@@ -127,6 +129,8 @@ class RegionStatsObserver(Observer):
     the same core.  Boundary instructions themselves are not counted inside
     the region (they delimit it), matching the paper's methodology of
     excluding boundary instructions from the simulated instruction budget.
+    Spawn-prologue events belong to no region: the argument checkpoints a
+    hart emits before its implicit first boundary are counted nowhere.
     """
 
     def __init__(self) -> None:
@@ -171,6 +175,29 @@ class RegionStatsObserver(Observer):
             self.stats.tail_instructions += counters[0]
         counters[0] = 0
         counters[1] = 0
+
+
+def region_means(
+    metrics, spawns: Sequence[Tuple[str, Sequence[int]]]
+) -> Tuple[float, float]:
+    """Figures 10 and 11's means from a run's ``SystemMetrics`` counters.
+
+    Returns ``(avg_instructions, avg_stores)``, equal to what
+    :class:`RegionStatsObserver` reports for the same run.  Every boundary
+    event opens a region, so ``boundaries`` counts regions; each hart's
+    implicit spawn boundary retires no instruction, hence ``+ harts``.
+    The spawn prologue's argument checkpoints belong to no region, so
+    they come off the store count.
+    """
+    regions = metrics.boundaries
+    if regions == 0:
+        return 0.0, 0.0
+    harts = len(spawns)
+    prologue_ckpts = sum(len(args) for _, args in spawns)
+    return (
+        (metrics.retired - regions + harts) / regions,
+        (metrics.stores + metrics.ckpt_stores - prologue_ckpts) / regions,
+    )
 
 
 @dataclass

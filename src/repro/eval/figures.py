@@ -24,10 +24,10 @@ import argparse
 from typing import Dict, List, Optional, Sequence
 
 from repro.arch.params import PersistMode, SimParams
-from repro.compiler import OptConfig
+from repro.compiler import OptConfig, region_means
 from repro.eval.harness import EvalHarness
 from repro.eval.report import add_suite_gmeans, format_table, geomean
-from repro.workloads import SUITES
+from repro.workloads import SUITES, get_workload
 
 #: The threshold series of Figure 8 (the text also discusses 32 and 64).
 FIG8_THRESHOLDS = [32, 64, 128, 256, 512, 1024]
@@ -91,23 +91,24 @@ def fig9(
 
 
 def _region_stat_figure(
-    attr: str,
+    index: int,
     scale: float,
     suite: Optional[str],
     threshold: int,
-    harness: Optional[EvalHarness] = None,
+    harness: Optional[EvalHarness],
+    workers: int,
 ) -> Dict[str, Dict[str, float]]:
-    # Region-statistic collection needs the in-process observer, so these
-    # figures stay serial regardless of --workers.
+    # Figures 10 and 11 are functions of the counters every Figure 9 cell
+    # already holds (see region_means), so they share fig9's sweep.
     h = harness or _harness(scale)
-    ladder = OptConfig.ladder(threshold)
+    table = h.sweep(_benchmarks(suite), OptConfig.ladder(threshold), workers=workers)
     cells: Dict[str, Dict[str, float]] = {}
-    for name in _benchmarks(suite):
-        cells[name] = {}
-        for label, config in ladder.items():
-            result = h.run(name, config, label, collect_region_stats=True)
-            assert result.region_stats is not None
-            cells[name][label] = getattr(result.region_stats, attr)
+    for name, row in table.items():
+        _, spawns = get_workload(name).build(h.scale)
+        cells[name] = {
+            label: region_means(r.metrics, spawns)[index]
+            for label, r in row.items()
+        }
     return cells
 
 
@@ -118,8 +119,8 @@ def fig10(
     harness: Optional[EvalHarness] = None,
     workers: int = 0,
 ) -> Dict[str, Dict[str, float]]:
-    """Figure 10: average dynamic instructions per region (always serial)."""
-    return _region_stat_figure("avg_instructions", scale, suite, threshold, harness)
+    """Figure 10: average dynamic instructions per region (fig9's cells)."""
+    return _region_stat_figure(0, scale, suite, threshold, harness, workers)
 
 
 def fig11(
@@ -129,27 +130,29 @@ def fig11(
     harness: Optional[EvalHarness] = None,
     workers: int = 0,
 ) -> Dict[str, Dict[str, float]]:
-    """Figure 11: average dynamic stores (incl. checkpoints) per region (serial)."""
-    return _region_stat_figure("avg_stores", scale, suite, threshold, harness)
+    """Figure 11: average dynamic stores (incl. checkpoints) per region
+    (fig9's cells)."""
+    return _region_stat_figure(1, scale, suite, threshold, harness, workers)
 
 
 def headline(
     scale: float = 1.0,
     threshold: int = 256,
     harness: Optional[EvalHarness] = None,
+    workers: int = 0,
 ) -> Dict[str, float]:
     """The abstract's per-suite overheads at the default threshold.
 
     Paper: 0% (SPEC CPU2017), 12.4% (STAMP), 9.1% (Splash-3); 5.1% overall.
     """
     h = harness or _harness(scale)
+    table = h.sweep(
+        ALL_BENCHMARKS, {"capri": OptConfig.licm(threshold)}, workers=workers
+    )
     out: Dict[str, float] = {}
     all_norms: List[float] = []
     for suite, members in FIGURE_SUITES.items():
-        norms = [
-            h.run(name, OptConfig.licm(threshold), "capri").normalized_cycles
-            for name in members
-        ]
+        norms = [table[name]["capri"].normalized_cycles for name in members]
         out[suite] = (geomean(norms) - 1.0) * 100.0
         all_norms.extend(norms)
     out["overall"] = (geomean(all_norms) - 1.0) * 100.0
@@ -160,25 +163,31 @@ def naive_comparison(
     scale: float = 1.0,
     suite: Optional[str] = None,
     threshold: int = 256,
+    workers: int = 0,
 ) -> Dict[str, Dict[str, float]]:
     """Async Capri vs naive synchronous persistence.
 
     Section 1.4: "a naive approach may slow down the benchmark up to 2x,"
     while Capri's asynchronous two-phase store stays in low single digits.
     """
+    names = _benchmarks(suite)
     async_h = _harness(scale)
     sync_h = _harness(
         scale, SimParams.scaled().with_(persist_mode=PersistMode.SYNC)
     )
-    cells: Dict[str, Dict[str, float]] = {}
-    for name in _benchmarks(suite):
-        capri = async_h.run(name, OptConfig.licm(threshold), "capri")
-        naive = sync_h.run(name, OptConfig.ckpt(threshold), "naive-sync")
-        cells[name] = {
-            "capri": capri.normalized_cycles,
-            "naive-sync": naive.normalized_cycles,
+    capri = async_h.sweep(
+        names, {"capri": OptConfig.licm(threshold)}, workers=workers
+    )
+    naive = sync_h.sweep(
+        names, {"naive-sync": OptConfig.ckpt(threshold)}, workers=workers
+    )
+    return {
+        name: {
+            "capri": capri[name]["capri"].normalized_cycles,
+            "naive-sync": naive[name]["naive-sync"].normalized_cycles,
         }
-    return cells
+        for name in names
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +253,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     for fig in figures:
         if fig == "headline":
-            over = headline(scale=args.scale)
+            over = headline(scale=args.scale, workers=args.workers)
             print("Headline per-suite overheads at threshold 256 "
                   "(paper: cpu2017 0%, stamp 12.4%, splash3 9.1%, overall 5.1%)")
             for suite, pct in over.items():
                 print(f"  {suite:10s} {pct:6.1f}%")
         elif fig == "naive":
-            cells = naive_comparison(scale=args.scale, suite=args.suite)
+            cells = naive_comparison(
+                scale=args.scale, suite=args.suite, workers=args.workers
+            )
             suites = (
                 FIGURE_SUITES
                 if args.suite is None

@@ -61,7 +61,7 @@ def generate_report(scale: float = 1.0, workers: int = 0) -> str:
 
     parts.append("## headline")
     parts.append(f"`python -m repro figures headline --scale {scale}`")
-    over = figures.headline(scale=scale)
+    over = figures.headline(scale=scale, workers=workers)
     lines = ["suite      overhead", "-----      --------"]
     for suite, pct in over.items():
         lines.append(f"{suite:10s} {pct:6.1f}%")
@@ -69,7 +69,7 @@ def generate_report(scale: float = 1.0, workers: int = 0) -> str:
 
     parts.append("## naive comparison")
     parts.append(f"`python -m repro figures naive --scale {scale}`")
-    cells = figures.naive_comparison(scale=scale)
+    cells = figures.naive_comparison(scale=scale, workers=workers)
     rows = add_suite_gmeans(
         cells, figures.FIGURE_SUITES, ["capri", "naive-sync"]
     )

@@ -33,45 +33,48 @@ def harness():
 
 class TestHarness:
     def test_baseline_cached(self, harness):
-        first = harness.baseline_cycles("ssca2")
-        assert harness.baseline_cycles("ssca2") == first
-        key = harness.spec("ssca2").baseline().fingerprint()
-        assert key in harness._baseline_cache
+        first = harness.sweep(["ssca2"], {"full": OptConfig.licm(64)})
+        again = harness.sweep(["ssca2"], {"full": OptConfig.licm(64)})
+        assert harness.last_sweep_report.simulations == 0
+        assert (
+            again["ssca2"]["full"].baseline_cycles
+            == first["ssca2"]["full"].baseline_cycles
+        )
 
     def test_baseline_cache_not_stale_after_mutation(self):
         """The footgun: name-keyed caching served stale cycles after a
         live harness's scale/params/quantum changed.  Fingerprint keying
         gets a fresh baseline per combination."""
         h = EvalHarness(params=SimParams.scaled(), scale=TINY)
-        small = h.baseline_cycles("ssca2")
+        configs = {"full": OptConfig.licm(64)}
+
+        def baseline() -> float:
+            return h.sweep(["ssca2"], configs)["ssca2"]["full"].baseline_cycles
+
+        small = baseline()
         h.scale = TINY * 4
-        large = h.baseline_cycles("ssca2")
+        large = baseline()
         assert large > small
         h.scale = TINY
-        assert h.baseline_cycles("ssca2") == small
-        assert len(h._baseline_cache) == 2
+        assert baseline() == small
+        assert h.last_sweep_report.simulations == 0
 
     def test_run_produces_normalized_cycles(self, harness):
-        result = harness.run("ssca2", OptConfig.licm(64), "full")
+        table = harness.sweep(["ssca2"], {"full": OptConfig.licm(64)})
+        result = table["ssca2"]["full"]
         assert result.normalized_cycles >= 1.0
+        assert result.normalized_cycles == (
+            result.metrics.exec_cycles / result.baseline_cycles
+        )
         assert result.overhead_pct == pytest.approx(
             (result.normalized_cycles - 1) * 100
         )
-        assert result.config_label == "full"
-        assert result.suite == "stamp"
-
-    def test_region_stats_only_when_requested(self, harness):
-        without = harness.run("ssca2", OptConfig.licm(64))
-        with_stats = harness.run(
-            "ssca2", OptConfig.licm(64), collect_region_stats=True
-        )
-        assert without.region_stats is None
-        assert with_stats.region_stats is not None
-        assert with_stats.region_stats.regions_executed > 0
+        assert result.spec.label == "full"
+        assert result.spec.workload == "ssca2"
 
     def test_volatile_config_normalizes_to_one(self, harness):
-        result = harness.run("ssca2", OptConfig.volatile(), "volatile")
-        assert result.normalized_cycles == pytest.approx(1.0)
+        table = harness.sweep(["ssca2"], {"volatile": OptConfig.volatile()})
+        assert table["ssca2"]["volatile"].normalized_cycles == 1.0
 
 
 class TestFigureFunctions:

@@ -158,21 +158,15 @@ class TestExecute:
 
 
 class TestHarnessShim:
-    def test_run_spec_matches_run(self):
-        from repro.eval.harness import EvalHarness
-
-        h = EvalHarness(params=SimParams.scaled(), scale=TINY)
-        legacy = h.run("ssca2", OptConfig.licm(64))
-        modern = h.run_spec(h.spec("ssca2", OptConfig.licm(64)))
-        assert modern.metrics == legacy.metrics
-        assert modern.normalized_cycles == legacy.normalized_cycles
-
     def test_run_spec_volatile_normalizes_to_one(self):
         from repro.eval.harness import EvalHarness
 
         h = EvalHarness(params=SimParams.scaled(), scale=TINY)
-        result = h.run_spec(h.spec("ssca2", OptConfig.volatile()))
-        assert result.normalized_cycles == pytest.approx(1.0)
+        assert not h.spec("ssca2", OptConfig.volatile()).effective_persistence
+        table = h.sweep(["ssca2"], {"volatile": OptConfig.volatile()}, cache=None)
+        result = table["ssca2"]["volatile"]
+        assert result.metrics.exec_cycles == result.baseline_cycles
+        assert result.normalized_cycles == 1.0
 
 
 class TestCampaignShim:
