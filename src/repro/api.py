@@ -18,11 +18,6 @@ editing an eval script no longer cold-starts every simulation.
 This module is also the **stable facade**: everything in ``__all__`` is
 public API with compatibility expectations; reach into submodules only
 for internals (the split is documented in DESIGN.md).
-
-Legacy call sites keep working: :func:`repro.arch.system.run_workload`
-accepts a :class:`RunSpec` in place of a module, and
-:class:`repro.fault.campaign.CampaignConfig` gains
-:meth:`~repro.fault.campaign.CampaignConfig.from_spec`.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.params import SimParams
 from repro.arch.system import SystemMetrics, run_workload
@@ -43,6 +38,7 @@ from repro.deps import (
     changed_subsystems_since,
     subsystem_hashes,
 )
+from repro.ir.module import Module
 
 #: Bump when the fingerprint schema itself changes shape.
 #: 1: token embedded the whole-tree code hash; dict keys stringified.
@@ -101,8 +97,8 @@ class RunSpec:
     params: Optional[SimParams] = None
     quantum: int = 32
     persistence: Optional[bool] = None
-    #: ``None`` = unset (consumers fall back to their own default seed);
-    #: an explicit value — *including 0* — is honoured as given.
+    #: Read by no runner, only by :meth:`fingerprint` (kept because the
+    #: benchmark's pinned digests are keyed on it).
     seed: Optional[int] = None
     threads: Optional[int] = None
     max_steps: int = _DEFAULT_MAX_STEPS
@@ -232,7 +228,6 @@ class RunResult:
     #: entry stores for precise invalidation.  ``()`` for cache-served
     #: results (their validity was already checked against stored deps).
     deps: Tuple[str, ...] = ()
-    machine: Any = dataclasses.field(default=None, repr=False, compare=False)
 
     @property
     def normalized_cycles(self) -> float:
@@ -259,42 +254,51 @@ def metrics_from_dict(payload: Dict[str, Any]) -> SystemMetrics:
 # execution
 # ---------------------------------------------------------------------------
 
-def execute_spec(spec: RunSpec, keep_machine: bool = False) -> RunResult:
+def build_spec(
+    spec: RunSpec,
+) -> Tuple[Module, List[Tuple[str, Sequence[int]]]]:
+    """Build a spec's workload and, when instrumented, compile it.
+
+    Returns ``(module, spawns)``: the program every runner simulates,
+    traces or crashes.  Uninstrumented specs skip the compiler entirely
+    (the volatile-baseline convention).
+    """
+    from repro.workloads import get_workload
+
+    module, spawns = get_workload(spec.workload).build(
+        spec.scale, threads=spec.threads
+    )
+    config = spec.effective_config
+    if config.instrumented:
+        module = CapriCompiler(config).compile(module).module
+    return module, spawns
+
+
+def execute_spec(spec: RunSpec) -> RunResult:
     """Build, (maybe) compile, and simulate one :class:`RunSpec`.
 
-    The single run primitive behind the harness, the sweep engine's
-    workers, and the ``run_workload(RunSpec)`` shim.  Uninstrumented specs
-    skip the compiler entirely (the volatile-baseline convention).
+    The single run primitive behind the harness and the sweep engine's
+    workers.
 
     ``spec.trace`` swaps the interpreter for the :mod:`repro.trace`
     replay engine: the functional event stream is captured once (served
     from the result cache's ``traces`` namespace when warm) and the
     simulation consumes the columns — bit-identical metrics, no IR
-    re-interpretation.  ``keep_machine`` forces the interpreted path:
-    replay has no machine to return.
+    re-interpretation.
 
     The whole run executes under a :class:`repro.deps.UsageProbe`; the
     result's :attr:`~RunResult.deps` names the subsystems exercised, and
     the sweep engine stores them with the cached metrics so only changes
     to *those* subsystems invalidate the entry.
     """
-    from repro.workloads import get_workload
-
     start = time.perf_counter()
-    machine = None
     with UsageProbe() as probe:
-        if spec.trace and not keep_machine:
+        if spec.trace:
             from repro.sweep.cache import resolve_cache
-            from repro.trace.codec import load_trace, store_trace
-            from repro.trace.record import capture_spec_trace, trace_fingerprint
+            from repro.trace.record import load_spec_trace
             from repro.trace.replay import replay_metrics
 
-            store = resolve_cache("default")
-            tfp = trace_fingerprint(spec)
-            trace = load_trace(store, tfp)
-            if trace is None:
-                trace = capture_spec_trace(spec)
-                store_trace(store, tfp, trace)
+            trace, _program = load_spec_trace(spec, resolve_cache("default"))
             metrics = replay_metrics(
                 trace,
                 params=spec.effective_params,
@@ -303,12 +307,8 @@ def execute_spec(spec: RunSpec, keep_machine: bool = False) -> RunResult:
                 check=spec.check,
             )
         else:
-            workload = get_workload(spec.workload)
-            module, spawns = workload.build(spec.scale, threads=spec.threads)
-            config = spec.effective_config
-            if config.instrumented:
-                module = CapriCompiler(config).compile(module).module
-            metrics, machine = run_workload(
+            module, spawns = build_spec(spec)
+            metrics, _machine = run_workload(
                 module,
                 spawns,
                 params=spec.effective_params,
@@ -324,7 +324,6 @@ def execute_spec(spec: RunSpec, keep_machine: bool = False) -> RunResult:
         fingerprint=spec.fingerprint(),
         wall_s=time.perf_counter() - start,
         deps=probe.subsystems(),
-        machine=machine if keep_machine else None,
     )
 
 
@@ -340,6 +339,7 @@ _LAZY_EXPORTS = {
     "default_cache_dir": ("repro.sweep.cache", "default_cache_dir"),
     "trace_fingerprint": ("repro.trace.record", "trace_fingerprint"),
     "capture_spec_trace": ("repro.trace.record", "capture_spec_trace"),
+    "load_spec_trace": ("repro.trace.record", "load_spec_trace"),
     "load_trace": ("repro.trace.codec", "load_trace"),
     "store_trace": ("repro.trace.codec", "store_trace"),
     "generate_litmus_program": ("repro.litmus.generate", "generate_program"),
@@ -363,6 +363,7 @@ __all__ = [
     # core types + execution
     "RunSpec",
     "RunResult",
+    "build_spec",
     "execute_spec",
     "metrics_to_dict",
     "metrics_from_dict",
@@ -377,6 +378,7 @@ __all__ = [
     # trace capture + cache integration (repro.trace)
     "trace_fingerprint",
     "capture_spec_trace",
+    "load_spec_trace",
     "load_trace",
     "store_trace",
     # persistency litmus tests (repro.litmus)

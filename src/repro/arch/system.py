@@ -281,8 +281,8 @@ def build_system(
 
 
 def run_workload(
-    module: "Module | Any",
-    spawns: Optional[Sequence[Tuple[str, Sequence[int]]]] = None,
+    module: Module,
+    spawns: Sequence[Tuple[str, Sequence[int]]],
     params: Optional[SimParams] = None,
     threshold: int = 256,
     persistence: bool = True,
@@ -292,11 +292,7 @@ def run_workload(
 ) -> Tuple[SystemMetrics, Machine]:
     """Execute ``module`` under the simulated system; returns metrics+machine.
 
-    ``spawns`` lists (function name, args) per hart/core.  As a
-    convenience shim for the :mod:`repro.api` redesign, ``module`` may
-    instead be a :class:`repro.api.RunSpec`, in which case every other
-    argument is taken from the spec (build, compile, simulate in one
-    call) and must be left at its default.
+    ``spawns`` lists (function name, args) per hart/core.
 
     With ``check=True`` the online persistency checker
     (:mod:`repro.check`) rides along and raises
@@ -304,17 +300,6 @@ def run_workload(
     domain transition violates the region-persistency model.  Requires
     ``persistence=True``.
     """
-    if not isinstance(module, Module):
-        from repro.api import RunSpec, execute_spec
-
-        if isinstance(module, RunSpec):
-            result = execute_spec(module, keep_machine=True)
-            return result.metrics, result.machine
-        raise TypeError(
-            f"run_workload expects a Module or RunSpec, got {type(module).__name__}"
-        )
-    if spawns is None:
-        raise TypeError("run_workload requires spawns when given a Module")
     machine, system = build_system(
         module,
         spawns,

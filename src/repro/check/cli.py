@@ -35,7 +35,6 @@ from typing import List, Optional
 from repro.arch.params import SimParams
 from repro.check.mutants import (
     MUTANT_EXPECTATIONS,
-    _build_workload,
     checked_run,
     matrix_params,
     run_mutant_matrix,
@@ -48,6 +47,8 @@ def _parse_csv(text: str) -> List[str]:
 
 
 def _sanitized(args, parser, json_out) -> int:
+    from repro.api import RunSpec, build_spec
+    from repro.compiler import OptConfig
     from repro.workloads import workload_names
 
     if args.all:
@@ -68,7 +69,13 @@ def _sanitized(args, parser, json_out) -> int:
         for threshold in thresholds:
             start = time.perf_counter()
             try:
-                module, spawns = _build_workload(name, args.scale, threshold)
+                module, spawns = build_spec(
+                    RunSpec(
+                        workload=name,
+                        scale=args.scale,
+                        config=OptConfig.licm(threshold),
+                    )
+                )
             except KeyError as err:
                 parser.error(str(err.args[0] if err.args else err))
             checker, error = checked_run(module, spawns, params, threshold)

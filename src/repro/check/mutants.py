@@ -51,7 +51,6 @@ from repro.check.violations import (
     UNCOVERED_CKPT_SLOT,
     Violation,
 )
-from repro.compiler import CapriCompiler, OptConfig
 from repro.isa.machine import MachineError
 from repro.isa.trace import TeeObserver
 
@@ -177,16 +176,6 @@ class MutantMatrixResult:
         return "\n".join(lines)
 
 
-def _build_workload(name: str, scale: float, threshold: int = 256):
-    from repro.workloads import get_workload
-
-    workload = get_workload(name)
-    module, spawns = workload.build(scale)
-    config = OptConfig.licm().with_threshold(threshold)
-    module = CapriCompiler(config).compile(module).module
-    return module, spawns
-
-
 def checked_run(
     module,
     spawns,
@@ -282,6 +271,8 @@ def run_mutant_matrix(
     persistence-path mutant, and one probe cursor (shared by the
     baseline and recovery-mutant probes) all replay that trace.
     """
+    from repro.api import RunSpec, build_spec
+    from repro.compiler import OptConfig
     from repro.trace.record import capture_trace
     from repro.trace.replay import TraceCursor
 
@@ -296,7 +287,9 @@ def run_mutant_matrix(
     probe_points: Dict[str, List[int]] = {}
     baseline_reports: Dict[str, CheckReport] = {}
     for wl in workloads:
-        module, spawns = _build_workload(wl, scale, threshold)
+        module, spawns = build_spec(
+            RunSpec(workload=wl, scale=scale, config=OptConfig.licm(threshold))
+        )
         trace = capture_trace(module, spawns, max_steps=_MAX_STEPS)
         source = TraceCursor(trace, params=params, threshold=threshold, check=True)
         built[wl] = (module, trace, source)

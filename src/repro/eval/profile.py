@@ -32,7 +32,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.compiler import CapriCompiler, OptConfig
+from repro.api import RunSpec, build_spec
+from repro.compiler import OptConfig
 from repro.compiler.stats import RegionStatsObserver
 from repro.isa.machine import Machine
 from repro.isa.trace import Observer
@@ -116,8 +117,9 @@ def profile_workload(
     name: str, scale: float = 0.5, threshold: int = 256
 ) -> WorkloadProfile:
     """Measure one benchmark's shape (uninstrumented + Capri region view)."""
-    workload = get_workload(name)
-    module, spawns = workload.build(scale)
+    module, spawns = build_spec(
+        RunSpec(workload=name, scale=scale, config=OptConfig.volatile())
+    )
 
     obs = CharacterizationObserver()
     machine = Machine(module)
@@ -125,7 +127,9 @@ def profile_workload(
         machine.spawn(fn, args)
     machine.run(obs)
 
-    capri = CapriCompiler(OptConfig.licm(threshold)).compile(module).module
+    capri, _ = build_spec(
+        RunSpec(workload=name, scale=scale, config=OptConfig.licm(threshold))
+    )
     robs = RegionStatsObserver()
     cobs = CharacterizationObserver()
 
@@ -147,7 +151,7 @@ def profile_workload(
     ckpts = cobs.kind_counts.get("CheckpointStore", 0)
     return WorkloadProfile(
         name=name,
-        suite=workload.suite,
+        suite=get_workload(name).suite,
         instructions=obs.retired,
         store_density=100.0 * (obs.stores + obs.atomics) / n,
         load_density=100.0 * obs.loads / n,
@@ -181,9 +185,9 @@ def measure_throughput(
     from repro.trace.record import capture_trace
     from repro.trace.replay import replay_metrics
 
-    workload = get_workload(name)
-    module, spawns = workload.build(scale)
-    compiled = CapriCompiler(OptConfig.licm(threshold)).compile(module).module
+    compiled, spawns = build_spec(
+        RunSpec(workload=name, scale=scale, config=OptConfig.licm(threshold))
+    )
 
     start = time.perf_counter()
     machine = Machine(compiled)

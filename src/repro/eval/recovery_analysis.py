@@ -26,13 +26,13 @@ import argparse
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
+from repro.api import RunSpec, build_spec
 from repro.arch.crash import CrashState
 from repro.arch.params import SimParams
 from repro.arch.recovery import RecoveredState, recover
-from repro.compiler import CapriCompiler, OptConfig
+from repro.compiler import OptConfig
 from repro.trace.record import capture_trace
 from repro.trace.replay import TraceCursor
-from repro.workloads import get_workload
 
 
 @dataclass
@@ -88,7 +88,6 @@ def recovery_latency_model(
     entries = sum(len(core) for core in state.core_entries)
     nvm_writes = recovered.redo_words + recovered.undo_words
     ckpt_slots = 0
-    rb_instrs = 0
     for resume in recovered.resumes:
         if resume is None:
             continue
@@ -98,8 +97,6 @@ def recovery_latency_model(
         for entry in core:
             if entry.is_boundary:
                 nvm_writes += len(entry.ckpts)
-    from repro.ir.module import Module  # recovery blocks live on functions
-
     rb_instrs = recovered.recovery_blocks_run  # blocks, ≈ instrs (small)
 
     scan_ns = entries * 1.0
@@ -129,9 +126,10 @@ def analyze_recovery(
     The workload is interpreted once; ascending crash points then cost
     one replay of the trace in total.
     """
-    workload = get_workload(workload_name)
-    module, spawns = workload.build(scale)
-    capri = CapriCompiler(OptConfig.licm(threshold)).compile(module).module
+    spec = RunSpec(
+        workload=workload_name, scale=scale, config=OptConfig.licm(threshold)
+    )
+    capri, spawns = build_spec(spec)
     cursor = TraceCursor(
         capture_trace(capri, spawns),
         params=params or SimParams.scaled(),

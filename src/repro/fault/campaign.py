@@ -131,27 +131,6 @@ class CampaignConfig:
     #: drop it with the next change to the benchmark.
     replay: bool = False
 
-    @classmethod
-    def from_spec(cls, spec, **overrides) -> "CampaignConfig":
-        """Derive campaign knobs from a :class:`repro.api.RunSpec`.
-
-        The spec's threshold/quantum/params/seed/max_steps carry over;
-        campaign-only knobs (models, strictness, sampling) come from
-        ``overrides`` or the defaults.  An explicit ``spec.seed`` is
-        honoured even when it is 0 — only an *unset* (``None``) seed
-        falls back to the campaign default.
-        """
-        base = dict(
-            threshold=spec.effective_threshold,
-            quantum=spec.quantum,
-            seed=spec.seed if spec.seed is not None else cls.seed,
-            max_steps=spec.max_steps,
-            params=spec.params,
-            check=spec.check,
-        )
-        base.update(overrides)
-        return cls(**base)
-
 
 @dataclass
 class CrashOutcome:
@@ -722,82 +701,40 @@ def run_campaign(
 
 
 def run_workload_campaign(
-    workload,
+    workload: str,
     config: Optional[CampaignConfig] = None,
     scale: float = 0.3,
     cache="default",
 ) -> CampaignResult:
     """Build a registry workload, compile it with Capri, and sweep it.
 
-    ``workload`` is a registry name or a :class:`repro.api.RunSpec` (in
-    which case its workload/scale/threshold/quantum seed the campaign).
-    The captured :class:`~repro.trace.record.ExecTrace` is memoised in the
-    sweep result cache (``traces`` namespace, keyed by
-    :func:`repro.trace.record.trace_fingerprint`) — warm campaigns skip
-    straight to crash injection, and the trace subsumes the golden result.
-    Pass ``cache=None`` to disable.
+    The program is ``workload`` compiled with ``licm(config.threshold)``
+    at ``scale``.  Its captured :class:`~repro.trace.record.ExecTrace` is
+    memoised in the sweep result cache by
+    :func:`repro.trace.record.load_spec_trace` — warm campaigns skip
+    straight to crash injection, and the trace subsumes the golden
+    result.  Pass ``cache=None`` to disable.
     """
-    from repro.api import (
-        RunSpec,
-        load_trace,
-        resolve_cache,
-        store_trace,
-        trace_fingerprint,
-    )
-    from repro.compiler import CapriCompiler, OptConfig
-    from repro.deps import UsageProbe
-    from repro.trace.record import capture_trace
+    from repro.api import RunSpec, build_spec, resolve_cache
+    from repro.compiler import OptConfig
+    from repro.trace.record import load_spec_trace
     from repro.trace.replay import TraceCampaignSource, golden_from_trace
-    from repro.workloads import get_workload
 
-    if isinstance(workload, RunSpec):
-        config = config or CampaignConfig.from_spec(workload)
-        workload_name, scale = workload.workload, workload.scale
-    else:
-        workload_name = workload
-        config = config or CampaignConfig()
-    # Record which subsystems the build+compile actually exercise; the
-    # cached trace stores this set (plus its own layer) so a later edit
-    # to an unrelated subsystem leaves it warm.
-    with UsageProbe() as probe:
-        module, spawns = get_workload(workload_name).build(scale)
-        compiled = (
-            CapriCompiler(OptConfig.licm(config.threshold)).compile(module).module
-        )
-
-    # Key the trace on what is actually captured here: the workload
-    # compiled with licm(threshold) at this scale/quantum.
-    tfp = trace_fingerprint(
-        RunSpec(
-            workload=workload_name,
-            scale=scale,
-            config=OptConfig.licm(config.threshold),
-            quantum=config.quantum,
-            max_steps=config.max_steps,
-        )
+    config = config or CampaignConfig()
+    spec = RunSpec(
+        workload=workload,
+        scale=scale,
+        config=OptConfig.licm(config.threshold),
+        quantum=config.quantum,
+        max_steps=config.max_steps,
     )
-    store = resolve_cache(cache)
-    trace = load_trace(store, tfp)
-    if trace is None:
-        trace = capture_trace(
-            compiled,
-            spawns,
-            quantum=config.quantum,
-            max_steps=config.max_steps,
-            meta={
-                "workload": workload_name,
-                "scale": float(scale),
-                "quantum": config.quantum,
-                "fingerprint": tfp,
-            },
-        )
-        trace.meta["deps"] = sorted(set(probe.subsystems()) | {"trace"})
-        store_trace(store, tfp, trace)
+    trace, program = load_spec_trace(spec, resolve_cache(cache))
+    module, spawns = program or build_spec(spec)
     return run_campaign(
-        compiled,
+        module,
         spawns,
         config,
-        name=workload_name,
+        name=workload,
         golden=golden_from_trace(trace),
         source=TraceCampaignSource(trace, config),
     )

@@ -25,6 +25,7 @@ from repro.trace.record import (
     TraceRecorder,
     capture_spec_trace,
     capture_trace,
+    load_spec_trace,
     trace_fingerprint,
 )
 from repro.trace.replay import (
@@ -42,6 +43,7 @@ __all__ = [
     "TraceRecorder",
     "capture_trace",
     "capture_spec_trace",
+    "load_spec_trace",
     "trace_fingerprint",
     "TRACE_CODEC_VERSION",
     "TRACE_CACHE_KIND",

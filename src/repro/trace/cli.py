@@ -40,28 +40,18 @@ def _spec(args) -> RunSpec:
 
 
 def _capture(args, parser, json_out) -> int:
-    from repro.api import (
-        capture_spec_trace,
-        load_trace,
-        resolve_cache,
-        store_trace,
-        trace_fingerprint,
-    )
+    from repro.api import load_spec_trace, resolve_cache, trace_fingerprint
 
     spec = _spec(args)
     store = resolve_cache(None if args.no_cache else "default")
     fingerprint = trace_fingerprint(spec)
-    trace = load_trace(store, fingerprint)
-    cached = trace is not None
     start = time.perf_counter()
-    if trace is None:
-        try:
-            trace = capture_spec_trace(spec)
-        except KeyError as err:
-            parser.error(str(err.args[0] if err.args else err))
-        path = store_trace(store, fingerprint, trace)
-    else:
-        path = store.path_for(fingerprint, kind="traces")
+    try:
+        trace, program = load_spec_trace(spec, store)
+    except KeyError as err:
+        parser.error(str(err.args[0] if err.args else err))
+    cached = program is None
+    path = None if store is None else store.path_for(fingerprint, kind="traces")
     wall = time.perf_counter() - start
     if json_out != "-":
         print(
@@ -95,19 +85,15 @@ def _capture(args, parser, json_out) -> int:
 
 
 def _replay(args, parser, json_out) -> int:
-    from repro.api import capture_spec_trace
+    from repro.api import build_spec, capture_spec_trace
     from repro.arch.system import run_workload
-    from repro.compiler import CapriCompiler
     from repro.trace.replay import replay_metrics
-    from repro.workloads import get_workload
 
     spec = _spec(args)
     try:
-        workload = get_workload(spec.workload)
+        compiled, spawns = build_spec(spec)
     except KeyError as err:
         parser.error(str(err.args[0] if err.args else err))
-    module, spawns = workload.build(spec.scale)
-    compiled = CapriCompiler(spec.effective_config).compile(module).module
 
     t0 = time.perf_counter()
     interpreted, _machine = run_workload(
@@ -170,14 +156,13 @@ def _replay(args, parser, json_out) -> int:
 
 
 def _bench(args, parser, json_out) -> int:
-    from repro.compiler import CapriCompiler
+    from repro.api import build_spec
     from repro.fault.campaign import (
         CampaignConfig,
         run_campaign,
         run_workload_campaign,
     )
     from repro.fault.oracle import InterpretedSource, golden_run
-    from repro.workloads import get_workload
 
     config = CampaignConfig(
         threshold=args.threshold,
@@ -188,10 +173,9 @@ def _bench(args, parser, json_out) -> int:
     )
     start = time.perf_counter()
     try:
-        module, spawns = get_workload(args.workload).build(args.scale)
+        compiled, spawns = build_spec(_spec(args))
     except KeyError as err:
         parser.error(str(err.args[0] if err.args else err))
-    compiled = CapriCompiler(OptConfig.licm(args.threshold)).compile(module).module
     interpreted = run_campaign(
         compiled,
         spawns,

@@ -122,7 +122,7 @@ def encode_trace(trace: ExecTrace) -> Dict[str, Any]:
 
     When the trace carries its probed dependency set
     (``meta["deps"]``, recorded by
-    :func:`repro.trace.record.capture_spec_trace`), the payload gains a
+    :func:`repro.trace.record.load_spec_trace`), the payload gains a
     top-level ``deps`` validity token — the cache refuses the entry once
     any of those subsystems' hashes change, so stale traces recapture
     instead of silently replaying old code's event stream.

@@ -374,27 +374,32 @@ def trace_fingerprint(spec) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def capture_spec_trace(spec) -> ExecTrace:
-    """Build + (maybe) compile a :class:`repro.api.RunSpec`'s workload and
-    capture its trace, mirroring :func:`repro.api.execute_spec`'s build
-    path exactly (uninstrumented configs skip the compiler).
+def load_spec_trace(
+    spec, store
+) -> Tuple[ExecTrace, Optional[Tuple[Module, Any]]]:
+    """The spec's trace from ``store``, or captured and stored on a miss.
 
-    The whole capture runs under a :class:`repro.deps.UsageProbe`, and
-    the probed subsystem set lands in ``trace.meta["deps"]`` — the codec
-    stores it with the serialised trace so the cache can invalidate the
-    entry precisely, and replays of the warm trace re-touch the same
-    subsystems on behalf of their own probes.
+    Returns ``(trace, program)``: ``program`` is the ``(module, spawns)``
+    a cold capture built (:func:`repro.api.build_spec`), and ``None`` on a
+    warm hit, which builds nothing.  ``store=None`` always captures.
+
+    A cold capture's build, compile and capture all run under one
+    :class:`repro.deps.UsageProbe`, and the probed subsystem set lands in
+    ``trace.meta["deps"]`` — the codec stores it with the serialised
+    trace so the cache can invalidate the entry precisely, and replays of
+    the warm trace re-touch the same subsystems on behalf of their own
+    probes.
     """
-    from repro.compiler import CapriCompiler
+    from repro.api import build_spec
     from repro.deps import UsageProbe
-    from repro.workloads import get_workload
+    from repro.trace.codec import load_trace, store_trace
 
+    fingerprint = trace_fingerprint(spec)
+    trace = load_trace(store, fingerprint)
+    if trace is not None:
+        return trace, None
     with UsageProbe() as probe:
-        workload = get_workload(spec.workload)
-        module, spawns = workload.build(spec.scale, threads=spec.threads)
-        config = spec.effective_config
-        if config.instrumented:
-            module = CapriCompiler(config).compile(module).module
+        module, spawns = build_spec(spec)
         trace = capture_trace(
             module,
             spawns,
@@ -405,8 +410,15 @@ def capture_spec_trace(spec) -> ExecTrace:
                 "scale": float(spec.scale),
                 "threads": spec.threads,
                 "quantum": spec.quantum,
-                "fingerprint": trace_fingerprint(spec),
+                "fingerprint": fingerprint,
             },
         )
     trace.meta["deps"] = list(probe.subsystems())
-    return trace
+    store_trace(store, fingerprint, trace)
+    return trace, (module, spawns)
+
+
+def capture_spec_trace(spec) -> ExecTrace:
+    """Capture a :class:`repro.api.RunSpec`'s trace from a fresh build,
+    bypassing the cache."""
+    return load_spec_trace(spec, None)[0]

@@ -12,7 +12,6 @@ import json
 
 import pytest
 
-from repro.api import RunSpec
 from repro.arch.persistence import ProtocolMutations
 from repro.fault.campaign import (
     FAILURE_STATUSES,
@@ -172,27 +171,6 @@ class TestDeterminism:
             TraceCampaignSource(trace, cfg),
         )
         assert outcomes and truncated > 0
-
-
-class TestSpecSeedRegression:
-    def test_explicit_zero_seed_is_honoured(self):
-        """Regression: ``seed=0`` is falsy — from_spec must not silently
-        swap it for the class default."""
-        spec = RunSpec(workload="genome", seed=0)
-        default = CampaignConfig.seed
-        cfg = CampaignConfig.from_spec(spec, sample=5)
-        assert cfg.seed == 0
-        assert default != 0 or cfg.seed == default  # guard stays meaningful
-
-    def test_unset_seed_falls_back_to_default(self):
-        spec = RunSpec(workload="genome")
-        assert spec.seed is None
-        cfg = CampaignConfig.from_spec(spec, sample=5)
-        assert cfg.seed == CampaignConfig.seed
-
-    def test_nonzero_seed_passes_through(self):
-        cfg = CampaignConfig.from_spec(RunSpec(workload="genome", seed=99))
-        assert cfg.seed == 99
 
 
 class TestReporting:

@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.api import RunSpec, build_spec
 from repro.arch.crash import CrashPlan, run_built_until_crash
 from repro.arch.persistence import ProtocolMutations
 from repro.arch.system import build_system, run_workload
 from repro.check import PersistencyViolationError
 from repro.check.checker import PersistencyChecker
-from repro.check.mutants import _build_workload, checked_run, matrix_params
+from repro.check.mutants import checked_run, matrix_params
 from repro.check.violations import (
     CORRUPT_UNDO,
     LOST_REDO,
@@ -15,6 +16,7 @@ from repro.check.violations import (
     CheckReport,
     Violation,
 )
+from repro.compiler import OptConfig
 
 SCALE = 0.25
 THRESHOLD = 32
@@ -22,7 +24,9 @@ THRESHOLD = 32
 
 @pytest.fixture(scope="module")
 def genome():
-    return _build_workload("genome", SCALE, THRESHOLD)
+    return build_spec(
+        RunSpec(workload="genome", scale=SCALE, config=OptConfig.licm(THRESHOLD))
+    )
 
 
 @pytest.fixture(scope="module")

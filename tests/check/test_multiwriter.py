@@ -13,14 +13,16 @@ counters are genuinely contended.
 
 import pytest
 
+from repro.api import RunSpec, build_spec
 from repro.arch.crash import CrashPlan, run_built_until_crash
 from repro.arch.params import SimParams
 from repro.arch.recovery import recover
 from repro.arch.system import build_system
 from repro.check.checker import PersistencyChecker
 from repro.check.model import MULTI_WRITER, PersistencyModel
-from repro.check.mutants import _build_workload, checked_run
+from repro.check.mutants import checked_run
 from repro.check.violations import LOST_REDO
+from repro.compiler import OptConfig
 from repro.isa.trace import TeeObserver
 
 CONT = "resume@loop"
@@ -102,7 +104,9 @@ class TestAllowedValues:
 
 @pytest.fixture(scope="module")
 def ocean():
-    module, spawns = _build_workload("ocean", 0.5, THRESHOLD)
+    module, spawns = build_spec(
+        RunSpec(workload="ocean", scale=0.5, config=OptConfig.licm(THRESHOLD))
+    )
     assert len(spawns) == HARTS
     return module, spawns
 

@@ -1,4 +1,4 @@
-"""Tests for the repro.api facade: RunSpec, fingerprints, shims."""
+"""Tests for the repro.api facade: RunSpec, fingerprints, execution."""
 
 import dataclasses
 
@@ -140,11 +140,6 @@ class TestExecute:
         rebuilt = metrics_from_dict(json.loads(json.dumps(metrics_to_dict(m))))
         assert rebuilt == m
 
-    def test_run_workload_accepts_spec(self):
-        metrics, machine = run_workload(spec())
-        assert metrics.exec_cycles > 0
-        assert machine is not None and machine.memory
-
     def test_run_workload_rejects_junk(self):
         with pytest.raises(TypeError):
             run_workload(42)
@@ -170,16 +165,6 @@ class TestHarnessShim:
 
 
 class TestCampaignShim:
-    def test_campaign_config_from_spec(self):
-        from repro.fault.campaign import CampaignConfig
-
-        s = spec(threshold=16, quantum=8, seed=0xBEEF)
-        cc = CampaignConfig.from_spec(s, models=("clean",), sample=3)
-        assert cc.threshold == 16
-        assert cc.quantum == 8
-        assert cc.seed == 0xBEEF
-        assert cc.sample == 3
-
     def test_trace_cached(self, tmp_path):
         from repro.fault.campaign import CampaignConfig, run_workload_campaign
         from repro.sweep.cache import ResultCache
@@ -192,14 +177,3 @@ class TestCampaignShim:
         assert store.hits == 1  # trace served from disk
         assert warm.total_events == cold.total_events
         assert warm.counts() == cold.counts()
-
-    def test_campaign_accepts_runspec(self, tmp_path):
-        from repro.fault.campaign import run_workload_campaign
-        from repro.sweep.cache import ResultCache
-
-        s = RunSpec(
-            workload="genome", scale=0.05, config=OptConfig.licm(32), quantum=32
-        )
-        result = run_workload_campaign(s, cache=ResultCache(tmp_path))
-        assert result.workload == "genome"
-        assert result.ok
