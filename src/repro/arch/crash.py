@@ -91,17 +91,32 @@ def capture_crash_state(system: CapriSystem) -> CrashState:
     themselves are the live objects: they are sealed (see
     :class:`ProxyEntry`), so the pipeline's later merges and valid-bit
     scans swap in new entries rather than editing the ones captured here.
+
+    Capture is where integrity metadata comes into being: the write
+    path computes no checksum, and every fault model tampers with a
+    snapshot this function produced.  So before returning it fixes and
+    seals the checksum of every entry held, fixes the checksum of every
+    WPQ record, and brings the checkpoint-slot shadow words up to date
+    from the values written.  Each is computed once — a later capture
+    sharing the entry, record or slot write finds it done.
     """
     if system.persist is None:
         raise ValueError("cannot capture crash state of a volatile system")
+    core_entries = [
+        pipe.entries_in_order() for pipe in system.persist.pipelines
+    ]
+    for entries in core_entries:
+        for entry in entries:
+            entry.intact  # a first read fixes the checksum and seals it
+    wpq = list(system.nvm.wpq)
+    for rec in wpq:
+        rec.checksum  # a first read fixes the checksum
     return CrashState(
         nvm_image=dict(system.nvm.image),
-        core_entries=[
-            pipe.entries_in_order() for pipe in system.persist.pipelines
-        ],
-        num_cores=len(system.persist.pipelines),
+        core_entries=core_entries,
+        num_cores=len(core_entries),
         pc_checkpoints=dict(system.nvm.pc_checkpoints),
-        wpq=list(system.nvm.wpq),
+        wpq=wpq,
         ckpt_shadow=dict(system.nvm.ckpt_shadow),
     )
 

@@ -16,7 +16,7 @@ parallelism pipeline the 300 ns write latency).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from functools import lru_cache
 from typing import Deque, Dict
 
 from repro.arch.params import SimParams
@@ -73,13 +73,20 @@ def _fnv_mix(h: int, value) -> int:
     return h
 
 
+@lru_cache(maxsize=1024)
 def word_checksum(addr: int, value: int) -> int:
     """Integrity word for one NVM cell (the per-word ECC/CRC a real part
-    stores alongside the data array)."""
+    stores alongside the data array).
+
+    A pure function of ``(addr, value)``, memoised: recovery re-verifies
+    and re-seeds the same checkpoint slots with the same values at every
+    crash point of a campaign (an exhaustive genome campaign asks for
+    under 500 distinct words).  The bound caps the memo at a few hundred
+    kilobytes.
+    """
     return _fnv_int(_fnv_int(_FNV_OFFSET, addr), value)
 
 
-@dataclass(frozen=True)
 class WpqRecord:
     """One write-pending-queue slot: the journal of a recently issued write.
 
@@ -88,20 +95,61 @@ class WpqRecord:
     a drain the power cut mid-way — while the battery-backed queue record
     itself survives for recovery to replay.  ``checksum`` guards the
     record against torn queue writes.
+
+    The checksum is integrity metadata of captured durable state, not of
+    the write: a record built without one computes it from its own
+    ``value`` on first read, and :func:`~repro.arch.crash.capture_crash_state`
+    reads it for every record a snapshot holds, before any fault model
+    can tamper with a copy.  A crash-free run never reads it.  A record
+    is never edited (a torn one is a new record carrying the old
+    checksum), so its ``intact`` verdict is computed once.
     """
 
-    addr: int
-    value: int
-    prev: int | None
-    checksum: int
+    __slots__ = ("addr", "value", "prev", "_checksum", "_intact")
 
-    @staticmethod
-    def make(addr: int, value: int, prev: int | None) -> "WpqRecord":
-        return WpqRecord(addr, value, prev, word_checksum(addr, value))
+    def __init__(
+        self,
+        addr: int,
+        value: int,
+        prev: int | None,
+        checksum: int | None = None,
+    ) -> None:
+        self.addr = addr
+        self.value = value
+        self.prev = prev
+        self._checksum = checksum
+        self._intact: bool | None = None
+
+    @property
+    def checksum(self) -> int:
+        if self._checksum is None:
+            # Fixed from this record's own value: intact by construction.
+            self._checksum = word_checksum(self.addr, self.value)
+            self._intact = True
+        return self._checksum
 
     @property
     def intact(self) -> bool:
-        return self.checksum == word_checksum(self.addr, self.value)
+        if self._intact is None:
+            self._intact = self.checksum == word_checksum(self.addr, self.value)
+        return self._intact
+
+    def _key(self) -> tuple:
+        return (self.addr, self.value, self.prev, self.checksum)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WpqRecord):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (
+            f"WpqRecord(addr={self.addr:#x}, value={self.value}, "
+            f"prev={self.prev}, checksum={self._checksum})"
+        )
 
 
 class NVMain:
@@ -123,9 +171,12 @@ class NVMain:
         #: (the ADR contract — see repro.fault.models).
         self.wpq: Deque[WpqRecord] = deque(maxlen=params.wpq_entries)
         #: Per-slot integrity words for the register-checkpoint array
-        #: (the ECC a real part keeps alongside the cells); recovery
-        #: verifies a slot's shadow before trusting its value.
-        self.ckpt_shadow: Dict[int, int] = {}
+        #: (the ECC a real part keeps alongside the cells), brought up to
+        #: date from ``_unshadowed`` when read (:attr:`ckpt_shadow`).
+        self._ckpt_shadow: Dict[int, int] = {}
+        #: Checkpoint slots written since the shadow words were last
+        #: read: slot -> the value :meth:`ckpt_write` wrote.
+        self._unshadowed: Dict[int, int] = {}
         #: Next cycle at which the write port can issue.
         self.write_free_at = 0.0
         # -- counters -----------------------------------------------------
@@ -145,6 +196,24 @@ class NVMain:
         """Read without counting (for invariant checks)."""
         return self.image.get(addr, 0)
 
+    @property
+    def ckpt_shadow(self) -> Dict[int, int]:
+        """Checkpoint-slot integrity words; recovery verifies a slot's
+        shadow before trusting its value.
+
+        Computed on read, once per slot write, from the value
+        :meth:`ckpt_write` wrote — never from the image, which a fault
+        model may have changed.  Crash capture is the reader; a
+        crash-free run computes none.
+        """
+        pending = self._unshadowed
+        if pending:
+            shadow = self._ckpt_shadow
+            for addr, value in pending.items():
+                shadow[addr] = word_checksum(addr, value)
+            pending.clear()
+        return self._ckpt_shadow
+
     # -- write port timing ------------------------------------------------------
 
     def issue_write(self, now: float) -> float:
@@ -156,7 +225,7 @@ class NVMain:
     # -- producers ----------------------------------------------------------------
 
     def _journal(self, addr: int, value: int) -> None:
-        self.wpq.append(WpqRecord.make(addr, value, self.image.get(addr)))
+        self.wpq.append(WpqRecord(addr, value, self.image.get(addr)))
 
     def writeback_words(self, now: float, words: Dict[int, int]) -> float:
         """Apply a regular-path writeback; returns last issue time."""
@@ -179,7 +248,7 @@ class NVMain:
         t = self.issue_write(now)
         self._journal(addr, value)
         self.image[addr] = value
-        self.ckpt_shadow[addr] = word_checksum(addr, value)
+        self._unshadowed[addr] = value
         self.writes_ckpt += 1
         return t
 

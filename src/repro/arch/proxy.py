@@ -66,10 +66,13 @@ def entry_checksum(entry: "ProxyEntry") -> int:
 
     Timing bookkeeping (``create_time``/``arrive_time``) is excluded: it
     is simulator state, not part of what hardware writes to the buffer.
-    Every legitimate mutation of an entry (merge, valid-bit scan) builds
-    a copy and re-checksums it with :meth:`ProxyEntry.refresh_checksum`;
-    a fault that flips bits behind the checksum's back is therefore
-    detectable at recovery.
+    Called when an entry's checksum is first read — at the latest by
+    :func:`~repro.arch.crash.capture_crash_state` — never on the write
+    path.  Every legitimate mutation of an entry (merge, valid-bit scan)
+    builds a copy and clears its checksum with
+    :meth:`ProxyEntry.refresh_checksum`; a fault model tampers only with
+    a copy of a captured entry, whose checksum is already fixed, so a
+    flip behind the checksum's back is detectable at recovery.
     """
     h = _fnv_int(_FNV_OFFSET, entry.kind)
     h = _fnv_int(h, entry.addr)
@@ -94,11 +97,18 @@ class ProxyEntry:
 
     Entries are *sealed*: once an entry sits in a buffer, no code edits
     its durable fields in place.  A legitimate hardware edit (front-end
-    merge, Section 5.3.2 valid-bit scan) swaps a re-checksummed copy into
-    the buffer, and a fault model tampers with a copy in its own snapshot.
-    Crash snapshots therefore share the live entry objects, and an
-    entry's integrity verdict, once computed, holds for as long as its
-    payload and checksum are the ones it judged (``sealed``).
+    merge, Section 5.3.2 valid-bit scan) swaps a copy with a cleared
+    checksum into the buffer, and a fault model tampers with a copy in
+    its own snapshot.  Crash snapshots therefore share the live entry
+    objects, and an entry's integrity verdict, once computed, holds for
+    as long as its payload and checksum are the ones it judged
+    (``sealed``).
+
+    ``checksum`` is integrity metadata of captured durable state: it is
+    computed from the payload when first read and fixed from then on.
+    Crash capture reads (and seals) it for every entry a snapshot holds,
+    so it exists before any fault model tampers with a copy; an entry no
+    capture includes never computes one.
 
     ``create_time``/``arrive_time`` are simulator timing, not durable
     payload: they stay mutable (the proxy path stamps ``arrive_time`` on
@@ -118,7 +128,8 @@ class ProxyEntry:
         "region_id",
         "continuation",
         "ckpts",
-        "checksum",
+        #: the integrity word, or ``None`` until first read (:attr:`checksum`).
+        "_checksum",
         #: the durable fields and checksum judged by the last successful
         #: :attr:`intact` check, or ``None`` before the first one.
         "sealed",
@@ -147,12 +158,24 @@ class ProxyEntry:
         self.region_id = region_id
         self.continuation = continuation
         self.ckpts = ckpts or {}
-        self.checksum = entry_checksum(self)
+        self._checksum: Optional[int] = None
         self.sealed: Optional[tuple] = None
 
     @property
     def is_boundary(self) -> bool:
         return self.kind == KIND_BOUNDARY
+
+    @property
+    def checksum(self) -> int:
+        """The integrity word: computed from the payload on first read,
+        then fixed, so a later in-place tear leaves it stale."""
+        if self._checksum is None:
+            self._checksum = entry_checksum(self)
+        return self._checksum
+
+    @checksum.setter
+    def checksum(self, value: int) -> None:
+        self._checksum = value
 
     @property
     def intact(self) -> bool:
@@ -163,8 +186,11 @@ class ProxyEntry:
         judged; while both are unchanged the recompute is skipped.  Any
         in-place edit, of the checksum included, breaks the seal and
         forces the full recompute, so the verdict never differs from
-        ``checksum == entry_checksum(self)``.
+        ``checksum == entry_checksum(self)``.  A check that finds no
+        checksum yet fixes it from the payload: one computation, and the
+        entry is intact by construction.
         """
+        first_read = self._checksum is None
         payload = (
             self.kind,
             self.addr,
@@ -179,25 +205,27 @@ class ProxyEntry:
         )
         if payload == self.sealed:
             return True
-        if self.checksum != entry_checksum(self):
+        if not first_read and self._checksum != entry_checksum(self):
             return False
         self.sealed = payload
         return True
 
     def refresh_checksum(self) -> None:
-        """Recompute integrity after a legitimate hardware mutation of a
-        fresh copy (front-end merge, Section 5.3.2 valid-bit scan)."""
-        self.checksum = entry_checksum(self)
+        """Clear the checksum after a legitimate hardware mutation of a
+        fresh copy (front-end merge, Section 5.3.2 valid-bit scan); the
+        next read computes it from the edited payload."""
+        self._checksum = None
 
     def clone(self) -> "ProxyEntry":
         """Copy with no shared mutable state: how hardware edits and
         fault models get an entry of their own to change.
 
         Slot by slot: ``ckpts`` is the only mutable field and is copied;
-        the frozen ``continuation`` is shared.  ``checksum`` and
-        ``sealed`` are copied verbatim, *not* recomputed: a copy of a
-        torn entry must stay torn, and the seal names the payload it
-        judged, so an edit to the copy still breaks it.
+        the frozen ``continuation`` is shared.  ``checksum`` (``None``
+        if not read yet) and ``sealed`` are copied verbatim, *not*
+        computed: a copy of a torn entry must stay torn, and the seal
+        names the payload it judged, so an edit to the copy still
+        breaks it.
         """
         dup = ProxyEntry.__new__(ProxyEntry)
         dup.kind = self.kind
@@ -211,7 +239,7 @@ class ProxyEntry:
         dup.region_id = self.region_id
         dup.continuation = self.continuation  # frozen: safe to share
         dup.ckpts = dict(self.ckpts)
-        dup.checksum = self.checksum
+        dup._checksum = self._checksum
         dup.sealed = self.sealed
         return dup
 
@@ -573,8 +601,8 @@ class CoreProxyPipeline:
                     return
 
     def _invalidate(self, addr: Optional[int]) -> int:
-        """Swap in a re-checksummed copy, redo valid-bit unset, for every
-        valid data entry at ``addr`` (any address if ``None``)."""
+        """Swap in a copy, redo valid-bit unset and checksum cleared, for
+        every valid data entry at ``addr`` (any address if ``None``)."""
         hits = [
             entry
             for buf in (self.be, self.fe)

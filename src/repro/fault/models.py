@@ -11,7 +11,11 @@ oracle can correlate detected findings with injected damage.
 The models deliberately *bypass* the integrity-refresh paths the
 legitimate hardware mutations use (``ProxyEntry.refresh_checksum``,
 ``NVMain.ckpt_write``): the stale checksum IS the fault signature
-recovery must catch.
+recovery must catch.  Checksums are computed on demand, not on the
+write path, so a model may only tamper with a snapshot that
+:func:`~repro.arch.crash.capture_crash_state` produced: capture fixes
+every entry's, WPQ record's and checkpoint slot's checksum before it
+returns, and a tampered copy keeps the checksum of the original.
 
 Proxy entries are sealed and shared between a capture, its clones and
 the live pipeline (see :class:`~repro.arch.proxy.ProxyEntry`), so an

@@ -183,6 +183,6 @@ class TestLiteralChecksums:
         assert e.checksum == _reference_entry(e)
 
     def test_wpq_record(self):
-        rec = WpqRecord.make(0x2000, 17, None)
+        rec = WpqRecord(0x2000, 17, None)
         assert rec.checksum == reference_word(0x2000, 17)
         assert rec.intact

@@ -265,6 +265,7 @@ class TestCaptureAliasing:
         from repro.arch.proxy import KIND_DATA, ProxyEntry
 
         e = ProxyEntry(KIND_DATA, 0, 0.0, addr=8, undo=1, redo=2)
+        assert e.intact  # as capture does: fix the checksum and seal it
         e.redo ^= 0xFF  # tear it (no refresh)
         dup = e.clone()
         assert not dup.intact
