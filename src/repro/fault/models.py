@@ -234,7 +234,19 @@ class TornWpqRecord(FaultModel):
 
 class CorruptCheckpointSlot(FaultModel):
     """A register-checkpoint array cell is corrupted in place — a bit
-    flip behind its shadow integrity word."""
+    flip behind its shadow integrity word.
+
+    The model is weaker than its counts suggest.  It picks any slot the
+    WPQ journal does not hold, whether or not recovery will read it.
+    Recovery's Phase A rewrites many such slots from a surviving
+    boundary entry before checking them, and others lie outside every
+    frame that resumes, so the flip is healed or never read and the
+    point scores a clean ``ok``.  On a pointer-chase program at
+    threshold 32, 11 of 18 freshly written slots inside a resumed frame
+    were rewritten in Phase A.  Targeting only slots that recovery reads
+    would change the lenient all-model campaign rows; it is an open
+    ROADMAP item.
+    """
 
     name = "corrupt-ckpt"
 

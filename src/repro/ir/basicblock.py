@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.ir.instructions import Instr, terminator_targets
 
@@ -13,13 +13,24 @@ class BasicBlock:
     The final instruction must be a terminator (``Jump``/``Branch``/``Ret``/
     ``Halt``); the verifier enforces this.  Blocks are mutable — Capri's
     passes split, merge, clone and rewrite them in place.
+
+    ``code`` belongs to the functional machine (:mod:`repro.isa.machine`):
+    the straight-line Python it generated for this block, or its verdict
+    that the block is interpreted, together with the instruction list it
+    was made from.  A run checks that list against ``instrs`` before it
+    uses the code, so replacing, inserting or removing instructions is
+    always safe.  Editing the fields of an ``Instr`` object is not: it is
+    done only by compiler passes, on the clone
+    :meth:`~repro.compiler.CapriCompiler.compile` makes before any
+    machine runs it.  Keep it that way.
     """
 
-    __slots__ = ("label", "instrs")
+    __slots__ = ("label", "instrs", "code")
 
     def __init__(self, label: str, instrs: Optional[List[Instr]] = None) -> None:
         self.label = label
         self.instrs: List[Instr] = instrs if instrs is not None else []
+        self.code: Optional[Tuple[int, List[Instr], Any]] = None
 
     @property
     def terminator(self) -> Instr:

@@ -24,12 +24,36 @@ suspends the caller frame and starts the callee with arguments in
   registers are deliberately **not** in the snapshot — recovery must
   rebuild them from checkpoint storage plus recovery blocks, so the Capri
   compiler's checkpoint analyses are load-bearing in our correctness tests.
+
+Compiled blocks
+---------------
+A run without an observer, such as every resumed crash point of a
+campaign, runs most blocks as generated Python functions: one per block,
+made on the first unobserved run that enters it and kept in
+``BasicBlock.code``, so every ``Machine`` over the module shares it.  A
+block compiles when it is straight-line ``BinOp``/``UnOp``/``Move``/
+``Load``/``Store``/``CheckpointStore``/``RegionBoundary``/``Nop`` code
+ending in ``Jump`` or ``Branch`` over registers the function declares;
+anything else (calls, returns, atomics, fences, I/O, ``Halt``) is
+interpreted.  Compiled code has exactly the effect of interpreting the
+block without an observer, and it cannot raise.  Observed runs never use
+it: the interpreter loop in :meth:`Machine._run_quantum` stays the only
+path that delivers events, and the reference semantics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.ir.function import Function
 from repro.ir.instructions import (
@@ -65,6 +89,9 @@ from repro.ir.module import (
 )
 from repro.ir.values import WORD_BYTES, WORD_MAX, WORD_MIN, Reg, wrap_word
 from repro.isa.trace import Observer
+
+if TYPE_CHECKING:
+    from repro.ir.basicblock import BasicBlock
 
 
 class MachineError(Exception):
@@ -180,6 +207,148 @@ class Hart:
 _NULL_OBSERVER = Observer()
 
 
+# -- compiled blocks ------------------------------------------------------------
+
+#: Instructions a compiled block may hold before its terminator.
+_STRAIGHT_LINE = (BinOp, UnOp, Move, Load, Store, CheckpointStore, RegionBoundary, Nop)
+
+#: A block's code: its length and ``run(regs, memory, slot_base)``.
+BlockCode = Tuple[float, Optional[Callable[[List[int], Dict[int, int], int], str]]]
+
+#: The code of a block that is interpreted: a length no budget fits.
+_INTERPRET: BlockCode = (float("inf"), None)
+
+#: Globals of the generated functions: the machine's own helpers.
+_BLOCK_GLOBALS: Dict[str, Any] = {
+    "wrap_word": wrap_word,
+    "eval_unop": eval_unop,
+    **{f"op_{name}": fn for name, fn in BINARY_OPS.items()},
+}
+
+#: Wraps local ``{0}`` into a machine word, as the interpreter's ``BinOp`` does.
+_WRAP = f"if not {WORD_MIN} <= {{0}} <= {WORD_MAX}: {{0}} = wrap_word({{0}})"
+
+
+def _compilable(func: Function, instrs: List[Any]) -> bool:
+    """True if ``instrs`` is a block the generated code runs exactly.
+
+    That is straight-line code ending in ``Jump`` or ``Branch``, over
+    registers below ``func.num_regs`` and checkpoint registers below
+    ``MAX_REGS``.  Such code cannot raise, so it needs none of the
+    interpreter's ``hart.index`` bookkeeping.
+    """
+    if not instrs or type(instrs[-1]) not in (Jump, Branch):
+        return False
+    for instr in instrs[:-1]:
+        if type(instr) not in _STRAIGHT_LINE:
+            return False
+        if type(instr) is CheckpointStore and instr.src.index >= MAX_REGS:
+            return False
+    return all(
+        reg.index < func.num_regs
+        for instr in instrs
+        for reg in (*instr.defs(), *instr.uses())
+    )
+
+
+def _compile_block(func: Function, block: "BasicBlock") -> Optional[Callable]:
+    """Generate ``run(regs, memory, slot_base) -> next label`` for ``block``.
+
+    The function has the effect of interpreting the block from index 0
+    to the terminator without an observer: registers live in locals,
+    loaded on first read and written back before the return, and
+    ``slot_base`` is the frame's checkpoint-slot base.  Returns None
+    for a block that must be interpreted (see :func:`_compilable`).
+    """
+    instrs = block.instrs
+    if not _compilable(func, instrs):
+        return None
+    loads: List[str] = []
+    body: List[str] = []
+    seen: set = set()
+    written: Dict[int, None] = {}
+
+    def read(op: Any) -> str:
+        if type(op) is not Reg:
+            return f"({op.value})"
+        if op.index not in seen:
+            seen.add(op.index)
+            loads.append(f"r{op.index} = regs[{op.index}]")
+        return f"r{op.index}"
+
+    def write(reg: Reg) -> str:
+        seen.add(reg.index)
+        written[reg.index] = None
+        return f"r{reg.index}"
+
+    def address(base: Any, offset: int) -> str:
+        if type(base) is not Reg:
+            return f"({base.value + offset})"
+        return read(base) if offset == 0 else f"{read(base)} + ({offset})"
+
+    for instr in instrs[:-1]:
+        cls = type(instr)
+        if cls is BinOp:
+            lhs, rhs = read(instr.lhs), read(instr.rhs)
+            if instr.op == "add":
+                value = f"{lhs} + {rhs}"
+            elif instr.op == "sub":
+                value = f"{lhs} - {rhs}"
+            else:
+                value = f"op_{instr.op}({lhs}, {rhs})"
+            dst = write(instr.dst)
+            body += [f"{dst} = {value}", _WRAP.format(dst)]
+        elif cls is UnOp:
+            src = read(instr.src)
+            body.append(f"{write(instr.dst)} = eval_unop({instr.op!r}, {src})")
+        elif cls is Move:
+            src = read(instr.src)
+            body.append(f"{write(instr.dst)} = {src}")
+        elif cls is Load:
+            addr = address(instr.addr, instr.offset)
+            body.append(f"{write(instr.dst)} = memory.get({addr}, 0)")
+        elif cls is Store:
+            addr = address(instr.addr, instr.offset)
+            body.append(f"memory[{addr}] = {read(instr.value)}")
+        elif cls is CheckpointStore:
+            reg = instr.src.index
+            body.append(f"memory[slot_base + {reg * WORD_BYTES}] = {read(instr.src)}")
+        # RegionBoundary and Nop have no effect on an unobserved run.
+    last = instrs[-1]
+    if type(last) is Jump:
+        ret = f"return {last.target!r}"
+    elif type(last.cond) is Reg:
+        ret = f"return {last.if_true!r} if {read(last.cond)} else {last.if_false!r}"
+    else:
+        ret = f"return {(last.if_true if last.cond.value != 0 else last.if_false)!r}"
+    lines = [
+        "def run(regs, memory, slot_base):",
+        *(f"    {line}" for line in loads + body),
+        *(f"    regs[{i}] = r{i}" for i in written),
+        f"    {ret}",
+    ]
+    namespace: Dict[str, Any] = {}
+    name = f"<block {func.name}:{block.label}>"
+    exec(compile("\n".join(lines), name, "exec"), _BLOCK_GLOBALS, namespace)
+    return namespace["run"]
+
+
+def _block_code(func: Function, block: "BasicBlock") -> BlockCode:
+    """``(length, run)`` for ``block``: its compiled code or :data:`_INTERPRET`.
+
+    The code is kept in ``block.code`` with the instruction list and
+    register count it was made from, and made again when either differs.
+    Every ``Machine`` that runs the module shares it.
+    """
+    instrs = block.instrs
+    cached = block.code
+    if cached is None or cached[0] != func.num_regs or cached[1] != instrs:
+        run = _compile_block(func, block)
+        code = _INTERPRET if run is None else (len(instrs), run)
+        cached = block.code = (func.num_regs, list(instrs), code)
+    return cached[2]
+
+
 class Machine:
     """Executes a module's harts over shared memory, emitting events.
 
@@ -206,6 +375,8 @@ class Machine:
         #: them (the Section 3.3 open problem); tests use this log to
         #: check at-least-once delivery across failures.
         self.io_log: List[Tuple[int, int, int]] = []
+        #: Instructions retired by compiled blocks (unobserved runs only).
+        self.compiled_retired = 0
 
     # -- hart management -----------------------------------------------------
 
@@ -275,6 +446,11 @@ class Machine:
         without completion (runaway loop guard).
         """
         obs = observer or _NULL_OBSERVER
+        # Block code this run has checked against its block (see
+        # ``_run_compiled``); an observed run interprets every block.
+        codes: Optional[Dict["BasicBlock", BlockCode]] = (
+            {} if obs is _NULL_OBSERVER else None
+        )
         steps_left = max_steps
         live = [h for h in self.harts if h is not None and not h.halted]
         while live:
@@ -285,7 +461,7 @@ class Machine:
             for hart in live:
                 if hart.halted:
                     continue
-                n = self._run_quantum(hart, obs, min(quantum, steps_left))
+                n = self._run_quantum(hart, obs, min(quantum, steps_left), codes)
                 steps_left -= n
                 progressed = progressed or n > 0
                 if steps_left <= 0:
@@ -310,7 +486,13 @@ class Machine:
             obs.on_ckpt(core, i, value, addr)
         obs.on_boundary(core, -1, hart.continuation())
 
-    def _run_quantum(self, hart: Hart, obs: Observer, budget: int) -> int:
+    def _run_quantum(
+        self,
+        hart: Hart,
+        obs: Observer,
+        budget: int,
+        codes: Optional[Dict["BasicBlock", BlockCode]] = None,
+    ) -> int:
         """Execute up to ``budget`` instructions on ``hart``.
 
         The current block's instruction list, the index into it and the
@@ -327,6 +509,15 @@ class Machine:
         observer consumes: the per-instruction ``on_retire`` call and the
         boundary's continuation snapshot.  Every architectural effect is
         the same either way.
+
+        Such a run also passes ``codes``, its cache of compiled blocks.
+        Then every time the hart stands at index 0 of a block, at quantum
+        start, after a ``Branch`` or ``Jump`` and on a call's entry,
+        :meth:`_run_compiled` runs blocks as generated straight-line
+        functions for as long as each whole block fits the remaining
+        budget.  The rest is interpreted here, so quanta, ``max_steps``
+        trip points and mid-block resumes are unchanged.  An observed run
+        pays one ``codes is not None`` test per block entry.
         """
         if budget <= 0:
             return 0
@@ -345,6 +536,12 @@ class Machine:
         regs = hart.regs
         core_slots = CKPT_BASE + core * CKPT_CORE_STRIDE
         slot_base = core_slots + len(hart.callstack) * CKPT_FRAME_STRIDE
+        if codes is not None and index == 0:
+            label, executed = self._run_compiled(
+                codes, hart.func, hart.label, regs, slot_base, budget
+            )
+            hart.label = label
+            instrs = blocks[label].instrs
         try:
             while executed < budget:
                 instr = instrs[index]
@@ -369,11 +566,23 @@ class Machine:
                     c = instr.cond
                     cond = regs[c.index] if type(c) is Reg else c.value
                     label = instr.if_true if cond != 0 else instr.if_false
+                    if codes is not None:
+                        label, n = self._run_compiled(
+                            codes, hart.func, label, regs, slot_base,
+                            budget - executed,
+                        )
+                        executed += n
                     hart.label = label
                     instrs = blocks[label].instrs
                     index = 0
                 elif cls is Jump:
                     label = instr.target
+                    if codes is not None:
+                        label, n = self._run_compiled(
+                            codes, hart.func, label, regs, slot_base,
+                            budget - executed,
+                        )
+                        executed += n
                     hart.label = label
                     instrs = blocks[label].instrs
                     index = 0
@@ -437,10 +646,16 @@ class Machine:
                         if hart.halted:
                             break
                     blocks = hart.func.blocks
-                    instrs = blocks[hart.label].instrs
                     index = hart.index
                     regs = hart.regs
                     slot_base = core_slots + len(hart.callstack) * CKPT_FRAME_STRIDE
+                    if codes is not None and index == 0:
+                        hart.label, n = self._run_compiled(
+                            codes, hart.func, hart.label, regs, slot_base,
+                            budget - executed,
+                        )
+                        executed += n
+                    instrs = blocks[hart.label].instrs
                 elif cls is AtomicRMW:
                     base = instr.addr
                     addr = (
@@ -476,6 +691,40 @@ class Machine:
         hart.retired += executed
         self.total_retired += executed
         return executed
+
+    def _run_compiled(
+        self,
+        codes: Dict["BasicBlock", BlockCode],
+        func: Function,
+        label: str,
+        regs: List[int],
+        slot_base: int,
+        budget: int,
+    ) -> Tuple[str, int]:
+        """Run compiled blocks of ``func`` from the start of ``label``.
+
+        Stops at the first block that is interpreted or longer than what
+        is left of ``budget``, and returns its label, where the caller
+        goes on at index 0, with the number of instructions retired.
+        ``codes`` holds each block's code once this run has checked it
+        against the block's instructions; nothing can edit them while
+        an unobserved run is in progress.
+        """
+        memory = self.memory
+        blocks = func.blocks
+        executed = 0
+        while True:
+            block = blocks[label]
+            code = codes.get(block)
+            if code is None:
+                code = codes[block] = _block_code(func, block)
+            length, run = code
+            if budget - executed < length:
+                break
+            label = run(regs, memory, slot_base)
+            executed += length
+        self.compiled_retired += executed
+        return label, executed
 
     def _do_call(self, hart: Hart, instr: Call, obs: Observer) -> None:
         callee = self.module.functions.get(instr.callee)

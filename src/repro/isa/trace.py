@@ -40,10 +40,11 @@ injector) may rely on the following, pinned by
    including ``on_retire`` and ``on_halt``, counts as one event
    (:class:`TickCountingObserver`).  Ticks are defined for observed
    runs only.  A run without an observer (``Machine.run()`` with none)
-   delivers nothing: it skips ``on_retire`` and the boundary
-   continuations, and what it still dispatches goes to a no-op.  Any
-   observer that is passed, a plain :class:`Observer` included, gets
-   every callback.
+   delivers nothing, and may dispatch nothing at all: it skips
+   ``on_retire`` and the boundary continuations, runs compiled blocks
+   with no callback in them, and sends what it still dispatches to a
+   no-op.  Any observer that is passed, a plain :class:`Observer`
+   included, gets every callback.
 """
 
 from __future__ import annotations

@@ -9,9 +9,11 @@ the same observer events in the same order, leave the same memory,
 I/O log and per-hart retired counts, fail at the same step, and leave an
 interrupted hart in the same place.
 
-A run without an observer skips the callbacks only an observer consumes,
-so :class:`TestUnobservedRuns` holds it to the same architectural
-outcome as a counted run on either machine.
+A run without an observer skips the callbacks only an observer consumes
+and runs whole blocks as generated straight-line code, so
+:class:`TestUnobservedRuns` holds it to the same architectural outcome
+as a counted run on either machine, and :class:`TestCompiledBlocks`
+does the same for random blocks and for blocks edited between runs.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.ir import IRBuilder, verify_module
 from repro.ir.function import Function
 from repro.ir.instructions import (
     BINARY_OPS,
+    UNARY_OPS,
     AtomicRMW,
     BinOp,
     Branch,
@@ -494,7 +497,9 @@ def _architectural(machine: Machine):
 def _three_runs(module, spawns, quantum, max_steps=50_000_000):
     """Counted reference, counted production and unobserved production runs.
 
-    Returns each run's architectural outcome and the error it raised.
+    Returns each run's architectural outcome and the error it raised, and
+    the number of instructions compiled blocks retired in the unobserved
+    run.
     """
     outcomes = []
     for cls, obs in (
@@ -510,8 +515,9 @@ def _three_runs(module, spawns, quantum, max_steps=50_000_000):
             error = str(exc)
         if obs is not None:
             assert obs.retired == machine.total_retired
+            assert machine.compiled_retired == 0
         outcomes.append((_architectural(machine), error))
-    return outcomes
+    return outcomes, machine.compiled_retired
 
 
 class TestUnobservedRuns:
@@ -519,22 +525,28 @@ class TestUnobservedRuns:
     @pytest.mark.parametrize("program", _PROGRAMS)
     def test_same_result_as_counted_run(self, program, quantum, request):
         module, spawns = request.getfixturevalue(program)
-        outcomes = _three_runs(module, spawns, quantum)
+        outcomes, compiled = _three_runs(module, spawns, quantum)
         assert outcomes[0] == outcomes[1] == outcomes[2]
         assert outcomes[2][1] is None
+        # Compiled blocks ran, and ran most of the code except where
+        # ocean's four harts take short quanta that few whole blocks fit.
+        assert compiled > 0
+        if program != "ocean" or quantum == 32:
+            assert compiled > outcomes[2][0][2] // 2
 
     def test_logger_emits_io(self, logger):
-        io_log = _three_runs(*logger, 32)[2][0][1]
+        io_log = _three_runs(*logger, 32)[0][2][0][1]
         assert [v for (_, _, v) in io_log] == [7 * i + 3 for i in range(20)]
 
     @pytest.mark.parametrize("program", _PROGRAMS)
     def test_max_steps_trip_point(self, program, request):
         module, spawns = request.getfixturevalue(program)
         total = _build(Machine, module, spawns, 32).run()
-        tripped = _three_runs(module, spawns, 32, max_steps=total)
+        tripped, compiled = _three_runs(module, spawns, 32, max_steps=total)
         assert tripped[0] == tripped[1] == tripped[2]
         assert tripped[2][1] == f"machine exceeded max_steps={total}"
-        finished = _three_runs(module, spawns, 32, max_steps=total + 1)
+        assert compiled > 0
+        finished, _ = _three_runs(module, spawns, 32, max_steps=total + 1)
         assert finished[0] == finished[1] == finished[2]
         assert finished[2][0][2] == total and finished[2][1] is None
 
@@ -545,7 +557,7 @@ class TestUnobservedRuns:
         total = _build(Machine, module, spawns, quantum).run()
         mid_block = 0
         for max_steps in sorted({1, 2, 3} | set(range(5, total, total // 13))):
-            outcomes = _three_runs(module, spawns, quantum, max_steps)
+            outcomes, _ = _three_runs(module, spawns, quantum, max_steps)
             assert outcomes[0] == outcomes[1] == outcomes[2], max_steps
             assert outcomes[2][1] is not None
             harts = outcomes[2][0][-1]
@@ -627,11 +639,24 @@ _OPERANDS = st.one_of(
 
 
 def _alu_module(op: str) -> Module:
-    """``f(a, b)`` returns ``a <op> b``."""
+    """``f(a, b)`` returns ``a <op> b``, computed in a block that compiles."""
     b = IRBuilder(f"alu_{op}")
     with b.function("f", params=["a", "b"]) as f:
-        f.ret(f.binop(op, f.param(0), f.param(1)))
+        value = f.binop(op, f.param(0), f.param(1))
+        out = f.label("out")
+        f.jump(out)
+        f.start_block(out)
+        f.ret(value)
     return b.module
+
+
+def _alu(op: str, a: int, b: int):
+    """``a <op> b`` from an unobserved and from an observed run."""
+    module = _ALU_MODULES[op]
+    return (
+        Machine(module).run_function("f", (a, b)),
+        Machine(module).run_function("f", (a, b), observer=Observer()),
+    )
 
 
 _ALU_MODULES = {op: _alu_module(op) for op in BINARY_OPS}
@@ -640,14 +665,149 @@ _ALU_MODULES = {op: _alu_module(op) for op in BINARY_OPS}
 @settings(max_examples=300, deadline=None)
 @given(op=st.sampled_from(sorted(BINARY_OPS)), a=_OPERANDS, b=_OPERANDS)
 def test_alu_matches_eval_binop(op, a, b):
-    got = Machine(_ALU_MODULES[op]).run_function("f", (a, b))
-    assert got == eval_binop(op, a, b)
-    assert WORD_MIN <= got <= WORD_MAX
+    expected = eval_binop(op, a, b)
+    assert _alu(op, a, b) == (expected, expected)
+    assert WORD_MIN <= expected <= WORD_MAX
 
 
 @pytest.mark.parametrize("op", sorted(BINARY_OPS))
 def test_alu_edges_exhaustive(op):
-    module = _ALU_MODULES[op]
     for a in _EDGES:
         for b in _EDGES:
-            assert Machine(module).run_function("f", (a, b)) == eval_binop(op, a, b)
+            expected = eval_binop(op, a, b)
+            assert _alu(op, a, b) == (expected, expected), (a, b)
+
+
+# -- compiled blocks ----------------------------------------------------------
+
+_NREGS = 6
+_OUT = 0x1_0000
+_BLOCK_IMMS = [WORD_MIN, WORD_MAX, 0, -1, 1, 63, 64, 65]
+_B_REG = st.integers(0, _NREGS - 1).map(Reg)
+_B_OPERAND = st.one_of(_B_REG, st.sampled_from(_BLOCK_IMMS).map(Imm))
+# Few addresses, so loads see earlier stores; register bases add edges.
+_B_ADDR = st.one_of(_B_REG, st.sampled_from([_OUT, _OUT + 8]).map(Imm))
+_B_OFFSET = st.sampled_from([0, 8, -8])
+_B_INSTR = st.one_of(
+    st.builds(
+        BinOp, st.sampled_from(sorted(BINARY_OPS)), _B_REG, _B_OPERAND, _B_OPERAND
+    ),
+    st.builds(UnOp, st.sampled_from(sorted(UNARY_OPS)), _B_REG, _B_OPERAND),
+    st.builds(Move, _B_REG, _B_OPERAND),
+    st.builds(Load, _B_REG, _B_ADDR, _B_OFFSET),
+    st.builds(Store, _B_OPERAND, _B_ADDR, _B_OFFSET),
+    st.builds(CheckpointStore, _B_REG),
+    st.builds(RegionBoundary, st.integers(0, 3)),
+    st.builds(Nop),
+)
+_B_BODY = st.lists(_B_INSTR, min_size=0, max_size=12)
+_B_TERMINATOR = st.one_of(
+    st.builds(Branch, _B_OPERAND, st.just("t"), st.just("f")),
+    st.builds(Jump, st.sampled_from(["t", "f"])),
+)
+_B_ARGS = st.lists(
+    st.one_of(
+        st.sampled_from(_BLOCK_IMMS),
+        st.integers(min_value=WORD_MIN, max_value=WORD_MAX),
+    ),
+    min_size=_NREGS,
+    max_size=_NREGS,
+)
+
+
+def _random_block_module(entry, on_true, on_false, terminator) -> Module:
+    """``f`` runs ``entry`` + ``terminator``, then ``on_true`` or
+    ``on_false``; each of those dumps every register to its own area and
+    jumps to a ``Ret`` block.  ``main`` calls ``f`` at depth 1."""
+    f = Function("f", num_params=_NREGS, num_regs=_NREGS)
+    f.new_block("entry").instrs = [*entry, terminator]
+    for label, body, area in (("t", on_true, 0x100), ("f", on_false, 0x200)):
+        dump = [Store(Reg(i), Imm(_OUT + area), 8 * i) for i in range(_NREGS)]
+        f.new_block(label).instrs = [*body, *dump, Jump("done")]
+    f.new_block("done").instrs = [Ret(Reg(0))]
+    main = Function("main", num_params=_NREGS, num_regs=_NREGS)
+    main.new_block("entry").instrs = [
+        Call("f", tuple(Reg(i) for i in range(_NREGS)), Reg(0)),
+        Halt(),
+    ]
+    module = Module("blocks")
+    module.add_function(f)
+    module.add_function(main)
+    return module
+
+
+def _edit_module() -> Module:
+    """``f(x)`` stores ``x + 1`` and returns it, from one compiled block."""
+    func = Function("f", num_params=1, num_regs=2)
+    func.new_block("body").instrs = [
+        BinOp("add", Reg(1), Reg(0), Imm(1)),
+        Store(Reg(1), Imm(_OUT)),
+        Jump("done"),
+    ]
+    func.new_block("done").instrs = [Ret(Reg(1))]
+    module = Module("edit")
+    module.add_function(func)
+    return module
+
+
+def _slice_assign(block):
+    block.instrs[:] = [Move(Reg(1), Imm(42)), Store(Reg(1), Imm(_OUT)), Jump("done")]
+
+
+def _insert(block):
+    block.instrs.insert(1, BinOp("mul", Reg(1), Reg(1), Imm(3)))
+
+
+def _replace(block):
+    block.instrs = [
+        BinOp("sub", Reg(1), Reg(0), Imm(5)),
+        Store(Reg(1), Imm(_OUT), 8),
+        Jump("done"),
+    ]
+
+
+class TestCompiledBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entry=_B_BODY,
+        on_true=_B_BODY,
+        on_false=_B_BODY,
+        terminator=_B_TERMINATOR,
+        args=_B_ARGS,
+        func=st.sampled_from(["f", "main"]),
+        harts=st.sampled_from([1, 2]),
+        quantum=st.sampled_from([1, 3, 7, 32]),
+    )
+    def test_random_blocks_match_reference(
+        self, entry, on_true, on_false, terminator, args, func, harts, quantum
+    ):
+        module = _random_block_module(entry, on_true, on_false, terminator)
+        spawns = [(func, tuple(args))] * harts
+        outcomes = []
+        for cls in (ReferenceMachine, Machine):
+            machine = _build(cls, module, spawns, quantum)
+            machine.run()
+            outcomes.append(_architectural(machine))
+        assert outcomes[0] == outcomes[1]
+        if harts == 1:
+            # The entry block and the branch it takes ran compiled.
+            assert machine.compiled_retired > len(entry)
+
+    @pytest.mark.parametrize("edit", [_slice_assign, _insert, _replace])
+    def test_edited_block_runs_its_new_code(self, edit):
+        module = _edit_module()
+        block = module.functions["f"].blocks["body"]
+        machine = Machine(module)
+        assert machine.run_function("f", (10,)) == 11
+        assert machine.compiled_retired == 3
+        edit(block)
+
+        reference = ReferenceMachine(module)
+        expected = reference.run_function("f", (10,))
+        assert expected != 11
+        fresh = Machine(module)
+        assert fresh.run_function("f", (10,)) == expected
+        assert fresh.memory == reference.memory
+        assert fresh.compiled_retired == len(block.instrs)
+        # A second run of the first machine follows the edit too.
+        assert machine.run_function("f", (10,)) == expected
