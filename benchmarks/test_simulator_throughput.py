@@ -8,8 +8,7 @@ separately: their ratio is the cost of the architecture model.
 
 import pytest
 
-from repro.arch.params import SimParams
-from repro.arch.system import CapriSystem
+from repro.arch.system import build_system
 from repro.compiler import CapriCompiler, OptConfig
 from repro.isa import Machine
 from repro.workloads import get_workload
@@ -41,11 +40,7 @@ def test_full_system_throughput(benchmark, compiled_workload):
     _, capri, spawns = compiled_workload
 
     def run():
-        machine = Machine(capri)
-        for fn, args in spawns:
-            machine.spawn(fn, args)
-        system = CapriSystem(SimParams.scaled(), len(spawns), 256)
-        system.attach(machine)
+        machine, system = build_system(capri, spawns, threshold=256)
         retired = machine.run(system)
         system.finish()
         return retired

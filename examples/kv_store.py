@@ -22,7 +22,7 @@ Run:  python examples/kv_store.py
 from repro.arch import SimParams
 from repro.arch.crash import CrashInjector, CrashPlan, PowerFailure
 from repro.arch.recovery import prepare_resumed_run, recover
-from repro.arch.system import CapriSystem
+from repro.arch.system import build_system
 from repro.compiler import CapriCompiler, OptConfig
 from repro.ir.module import is_ckpt_addr
 from repro.isa import Machine
@@ -52,10 +52,7 @@ def main() -> None:
           f"{ref.memory.get(layout.stats + 8, 0)} deletes")
 
     # Crash-ridden run.
-    machine = Machine(capri)
-    machine.spawn("main", [NUM_OPS])
-    system = CapriSystem(params, 1, 256)
-    system.attach(machine)
+    machine, system = build_system(capri, spawns, params=params, threshold=256)
     crashes = 0
     while True:
         injector = CrashInjector(system, CrashPlan(at_event=701))

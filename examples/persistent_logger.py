@@ -18,7 +18,7 @@ Run:  python examples/persistent_logger.py
 from repro.arch import SimParams
 from repro.arch.crash import CrashInjector, CrashPlan, PowerFailure
 from repro.arch.recovery import prepare_resumed_run, recover
-from repro.arch.system import CapriSystem
+from repro.arch.system import build_system
 from repro.compiler import CapriCompiler, OptConfig
 from repro.ir import IRBuilder, verify_module
 from repro.ir.module import is_ckpt_addr
@@ -61,10 +61,7 @@ def main() -> None:
     # Crash-ridden run: power fails every ~120 events until completion.
     crash_every = 120
     output = []
-    machine = Machine(capri)
-    machine.spawn("main", [])
-    system = CapriSystem(params, 1, 64)
-    system.attach(machine)
+    machine, system = build_system(capri, spawns, params=params, threshold=64)
     crashes = 0
     while True:
         injector = CrashInjector(system, CrashPlan(crash_every))

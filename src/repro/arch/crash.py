@@ -20,7 +20,7 @@ Volatile state — register files, L1/L2, the DRAM cache, and the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.nvm import WpqRecord
 from repro.arch.proxy import ProxyEntry
@@ -176,9 +176,9 @@ class CrashInjector(Observer):
         self._tick()
         self.target.on_retire(core, kind)
 
-    def on_load(self, core, addr):
+    def on_load(self, core, addr, value):
         self._tick()
-        self.target.on_load(core, addr)
+        self.target.on_load(core, addr, value)
 
     def on_store(self, core, addr, value, old):
         self._tick()

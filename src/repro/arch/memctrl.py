@@ -149,8 +149,8 @@ class MemoryHierarchy:
     def load(self, core: int, addr: int, architectural: int) -> Tuple[float, str]:
         """Perform a load; returns (latency cycles, level hit).
 
-        ``architectural`` is the machine's value, used only for stale-read
-        accounting by the caller when the load fills from NVM.
+        ``architectural`` is the word the load event carries, used only for
+        stale-read accounting by the caller when the load fills from NVM.
         """
         p = self.params
         l1 = self.l1[core]

@@ -622,7 +622,6 @@ def prepare_resumed_run(
         num_cores=max(1, len(spawns)),
         threshold=threshold,
     )
-    system.machine = machine
     system.nvm.image.update(recovered.nvm_image)
     # Checkpoint-array integrity words survive with the array.
     system.nvm.ckpt_shadow.update(recovered.ckpt_shadow)

@@ -7,6 +7,12 @@ persistence (two-phase atomic stores through the proxy buffers).  With
 cores and caches, no persistence engine — the paper's normalisation target
 ("all results are normalized to the unmodified programs").
 
+The event stream is the system's only input: it holds no reference to
+the machine, and a load event carries the word it read, which the
+stale-read check (Section 5.3) compares with what an NVM fill returns.
+The same system therefore runs behind the interpreter or a captured
+trace (:mod:`repro.trace.replay`).
+
 Use :func:`run_workload` for the common compile-spawn-run-measure flow.
 """
 
@@ -18,7 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.arch.core import ATOMIC_EXTRA_CYCLES, FENCE_CYCLES, CoreTimer
 from repro.arch.memctrl import MemoryHierarchy
 from repro.arch.nvm import NVMain
-from repro.arch.params import PersistMode, SimParams
+from repro.arch.params import SimParams
 from repro.arch.persistence import PersistenceEngine
 from repro.ir.module import Module
 from repro.isa.machine import Machine
@@ -87,11 +93,6 @@ class CapriSystem(Observer):
             on_wb = lambda line, words: self.nvm.writeback_words(self._now, words)
         self.mem = MemoryHierarchy(params, num_cores, self.nvm, on_wb)
         self.cores = [CoreTimer(params) for _ in range(num_cores)]
-        self.machine: Optional[Machine] = None
-        #: architectural value of the next load, supplied by a trace
-        #: replayer (:mod:`repro.trace.replay`) when no machine is
-        #: attached — the only machine state the simulation consumes.
-        self._replay_arch_value = 0
         self._now = 0.0
         # counters
         self._loads = 0
@@ -102,13 +103,7 @@ class CapriSystem(Observer):
         self._l2_hits = 0
         self._dram_hits = 0
 
-    # -- setup ----------------------------------------------------------------
-
-    def attach(self, machine: Machine) -> None:
-        """Bind the functional machine (architectural values for stale-read
-        accounting) and seed the durable image with its initial data."""
-        self.machine = machine
-        self.nvm.image.update(machine.module.initial_data)
+    # -- helpers ----------------------------------------------------------------
 
     def _core(self, core: int) -> CoreTimer:
         while core >= len(self.cores):
@@ -124,16 +119,11 @@ class CapriSystem(Observer):
     def on_retire(self, core: int, kind: str) -> None:
         self._core(core).retire()
 
-    def on_load(self, core: int, addr: int) -> None:
+    def on_load(self, core: int, addr: int, value: int) -> None:
         self._loads += 1
         timer = self._core(core)
         self._now = timer.cycle
-        arch_value = (
-            self.machine.memory.get(addr, 0)
-            if self.machine is not None
-            else self._replay_arch_value
-        )
-        latency, level = self.mem.load(core, addr, arch_value)
+        latency, level = self.mem.load(core, addr, value)
         if level == "l1":
             self._l1_hits += 1
         elif level == "l2":
@@ -141,7 +131,7 @@ class CapriSystem(Observer):
         elif level == "dram":
             self._dram_hits += 1
         elif level == "nvm" and self.persist is not None:
-            self.persist.check_nvm_read(timer.cycle, addr, arch_value)
+            self.persist.check_nvm_read(timer.cycle, addr, value)
         timer.add_latency(latency)
 
     def on_store(self, core: int, addr: int, value: int, old: int) -> None:
@@ -252,7 +242,8 @@ def build_system(
     quantum: int = 32,
     mutations=None,
 ) -> Tuple[Machine, "CapriSystem"]:
-    """Construct the (machine, system) pair for a workload, unstarted.
+    """Construct the (machine, system) pair for a workload, unstarted,
+    with the durable image seeded from the module's initial data.
 
     The single construction path shared by normal runs
     (:func:`run_workload`) and crash runs
@@ -276,7 +267,7 @@ def build_system(
         persistence=persistence,
         mutations=mutations,
     )
-    system.attach(machine)
+    system.nvm.image.update(module.initial_data)
     return machine, system
 
 

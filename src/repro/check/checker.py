@@ -123,7 +123,7 @@ class PersistencyChecker(Observer):
         # dense to be useful witness events.
         self._tick()
 
-    def on_load(self, core, addr):
+    def on_load(self, core, addr, value):
         self._tick()
 
     def on_store(self, core, addr, value, old):

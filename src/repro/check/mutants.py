@@ -242,7 +242,7 @@ def _recovery_probe(
     ``None`` if the program finished before the crash point or recovery
     itself refused the state.
     """
-    state, _machine, checker = source.capture_at(at_event)
+    state, _io, checker = source.capture_at(at_event)
     if state is None:
         return None
     try:

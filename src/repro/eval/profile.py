@@ -60,7 +60,7 @@ class CharacterizationObserver(Observer):
         if kind == "Call":
             self.calls += 1
 
-    def on_load(self, core, addr):
+    def on_load(self, core, addr, value):
         self.loads += 1
         self.words.add(addr)
 

@@ -138,7 +138,7 @@ def analyze_recovery(
     sweep = RecoverySweep(workload=workload_name, threshold=threshold)
     points = list(crash_points) if crash_points else list(range(50, 6000, 450))
     for at in points:
-        state, _machine, _checker = cursor.capture_at(at)
+        state, _io, _checker = cursor.capture_at(at)
         if state is None:
             break
         recovered = recover(state, capri)

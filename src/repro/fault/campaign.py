@@ -459,14 +459,14 @@ def run_crash_point(
     longer chains that extend it.
 
     ``source`` serves the crash capture: anything with a
-    ``capture_at(event_index) -> (state, machine, checker)`` method —
+    ``capture_at(event_index) -> (state, pre_crash_io, checker)`` method —
     :class:`repro.trace.replay.TraceCampaignSource` in campaigns, the
     reference :class:`repro.fault.oracle.InterpretedSource` in tests.
     Everything downstream (fault injection, recovery, resume, judging,
     secondary crashes on :class:`CrashState` clones) is state-based and
     identical either way.
     """
-    state, crashed_machine, checker = source.capture_at(event_index)
+    state, pre_crash_io, checker = source.capture_at(event_index)
     if checker is not None and not checker.report.ok:
         return [
             CrashOutcome(
@@ -477,7 +477,6 @@ def run_crash_point(
         ], 0
     if state is None:
         return [CrashOutcome(event_index, "finished")], 0
-    pre_crash_io = list(crashed_machine.io_log)
 
     mutated, notes = apply_faults(
         state, models, _point_rng(config.seed, event_index)

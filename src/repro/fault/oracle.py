@@ -39,12 +39,6 @@ from repro.isa.trace import TickCountingObserver
 
 IoEvent = Tuple[int, int, int]  # (core, port, value)
 
-#: Counts observer events exactly as the crash injector does — one tick
-#: per delegated callback — so a golden run yields the campaign's
-#: crash-point universe.  The implementation lives with the other shared
-#: observers in :mod:`repro.isa.trace`; this name is kept for callers.
-EventCounter = TickCountingObserver
-
 
 def data_image(machine: Machine) -> Dict[int, int]:
     """Final data-segment memory, log area (checkpoint storage) masked."""
@@ -83,7 +77,7 @@ def golden_run(
     machine = Machine(module, quantum=quantum)
     for func_name, args in spawns:
         machine.spawn(func_name, args)
-    counter = EventCounter()
+    counter = TickCountingObserver()
     machine.run(counter, max_steps=max_steps)
     return GoldenResult(
         data=data_image(machine),
@@ -97,9 +91,9 @@ class InterpretedSource:
 
     Honours the campaign source contract of
     :class:`repro.trace.replay.TraceCampaignSource`: ``capture_at(k)``
-    returns ``(state, machine, checker)`` — the captured persistent domain
-    (``None`` when the program finishes first), the interrupted machine
-    (its ``io_log`` is the pre-crash I/O), and, with ``config.check``, the
+    returns ``(state, pre_crash_io, checker)`` — the captured persistent
+    domain (``None`` when the program finishes first), the I/O events the
+    interrupted machine issued, and, with ``config.check``, the
     attached :class:`~repro.check.checker.PersistencyChecker` already fed
     the crash-state comparison (or finalised when the program finished).
 
@@ -152,7 +146,7 @@ class InterpretedSource:
                 # The capture precedes fault injection, so the crash-state
                 # check is valid for every model combination.
                 checker.check_crash_state(state)
-        return state, machine, checker
+        return state, list(machine.io_log), checker
 
 
 def _is_subsequence(needle: Sequence, haystack: Sequence) -> bool:

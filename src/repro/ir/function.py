@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, TYPE_CHECKING
+from typing import Dict, Iterator, List, Optional
 
 from repro.ir.basicblock import BasicBlock
 from repro.ir.instructions import Instr
-
-if TYPE_CHECKING:
-    from repro.ir.instructions import RegionBoundary
 
 
 class RecoveryBlock:
@@ -107,12 +104,6 @@ class Function:
     @property
     def num_instrs(self) -> int:
         return sum(len(b) for b in self.blocks.values())
-
-    def region_boundaries(self) -> List["RegionBoundary"]:
-        """All region-boundary instructions in layout order."""
-        from repro.ir.instructions import RegionBoundary
-
-        return [i for i in self.instructions() if isinstance(i, RegionBoundary)]
 
     def __repr__(self) -> str:
         return (

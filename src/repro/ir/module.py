@@ -131,10 +131,5 @@ class Module:
                 self.initial_data[base + i * WORD_BYTES] = value
         return base
 
-    @property
-    def data_end(self) -> int:
-        """First address past the allocated data segment."""
-        return self._next_addr
-
     def __repr__(self) -> str:
         return f"<Module {self.name} ({len(self.functions)} functions)>"

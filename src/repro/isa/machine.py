@@ -430,9 +430,6 @@ class Machine:
     def read_word(self, addr: int) -> int:
         return self.memory.get(addr, 0)
 
-    def write_word(self, addr: int, value: int) -> None:
-        self.memory[addr] = wrap_word(value)
-
     # -- execution ----------------------------------------------------------------
 
     def run(
@@ -591,8 +588,8 @@ class Machine:
                     addr = (
                         regs[base.index] if type(base) is Reg else base.value
                     ) + instr.offset
-                    regs[instr.dst.index] = memory.get(addr, 0)
-                    obs.on_load(core, addr)
+                    value = regs[instr.dst.index] = memory.get(addr, 0)
+                    obs.on_load(core, addr, value)
                     index += 1
                 elif cls is CheckpointStore:
                     reg = instr.src.index

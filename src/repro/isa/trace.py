@@ -5,8 +5,9 @@ machine invokes observer callbacks as it retires instructions.  The
 callback set mirrors what the Capri architecture reacts to:
 
 * every retired instruction (pipeline occupancy costs),
-* loads and stores with addresses and (for stores) old/new values — the
-  persistence engine builds undo+redo proxy entries from these,
+* loads with the address and the word read (the stale-read check's
+  reference value), and stores with the address and old/new values —
+  the persistence engine builds undo+redo proxy entries from these,
 * checkpoint stores (routed to the front-end register-file storage,
   Section 5.2.1),
 * region boundaries carrying the recovery continuation,
@@ -20,8 +21,11 @@ injector) may rely on the following, pinned by
 
 1. **Synchronous delivery.** The machine applies an instruction's
    architectural effect and then invokes the observer callback before
-   executing the next instruction of that hart.  A store's ``old`` value
-   is the architectural value the store overwrote.
+   executing the next instruction of that hart.  A load's ``value`` is
+   the word the load read, and a store's ``old`` value is the
+   architectural value the store overwrote.  The arguments are the whole
+   of what the machine tells an observer: no observer holds a reference
+   to the machine, so a recorded stream can stand in for it.
 2. **Per-core program order.** For a fixed core, ``on_store`` /
    ``on_ckpt`` / ``on_boundary`` / ``on_atomic`` arrive exactly in that
    hart's dynamic instruction order.  Events of *different* cores
@@ -74,8 +78,8 @@ class Observer:
     def on_retire(self, core: int, kind: str) -> None:  # noqa: D401
         """Called once per retired instruction, before specific callbacks."""
 
-    def on_load(self, core: int, addr: int) -> None:
-        """A word load from ``addr`` retired."""
+    def on_load(self, core: int, addr: int, value: int) -> None:
+        """A word load from ``addr`` retired, reading ``value``."""
 
     def on_store(self, core: int, addr: int, value: int, old: int) -> None:
         """A word store retired: ``addr`` changed ``old`` -> ``value``."""
@@ -108,8 +112,8 @@ class CollectingObserver(Observer):
     def on_retire(self, core, kind):
         self.events.append((EV_RETIRE, core, kind))
 
-    def on_load(self, core, addr):
-        self.events.append((EV_LOAD, core, addr))
+    def on_load(self, core, addr, value):
+        self.events.append((EV_LOAD, core, addr, value))
 
     def on_store(self, core, addr, value, old):
         self.events.append((EV_STORE, core, addr, value, old))
@@ -152,7 +156,7 @@ class CountingObserver(Observer):
     def on_retire(self, core, kind):
         self.retired += 1
 
-    def on_load(self, core, addr):
+    def on_load(self, core, addr, value):
         self.loads += 1
 
     def on_store(self, core, addr, value, old):
@@ -180,7 +184,7 @@ class TickCountingObserver(Observer):
     This is the crash-point universe: :class:`repro.arch.crash.CrashInjector`
     ticks once per delegated callback, so a crash-free run under this
     observer yields exactly the set of valid ``CrashPlan.at_event``
-    indices.  (Re-exported as ``repro.fault.oracle.EventCounter``.)
+    indices.
     """
 
     def __init__(self) -> None:
@@ -189,7 +193,7 @@ class TickCountingObserver(Observer):
     def on_retire(self, core, kind):
         self.events += 1
 
-    def on_load(self, core, addr):
+    def on_load(self, core, addr, value):
         self.events += 1
 
     def on_store(self, core, addr, value, old):
@@ -233,9 +237,9 @@ class TeeObserver(Observer):
         for o in self.observers:
             o.on_retire(core, kind)
 
-    def on_load(self, core, addr):
+    def on_load(self, core, addr, value):
         for o in self.observers:
-            o.on_load(core, addr)
+            o.on_load(core, addr, value)
 
     def on_store(self, core, addr, value, old):
         for o in self.observers:

@@ -166,7 +166,6 @@ def verdict_fingerprint(
     threshold: int,
     params,
     mutations,
-    check: bool = True,
 ) -> str:
     """Content address of one (program, config, mutations) verdict."""
     from dataclasses import asdict as params_asdict
@@ -180,7 +179,6 @@ def verdict_fingerprint(
         "quantum": program.quantum,
         "params": params_asdict(params),
         "mutations": sorted(mutations.active) if mutations else [],
-        "check": check,
     }
     blob = json.dumps(spec, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -336,16 +334,15 @@ def run_litmus_program(
     params=None,
     cache="default",
     stop_on_forbidden: bool = False,
-    check: bool = True,
     max_steps: int = 2_000_000,
 ) -> LitmusVerdict:
     """Crash ``program`` at every observer event and judge every outcome.
 
-    With ``check`` (the default) the reference automaton rides along the
-    replay and its violations judge a fourth, *order* component — drain
-    reorderings of committed values are value-invisible to single-crash
-    recovery (every permutation of committed redo lands on the same
-    word), so only the automaton can flag them (``reorder_phase2``).
+    The reference automaton rides along the replay and its violations
+    judge a fourth, *order* component — drain reorderings of committed
+    values are value-invisible to single-crash recovery (every
+    permutation of committed redo lands on the same word), so only the
+    automaton can flag them (``reorder_phase2``).
     """
     from repro.deps import UsageProbe, deps_token, touch
     from repro.sweep.cache import resolve_cache
@@ -353,9 +350,7 @@ def run_litmus_program(
     touch("litmus")
     if params is None:
         params = litmus_params()
-    fingerprint = verdict_fingerprint(
-        program, threshold, params, mutations, check=check
-    )
+    fingerprint = verdict_fingerprint(program, threshold, params, mutations)
     store = resolve_cache(cache)
     if store is not None:
         payload = store.get(fingerprint, kind="litmus")
@@ -384,7 +379,7 @@ def run_litmus_program(
             threshold=threshold,
             quantum=program.quantum,
             params=params,
-            check=check,
+            check=True,
             max_steps=max_steps,
         )
         # Mutations plant in the replayed *system* (pipeline bugs) and in
@@ -395,7 +390,7 @@ def run_litmus_program(
         checks = 0
         witness: Optional[LitmusWitness] = None
         for k in range(len(trace)):
-            state, _machine, facade = source.capture_at(k)
+            state, _io, facade = source.capture_at(k)
             if state is None:
                 break
             failures, point_checks = _judge_point(
@@ -403,7 +398,7 @@ def run_litmus_program(
                 golden_data, mutations, max_steps,
             )
             checks += point_checks
-            if facade is not None and facade.report.violations:
+            if facade.report.violations:
                 failures.append(
                     {
                         "component": "order",
@@ -436,12 +431,9 @@ def run_litmus_program(
                             program, k, snapshots[k], direct_state, mw_addrs,
                             finals, golden_data, mutations, max_steps,
                         )
-                        direct_order = (
-                            direct_checker.report.violations
-                            if direct_checker is not None
-                            else []
+                        witness.confirmed = bool(
+                            direct_failures or direct_checker.report.violations
                         )
-                        witness.confirmed = bool(direct_failures or direct_order)
                 if stop_on_forbidden:
                     break
 

@@ -35,7 +35,6 @@ from repro.trace.replay import (
     build_replay_system,
     golden_from_trace,
     replay_metrics,
-    replay_until_crash,
 )
 
 __all__ = [
@@ -59,5 +58,4 @@ __all__ = [
     "build_replay_system",
     "golden_from_trace",
     "replay_metrics",
-    "replay_until_crash",
 ]

@@ -17,7 +17,7 @@ Column semantics per kind (unused columns hold 0):
 kind        ``a``           ``b``           ``c``
 ==========  ==============  ==============  ==============
 retire      name-table idx
-load        addr            arch value
+load        addr            value
 store       addr            value           old
 ckpt        reg             value           addr
 boundary    region id       cont-table idx
@@ -27,10 +27,12 @@ halt
 io          port            value
 ==========  ==============  ==============  ==============
 
-Loads record the *architectural value* at event time — the one piece of
-machine state :class:`~repro.arch.system.CapriSystem` consumes (for
-stale-read accounting) — so replay needs no machine at all.  Boundary
-continuations are rare structured objects and live in a side table.
+A load event carries the word it read, and the ``b`` column records it,
+so the recorded stream holds everything
+:class:`~repro.arch.system.CapriSystem` consumes (the stale-read check
+compares that word with an NVM fill) and replay needs no machine at all.
+Boundary continuations are rare structured objects and live in a side
+table.
 
 The trace also carries everything a fault campaign derives from the
 golden run: the initial durable image, the final data image (checkpoint
@@ -146,7 +148,7 @@ class ExecTrace:
         if k == K_RETIRE:
             return (EV_RETIRE, core, self.retire_names[a])
         if k == K_LOAD:
-            return (EV_LOAD, core, a)
+            return (EV_LOAD, core, a, b)
         if k == K_STORE:
             return (EV_STORE, core, a, b, c)
         if k == K_CKPT:
@@ -163,12 +165,6 @@ class ExecTrace:
             return (EV_IO, core, a, b)
         raise ValueError(f"unknown kind tag {k} at event {i}")
 
-    def load_value(self, i: int) -> int:
-        """Architectural value recorded for load event ``i``."""
-        if self.kinds[i] != K_LOAD:
-            raise ValueError(f"event {i} is not a load")
-        return self.b[i]
-
     def io_positions(self) -> List[int]:
         """Event indices of the I/O events, in order (aligned with
         :attr:`io_log`)."""
@@ -181,17 +177,14 @@ class ExecTrace:
         observer: Observer,
         start: int = 0,
         stop: Optional[int] = None,
-        system=None,
     ) -> int:
         """Drive ``observer`` with events ``[start, stop)``; returns ``stop``.
 
         ``observer`` may be any :class:`~repro.isa.trace.Observer` chain —
         a :class:`~repro.arch.system.CapriSystem`, a ``TeeObserver``
         fanning out to the persistency checker, a
-        :class:`~repro.arch.crash.CrashInjector`.  When the chain ends in
-        a *machineless* ``CapriSystem``, pass it as ``system`` so each
-        load's recorded architectural value is staged on it before the
-        callback (the replay twin of ``system.attach(machine)``).
+        :class:`~repro.arch.crash.CrashInjector`.  Each callback gets
+        exactly the arguments the machine passed, a load's word included.
 
         This is the subsystem's hot loop: columns and callbacks are bound
         to locals once, then dispatched per event with no object
@@ -217,9 +210,7 @@ class ExecTrace:
             if k == K_RETIRE:
                 on_retire(core, names[col_a[i]])
             elif k == K_LOAD:
-                if system is not None:
-                    system._replay_arch_value = col_b[i]
-                on_load(core, col_a[i])
+                on_load(core, col_a[i], col_b[i])
             elif k == K_STORE:
                 on_store(core, col_a[i], col_b[i], col_c[i])
             elif k == K_CKPT:
@@ -240,21 +231,13 @@ class ExecTrace:
 class TraceRecorder(Observer):
     """Observer that records one machine run into an :class:`ExecTrace`.
 
-    Bind the machine before running (:meth:`bind`): each load's
-    architectural value is read from machine memory at event-delivery
-    time, exactly when :class:`~repro.arch.system.CapriSystem.on_load`
-    would have read it (loads never change memory, so post-apply ==
-    at-delivery).
+    It records each callback's arguments and nothing else, so it needs no
+    machine: a load's word arrives with the event.
     """
 
     def __init__(self, trace: Optional[ExecTrace] = None) -> None:
         self.trace = trace if trace is not None else ExecTrace()
-        self._machine: Optional[Machine] = None
         self._name_index: Dict[str, int] = {}
-
-    def bind(self, machine: Machine) -> "TraceRecorder":
-        self._machine = machine
-        return self
 
     def _push(self, kind: int, core: int, a: int = 0, b: int = 0, c: int = 0) -> None:
         t = self.trace
@@ -271,8 +254,7 @@ class TraceRecorder(Observer):
             self.trace.retire_names.append(kind)
         self._push(K_RETIRE, core, idx)
 
-    def on_load(self, core, addr):
-        value = self._machine.memory.get(addr, 0) if self._machine else 0
+    def on_load(self, core, addr, value):
         self._push(K_LOAD, core, addr, value)
 
     def on_store(self, core, addr, value, old):
@@ -320,7 +302,7 @@ def capture_trace(
     machine = Machine(module, quantum=quantum)
     for func_name, args in spawns:
         machine.spawn(func_name, args)
-    recorder = TraceRecorder().bind(machine)
+    recorder = TraceRecorder()
     machine.run(recorder, max_steps=max_steps)
     trace = recorder.trace
     trace.num_cores = max(1, len(spawns))

@@ -4,15 +4,11 @@ A captured :class:`~repro.trace.record.ExecTrace` fixes the entire
 observer event stream, so the timing/persistence simulation
 (:class:`~repro.arch.system.CapriSystem`), the online persistency checker,
 and the crash injector can all be driven straight from the columns —
-no IR re-interpretation, no functional machine.  Three consumers:
+no IR re-interpretation, no functional machine.  Two consumers:
 
 :class:`TraceReplayer`
     One crash-free replay producing :class:`SystemMetrics` bit-identical
     to the interpreted path (the equivalence the test suite pins).
-
-:func:`replay_until_crash`
-    The replay twin of :func:`repro.arch.crash.run_until_crash` — one
-    crash point, one fresh system.
 
 :class:`TraceCursor` / :class:`TraceCampaignSource`
     The fault-campaign workhorse.  Campaign crash points ascend
@@ -42,13 +38,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import List, Optional, Tuple
 
-from repro.arch.crash import (
-    CrashInjector,
-    CrashPlan,
-    CrashState,
-    PowerFailure,
-    capture_crash_state,
-)
+from repro.arch.crash import capture_crash_state
 from repro.arch.params import SimParams
 from repro.arch.system import CapriSystem, SystemMetrics
 from repro.check.violations import CheckReport, Violation
@@ -64,12 +54,11 @@ def build_replay_system(
     persistence: bool = True,
     mutations=None,
 ) -> CapriSystem:
-    """A machineless :class:`CapriSystem` ready to consume ``trace``.
+    """A :class:`CapriSystem` ready to consume ``trace``.
 
     Mirrors :func:`repro.arch.system.build_system` minus the machine:
     same core count, same durable-image seeding (the trace carries the
-    module's initial data).  Loads read their architectural values from
-    the trace via :meth:`ExecTrace.deliver`'s ``system`` staging.
+    module's initial data).
     """
     from repro.deps import touch
 
@@ -136,7 +125,7 @@ class TraceReplayer:
         self.metrics: Optional[SystemMetrics] = None
 
     def run(self) -> SystemMetrics:
-        self.trace.deliver(self.target, system=self.system)
+        self.trace.deliver(self.target)
         self.metrics = self.system.finish()
         if self.checker is not None:
             self.checker.finalize(self.system)
@@ -164,41 +153,6 @@ def replay_metrics(
     if replayer.checker is not None:
         replayer.checker.report.raise_if_violated()
     return metrics
-
-
-def replay_until_crash(
-    trace: ExecTrace,
-    plan: CrashPlan,
-    params: Optional[SimParams] = None,
-    threshold: int = 256,
-    extra_observer: Optional[Observer] = None,
-) -> Optional[CrashState]:
-    """Replay twin of :func:`repro.arch.crash.run_until_crash`.
-
-    Fresh system, one crash point; ``extra_observer`` (the checker) is
-    teed before the system but behind the injector.  Returns ``None``
-    when the trace ends before the crash point.
-    """
-    system = build_replay_system(trace, params=params, threshold=threshold)
-    target: Observer = system
-    if extra_observer is not None:
-        target = TeeObserver(extra_observer, system)
-    injector = CrashInjector(system, plan, target=target)
-    try:
-        trace.deliver(injector, system=system)
-    except PowerFailure as pf:
-        return pf.state
-    return None
-
-
-class _ReplayedMachine:
-    """The slice of :class:`~repro.isa.machine.Machine` a campaign reads
-    after the run to the crash point: the pre-crash I/O log."""
-
-    __slots__ = ("io_log",)
-
-    def __init__(self, io_log: List[tuple]) -> None:
-        self.io_log = io_log
 
 
 class _PointChecker:
@@ -305,9 +259,7 @@ class TraceCursor:
         if k < self.pos or self._finished:
             self._reset()
         if k > self.pos:
-            self.trace.deliver(
-                self.target, start=self.pos, stop=k, system=self.system
-            )
+            self.trace.deliver(self.target, start=self.pos, stop=k)
             self.pos = k
             self._stream.merge(*self._drain_new())
 
@@ -321,12 +273,12 @@ class TraceCursor:
     # -- the campaign-facing contract ----------------------------------------
 
     def capture_at(self, event_index: int):
-        """Replay twin of :func:`repro.fault.campaign.capture_at`.
+        """Replay twin of :meth:`repro.fault.oracle.InterpretedSource.capture_at`.
 
-        Returns ``(state, machine, checker)`` with the same meaning: the
-        captured persistent domain (``None`` if the trace ends first), an
-        object carrying the pre-crash ``io_log``, and — when checking —
-        a per-point checker façade already fed the crash-state
+        Returns ``(state, pre_crash_io, checker)`` with the same meaning:
+        the captured persistent domain (``None`` if the trace ends
+        first), the I/O events issued up to the crash point, and — when
+        checking — a per-point checker façade already fed the crash-state
         comparison.
         """
         total = len(self.trace)
@@ -352,13 +304,12 @@ class TraceCursor:
                 # keeps marching.
                 self.checker.check_crash_state(state)
                 point_violations, point_suppressed = self._drain_new()
-        machine = _ReplayedMachine(self._pre_crash_io(event_index))
         facade = (
             _PointChecker(self, point_violations, point_suppressed)
             if self.checker is not None
             else None
         )
-        return state, machine, facade
+        return state, self._pre_crash_io(event_index), facade
 
 
 class TraceCampaignSource:

@@ -14,7 +14,6 @@ contract implemented (following the paper's sketch):
 
 import pytest
 
-from repro.arch import SimParams
 from repro.arch.crash import CrashPlan, run_until_crash
 from repro.arch.recovery import recover, resume_and_finish
 from repro.compiler import CapriCompiler, OptConfig
@@ -130,12 +129,9 @@ class TestIOUnderCrashes:
         for at in range(5, 550, 37):
             # First leg: run to crash on a machine we can inspect.
             from repro.arch.crash import CrashInjector, PowerFailure
-            from repro.arch.system import CapriSystem
+            from repro.arch.system import build_system
 
-            machine = Machine(capri)
-            machine.spawn("main", [])
-            system = CapriSystem(SimParams.scaled(), 1, 64)
-            system.attach(machine)
+            machine, system = build_system(capri, [("main", [])], threshold=64)
             injector = CrashInjector(system, CrashPlan(at))
             try:
                 machine.run(injector)
@@ -162,15 +158,12 @@ class TestIOUnderCrashes:
         """At the moment an I/O issues, all previously committed stores
         are already in NVM (no output can precede its own cause's
         durability)."""
-        from repro.arch.system import CapriSystem
+        from repro.arch.system import build_system
 
         module, arr = build_logger(10)
         capri = CapriCompiler(OptConfig.licm(64)).compile(module).module
 
-        machine = Machine(capri)
-        machine.spawn("main", [])
-        system = CapriSystem(SimParams.scaled(), 1, 64)
-        system.attach(machine)
+        machine, system = build_system(capri, [("main", [])], threshold=64)
 
         seen = []
         orig_on_io = system.on_io

@@ -31,13 +31,13 @@ class TestObserver:
         obs = CharacterizationObserver()
         obs.on_retire(0, "BinOp")
         obs.on_retire(0, "Load")
-        obs.on_load(0, 0x100)
+        obs.on_load(0, 0x100, 0)
         obs.on_retire(0, "Store")
         obs.on_store(0, 0x108, 1, 0)
         assert obs.retired == 3
         assert obs.loads == 1 and obs.stores == 1
         assert obs.lines_touched == 1  # same 64B line
-        obs.on_load(0, 0x1000)
+        obs.on_load(0, 0x1000, 0)
         assert obs.lines_touched == 2
 
 

@@ -118,8 +118,8 @@ class ReferenceMachine(Machine):
                 addr = (
                     regs[base.index] if type(base) is Reg else base.value
                 ) + instr.offset
-                regs[instr.dst.index] = memory.get(addr, 0)
-                obs.on_load(core, addr)
+                value = regs[instr.dst.index] = memory.get(addr, 0)
+                obs.on_load(core, addr, value)
             elif cls is Store:
                 base = instr.addr
                 addr = (
@@ -214,9 +214,9 @@ class RaiseAt(CollectingObserver):
         self._tick()
         super().on_retire(core, kind)
 
-    def on_load(self, core, addr):
+    def on_load(self, core, addr, value):
         self._tick()
-        super().on_load(core, addr)
+        super().on_load(core, addr, value)
 
     def on_store(self, core, addr, value, old):
         self._tick()

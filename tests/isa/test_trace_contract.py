@@ -8,10 +8,13 @@ breaks one must fail here, not in a flaky campaign.
 import pytest
 
 from repro.compiler import CapriCompiler, OptConfig
+from repro.ir import IRBuilder, verify_module
 from repro.isa.machine import Machine
 from repro.isa.trace import (
+    EV_ATOMIC,
     EV_BOUNDARY,
     EV_CKPT,
+    EV_LOAD,
     EV_RETIRE,
     EV_STORE,
     CollectingObserver,
@@ -20,12 +23,35 @@ from repro.isa.trace import (
 )
 from repro.workloads import get_workload
 
+#: The initial words of the known-loads program; none is 0, so a load
+#: event that dropped its value would show.
+WORDS = [7, -3, 1 << 40, 12345, -(1 << 62), 99]
+
 
 @pytest.fixture(scope="module")
 def compiled():
     module, spawns = get_workload("genome").build(0.15)
     module = CapriCompiler(OptConfig.licm(64)).compile(module).module
     return module, spawns
+
+
+@pytest.fixture(scope="module")
+def known_loads():
+    """A compiled program whose loads read known words: each initial word
+    of an array, then the word the program stored over it.  Returns
+    ``(module, spawns, loaded words in order)``."""
+    b = IRBuilder("known_loads")
+    arr = b.module.alloc("words", len(WORDS), init=WORDS)
+    with b.function("main") as f:
+        with f.for_range(len(WORDS)) as i:
+            addr = f.add(arr, f.shl(i, 3))
+            f.store(f.add(f.load(addr), 1000), addr)
+            f.load(addr)
+        f.ret()
+    verify_module(b.module)
+    module = CapriCompiler(OptConfig.licm(8)).compile(b.module).module
+    expected = [v for w in WORDS for v in (w, w + 1000)]
+    return module, [("main", [])], expected
 
 
 def _run(module, spawns, observer):
@@ -54,6 +80,39 @@ def test_store_old_value_is_architectural(compiled):
             checked += 1
         last[addr] = value
     assert checked > 0
+
+
+def test_load_carries_the_loaded_word(known_loads):
+    """Rule 1: on_load's ``value`` is the word the load read."""
+    module, spawns, expected = known_loads
+    obs = CollectingObserver()
+    _run(module, spawns, obs)
+    assert [value for _, _, _, value in obs.of_kind(EV_LOAD)] == expected
+
+
+def test_load_value_is_architectural(compiled):
+    """Rule 1 on a workload: each load's ``value`` is the last word the
+    stream wrote to its address (a store, atomic or checkpoint store),
+    or the module's initial word."""
+    module, spawns = compiled
+    obs = CollectingObserver()
+    _run(module, spawns, obs)
+    memory = dict(module.initial_data)
+    nonzero = 0
+    for event in obs.events:
+        kind = event[0]
+        if kind in (EV_STORE, EV_ATOMIC):
+            memory[event[2]] = event[3]
+        elif kind == EV_CKPT:
+            memory[event[4]] = event[3]
+        elif kind == EV_LOAD:
+            _, core, addr, value = event
+            assert value == memory.get(addr, 0), (
+                f"load from {addr:#x} on core {core} reports {value}, "
+                f"memory holds {memory.get(addr, 0)}"
+            )
+            nonzero += value != 0
+    assert nonzero > 0, "workload must load non-zero words"
 
 
 def test_per_core_event_order_is_deterministic(compiled):
@@ -106,8 +165,8 @@ def test_tick_counter_matches_crash_index_universe(compiled):
 def test_columnar_trace_is_verbatim_transcript(compiled):
     """Rule 6 (repro.trace): the columnar ``ExecTrace`` is a lossless
     transcript of the observer stream — ``trace.event(i)`` must equal
-    the ``CollectingObserver`` tuple ``i``, element for element, for
-    every event of the run."""
+    the ``CollectingObserver`` tuple ``i``, element for element (a
+    load's word included), for every event of the run."""
     from repro.trace.record import capture_trace
 
     module, spawns = compiled

@@ -113,7 +113,7 @@ class TestExplorerCampaignAgreement:
             source = TraceCampaignSource(trace, config)
             stride = max(1, len(trace) // 24)
             for k in range(0, len(trace), stride):
-                state, _machine, _facade = source.capture_at(k)
+                state, _io, _facade = source.capture_at(k)
                 if state is None:
                     break
                 recovered = recover(state, p.module, strict=False)

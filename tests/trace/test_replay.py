@@ -9,12 +9,7 @@ import pytest
 from repro.arch.crash import CrashPlan, run_until_crash
 from repro.arch.system import run_workload
 from repro.fault.oracle import golden_run
-from repro.trace.replay import (
-    TraceCursor,
-    golden_from_trace,
-    replay_metrics,
-    replay_until_crash,
-)
+from repro.trace.replay import TraceCursor, golden_from_trace, replay_metrics
 
 
 def _canon_entries(entries):
@@ -61,68 +56,80 @@ def test_golden_from_trace_matches_golden_run(captured):
     assert from_trace.total_events == golden.total_events
 
 
+def _interpreted(module, spawns, k):
+    """The reference crash state: interpret the IR to event ``k``."""
+    state = run_until_crash(module, spawns, CrashPlan(k), threshold=32, quantum=32)
+    assert state is not None, k
+    return _canon_state(state)
+
+
 def test_replay_until_crash_matches_interpreted(captured):
+    """A replay to one crash point on a fresh cursor leaves the state
+    interpreting the IR to that point leaves."""
     module, spawns, trace = captured
     n = len(trace)
     for k in (0, 1, n // 3, n - 1):
-        interpreted = run_until_crash(
-            module, spawns, CrashPlan(k), threshold=32, quantum=32
-        )
-        replayed = replay_until_crash(trace, CrashPlan(k), threshold=32)
-        assert interpreted is not None and replayed is not None
-        assert _canon_state(interpreted) == _canon_state(replayed), k
+        replayed, _, _ = TraceCursor(trace, threshold=32).capture_at(k)
+        assert replayed is not None, k
+        assert _canon_state(replayed) == _interpreted(module, spawns, k), k
 
 
 def test_replay_until_crash_past_end_returns_none(captured):
-    _, _, trace = captured
-    assert replay_until_crash(trace, CrashPlan(len(trace)), threshold=32) is None
+    module, spawns, trace = captured
+    n = len(trace)
+    assert run_until_crash(module, spawns, CrashPlan(n), threshold=32) is None
+    state, _, _ = TraceCursor(trace, threshold=32).capture_at(n)
+    assert state is None
 
 
 def test_cursor_single_pass_matches_fresh_replays(captured):
     """Ascending capture_at calls on one cursor must equal a fresh
-    replay per point — the single-pass optimisation is invisible."""
-    _, _, trace = captured
+    interpreted run to each point — the single-pass replay is
+    invisible."""
+    module, spawns, trace = captured
     n = len(trace)
-    points = sorted({1, n // 4, n // 2, (3 * n) // 4, n - 1})
+    points = sorted({0, 1, n // 4, n // 3, n // 2, (3 * n) // 4, n - 1})
     cursor = TraceCursor(trace, threshold=32)
     for k in points:
-        state, machine, checker = cursor.capture_at(k)
-        fresh = replay_until_crash(trace, CrashPlan(k), threshold=32)
-        assert _canon_state(state) == _canon_state(fresh), k
+        state, _, checker = cursor.capture_at(k)
+        assert _canon_state(state) == _interpreted(module, spawns, k), k
         assert checker is None
     assert cursor.rebuilds == 0
 
 
 def test_cursor_rewind_rebuilds_and_stays_correct(captured):
-    _, _, trace = captured
+    module, spawns, trace = captured
     n = len(trace)
     cursor = TraceCursor(trace, threshold=32)
     late, _, _ = cursor.capture_at(n - 1)
     assert cursor.rebuilds == 0
     early, _, _ = cursor.capture_at(n // 2)  # behind the cursor: rebuild
     assert cursor.rebuilds == 1
-    fresh = replay_until_crash(trace, CrashPlan(n // 2), threshold=32)
-    assert _canon_state(early) == _canon_state(fresh)
+    assert _canon_state(early) == _interpreted(module, spawns, n // 2)
 
 
 def test_cursor_past_end_runs_out_and_reports_none(captured):
-    _, _, trace = captured
+    module, spawns, trace = captured
+    n = len(trace)
+    # The interpreted run ends before a crash at the last index + 1, too.
+    assert run_until_crash(module, spawns, CrashPlan(n), threshold=32) is None
     cursor = TraceCursor(trace, threshold=32)
-    state, machine, checker = cursor.capture_at(len(trace) + 5)
-    assert state is None
+    state, io, checker = cursor.capture_at(n + 5)
+    assert state is None and checker is None
+    assert io == [tuple(ev) for ev in trace.io_log]
     # The terminal finish() drained the system; the next in-range point
     # must transparently rebuild and still be correct.
-    k = len(trace) // 2
+    k = n // 2
     state, _, _ = cursor.capture_at(k)
-    fresh = replay_until_crash(trace, CrashPlan(k), threshold=32)
-    assert _canon_state(state) == _canon_state(fresh)
+    assert _canon_state(state) == _interpreted(module, spawns, k)
     assert cursor.rebuilds >= 1
 
 
 def test_cursor_pre_crash_io_matches_machine():
-    """The campaign reads the machine's pre-crash I/O log (effects that
-    escaped the persistence domain); the cursor reconstructs it from the
-    trace's I/O positions and must agree at every boundary case."""
+    """The campaign reads the pre-crash I/O (effects that escaped the
+    persistence domain) off ``capture_at``; the cursor reconstructs it
+    from the trace's I/O positions and must agree with the interrupted
+    machine's log at every boundary case."""
     from repro.compiler import CapriCompiler, OptConfig
     from repro.fault.campaign import CampaignConfig
     from repro.fault.oracle import InterpretedSource
@@ -144,15 +151,17 @@ def test_cursor_pre_crash_io_matches_machine():
     positions = trace.io_positions()
     assert positions, "logger must perform I/O"
 
-    # At an I/O event the crash fires *before* delegation (the write
-    # must not escape); right after, it must have.
+    # The machine logs an I/O write before it delivers the event, so a
+    # crash at an I/O event's index finds the write escaped; one event
+    # earlier, it has not.
     mid = positions[len(positions) // 2]
     reference = InterpretedSource(module, spawns, CampaignConfig(threshold=32))
-    for k in (positions[0], positions[0] + 1, mid, mid + 1, len(trace) - 1):
+    first = positions[0]
+    for k in (first - 1, first, first + 1, mid - 1, mid, mid + 1, len(trace) - 1):
         cursor = TraceCursor(trace, threshold=32)
-        _, replayed_machine, _ = cursor.capture_at(k)
-        _, machine, _ = reference.capture_at(k)
-        assert replayed_machine.io_log == machine.io_log, k
+        _, replayed_io, _ = cursor.capture_at(k)
+        _, io, _ = reference.capture_at(k)
+        assert replayed_io == io, k
 
 
 def test_execute_spec_trace_mode_matches_interpreted(tmp_path, monkeypatch):
