@@ -4,7 +4,7 @@
 sweep      parallel benchmark sweep with persistent result cache
 fault      crash-consistency fault-injection campaign
 check      online persistency checker: sanitized runs, mutant matrix
-trace      columnar trace capture / replay / campaign bench
+trace      columnar trace capture / campaign replay bench
 litmus     persistency litmus tests: generate / run / explore / mutants
 profile    workload characterisation tables
 report     one-shot full evaluation report (all figures + analyses)
@@ -35,7 +35,7 @@ subcommands:
   sweep      parallel benchmark sweep with persistent result cache
   fault      crash-consistency fault-injection campaign
   check      online persistency checker (sanitized runs / --mutants)
-  trace      trace capture|replay|bench (repro.trace)
+  trace      trace capture|bench (repro.trace)
   litmus     litmus generate|run|explore|mutants (repro.litmus)
   profile    workload characterisation tables
   report     one-shot full evaluation report

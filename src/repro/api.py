@@ -109,13 +109,6 @@ class RunSpec:
     #: validates extra invariants and must not share cache entries with
     #: an unchecked one.
     check: bool = False
-    #: Serve the simulation from a captured columnar trace
-    #: (:mod:`repro.trace`): the functional event stream is recorded
-    #: once (cached under :func:`repro.trace.record.trace_fingerprint`)
-    #: and the arch/check layers replay it — metrics are bit-identical
-    #: to the interpreted path.  Part of the fingerprint: trace-served
-    #: runs are a distinct execution mode.
-    trace: bool = False
     label: str = ""
 
     # -- effective (derived) values -----------------------------------------
@@ -156,7 +149,6 @@ class RunSpec:
             persistence=False,
             seed=0,
             check=False,  # nothing persistent to check in a volatile run
-            trace=False,  # baselines stay on the interpreted path
             label="baseline",
         )
 
@@ -190,7 +182,7 @@ class RunSpec:
             "threads": self.threads,
             "max_steps": self.max_steps,
             "check": self.check,
-            "trace": self.trace,
+            "trace": False,  # retired replay-mode bit; kept so keys don't move
         }
         blob = json.dumps(token, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
@@ -202,8 +194,6 @@ class RunSpec:
             bits.append("volatile")
         if self.check:
             bits.append("check")
-        if self.trace:
-            bits.append("trace")
         if self.label:
             bits.append(self.label)
         return ":".join(bits)
@@ -280,12 +270,6 @@ def execute_spec(spec: RunSpec) -> RunResult:
     The single run primitive behind the harness and the sweep engine's
     workers.
 
-    ``spec.trace`` swaps the interpreter for the :mod:`repro.trace`
-    replay engine: the functional event stream is captured once (served
-    from the result cache's ``traces`` namespace when warm) and the
-    simulation consumes the columns — bit-identical metrics, no IR
-    re-interpretation.
-
     The whole run executes under a :class:`repro.deps.UsageProbe`; the
     result's :attr:`~RunResult.deps` names the subsystems exercised, and
     the sweep engine stores them with the cached metrics so only changes
@@ -293,31 +277,17 @@ def execute_spec(spec: RunSpec) -> RunResult:
     """
     start = time.perf_counter()
     with UsageProbe() as probe:
-        if spec.trace:
-            from repro.sweep.cache import resolve_cache
-            from repro.trace.record import load_spec_trace
-            from repro.trace.replay import replay_metrics
-
-            trace, _program = load_spec_trace(spec, resolve_cache("default"))
-            metrics = replay_metrics(
-                trace,
-                params=spec.effective_params,
-                threshold=spec.effective_threshold,
-                persistence=spec.effective_persistence,
-                check=spec.check,
-            )
-        else:
-            module, spawns = build_spec(spec)
-            metrics, _machine = run_workload(
-                module,
-                spawns,
-                params=spec.effective_params,
-                threshold=spec.effective_threshold,
-                persistence=spec.effective_persistence,
-                quantum=spec.quantum,
-                max_steps=spec.max_steps,
-                check=spec.check,
-            )
+        module, spawns = build_spec(spec)
+        metrics, _machine = run_workload(
+            module,
+            spawns,
+            params=spec.effective_params,
+            threshold=spec.effective_threshold,
+            persistence=spec.effective_persistence,
+            quantum=spec.quantum,
+            max_steps=spec.max_steps,
+            check=spec.check,
+        )
     return RunResult(
         spec=spec,
         metrics=metrics,

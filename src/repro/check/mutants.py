@@ -12,20 +12,20 @@ protocol — and :func:`run_mutant_matrix` demands that:
   the taxonomy class the planted bug warrants* (a mutant "detected" as
   the wrong class is a mis-diagnosis, not a detection).
 
-Each matrix workload's event stream is captured once
-(:func:`repro.trace.record.capture_trace`) and every run below replays
-it: mutations live in the simulated pipelines and in recovery, never in
-the event stream.  Persistence-path mutants are detected by the online
-checker riding a replayed run (a badly broken pipeline may deadlock its
-proxy buffers — ``drop_boundary_entry`` fills both buffers with nothing
-ever draining — so :class:`~repro.arch.proxy.ProxyOverflowError` is
-tolerated and the end-of-run
-:meth:`~repro.check.checker.PersistencyChecker.finalize` still runs).
-Recovery-path mutants cannot fire during forward execution; they are
-detected by crashing at several points through a campaign source
-(:class:`repro.trace.replay.TraceCursor`), recovering with the mutation
+Persistence-path mutants are detected by the online checker riding an
+interpreted run (:func:`checked_run`; a badly broken pipeline may
+deadlock its proxy buffers — ``drop_boundary_entry`` fills both buffers
+with nothing ever draining — so
+:class:`~repro.arch.proxy.ProxyOverflowError` is tolerated and the
+end-of-run :meth:`~repro.check.checker.PersistencyChecker.finalize`
+still runs).  Recovery-path mutants cannot fire during forward
+execution; they are detected by crashing at several points through a
+campaign source (:class:`repro.trace.replay.TraceCursor`, driven by
+each workload's event stream captured once with
+:func:`repro.trace.record.capture_trace`), recovering with the mutation
 planted, and checking the recovered state against the model's committed
-prefix.
+prefix.  Mutations live in the simulated pipelines and in recovery,
+never in the event stream.
 """
 
 from __future__ import annotations
@@ -205,27 +205,6 @@ def checked_run(
     return checker, error
 
 
-def _replayed_run(
-    trace,
-    params: SimParams,
-    threshold: int,
-    mutations: Optional[ProtocolMutations] = None,
-) -> Tuple[PersistencyChecker, Optional[str]]:
-    """:func:`checked_run` on a captured trace: one functional capture
-    serves the baseline and every persistence-path mutant."""
-    from repro.trace.replay import TraceReplayer
-
-    replayer = TraceReplayer(
-        trace, params=params, threshold=threshold, check=True, mutations=mutations
-    )
-    try:
-        replayer.run()
-    except ProxyOverflowError as exc:
-        replayer.checker.finalize(replayer.system)
-        return replayer.checker, f"{type(exc).__name__}: {exc}"
-    return replayer.checker, None
-
-
 def _recovery_probe(
     source,
     module,
@@ -267,9 +246,9 @@ def run_mutant_matrix(
     often, which is the window ``reorder_phase2`` and
     ``merge_across_regions`` need to act.
 
-    Each workload is captured once; its baseline, every
-    persistence-path mutant, and one probe cursor (shared by the
-    baseline and recovery-mutant probes) all replay that trace.
+    The baseline and every persistence-path mutant are interpreted
+    (:func:`checked_run`); each workload's trace is captured once for the
+    one probe cursor shared by the baseline and recovery-mutant probes.
     """
     from repro.api import RunSpec, build_spec
     from repro.compiler import OptConfig
@@ -292,8 +271,8 @@ def run_mutant_matrix(
         )
         trace = capture_trace(module, spawns, max_steps=_MAX_STEPS)
         source = TraceCursor(trace, params=params, threshold=threshold, check=True)
-        built[wl] = (module, trace, source)
-        checker, error = _replayed_run(trace, params, threshold)
+        built[wl] = (module, spawns, source)
+        checker, error = checked_run(module, spawns, params, threshold)
         if error is not None:
             raise RuntimeError(f"unmutated run of {wl!r} failed: {error}")
         report = checker.report
@@ -311,7 +290,7 @@ def run_mutant_matrix(
         outcome = MutantOutcome(mutant=name, expected=MUTANT_EXPECTATIONS[name])
         mutation = ProtocolMutations.single(name)
         for wl in workloads:
-            module, trace, source = built[wl]
+            module, spawns, source = built[wl]
             if name in RECOVERY_MUTANTS:
                 reports = [
                     probe
@@ -322,8 +301,8 @@ def run_mutant_matrix(
                     if probe is not None
                 ]
             else:
-                checker, error = _replayed_run(
-                    trace, params, threshold, mutations=mutation
+                checker, error = checked_run(
+                    module, spawns, params, threshold, mutations=mutation
                 )
                 if error is not None:
                     outcome.error = error

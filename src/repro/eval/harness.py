@@ -37,7 +37,6 @@ class EvalHarness:
         scale: float = 1.0,
         quantum: int = 32,
         check: bool = False,
-        trace: bool = False,
     ) -> None:
         self.params = params or SimParams.scaled()
         self.scale = scale
@@ -47,11 +46,6 @@ class EvalHarness:
         #: Volatile baselines are never checked (nothing persistent to
         #: check).
         self.check = check
-        #: drive instrumented runs from captured columnar traces
-        #: (:mod:`repro.trace`): the functional event stream is recorded
-        #: once per (workload, config) and the architecture layers are
-        #: replayed per parameter point.  (Fault campaigns always replay.)
-        self.trace = trace
         #: the engine report from the most recent :meth:`sweep` call.
         self.last_sweep_report = None
 
@@ -69,8 +63,6 @@ class EvalHarness:
             quantum=self.quantum,
             label=label,
         )
-        if self.trace and spec.effective_persistence:
-            spec = spec.with_(trace=True)
         if self.check and spec.effective_persistence:
             spec = spec.with_(check=True)
         return spec

@@ -14,9 +14,9 @@ be tuned against them:
   fractions).
 
 It also measures simulator *throughput* per workload — functional
-instructions/second, full-system (interpreted) events/second, and
-trace-replay events/second with the capture overhead — which feeds the
-performance table in docs/PERFORMANCE.md.
+instructions/second, trace-capture events/second with its overhead, and
+full-system (interpreted) events/second — which feeds the performance
+table in docs/PERFORMANCE.md.
 
 Command line::
 
@@ -169,25 +169,20 @@ def profile_workload(
     )
 
 
-def measure_throughput(
-    name: str, scale: float = 0.5, threshold: int = 256, quantum: int = 32
-) -> Dict[str, float]:
-    """Simulator throughput on one workload, all four execution paths.
+def measure_throughput(name: str, scale: float = 0.5) -> Dict[str, float]:
+    """Simulator throughput on one workload, all three execution paths.
 
     Returns a flat dict: functional interpreter instructions/second,
     trace capture overhead (events/second plus slowdown vs the bare
-    functional run), interpreted full-system events/second, and
-    trace-replay events/second with the resulting per-run speedup.
+    functional run), and interpreted full-system events/second.
     Single measurement each — these feed a documentation table, not a
     statistics engine; use benchmarks/ for calibrated numbers.
     """
     from repro.arch.system import run_workload
     from repro.trace.record import capture_trace
-    from repro.trace.replay import replay_metrics
 
-    compiled, spawns = build_spec(
-        RunSpec(workload=name, scale=scale, config=OptConfig.licm(threshold))
-    )
+    spec = RunSpec(workload=name, scale=scale)
+    compiled, spawns = build_spec(spec)
 
     start = time.perf_counter()
     machine = Machine(compiled)
@@ -197,16 +192,12 @@ def measure_throughput(
     t_functional = time.perf_counter() - start
 
     start = time.perf_counter()
-    trace = capture_trace(compiled, spawns, quantum=quantum)
+    trace = capture_trace(compiled, spawns)
     t_capture = time.perf_counter() - start
 
     start = time.perf_counter()
-    run_workload(compiled, spawns, threshold=threshold, quantum=quantum)
+    run_workload(compiled, spawns, threshold=spec.effective_threshold)
     t_interpreted = time.perf_counter() - start
-
-    start = time.perf_counter()
-    replay_metrics(trace, threshold=threshold)
-    t_replay = time.perf_counter() - start
 
     events = len(trace)
     instrs = machine.total_retired
@@ -217,8 +208,6 @@ def measure_throughput(
         "capture_events_per_s": events / max(t_capture, 1e-9),
         "capture_overhead_x": t_capture / max(t_functional, 1e-9),
         "interpreted_events_per_s": events / max(t_interpreted, 1e-9),
-        "replay_events_per_s": events / max(t_replay, 1e-9),
-        "replay_speedup_x": t_interpreted / max(t_replay, 1e-9),
     }
 
 
@@ -231,7 +220,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     add_json_arg(
         parser,
         help="emit machine-readable characterisation + throughput "
-        "(instr/s, events/s, replay speedup) as a schema-versioned "
+        "(instr/s, events/s, capture overhead) as a schema-versioned "
         "envelope to PATH ('-' for stdout, suppressing the table)",
     )
     args = parser.parse_args(argv)

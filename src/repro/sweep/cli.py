@@ -88,13 +88,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="exit non-zero if the cache hit rate is below this fraction",
     )
     parser.add_argument(
-        "--trace",
-        action="store_true",
-        help="replay captured columnar traces (repro.trace) instead of "
-        "re-interpreting each spec — the functional stream is recorded "
-        "once per (workload, config) and reused across parameter points",
-    )
-    parser.add_argument(
         "--quiet", action="store_true", help="suppress per-spec progress lines"
     )
     args = parser.parse_args(argv)
@@ -128,7 +121,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         params=SimParams.scaled(),
         scale=args.scale,
         quantum=args.quantum,
-        trace=args.trace,
     )
     try:
         table = harness.sweep(

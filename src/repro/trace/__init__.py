@@ -1,13 +1,13 @@
-"""``repro.trace`` — columnar trace capture + batched replay.
+"""``repro.trace`` — columnar trace capture + crash-point replay.
 
 Capture one golden interpreted run into a structure-of-arrays
 :class:`ExecTrace` (:mod:`repro.trace.record`), persist it in the sweep
 result cache through a versioned, checksummed codec
 (:mod:`repro.trace.codec`), and drive the arch/persistence/checker
-layers straight from the columns (:mod:`repro.trace.replay`) — the
-engine behind every fault campaign (:mod:`repro.fault.campaign`), the
-fast path behind ``RunSpec(trace=True)``, and the ``repro trace`` CLI
-(:mod:`repro.trace.cli`).
+layers straight from the columns to each crash point
+(:mod:`repro.trace.replay`) — the crash source behind every fault
+campaign (:mod:`repro.fault.campaign`) and the ``repro trace`` CLI
+(:mod:`repro.trace.cli`).  Crash-free runs are always interpreted.
 """
 
 from repro.trace.codec import (
@@ -31,10 +31,8 @@ from repro.trace.record import (
 from repro.trace.replay import (
     TraceCampaignSource,
     TraceCursor,
-    TraceReplayer,
     build_replay_system,
     golden_from_trace,
-    replay_metrics,
 )
 
 __all__ = [
@@ -52,10 +50,8 @@ __all__ = [
     "decode_trace",
     "load_trace",
     "store_trace",
-    "TraceReplayer",
     "TraceCursor",
     "TraceCampaignSource",
     "build_replay_system",
     "golden_from_trace",
-    "replay_metrics",
 ]

@@ -1,27 +1,22 @@
 """Command-line trace tooling: ``python -m repro trace <mode>``.
 
-Three modes::
+Two modes::
 
     # Capture a workload's columnar trace into the result cache:
     python -m repro trace capture --workload genome --scale 0.3
-
-    # Prove capture/replay equivalence: interpreted vs replayed
-    # SystemMetrics, field by field (exit 1 on any divergence):
-    python -m repro trace replay --workload genome --scale 0.3 --check
 
     # Campaign bench: one fault campaign on the interpreted reference
     # source and once replayed, verdicts compared point by point, speedup
     # reported (exit 1 on any verdict divergence):
     python -m repro trace bench --workload genome --scale 0.2
 
-``replay`` and ``bench`` are the CI smoke commands — they re-verify the
-equivalence this subsystem is built on rather than trusting it.
+``bench`` is the CI smoke command — it re-verifies the equivalence
+this subsystem is built on rather than trusting it.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import time
 from typing import List, Optional
 
@@ -81,77 +76,6 @@ def _capture(args, parser, json_out) -> int:
                 "wall_s": wall,
             },
         )
-    return 0
-
-
-def _replay(args, parser, json_out) -> int:
-    from repro.api import build_spec, capture_spec_trace
-    from repro.arch.system import run_workload
-    from repro.trace.replay import replay_metrics
-
-    spec = _spec(args)
-    try:
-        compiled, spawns = build_spec(spec)
-    except KeyError as err:
-        parser.error(str(err.args[0] if err.args else err))
-
-    t0 = time.perf_counter()
-    interpreted, _machine = run_workload(
-        compiled,
-        spawns,
-        threshold=spec.effective_threshold,
-        quantum=spec.quantum,
-        check=args.check,
-    )
-    t1 = time.perf_counter()
-    trace = capture_spec_trace(spec)
-    t2 = time.perf_counter()
-    replayed = replay_metrics(
-        trace,
-        threshold=spec.effective_threshold,
-        check=args.check,
-    )
-    t3 = time.perf_counter()
-
-    diffs = [
-        (f.name, getattr(interpreted, f.name), getattr(replayed, f.name))
-        for f in dataclasses.fields(interpreted)
-        if getattr(interpreted, f.name) != getattr(replayed, f.name)
-    ]
-    events = len(trace)
-    if json_out != "-":
-        print(
-            f"{args.workload}: {events} events — interpreted {t1 - t0:.2f}s, "
-            f"capture {t2 - t1:.2f}s, replay {t3 - t2:.2f}s"
-            + ("  (checked)" if args.check else "")
-        )
-    if json_out:
-        write_envelope(
-            json_out,
-            "trace",
-            {
-                "mode": "replay",
-                "workload": args.workload,
-                "events": events,
-                "checked": bool(args.check),
-                "interpreted_s": t1 - t0,
-                "capture_s": t2 - t1,
-                "replay_s": t3 - t2,
-                "identical": not diffs,
-                "diverging_fields": [
-                    {"field": name, "interpreted": a, "replayed": b}
-                    for name, a, b in diffs
-                ],
-            },
-        )
-    if diffs:
-        if json_out != "-":
-            print(f"METRICS DIVERGE in {len(diffs)} field(s):")
-            for name, a, b in diffs:
-                print(f"  {name}: interpreted={a!r} replayed={b!r}")
-        return 1
-    if json_out != "-":
-        print("SystemMetrics bit-identical across all fields")
     return 0
 
 
@@ -243,10 +167,9 @@ def _bench(args, parser, json_out) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro trace",
-        description="Columnar trace capture, replay equivalence, and "
-        "campaign replay bench",
+        description="Columnar trace capture and campaign replay bench",
     )
-    parser.add_argument("mode", choices=("capture", "replay", "bench"))
+    parser.add_argument("mode", choices=("capture", "bench"))
     parser.add_argument(
         "--workload",
         required=True,
@@ -258,7 +181,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="also run the online persistency checker on both sides",
+        help="bench: also run the online persistency checker on both sides",
     )
     parser.add_argument(
         "--sample",
@@ -283,6 +206,4 @@ def main(argv: Optional[List[str]] = None) -> int:
     json_out = args.json_out
     if args.mode == "capture":
         return _capture(args, parser, json_out)
-    if args.mode == "replay":
-        return _replay(args, parser, json_out)
     return _bench(args, parser, json_out)

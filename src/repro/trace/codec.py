@@ -226,14 +226,7 @@ def load_trace(store, fingerprint: str) -> Optional[ExecTrace]:
     Version skew is a clean miss (the caller recaptures and overwrites);
     corruption quarantines the entry exactly as :meth:`ResultCache.get`
     quarantines unreadable JSON.
-
-    A warm hit re-broadcasts the trace's recorded dependency set to any
-    active :class:`repro.deps.UsageProbe` — the run it feeds never calls
-    the workload builder or compiler itself, yet still depends on them,
-    and the cache entry produced from it must say so.
     """
-    from repro.deps import touch
-
     if store is None:
         return None
     payload = store.get(fingerprint, kind=TRACE_CACHE_KIND)
@@ -246,9 +239,6 @@ def load_trace(store, fingerprint: str) -> Optional[ExecTrace]:
     except TraceDecodeError:
         store.quarantine(fingerprint, kind=TRACE_CACHE_KIND)
         return None
-    deps = trace.meta.get("deps")
-    if deps:
-        touch(*deps)
     return trace
 
 

@@ -336,10 +336,10 @@ def trace_fingerprint(spec) -> str:
     threads, the effective compile config (which folds in the threshold:
     region formation is compile-time), quantum (hart interleaving), and
     ``max_steps``.  ``SimParams``, simulation-side persistence,
-    ``check``, and ``seed`` are absent by construction: sweeping those
-    replays one captured trace.  Code validity is not part of the key —
-    stored traces carry their subsystem dependency hashes and the cache
-    validates those (:mod:`repro.deps`).
+    ``check``, and ``seed`` are absent by construction: campaigns that
+    differ only in those share one captured trace.  Code validity is not
+    part of the key — stored traces carry their subsystem dependency
+    hashes and the cache validates those (:mod:`repro.deps`).
     """
     from repro.api import _canon
 
@@ -368,9 +368,7 @@ def load_spec_trace(
     A cold capture's build, compile and capture all run under one
     :class:`repro.deps.UsageProbe`, and the probed subsystem set lands in
     ``trace.meta["deps"]`` — the codec stores it with the serialised
-    trace so the cache can invalidate the entry precisely, and replays of
-    the warm trace re-touch the same subsystems on behalf of their own
-    probes.
+    trace so the cache can invalidate the entry precisely.
     """
     from repro.api import build_spec
     from repro.deps import UsageProbe

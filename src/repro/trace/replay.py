@@ -4,20 +4,16 @@ A captured :class:`~repro.trace.record.ExecTrace` fixes the entire
 observer event stream, so the timing/persistence simulation
 (:class:`~repro.arch.system.CapriSystem`), the online persistency checker,
 and the crash injector can all be driven straight from the columns —
-no IR re-interpretation, no functional machine.  Two consumers:
-
-:class:`TraceReplayer`
-    One crash-free replay producing :class:`SystemMetrics` bit-identical
-    to the interpreted path (the equivalence the test suite pins).
-
-:class:`TraceCursor` / :class:`TraceCampaignSource`
-    The fault-campaign workhorse.  Campaign crash points ascend
-    (:func:`~repro.fault.campaign.select_crash_points` sorts), so *one*
-    replay system advanced monotonically serves every point: total arch
-    work across an exhaustive sweep is O(events) instead of
-    O(events²/2) — this, not per-event dispatch, is where the ≥5×
-    campaign speedup lives (docs/PERFORMANCE.md).  Rewinds (the failure
-    minimizer bisects downward) rebuild from event 0.
+no IR re-interpretation, no functional machine.  The one consumer is the
+crash source, :class:`TraceCursor` / :class:`TraceCampaignSource`, behind
+fault campaigns, the litmus and mutant matrices and the recovery-cost
+sweep (crash-free runs are interpreted).  Campaign crash points ascend
+(:func:`~repro.fault.campaign.select_crash_points` sorts), so *one*
+replay system advanced monotonically serves every point: total arch
+work across an exhaustive sweep is O(events) instead of O(events²/2) —
+this, not per-event dispatch, is where the ≥5× campaign speedup lives
+(docs/PERFORMANCE.md).  Rewinds (the failure minimizer bisects
+downward) rebuild from event 0.
 
 Verdict identity with the interpreted path rests on three facts (argued
 in docs/INTERNALS.md): the functional machine is observer-independent,
@@ -40,7 +36,7 @@ from typing import List, Optional, Tuple
 
 from repro.arch.crash import capture_crash_state
 from repro.arch.params import SimParams
-from repro.arch.system import CapriSystem, SystemMetrics
+from repro.arch.system import CapriSystem
 from repro.check.violations import CheckReport, Violation
 from repro.fault.oracle import GoldenResult
 from repro.isa.trace import Observer, TeeObserver
@@ -87,72 +83,6 @@ def golden_from_trace(trace: ExecTrace) -> GoldenResult:
         io_log=list(trace.io_log),
         total_events=len(trace),
     )
-
-
-class TraceReplayer:
-    """One crash-free replay of a captured trace.
-
-    Construction wires the system (and, with ``check=True``, the
-    persistency checker teed in front of it, exactly as
-    :func:`repro.arch.system.run_workload` does); :meth:`run` delivers
-    the columns and finalises.
-    """
-
-    def __init__(
-        self,
-        trace: ExecTrace,
-        params: Optional[SimParams] = None,
-        threshold: int = 256,
-        persistence: bool = True,
-        check: bool = False,
-        mutations=None,
-    ) -> None:
-        self.trace = trace
-        self.system = build_replay_system(
-            trace,
-            params=params,
-            threshold=threshold,
-            persistence=persistence,
-            mutations=mutations,
-        )
-        self.checker = None
-        self.target: Observer = self.system
-        if check:
-            from repro.check.checker import PersistencyChecker
-
-            self.checker = PersistencyChecker.attach(self.system)
-            self.target = TeeObserver(self.checker, self.system)
-        self.metrics: Optional[SystemMetrics] = None
-
-    def run(self) -> SystemMetrics:
-        self.trace.deliver(self.target)
-        self.metrics = self.system.finish()
-        if self.checker is not None:
-            self.checker.finalize(self.system)
-        return self.metrics
-
-
-def replay_metrics(
-    trace: ExecTrace,
-    params: Optional[SimParams] = None,
-    threshold: int = 256,
-    persistence: bool = True,
-    check: bool = False,
-) -> SystemMetrics:
-    """Crash-free replay in one call; with ``check=True`` a model
-    violation raises :class:`~repro.check.PersistencyViolationError`,
-    matching ``run_workload(..., check=True)``."""
-    replayer = TraceReplayer(
-        trace,
-        params=params,
-        threshold=threshold,
-        persistence=persistence,
-        check=check,
-    )
-    metrics = replayer.run()
-    if replayer.checker is not None:
-        replayer.checker.report.raise_if_violated()
-    return metrics
 
 
 class _PointChecker:

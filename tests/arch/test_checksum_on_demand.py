@@ -25,7 +25,7 @@ from repro.arch.proxy import KIND_DATA, ProxyEntry, entry_checksum
 from repro.compiler import OptConfig
 from repro.ir.module import ckpt_slot_addr
 from repro.trace.record import capture_spec_trace
-from repro.trace.replay import replay_metrics
+from repro.trace.replay import build_replay_system
 
 SPEC = RunSpec(workload="genome", scale=0.1, config=OptConfig.licm(256))
 
@@ -65,7 +65,11 @@ def test_interpreted_run_computes_no_checksum(checksum_calls):
 
 def test_replayed_run_computes_no_checksum(checksum_calls):
     trace = capture_spec_trace(SPEC)
-    replay_metrics(trace, params=SPEC.effective_params, threshold=256)
+    system = build_replay_system(
+        trace, params=SPEC.effective_params, threshold=256
+    )
+    trace.deliver(system)
+    system.finish()
     assert dict(checksum_calls) == {}
 
 

@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from repro.api import RunSpec, build_spec, execute_spec, trace_fingerprint
+from repro.api import RunSpec, build_spec, trace_fingerprint
 from repro.compiler import CapriCompiler, OptConfig
 from repro.fault.campaign import CampaignConfig, run_workload_campaign
 from repro.ir.printer import format_module
@@ -153,13 +153,6 @@ class TestSharedTraceCache:
         assert store.hits == hits + 1
         assert calls["capture"] == 1
         assert calls["build"] == builds  # a warm hit builds nothing
-
-    def test_warm_execute_spec_builds_nothing(self, tmp_path, store, calls):
-        cli_capture(tmp_path)
-        builds, hits = calls["build"], store.hits
-        execute_spec(campaign_spec().with_(trace=True))
-        assert store.hits == hits + 1
-        assert calls["build"] == builds
 
 
 class TestCampaignCompilesOnce:

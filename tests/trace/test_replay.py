@@ -1,15 +1,22 @@
 """Replay equivalence: the batched columnar replay must be observably
-identical to re-interpreting the program — metrics, crash states, golden
-oracle, and the RunSpec `trace` mode."""
+identical to re-interpreting the program — the crash source's system
+run crash-free, crash states, pre-crash I/O and the golden oracle."""
 
 import dataclasses
 
 import pytest
 
 from repro.arch.crash import CrashPlan, run_until_crash
+from repro.arch.params import SimParams
 from repro.arch.system import run_workload
+from repro.check.checker import PersistencyChecker
+from repro.check.mutants import checked_run
+from repro.compiler import CapriCompiler, OptConfig
 from repro.fault.oracle import golden_run
-from repro.trace.replay import TraceCursor, golden_from_trace, replay_metrics
+from repro.isa.trace import TeeObserver
+from repro.trace.record import capture_trace
+from repro.trace.replay import TraceCursor, build_replay_system, golden_from_trace
+from repro.workloads import get_workload
 
 
 def _canon_entries(entries):
@@ -30,21 +37,51 @@ def _canon_state(state):
     }
 
 
-def test_crash_free_replay_metrics_bit_identical(captured):
-    module, spawns, trace = captured
+@pytest.fixture(scope="module", params=["genome", "hot-writeback"])
+def captured_program(request):
+    """(compiled module, spawns, trace) per workload the crash-free
+    equivalence is pinned on."""
+    module, spawns = get_workload(request.param).build(0.2)
+    compiled = CapriCompiler(OptConfig.licm(32)).compile(module).module
+    return compiled, spawns, capture_trace(compiled, spawns, quantum=32)
+
+
+def _replay(trace, check=False):
+    """The crash source's own system driven over the whole trace: the
+    checker teed in front of it exactly as :func:`run_workload` does."""
+    system = build_replay_system(trace, threshold=32)
+    checker = None
+    target = system
+    if check:
+        checker = PersistencyChecker.attach(system)
+        target = TeeObserver(checker, system)
+    trace.deliver(target)
+    metrics = system.finish()
+    if checker is not None:
+        checker.finalize(system)
+    return metrics, checker
+
+
+def test_crash_free_replay_system_metrics_bit_identical(captured_program):
+    module, spawns, trace = captured_program
     interpreted, _ = run_workload(module, spawns, threshold=32, quantum=32)
-    replayed = replay_metrics(trace, threshold=32)
+    replayed, _ = _replay(trace)
     for f in dataclasses.fields(interpreted):
         assert getattr(interpreted, f.name) == getattr(replayed, f.name), (
             f.name
         )
 
 
-def test_checked_replay_is_clean(captured):
-    _, _, trace = captured
-    # A clean workload must replay clean under the online checker; a
-    # violation here would raise PersistencyViolationError.
-    replay_metrics(trace, threshold=32, check=True)
+def test_checked_replay_is_clean(captured_program):
+    module, spawns, trace = captured_program
+    # A clean workload must replay clean under the online checker, having
+    # checked exactly what the checked interpreted run checks.
+    _, checker = _replay(trace, check=True)
+    reference, _ = checked_run(module, spawns, SimParams.scaled(), 32)
+    assert reference.report.ok, reference.report.summary()
+    assert checker.report.ok, checker.report.summary()
+    assert checker.report.events == reference.report.events
+    assert checker.report.checks == reference.report.checks
 
 
 def test_golden_from_trace_matches_golden_run(captured):
@@ -162,24 +199,6 @@ def test_cursor_pre_crash_io_matches_machine():
         _, replayed_io, _ = cursor.capture_at(k)
         _, io, _ = reference.capture_at(k)
         assert replayed_io == io, k
-
-
-def test_execute_spec_trace_mode_matches_interpreted(tmp_path, monkeypatch):
-    from repro.api import RunSpec, execute_spec
-    from repro.compiler import OptConfig
-    from repro.sweep.cache import CACHE_DIR_ENV
-
-    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-    spec = RunSpec(
-        workload="genome", scale=0.1, config=OptConfig.licm(32), quantum=32
-    )
-    interpreted = execute_spec(spec)
-    cold = execute_spec(spec.with_(trace=True))
-    warm = execute_spec(spec.with_(trace=True))  # trace now cached
-    assert cold.metrics == interpreted.metrics
-    assert warm.metrics == interpreted.metrics
-    # trace is part of the spec identity (a different execution path).
-    assert cold.fingerprint != interpreted.fingerprint
 
 
 def test_trace_fingerprint_ignores_arch_only_knobs():
