@@ -35,6 +35,17 @@ class CoreTimer:
         self.retired += 1
         self.cycle += self.params.cpi_base
 
+    def retire_run(self, n: int) -> None:
+        """``n`` retires at once, with the cycle count of ``n`` calls to
+        :meth:`retire`: one float addition each, since ``n * cpi_base``
+        rounds differently once the cycle count is not dyadic."""
+        self.retired += n
+        cycle = self.cycle
+        cpi = self.params.cpi_base
+        for _ in range(n):
+            cycle += cpi
+        self.cycle = cycle
+
     def add_latency(self, cycles: float) -> None:
         self.cycle += cycles
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 
 class PersistMode(enum.Enum):
@@ -104,44 +105,47 @@ class SimParams:
     line_bytes: int = 64
 
     # -- derived cycle quantities ----------------------------------------------
+    # Computed on first use and kept in the instance, which is frozen, so
+    # the hot timing paths read a plain attribute.  They are not fields:
+    # equality, hashing and fingerprints see only the Table 1 values.
 
     def ns_to_cycles(self, ns: float) -> float:
         return ns * self.clock_ghz
 
-    @property
+    @cached_property
     def l1_hit_cycles(self) -> float:
         return self.ns_to_cycles(self.l1_hit_ns)
 
-    @property
+    @cached_property
     def l2_hit_cycles(self) -> float:
         return self.ns_to_cycles(self.l2_hit_ns)
 
-    @property
+    @cached_property
     def dram_hit_cycles(self) -> float:
         return self.ns_to_cycles(self.dram_hit_ns)
 
-    @property
+    @cached_property
     def nvm_read_cycles(self) -> float:
         return self.ns_to_cycles(self.nvm_read_ns)
 
-    @property
+    @cached_property
     def nvm_write_cycles(self) -> float:
         return self.ns_to_cycles(self.nvm_write_ns)
 
-    @property
+    @cached_property
     def nvm_write_interval_cycles(self) -> float:
         """Sustained cycles between NVM write issues (port throughput)."""
         return self.nvm_write_cycles / self.nvm_write_parallelism
 
-    @property
+    @cached_property
     def proxy_path_cycles(self) -> float:
         return self.ns_to_cycles(self.proxy_path_ns)
 
-    @property
+    @cached_property
     def proxy_xfer_cycles(self) -> float:
         return self.ns_to_cycles(self.proxy_xfer_ns)
 
-    @property
+    @cached_property
     def io_latency_cycles(self) -> float:
         return self.ns_to_cycles(self.io_latency_ns)
 

@@ -30,7 +30,7 @@ performs all pipeline events due by ``now`` in chronological order.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.arch.nvm import (
     _FNV_OFFSET,
@@ -299,6 +299,8 @@ class CoreProxyPipeline:
         self.region_seq = 0
         self._entries_since_boundary = 0
         self.xfer_free = 0.0
+        #: Whether the event :meth:`_next_event` last timed is a drain.
+        self._next_is_drain = False
         #: Monotonic pipeline event clock: an event blocked behind another
         #: (a transfer waiting for a drain to free a back-end slot) cannot
         #: be timestamped before it.
@@ -316,33 +318,39 @@ class CoreProxyPipeline:
 
     # ------------------------------------------------------------------ events
 
-    def _next_event(self) -> Optional[Tuple[float, str]]:
-        """Earliest pending pipeline event: ('drain'|'xfer', time).
+    def _next_event(self) -> Optional[float]:
+        """Time of the earliest pending pipeline event, or None if none.
 
-        Times are floored to the monotonic event clock: an event enabled
-        by a predecessor (a transfer that needed a drain to free a slot)
-        cannot be stamped before it.
+        The event is a drain if ``_next_is_drain`` is then true, else a
+        transfer; a drain wins a tie.  Times are floored to the monotonic
+        event clock: an event enabled by a predecessor (a transfer that
+        needed a drain to free a slot) cannot be stamped before it.
         """
-        best: Optional[Tuple[float, str]] = None
-        drainable = self._boundaries_in_be > 0 or (
-            self.mutations is not None and self.mutations.drain_past_boundary
-        )
-        if self.be and drainable:
-            head = self.be[0]
-            t = max(head.arrive_time, self.nvm.write_free_at)
-            best = (t, "drain")
-        if self.fe and len(self.be) < self.be_cap:
+        t = None
+        be = self.be
+        if be and (
+            self._boundaries_in_be > 0
+            or (self.mutations is not None and self.mutations.drain_past_boundary)
+        ):
+            t = be[0].arrive_time
+            free = self.nvm.write_free_at
+            if free > t:
+                t = free
+            self._next_is_drain = True
+        fe = self.fe
+        if fe and len(be) < self.be_cap:
             # An entry needs one transfer interval of front-end residency
             # before it can start streaming out.
-            t = max(
-                self.fe[0].create_time + self.params.proxy_xfer_cycles,
-                self.xfer_free,
-            )
-            if best is None or t < best[0]:
-                best = (t, "xfer")
-        if best is None:
+            xfer = fe[0].create_time + self.params.proxy_xfer_cycles
+            if self.xfer_free > xfer:
+                xfer = self.xfer_free
+            if t is None or xfer < t:
+                t = xfer
+                self._next_is_drain = False
+        if t is None:
             return None
-        return (max(best[0], self._event_clock), best[1])
+        clock = self._event_clock
+        return clock if clock > t else t
 
     def _do_drain(self, t: float) -> float:
         """Retire the back-end head entry; returns completion time."""
@@ -414,11 +422,10 @@ class CoreProxyPipeline:
     def advance(self, now: float) -> None:
         """Perform all pipeline events due by ``now``, in time order."""
         while True:
-            ev = self._next_event()
-            if ev is None or ev[0] > now:
+            t = self._next_event()
+            if t is None or t > now:
                 return
-            t, kind = ev
-            if kind == "drain":
+            if self._next_is_drain:
                 self._do_drain(t)
             else:
                 self._do_xfer(t)
@@ -428,15 +435,14 @@ class CoreProxyPipeline:
         time of the last event performed."""
         t = 0.0
         while not cond():
-            ev = self._next_event()
-            if ev is None:
+            t = self._next_event()
+            if t is None:
                 raise ProxyOverflowError(
                     f"core {self.core_id}: proxy pipeline deadlock — a region "
                     "overflowed the back-end proxy buffer "
                     f"(be={len(self.be)}/{self.be_cap}, fe={len(self.fe)}/{self.fe_cap})"
                 )
-            t, kind = ev
-            if kind == "drain":
+            if self._next_is_drain:
                 t = max(t, self._do_drain(t))
             else:
                 self._do_xfer(t)
@@ -640,11 +646,10 @@ class CoreProxyPipeline:
         """
         t = 0.0
         while True:
-            ev = self._next_event()
-            if ev is None:
+            tt = self._next_event()
+            if tt is None:
                 return t
-            tt, kind = ev
-            if kind == "drain":
+            if self._next_is_drain:
                 t = max(t, self._do_drain(tt))
             else:
                 self._do_xfer(tt)

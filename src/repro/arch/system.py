@@ -106,9 +106,12 @@ class CapriSystem(Observer):
     # -- helpers ----------------------------------------------------------------
 
     def _core(self, core: int) -> CoreTimer:
-        while core >= len(self.cores):
-            self.cores.append(CoreTimer(self.params))
-        return self.cores[core]
+        try:
+            return self.cores[core]
+        except IndexError:
+            while core >= len(self.cores):
+                self.cores.append(CoreTimer(self.params))
+            return self.cores[core]
 
     def _nvm_writeback(self, line: int, words: Dict[int, int]) -> None:
         assert self.persist is not None
@@ -118,6 +121,10 @@ class CapriSystem(Observer):
 
     def on_retire(self, core: int, kind: str) -> None:
         self._core(core).retire()
+
+    def on_retire_run(self, core: int, kinds: List[str]) -> None:
+        # Every kind costs one pipeline slot, so only the count matters.
+        self._core(core).retire_run(len(kinds))
 
     def on_load(self, core: int, addr: int, value: int) -> None:
         self._loads += 1

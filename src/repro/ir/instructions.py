@@ -22,6 +22,7 @@ Every instruction reports its defined and used registers (``defs()`` /
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -46,14 +47,14 @@ def _srem(a: int, b: int) -> int:
 
 
 BINARY_OPS: Dict[str, Callable[[int, int], int]] = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
     "div": _sdiv,
     "rem": _srem,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
+    "and": operator.and_,
+    "or": operator.or_,
+    "xor": operator.xor,
     "shl": lambda a, b: a << (b & 63),
     "shr": lambda a, b: a >> (b & 63),
     "slt": lambda a, b: int(a < b),

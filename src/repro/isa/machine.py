@@ -24,6 +24,18 @@ suspends the caller frame and starts the callee with arguments in
   registers are deliberately **not** in the snapshot — recovery must
   rebuild them from checkpoint storage plus recovery blocks, so the Capri
   compiler's checkpoint analyses are load-bearing in our correctness tests.
+  A suspended frame's registers cannot change before its ``Ret``, so each
+  frame's snapshot is made once, at the first boundary that needs it.
+
+Retire runs
+-----------
+Most retired instructions produce nothing but ``on_retire``.  An
+observer whose class overrides :meth:`~repro.isa.trace.Observer.on_retire_run`,
+as :class:`~repro.arch.system.CapriSystem` does, gets them in runs: the
+machine appends each retired instruction's kind to a buffer and hands
+the buffer over before the hart's next other callback and at quantum
+end (contract item 1 in :mod:`repro.isa.trace`).  Every other observer
+gets one ``on_retire`` per instruction, through the same single call.
 
 Compiled blocks
 ---------------
@@ -135,7 +147,7 @@ class Continuation:
 class Frame:
     """A suspended caller awaiting a ``Ret``."""
 
-    __slots__ = ("func", "label", "index", "regs", "ret_reg")
+    __slots__ = ("func", "label", "index", "regs", "ret_reg", "_snapshot")
 
     def __init__(
         self,
@@ -150,9 +162,16 @@ class Frame:
         self.index = index
         self.regs = regs
         self.ret_reg = ret_reg
+        self._snapshot: Optional[FrameSnapshot] = None
 
     def snapshot(self) -> FrameSnapshot:
-        return (self.func.name, self.label, self.index, tuple(self.regs), self.ret_reg)
+        """The frame as a continuation holds it, made once: nothing runs
+        on a suspended frame's registers until its ``Ret`` pops it."""
+        if self._snapshot is None:
+            self._snapshot = (
+                self.func.name, self.label, self.index, tuple(self.regs), self.ret_reg
+            )
+        return self._snapshot
 
 
 class Hart:
@@ -507,6 +526,16 @@ class Machine:
         boundary's continuation snapshot.  Every architectural effect is
         the same either way.
 
+        An observer whose class overrides ``on_retire_run`` gets its
+        retires in runs: the per-instruction call appends the kind to
+        ``kinds``, and the run is delivered before every other callback
+        (load, store, checkpoint, boundary, the call-argument checkpoints
+        and halt of ``Call``/``Ret``, atomic, fence, I/O, halt) and, in
+        the ``finally``, at quantum end or before an error leaves the
+        quantum.  Each retire is delivered once.  Any other observer
+        gets ``on_retire`` per instruction from the same call site, and
+        pays one empty-buffer test per other event.
+
         Such a run also passes ``codes``, its cache of compiled blocks.
         Then every time the hart stands at index 0 of a block, at quantum
         start, after a ``Branch`` or ``Jump`` and on a call's entry,
@@ -526,7 +555,16 @@ class Machine:
         memory = self.memory
         core = hart.core_id
         observed = obs is not _NULL_OBSERVER
-        on_retire = obs.on_retire
+        # Retires not yet delivered to an observer that takes them in runs.
+        kinds: List[str] = []
+        on_run = obs.on_retire_run
+        # ``retire(retire_to, kind)`` is ``obs.on_retire(core, kind)``, or
+        # ``kinds.append(kind)`` for an observer that takes retire runs:
+        # one call either way, and no test of which it is.
+        if type(obs).on_retire_run is Observer.on_retire_run:
+            retire, retire_to = obs.on_retire, core
+        else:
+            retire, retire_to = list.append, kinds
         blocks = hart.func.blocks
         instrs = blocks[hart.label].instrs
         index = hart.index
@@ -544,7 +582,7 @@ class Machine:
                 instr = instrs[index]
                 cls = type(instr)
                 if observed:
-                    on_retire(core, cls.__name__)
+                    retire(retire_to, cls.__name__)
                 executed += 1
 
                 if cls is BinOp:
@@ -589,9 +627,15 @@ class Machine:
                         regs[base.index] if type(base) is Reg else base.value
                     ) + instr.offset
                     value = regs[instr.dst.index] = memory.get(addr, 0)
+                    if kinds:
+                        on_run(core, kinds)
+                        kinds.clear()
                     obs.on_load(core, addr, value)
                     index += 1
                 elif cls is CheckpointStore:
+                    if kinds:
+                        on_run(core, kinds)
+                        kinds.clear()
                     reg = instr.src.index
                     value = regs[reg]
                     if reg >= MAX_REGS:
@@ -611,6 +655,9 @@ class Machine:
                     value = regs[v.index] if type(v) is Reg else v.value
                     old = memory.get(addr, 0)
                     memory[addr] = value
+                    if kinds:
+                        on_run(core, kinds)
+                        kinds.clear()
                     obs.on_store(core, addr, value, old)
                     index += 1
                 elif cls is Move:
@@ -626,6 +673,9 @@ class Machine:
                     index += 1
                     if observed:
                         hart.index = index
+                        if kinds:
+                            on_run(core, kinds)
+                            kinds.clear()
                         obs.on_boundary(
                             core, instr.region_id, hart.continuation()
                         )
@@ -636,6 +686,9 @@ class Machine:
                     index += 1
                 elif cls is Call or cls is Ret:
                     hart.index = index
+                    if kinds:
+                        on_run(core, kinds)
+                        kinds.clear()
                     if cls is Call:
                         self._do_call(hart, instr, obs)
                     else:
@@ -664,19 +717,31 @@ class Machine:
                     new = eval_atomic(instr.op, old, value)
                     memory[addr] = new
                     regs[instr.dst.index] = old
+                    if kinds:
+                        on_run(core, kinds)
+                        kinds.clear()
                     obs.on_atomic(core, addr, new, old)
                     index += 1
                 elif cls is Fence:
+                    if kinds:
+                        on_run(core, kinds)
+                        kinds.clear()
                     obs.on_fence(core)
                     index += 1
                 elif cls is IOWrite:
                     v = instr.value
                     value = regs[v.index] if type(v) is Reg else v.value
                     self.io_log.append((core, instr.port, value))
+                    if kinds:
+                        on_run(core, kinds)
+                        kinds.clear()
                     obs.on_io(core, instr.port, value)
                     index += 1
                 elif cls is Halt:
                     hart.halted = True
+                    if kinds:
+                        on_run(core, kinds)
+                        kinds.clear()
                     obs.on_halt(core)
                     break
                 elif cls is Nop:
@@ -685,6 +750,11 @@ class Machine:
                     raise MachineError(f"unknown instruction {instr!r}")
         finally:
             hart.index = index
+            # The quantum's last retires; after a machine error, the
+            # retires before it.
+            if kinds:
+                on_run(core, kinds)
+                kinds.clear()
         hart.retired += executed
         self.total_retired += executed
         return executed

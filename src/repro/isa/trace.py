@@ -26,6 +26,15 @@ injector) may rely on the following, pinned by
    architectural value the store overwrote.  The arguments are the whole
    of what the machine tells an observer: no observer holds a reference
    to the machine, so a recorded stream can stand in for it.
+   *Retire runs* are the one deferral: an observer whose class overrides
+   :meth:`Observer.on_retire_run` gets a hart's retires buffered and
+   delivered as one ``on_retire_run`` call before that hart's next other
+   callback (load, store, checkpoint, boundary, call-argument
+   checkpoint, atomic, fence, I/O or halt) and at the end of each
+   quantum.  Expanded, the calls are exactly the per-instruction stream:
+   every retire arrives once, in order, and before the event of its own
+   instruction.  Every other observer gets ``on_retire`` per
+   instruction.
 2. **Per-core program order.** For a fixed core, ``on_store`` /
    ``on_ckpt`` / ``on_boundary`` / ``on_atomic`` arrive exactly in that
    hart's dynamic instruction order.  Events of *different* cores
@@ -42,13 +51,15 @@ injector) may rely on the following, pinned by
 5. **One tick per callback.** Crash indices (``CrashPlan.at_event``)
    and golden-run event counts share the same universe: every callback,
    including ``on_retire`` and ``on_halt``, counts as one event
-   (:class:`TickCountingObserver`).  Ticks are defined for observed
-   runs only.  A run without an observer (``Machine.run()`` with none)
-   delivers nothing, and may dispatch nothing at all: it skips
-   ``on_retire`` and the boundary continuations, runs compiled blocks
-   with no callback in them, and sends what it still dispatches to a
-   no-op.  Any observer that is passed, a plain :class:`Observer`
-   included, gets every callback.
+   (:class:`TickCountingObserver`).  Ticks count the expanded stream: a
+   retire run is one tick per retire it carries, so batching moves no
+   crash index.  Ticks are defined for observed runs only.  A run
+   without an observer (``Machine.run()`` with none) delivers nothing,
+   and may dispatch nothing at all: it skips ``on_retire`` and the
+   boundary continuations, runs compiled blocks with no callback in
+   them, and sends what it still dispatches to a no-op.  Any observer
+   that is passed, a plain :class:`Observer` included, gets every
+   callback.
 """
 
 from __future__ import annotations
@@ -77,6 +88,19 @@ class Observer:
 
     def on_retire(self, core: int, kind: str) -> None:  # noqa: D401
         """Called once per retired instruction, before specific callbacks."""
+
+    def on_retire_run(self, core: int, kinds: List[str]) -> None:
+        """A run of retired instructions of ``core``, in program order.
+
+        The default delivers ``on_retire(core, kind)`` once per kind.  An
+        observer whose class overrides this method receives its retires
+        in runs instead (contract item 1).  ``kinds`` is the machine's
+        buffer: it is valid only during the call and is emptied after it,
+        and the method must not raise.
+        """
+        on_retire = self.on_retire
+        for kind in kinds:
+            on_retire(core, kind)
 
     def on_load(self, core: int, addr: int, value: int) -> None:
         """A word load from ``addr`` retired, reading ``value``."""

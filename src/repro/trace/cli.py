@@ -11,7 +11,9 @@ Two modes::
     python -m repro trace bench --workload genome --scale 0.2
 
 ``bench`` is the CI smoke command — it re-verifies the equivalence
-this subsystem is built on rather than trusting it.
+this subsystem is built on rather than trusting it.  ``capture``
+refuses the bench options (``--check``, ``--sample``,
+``--min-speedup``) rather than ignore them.
 """
 
 from __future__ import annotations
@@ -205,5 +207,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     json_out = args.json_out
     if args.mode == "capture":
+        bench_only = [
+            flag
+            for flag, given in (
+                ("--check", args.check),
+                ("--sample", args.sample is not None),
+                ("--min-speedup", args.min_speedup is not None),
+            )
+            if given
+        ]
+        if bench_only:
+            parser.error(f"{', '.join(bench_only)}: bench mode only")
         return _capture(args, parser, json_out)
     return _bench(args, parser, json_out)

@@ -14,6 +14,11 @@ and runs whole blocks as generated straight-line code, so
 :class:`TestUnobservedRuns` holds it to the same architectural outcome
 as a counted run on either machine, and :class:`TestCompiledBlocks`
 does the same for random blocks and for blocks edited between runs.
+
+An observer that takes retire runs gets its retires buffered, so
+:class:`TestRetireRuns` holds the expanded stream it sees to the
+oracle's per-instruction stream, and a batching raiser to the same
+interrupted hart.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from repro.compiler import CapriCompiler, OptConfig
 from repro.ir import IRBuilder, verify_module
 from repro.ir.function import Function
 from repro.ir.instructions import (
+    ATOMIC_OPS,
     BINARY_OPS,
     UNARY_OPS,
     AtomicRMW,
@@ -54,6 +60,7 @@ from repro.ir.module import Module, ckpt_slot_addr
 from repro.ir.values import WORD_MAX, WORD_MIN, Imm, Reg
 from repro.isa.machine import Hart, Machine, MachineError
 from repro.isa.trace import (
+    EV_RETIRE,
     CollectingObserver,
     CountingObserver,
     Observer,
@@ -245,6 +252,30 @@ class RaiseAt(CollectingObserver):
     def on_io(self, core, port, value):
         self._tick()
         super().on_io(core, port, value)
+
+
+class RunCollector(CollectingObserver):
+    """Takes retires in runs and records them expanded, one tuple each."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.runs = []
+
+    def on_retire(self, core, kind):
+        raise AssertionError("a retire reached a batching observer alone")
+
+    def on_retire_run(self, core, kinds):
+        assert kinds, "empty retire run"
+        self.runs.append(len(kinds))
+        self.events.extend((EV_RETIRE, core, kind) for kind in kinds)
+
+
+class RunRaiseAt(RaiseAt):
+    """:class:`RaiseAt` that takes retires in runs, so it raises only at
+    the other events."""
+
+    def on_retire_run(self, core, kinds):
+        self.events.extend((EV_RETIRE, core, kind) for kind in kinds)
 
 
 def _build(machine_cls, module: Module, spawns, quantum: int) -> Machine:
@@ -445,6 +476,34 @@ class TestInterruptedHart:
             mid_block += index > 0
             mid_call += bool(callstack)
         assert mid_block > 100 and mid_call > 100
+
+    @pytest.mark.parametrize("compiled", [False, True])
+    def test_batching_raiser_leaves_hart_like_oracle(self, compiled):
+        module, spawns = _calls_module(compiled)
+        obs = CollectingObserver()
+        _build(Machine, module, spawns, 7).run(obs)
+        points = [k for k, e in enumerate(obs.events) if e[0] != EV_RETIRE]
+        kinds = set()
+        for k in points:
+            states = []
+            for cls, raiser in (
+                (ReferenceMachine, RaiseAt(k)),
+                (Machine, RunRaiseAt(k)),
+            ):
+                machine = _build(cls, module, spawns, 7)
+                with pytest.raises(Fired):
+                    machine.run(raiser)
+                states.append(
+                    (
+                        _hart_state(machine.harts[0]),
+                        raiser.events,
+                        machine.memory,
+                        machine.io_log,
+                    )
+                )
+            assert states[0] == states[1], f"diverged at event {k}"
+            kinds.add(obs.events[k][0])
+        assert kinds == {"ckpt", "boundary", "store", "atomic", "io", "fence", "halt"}
 
     def test_ckpt_of_out_of_storage_register(self):
         func = Function("wide", num_params=0, num_regs=513)
@@ -811,3 +870,73 @@ class TestCompiledBlocks:
         assert fresh.compiled_retired == len(block.instrs)
         # A second run of the first machine follows the edit too.
         assert machine.run_function("f", (10,)) == expected
+
+
+# -- retire runs --------------------------------------------------------------
+
+#: Random block bodies with every other event an observed run delivers.
+_R_BODY = st.lists(
+    st.one_of(
+        _B_INSTR,
+        st.builds(
+            AtomicRMW,
+            st.sampled_from(sorted(ATOMIC_OPS)),
+            _B_REG,
+            _B_ADDR,
+            _B_OPERAND,
+            _B_OFFSET,
+        ),
+        st.builds(Fence),
+        st.builds(IOWrite, st.integers(0, 3), _B_OPERAND),
+    ),
+    min_size=0,
+    max_size=12,
+)
+
+
+def _batched_like_reference(module, spawns, quantum) -> RunCollector:
+    """Run ``module`` per instruction on the oracle and in retire runs on
+    the production machine; both must see the same expanded stream and
+    leave the same memory, I/O log and retired counts."""
+    reference = _build(ReferenceMachine, module, spawns, quantum)
+    expected = CollectingObserver()
+    reference.run(expected)
+    machine = _build(Machine, module, spawns, quantum)
+    got = RunCollector()
+    machine.run(got)
+    assert _outcome(machine, got) == _outcome(reference, expected)
+    assert sum(got.runs) == machine.total_retired
+    return got
+
+
+class TestRetireRuns:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entry=_R_BODY,
+        on_true=_R_BODY,
+        on_false=_R_BODY,
+        terminator=_B_TERMINATOR,
+        args=_B_ARGS,
+        func=st.sampled_from(["f", "main"]),
+        harts=st.sampled_from([1, 2]),
+        quantum=st.sampled_from([1, 3, 7, 32]),
+    )
+    def test_random_blocks_match_reference(
+        self, entry, on_true, on_false, terminator, args, func, harts, quantum
+    ):
+        module = _random_block_module(entry, on_true, on_false, terminator)
+        _batched_like_reference(module, [(func, tuple(args))] * harts, quantum)
+
+    @pytest.mark.parametrize("harts", ["as built", "first twice"])
+    @pytest.mark.parametrize("quantum", [1, 3, 7, 32])
+    @pytest.mark.parametrize("program", [*_PROGRAMS, "calls"])
+    def test_programs_match_reference(self, program, quantum, harts, request):
+        if program == "calls":
+            module, spawns = _calls_module()
+        else:
+            module, spawns = request.getfixturevalue(program)
+        if harts == "first twice":
+            spawns = spawns[:1] * 2
+        got = _batched_like_reference(module, spawns, quantum)
+        # Retires were delivered in runs, not one at a time.
+        assert quantum == 1 or max(got.runs) > 1
