@@ -87,6 +87,8 @@ class MemoryHierarchy:
     def _ensure_exclusive(self, core: int, line: int) -> float:
         """Invalidate other cores' copies before a write; returns extra cycles."""
         holders = self.holders.get(line)
+        if holders is not None and len(holders) == 1 and core in holders:
+            return 0.0  # the writer is the only holder: nothing to do
         extra = 0.0
         if holders:
             for other in list(holders):
@@ -105,6 +107,8 @@ class MemoryHierarchy:
     def _note_shared(self, core: int, line: int) -> float:
         """Downgrade another core's dirty copy before a read; returns cycles."""
         holders = self.holders.get(line)
+        if holders is not None and len(holders) == 1 and core in holders:
+            return 0.0  # the reader is the only holder: nothing to do
         extra = 0.0
         if holders:
             for other in list(holders):

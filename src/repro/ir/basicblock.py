@@ -15,12 +15,15 @@ class BasicBlock:
     passes split, merge, clone and rewrite them in place.
 
     ``code`` belongs to the functional machine (:mod:`repro.isa.machine`):
-    the straight-line Python it generated for this block, or its verdict
-    that the block is interpreted, together with the instruction list it
-    was made from.  A run checks that list against ``instrs`` before it
-    uses the code, so replacing, inserting or removing instructions is
-    always safe.  Editing the fields of an ``Instr`` object is not: it is
-    done only by compiler passes, on the clone
+    the Python it generated for the region that starts at this block, or
+    its verdict that the block is interpreted.  That code also runs
+    successor blocks, so it is kept with the function's register count
+    and, for this block and every successor it inlines, the label, the
+    block object and a copy of its instruction list.  A run checks all
+    of them before it uses the code, so replacing, inserting or removing
+    instructions, here or in a successor, and replacing a block under
+    its label are always safe.  Editing the fields of an ``Instr``
+    object is not: it is done only by compiler passes, on the clone
     :meth:`~repro.compiler.CapriCompiler.compile` makes before any
     machine runs it.  Keep it that way.
     """
@@ -30,7 +33,7 @@ class BasicBlock:
     def __init__(self, label: str, instrs: Optional[List[Instr]] = None) -> None:
         self.label = label
         self.instrs: List[Instr] = instrs if instrs is not None else []
-        self.code: Optional[Tuple[int, List[Instr], Any]] = None
+        self.code: Optional[Tuple[int, Tuple[Any, ...], Any]] = None
 
     @property
     def terminator(self) -> Instr:

@@ -56,7 +56,7 @@ injector) may rely on the following, pinned by
    crash index.  Ticks are defined for observed runs only.  A run
    without an observer (``Machine.run()`` with none) delivers nothing,
    and may dispatch nothing at all: it skips ``on_retire`` and the
-   boundary continuations, runs compiled blocks with no callback in
+   boundary continuations, runs compiled regions with no callback in
    them, and sends what it still dispatches to a no-op.  Any observer
    that is passed, a plain :class:`Observer` included, gets every
    callback.

@@ -11,9 +11,10 @@ Two modes::
     python -m repro trace bench --workload genome --scale 0.2
 
 ``bench`` is the CI smoke command — it re-verifies the equivalence
-this subsystem is built on rather than trusting it.  ``capture``
-refuses the bench options (``--check``, ``--sample``,
-``--min-speedup``) rather than ignore them.
+this subsystem is built on rather than trusting it.  Each mode
+refuses the other's options rather than ignore them: ``capture`` the
+bench options (``--check``, ``--sample``, ``--min-speedup``), ``bench``
+``--no-cache`` (it never uses the cache).
 """
 
 from __future__ import annotations
@@ -219,4 +220,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if bench_only:
             parser.error(f"{', '.join(bench_only)}: bench mode only")
         return _capture(args, parser, json_out)
+    if args.no_cache:
+        parser.error("--no-cache: capture mode only")
     return _bench(args, parser, json_out)

@@ -1,11 +1,16 @@
 """Tests for the memory hierarchy: level classification, the writeback
 cascade, coherence, and the exclusive-dirty migration invariant."""
 
+import dataclasses
+
 import pytest
 
 from repro.arch.memctrl import MemoryHierarchy
 from repro.arch.nvm import NVMain
 from repro.arch.params import SimParams
+from repro.arch.system import build_system
+from repro.compiler import CapriCompiler, OptConfig
+from repro.workloads import get_workload
 
 TINY = SimParams.scaled().with_(
     l1_size_bytes=512, l2_size_bytes=1024, dram_cache_size_bytes=1024
@@ -170,3 +175,71 @@ class TestCoherence:
         mem.store(0, 0x10000, 1)
         mem.store(1, 0x20000, 2)
         assert mem.coherence_transfers == 0
+
+
+def _exclusive_by_loop(self, core, line):
+    """``_ensure_exclusive`` without its single-holder return."""
+    holders = self.holders.get(line)
+    extra = 0.0
+    if holders:
+        for other in list(holders):
+            if other == core:
+                continue
+            words = self.l1[other].evict_line(line)
+            if words:
+                self.l2.install_writeback(line, words)
+            if words is not None:
+                self.coherence_transfers += 1
+                extra += self.params.l2_hit_cycles
+            holders.discard(other)
+    self.holders.setdefault(line, set()).add(core)
+    return extra
+
+
+def _shared_by_loop(self, core, line):
+    """``_note_shared`` without its single-holder return."""
+    holders = self.holders.get(line)
+    extra = 0.0
+    if holders:
+        for other in list(holders):
+            if other == core:
+                continue
+            cache = self.l1[other]
+            if cache.contains(line):
+                words = cache.evict_line(line)
+                if words:
+                    self.l2.install_writeback(line, words)
+                    self.coherence_transfers += 1
+                    extra += self.params.l2_hit_cycles
+                    holders.discard(other)
+                elif words is not None:
+                    cache.install_writeback(line, {})
+            else:
+                holders.discard(other)
+    self.holders.setdefault(line, set()).add(core)
+    return extra
+
+
+@pytest.mark.parametrize("workload, harts", [("ocean", 4), ("genome", 1)])
+def test_single_holder_return_changes_no_metric(workload, harts, monkeypatch):
+    """The coherence shim returns at once when the accessing core is a
+    line's only holder; the full loops do nothing then, so every metric,
+    the coherence transfers and the holder sets are the same."""
+    module, spawns = get_workload(workload).build(0.05)
+    assert len(spawns) == harts
+    module = CapriCompiler(OptConfig.licm(32)).compile(module).module
+    outcomes = []
+    for by_loop in (False, True):
+        if by_loop:
+            for name, loop in (
+                ("_ensure_exclusive", _exclusive_by_loop),
+                ("_note_shared", _shared_by_loop),
+            ):
+                monkeypatch.setattr(MemoryHierarchy, name, loop)
+        machine, system = build_system(module, spawns, threshold=32, quantum=32)
+        machine.run(system)
+        metrics = dataclasses.asdict(system.finish())
+        mem = system.mem
+        outcomes.append((metrics, mem.coherence_transfers, mem.holders))
+    assert outcomes[0] == outcomes[1]
+    assert (outcomes[0][1] > 0) == (harts > 1)

@@ -10,10 +10,13 @@ I/O log and per-hart retired counts, fail at the same step, and leave an
 interrupted hart in the same place.
 
 A run without an observer skips the callbacks only an observer consumes
-and runs whole blocks as generated straight-line code, so
+and runs compiled regions, generated code that spans whole blocks, so
 :class:`TestUnobservedRuns` holds it to the same architectural outcome
-as a counted run on either machine, and :class:`TestCompiledBlocks`
-does the same for random blocks and for blocks edited between runs.
+as a counted run on either machine, :class:`TestCompiledBlocks` does
+the same for random blocks and for blocks edited between runs, and
+:class:`TestCompiledRegions` for random loops with diamonds, triangles
+and early exits, for edited successor blocks and for long branch
+chains.
 
 An observer that takes retire runs gets its retires buffered, so
 :class:`TestRetireRuns` holds the expanded stream it sees to the
@@ -31,6 +34,7 @@ from hypothesis import strategies as st
 
 from repro.compiler import CapriCompiler, OptConfig
 from repro.ir import IRBuilder, verify_module
+from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instructions import (
     ATOMIC_OPS,
@@ -58,7 +62,13 @@ from repro.ir.instructions import (
 )
 from repro.ir.module import Module, ckpt_slot_addr
 from repro.ir.values import WORD_MAX, WORD_MIN, Imm, Reg
-from repro.isa.machine import Hart, Machine, MachineError
+from repro.isa.machine import (
+    _REGION_MAX_INSTRS,
+    Continuation,
+    Hart,
+    Machine,
+    MachineError,
+)
 from repro.isa.trace import (
     EV_RETIRE,
     CollectingObserver,
@@ -870,6 +880,230 @@ class TestCompiledBlocks:
         assert fresh.compiled_retired == len(block.instrs)
         # A second run of the first machine follows the edit too.
         assert machine.run_function("f", (10,)) == expected
+
+
+# -- compiled regions ---------------------------------------------------------
+
+#: ``f``'s loop counter and loop flag, above the random registers.
+_COUNTER, _FLAG = Reg(_NREGS), Reg(_NREGS + 1)
+_C_BODY = st.lists(_B_INSTR, min_size=0, max_size=6)
+
+
+def _random_cfg_module(bodies, conds, trips, port) -> Module:
+    """``f`` runs a counted loop, then dumps every register and returns;
+    ``main`` calls ``f`` at depth 1.
+
+    The loop's header exits it; its body holds a diamond, a triangle,
+    and an arm to an interpreted ``IOWrite`` block; its latch goes back
+    to the header.  Every block but ``io`` and ``done`` compiles.
+    """
+    entry, head, diamond, d_true, d_false, tri, tri_true, latch = bodies
+    c_diamond, c_tri, c_io = conds
+    f = Function("f", num_params=_NREGS, num_regs=_NREGS + 2)
+    for label, instrs in (
+        ("entry", [*entry, Move(_COUNTER, Imm(trips)), Jump("head")]),
+        (
+            "head",
+            [
+                *head,
+                BinOp("sub", _COUNTER, _COUNTER, Imm(1)),
+                BinOp("sge", _FLAG, _COUNTER, Imm(0)),
+                Branch(_FLAG, "diamond", "exit"),
+            ],
+        ),
+        ("diamond", [*diamond, Branch(c_diamond, "d_true", "d_false")]),
+        ("d_true", [*d_true, Jump("tri")]),
+        ("d_false", [*d_false, Jump("tri")]),
+        ("tri", [*tri, Branch(c_tri, "tri_true", "latch")]),
+        ("tri_true", [*tri_true, Branch(c_io, "io", "latch")]),
+        ("io", [IOWrite(port, Reg(0)), Jump("latch")]),
+        ("latch", [*latch, Jump("head")]),
+        (
+            "exit",
+            [*(Store(Reg(i), Imm(_OUT + 0x300), 8 * i) for i in range(_NREGS)),
+             Jump("done")],
+        ),
+        ("done", [Ret(Reg(0))]),
+    ):
+        f.new_block(label).instrs = instrs
+    main = Function("main", num_params=_NREGS, num_regs=_NREGS)
+    main.new_block("entry").instrs = [
+        Call("f", tuple(Reg(i) for i in range(_NREGS)), Reg(0)),
+        Halt(),
+    ]
+    module = Module("cfg")
+    module.add_function(f)
+    module.add_function(main)
+    return module
+
+
+def _region_module() -> Module:
+    """``f(x)`` adds 1 in ``body``, 1 more in ``tail`` and stores and
+    returns the sum; ``body``'s region inlines ``tail``."""
+    func = Function("f", num_params=1, num_regs=2)
+    func.new_block("body").instrs = [BinOp("add", Reg(1), Reg(0), Imm(1)), Jump("tail")]
+    func.new_block("tail").instrs = [
+        BinOp("add", Reg(1), Reg(1), Imm(1)),
+        Store(Reg(1), Imm(_OUT)),
+        Jump("done"),
+    ]
+    func.new_block("done").instrs = [Ret(Reg(1))]
+    module = Module("region")
+    module.add_function(func)
+    return module
+
+
+def _swap_block(block):
+    """A new block object for ``block``'s label, with other
+    instructions; ``block`` itself is left as it was."""
+    return BasicBlock(
+        block.label,
+        [BinOp("mul", Reg(1), Reg(1), Imm(7)), Store(Reg(1), Imm(_OUT)), Jump("done")],
+    )
+
+
+def _chain_module(links: int, shape: str) -> Module:
+    """``f(x)`` walks ``links`` two-instruction blocks; block ``i``
+    branches on ``x >> (i % 61)``.  A side block stores the word and
+    returns ``i``; ``out`` returns -1.
+
+    No two arms of a branch meet again before ``done``: in ``exit-true``
+    the true arm goes to its own side block, in ``exit-false`` the false
+    arm does, and in ``skip`` a branch goes to the next block or the one
+    after it.  Nested, such a chain would pass CPython's 100 levels of
+    indentation well within the region's instruction bound.
+    """
+    f = Function("f", num_params=1, num_regs=3)
+    label = lambda i: f"b{i}" if i < links else "out"  # noqa: E731
+    for i in range(links):
+        if shape == "skip":
+            branch = Branch(Reg(2), label(i + 1), label(min(i + 2, links)))
+        else:
+            side = f"s{i}"
+            f.new_block(side).instrs = [
+                Store(Reg(2), Imm(_OUT + 8)),
+                Move(Reg(1), Imm(i)),
+                Jump("done"),
+            ]
+            arms = (side, label(i + 1))
+            branch = Branch(Reg(2), *(arms if shape == "exit-true" else arms[::-1]))
+        f.new_block(label(i)).instrs = [
+            BinOp("shr", Reg(2), Reg(0), Imm(i % 61)),
+            branch,
+        ]
+    f.new_block("out").instrs = [Move(Reg(1), Imm(-1)), Jump("done")]
+    f.new_block("done").instrs = [Ret(Reg(1))]
+    # ``b0`` first, so it is the entry.
+    f.blocks = {"b0": f.blocks.pop("b0"), **f.blocks}
+    module = Module("chain")
+    module.add_function(f)
+    return module
+
+
+def _unobserved_like_reference(module, spawns, quantum, max_steps=50_000_000):
+    """The reference and an unobserved production run leave the same
+    architectural outcome and fail alike; returns the production machine."""
+    outcomes = []
+    for cls in (ReferenceMachine, Machine):
+        machine = _build(cls, module, spawns, quantum)
+        error = None
+        try:
+            machine.run(max_steps=max_steps)
+        except MachineError as exc:
+            error = str(exc)
+        outcomes.append((_architectural(machine), error))
+    assert outcomes[0] == outcomes[1]
+    return machine
+
+
+class TestCompiledRegions:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bodies=st.lists(_C_BODY, min_size=8, max_size=8),
+        conds=st.lists(_B_OPERAND, min_size=3, max_size=3),
+        trips=st.integers(0, 4),
+        port=st.integers(0, 3),
+        args=_B_ARGS,
+        func=st.sampled_from(["f", "main"]),
+        harts=st.sampled_from([1, 2]),
+        quantum=st.sampled_from([1, 3, 7, 32]),
+        max_steps=st.sampled_from([50_000_000, 1, 2, 5, 9, 17, 33, 60]),
+    )
+    def test_random_cfgs_match_reference(
+        self, bodies, conds, trips, port, args, func, harts, quantum, max_steps
+    ):
+        module = _random_cfg_module(bodies, conds, trips, port)
+        spawns = [(func, tuple(args))] * harts
+        machine = _unobserved_like_reference(module, spawns, quantum, max_steps)
+        if harts == 1 and max_steps > 100:
+            assert machine.compiled_retired > 0
+
+    def test_loop_runs_in_one_region(self):
+        module = _random_cfg_module([[]] * 8, [Imm(1), Imm(0), Imm(0)], 100, 0)
+        head = module.functions["f"].blocks["head"]
+        machine = _unobserved_like_reference(module, [("f", (0,) * _NREGS)], 32)
+        # Every block but the interpreted ``io`` and ``done`` ran compiled.
+        assert machine.compiled_retired == machine.total_retired - 1
+        assert [name for name, *_ in head.code[1]] == [
+            "head", "diamond", "d_true", "tri", "latch", "exit"
+        ]
+
+    @pytest.mark.parametrize(
+        "edit", [_slice_assign, _insert, _replace, _swap_block]
+    )
+    def test_edited_successor_runs_its_new_code(self, edit):
+        module = _region_module()
+        func = module.functions["f"]
+        body, tail = func.blocks["body"], func.blocks["tail"]
+        machine = Machine(module)
+        assert machine.run_function("f", (10,)) == 12
+        assert machine.compiled_retired == 5
+        assert [name for name, *_ in body.code[1]] == ["body", "tail"]
+        if edit is _swap_block:
+            func.blocks["tail"] = tail = _swap_block(tail)
+        else:
+            edit(tail)
+
+        reference = ReferenceMachine(module)
+        expected = reference.run_function("f", (10,))
+        assert expected != 12
+        fresh = Machine(module)
+        assert fresh.run_function("f", (10,)) == expected
+        assert fresh.memory == reference.memory
+        assert fresh.compiled_retired == 2 + len(tail.instrs)
+        # A second run of the first machine follows the edit too.
+        assert machine.run_function("f", (10,)) == expected
+
+    def test_grown_register_count_compiles_again(self):
+        # ``tail`` names r2, which ``f`` does not declare, so it is
+        # interpreted, on a resumed hart whose register file has r2.
+        module = _region_module()
+        func = module.functions["f"]
+        func.blocks["tail"].instrs.insert(0, Move(Reg(2), Imm(5)))
+        resume_at = Continuation("f", "body", 0, ())
+        runs = []
+        for num_regs in (2, 3):
+            func.num_regs = num_regs
+            machine = Machine(module)
+            machine.resume(0, resume_at, [10, 0, 0])
+            machine.run()
+            reference = ReferenceMachine(module)
+            reference.resume(0, resume_at, [10, 0, 0])
+            reference.run()
+            assert _architectural(machine) == _architectural(reference)
+            runs.append(machine.compiled_retired)
+        assert runs == [2, 6]
+
+    @pytest.mark.parametrize("shape", ["exit-true", "exit-false", "skip"])
+    def test_long_branch_chain(self, shape):
+        module = _chain_module(160, shape)
+        for x in (0, 1, 12345, 1 << 40, -2):
+            machine = _unobserved_like_reference(module, [("f", (x,))], 32)
+            assert machine.compiled_retired > 0
+        for block in module.functions["f"].blocks.values():
+            if block.code is not None and block.code[2] is not None:
+                inlined = sum(len(instrs) for _, _, instrs in block.code[1])
+                assert inlined <= _REGION_MAX_INSTRS
 
 
 # -- retire runs --------------------------------------------------------------
