@@ -11,6 +11,10 @@ untouched (Section 5.1.1).
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import repeat
+from operator import add
+
 from repro.arch.params import SimParams
 
 #: Extra charge for a fence (store-buffer drain) in cycles.
@@ -37,14 +41,11 @@ class CoreTimer:
 
     def retire_run(self, n: int) -> None:
         """``n`` retires at once, with the cycle count of ``n`` calls to
-        :meth:`retire`: one float addition each, since ``n * cpi_base``
-        rounds differently once the cycle count is not dyadic."""
+        :meth:`retire`: one float addition each (a left fold in C), since
+        ``n * cpi_base`` rounds differently once the cycle count is not
+        dyadic."""
         self.retired += n
-        cycle = self.cycle
-        cpi = self.params.cpi_base
-        for _ in range(n):
-            cycle += cpi
-        self.cycle = cycle
+        self.cycle = reduce(add, repeat(self.params.cpi_base, n), self.cycle)
 
     def add_latency(self, cycles: float) -> None:
         self.cycle += cycles

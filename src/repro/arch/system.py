@@ -122,9 +122,9 @@ class CapriSystem(Observer):
     def on_retire(self, core: int, kind: str) -> None:
         self._core(core).retire()
 
-    def on_retire_run(self, core: int, kinds: List[str]) -> None:
+    def on_retire_run(self, core: int, n: int) -> None:
         # Every kind costs one pipeline slot, so only the count matters.
-        self._core(core).retire_run(len(kinds))
+        self._core(core).retire_run(n)
 
     def on_load(self, core: int, addr: int, value: int) -> None:
         self._loads += 1

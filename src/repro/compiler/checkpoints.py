@@ -21,46 +21,51 @@ it to validate restored register files.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from repro.compiler.facts import FunctionFacts
 from repro.ir.cfg import CFG
+from repro.ir.dataflow import bit_indices
 from repro.ir.function import Function
-from repro.ir.instructions import CheckpointStore, RegionBoundary
-from repro.ir.liveness import compute_liveness
-from repro.ir.reaching import compute_reaching_defs
+from repro.ir.instructions import CheckpointStore
 from repro.ir.values import Reg
 
 #: A definition site pending a checkpoint: (block label, instr index, reg).
 _Site = Tuple[str, int, int]
 
 
-def insert_checkpoints(func: Function) -> int:
+def insert_checkpoints(func: Function, facts: Optional[FunctionFacts] = None) -> int:
     """Insert checkpoint stores after defs that feed region live-ins.
 
     Must run after :func:`repro.compiler.regions.form_regions`.  Returns the
-    number of checkpoint stores inserted.
+    number of checkpoint stores inserted.  ``facts`` are the function's
+    analyses when the caller already holds them.
     """
     regions = func.meta.get("regions")
     if regions is None:
         raise ValueError(f"{func.name}: run form_regions before insert_checkpoints")
 
-    cfg = CFG(func)
-    liveness = compute_liveness(func, cfg)
-    rdefs = compute_reaching_defs(func, cfg)
+    facts = facts or FunctionFacts(func)
+    live_in_mask = facts.liveness.in_mask
+    rdefs = facts.rdefs
+    reg_mask = rdefs.reg_mask
 
-    needed: Set[_Site] = set()
+    # Sites of a live-in register reaching its region's boundary.
+    needed = 0
     for region in regions:
         label = region.entry_block
-        live_in = liveness.live_in[label]
-        region.live_in = frozenset(live_in)
-        reach = rdefs.reach_in[label]
-        for (d_label, d_index, d_reg) in reach:
-            if d_reg in live_in:
-                needed.add((d_label, d_index, d_reg))
+        live = live_in_mask[label]
+        regs = list(bit_indices(live))
+        region.live_in = frozenset(regs)
+        defs_of_live = 0
+        for reg in regs:
+            defs_of_live |= reg_mask.get(reg, 0)
+        needed |= rdefs.in_mask[label] & defs_of_live
 
     # Insert per block in descending index order so indices stay valid.
     by_block: Dict[str, List[_Site]] = {}
-    for site in needed:
+    for bit in bit_indices(needed):
+        site = rdefs.sites[bit]
         by_block.setdefault(site[0], []).append(site)
     inserted = 0
     for label, sites in by_block.items():
@@ -68,6 +73,7 @@ def insert_checkpoints(func: Function) -> int:
         for (_, index, reg) in sorted(sites, key=lambda s: -s[1]):
             block.instrs.insert(index + 1, CheckpointStore(Reg(reg)))
             inserted += 1
+    facts.edited(by_block)
     func.meta["checkpoints_inserted"] = inserted
     return inserted
 
@@ -96,33 +102,29 @@ def boundaries_served(
     ``β`` when ``d`` reaches ``β`` and ``r`` is live into ``β``.  Used by
     the pruning and LICM passes to decide whether removal/motion is safe.
     """
-    instr = func.blocks[label].instrs[ckpt_index]
+    instrs = func.blocks[label].instrs
+    instr = instrs[ckpt_index]
     if not isinstance(instr, CheckpointStore):
         raise ValueError(f"{label}[{ckpt_index}] is not a checkpoint store")
     reg = instr.src.index
+    live_bit = 1 << reg
+    live_in = liveness.in_mask
+    entries = [r.entry_block for r in func.meta.get("regions", [])]
 
     # The def guarded by this checkpoint is the nearest preceding def of
     # ``reg`` in the same block (argument checkpoints are machine-emitted
     # and never appear as instructions).
-    block = func.blocks[label]
-    def_index = None
     for i in range(ckpt_index - 1, -1, -1):
-        if any(d.index == reg for d in block.instrs[i].defs()):
-            def_index = i
-            break
-
-    served: Set[str] = set()
-    for region in func.meta.get("regions", []):
-        b_label = region.entry_block
-        if reg not in liveness.live_in[b_label]:
-            continue
-        reach = rdefs.reach_in[b_label]
-        if def_index is not None:
-            if (label, def_index, reg) in reach:
-                served.add(b_label)
-        else:
-            # Checkpoint with no preceding in-block def (e.g. moved by
-            # LICM): conservatively report all boundaries where reg is
-            # live and some def in this block's predecessors reaches.
-            served.add(b_label)
-    return frozenset(served)
+        if any(d.index == reg for d in instrs[i].defs()):
+            bit = rdefs.bit_of.get((label, i, reg))
+            if bit is None:
+                return frozenset()  # unreachable block: its def reaches nothing
+            reach_in = rdefs.in_mask
+            return frozenset(
+                b for b in entries
+                if live_in[b] & live_bit and reach_in[b] >> bit & 1
+            )
+    # No def of ``reg`` precedes the checkpoint in its block (e.g. one
+    # moved by LICM): conservatively report every boundary where ``reg``
+    # is live, with no reach check.
+    return frozenset(b for b in entries if live_in[b] & live_bit)

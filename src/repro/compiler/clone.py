@@ -3,12 +3,29 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+import operator
+from typing import Callable, Dict, Optional
 
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function, RecoveryBlock
 from repro.ir.instructions import Branch, Instr, Jump
 from repro.ir.module import Module
+
+
+#: Per instruction class, a function building a copy from the fields.
+_COPIERS: Dict[type, Callable[[Instr], Instr]] = {}
+
+
+def _copier(cls: type) -> Callable[[Instr], Instr]:
+    """``cls(*fields of instr)``: what ``dataclasses.replace(instr)`` does,
+    without its per-call field introspection."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    if not names:
+        return lambda instr: cls()
+    get = operator.attrgetter(*names)
+    if len(names) == 1:
+        return lambda instr: cls(get(instr))
+    return lambda instr: cls(*get(instr))
 
 
 def clone_instr(instr: Instr, label_map: Optional[Dict[str, str]] = None) -> Instr:
@@ -17,7 +34,11 @@ def clone_instr(instr: Instr, label_map: Optional[Dict[str, str]] = None) -> Ins
     Operands (``Reg``/``Imm``) are immutable and shared; the instruction
     object itself is fresh so passes may rewrite fields safely.
     """
-    new = dataclasses.replace(instr)
+    cls = type(instr)
+    copy = _COPIERS.get(cls)
+    if copy is None:
+        copy = _COPIERS[cls] = _copier(cls)
+    new = copy(instr)
     if label_map:
         if isinstance(new, Jump):
             new.target = label_map.get(new.target, new.target)

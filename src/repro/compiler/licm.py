@@ -20,35 +20,46 @@ block starts) and is deleted.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir.basicblock import BasicBlock
-from repro.ir.cfg import CFG, natural_loops
+from repro.ir.cfg import CFG, Loop
 from repro.ir.function import Function
 from repro.ir.instructions import CheckpointStore, Jump
-from repro.ir.liveness import compute_liveness
-from repro.ir.reaching import compute_reaching_defs
-from repro.compiler.checkpoints import boundaries_served, checkpoint_sites
+from repro.compiler.checkpoints import boundaries_served
+from repro.compiler.facts import FunctionFacts
 
 
-def move_checkpoints_out_of_loops(func: Function) -> int:
+def move_checkpoints_out_of_loops(
+    func: Function, facts: Optional[FunctionFacts] = None
+) -> int:
     """Apply checkpoint LICM in place; returns checkpoints moved + deduped.
 
     Must run after checkpoint insertion (and, in the standard pipeline,
-    after pruning).
+    after pruning).  ``facts`` are the function's analyses when the caller
+    already holds them; the edge splitting at the end invalidates them.
     """
-    moved = _dedupe_in_block(func)
+    moved = 0
+    deduped: List[str] = []
+    for label, block in func.blocks.items():
+        removed = _dedupe_block(block)
+        if removed:
+            moved += removed
+            deduped.append(label)
+    if facts is None:
+        facts = FunctionFacts(func)
+    else:
+        facts.edited(deduped)
 
-    cfg = CFG(func)
-    loops = natural_loops(cfg)
+    loops = facts.loops
     if not loops:
         func.meta["checkpoints_licm"] = moved
         return moved
-    liveness = compute_liveness(func, cfg)
-    rdefs = compute_reaching_defs(func, cfg)
+    cfg, liveness, rdefs = facts.cfg, facts.liveness, facts.rdefs
     region_entries = {
         r.entry_block for r in func.meta.get("regions", [])
     }
+    scan = _LoopScan(func, cfg, liveness.in_mask, liveness.def_mask, region_entries)
 
     # Innermost-first so a checkpoint can hop out loop by loop.
     loops_by_depth = sorted(loops, key=lambda l: -l.depth)
@@ -57,32 +68,34 @@ def move_checkpoints_out_of_loops(func: Function) -> int:
     exit_ckpts: Dict[Tuple[str, str], List[int]] = {}  # (from, to) edge -> regs
 
     claimed: Set[Tuple[str, int]] = set()
+    serves_any: Dict[Tuple[str, int], bool] = {}
     for loop in loops_by_depth:
+        exits = None
         for label in sorted(loop.body):
-            block = func.blocks[label]
-            for index, instr in enumerate(block.instrs):
-                if not isinstance(instr, CheckpointStore):
+            for index, reg, redefined_later in scan.checkpoints(label):
+                site = (label, index)
+                if site in claimed:
                     continue
-                if (label, index) in claimed:
-                    continue
-                reg = instr.src.index
-                served = boundaries_served(
-                    func, cfg, liveness, rdefs, label, index
-                )
+                served = serves_any.get(site)
+                if served is None:
+                    served = serves_any[site] = bool(boundaries_served(
+                        func, cfg, liveness, rdefs, label, index
+                    ))
                 if not served:
                     continue  # pruning handles dead checkpoints
                 # Delaying to the exit edges is safe unless some boundary
                 # is reached from the def on a path that stays inside the
                 # loop (the back-edge service of a loop-carried value);
                 # boundaries served only via exit-and-re-enter paths are
-                # still covered by the relocated checkpoint.
-                if _serves_boundary_inside_loop(
-                    func, cfg, liveness, loop, region_entries, label, index, reg
-                ):
+                # still covered by the relocated checkpoint.  A value
+                # redefined later in its own block never leaves it.
+                if not redefined_later and scan.serves_inside(loop, label, reg):
                     continue
-                claimed.add((label, index))
+                claimed.add(site)
                 removals.setdefault(label, []).append(index)
-                for edge in loop.exits(cfg):
+                if exits is None:
+                    exits = loop.exits(cfg)
+                for edge in exits:
                     exit_ckpts.setdefault(edge, []).append(reg)
                 moved += 1
 
@@ -99,60 +112,88 @@ def move_checkpoints_out_of_loops(func: Function) -> int:
     return moved
 
 
-def _serves_boundary_inside_loop(
-    func: Function,
-    cfg: CFG,
-    liveness,
-    loop,
-    region_entries: Set[str],
-    ckpt_label: str,
-    ckpt_index: int,
-    reg: int,
-) -> bool:
-    """True if a boundary needing ``reg`` is reachable from the checkpoint
-    along a path that stays inside ``loop`` and never redefines ``reg``."""
-    instrs = func.blocks[ckpt_label].instrs
-    for i in range(ckpt_index + 1, len(instrs)):
-        if any(d.index == reg for d in instrs[i].defs()):
-            return False  # value dead before leaving the block
-    seen: Set[str] = set()
-    work = [s for s in cfg.succs[ckpt_label] if s in loop.body]
-    while work:
-        label = work.pop()
-        if label in seen:
-            continue
-        seen.add(label)
-        if label in region_entries and reg in liveness.live_in[label]:
-            return True
-        redefined = any(
-            any(d.index == reg for d in instr.defs())
-            for instr in func.blocks[label].instrs
-        )
-        if redefined:
-            continue  # paths through this block no longer carry our value
-        work.extend(s for s in cfg.succs[label] if s in loop.body)
-    return False
+class _LoopScan:
+    """Per-pass block facts for the LICM candidate scan, each block's
+    computed once: its checkpoints, and its written registers as a mask."""
+
+    def __init__(
+        self,
+        func: Function,
+        cfg: CFG,
+        live_in: Dict[str, int],
+        def_mask: Dict[str, int],
+        region_entries: Set[str],
+    ) -> None:
+        self.func = func
+        self.succs = cfg.succs
+        self.def_mask = def_mask
+        #: live-in mask of each boundary block.
+        self.boundary_live = {b: live_in[b] for b in region_entries}
+        self._ckpts: Dict[str, List[Tuple[int, int, bool]]] = {}
+
+    def checkpoints(self, label: str) -> List[Tuple[int, int, bool]]:
+        """``(index, reg, redefined later in the block)`` of each checkpoint
+        store of block ``label``, in instruction order."""
+        found = self._ckpts.get(label)
+        if found is None:
+            found = []
+            later = 0  # registers written after the current position
+            instrs = self.func.blocks[label].instrs
+            for index in range(len(instrs) - 1, -1, -1):
+                instr = instrs[index]
+                if isinstance(instr, CheckpointStore):
+                    reg = instr.src.index
+                    found.append((index, reg, bool(later >> reg & 1)))
+                for d in instr.defs():
+                    later |= 1 << d.index
+            found.reverse()
+            self._ckpts[label] = found
+        return found
+
+    def serves_inside(self, loop: Loop, label: str, reg: int) -> bool:
+        """True if a boundary needing ``reg`` is reachable from the end of
+        block ``label`` along a path that stays inside ``loop`` and never
+        redefines ``reg``."""
+        bit = 1 << reg
+        body = loop.body
+        boundary_live = self.boundary_live
+        def_mask = self.def_mask
+        seen: Set[str] = set()
+        work = [s for s in self.succs[label] if s in body]
+        while work:
+            b = work.pop()
+            if b in seen:
+                continue
+            seen.add(b)
+            if boundary_live.get(b, 0) & bit:
+                return True
+            if def_mask[b] & bit:
+                continue  # paths through this block no longer carry our value
+            work.extend(s for s in self.succs[b] if s in body)
+        return False
 
 
 def _dedupe_in_block(func: Function) -> int:
     """Drop earlier duplicate checkpoints of a register within a block."""
-    removed = 0
-    for block in func.blocks.values():
-        last_ckpt: Dict[int, int] = {}
-        dead: List[int] = []
-        for i, instr in enumerate(block.instrs):
-            if isinstance(instr, CheckpointStore):
-                reg = instr.src.index
-                if reg in last_ckpt:
-                    dead.append(last_ckpt[reg])
-                last_ckpt[reg] = i
-            else:
-                for d in instr.defs():
-                    last_ckpt.pop(d.index, None)
-        for i in sorted(dead, reverse=True):
-            del block.instrs[i]
-            removed += 1
-    return removed
+    return sum(_dedupe_block(block) for block in func.blocks.values())
+
+
+def _dedupe_block(block: BasicBlock) -> int:
+    """Drop earlier duplicate checkpoints of a register within ``block``."""
+    last_ckpt: Dict[int, int] = {}
+    dead: List[int] = []
+    for i, instr in enumerate(block.instrs):
+        if isinstance(instr, CheckpointStore):
+            reg = instr.src.index
+            if reg in last_ckpt:
+                dead.append(last_ckpt[reg])
+            last_ckpt[reg] = i
+        else:
+            for d in instr.defs():
+                last_ckpt.pop(d.index, None)
+    for i in sorted(dead, reverse=True):
+        del block.instrs[i]
+    return len(dead)
 
 
 def _insert_on_edge(func: Function, src: str, dst: str, regs: List[int]) -> None:

@@ -16,7 +16,9 @@ Config                  Meaning
 
 ``CapriCompiler.compile`` clones the input module and applies the enabled
 passes per function, bottom of Section 4's pipeline:
-unroll -> form regions -> insert checkpoints -> prune -> licm.
+unroll -> form regions -> insert checkpoints -> prune -> licm.  The CFG,
+loops and liveness region formation computes serve every later pass, and
+reaching definitions are computed once (see :mod:`repro.compiler.facts`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from repro.compiler.clone import clone_module
 from repro.compiler.checkpoints import insert_checkpoints
 from repro.compiler.licm import move_checkpoints_out_of_loops
 from repro.compiler.pruning import prune_checkpoints
-from repro.compiler.regions import form_regions
+from repro.compiler.regions import form_regions_with_facts
 from repro.compiler.unrolling import speculative_unroll
 
 #: Default region store threshold (paper Section 3.2: 256 by default).
@@ -170,19 +172,17 @@ class CapriCompiler:
                 stats["loops_unrolled"] = speculative_unroll(
                     func, threshold=cfg.threshold, max_unroll=cfg.max_unroll
                 )
-            regions = form_regions(
-                func,
-                threshold=cfg.threshold,
-                count_ckpt_estimates=cfg.checkpoints,
+            regions, facts = form_regions_with_facts(
+                func, cfg.threshold, cfg.checkpoints
             )
             stats["regions"] = len(regions)
             if cfg.checkpoints:
-                stats["checkpoints_inserted"] = insert_checkpoints(func)
+                stats["checkpoints_inserted"] = insert_checkpoints(func, facts)
                 if cfg.prune:
-                    stats["checkpoints_pruned"] = prune_checkpoints(func)
+                    stats["checkpoints_pruned"] = prune_checkpoints(func, facts)
                 if cfg.licm_opt:
                     stats["checkpoints_licm"] = move_checkpoints_out_of_loops(
-                        func
+                        func, facts
                     )
             result.function_stats[func.name] = stats
         verify_module(out)

@@ -32,14 +32,12 @@ which also slices across control dependences):
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.ir.cfg import CFG, DomTree
 from repro.ir.function import Function, RecoveryBlock
 from repro.ir.instructions import BinOp, CheckpointStore, Instr, Move, UnOp
-from repro.ir.liveness import compute_liveness
-from repro.ir.reaching import ReachingDefs, compute_reaching_defs
 from repro.compiler.clone import clone_instr
+from repro.compiler.facts import FunctionFacts
 from repro.compiler.checkpoints import boundaries_served, checkpoint_sites
 
 _PURE = (BinOp, UnOp, Move)
@@ -49,12 +47,13 @@ MAX_SLICE = 16
 
 
 class _Pruner:
-    def __init__(self, func: Function) -> None:
+    def __init__(self, func: Function, facts: FunctionFacts) -> None:
         self.func = func
-        self.cfg = CFG(func)
-        self.dom = DomTree(self.cfg)
-        self.liveness = compute_liveness(func, self.cfg)
-        self.rdefs = compute_reaching_defs(func, self.cfg)
+        self.facts = facts
+        self.cfg = facts.cfg
+        self.dom = facts.dom
+        self.liveness = facts.liveness
+        self.rdefs = facts.rdefs
         regions = func.meta["regions"]
         self.region_by_block = {r.entry_block: r for r in regions}
         #: live-in registers still covered by a checkpoint, per boundary.
@@ -74,10 +73,10 @@ class _Pruner:
 
     def _ckpt_after_unique_def(self, b_label: str, reg: int) -> Optional[Tuple[str, int]]:
         """Surviving checkpoint site guarding reg's unique dominating def."""
-        sites = self.rdefs.reaching_defs_of(self.func, b_label, 0, reg)
-        if len(sites) != 1:
+        site = self.rdefs.unique_def(self.func, b_label, 0, reg)
+        if site is None:
             return None
-        d_label, d_index, _ = next(iter(sites))
+        d_label, d_index, _ = site
         if not self.dom.dominates(d_label, b_label):
             return None
         block = self.func.blocks[d_label]
@@ -114,10 +113,10 @@ class _Pruner:
         inputs: Set[int] = set()
 
         def visit(lbl: str, idx: int, r: int) -> bool:
-            sites = rdefs.reaching_defs_of(func, lbl, idx, r)
-            if len(sites) != 1:
+            site = rdefs.unique_def(func, lbl, idx, r)
+            if site is None:
                 return False
-            d_label, d_index, _ = next(iter(sites))
+            d_label, d_index, _ = site
             if (d_label, d_index) in seen:
                 return True
             if not dom.dominates(d_label, b_label):
@@ -214,18 +213,20 @@ class _Pruner:
             for index in sorted(indices, reverse=True):
                 assert isinstance(block.instrs[index], CheckpointStore)
                 del block.instrs[index]
+        self.facts.edited(by_block)
         return pruned
 
 
-def prune_checkpoints(func: Function) -> int:
+def prune_checkpoints(func: Function, facts: Optional[FunctionFacts] = None) -> int:
     """Prune reconstructible checkpoints; returns the number removed.
 
     Must run after checkpoint insertion.  Attaches
     :class:`~repro.ir.function.RecoveryBlock` entries to
-    ``func.recovery_blocks`` keyed by region id.
+    ``func.recovery_blocks`` keyed by region id.  ``facts`` are the
+    function's analyses when the caller already holds them.
     """
     if func.meta.get("regions") is None:
         raise ValueError(f"{func.name}: run form_regions/insert_checkpoints first")
-    pruned = _Pruner(func).run()
+    pruned = _Pruner(func, facts or FunctionFacts(func)).run()
     func.meta["checkpoints_pruned"] = pruned
     return pruned

@@ -33,8 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.compiler.facts import FunctionFacts
 from repro.ir.basicblock import BasicBlock
-from repro.ir.cfg import CFG, natural_loops
+from repro.ir.cfg import CFG, DomTree, natural_loops
 from repro.ir.function import Function
 from repro.ir.instructions import (
     AtomicRMW,
@@ -43,12 +44,13 @@ from repro.ir.instructions import (
     Fence,
     Halt,
     Instr,
+    IOWrite,
     Jump,
     RegionBoundary,
     Ret,
     Store,
 )
-from repro.ir.liveness import compute_liveness
+from repro.ir.liveness import LivenessInfo, compute_liveness
 from repro.ir.module import Module
 
 #: Smallest supported region threshold; below this single instructions
@@ -85,8 +87,6 @@ def _is_mandatory_post_point(instr: Instr) -> bool:
     in a single-instruction region bounds re-execution after a crash to
     at most that one operation.
     """
-    from repro.ir.instructions import IOWrite
-
     return isinstance(instr, IOWrite)
 
 
@@ -118,10 +118,11 @@ def split_blocks(func: Function) -> Set[str]:
             instrs = func.blocks[current_label].instrs
             split_at = None
             for i, instr in enumerate(instrs):
-                if _is_mandatory_pre_point(instr) and i > 0:
+                pre_point = _is_mandatory_pre_point(instr)
+                if pre_point and i > 0:
                     split_at = i
                     break
-                if _is_mandatory_pre_point(instr):
+                if pre_point:
                     # A leading Call/Fence/Atomic/IO is a boundary at this
                     # block; later points in the block still need their
                     # own split, so keep scanning.
@@ -142,41 +143,76 @@ def split_blocks(func: Function) -> Set[str]:
 
 
 def _block_store_weights(
-    func: Function, cfg: CFG, count_ckpt_estimates: bool
+    func: Function, cfg: CFG, liveness: Optional[LivenessInfo]
 ) -> Dict[str, int]:
-    """Conservative per-block store weight (stores + checkpoint estimate)."""
+    """Conservative per-block store weight (stores + checkpoint estimate).
+
+    ``liveness`` is ``None`` when checkpoint estimates are not counted.
+    """
+    count_ckpt_estimates = liveness is not None
     weights: Dict[str, int] = {}
-    liveness = compute_liveness(func, cfg) if count_ckpt_estimates else None
     for label in cfg.rpo:
-        block = func.blocks[label]
         weight = sum(
-            _instr_store_weight(i, count_ckpt_estimates) for i in block.instrs
+            _instr_store_weight(i, count_ckpt_estimates)
+            for i in func.blocks[label].instrs
         )
-        if count_ckpt_estimates and liveness is not None:
-            defs = {d.index for i in block.instrs for d in i.defs()}
-            weight += len(defs & liveness.live_out[label])
+        if liveness is not None:
+            weight += (liveness.def_mask[label] & liveness.out_mask[label]).bit_count()
         weights[label] = weight
     return weights
 
 
-def _max_region_weights(
-    cfg: CFG, weights: Dict[str, int], boundaries: Set[str]
-) -> Dict[str, int]:
-    """Worst-case store weight of the region starting at each boundary.
+def _merge_regions(
+    cfg: CFG, weights: Dict[str, int], mandatory: Set[str], threshold: int
+) -> Tuple[Set[str], Dict[str, int]]:
+    """Greedy merging: drop optional boundaries in RPO while budgets hold.
 
-    ``g(b) = w(b) + max(0, max over non-boundary successors s of g(s))``;
-    region paths end at boundary blocks or function exits.  The restricted
-    graph is acyclic because every loop header is a boundary, so a single
-    reverse-RPO sweep suffices.
+    ``g[b] = w(b) + max(0, max g(s))`` over the successors ``s`` of ``b``
+    that come later in RPO and are not boundaries: region paths end at
+    boundaries, function exits and retreating edges, so ``g`` of a
+    boundary is its region's worst-case store weight (acyclic because
+    every loop header is a boundary).  Dropping boundary ``x`` can only
+    raise ``g`` of the blocks that reach ``x`` along such edges through
+    non-boundary blocks; only those are updated, and restored when a
+    boundary's ``g`` then exceeds ``threshold``.  Returns the kept
+    boundaries and ``g`` of every reachable block.
     """
-    g: Dict[str, int] = {}
-    for label in reversed(cfg.rpo):
-        succ_max = 0
-        for s in cfg.succs[label]:
-            if s not in boundaries and s in g:
-                succ_max = max(succ_max, g[s])
-        g[label] = weights[label] + succ_max
-    return {b: g[b] for b in boundaries if b in g}
+    rpo_index = cfg.rpo_index
+    fwd_preds = {
+        label: [
+            p for p in cfg.preds[label]
+            if p in rpo_index and rpo_index[p] < rpo_index[label]
+        ]
+        for label in cfg.rpo
+    }
+    boundaries: Set[str] = set(cfg.rpo)  # every block an initial region
+    g = dict(weights)
+    for label in cfg.rpo:
+        if label in mandatory:
+            continue
+        boundaries.discard(label)
+        undo: List[Tuple[str, int]] = []
+        work = [label]
+        fits = True
+        while work and fits:
+            s = work.pop()
+            g_s = g[s]
+            for p in fwd_preds[s]:
+                new = weights[p] + g_s
+                if new <= g[p]:
+                    continue
+                undo.append((p, g[p]))
+                g[p] = new
+                if p not in boundaries:
+                    work.append(p)
+                elif new > threshold:
+                    fits = False
+                    break
+        if not fits:
+            for p, old in reversed(undo):
+                g[p] = old
+            boundaries.add(label)
+    return boundaries, g
 
 
 def _check_acyclic_regions(cfg: CFG, boundaries: Set[str]) -> None:
@@ -217,57 +253,40 @@ def form_regions(
     Raises :class:`RegionFormationError` if the threshold is too small for
     some basic block even after block-level splitting.
     """
+    return form_regions_with_facts(func, threshold, count_ckpt_estimates)[0]
+
+
+def form_regions_with_facts(
+    func: Function, threshold: int, count_ckpt_estimates: bool
+) -> Tuple[List[RegionInfo], FunctionFacts]:
+    """:func:`form_regions`, also returning the analyses of the formed
+    function for the checkpoint passes that follow it (see
+    :mod:`repro.compiler.facts`)."""
     if threshold < MIN_THRESHOLD:
         raise RegionFormationError(
             f"threshold {threshold} below minimum {MIN_THRESHOLD}"
         )
 
     mandatory = split_blocks(func)
-    cfg = CFG(func)
-    loops = natural_loops(cfg)
-    for loop in loops:
-        mandatory.add(loop.header)
-    mandatory &= cfg.reachable
-
-    weights = _block_store_weights(func, cfg, count_ckpt_estimates)
+    facts, weights = _analyse(func, mandatory, count_ckpt_estimates)
 
     # Split any single block whose own weight exceeds the threshold: chop
     # its straight-line store runs into chunks that fit.
-    oversized = [l for l in cfg.rpo if weights[l] > threshold]
+    oversized = [l for l in facts.cfg.rpo if weights[l] > threshold]
     if oversized:
         for label in oversized:
             _split_oversized_block(func, label, threshold, count_ckpt_estimates)
-        cfg = CFG(func)
-        loops = natural_loops(cfg)
-        mandatory = {l for l in mandatory if l in func.blocks}
-        for loop in loops:
-            mandatory.add(loop.header)
-        mandatory &= cfg.reachable
-        weights = _block_store_weights(func, cfg, count_ckpt_estimates)
-        still = [l for l in cfg.rpo if weights[l] > threshold]
+        facts, weights = _analyse(func, mandatory, count_ckpt_estimates)
+        still = [l for l in facts.cfg.rpo if weights[l] > threshold]
         if still:
             raise RegionFormationError(
                 f"{func.name}: block {still[0]!r} cannot fit threshold "
                 f"{threshold} even after splitting"
             )
 
-    boundaries: Set[str] = set(cfg.rpo)  # every block an initial region
+    cfg = facts.cfg
     _check_acyclic_regions(cfg, mandatory)
-
-    # Greedy merging: drop optional boundaries in RPO while budgets hold.
-    for label in cfg.rpo:
-        if label in mandatory:
-            continue
-        boundaries.discard(label)
-        region_weights = _max_region_weights(cfg, weights, boundaries)
-        if any(w > threshold for w in region_weights.values()):
-            boundaries.add(label)
-
-    final_weights = _max_region_weights(cfg, weights, boundaries)
-    if any(w > threshold for w in final_weights.values()):
-        raise RegionFormationError(
-            f"{func.name}: region budget violated after merging"
-        )
+    boundaries, g = _merge_regions(cfg, weights, mandatory, threshold)
 
     # Materialise boundary instructions and the region table.
     regions: List[RegionInfo] = []
@@ -279,12 +298,28 @@ def form_regions(
                 region_id=region_id,
                 entry_block=label,
                 mandatory=label in mandatory,
-                max_store_weight=final_weights[label],
+                max_store_weight=g[label],
             )
         )
     func.meta["regions"] = regions
     func.meta["region_threshold"] = threshold
-    return regions
+    return regions, facts
+
+
+def _analyse(
+    func: Function, mandatory: Set[str], count_ckpt_estimates: bool
+) -> Tuple[FunctionFacts, Dict[str, int]]:
+    """Analyse the split function: adds every loop header to ``mandatory``
+    and keeps only reachable blocks there; returns the facts and the
+    per-block store weights."""
+    cfg = CFG(func)
+    dom = DomTree(cfg)
+    loops = natural_loops(cfg, dom)
+    mandatory.update(loop.header for loop in loops)
+    mandatory &= cfg.reachable
+    liveness = compute_liveness(func, cfg) if count_ckpt_estimates else None
+    facts = FunctionFacts(func, cfg, dom, loops, liveness)
+    return facts, _block_store_weights(func, cfg, liveness)
 
 
 def _split_oversized_block(

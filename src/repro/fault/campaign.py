@@ -74,7 +74,9 @@ from repro.arch.recovery import (
     resume_and_finish,
     run_recovery,
 )
-from repro.fault.models import FaultModel, FaultNote, apply_faults, get_models
+from repro.fault.models import (
+    CleanPowerLoss, FaultModel, FaultNote, apply_faults, get_models,
+)
 from repro.fault.oracle import (
     GoldenResult,
     MinimizedFailure,
@@ -478,8 +480,11 @@ def run_crash_point(
     if state is None:
         return [CrashOutcome(event_index, "finished")], 0
 
+    # The clean model changes nothing, so a point with no other model
+    # needs neither its RNG nor a clone of the state.
+    active = [m for m in models if not isinstance(m, CleanPowerLoss)]
     mutated, notes = apply_faults(
-        state, models, _point_rng(config.seed, event_index)
+        state, active, _point_rng(config.seed, event_index) if active else None
     )
 
     try:

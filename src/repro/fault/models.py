@@ -318,9 +318,16 @@ def get_models(names: Sequence[str]) -> List[FaultModel]:
 def apply_faults(
     state: CrashState,
     models: Sequence[FaultModel],
-    rng: random.Random,
+    rng: Optional[random.Random],
 ) -> Tuple[CrashState, List[FaultNote]]:
-    """Clone ``state`` and run every model over the clone in order."""
+    """Clone ``state`` and run every model over the clone in order.
+
+    With no model, ``state`` itself comes back with no notes and ``rng``
+    may be ``None``: nothing would change the clone, and the campaign
+    only reads the result or clones it again.
+    """
+    if not models:
+        return state, []
     mutated = state.clone()
     notes: List[FaultNote] = []
     for model in models:

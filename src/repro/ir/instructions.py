@@ -142,7 +142,7 @@ class Instr:
         return False
 
     def _operand_uses(self, *operands: Operand) -> Tuple[Reg, ...]:
-        return tuple(op for op in operands if isinstance(op, Reg))
+        return tuple([op for op in operands if isinstance(op, Reg)])
 
 
 @dataclass(slots=True)

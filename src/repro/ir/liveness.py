@@ -22,12 +22,22 @@ class LivenessInfo:
     """Per-block liveness facts for one function.
 
     ``in_mask``/``out_mask`` hold the solved bitsets; ``live_in`` and
-    ``live_out`` are read-only frozenset views of them.
+    ``live_out`` are read-only frozenset views of them.  ``use_mask`` and
+    ``def_mask`` hold each block's upward-exposed reads and written
+    registers, the solver's gen and kill sets.
     """
 
-    def __init__(self, in_mask: Dict[str, int], out_mask: Dict[str, int]) -> None:
+    def __init__(
+        self,
+        in_mask: Dict[str, int],
+        out_mask: Dict[str, int],
+        use_mask: Dict[str, int],
+        def_mask: Dict[str, int],
+    ) -> None:
         self.in_mask = in_mask
         self.out_mask = out_mask
+        self.use_mask = use_mask
+        self.def_mask = def_mask
         self.live_in = DecodedMasks(in_mask, int)
         self.live_out = DecodedMasks(out_mask, int)
 
@@ -49,14 +59,12 @@ class LivenessInfo:
         return frozenset(bit_indices(live))
 
 
-def _block_use_def(func: Function, label: str) -> tuple[int, int]:
+def block_use_def(func: Function, label: str) -> tuple[int, int]:
     """(use, def) masks: use = upward-exposed reads, def = any write."""
     uses = defs = 0
     for instr in func.blocks[label].instrs:
         for u in instr.uses():
-            bit = 1 << u.index
-            if not defs & bit:
-                uses |= bit
+            uses |= (1 << u.index) & ~defs
         for d in instr.defs():
             defs |= 1 << d.index
     return uses, defs
@@ -68,6 +76,6 @@ def compute_liveness(func: Function, cfg: CFG | None = None) -> LivenessInfo:
     use: Dict[str, int] = {}
     defs: Dict[str, int] = {}
     for label in cfg.rpo:
-        use[label], defs[label] = _block_use_def(func, label)
+        use[label], defs[label] = block_use_def(func, label)
     out_mask, in_mask = solve_backward(cfg, use, defs)
-    return LivenessInfo(in_mask, out_mask)
+    return LivenessInfo(in_mask, out_mask, use, defs)

@@ -11,7 +11,7 @@ Facts are bitsets: bit *i* is the *i*-th definition site, numbered in
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.ir.cfg import CFG
 from repro.ir.dataflow import DecodedMasks, bit_indices, solve_forward
@@ -41,6 +41,7 @@ class ReachingDefs:
         self.out_mask = out_mask
         #: Bits of each register's definition sites.
         self.reg_mask = reg_mask
+        self._bit_of: Dict[DefSite, int] | None = None
         site = sites.__getitem__
         #: Definitions reaching the *entry* of each block.
         self.reach_in = DecodedMasks(in_mask, site)
@@ -53,17 +54,69 @@ class ReachingDefs:
         self, func: Function, label: str, index: int, reg_index: int
     ) -> FrozenSet[DefSite]:
         """Definition sites of ``reg_index`` reaching before instruction ``index``."""
-        instrs = func.blocks[label].instrs
-        if not 0 <= index <= len(instrs):
-            raise IndexError(index)
-        reach = self.in_mask[label]
-        for i in range(index - 1, -1, -1):
-            for d in instrs[i].defs():
-                if d.index == reg_index:
-                    return frozenset(((label, i, reg_index),))
+        local = _def_before(func, label, index, reg_index)
+        if local is not None:
+            return frozenset((local,))
         sites = self.sites
-        mask = reach & self.reg_mask.get(reg_index, 0)
+        mask = self.in_mask[label] & self.reg_mask.get(reg_index, 0)
         return frozenset(sites[i] for i in bit_indices(mask))
+
+    def unique_def(
+        self, func: Function, label: str, index: int, reg_index: int
+    ) -> Optional[DefSite]:
+        """The one site :meth:`reaching_defs_of` would return, or ``None``
+        when it would return none or several."""
+        local = _def_before(func, label, index, reg_index)
+        if local is not None:
+            return local
+        mask = self.in_mask[label] & self.reg_mask.get(reg_index, 0)
+        if not mask or mask & (mask - 1):
+            return None
+        return self.sites[mask.bit_length() - 1]
+
+    @property
+    def bit_of(self) -> Dict[DefSite, int]:
+        """Bit number of each definition site (built on first use)."""
+        if self._bit_of is None:
+            self._bit_of = {site: i for i, site in enumerate(self.sites)}
+        return self._bit_of
+
+    def reindexed(self, func: Function, labels: Iterable[str]) -> "ReachingDefs":
+        """These facts after instructions that write no register were
+        inserted into or deleted from the blocks ``labels``.
+
+        Such edits keep every block's definitions, in order, so the solved
+        masks and the bit numbering hold; only the instruction index of
+        each moved site is re-read from ``func``.
+        """
+        moved = {
+            label: iter([
+                (label, i, d.index)
+                for i, instr in enumerate(func.blocks[label].instrs)
+                for d in instr.defs()
+            ])
+            for label in labels
+        }
+        sites = tuple(
+            next(moved[site[0]]) if site[0] in moved else site
+            for site in self.sites
+        )
+        return ReachingDefs(sites, self.in_mask, self.out_mask, self.reg_mask)
+
+
+def _def_before(
+    func: Function, label: str, index: int, reg_index: int
+) -> Optional[DefSite]:
+    """The last definition of ``reg_index`` before ``instrs[index]`` in its
+    own block, if any."""
+    instrs = func.blocks[label].instrs
+    if not 0 <= index <= len(instrs):
+        raise IndexError(index)
+    for i in range(index - 1, -1, -1):
+        for d in instrs[i].defs():
+            if d.index == reg_index:
+                return (label, i, reg_index)
+    return None
 
 
 def compute_reaching_defs(func: Function, cfg: CFG | None = None) -> ReachingDefs:

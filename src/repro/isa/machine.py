@@ -32,10 +32,10 @@ Retire runs
 Most retired instructions produce nothing but ``on_retire``.  An
 observer whose class overrides :meth:`~repro.isa.trace.Observer.on_retire_run`,
 as :class:`~repro.arch.system.CapriSystem` does, gets them in runs: the
-machine appends each retired instruction's kind to a buffer and hands
-the buffer over before the hart's next other callback and at quantum
-end (contract item 1 in :mod:`repro.isa.trace`).  Every other observer
-gets one ``on_retire`` per instruction, through the same single call.
+machine counts the hart's retires and hands the count over before the
+hart's next other callback and at quantum end (contract item 1 in
+:mod:`repro.isa.trace`).  Every other observer gets one ``on_retire``
+per instruction.
 
 Compiled regions
 ----------------
@@ -733,14 +733,15 @@ class Machine:
         the same either way.
 
         An observer whose class overrides ``on_retire_run`` gets its
-        retires in runs: the per-instruction call appends the kind to
-        ``kinds``, and the run is delivered before every other callback
-        (load, store, checkpoint, boundary, the call-argument checkpoints
-        and halt of ``Call``/``Ret``, atomic, fence, I/O, halt) and, in
-        the ``finally``, at quantum end or before an error leaves the
-        quantum.  Each retire is delivered once.  Any other observer
-        gets ``on_retire`` per instruction from the same call site, and
-        pays one empty-buffer test per other event.
+        retires in runs: nothing per instruction, and the count retired
+        since the last run, ``executed - flushed``, before every other
+        callback (load, store, checkpoint, boundary, the call-argument
+        checkpoints and halt of ``Call``/``Ret``, atomic, fence, I/O,
+        halt) and, in the ``finally``, at quantum end or before an error
+        leaves the quantum.  Each retire is counted once, and every run
+        before an event holds at least that event's own instruction.
+        Any other observer gets ``on_retire`` per instruction, and pays
+        one ``runs`` test per other event.
 
         Such a run also passes ``codes``, its memo of compiled regions.
         Then every time the hart stands at index 0 of a block, at quantum
@@ -761,16 +762,13 @@ class Machine:
         memory = self.memory
         core = hart.core_id
         observed = obs is not _NULL_OBSERVER
-        # Retires not yet delivered to an observer that takes them in runs.
-        kinds: List[str] = []
+        # An observer that takes retire runs is owed ``executed - flushed``
+        # retires; any other observer gets ``on_retire`` per instruction.
+        runs = type(obs).on_retire_run is not Observer.on_retire_run
         on_run = obs.on_retire_run
-        # ``retire(retire_to, kind)`` is ``obs.on_retire(core, kind)``, or
-        # ``kinds.append(kind)`` for an observer that takes retire runs:
-        # one call either way, and no test of which it is.
-        if type(obs).on_retire_run is Observer.on_retire_run:
-            retire, retire_to = obs.on_retire, core
-        else:
-            retire, retire_to = list.append, kinds
+        flushed = 0
+        per_instr = observed and not runs
+        on_retire = obs.on_retire
         blocks = hart.func.blocks
         instrs = blocks[hart.label].instrs
         index = hart.index
@@ -787,8 +785,8 @@ class Machine:
             while executed < budget:
                 instr = instrs[index]
                 cls = type(instr)
-                if observed:
-                    retire(retire_to, cls.__name__)
+                if per_instr:
+                    on_retire(core, cls.__name__)
                 executed += 1
 
                 if cls is BinOp:
@@ -833,15 +831,15 @@ class Machine:
                         regs[base.index] if type(base) is Reg else base.value
                     ) + instr.offset
                     value = regs[instr.dst.index] = memory.get(addr, 0)
-                    if kinds:
-                        on_run(core, kinds)
-                        kinds.clear()
+                    if runs:
+                        on_run(core, executed - flushed)
+                        flushed = executed
                     obs.on_load(core, addr, value)
                     index += 1
                 elif cls is CheckpointStore:
-                    if kinds:
-                        on_run(core, kinds)
-                        kinds.clear()
+                    if runs:
+                        on_run(core, executed - flushed)
+                        flushed = executed
                     reg = instr.src.index
                     value = regs[reg]
                     if reg >= MAX_REGS:
@@ -861,9 +859,9 @@ class Machine:
                     value = regs[v.index] if type(v) is Reg else v.value
                     old = memory.get(addr, 0)
                     memory[addr] = value
-                    if kinds:
-                        on_run(core, kinds)
-                        kinds.clear()
+                    if runs:
+                        on_run(core, executed - flushed)
+                        flushed = executed
                     obs.on_store(core, addr, value, old)
                     index += 1
                 elif cls is Move:
@@ -879,9 +877,9 @@ class Machine:
                     index += 1
                     if observed:
                         hart.index = index
-                        if kinds:
-                            on_run(core, kinds)
-                            kinds.clear()
+                        if runs:
+                            on_run(core, executed - flushed)
+                            flushed = executed
                         obs.on_boundary(
                             core, instr.region_id, hart.continuation()
                         )
@@ -892,9 +890,9 @@ class Machine:
                     index += 1
                 elif cls is Call or cls is Ret:
                     hart.index = index
-                    if kinds:
-                        on_run(core, kinds)
-                        kinds.clear()
+                    if runs:
+                        on_run(core, executed - flushed)
+                        flushed = executed
                     if cls is Call:
                         self._do_call(hart, instr, obs)
                     else:
@@ -923,31 +921,31 @@ class Machine:
                     new = eval_atomic(instr.op, old, value)
                     memory[addr] = new
                     regs[instr.dst.index] = old
-                    if kinds:
-                        on_run(core, kinds)
-                        kinds.clear()
+                    if runs:
+                        on_run(core, executed - flushed)
+                        flushed = executed
                     obs.on_atomic(core, addr, new, old)
                     index += 1
                 elif cls is Fence:
-                    if kinds:
-                        on_run(core, kinds)
-                        kinds.clear()
+                    if runs:
+                        on_run(core, executed - flushed)
+                        flushed = executed
                     obs.on_fence(core)
                     index += 1
                 elif cls is IOWrite:
                     v = instr.value
                     value = regs[v.index] if type(v) is Reg else v.value
                     self.io_log.append((core, instr.port, value))
-                    if kinds:
-                        on_run(core, kinds)
-                        kinds.clear()
+                    if runs:
+                        on_run(core, executed - flushed)
+                        flushed = executed
                     obs.on_io(core, instr.port, value)
                     index += 1
                 elif cls is Halt:
                     hart.halted = True
-                    if kinds:
-                        on_run(core, kinds)
-                        kinds.clear()
+                    if runs:
+                        on_run(core, executed - flushed)
+                        flushed = executed
                     obs.on_halt(core)
                     break
                 elif cls is Nop:
@@ -958,9 +956,8 @@ class Machine:
             hart.index = index
             # The quantum's last retires; after a machine error, the
             # retires before it.
-            if kinds:
-                on_run(core, kinds)
-                kinds.clear()
+            if runs and executed != flushed:
+                on_run(core, executed - flushed)
         hart.retired += executed
         self.total_retired += executed
         return executed

@@ -27,14 +27,15 @@ injector) may rely on the following, pinned by
    of what the machine tells an observer: no observer holds a reference
    to the machine, so a recorded stream can stand in for it.
    *Retire runs* are the one deferral: an observer whose class overrides
-   :meth:`Observer.on_retire_run` gets a hart's retires buffered and
-   delivered as one ``on_retire_run`` call before that hart's next other
-   callback (load, store, checkpoint, boundary, call-argument
+   :meth:`Observer.on_retire_run` gets a hart's retires counted and
+   delivered as one ``on_retire_run(core, n)`` call before that hart's
+   next other callback (load, store, checkpoint, boundary, call-argument
    checkpoint, atomic, fence, I/O or halt) and at the end of each
-   quantum.  Expanded, the calls are exactly the per-instruction stream:
-   every retire arrives once, in order, and before the event of its own
-   instruction.  Every other observer gets ``on_retire`` per
-   instruction.
+   quantum.  The counts between consecutive other events are exactly
+   the per-instruction stream's retire counts: every retire is counted
+   once, before the event of its own instruction, and no run is empty.
+   Such an observer gets no instruction kinds.  Every other observer
+   gets ``on_retire`` per instruction.
 2. **Per-core program order.** For a fixed core, ``on_store`` /
    ``on_ckpt`` / ``on_boundary`` / ``on_atomic`` arrive exactly in that
    hart's dynamic instruction order.  Events of *different* cores
@@ -89,18 +90,14 @@ class Observer:
     def on_retire(self, core: int, kind: str) -> None:  # noqa: D401
         """Called once per retired instruction, before specific callbacks."""
 
-    def on_retire_run(self, core: int, kinds: List[str]) -> None:
-        """A run of retired instructions of ``core``, in program order.
+    def on_retire_run(self, core: int, n: int) -> None:
+        """``n`` (at least one) instructions of ``core`` retired.
 
-        The default delivers ``on_retire(core, kind)`` once per kind.  An
-        observer whose class overrides this method receives its retires
-        in runs instead (contract item 1).  ``kinds`` is the machine's
-        buffer: it is valid only during the call and is emptied after it,
-        and the method must not raise.
+        An observer whose class overrides this method receives its
+        retires as these counts instead of :meth:`on_retire` calls
+        (contract item 1); the method must not raise.  The machine never
+        calls the default, which does nothing.
         """
-        on_retire = self.on_retire
-        for kind in kinds:
-            on_retire(core, kind)
 
     def on_load(self, core: int, addr: int, value: int) -> None:
         """A word load from ``addr`` retired, reading ``value``."""

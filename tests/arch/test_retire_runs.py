@@ -48,7 +48,7 @@ def test_system_run_matches_single_retires():
         system.cores[1].add_latency(START)
     for _ in range(N):
         single.on_retire(1, "BinOp")
-    batched.on_retire_run(1, ["BinOp"] * N)
+    batched.on_retire_run(1, N)
     assert repr(batched.cores[1].cycle) == repr(single.cores[1].cycle)
     assert batched.cores[1].cycle == 18.732919365674512
     assert [c.retired for c in batched.cores] == [c.retired for c in single.cores]
@@ -86,9 +86,9 @@ def test_metrics_identical_batched_and_single(program, quantum, monkeypatch):
     runs = []
     run_retires = CapriSystem.on_retire_run
 
-    def counted(self, core, kinds):
-        runs.append(len(kinds))
-        run_retires(self, core, kinds)
+    def counted(self, core, n):
+        runs.append(n)
+        run_retires(self, core, n)
 
     monkeypatch.setattr(CapriSystem, "on_retire_run", counted)
     metrics = []

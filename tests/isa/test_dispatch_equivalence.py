@@ -264,8 +264,15 @@ class RaiseAt(CollectingObserver):
         super().on_io(core, port, value)
 
 
+def _counted(events):
+    """``events`` with each retire's instruction kind dropped: what a
+    stream of retire counts can be compared on."""
+    return [(EV_RETIRE, e[1]) if e[0] == EV_RETIRE else e for e in events]
+
+
 class RunCollector(CollectingObserver):
-    """Takes retires in runs and records them expanded, one tuple each."""
+    """Takes retires as run counts and records them expanded, one
+    ``(EV_RETIRE, core)`` tuple per retire (see :func:`_counted`)."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -274,18 +281,18 @@ class RunCollector(CollectingObserver):
     def on_retire(self, core, kind):
         raise AssertionError("a retire reached a batching observer alone")
 
-    def on_retire_run(self, core, kinds):
-        assert kinds, "empty retire run"
-        self.runs.append(len(kinds))
-        self.events.extend((EV_RETIRE, core, kind) for kind in kinds)
+    def on_retire_run(self, core, n):
+        assert type(n) is int and n > 0, "empty retire run"
+        self.runs.append(n)
+        self.events.extend([(EV_RETIRE, core)] * n)
 
 
 class RunRaiseAt(RaiseAt):
-    """:class:`RaiseAt` that takes retires in runs, so it raises only at
-    the other events."""
+    """:class:`RaiseAt` that takes retires as run counts, so it raises
+    only at the other events."""
 
-    def on_retire_run(self, core, kinds):
-        self.events.extend((EV_RETIRE, core, kind) for kind in kinds)
+    def on_retire_run(self, core, n):
+        self.events.extend([(EV_RETIRE, core)] * n)
 
 
 def _build(machine_cls, module: Module, spawns, quantum: int) -> Machine:
@@ -506,7 +513,7 @@ class TestInterruptedHart:
                 states.append(
                     (
                         _hart_state(machine.harts[0]),
-                        raiser.events,
+                        _counted(raiser.events),
                         machine.memory,
                         machine.io_log,
                     )
@@ -1130,14 +1137,16 @@ _R_BODY = st.lists(
 
 def _batched_like_reference(module, spawns, quantum) -> RunCollector:
     """Run ``module`` per instruction on the oracle and in retire runs on
-    the production machine; both must see the same expanded stream and
-    leave the same memory, I/O log and retired counts."""
+    the production machine; both must see the same stream, retires
+    compared as counts between the other events, and leave the same
+    memory, I/O log and retired counts."""
     reference = _build(ReferenceMachine, module, spawns, quantum)
     expected = CollectingObserver()
     reference.run(expected)
     machine = _build(Machine, module, spawns, quantum)
     got = RunCollector()
     machine.run(got)
+    expected.events = _counted(expected.events)
     assert _outcome(machine, got) == _outcome(reference, expected)
     assert sum(got.runs) == machine.total_retired
     return got
