@@ -79,8 +79,13 @@ class SetAssocCache:
 
     def touch(self, addr: int) -> bool:
         """Access for a load: returns hit?; allocates on miss (LRU update)."""
-        line = self.line_addr(addr)
-        s = self._set_of(line)
+        # line_addr and _set_of, inline: every load pays this.
+        size = self.line_bytes
+        line = addr - addr % size
+        index = (line // size) % self.num_sets
+        s = self.sets.get(index)
+        if s is None:
+            s = self.sets[index] = OrderedDict()
         if line in s:
             s.move_to_end(line)
             self.hits += 1
@@ -91,8 +96,12 @@ class SetAssocCache:
 
     def write(self, addr: int, value: int) -> bool:
         """Access for a store: returns hit?; write-allocates on miss."""
-        line = self.line_addr(addr)
-        s = self._set_of(line)
+        size = self.line_bytes
+        line = addr - addr % size
+        index = (line // size) % self.num_sets
+        s = self.sets.get(index)
+        if s is None:
+            s = self.sets[index] = OrderedDict()
         if line in s:
             s.move_to_end(line)
             self.hits += 1

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import repeat
+from math import frexp, ulp
 from operator import add
 
 from repro.arch.params import SimParams
@@ -24,28 +25,52 @@ ATOMIC_EXTRA_CYCLES = 8.0
 
 
 class CoreTimer:
-    """Cycle accumulator for one core."""
+    """Cycle accumulator for one core.
 
-    __slots__ = ("params", "cycle", "retired", "stall_cycles")
+    The cycle count never decreases: every charge is non-negative and a
+    stall only moves it forward.  :meth:`retire_run` relies on that.
+    """
+
+    __slots__ = ("params", "cpi", "cycle", "retired", "stall_cycles", "edge")
 
     def __init__(self, params: SimParams) -> None:
         self.params = params
+        self.cpi = params.cpi_base
         self.cycle = 0.0
         self.retired = 0
         self.stall_cycles = 0.0
+        #: Below this, a run of retires is exact as one addition (see
+        #: :meth:`retire_run`); 0.0 until the first run sets it.
+        self.edge = 0.0
 
     def retire(self) -> None:
         """One pipeline slot for any retired instruction."""
         self.retired += 1
-        self.cycle += self.params.cpi_base
+        self.cycle += self.cpi
 
     def retire_run(self, n: int) -> None:
         """``n`` retires at once, with the cycle count of ``n`` calls to
-        :meth:`retire`: one float addition each (a left fold in C), since
-        ``n * cpi_base`` rounds differently once the cycle count is not
-        dyadic."""
+        :meth:`retire`, bit for bit.
+
+        ``cycle + n * cpi`` can round differently from ``n`` single
+        additions, so the general case is their left fold (in C).  But
+        when ``cpi`` is a power of two no smaller than ``ulp(cycle)``,
+        every partial sum is a multiple of that ulp, and such multiples
+        are exact floats up to the next power of two above ``cycle``:
+        no addition of the fold rounds, and their sum is the one
+        addition ``cycle + n * cpi`` (``n * cpi`` is exact too).  So
+        ``edge`` keeps that power of two, computed after each fold;
+        since the cycle count only grows, a run ending below ``edge``
+        still starts inside its binade.  With any other ``cpi``, ``edge``
+        stays 0.0 and every run folds.
+        """
         self.retired += n
-        self.cycle = reduce(add, repeat(self.params.cpi_base, n), self.cycle)
+        cycle = self.cycle + n * self.cpi
+        if cycle >= self.edge:
+            cycle = reduce(add, repeat(self.cpi, n), self.cycle)
+            if cycle > 0.0 and frexp(self.cpi)[0] == 0.5 and self.cpi >= ulp(cycle):
+                self.edge = 2.0 ** frexp(cycle)[1]
+        self.cycle = cycle
 
     def add_latency(self, cycles: float) -> None:
         self.cycle += cycles

@@ -179,6 +179,7 @@ class NVMain:
         self._unshadowed: Dict[int, int] = {}
         #: Next cycle at which the write port can issue.
         self.write_free_at = 0.0
+        self._write_interval = params.nvm_write_interval_cycles
         # -- counters -----------------------------------------------------
         self.writes_writeback = 0  # regular-path words written
         self.writes_redo = 0  # phase-2 redo words written
@@ -214,40 +215,47 @@ class NVMain:
             pending.clear()
         return self._ckpt_shadow
 
-    # -- write port timing ------------------------------------------------------
-
-    def issue_write(self, now: float) -> float:
-        """Occupy one write-port slot at/after ``now``; return issue time."""
-        t = max(now, self.write_free_at)
-        self.write_free_at = t + self.params.nvm_write_interval_cycles
-        return t
-
     # -- producers ----------------------------------------------------------------
-
-    def _journal(self, addr: int, value: int) -> None:
-        self.wpq.append(WpqRecord(addr, value, self.image.get(addr)))
+    #
+    # Each write occupies the next write-port slot at or after ``now``
+    # (the port issues one write per ``nvm_write_interval_cycles``), is
+    # journalled in the WPQ with the word's previous value, and lands in
+    # the image.  The three producers do this inline; they differ only in
+    # their counters.
 
     def writeback_words(self, now: float, words: Dict[int, int]) -> float:
         """Apply a regular-path writeback; returns last issue time."""
         t = now
+        image = self.image
         for addr, value in words.items():
-            t = self.issue_write(now)
-            self._journal(addr, value)
-            self.image[addr] = value
+            t = self.write_free_at
+            if now > t:
+                t = now
+            self.write_free_at = t + self._write_interval
+            self.wpq.append(WpqRecord(addr, value, image.get(addr)))
+            image[addr] = value
             self.writes_writeback += 1
         return t
 
     def redo_write(self, now: float, addr: int, value: int) -> float:
-        t = self.issue_write(now)
-        self._journal(addr, value)
-        self.image[addr] = value
+        t = self.write_free_at
+        if now > t:
+            t = now
+        self.write_free_at = t + self._write_interval
+        image = self.image
+        self.wpq.append(WpqRecord(addr, value, image.get(addr)))
+        image[addr] = value
         self.writes_redo += 1
         return t
 
     def ckpt_write(self, now: float, addr: int, value: int) -> float:
-        t = self.issue_write(now)
-        self._journal(addr, value)
-        self.image[addr] = value
+        t = self.write_free_at
+        if now > t:
+            t = now
+        self.write_free_at = t + self._write_interval
+        image = self.image
+        self.wpq.append(WpqRecord(addr, value, image.get(addr)))
+        image[addr] = value
         self._unshadowed[addr] = value
         self.writes_ckpt += 1
         return t

@@ -151,15 +151,34 @@ class PersistenceEngine:
             pipe.watcher = watcher
 
     # -- store/checkpoint/boundary pass-throughs ----------------------------
+    #
+    # Each indexes ``self.pipelines`` itself and only goes through
+    # :meth:`pipeline` to grow the list.
 
     def on_store(self, core: int, now: float, addr: int, value: int, old: int) -> float:
-        return self.pipeline(core).record_store(now, addr, value, old)
+        try:
+            pipe = self.pipelines[core]
+        except IndexError:
+            pipe = self.pipeline(core)
+        return pipe.record_store(now, addr, value, old)
 
     def on_ckpt(self, core: int, now: float, slot_addr: int, value: int) -> float:
-        return self.pipeline(core).record_ckpt(now, slot_addr, value)
+        """A register-checkpoint store: update the core's dedicated NV
+        storage (Section 5.2.1); it never stalls the core."""
+        try:
+            pipe = self.pipelines[core]
+        except IndexError:
+            pipe = self.pipeline(core)
+        pipe.advance(now)
+        pipe.staging[slot_addr] = value
+        return now
 
     def on_boundary(self, core: int, now: float, region_id: int, continuation) -> float:
-        return self.pipeline(core).record_boundary(now, region_id, continuation)
+        try:
+            pipe = self.pipelines[core]
+        except IndexError:
+            pipe = self.pipeline(core)
+        return pipe.record_boundary(now, region_id, continuation)
 
     # -- regular-path writeback (Section 5.3) ---------------------------------
 

@@ -24,12 +24,15 @@ Pipeline stages per core:
    skipped (Section 5.3.2).
 
 Everything is timestamp-driven and advanced lazily: ``advance(now)``
-performs all pipeline events due by ``now`` in chronological order.
+performs all pipeline events due by ``now`` in chronological order, and
+returns at once while ``now`` is below a known lower bound on the next
+event's time.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from math import inf
 from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.arch.nvm import (
@@ -284,6 +287,9 @@ class CoreProxyPipeline:
         self.watcher = None
         self.fe_cap = params.frontend_entries
         self.be_cap = params.backend_capacity(threshold)
+        self._xfer_cycles = params.proxy_xfer_cycles
+        self._path_cycles = params.proxy_path_cycles
+        self._sync = params.persist_mode.value == "sync"
 
         self.fe: Deque[ProxyEntry] = deque()
         #: current-region front-end entries by address (for merging).
@@ -305,6 +311,18 @@ class CoreProxyPipeline:
         #: (a transfer waiting for a drain to free a back-end slot) cannot
         #: be timestamped before it.
         self._event_clock = 0.0
+        #: A lower bound on the time of the next pipeline event, so
+        #: :meth:`advance` has nothing to do while ``now`` is below it;
+        #: ``-inf`` means "recompute".  Only events and a new front-end
+        #: head change what :meth:`_next_event` sees, apart from the write
+        #: port's free time, which only grows.  Every event is stamped no
+        #: earlier than the event clock, and performing one moves the
+        #: clock to its time, which was at least the bound: so events
+        #: performed anywhere (here, :meth:`_advance_until`,
+        #: :meth:`drain_everything`) leave the bound valid.  A new head on
+        #: an empty front end is a new transfer event, which may come
+        #: sooner: that resets the bound.
+        self._due = -inf
 
         # -- statistics ------------------------------------------------------
         self.entries_created = 0
@@ -341,7 +359,7 @@ class CoreProxyPipeline:
         if fe and len(be) < self.be_cap:
             # An entry needs one transfer interval of front-end residency
             # before it can start streaming out.
-            xfer = fe[0].create_time + self.params.proxy_xfer_cycles
+            xfer = fe[0].create_time + self._xfer_cycles
             if self.xfer_free > xfer:
                 xfer = self.xfer_free
             if t is None or xfer < t:
@@ -354,28 +372,30 @@ class CoreProxyPipeline:
 
     def _do_drain(self, t: float) -> float:
         """Retire the back-end head entry; returns completion time."""
-        self._event_clock = max(self._event_clock, t)
+        if t > self._event_clock:
+            self._event_clock = t
         m = self.mutations
+        be = self.be
         if (
             m is not None
             and m.reorder_phase2
-            and len(self.be) >= 2
-            and self.be[0].is_boundary
-            and not self.be[1].is_boundary
+            and len(be) >= 2
+            and be[0].kind == KIND_BOUNDARY
+            and be[1].kind != KIND_BOUNDARY
         ):
-            entry = self.be[1]
-            del self.be[1]
+            entry = be[1]
+            del be[1]
         else:
-            entry = self.be.popleft()
+            entry = be.popleft()
         watcher = self.watcher
-        if entry.is_boundary:
+        if entry.kind == KIND_BOUNDARY:
             self._boundaries_in_be -= 1
             done = t
-            ckpts_written: Dict[int, int] = {}
-            if not (m is not None and m.skip_ckpt_flush):
+            flush = not (m is not None and m.skip_ckpt_flush)
+            if flush:
+                ckpt_write = self.nvm.ckpt_write
                 for slot_addr, value in entry.ckpts.items():
-                    done = self.nvm.ckpt_write(done, slot_addr, value)
-                    ckpts_written[slot_addr] = value
+                    done = ckpt_write(done, slot_addr, value)
             # Persist the PC checkpoint: with the boundary entry retired,
             # the durable resume point must live in NVM (Section 3.1).
             pc_written = not (m is not None and m.skip_pc_checkpoint)
@@ -384,14 +404,14 @@ class CoreProxyPipeline:
                     entry.continuation,
                     entry.region_id,
                 )
-            self.last_region_durable = max(done, t)
+            self.last_region_durable = done if done > t else t
             if watcher is not None:
                 watcher.on_boundary_drained(
                     self.core_id,
                     entry.region_seq,
                     entry.region_id,
                     entry.continuation,
-                    ckpts_written,
+                    dict(entry.ckpts) if flush else {},
                     pc_written,
                 )
             return done
@@ -408,22 +428,28 @@ class CoreProxyPipeline:
         return t
 
     def _do_xfer(self, t: float) -> None:
-        self._event_clock = max(self._event_clock, t)
+        if t > self._event_clock:
+            self._event_clock = t
         entry = self.fe.popleft()
-        entry.arrive_time = t + self.params.proxy_path_cycles
-        self.xfer_free = t + self.params.proxy_xfer_cycles
-        merged = self._fe_merge.get(entry.addr)
-        if merged is entry:
+        entry.arrive_time = t + self._path_cycles
+        self.xfer_free = t + self._xfer_cycles
+        if self._fe_merge.get(entry.addr) is entry:
             del self._fe_merge[entry.addr]
         self.be.append(entry)
-        if entry.is_boundary:
+        if entry.kind == KIND_BOUNDARY:
             self._boundaries_in_be += 1
 
     def advance(self, now: float) -> None:
         """Perform all pipeline events due by ``now``, in time order."""
+        if now < self._due:
+            return
         while True:
             t = self._next_event()
-            if t is None or t > now:
+            if t is None:
+                self._due = inf
+                return
+            if t > now:
+                self._due = t
                 return
             if self._next_is_drain:
                 self._do_drain(t)
@@ -489,6 +515,8 @@ class CoreProxyPipeline:
         entry = ProxyEntry(
             KIND_DATA, self.region_seq, now, addr=addr, undo=undo, redo=value
         )
+        if not self.fe:
+            self._due = -inf  # a new head: a new transfer event
         self.fe.append(entry)
         self._fe_merge[addr] = entry
         self._entries_since_boundary += 1
@@ -497,12 +525,6 @@ class CoreProxyPipeline:
             self.watcher.on_entry(
                 self.core_id, entry.region_seq, addr, entry.undo, entry.redo
             )
-        return now
-
-    def record_ckpt(self, now: float, slot_addr: int, value: int) -> float:
-        """A register-checkpoint store: update the dedicated NV storage."""
-        self.advance(now)
-        self.staging[slot_addr] = value
         return now
 
     def record_boundary(
@@ -543,6 +565,8 @@ class CoreProxyPipeline:
             continuation=continuation,
             ckpts=self.staging,
         )
+        if not self.fe:
+            self._due = -inf  # a new head: a new transfer event
         self.fe.append(entry)
         self.boundary_entries += 1
         self.staging = {}
@@ -550,7 +574,7 @@ class CoreProxyPipeline:
         self._entries_since_boundary = 0
         if not (m is not None and m.merge_across_regions):
             self._fe_merge.clear()  # never merge across regions (Section 5.2.1)
-        if self.params.persist_mode.value == "sync":
+        if self._sync:
             # Naive synchronous persistence: the core blocks until the
             # whole region (data + boundary) has crossed the proxy path
             # into the memory controller's persistent domain.  (Full NVM

@@ -94,6 +94,8 @@ class CapriSystem(Observer):
         self.mem = MemoryHierarchy(params, num_cores, self.nvm, on_wb)
         self.cores = [CoreTimer(params) for _ in range(num_cores)]
         self._now = 0.0
+        self._ckpt_cycles = params.ckpt_store_cycles
+        self._boundary_cycles = params.boundary_cycles
         # counters
         self._loads = 0
         self._stores = 0
@@ -118,18 +120,30 @@ class CapriSystem(Observer):
         self.persist.on_nvm_writeback(self._now, line, words)
 
     # -- machine observer callbacks ------------------------------------------------
+    #
+    # The hot callbacks (retire runs, loads, stores, checkpoints,
+    # boundaries) index ``self.cores`` themselves and only go through
+    # :meth:`_core` to grow the list; they apply ``add_latency`` and
+    # ``stall_until`` inline on a local cycle count.
 
     def on_retire(self, core: int, kind: str) -> None:
         self._core(core).retire()
 
     def on_retire_run(self, core: int, n: int) -> None:
         # Every kind costs one pipeline slot, so only the count matters.
-        self._core(core).retire_run(n)
+        try:
+            timer = self.cores[core]
+        except IndexError:
+            timer = self._core(core)
+        timer.retire_run(n)
 
     def on_load(self, core: int, addr: int, value: int) -> None:
         self._loads += 1
-        timer = self._core(core)
-        self._now = timer.cycle
+        try:
+            timer = self.cores[core]
+        except IndexError:
+            timer = self._core(core)
+        now = self._now = timer.cycle
         latency, level = self.mem.load(core, addr, value)
         if level == "l1":
             self._l1_hits += 1
@@ -138,38 +152,49 @@ class CapriSystem(Observer):
         elif level == "dram":
             self._dram_hits += 1
         elif level == "nvm" and self.persist is not None:
-            self.persist.check_nvm_read(timer.cycle, addr, value)
-        timer.add_latency(latency)
+            self.persist.check_nvm_read(now, addr, value)
+        timer.cycle = now + latency
 
     def on_store(self, core: int, addr: int, value: int, old: int) -> None:
         self._stores += 1
-        timer = self._core(core)
-        self._now = timer.cycle
+        try:
+            timer = self.cores[core]
+        except IndexError:
+            timer = self._core(core)
+        now = self._now = timer.cycle
         latency, _hit = self.mem.store(core, addr, value)
-        timer.add_latency(latency)
+        now = timer.cycle = now + latency
         if self.persist is not None:
-            done = self.persist.on_store(core, timer.cycle, addr, value, old)
-            timer.stall_until(done)
+            done = self.persist.on_store(core, now, addr, value, old)
+            if done > now:
+                timer.stall_cycles += done - now
+                timer.cycle = done
 
     def on_ckpt(self, core: int, reg: int, value: int, addr: int) -> None:
         self._ckpts += 1
-        timer = self._core(core)
-        timer.add_latency(self.params.ckpt_store_cycles)
-        self._now = timer.cycle
+        try:
+            timer = self.cores[core]
+        except IndexError:
+            timer = self._core(core)
+        now = self._now = timer.cycle = timer.cycle + self._ckpt_cycles
         if self.persist is not None:
-            done = self.persist.on_ckpt(core, timer.cycle, addr, value)
-            timer.stall_until(done)
+            done = self.persist.on_ckpt(core, now, addr, value)
+            if done > now:
+                timer.stall_cycles += done - now
+                timer.cycle = done
 
     def on_boundary(self, core: int, region_id: int, continuation: Any) -> None:
         self._boundaries += 1
-        timer = self._core(core)
-        timer.add_latency(self.params.boundary_cycles)
-        self._now = timer.cycle
+        try:
+            timer = self.cores[core]
+        except IndexError:
+            timer = self._core(core)
+        now = self._now = timer.cycle = timer.cycle + self._boundary_cycles
         if self.persist is not None:
-            done = self.persist.on_boundary(
-                core, timer.cycle, region_id, continuation
-            )
-            timer.stall_until(done)
+            done = self.persist.on_boundary(core, now, region_id, continuation)
+            if done > now:
+                timer.stall_cycles += done - now
+                timer.cycle = done
 
     def on_fence(self, core: int) -> None:
         self._core(core).add_latency(FENCE_CYCLES)

@@ -8,7 +8,7 @@ of deep inside the simulator.
 from __future__ import annotations
 
 from repro.ir.function import Function
-from repro.ir.instructions import Call, Instr, terminator_targets
+from repro.ir.instructions import Call, terminator_targets
 from repro.ir.module import MAX_REGS, Module
 from repro.ir.values import Reg
 
@@ -33,11 +33,14 @@ def verify_function(func: Function, module: Module | None = None) -> None:
             f"{func.name}: {func.num_regs} registers exceeds checkpoint "
             f"storage capacity ({MAX_REGS})"
         )
+    num_regs = func.num_regs
     for label, block in func.blocks.items():
-        if not block.instrs:
+        instrs = block.instrs
+        if not instrs:
             raise VerificationError(f"{func.name}/{label}: empty block")
-        for i, instr in enumerate(block.instrs):
-            is_last = i == len(block.instrs) - 1
+        last = len(instrs) - 1
+        for i, instr in enumerate(instrs):
+            is_last = i == last
             if instr.is_terminator and not is_last:
                 raise VerificationError(
                     f"{func.name}/{label}[{i}]: terminator {instr!r} mid-block"
@@ -47,7 +50,16 @@ def verify_function(func: Function, module: Module | None = None) -> None:
                     f"{func.name}/{label}: block does not end in a terminator "
                     f"(ends with {instr!r})"
                 )
-            _check_registers(func, label, i, instr)
+            for reg in instr.defs() + instr.uses():
+                if not isinstance(reg, Reg):
+                    raise VerificationError(
+                        f"{func.name}/{label}[{i}]: non-register in defs/uses"
+                    )
+                if reg.index >= num_regs:
+                    raise VerificationError(
+                        f"{func.name}/{label}[{i}]: {reg!r} out of range "
+                        f"(num_regs={num_regs})"
+                    )
             if module is not None and isinstance(instr, Call):
                 callee = module.functions.get(instr.callee)
                 if callee is None:
@@ -66,19 +78,6 @@ def verify_function(func: Function, module: Module | None = None) -> None:
                 raise VerificationError(
                     f"{func.name}/{label}: branch to unknown label {target!r}"
                 )
-
-
-def _check_registers(func: Function, label: str, index: int, instr: Instr) -> None:
-    for reg in (*instr.defs(), *instr.uses()):
-        if not isinstance(reg, Reg):
-            raise VerificationError(
-                f"{func.name}/{label}[{index}]: non-register in defs/uses"
-            )
-        if reg.index >= func.num_regs:
-            raise VerificationError(
-                f"{func.name}/{label}[{index}]: {reg!r} out of range "
-                f"(num_regs={func.num_regs})"
-            )
 
 
 def verify_module(module: Module) -> None:

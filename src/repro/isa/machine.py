@@ -631,7 +631,8 @@ class Machine:
         hart = Hart(core_id, func, ())
         hart.label = continuation.label
         hart.index = continuation.index
-        hart.regs = [wrap_word(v) for v in regs]
+        # wrap_word is the identity on in-range words, which is nearly all.
+        hart.regs = [v if WORD_MIN <= v <= WORD_MAX else wrap_word(v) for v in regs]
         if len(hart.regs) < func.num_regs:
             hart.regs.extend([0] * (func.num_regs - len(hart.regs)))
         hart.callstack = [

@@ -41,26 +41,30 @@ class TestImage:
 
 
 class TestWritePort:
+    """Every producer returns the issue time of its (last) write."""
+
     def test_issue_spacing(self):
         nvm = make_nvm()
         interval = nvm.params.nvm_write_interval_cycles
-        t0 = nvm.issue_write(0.0)
-        t1 = nvm.issue_write(0.0)
+        t0 = nvm.redo_write(0.0, 0x10, 1)
+        t1 = nvm.ckpt_write(0.0, 0x4000_0000, 2)
+        t2 = nvm.writeback_words(0.0, {0x18: 3})
         assert t0 == 0.0
         assert t1 == pytest.approx(interval)
+        assert t2 == pytest.approx(2 * interval)
 
     def test_issue_after_idle_starts_at_now(self):
         nvm = make_nvm()
-        nvm.issue_write(0.0)
-        t = nvm.issue_write(10_000.0)
+        nvm.redo_write(0.0, 0x10, 1)
+        t = nvm.redo_write(10_000.0, 0x18, 2)
         assert t == 10_000.0
 
     def test_throughput_matches_parallelism(self):
         fast = make_nvm(nvm_write_parallelism=600)
         slow = make_nvm(nvm_write_parallelism=2)
-        for _ in range(10):
-            fast.issue_write(0.0)
-            slow.issue_write(0.0)
+        for i in range(10):
+            fast.redo_write(0.0, 0x10, i)
+            slow.redo_write(0.0, 0x10, i)
         assert slow.write_free_at > fast.write_free_at
 
     def test_writeback_occupies_port_per_word(self):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.arch.nvm import NVMain
 from repro.arch.params import PersistMode, SimParams
+from repro.arch.persistence import PersistenceEngine
 from repro.arch.proxy import CoreProxyPipeline, ProxyOverflowError
 
 
@@ -12,6 +13,13 @@ def make_pipe(threshold=16, **param_kw):
     params = SimParams.scaled().with_(**param_kw)
     nvm = NVMain(params)
     return CoreProxyPipeline(0, params, nvm, threshold), nvm
+
+
+def record_ckpt(pipe, now, slot_addr, value):
+    """A register-checkpoint store into ``pipe``, through the engine."""
+    engine = PersistenceEngine(pipe.params, pipe.nvm, 1, pipe.be_cap)
+    engine.pipelines[0] = pipe
+    return engine.on_ckpt(0, now, slot_addr, value)
 
 
 class TestPhase1:
@@ -74,7 +82,7 @@ class TestBoundaries:
 
     def test_ckpt_only_region_emits_boundary(self):
         pipe, _ = make_pipe()
-        pipe.record_ckpt(0.0, 0x4000_0000, 42)
+        record_ckpt(pipe, 0.0, 0x4000_0000, 42)
         pipe.record_boundary(0.0, 3, "cont")
         assert pipe.boundary_entries == 1
         boundary = [e for e in pipe.entries_in_order() if e.is_boundary][0]
@@ -82,14 +90,14 @@ class TestBoundaries:
 
     def test_staging_cleared_after_boundary(self):
         pipe, _ = make_pipe()
-        pipe.record_ckpt(0.0, 0x4000_0000, 42)
+        record_ckpt(pipe, 0.0, 0x4000_0000, 42)
         pipe.record_boundary(0.0, 3, "cont")
         assert pipe.staging == {}
 
     def test_staging_merges_same_slot(self):
         pipe, _ = make_pipe()
-        pipe.record_ckpt(0.0, 0x4000_0000, 1)
-        pipe.record_ckpt(0.0, 0x4000_0000, 2)
+        record_ckpt(pipe, 0.0, 0x4000_0000, 1)
+        record_ckpt(pipe, 0.0, 0x4000_0000, 2)
         assert pipe.staging == {0x4000_0000: 2}
 
 
@@ -147,7 +155,7 @@ class TestPhase2:
 
     def test_boundary_drain_flushes_staged_ckpts(self):
         pipe, nvm = make_pipe()
-        pipe.record_ckpt(0.0, 0x4000_0000, 42)
+        record_ckpt(pipe, 0.0, 0x4000_0000, 42)
         pipe.record_boundary(0.0, 1, "c")
         pipe.advance(1e9)
         assert nvm.peek(0x4000_0000) == 42

@@ -64,6 +64,34 @@ class TestVerifier:
         with pytest.raises(VerificationError, match="out of range"):
             verify_function(f)
 
+    def test_non_register_operand_rejected(self):
+        f = Function("f", num_regs=1)
+        blk = f.new_block("entry")
+        blk.append(Move(Imm(3), Imm(1)))  # an immediate as the destination
+        blk.append(Ret())
+        with pytest.raises(VerificationError) as err:
+            verify_function(f)
+        assert str(err.value) == "f/entry[0]: non-register in defs/uses"
+
+    def test_out_of_range_def_rejected(self):
+        f = Function("f", num_regs=2)
+        blk = f.new_block("entry")
+        blk.append(Move(Reg(0), Imm(1)))
+        blk.append(BinOp("add", Reg(2), Reg(0), Reg(1)))
+        blk.append(Ret())
+        with pytest.raises(VerificationError) as err:
+            verify_function(f)
+        assert str(err.value) == "f/entry[1]: r2 out of range (num_regs=2)"
+
+    def test_out_of_range_use_rejected(self):
+        f = Function("f", num_regs=2)
+        blk = f.new_block("entry")
+        blk.append(BinOp("add", Reg(1), Reg(0), Imm(1)))
+        blk.append(Ret(Reg(7)))
+        with pytest.raises(VerificationError) as err:
+            verify_function(f)
+        assert str(err.value) == "f/entry[1]: r7 out of range (num_regs=2)"
+
     def test_too_many_registers_rejected(self):
         f = Function("f", num_regs=MAX_REGS + 1)
         f.new_block("entry").append(Ret())

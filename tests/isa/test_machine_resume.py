@@ -72,6 +72,19 @@ class TestResume:
         assert len(hart.regs) == func.num_regs
         machine.run()  # runs main(5) to completion
 
+    def test_resume_wraps_out_of_range_registers(self):
+        from repro.ir.values import WORD_MAX, WORD_MIN, wrap_word
+
+        module, _ = build_counter()
+        func = module.functions["main"]
+        cont = Continuation("main", func.entry.label, 0, ())
+        regs = [WORD_MAX + 1, WORD_MIN - 1, (1 << 70) + 12345, -(1 << 69) - 7]
+        regs += [WORD_MAX, WORD_MIN, -1, 0][: func.num_regs - len(regs)]
+        hart = Machine(module).resume(0, cont, regs)
+        assert hart.regs[:4] == [WORD_MIN, WORD_MAX, 12345, -7]
+        assert hart.regs[: len(regs)] == [wrap_word(v) for v in regs]
+        assert all(WORD_MIN <= v <= WORD_MAX for v in hart.regs)
+
     def test_resume_pads_hart_list(self):
         module, _ = build_counter()
         func = module.functions["main"]
