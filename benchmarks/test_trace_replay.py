@@ -80,7 +80,7 @@ def test_exhaustive_campaign_speedup(benchmark):
 
     replayed = benchmark(
         lambda: run_workload_campaign(
-            "genome", config, scale=CAMPAIGN_SCALE, cache=None
+            "genome", config, scale=CAMPAIGN_SCALE
         )
     )
     t_replay = benchmark.stats["mean"]

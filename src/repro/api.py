@@ -301,17 +301,12 @@ def execute_spec(spec: RunSpec) -> RunResult:
 # stable facade
 # ---------------------------------------------------------------------------
 
-#: Re-exports resolved lazily: the cache and trace layers import this
-#: module themselves, so eager imports here would cycle.
+#: Re-exports resolved lazily: the sweep package imports this module
+#: itself, so eager imports here would cycle.
 _LAZY_EXPORTS = {
     "ResultCache": ("repro.sweep.cache", "ResultCache"),
     "resolve_cache": ("repro.sweep.cache", "resolve_cache"),
     "default_cache_dir": ("repro.sweep.cache", "default_cache_dir"),
-    "trace_fingerprint": ("repro.trace.record", "trace_fingerprint"),
-    "capture_spec_trace": ("repro.trace.record", "capture_spec_trace"),
-    "load_spec_trace": ("repro.trace.record", "load_spec_trace"),
-    "load_trace": ("repro.trace.codec", "load_trace"),
-    "store_trace": ("repro.trace.codec", "store_trace"),
     "generate_litmus_program": ("repro.litmus.generate", "generate_program"),
     "litmus_corpus": ("repro.litmus.generate", "litmus_corpus"),
     "explore_litmus_program": ("repro.litmus.explore", "explore_program"),
@@ -345,12 +340,6 @@ __all__ = [
     "ResultCache",
     "resolve_cache",
     "default_cache_dir",
-    # trace capture + cache integration (repro.trace)
-    "trace_fingerprint",
-    "capture_spec_trace",
-    "load_spec_trace",
-    "load_trace",
-    "store_trace",
     # persistency litmus tests (repro.litmus)
     "generate_litmus_program",
     "litmus_corpus",

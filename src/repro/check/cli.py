@@ -39,6 +39,7 @@ from repro.check.mutants import (
     matrix_params,
     run_mutant_matrix,
 )
+from repro.compiler import RegionFormationError
 from repro.jsonout import add_json_arg, write_envelope
 
 
@@ -76,7 +77,7 @@ def _sanitized(args, parser, json_out) -> int:
                         config=OptConfig.licm(threshold),
                     )
                 )
-            except KeyError as err:
+            except (KeyError, ValueError, RegionFormationError) as err:
                 parser.error(str(err.args[0] if err.args else err))
             checker, error = checked_run(module, spawns, params, threshold)
             report = checker.report
@@ -134,7 +135,7 @@ def _mutants(args, parser, json_out) -> int:
             threshold=args.threshold,
             mutants=mutants,
         )
-    except (KeyError, ValueError) as err:
+    except (KeyError, ValueError, RegionFormationError) as err:
         parser.error(str(err.args[0] if err.args else err))
     if json_out != "-":
         print(result.format())

@@ -2,8 +2,9 @@
 
 One campaign = one workload × one fault combination × a set of crash
 points (every observer event, or a deterministic seeded sample for long
-traces).  The workload's event stream is captured once
-(:func:`repro.trace.record.capture_trace`); every crash point is then
+traces).  The workload's event stream is captured once per campaign,
+in memory (:func:`repro.trace.record.capture_trace`; traces are never
+stored on disk); every crash point is then
 served by a *source* replaying it
 (:class:`repro.trace.replay.TraceCampaignSource`).  Per point,
 :func:`run_crash_point`:
@@ -708,37 +709,22 @@ def run_workload_campaign(
     workload: str,
     config: Optional[CampaignConfig] = None,
     scale: float = 0.3,
-    cache="default",
+    cache=None,
 ) -> CampaignResult:
     """Build a registry workload, compile it with Capri, and sweep it.
 
     The program is ``workload`` compiled with ``licm(config.threshold)``
-    at ``scale``.  Its captured :class:`~repro.trace.record.ExecTrace` is
-    memoised in the sweep result cache by
-    :func:`repro.trace.record.load_spec_trace` — warm campaigns skip
-    straight to crash injection, and the trace subsumes the golden
-    result.  Pass ``cache=None`` to disable.
+    at ``scale``; :func:`run_campaign` captures its trace once, in
+    memory.  ``cache`` is read by no code: traces are never stored.  It
+    stays only because the benchmark harness (perfbench/workloads.py)
+    passes ``cache=None``; drop it with the next change to the benchmark.
     """
-    from repro.api import RunSpec, build_spec, resolve_cache
+    from repro.api import RunSpec, build_spec
     from repro.compiler import OptConfig
-    from repro.trace.record import load_spec_trace
-    from repro.trace.replay import TraceCampaignSource, golden_from_trace
 
     config = config or CampaignConfig()
     spec = RunSpec(
-        workload=workload,
-        scale=scale,
-        config=OptConfig.licm(config.threshold),
-        quantum=config.quantum,
-        max_steps=config.max_steps,
+        workload=workload, scale=scale, config=OptConfig.licm(config.threshold)
     )
-    trace, program = load_spec_trace(spec, resolve_cache(cache))
-    module, spawns = program or build_spec(spec)
-    return run_campaign(
-        module,
-        spawns,
-        config,
-        name=workload,
-        golden=golden_from_trace(trace),
-        source=TraceCampaignSource(trace, config),
-    )
+    module, spawns = build_spec(spec)
+    return run_campaign(module, spawns, config, name=workload)

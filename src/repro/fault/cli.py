@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 from typing import List, Optional
 
+from repro.compiler import RegionFormationError
 from repro.fault.campaign import CampaignConfig, run_workload_campaign
 from repro.fault.models import available_models
 from repro.jsonout import add_json_arg, write_envelope
@@ -145,7 +146,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         result = run_workload_campaign(
             args.workload, config, scale=args.scale
         )
-    except KeyError as err:  # unknown workload or fault model
+    # unknown workload or fault model, bad scale, threshold too small
+    except (KeyError, ValueError, RegionFormationError) as err:
         parser.error(str(err.args[0] if err.args else err))
     if json_out != "-":
         print(result.summary())

@@ -369,7 +369,6 @@ def run_litmus_program(
             program.spawns,
             quantum=program.quantum,
             max_steps=max_steps,
-            meta={"litmus_seed": program.seed, "name": program.name},
         )
         snapshots = oracle_snapshots(trace)
         finals = per_core_last_writes(trace)

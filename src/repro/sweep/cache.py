@@ -4,7 +4,7 @@ Layout (one JSON file per completed run, sharded by fingerprint prefix)::
 
     <root>/
       runs/a3/a3f0…e9.json     completed SystemMetrics payloads
-      traces/41/41bc…77.json   captured campaign event streams (repro.trace)
+      litmus/41/41bc…77.json   litmus verdicts (repro.litmus)
       …                        any other namespace ("kind")
 
 Keys are :meth:`repro.api.RunSpec.fingerprint` digests — pure parameter
@@ -160,16 +160,6 @@ class ResultCache:
         except OSError:
             pass
         self.quarantined += 1
-
-    def quarantine(self, fingerprint: str, kind: str = "runs") -> None:
-        """Quarantine an entry whose *payload* failed validation.
-
-        :meth:`get` quarantines entries that are not readable JSON
-        objects; callers with stricter formats (the trace codec's
-        checksum, for one) use this to apply the same torn-entry
-        handling to entries that parsed but are internally corrupt.
-        """
-        self._quarantine(self.path_for(fingerprint, kind))
 
     # -- maintenance -----------------------------------------------------------
 

@@ -1,20 +1,14 @@
-"""Command-line trace tooling: ``python -m repro trace <mode>``.
+"""Command-line trace tooling: ``python -m repro trace bench``.
 
-Two modes::
+The campaign bench runs one fault campaign on the interpreted reference
+source and once replayed from a captured trace, compares the verdicts
+point by point, and reports the speedup (exit 1 on any verdict
+divergence)::
 
-    # Capture a workload's columnar trace into the result cache:
-    python -m repro trace capture --workload genome --scale 0.3
-
-    # Campaign bench: one fault campaign on the interpreted reference
-    # source and once replayed, verdicts compared point by point, speedup
-    # reported (exit 1 on any verdict divergence):
     python -m repro trace bench --workload genome --scale 0.2
 
-``bench`` is the CI smoke command — it re-verifies the equivalence
-this subsystem is built on rather than trusting it.  Each mode
-refuses the other's options rather than ignore them: ``capture`` the
-bench options (``--check``, ``--sample``, ``--min-speedup``), ``bench``
-``--no-cache`` (it never uses the cache).
+It is the CI smoke command — it re-verifies the equivalence this
+subsystem is built on rather than trusting it.
 """
 
 from __future__ import annotations
@@ -23,67 +17,12 @@ import argparse
 import time
 from typing import List, Optional
 
-from repro.api import RunSpec
-from repro.compiler import OptConfig
+from repro.api import RunSpec, build_spec
+from repro.compiler import OptConfig, RegionFormationError
 from repro.jsonout import add_json_arg, write_envelope
 
 
-def _spec(args) -> RunSpec:
-    return RunSpec(
-        workload=args.workload,
-        scale=args.scale,
-        config=OptConfig.licm(args.threshold),
-        quantum=args.quantum,
-    )
-
-
-def _capture(args, parser, json_out) -> int:
-    from repro.api import load_spec_trace, resolve_cache, trace_fingerprint
-
-    spec = _spec(args)
-    store = resolve_cache(None if args.no_cache else "default")
-    fingerprint = trace_fingerprint(spec)
-    start = time.perf_counter()
-    try:
-        trace, program = load_spec_trace(spec, store)
-    except KeyError as err:
-        parser.error(str(err.args[0] if err.args else err))
-    cached = program is None
-    path = None if store is None else store.path_for(fingerprint, kind="traces")
-    wall = time.perf_counter() - start
-    if json_out != "-":
-        print(
-            f"trace {args.workload} scale={args.scale} t{args.threshold}: "
-            f"{len(trace)} events, {trace.total_retired} retired, "
-            f"{trace.num_cores} core(s)"
-            + (" [cached]" if cached else f" captured in {wall:.2f}s")
-        )
-        print(f"  fingerprint {fingerprint}")
-        if path is not None:
-            print(f"  stored at {path}")
-    if json_out:
-        write_envelope(
-            json_out,
-            "trace",
-            {
-                "mode": "capture",
-                "workload": args.workload,
-                "scale": args.scale,
-                "threshold": args.threshold,
-                "events": len(trace),
-                "retired": trace.total_retired,
-                "cores": trace.num_cores,
-                "cached": cached,
-                "fingerprint": fingerprint,
-                "deps": trace.meta.get("deps"),
-                "wall_s": wall,
-            },
-        )
-    return 0
-
-
 def _bench(args, parser, json_out) -> int:
-    from repro.api import build_spec
     from repro.fault.campaign import (
         CampaignConfig,
         run_campaign,
@@ -100,8 +39,14 @@ def _bench(args, parser, json_out) -> int:
     )
     start = time.perf_counter()
     try:
-        compiled, spawns = build_spec(_spec(args))
-    except KeyError as err:
+        compiled, spawns = build_spec(
+            RunSpec(
+                workload=args.workload,
+                scale=args.scale,
+                config=OptConfig.licm(args.threshold),
+            )
+        )
+    except (KeyError, ValueError, RegionFormationError) as err:
         parser.error(str(err.args[0] if err.args else err))
     interpreted = run_campaign(
         compiled,
@@ -115,9 +60,7 @@ def _bench(args, parser, json_out) -> int:
     )
     t_int = time.perf_counter() - start
     start = time.perf_counter()
-    replayed = run_workload_campaign(
-        args.workload, config, scale=args.scale, cache=None
-    )
+    replayed = run_workload_campaign(args.workload, config, scale=args.scale)
     t_rep = time.perf_counter() - start
 
     def verdicts(result):
@@ -170,9 +113,9 @@ def _bench(args, parser, json_out) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro trace",
-        description="Columnar trace capture and campaign replay bench",
+        description="Campaign replay bench",
     )
-    parser.add_argument("mode", choices=("capture", "bench"))
+    parser.add_argument("mode", choices=("bench",))
     parser.add_argument(
         "--workload",
         required=True,
@@ -184,42 +127,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="bench: also run the online persistency checker on both sides",
+        help="also run the online persistency checker on both sides",
     )
     parser.add_argument(
         "--sample",
         type=int,
         default=None,
-        help="bench: crash-point sample size (default: exhaustive)",
+        help="crash-point sample size (default: exhaustive)",
     )
     parser.add_argument(
         "--min-speedup",
         type=float,
         default=None,
-        help="bench: fail unless the replay campaign is at least this "
+        help="fail unless the replay campaign is at least this "
         "many times faster",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="capture: do not read or write the result cache",
     )
     add_json_arg(parser)
     args = parser.parse_args(argv)
-    json_out = args.json_out
-    if args.mode == "capture":
-        bench_only = [
-            flag
-            for flag, given in (
-                ("--check", args.check),
-                ("--sample", args.sample is not None),
-                ("--min-speedup", args.min_speedup is not None),
-            )
-            if given
-        ]
-        if bench_only:
-            parser.error(f"{', '.join(bench_only)}: bench mode only")
-        return _capture(args, parser, json_out)
-    if args.no_cache:
-        parser.error("--no-cache: capture mode only")
-    return _bench(args, parser, json_out)
+    return _bench(args, parser, args.json_out)

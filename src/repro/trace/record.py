@@ -42,8 +42,6 @@ results, crash plans, and replay systems all come from the trace alone.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from array import array
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -62,8 +60,7 @@ from repro.isa.trace import (
     Observer,
 )
 
-# Integer kind tags for the ``kinds`` column.  Order is part of the codec
-# format — append only.
+# Integer kind tags for the ``kinds`` column.
 K_RETIRE = 0
 K_LOAD = 1
 K_STORE = 2
@@ -105,7 +102,6 @@ class ExecTrace:
         "final_data",
         "io_log",
         "total_retired",
-        "meta",
     )
 
     def __init__(self) -> None:
@@ -128,8 +124,6 @@ class ExecTrace:
         #: (core, port, value) in issue order.
         self.io_log: List[Tuple[int, int, int]] = []
         self.total_retired = 0
-        #: free-form provenance (workload, scale, quantum, fingerprint…).
-        self.meta: Dict[str, Any] = {}
 
     # -- introspection -------------------------------------------------------
 
@@ -286,7 +280,6 @@ def capture_trace(
     spawns: Sequence[Tuple[str, Sequence[int]]],
     quantum: int = 32,
     max_steps: int = 50_000_000,
-    meta: Optional[Dict[str, Any]] = None,
 ) -> ExecTrace:
     """Run ``module`` crash-free on the functional machine, recording.
 
@@ -314,91 +307,4 @@ def capture_trace(
     }
     trace.io_log = list(machine.io_log)
     trace.total_retired = machine.total_retired
-    trace.meta = dict(meta or {})
     return trace
-
-
-# ---------------------------------------------------------------------------
-# functional fingerprints: which runs share one trace
-# ---------------------------------------------------------------------------
-
-#: Bump when the fingerprint token changes shape.
-#: 2: dropped the embedded code hash — validity is decided per cache
-#: entry from recorded subsystem deps, mirroring RunSpec fingerprints.
-_TRACE_FINGERPRINT_SCHEMA = 2
-
-
-def trace_fingerprint(spec) -> str:
-    """Content address of a spec's *functional* execution.
-
-    Narrower than :meth:`repro.api.RunSpec.fingerprint`: only the fields
-    that shape the instruction stream participate — workload, scale,
-    threads, the effective compile config (which folds in the threshold:
-    region formation is compile-time), quantum (hart interleaving), and
-    ``max_steps``.  ``SimParams``, simulation-side persistence,
-    ``check``, and ``seed`` are absent by construction: campaigns that
-    differ only in those share one captured trace.  Code validity is not
-    part of the key — stored traces carry their subsystem dependency
-    hashes and the cache validates those (:mod:`repro.deps`).
-    """
-    from repro.api import _canon
-
-    token = {
-        "schema": _TRACE_FINGERPRINT_SCHEMA,
-        "workload": spec.workload,
-        "scale": float(spec.scale),
-        "threads": spec.threads,
-        "config": _canon(spec.effective_config),
-        "quantum": spec.quantum,
-        "max_steps": spec.max_steps,
-    }
-    blob = json.dumps(token, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def load_spec_trace(
-    spec, store
-) -> Tuple[ExecTrace, Optional[Tuple[Module, Any]]]:
-    """The spec's trace from ``store``, or captured and stored on a miss.
-
-    Returns ``(trace, program)``: ``program`` is the ``(module, spawns)``
-    a cold capture built (:func:`repro.api.build_spec`), and ``None`` on a
-    warm hit, which builds nothing.  ``store=None`` always captures.
-
-    A cold capture's build, compile and capture all run under one
-    :class:`repro.deps.UsageProbe`, and the probed subsystem set lands in
-    ``trace.meta["deps"]`` — the codec stores it with the serialised
-    trace so the cache can invalidate the entry precisely.
-    """
-    from repro.api import build_spec
-    from repro.deps import UsageProbe
-    from repro.trace.codec import load_trace, store_trace
-
-    fingerprint = trace_fingerprint(spec)
-    trace = load_trace(store, fingerprint)
-    if trace is not None:
-        return trace, None
-    with UsageProbe() as probe:
-        module, spawns = build_spec(spec)
-        trace = capture_trace(
-            module,
-            spawns,
-            quantum=spec.quantum,
-            max_steps=spec.max_steps,
-            meta={
-                "workload": spec.workload,
-                "scale": float(spec.scale),
-                "threads": spec.threads,
-                "quantum": spec.quantum,
-                "fingerprint": fingerprint,
-            },
-        )
-    trace.meta["deps"] = list(probe.subsystems())
-    store_trace(store, fingerprint, trace)
-    return trace, (module, spawns)
-
-
-def capture_spec_trace(spec) -> ExecTrace:
-    """Capture a :class:`repro.api.RunSpec`'s trace from a fresh build,
-    bypassing the cache."""
-    return load_spec_trace(spec, None)[0]

@@ -5,6 +5,7 @@ Suites and member order follow the x-axes of the paper's Figures 8-11.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -36,6 +37,11 @@ class Workload:
         """
         touch("workloads")  # usage-probe dependency recording
         s = self.default_scale if scale is None else scale
+        if not (math.isfinite(s) and s > 0):
+            raise ValueError(
+                f"workload {self.name!r}: scale must be a finite number "
+                f"greater than 0, got {s!r}"
+            )
         if self.multithreaded and threads is not None:
             result = self.builder(s, threads=threads)
         else:

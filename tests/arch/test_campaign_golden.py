@@ -105,7 +105,7 @@ def run_row(name: str):
     if workload == "update-loop":
         module = compile_capri(build_update_loop(n_iters=10, arr_words=8))
         return run_campaign(module, [("main", [])], config, name=workload)
-    return run_workload_campaign(workload, config, scale=scale, cache=None)
+    return run_workload_campaign(workload, config, scale=scale)
 
 
 def digest(result) -> str:

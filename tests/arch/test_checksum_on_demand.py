@@ -18,13 +18,13 @@ import pytest
 import repro.arch.nvm as nvm
 import repro.arch.proxy as proxy
 import repro.arch.recovery as recovery
-from repro.api import RunSpec, execute_spec
+from repro.api import RunSpec, build_spec, execute_spec
 from repro.arch.nvm import NVMain, WpqRecord, word_checksum
 from repro.arch.params import SimParams
 from repro.arch.proxy import KIND_DATA, ProxyEntry, entry_checksum
 from repro.compiler import OptConfig
 from repro.ir.module import ckpt_slot_addr
-from repro.trace.record import capture_spec_trace
+from repro.trace.record import capture_trace
 from repro.trace.replay import build_replay_system
 
 SPEC = RunSpec(workload="genome", scale=0.1, config=OptConfig.licm(256))
@@ -64,7 +64,7 @@ def test_interpreted_run_computes_no_checksum(checksum_calls):
 
 
 def test_replayed_run_computes_no_checksum(checksum_calls):
-    trace = capture_spec_trace(SPEC)
+    trace = capture_trace(*build_spec(SPEC), quantum=SPEC.quantum)
     system = build_replay_system(
         trace, params=SPEC.effective_params, threshold=256
     )

@@ -139,7 +139,7 @@ class TestCheckedCampaign:
             mutations=ProtocolMutations.single("recovery_skip_redo"),
         )
         result = run_workload_campaign(
-            "genome", config, scale=0.05, cache=None
+            "genome", config, scale=0.05
         )
         assert len(result.outcomes) == result.total_events
         assert set(result.counts()) == {"ok", "model-violation"}
@@ -229,6 +229,24 @@ class TestCli:
             main(["--workload", "genome", "--scale", "0.05", flag, value])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--scale", "-1", "'genome': scale must be"),
+            ("--scale", "0", "got 0.0"),
+            ("--threshold", "4", "threshold 4 below minimum 8"),
+        ],
+    )
+    def test_bad_scale_or_threshold_is_a_usage_error(
+        self, flag, value, message, capsys
+    ):
+        from repro.fault.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--workload", "genome", "--sample", "1", flag, value])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_unknown_model_rejected(self):
         from repro.fault.models import get_models

@@ -126,7 +126,6 @@ class TestCheckedChains:
                 mutations=muts,
             ),
             scale=0.05,
-            cache=None,
         )
         assert set(result.counts()) == {"ok", "model-violation"}
         past_cap = [

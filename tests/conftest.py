@@ -1,8 +1,8 @@
 """Session-wide test isolation for the sweep result cache.
 
 Anything that touches the :mod:`repro.sweep` engine with default
-settings (``EvalHarness.sweep``, the figure functions, fault-campaign
-golden runs) would otherwise write to ``results/.sweep-cache`` in the
+settings (``EvalHarness.sweep``, the figure functions, the litmus
+matrix) would otherwise write to ``results/.sweep-cache`` in the
 working directory; point it at a per-session temp dir instead.
 """
 

@@ -45,7 +45,7 @@ class TestPartition:
             ("jsonout.py", "eval"),
             ("check/checker.py", "check"),
             ("fault/campaign.py", "fault"),
-            ("trace/codec.py", "trace"),
+            ("trace/replay.py", "trace"),
             ("workloads/registry.py", "workloads"),
             ("service/daemon.py", "core"),  # retired subsystem: old revs still hash
         ],

@@ -118,18 +118,19 @@ class TestCommandIntegration:
         assert payload["data"]["mode"] == "generate"
         assert len(payload["data"]["programs"]) == 2
 
-    def test_trace_capture_json(self, tmp_path, capsys, monkeypatch):
+    def test_trace_bench_json(self, tmp_path, capsys):
         from repro.trace.cli import main as trace_main
 
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         out = tmp_path / "trace.json"
         rc = trace_main(
             [
-                "capture",
+                "bench",
                 "--workload",
                 "stream-write",
                 "--scale",
                 "0.05",
+                "--sample",
+                "3",
                 "--json",
                 str(out),
             ]
@@ -138,6 +139,6 @@ class TestCommandIntegration:
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["command"] == "trace"
-        assert payload["data"]["mode"] == "capture"
-        assert payload["data"]["events"] > 0
-        assert "trace" in payload["data"]["deps"]
+        assert payload["data"]["mode"] == "bench"
+        assert payload["data"]["crash_points"] > 0
+        assert payload["data"]["identical"] is True

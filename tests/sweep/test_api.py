@@ -163,17 +163,3 @@ class TestHarnessShim:
         assert result.metrics.exec_cycles == result.baseline_cycles
         assert result.normalized_cycles == 1.0
 
-
-class TestCampaignShim:
-    def test_trace_cached(self, tmp_path):
-        from repro.fault.campaign import CampaignConfig, run_workload_campaign
-        from repro.sweep.cache import ResultCache
-
-        store = ResultCache(tmp_path)
-        cc = CampaignConfig(sample=3, minimize=False)
-        cold = run_workload_campaign("genome", cc, scale=0.05, cache=store)
-        assert store.stores == 1 and store.hits == 0
-        warm = run_workload_campaign("genome", cc, scale=0.05, cache=store)
-        assert store.hits == 1  # trace served from disk
-        assert warm.total_events == cold.total_events
-        assert warm.counts() == cold.counts()

@@ -49,7 +49,7 @@ def _reference_campaign(workload, config, scale):
 def _run_both(config_kwargs, workload="genome", scale=0.08):
     config = CampaignConfig(**config_kwargs)
     interpreted = _reference_campaign(workload, config, scale)
-    replayed = run_workload_campaign(workload, config, scale=scale, cache=None)
+    replayed = run_workload_campaign(workload, config, scale=scale)
     assert interpreted.total_events == replayed.total_events
     assert _verdicts(interpreted) == _verdicts(replayed)
     assert interpreted.counts() == replayed.counts()
@@ -176,6 +176,6 @@ def test_minimizer_rewinds_are_reported():
         sample=12,
         mutations=ProtocolMutations.single("recovery_skip_redo"),
     )
-    result = run_workload_campaign("genome", config, scale=0.05, cache=None)
+    result = run_workload_campaign("genome", config, scale=0.05)
     assert not result.ok and result.minimized is not None
     assert result.to_stats()["rebuilds"] > 0

@@ -1,4 +1,5 @@
-"""Each ``python -m repro trace`` mode refuses the other mode's options."""
+"""``python -m repro trace`` has one mode, ``bench``, and refuses bad input
+as a usage error."""
 
 from __future__ import annotations
 
@@ -7,26 +8,30 @@ import pytest
 from repro.trace.cli import main
 
 
-@pytest.mark.parametrize(
-    "flags",
-    [
-        ["--check"],
-        ["--sample", "10"],
-        ["--sample", "0"],
-        ["--min-speedup", "3"],
-        ["--check", "--min-speedup", "3"],
-    ],
-)
-def test_capture_rejects_bench_options(flags, capsys):
+def test_capture_mode_is_gone(capsys):
     with pytest.raises(SystemExit) as exit_info:
-        main(["capture", "--workload", "genome", "--no-cache", *flags])
+        main(["capture", "--workload", "genome"])
     assert exit_info.value.code == 2
-    named = ", ".join(flag for flag in flags if flag.startswith("--"))
-    assert f"{named}: bench mode only" in capsys.readouterr().err
+    assert "invalid choice: 'capture'" in capsys.readouterr().err
 
 
 def test_bench_rejects_no_cache(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["bench", "--workload", "genome", "--no-cache"])
     assert exit_info.value.code == 2
-    assert "--no-cache: capture mode only" in capsys.readouterr().err
+    assert "unrecognized arguments: --no-cache" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--scale", "-1"], "got -1.0"),
+        (["--scale", "0"], "got 0.0"),
+        (["--threshold", "4"], "threshold 4 below minimum 8"),
+    ],
+)
+def test_bench_bad_scale_or_threshold_is_a_usage_error(flags, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "--workload", "genome", "--sample", "1", *flags])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err

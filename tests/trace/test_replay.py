@@ -200,23 +200,3 @@ def test_cursor_pre_crash_io_matches_machine():
         _, io, _ = reference.capture_at(k)
         assert replayed_io == io, k
 
-
-def test_trace_fingerprint_ignores_arch_only_knobs():
-    """One functional trace serves every (params, threshold, check)
-    point of a sweep: the fingerprint must not vary with them."""
-    from repro.api import RunSpec
-    from repro.arch.params import SimParams
-    from repro.compiler import OptConfig
-    from repro.trace.record import trace_fingerprint
-
-    import dataclasses as dc
-
-    base = RunSpec(workload="genome", scale=0.1, config=OptConfig.licm(32))
-    fp = trace_fingerprint(base)
-    assert fp == trace_fingerprint(base.with_(check=True))
-    assert fp == trace_fingerprint(base.with_(seed=7))
-    slow_nvm = dc.replace(SimParams.scaled(), nvm_write_ns=600.0)
-    assert fp == trace_fingerprint(base.with_(params=slow_nvm))
-    # ... but functional identity changes do vary it.
-    assert fp != trace_fingerprint(base.with_(scale=0.2))
-    assert fp != trace_fingerprint(base.with_(config=OptConfig.licm(64)))

@@ -175,3 +175,11 @@ class TestCompilability:
         base = run(module)
         capri = run(CapriCompiler(OptConfig.licm(64)).compile(module).module)
         assert base == capri
+
+
+@pytest.mark.parametrize("scale", [-1, 0, -0.5, float("nan"), float("inf")])
+def test_build_rejects_a_scale_that_is_not_positive_and_finite(scale):
+    with pytest.raises(ValueError) as err:
+        get_workload("genome").build(scale)
+    assert "'genome'" in str(err.value)
+    assert repr(scale) in str(err.value)
