@@ -4,7 +4,6 @@
 sweep      parallel benchmark sweep with persistent result cache
 fault      crash-consistency fault-injection campaign
 check      online persistency checker: sanitized runs, mutant matrix
-trace      campaign replay bench: verdicts vs. interpretation
 litmus     persistency litmus tests: generate / run / explore / mutants
 profile    workload characterisation tables
 report     one-shot full evaluation report (all figures + analyses)
@@ -16,7 +15,7 @@ energy     residual-energy comparison against eADR / BBB
 
 Each subcommand delegates to the ``main`` of one module
 (``repro.sweep.cli``, ``repro.fault.cli``, ``repro.check.cli``,
-``repro.trace.cli``, ``repro.litmus.cli``, ``repro.eval.profile``,
+``repro.litmus.cli``, ``repro.eval.profile``,
 ``repro.eval.make_report``, ``repro.eval.figures``,
 ``repro.eval.ablations``, ``repro.eval.recovery_analysis``,
 ``repro.eval.energy``).  This is the only entry point: those modules
@@ -35,7 +34,6 @@ subcommands:
   sweep      parallel benchmark sweep with persistent result cache
   fault      crash-consistency fault-injection campaign
   check      online persistency checker (sanitized runs / --mutants)
-  trace      trace bench (repro.trace)
   litmus     litmus generate|run|explore|mutants (repro.litmus)
   profile    workload characterisation tables
   report     one-shot full evaluation report
@@ -55,8 +53,6 @@ def _dispatch(command: str):
         from repro.fault.cli import main
     elif command == "check":
         from repro.check.cli import main
-    elif command == "trace":
-        from repro.trace.cli import main
     elif command == "litmus":
         from repro.litmus.cli import main
     elif command == "profile":

@@ -84,19 +84,18 @@ def _canon(value: Any) -> Any:
 class RunSpec:
     """One fully-specified simulation: the repository's interchange type.
 
-    ``threshold``, ``params`` and ``persistence`` default to *derived*
-    (``None``): the effective values come from ``config`` /
-    ``SimParams.scaled()`` — see the ``effective_*`` properties.  ``label``
-    is presentational only and excluded from the fingerprint.
+    ``config`` alone states the region threshold and whether the run is
+    instrumented (persistent); ``params`` defaults to
+    ``SimParams.scaled()``.  The ``effective_*`` properties read these
+    off.  ``label`` is presentational only and excluded from the
+    fingerprint.
     """
 
     workload: str
     scale: float = 1.0
     config: OptConfig = OptConfig.licm()
-    threshold: Optional[int] = None
     params: Optional[SimParams] = None
     quantum: int = 32
-    persistence: Optional[bool] = None
     #: Read by no runner, only by :meth:`fingerprint` (kept because the
     #: benchmark's pinned digests are keyed on it).
     seed: Optional[int] = None
@@ -115,7 +114,7 @@ class RunSpec:
 
     @property
     def effective_threshold(self) -> int:
-        return self.config.threshold if self.threshold is None else self.threshold
+        return self.config.threshold
 
     @property
     def effective_params(self) -> SimParams:
@@ -123,16 +122,11 @@ class RunSpec:
 
     @property
     def effective_persistence(self) -> bool:
-        if self.persistence is None:
-            return self.config.instrumented
-        return self.persistence
+        return self.config.instrumented
 
     @property
     def effective_config(self) -> OptConfig:
-        """The compile configuration with any threshold override applied."""
-        if self.threshold is None or self.threshold == self.config.threshold:
-            return self.config
-        return self.config.with_threshold(self.threshold)
+        return self.config
 
     # -- derived specs -------------------------------------------------------
 
@@ -145,8 +139,6 @@ class RunSpec:
         return replace(
             self,
             config=OptConfig.volatile(),
-            threshold=None,
-            persistence=False,
             seed=0,
             check=False,  # nothing persistent to check in a volatile run
             label="baseline",

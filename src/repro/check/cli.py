@@ -59,7 +59,10 @@ def _sanitized(args, parser, json_out) -> int:
     else:
         parser.error("sanitized mode needs --workload or --all")
     if args.thresholds:
-        thresholds = [int(t) for t in _parse_csv(args.thresholds)]
+        try:
+            thresholds = [int(t) for t in _parse_csv(args.thresholds)]
+        except ValueError:
+            parser.error(f"--thresholds: expected integers, got {args.thresholds!r}")
     else:
         thresholds = [args.threshold]
     params = matrix_params() if args.matrix_params else SimParams.scaled()

@@ -20,8 +20,8 @@ with nothing ever draining — so
 end-of-run :meth:`~repro.check.checker.PersistencyChecker.finalize`
 still runs).  Recovery-path mutants cannot fire during forward
 execution; they are detected by crashing at several points through a
-campaign source (:class:`repro.trace.replay.TraceCursor`, driven by
-each workload's event stream captured once with
+faithful campaign source (:class:`repro.trace.replay.TraceCampaignSource`,
+driven by each workload's event stream captured once with
 :func:`repro.trace.record.capture_trace`), recovering with the mutation
 planted, and checking the recovered state against the model's committed
 prefix.  Mutations live in the simulated pipelines and in recovery,
@@ -248,12 +248,13 @@ def run_mutant_matrix(
 
     The baseline and every persistence-path mutant are interpreted
     (:func:`checked_run`); each workload's trace is captured once for the
-    one probe cursor shared by the baseline and recovery-mutant probes.
+    one probe source shared by the baseline and recovery-mutant probes.
     """
     from repro.api import RunSpec, build_spec
     from repro.compiler import OptConfig
+    from repro.fault.campaign import CampaignConfig
     from repro.trace.record import capture_trace
-    from repro.trace.replay import TraceCursor
+    from repro.trace.replay import TraceCampaignSource
 
     start = time.perf_counter()
     params = params if params is not None else matrix_params()
@@ -270,7 +271,9 @@ def run_mutant_matrix(
             RunSpec(workload=wl, scale=scale, config=OptConfig.licm(threshold))
         )
         trace = capture_trace(module, spawns, max_steps=_MAX_STEPS)
-        source = TraceCursor(trace, params=params, threshold=threshold, check=True)
+        source = TraceCampaignSource(
+            trace, CampaignConfig(params=params, threshold=threshold, check=True)
+        )
         built[wl] = (module, spawns, source)
         checker, error = checked_run(module, spawns, params, threshold)
         if error is not None:

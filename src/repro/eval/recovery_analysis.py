@@ -9,8 +9,8 @@ entries per core) plus one register reload and the region's recovery
 blocks.
 
 :func:`analyze_recovery` sweeps crash points over a workload — captured
-once and replayed by one :class:`~repro.trace.replay.TraceCursor` — and
-reports, per crash: entries scanned, undo/redo words written,
+once and replayed by one :class:`~repro.trace.replay.TraceCampaignSource`
+— and reports, per crash: entries scanned, undo/redo words written,
 checkpoint slots reloaded, recovery-block instructions executed, and a
 wall-clock estimate under the Table 1 latencies.  :func:`recovery_latency_model` turns one
 :class:`~repro.arch.recovery.RecoveredState` into nanoseconds.
@@ -30,9 +30,10 @@ from repro.api import RunSpec, build_spec
 from repro.arch.crash import CrashState
 from repro.arch.params import SimParams
 from repro.arch.recovery import RecoveredState, recover
-from repro.compiler import OptConfig
+from repro.compiler import OptConfig, RegionFormationError
+from repro.fault.campaign import CampaignConfig
 from repro.trace.record import capture_trace
-from repro.trace.replay import TraceCursor
+from repro.trace.replay import TraceCampaignSource
 
 
 @dataclass
@@ -130,15 +131,14 @@ def analyze_recovery(
         workload=workload_name, scale=scale, config=OptConfig.licm(threshold)
     )
     capri, spawns = build_spec(spec)
-    cursor = TraceCursor(
+    source = TraceCampaignSource(
         capture_trace(capri, spawns),
-        params=params or SimParams.scaled(),
-        threshold=threshold,
+        CampaignConfig(params=params or SimParams.scaled(), threshold=threshold),
     )
     sweep = RecoverySweep(workload=workload_name, threshold=threshold)
     points = list(crash_points) if crash_points else list(range(50, 6000, 450))
     for at in points:
-        state, _io, _checker = cursor.capture_at(at)
+        state, _io, _checker = source.capture_at(at)
         if state is None:
             break
         recovered = recover(state, capri)
@@ -154,7 +154,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--threshold", type=int, default=256)
     parser.add_argument("--scale", type=float, default=0.4)
     args = parser.parse_args(argv)
-    sweep = analyze_recovery(args.workload, args.threshold, args.scale)
+    try:
+        sweep = analyze_recovery(args.workload, args.threshold, args.scale)
+    except (KeyError, ValueError, RegionFormationError) as err:
+        parser.error(str(err.args[0] if err.args else err))
     print(
         f"Recovery-cost sweep: {sweep.workload}, threshold {sweep.threshold} "
         f"({len(sweep.costs)} crash points)\n"

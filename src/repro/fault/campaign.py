@@ -4,9 +4,10 @@ One campaign = one workload × one fault combination × a set of crash
 points (every observer event, or a deterministic seeded sample for long
 traces).  The workload's event stream is captured once per campaign,
 in memory (:func:`repro.trace.record.capture_trace`; traces are never
-stored on disk); every crash point is then
-served by a *source* replaying it
-(:class:`repro.trace.replay.TraceCampaignSource`).  Per point,
+stored on disk); every crash point is then served by a *source*
+replaying it (:class:`repro.trace.replay.TraceCampaignSource`), which
+takes every setting, planted mutations included, from the campaign's
+:class:`CampaignConfig`.  Per point,
 :func:`run_crash_point`:
 
 1. advances the source to the crash point and captures the persistent
@@ -124,9 +125,10 @@ class CampaignConfig:
     #: hard budget on chains explored per primary crash point; chains
     #: beyond it are counted as truncated, never silently dropped.
     max_chains_per_point: int = 96
-    #: planted recovery-protocol bugs (repro.arch.persistence.
-    #: ProtocolMutations) threaded into every recovery the campaign
-    #: runs — the nested-failure sweep's sensitivity ("teeth") knob.
+    #: planted protocol bugs (repro.arch.persistence.ProtocolMutations),
+    #: the sweep's sensitivity ("teeth") knob.  Pipeline flags act in the
+    #: crash source's simulated system; ``recovery_*`` flags act in every
+    #: recovery the campaign runs.  Each layer reads only its own flags.
     mutations: Optional[object] = None
     #: Read by no code: every campaign captures once and replays.  Kept
     #: only because the benchmark harness (perfbench/workloads.py and
@@ -464,7 +466,8 @@ def run_crash_point(
     ``source`` serves the crash capture: anything with a
     ``capture_at(event_index) -> (state, pre_crash_io, checker)`` method —
     :class:`repro.trace.replay.TraceCampaignSource` in campaigns, the
-    reference :class:`repro.fault.oracle.InterpretedSource` in tests.
+    reference :class:`repro.fault.oracle.InterpretedSource` in tests and
+    the exhaustive-campaign benchmark; both are configured by ``config``.
     Everything downstream (fault injection, recovery, resume, judging,
     secondary crashes on :class:`CrashState` clones) is state-based and
     identical either way.

@@ -22,7 +22,11 @@ event index downward.
 :class:`InterpretedSource` is the reference crash-capture engine: it
 re-interprets the IR from event 0 to every crash point.  Campaigns run on
 captured-trace replay (:class:`repro.trace.replay.TraceCampaignSource`);
-this source is what that engine is pinned against.
+this source is what that engine is pinned against, configured by the
+same :class:`~repro.fault.campaign.CampaignConfig`.  The comparison
+lives in the tests (``tests/trace/test_campaign_replay.py``) and in the
+exhaustive-campaign benchmark
+(``benchmarks/test_trace_replay.py::test_exhaustive_campaign_speedup``).
 """
 
 from __future__ import annotations
@@ -90,7 +94,10 @@ class InterpretedSource:
     """Reference crash capture: interpret the IR to each crash point.
 
     Honours the campaign source contract of
-    :class:`repro.trace.replay.TraceCampaignSource`: ``capture_at(k)``
+    :class:`repro.trace.replay.TraceCampaignSource`, and takes every
+    setting from the same :class:`~repro.fault.campaign.CampaignConfig`
+    (``config.mutations`` plants its pipeline flags in the simulated
+    system exactly as the replay source does): ``capture_at(k)``
     returns ``(state, pre_crash_io, checker)`` — the captured persistent
     domain (``None`` when the program finishes first), the I/O events the
     interrupted machine issued, and, with ``config.check``, the
@@ -100,15 +107,12 @@ class InterpretedSource:
     Every capture runs a fresh system from event 0, so a sweep costs
     O(events²/2); :attr:`rebuilds` counts the captures after the first
     (each one re-runs from event 0).
-    ``mutations`` plants protocol bugs in the simulated pipelines, as
-    ``TraceCampaignSource(mutations=)`` does for the replayed system.
     """
 
-    def __init__(self, module: Module, spawns, config, mutations=None) -> None:
+    def __init__(self, module: Module, spawns, config) -> None:
         self.module = module
         self.spawns = spawns
         self.config = config
-        self.mutations = mutations
         self._captures = 0
 
     @property
@@ -123,7 +127,7 @@ class InterpretedSource:
             params=config.params,
             threshold=config.threshold,
             quantum=config.quantum,
-            mutations=self.mutations,
+            mutations=config.mutations,
         )
         self._captures += 1
         checker = None

@@ -34,20 +34,29 @@ DEFAULT_SEEDS = (0, 1, 2, 3, 4, 5)
 
 
 def _parse_seeds(raw: Optional[str], count: Optional[int]) -> List[int]:
-    """Comma-separated seeds, each either an int or an a-b range."""
-    if raw:
-        seeds: List[int] = []
-        for part in raw.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            lo, dash, hi = part.partition("-")
-            if dash and lo:
-                seeds.extend(range(int(lo), int(hi) + 1))
-            else:
-                seeds.append(int(part))
-        return seeds
-    return list(range(count if count is not None else len(DEFAULT_SEEDS)))
+    """Comma-separated seeds, each either an int or an a-b range.
+
+    A non-integer seed, an empty or reversed range, or no seeds at all
+    raises :class:`ValueError` naming it: an empty corpus checks nothing.
+    """
+    if raw is None:
+        count = len(DEFAULT_SEEDS) if count is None else count
+        if count < 1:
+            raise ValueError(f"--count must be >= 1, got {count}")
+        return list(range(count))
+    seeds: List[int] = []
+    for part in filter(None, (p.strip() for p in raw.split(","))):
+        lo, dash, hi = part.partition("-")
+        try:
+            span = range(int(lo), int(hi) + 1) if dash and lo else [int(part)]
+        except ValueError:
+            span = []
+        if not span:
+            raise ValueError(f"--seeds: bad seed or range {part!r}")
+        seeds.extend(span)
+    if not seeds:
+        raise ValueError(f"--seeds: no seeds in {raw!r}")
+    return seeds
 
 
 def _generate(args, json_out) -> int:
@@ -279,7 +288,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     add_json_arg(parser)
     args = parser.parse_args(argv)
-    args.seed_list = _parse_seeds(args.seeds, args.count)
+    try:
+        args.seed_list = _parse_seeds(args.seeds, args.count)
+    except ValueError as err:
+        parser.error(str(err))
+    if args.step_limit is not None and args.step_limit < 0:
+        parser.error(f"--step-limit must be >= 0, got {args.step_limit}")
     json_out = args.json_out
     if args.mode == "generate":
         return _generate(args, json_out)

@@ -380,10 +380,11 @@ def run_litmus_program(
             params=params,
             check=True,
             max_steps=max_steps,
+            mutations=mutations,
         )
         # Mutations plant in the replayed *system* (pipeline bugs) and in
         # recovery below (recovery bugs) — each layer reads its own flags.
-        source = TraceCampaignSource(trace, config, mutations=mutations)
+        source = TraceCampaignSource(trace, config)
 
         forbidden = 0
         checks = 0
@@ -423,7 +424,7 @@ def run_litmus_program(
                     # the interpreted reference (same mutations) at the
                     # same crash point must agree.
                     direct_state, _, direct_checker = InterpretedSource(
-                        program.module, program.spawns, config, mutations
+                        program.module, program.spawns, config
                     ).capture_at(k)
                     if direct_state is not None:
                         direct_failures, _ = _judge_point(

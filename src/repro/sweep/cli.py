@@ -109,7 +109,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.ladder:
         configs: Dict[str, OptConfig] = OptConfig.ladder()
     else:
-        thresholds = [int(t) for t in args.thresholds.split(",") if t.strip()]
+        try:
+            thresholds = [int(t) for t in args.thresholds.split(",") if t.strip()]
+        except ValueError:
+            parser.error(f"--thresholds: expected integers, got {args.thresholds!r}")
         configs = {str(t): OptConfig.licm(t) for t in thresholds}
 
     cache = None if args.no_cache else (args.cache_dir or "default")

@@ -3,16 +3,15 @@
 Capture one golden interpreted run into a structure-of-arrays
 :class:`ExecTrace` (:mod:`repro.trace.record`) and drive the
 arch/persistence/checker layers straight from the columns to each crash
-point (:mod:`repro.trace.replay`) — the crash source behind every fault
-campaign (:mod:`repro.fault.campaign`) and the ``repro trace bench``
-CLI (:mod:`repro.trace.cli`).  Traces live only in memory: each
+point (:mod:`repro.trace.replay`) — the crash source,
+:class:`TraceCampaignSource`, behind every fault campaign
+(:mod:`repro.fault.campaign`).  Traces live only in memory: each
 campaign captures its own.  Crash-free runs are always interpreted.
 """
 
 from repro.trace.record import ExecTrace, TraceRecorder, capture_trace
 from repro.trace.replay import (
     TraceCampaignSource,
-    TraceCursor,
     build_replay_system,
     golden_from_trace,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "ExecTrace",
     "TraceRecorder",
     "capture_trace",
-    "TraceCursor",
     "TraceCampaignSource",
     "build_replay_system",
     "golden_from_trace",

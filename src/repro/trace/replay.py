@@ -5,9 +5,9 @@ observer event stream, so the timing/persistence simulation
 (:class:`~repro.arch.system.CapriSystem`), the online persistency checker,
 and the crash injector can all be driven straight from the columns —
 no IR re-interpretation, no functional machine.  The one consumer is the
-crash source, :class:`TraceCursor` / :class:`TraceCampaignSource`, behind
-fault campaigns, the litmus and mutant matrices and the recovery-cost
-sweep (crash-free runs are interpreted).  Campaign crash points ascend
+crash source, :class:`TraceCampaignSource`, behind fault campaigns, the
+litmus and mutant matrices and the recovery-cost sweep (crash-free runs
+are interpreted).  Campaign crash points ascend
 (:func:`~repro.fault.campaign.select_crash_points` sorts), so *one*
 replay system advanced monotonically serves every point: total arch
 work across an exhaustive sweep is O(events) instead of O(events²/2) —
@@ -86,12 +86,12 @@ def golden_from_trace(trace: ExecTrace) -> GoldenResult:
 
 
 class _PointChecker:
-    """Per-crash-point view of a cursor's long-lived checker.
+    """Per-crash-point view of a source's long-lived checker.
 
     Presents the interpreted ``capture_at`` contract — a ``.report``
     (real :class:`CheckReport`: ``ok``/``summary()``/sliceable
     ``violations``) and a ``check_recovered`` hook — while the checking
-    itself runs on the cursor's single checker.  The report holds the
+    itself runs on the source's single checker.  The report holds the
     stream-prefix violations (what a fresh checker would have flagged
     on the way to this point) plus this point's own whole-state findings,
     under the same violation cap a fresh checker applies; later
@@ -100,28 +100,37 @@ class _PointChecker:
 
     def __init__(
         self,
-        cursor: "TraceCursor",
+        source: "TraceCampaignSource",
         point_violations: List[Violation],
         point_suppressed: int,
     ) -> None:
-        self._cursor = cursor
-        stream = cursor._stream
+        self._source = source
+        stream = source._stream
         self.report = CheckReport(
             list(stream.violations),
-            events=cursor.pos,
-            checks=cursor.checker.model.checks,
+            events=source.pos,
+            checks=source.checker.model.checks,
             suppressed=stream.suppressed,
         )
         self.report.merge(point_violations, point_suppressed)
 
     def check_recovered(self, recovered) -> None:
-        self._cursor.checker.check_recovered(recovered)
-        self.report.merge(*self._cursor._drain_new())
-        self.report.checks = self._cursor.checker.model.checks
+        self._source.checker.check_recovered(recovered)
+        self.report.merge(*self._source._drain_new())
+        self.report.checks = self._source.checker.model.checks
 
 
-class TraceCursor:
-    """Single-pass replay over ascending crash points.
+class TraceCampaignSource:
+    """The crash source behind every sweep: single-pass replay of a
+    captured trace over ascending crash points.
+
+    What :func:`repro.fault.campaign.run_campaign` accepts as ``source``:
+    anything with the ``capture_at(event_index)`` contract.  Every
+    setting comes from the sweep's
+    :class:`~repro.fault.campaign.CampaignConfig`: ``params``,
+    ``threshold``, ``check`` and ``mutations`` (whose pipeline flags
+    plant protocol bugs in the replayed system; recovery flags act only
+    in recovery).
 
     ``capture_at(k)`` advances the live system from its current position
     to event ``k`` and snapshots the persistent domain — so an exhaustive
@@ -131,22 +140,9 @@ class TraceCursor:
     event 0; :attr:`rebuilds` counts them.
     """
 
-    def __init__(
-        self,
-        trace: ExecTrace,
-        params: Optional[SimParams] = None,
-        threshold: int = 256,
-        check: bool = False,
-        mutations=None,
-    ) -> None:
+    def __init__(self, trace: ExecTrace, config) -> None:
         self.trace = trace
-        self.params = params
-        self.threshold = threshold
-        self.check = check
-        #: planted protocol bugs for the replayed *system* (the litmus
-        #: matrix's teeth); campaigns keep ``config.mutations`` scoped to
-        #: recovery, so this is a separate, explicit knob.
-        self.mutations = mutations
+        self.config = config
         self.rebuilds = -1  # the constructor's own _reset is not a rebuild
         self._io_positions = trace.io_positions()
         self._reset()
@@ -154,15 +150,16 @@ class TraceCursor:
     # -- internals -----------------------------------------------------------
 
     def _reset(self) -> None:
+        config = self.config
         self.system = build_replay_system(
             self.trace,
-            params=self.params,
-            threshold=self.threshold,
-            mutations=self.mutations,
+            params=config.params,
+            threshold=config.threshold,
+            mutations=config.mutations,
         )
         self.checker = None
         self.target: Observer = self.system
-        if self.check:
+        if config.check:
             from repro.check.checker import PersistencyChecker
 
             self.checker = PersistencyChecker.attach(self.system)
@@ -240,27 +237,3 @@ class TraceCursor:
             else None
         )
         return state, self._pre_crash_io(event_index), facade
-
-
-class TraceCampaignSource:
-    """What :func:`repro.fault.campaign.run_campaign` accepts as
-    ``source``: anything with the ``capture_at(event_index)`` contract.
-    This one binds a captured trace and a campaign config to a
-    :class:`TraceCursor`."""
-
-    def __init__(self, trace: ExecTrace, config, mutations=None) -> None:
-        self.trace = trace
-        self._cursor = TraceCursor(
-            trace,
-            params=config.params,
-            threshold=config.threshold,
-            check=config.check,
-            mutations=mutations,
-        )
-
-    @property
-    def rebuilds(self) -> int:
-        return self._cursor.rebuilds
-
-    def capture_at(self, event_index: int):
-        return self._cursor.capture_at(event_index)

@@ -21,10 +21,11 @@ import pytest
 
 import repro.arch.proxy as proxy
 from repro.arch.proxy import KIND_BOUNDARY, KIND_DATA, ProxyEntry, entry_checksum
+from repro.fault.campaign import CampaignConfig
 from repro.fault.models import apply_faults, available_models, get_models
 from repro.isa.machine import Continuation
 from repro.trace.record import capture_trace
-from repro.trace.replay import TraceCursor
+from repro.trace.replay import TraceCampaignSource
 
 from tests.arch.conftest import (
     build_update_loop,
@@ -148,7 +149,7 @@ def loop_trace():
 def _mergeable_point(trace):
     """The first crash point whose capture holds a boundary entry and a
     mergeable one."""
-    cursor = TraceCursor(trace, threshold=THRESHOLD)
+    cursor = TraceCampaignSource(trace, CampaignConfig(threshold=THRESHOLD))
     for k in range(len(trace)):
         state, _, _ = cursor.capture_at(k)
         (pipe,) = cursor.system.persist.pipelines
@@ -185,7 +186,7 @@ class TestSharing:
     ):
         k, cursor, state, _, _ = _mergeable_point(loop_trace)
         later = k + 3
-        reference = TraceCursor(loop_trace, threshold=THRESHOLD)
+        reference = TraceCampaignSource(loop_trace, CampaignConfig(threshold=THRESHOLD))
         expect_now = entry_payloads(reference.capture_at(k)[0].core_entries)
         expect_later = entry_payloads(
             reference.capture_at(later)[0].core_entries

@@ -29,10 +29,11 @@ from repro.arch.recovery import (
     WpqCorruptionError,
     recover,
 )
+from repro.fault.campaign import CampaignConfig
 from repro.fault.models import FaultNote, apply_faults, get_models
 from repro.ir.module import ckpt_slot_addr
 from repro.trace.record import capture_trace
-from repro.trace.replay import TraceCursor
+from repro.trace.replay import TraceCampaignSource
 
 from tests.arch.conftest import build_pointer_chase, compile_capri
 
@@ -133,7 +134,7 @@ def _cases(program, model: str, monkeypatch) -> List[Tuple[CrashState, int]]:
         return real(system)
 
     monkeypatch.setattr(replay, "capture_crash_state", capture)
-    cursor = TraceCursor(trace, threshold=THRESHOLD)
+    cursor = TraceCampaignSource(trace, CampaignConfig(threshold=THRESHOLD))
     found = []
     for k in range(0, len(trace), STRIDE):
         state, _, _ = cursor.capture_at(k)
@@ -170,7 +171,7 @@ def test_capture_leaves_no_checksum_to_compute(program):
     when capture returns, so no later read can compute one from state a
     fault model has touched."""
     _, trace = program
-    cursor = TraceCursor(trace, threshold=THRESHOLD)
+    cursor = TraceCampaignSource(trace, CampaignConfig(threshold=THRESHOLD))
     for k in range(0, len(trace), STRIDE):
         state, _, _ = cursor.capture_at(k)
         assert not _unread(cursor.system)["slots"]

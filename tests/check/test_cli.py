@@ -17,6 +17,7 @@ from repro.check.cli import main
         (["--workload", "genome", "--thresholds", "32,4"], "below minimum 8"),
         (["--mutants", "--scale", "-1"], "got -1.0"),
         (["--mutants", "--threshold", "4"], "below minimum 8"),
+        (["--workload", "genome", "--thresholds", "32,abc"], "got '32,abc'"),
     ],
 )
 def test_bad_scale_or_threshold_is_a_usage_error(argv, message, capsys):

@@ -48,7 +48,7 @@ class TestDeltaReport:
         assert "new" in delta.summary()
 
     def test_warm_unchanged_sweep_is_all_warm(self, tmp_path, fake_rev):
-        specs = [spec(), spec(threshold=256)]
+        specs = [spec(), spec(config=OptConfig.licm(256))]
         run_specs(specs, cache=tmp_path)
         fake_rev([])
         report = run_specs(

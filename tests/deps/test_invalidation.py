@@ -83,7 +83,7 @@ class TestCacheValidation:
 
 class TestSweepInvalidation:
     def _warm(self, tmp_path):
-        specs = [spec(), spec(threshold=256), spec().baseline()]
+        specs = [spec(), spec(config=OptConfig.licm(256)), spec().baseline()]
         report = run_specs(specs, cache=tmp_path)
         assert report.failures == 0
         return specs

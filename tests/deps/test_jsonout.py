@@ -117,28 +117,3 @@ class TestCommandIntegration:
         assert payload["command"] == "litmus"
         assert payload["data"]["mode"] == "generate"
         assert len(payload["data"]["programs"]) == 2
-
-    def test_trace_bench_json(self, tmp_path, capsys):
-        from repro.trace.cli import main as trace_main
-
-        out = tmp_path / "trace.json"
-        rc = trace_main(
-            [
-                "bench",
-                "--workload",
-                "stream-write",
-                "--scale",
-                "0.05",
-                "--sample",
-                "3",
-                "--json",
-                str(out),
-            ]
-        )
-        capsys.readouterr()
-        assert rc == 0
-        payload = json.loads(out.read_text())
-        assert payload["command"] == "trace"
-        assert payload["data"]["mode"] == "bench"
-        assert payload["data"]["crash_points"] > 0
-        assert payload["data"]["identical"] is True

@@ -129,6 +129,20 @@ class TestRecoveryAnalysis:
         out = capsys.readouterr().out
         assert "independent of run length" in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--scale", "0"], "got 0.0"),
+            (["--threshold", "4"], "below minimum 8"),
+            (["--workload", "no-such-workload"], "unknown workload"),
+        ],
+    )
+    def test_cli_bad_input_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            recovery_main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestEnergy:
     def test_capri_domain_much_smaller_than_eadr(self):

@@ -43,12 +43,6 @@ class TestRunSpec:
         assert s.effective_persistence is True
         assert spec(config=OptConfig.volatile()).effective_persistence is False
 
-    def test_threshold_override_rewrites_config(self):
-        s = spec(threshold=32)
-        assert s.effective_threshold == 32
-        assert s.effective_config.threshold == 32
-        assert s.effective_config.licm_opt  # still full Capri
-
     def test_baseline_spec(self):
         base = spec(seed=7, label="x").baseline()
         assert base.effective_persistence is False
@@ -60,11 +54,10 @@ class TestRunSpec:
 class TestFingerprint:
     def test_stable_and_derived_defaults_collide(self):
         assert spec().fingerprint() == spec().fingerprint()
-        # None params/threshold hash like their effective values.
+        # None params hash like their effective value.
         assert (
             spec(params=SimParams.scaled()).fingerprint() == spec().fingerprint()
         )
-        assert spec(threshold=64).fingerprint() == spec().fingerprint()
 
     def test_label_is_presentational(self):
         assert spec(label="a").fingerprint() == spec(label="b").fingerprint()
@@ -76,11 +69,11 @@ class TestFingerprint:
             dict(scale=TINY * 2),
             dict(config=OptConfig.licm(32)),
             dict(config=OptConfig.ckpt(64)),
-            dict(threshold=32),
+            dict(check=True),
             dict(params=SimParams.scaled().with_(nvm_write_ns=301.0)),
             dict(params=SimParams.scaled().with_(persist_mode=PersistMode.SYNC)),
             dict(quantum=16),
-            dict(persistence=False),
+            dict(config=OptConfig.volatile()),
             dict(seed=1),
             dict(threads=2),
             dict(max_steps=1000),

@@ -115,6 +115,25 @@ class TestSweepCLI:
         assert rc == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("thresholds", ["32,abc", "x"])
+    def test_non_integer_thresholds_are_a_usage_error(
+        self, thresholds, tmp_path, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            sweep_main(
+                [
+                    "--benchmarks",
+                    "genome",
+                    "--thresholds",
+                    thresholds,
+                    "--cache-dir",
+                    str(tmp_path),
+                    "--quiet",
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert f"got {thresholds!r}" in capsys.readouterr().err
+
 
 def _usage_subcommands():
     from repro.__main__ import _USAGE

@@ -1,7 +1,7 @@
 """Campaign integration: the replay engine must match the interpreted
 reference source (:class:`repro.fault.oracle.InterpretedSource`) outcome
 for outcome — single-crash sweeps, fault models and the minimizer,
-checker verdicts, and nested crashes."""
+checker verdicts, planted pipeline mutants, and nested crashes."""
 
 import pytest
 
@@ -61,8 +61,39 @@ def test_clean_sweep_verdicts_identical():
     _run_both(dict(threshold=32, sample=24, minimize=False))
 
 
-def test_checked_sweep_verdicts_identical():
-    _run_both(dict(threshold=32, sample=16, check=True, minimize=False))
+@pytest.mark.parametrize(
+    "scale, sample",
+    [
+        (0.08, 16),
+        (0.1, 40),  # the size the CI trace-replay job runs
+    ],
+    ids=["genome-0.08-16", "genome-0.1-40"],
+)
+def test_checked_sweep_verdicts_identical(scale, sample):
+    _run_both(
+        dict(threshold=32, sample=sample, check=True, minimize=False),
+        scale=scale,
+    )
+
+
+def test_pipeline_mutant_in_config_reaches_both_sources():
+    """``CampaignConfig.mutations`` is the one mutation knob: a pipeline
+    flag set there plants its bug in the crash source's system, on the
+    replay source and the interpreted reference alike, and the checker
+    sees it."""
+    from repro.arch.persistence import ProtocolMutations
+
+    interpreted, _ = _run_both(
+        dict(
+            threshold=32,
+            sample=30,
+            check=True,
+            minimize=False,
+            mutations=ProtocolMutations.single("skip_undo_log"),
+        ),
+        scale=0.05,
+    )
+    assert interpreted.counts().get("model-violation", 0) > 0
 
 
 def test_fault_model_verdicts_and_minimizer_identical():

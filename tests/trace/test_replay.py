@@ -12,10 +12,15 @@ from repro.arch.system import run_workload
 from repro.check.checker import PersistencyChecker
 from repro.check.mutants import checked_run
 from repro.compiler import CapriCompiler, OptConfig
+from repro.fault.campaign import CampaignConfig
 from repro.fault.oracle import golden_run
 from repro.isa.trace import TeeObserver
 from repro.trace.record import capture_trace
-from repro.trace.replay import TraceCursor, build_replay_system, golden_from_trace
+from repro.trace.replay import (
+    TraceCampaignSource,
+    build_replay_system,
+    golden_from_trace,
+)
 from repro.workloads import get_workload
 
 
@@ -106,7 +111,8 @@ def test_replay_until_crash_matches_interpreted(captured):
     module, spawns, trace = captured
     n = len(trace)
     for k in (0, 1, n // 3, n - 1):
-        replayed, _, _ = TraceCursor(trace, threshold=32).capture_at(k)
+        source = TraceCampaignSource(trace, CampaignConfig(threshold=32))
+        replayed, _, _ = source.capture_at(k)
         assert replayed is not None, k
         assert _canon_state(replayed) == _interpreted(module, spawns, k), k
 
@@ -115,7 +121,8 @@ def test_replay_until_crash_past_end_returns_none(captured):
     module, spawns, trace = captured
     n = len(trace)
     assert run_until_crash(module, spawns, CrashPlan(n), threshold=32) is None
-    state, _, _ = TraceCursor(trace, threshold=32).capture_at(n)
+    source = TraceCampaignSource(trace, CampaignConfig(threshold=32))
+    state, _, _ = source.capture_at(n)
     assert state is None
 
 
@@ -126,7 +133,7 @@ def test_cursor_single_pass_matches_fresh_replays(captured):
     module, spawns, trace = captured
     n = len(trace)
     points = sorted({0, 1, n // 4, n // 3, n // 2, (3 * n) // 4, n - 1})
-    cursor = TraceCursor(trace, threshold=32)
+    cursor = TraceCampaignSource(trace, CampaignConfig(threshold=32))
     for k in points:
         state, _, checker = cursor.capture_at(k)
         assert _canon_state(state) == _interpreted(module, spawns, k), k
@@ -137,7 +144,7 @@ def test_cursor_single_pass_matches_fresh_replays(captured):
 def test_cursor_rewind_rebuilds_and_stays_correct(captured):
     module, spawns, trace = captured
     n = len(trace)
-    cursor = TraceCursor(trace, threshold=32)
+    cursor = TraceCampaignSource(trace, CampaignConfig(threshold=32))
     late, _, _ = cursor.capture_at(n - 1)
     assert cursor.rebuilds == 0
     early, _, _ = cursor.capture_at(n // 2)  # behind the cursor: rebuild
@@ -150,7 +157,7 @@ def test_cursor_past_end_runs_out_and_reports_none(captured):
     n = len(trace)
     # The interpreted run ends before a crash at the last index + 1, too.
     assert run_until_crash(module, spawns, CrashPlan(n), threshold=32) is None
-    cursor = TraceCursor(trace, threshold=32)
+    cursor = TraceCampaignSource(trace, CampaignConfig(threshold=32))
     state, io, checker = cursor.capture_at(n + 5)
     assert state is None and checker is None
     assert io == [tuple(ev) for ev in trace.io_log]
@@ -168,7 +175,6 @@ def test_cursor_pre_crash_io_matches_machine():
     from the trace's I/O positions and must agree with the interrupted
     machine's log at every boundary case."""
     from repro.compiler import CapriCompiler, OptConfig
-    from repro.fault.campaign import CampaignConfig
     from repro.fault.oracle import InterpretedSource
     from repro.ir import IRBuilder, verify_module
     from repro.trace.record import capture_trace
@@ -195,7 +201,7 @@ def test_cursor_pre_crash_io_matches_machine():
     reference = InterpretedSource(module, spawns, CampaignConfig(threshold=32))
     first = positions[0]
     for k in (first - 1, first, first + 1, mid - 1, mid, mid + 1, len(trace) - 1):
-        cursor = TraceCursor(trace, threshold=32)
+        cursor = TraceCampaignSource(trace, CampaignConfig(threshold=32))
         _, replayed_io, _ = cursor.capture_at(k)
         _, io, _ = reference.capture_at(k)
         assert replayed_io == io, k
