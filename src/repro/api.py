@@ -22,16 +22,17 @@ for internals (the split is documented in DESIGN.md).
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import enum
 import hashlib
 import json
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.arch.params import SimParams
-from repro.arch.system import SystemMetrics, run_workload
+from repro.arch.system import SystemMetrics, build_system, run_system
 from repro.compiler import CapriCompiler, OptConfig
 from repro.deps import (
     UsageProbe,
@@ -39,6 +40,7 @@ from repro.deps import (
     subsystem_hashes,
 )
 from repro.ir.module import Module
+from repro.ir.printer import format_module
 
 #: Bump when the fingerprint schema itself changes shape.
 #: 1: token embedded the whole-tree code hash; dict keys stringified.
@@ -210,6 +212,9 @@ class RunResult:
     #: entry stores for precise invalidation.  ``()`` for cache-served
     #: results (their validity was already checked against stored deps).
     deps: Tuple[str, ...] = ()
+    #: The metrics are those of an earlier run of the same program in
+    #: the same sweep (see :func:`execute_spec`'s ``memo``).
+    shared: bool = False
 
     @property
     def normalized_cycles(self) -> float:
@@ -256,7 +261,60 @@ def build_spec(
     return module, spawns
 
 
-def execute_spec(spec: RunSpec) -> RunResult:
+class MemoRun(NamedTuple):
+    """One completed simulation in a :data:`SimulationMemo`."""
+
+    #: the back-end proxy capacity it ran with.
+    capacity: int
+    #: the most entries any core's back end held (0 without persistence).
+    peak: int
+    metrics: SystemMetrics
+    deps: Tuple[str, ...]
+
+    def serves(self, capacity: int) -> bool:
+        """Would a run under ``capacity`` take exactly this run's course?
+
+        The region threshold reaches the hardware only as the back-end
+        capacity, read only by the pipeline's ``len(be) < be_cap`` test.
+        That test gives the same answer under both capacities when they
+        are equal, or when the back end never filled (peak below this
+        run's capacity) and the other capacity is above the peak too.
+        """
+        return capacity == self.capacity or self.peak < min(self.capacity, capacity)
+
+
+#: Completed simulations of one sweep: :func:`simulation_key` -> runs.
+SimulationMemo = Dict[str, List[MemoRun]]
+
+
+def simulation_key(
+    spec: RunSpec, module: Module, spawns: Sequence[Tuple[str, Sequence[int]]]
+) -> str:
+    """Digest of everything the simulator reads of one run, except the
+    region threshold (see :meth:`MemoRun.serves`).
+
+    The program is the printed module (every instruction, block label,
+    recovery block and each function's ``num_regs``) plus its initial
+    data; then come the spawns, the effective parameters, persistence,
+    quantum, ``max_steps`` and ``check``.
+    """
+    token = {
+        "spawns": [[name, list(args)] for name, args in spawns],
+        "params": _canon(spec.effective_params),
+        "persistence": spec.effective_persistence,
+        "quantum": spec.quantum,
+        "max_steps": spec.max_steps,
+        "check": spec.check,
+    }
+    digest = hashlib.sha256(format_module(module).encode())
+    digest.update(b"\0" + repr(sorted(module.initial_data.items())).encode())
+    digest.update(b"\0" + json.dumps(token, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def execute_spec(
+    spec: RunSpec, memo: Optional[SimulationMemo] = None
+) -> RunResult:
     """Build, (maybe) compile, and simulate one :class:`RunSpec`.
 
     The single run primitive behind the harness and the sweep engine's
@@ -266,26 +324,54 @@ def execute_spec(spec: RunSpec) -> RunResult:
     result's :attr:`~RunResult.deps` names the subsystems exercised, and
     the sweep engine stores them with the cached metrics so only changes
     to *those* subsystems invalidate the entry.
+
+    ``memo`` holds the simulations already run in one sweep.  The spec
+    is still built and compiled; if the memo holds a run of the same
+    :func:`simulation_key` that :meth:`~MemoRun.serves` this spec's
+    back-end capacity, its metrics come back (``shared``) with the deps
+    of both probes, so the cache still invalidates on a simulator
+    change.  Otherwise the spec is simulated and, once it succeeds,
+    added to the memo.
     """
     start = time.perf_counter()
+    params = spec.effective_params
+    capacity = params.backend_capacity(spec.effective_threshold)
+    earlier = None
     with UsageProbe() as probe:
         module, spawns = build_spec(spec)
-        metrics, _machine = run_workload(
-            module,
-            spawns,
-            params=spec.effective_params,
-            threshold=spec.effective_threshold,
-            persistence=spec.effective_persistence,
-            quantum=spec.quantum,
-            max_steps=spec.max_steps,
-            check=spec.check,
+        if memo is not None:
+            key = simulation_key(spec, module, spawns)
+            earlier = next(
+                (run for run in memo.get(key, ()) if run.serves(capacity)), None
+            )
+        if earlier is None:
+            machine, system = build_system(
+                module,
+                spawns,
+                params=params,
+                threshold=spec.effective_threshold,
+                persistence=spec.effective_persistence,
+                quantum=spec.quantum,
+            )
+            metrics = run_system(
+                machine, system, max_steps=spec.max_steps, check=spec.check
+            )
+    deps = probe.subsystems()
+    if earlier is not None:
+        metrics = copy.deepcopy(earlier.metrics)
+        deps = tuple(sorted({*deps, *earlier.deps}))
+    elif memo is not None:
+        peak = system.persist.backend_peak if system.persist is not None else 0
+        memo.setdefault(key, []).append(
+            MemoRun(capacity, peak, copy.deepcopy(metrics), deps)
         )
     return RunResult(
         spec=spec,
         metrics=metrics,
         fingerprint=spec.fingerprint(),
         wall_s=time.perf_counter() - start,
-        deps=probe.subsystems(),
+        deps=deps,
+        shared=earlier is not None,
     )
 
 

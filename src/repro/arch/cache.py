@@ -79,9 +79,12 @@ class SetAssocCache:
 
     def touch(self, addr: int) -> bool:
         """Access for a load: returns hit?; allocates on miss (LRU update)."""
-        # line_addr and _set_of, inline: every load pays this.
+        return self.touch_line(self.line_addr(addr))
+
+    def touch_line(self, line: int) -> bool:
+        """:meth:`touch` for a caller that has the line address already."""
+        # _set_of, inline: every load pays this.
         size = self.line_bytes
-        line = addr - addr % size
         index = (line // size) % self.num_sets
         s = self.sets.get(index)
         if s is None:
@@ -96,8 +99,11 @@ class SetAssocCache:
 
     def write(self, addr: int, value: int) -> bool:
         """Access for a store: returns hit?; write-allocates on miss."""
+        return self.write_line(self.line_addr(addr), addr, value)
+
+    def write_line(self, line: int, addr: int, value: int) -> bool:
+        """:meth:`write` for a caller that has ``addr``'s line already."""
         size = self.line_bytes
-        line = addr - addr % size
         index = (line // size) % self.num_sets
         s = self.sets.get(index)
         if s is None:

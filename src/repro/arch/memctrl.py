@@ -158,13 +158,13 @@ class MemoryHierarchy:
         """
         p = self.params
         l1 = self.l1[core]
-        line = l1.line_addr(addr)
+        line = addr - addr % p.line_bytes  # the L1 and L2 line alike
         latency = self._note_shared(core, line)
-        if l1.touch(addr):
+        if l1.touch_line(line):
             latency += p.l1_hit_cycles
             level = "l1"
         else:
-            if self.l2.touch(addr):
+            if self.l2.touch_line(line):
                 latency += p.l1_hit_cycles + p.l2_hit_cycles
                 level = "l2"
             elif self.dram.touch(addr):
@@ -195,13 +195,13 @@ class MemoryHierarchy:
         """
         p = self.params
         l1 = self.l1[core]
-        line = l1.line_addr(addr)
+        line = addr - addr % p.line_bytes  # the L1 and L2 line alike
         latency = self._ensure_exclusive(core, line)
-        hit = l1.write(addr, value)
+        hit = l1.write_line(line, addr, value)
         if hit:
             return max(0.0, latency * p.mem_exposure), True
         # Fill from the level that has the line (timing only).
-        if self.l2.touch(addr):
+        if self.l2.touch_line(line):
             latency += p.l2_hit_cycles
         elif self.dram.touch(addr):
             latency += p.l2_hit_cycles + p.dram_hit_cycles

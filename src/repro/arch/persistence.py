@@ -256,3 +256,8 @@ class PersistenceEngine:
     @property
     def boundaries_skipped(self) -> int:
         return sum(p.boundaries_skipped for p in self.pipelines)
+
+    @property
+    def backend_peak(self) -> int:
+        """Most entries any core's back end ever held."""
+        return max((p.be_peak for p in self.pipelines), default=0)

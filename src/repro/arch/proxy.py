@@ -331,6 +331,11 @@ class CoreProxyPipeline:
         self.boundaries_skipped = 0
         self.fe_stall_cycles = 0.0
         self.sync_stall_cycles = 0.0
+        #: most entries the back end ever held.  While it stays below
+        #: ``be_cap``, every ``len(be) < be_cap`` test in
+        #: :meth:`_next_event` passed, so a run under any larger capacity
+        #: takes the same course (the sweep's simulation memo).
+        self.be_peak = 0
         #: durable time of the most recently drained boundary.
         self.last_region_durable = 0.0
 
@@ -435,7 +440,10 @@ class CoreProxyPipeline:
         self.xfer_free = t + self._xfer_cycles
         if self._fe_merge.get(entry.addr) is entry:
             del self._fe_merge[entry.addr]
-        self.be.append(entry)
+        be = self.be
+        be.append(entry)
+        if len(be) > self.be_peak:
+            self.be_peak = len(be)
         if entry.kind == KIND_BOUNDARY:
             self._boundaries_in_be += 1
 

@@ -331,6 +331,20 @@ def run_workload(
         persistence=persistence,
         quantum=quantum,
     )
+    return run_system(machine, system, max_steps=max_steps, check=check), machine
+
+
+def run_system(
+    machine: Machine,
+    system: "CapriSystem",
+    max_steps: int = 50_000_000,
+    check: bool = False,
+) -> SystemMetrics:
+    """Run a :func:`build_system` pair to the end; returns the metrics.
+
+    The body of :func:`run_workload`, for callers that read the system
+    afterwards (the sweep's simulation memo reads its back-end peak).
+    """
     if check:
         from repro.check.checker import PersistencyChecker
         from repro.isa.trace import TeeObserver
@@ -340,6 +354,6 @@ def run_workload(
         metrics = system.finish()
         checker.finalize(system)
         checker.report.raise_if_violated()
-        return metrics, machine
+        return metrics
     machine.run(system, max_steps=max_steps)
-    return system.finish(), machine
+    return system.finish()

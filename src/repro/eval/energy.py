@@ -115,6 +115,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="put the off-chip DRAM cache in eADR's persistent domain",
     )
     args = parser.parse_args(argv)
+    if args.cores < 1:
+        parser.error(f"--cores must be >= 1, got {args.cores}")
     budgets = drain_budgets(
         num_cores=args.cores,
         threshold=args.threshold,

@@ -193,6 +193,7 @@ class Hart:
         "index",
         "regs",
         "callstack",
+        "_frames",
         "halted",
         "started",
         "spawn_args",
@@ -210,6 +211,9 @@ class Hart:
         for i, a in enumerate(args):
             self.regs[i] = wrap_word(a)
         self.callstack: List[Frame] = []
+        #: ``callstack``'s frame snapshots, or ``None`` once a call,
+        #: return or resume changed the stack (:meth:`continuation`).
+        self._frames: Optional[Tuple[FrameSnapshot, ...]] = ()
         self.halted = False
         self.started = False
         self.spawn_func = func.name
@@ -223,12 +227,20 @@ class Hart:
         return len(self.callstack)
 
     def continuation(self) -> Continuation:
-        """Snapshot the current position (used at region boundaries)."""
+        """Snapshot the current position (used at region boundaries).
+
+        The caller-frame tuple is kept until the stack changes: only
+        ``_do_call``, ``_do_ret`` and :meth:`Machine.resume` change it,
+        and each clears ``_frames``.
+        """
+        frames = self._frames
+        if frames is None:
+            frames = self._frames = tuple(f.snapshot() for f in self.callstack)
         return Continuation(
             func_name=self.func.name,
             label=self.label,
             index=self.index,
-            callstack=tuple(f.snapshot() for f in self.callstack),
+            callstack=frames,
         )
 
 
@@ -645,6 +657,7 @@ class Machine:
             )
             for (name, label, index, saved_regs, ret_reg) in continuation.callstack
         ]
+        hart._frames = None
         hart.started = True  # no spawn-time events on resume
         while len(self.harts) <= core_id:
             self.harts.append(None)  # type: ignore[arg-type]
@@ -1025,6 +1038,7 @@ class Machine:
                 instr.dst.index if instr.dst is not None else None,
             )
         )
+        hart._frames = None
         new_regs = [0] * callee.num_regs
         new_regs[: len(args)] = args
         hart.func = callee
@@ -1043,6 +1057,7 @@ class Machine:
             obs.on_halt(hart.core_id)
             return
         frame = hart.callstack.pop()
+        hart._frames = None
         hart.func = frame.func
         hart.label = frame.label
         hart.index = frame.index

@@ -294,6 +294,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(str(err))
     if args.step_limit is not None and args.step_limit < 0:
         parser.error(f"--step-limit must be >= 0, got {args.step_limit}")
+    if args.max_schedules < 1:
+        parser.error(f"--max-schedules must be >= 1, got {args.max_schedules}")
     json_out = args.json_out
     if args.mode == "generate":
         return _generate(args, json_out)

@@ -185,7 +185,12 @@ def explore_program(
     threshold: int = 32,
     params=None,
 ) -> ExploreResult:
-    """Explore ``program``'s interleavings; see the module docstring."""
+    """Explore ``program``'s interleavings; see the module docstring.
+
+    Raises :class:`ValueError` if ``max_schedules`` is below 1.
+    """
+    if max_schedules < 1:
+        raise ValueError(f"max_schedules must be >= 1, got {max_schedules}")
     from repro.deps import touch
 
     touch("litmus")

@@ -176,6 +176,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "cache_misses": report.cache_misses,
                 "hit_rate": report.hit_rate,
                 "simulations": report.simulations,
+                "shared": report.shared,
                 "failures": report.failures,
                 "wall_s": report.wall_s,
                 "workers": report.workers,

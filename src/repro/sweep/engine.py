@@ -6,6 +6,15 @@ instrumented runs that normalise against them — fans each wave out across
 a ``multiprocessing`` pool, and memoises every completed simulation in a
 :class:`~repro.sweep.cache.ResultCache` keyed by the spec fingerprint.
 
+Within one call, specs that compile to the same program share one
+simulation: every spec is still built and compiled, then looked up in a
+:data:`~repro.api.SimulationMemo` (one per call when serial, one per
+worker process when parallel) before it is simulated.  Figure 8's
+thresholds above 256 mostly compile to the 256 program, and the region
+threshold reaches the hardware only as the back-end capacity, so the
+rule in :meth:`~repro.api.MemoRun.serves` decides when the earlier run's
+metrics are exactly this spec's.
+
 Degradation contract: a worker exception (unknown workload, compiler
 bug, timeout) marks *that spec* failed with the captured traceback and
 the sweep continues; an instrumented spec whose baseline failed is marked
@@ -27,6 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.api import (
     RunResult,
     RunSpec,
+    SimulationMemo,
     execute_spec,
     metrics_from_dict,
     metrics_to_dict,
@@ -50,9 +60,13 @@ class SpecStatus:
     state: str = PENDING
     wall_s: float = 0.0
     error: str = ""
+    #: served by an earlier run of the same program this call.
+    shared: bool = False
 
     def line(self) -> str:
         tag = "(baseline)" if self.role == "baseline" else ""
+        if self.shared:
+            tag = f"{tag} (shared)".lstrip()
         out = f"{self.state:>7}  {self.spec.describe():<40} {self.wall_s:7.2f}s {tag}"
         return out.rstrip()
 
@@ -157,7 +171,11 @@ class SweepReport:
     results: List[Optional[RunResult]] = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
+    #: specs run this call, shared ones included.
     simulations: int = 0
+    #: of ``simulations``, those served by an earlier run of the same
+    #: program (:func:`~repro.api.execute_spec`'s ``memo``).
+    shared: int = 0
     failures: int = 0
     wall_s: float = 0.0
     workers: int = 0
@@ -183,7 +201,8 @@ class SweepReport:
             f"workers={self.workers}  wall={self.wall_s:.2f}s",
             f"  cache: {self.cache_hits} hits / {self.cache_misses} misses "
             f"({100.0 * self.hit_rate:.0f}% hit rate)  "
-            f"simulations: {self.simulations}  failures: {self.failures}",
+            f"simulations: {self.simulations} ({self.shared} shared)  "
+            f"failures: {self.failures}",
         ]
         for status in self.failed_statuses():
             first = status.error.strip().splitlines()
@@ -223,14 +242,27 @@ def _alarm_handler(signum, frame):  # pragma: no cover - signal path
     raise _Timeout("spec timed out")
 
 
-def _worker(job: Tuple[str, RunSpec, Optional[float]]):
+#: A pool worker's simulation memo, fresh in each worker process.
+_worker_memo: Optional[SimulationMemo] = None
+
+
+def _start_worker() -> None:
+    global _worker_memo
+    _worker_memo = {}
+
+
+def _worker(
+    job: Tuple[str, RunSpec, Optional[float]],
+    memo: Optional[SimulationMemo] = None,
+):
     """Run one spec; always returns, never raises (pool stays healthy).
 
     Returns ``(fingerprint, state, metrics_dict | None, deps, wall_s,
-    error)`` where ``deps`` is the probed subsystem tuple.  Metrics
-    travel as plain dicts so the parent rebuilds them through the exact
-    same code path a cache hit uses — that is what makes parallel,
-    serial and warm runs bit-identical.
+    error, shared)`` where ``deps`` is the probed subsystem tuple.
+    Metrics travel as plain dicts so the parent rebuilds them through
+    the exact same code path a cache hit uses — that is what makes
+    parallel, serial and warm runs bit-identical.  ``memo`` defaults to
+    the pool worker's own.
     """
     fingerprint, spec, timeout_s = job
     start = time.perf_counter()
@@ -240,7 +272,7 @@ def _worker(job: Tuple[str, RunSpec, Optional[float]]):
         if use_alarm:
             old_handler = signal.signal(signal.SIGALRM, _alarm_handler)
             signal.setitimer(signal.ITIMER_REAL, timeout_s)
-        result = execute_spec(spec)
+        result = execute_spec(spec, memo if memo is not None else _worker_memo)
         return (
             fingerprint,
             OK,
@@ -248,6 +280,7 @@ def _worker(job: Tuple[str, RunSpec, Optional[float]]):
             list(result.deps),
             time.perf_counter() - start,
             "",
+            result.shared,
         )
     except BaseException:
         return (
@@ -257,6 +290,7 @@ def _worker(job: Tuple[str, RunSpec, Optional[float]]):
             [],
             time.perf_counter() - start,
             traceback.format_exc(),
+            False,
         )
     finally:
         if use_alarm:
@@ -336,6 +370,7 @@ def run_specs(
     report.statuses = [*wave0.values(), *wave1.values()]
 
     completed: Dict[str, Dict] = {}  # fingerprint -> metrics dict
+    memo: SimulationMemo = {}  # the serial path's; workers keep their own
 
     def finish(status: SpecStatus) -> None:
         if status.state == FAILED:
@@ -382,7 +417,7 @@ def run_specs(
         outcomes = []
         if workers > 1:
             ctx = _pool_context()
-            pool = ctx.Pool(processes=workers)
+            pool = ctx.Pool(processes=workers, initializer=_start_worker)
             try:
                 for outcome in pool.imap_unordered(_worker, todo, chunksize=1):
                     outcomes.append(outcome)
@@ -392,22 +427,24 @@ def run_specs(
                     if fp not in seen:
                         outcomes.append(
                             (fp, FAILED, None, [], 0.0,
-                             f"worker pool broke: {err!r}")
+                             f"worker pool broke: {err!r}", False)
                         )
             finally:
                 pool.terminate()
                 pool.join()
         else:
             for job in todo:
-                outcomes.append(_worker(job))
+                outcomes.append(_worker(job, memo))
 
-        for fp, state, metrics_dict, deps, wall, error in outcomes:
+        for fp, state, metrics_dict, deps, wall, error, shared in outcomes:
             status = wave[fp]
             status.state = state
             status.wall_s = wall
             status.error = error
+            status.shared = shared
             if state == OK:
                 report.simulations += 1
+                report.shared += shared
                 completed[fp] = metrics_dict
                 if store is not None:
                     store.put(

@@ -174,3 +174,10 @@ class TestEnergy:
         rc = energy_main(["--cores", "8"])
         assert rc == 0
         assert "smaller" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cores", ["0", "-2"])
+    def test_cli_refuses_no_cores(self, cores, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            energy_main(["--cores", cores])
+        assert exit_info.value.code == 2
+        assert f"--cores must be >= 1, got {cores}" in capsys.readouterr().err

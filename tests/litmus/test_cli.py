@@ -20,6 +20,14 @@ from repro.litmus.cli import main
             ["explore", "--seeds", "0", "--step-limit", "-1"],
             "--step-limit must be >= 0, got -1",
         ),
+        (
+            ["explore", "--seeds", "0", "--max-schedules", "-5"],
+            "--max-schedules must be >= 1, got -5",
+        ),
+        (
+            ["explore", "--seeds", "0", "--max-schedules", "0"],
+            "--max-schedules must be >= 1, got 0",
+        ),
     ],
 )
 def test_bad_integer_option_is_a_usage_error(argv, message, capsys):
@@ -27,3 +35,12 @@ def test_bad_integer_option_is_a_usage_error(argv, message, capsys):
         main(argv)
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_explore_program_refuses_an_empty_schedule_budget(budget):
+    from repro.litmus.explore import explore_program
+    from repro.litmus.generate import generate_program
+
+    with pytest.raises(ValueError, match="max_schedules must be >= 1"):
+        explore_program(generate_program(0), max_schedules=budget)
