@@ -34,11 +34,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from repro.arch.params import SimParams
 from repro.arch.system import SystemMetrics, build_system, run_system
 from repro.compiler import CapriCompiler, OptConfig
-from repro.deps import (
-    UsageProbe,
-    changed_subsystems_since,
-    subsystem_hashes,
-)
+from repro.deps import UsageProbe, subsystem_hashes
 from repro.ir.module import Module
 from repro.ir.printer import format_module
 
@@ -412,7 +408,6 @@ __all__ = [
     "metrics_from_dict",
     # versioning / dependency fingerprints (repro.deps)
     "subsystem_hashes",
-    "changed_subsystems_since",
     "UsageProbe",
     # result cache (repro.sweep.cache)
     "ResultCache",

@@ -10,36 +10,30 @@
    (:mod:`repro.deps.probe`).
 
 A cache entry stores ``deps_token(probe.subsystems())`` and stays valid
-as long as those subsystems' hashes are unchanged.  Delta sweeps diff
-the hashes against a git revision (:func:`changed_subsystems_since`)
-to predict — and then verify — exactly which figures a change affects.
+as long as those subsystems' hashes are unchanged; when one changes, the
+cache names it, and every sweep reports which subsystems invalidated
+each spec it re-ran (:class:`repro.sweep.engine.SpecStatus`).
 """
 
 from repro.deps.fingerprint import (
     SUBSYSTEM_SALT_ENV,
     SUBSYSTEMS,
-    DepsError,
-    changed_subsystems_since,
     deps_token,
     package_root,
     subsystem_for_module,
     subsystem_for_path,
     subsystem_hashes,
-    subsystem_hashes_at_rev,
 )
 from repro.deps.probe import UsageProbe, touch
 
 __all__ = [
     "SUBSYSTEM_SALT_ENV",
     "SUBSYSTEMS",
-    "DepsError",
     "UsageProbe",
-    "changed_subsystems_since",
     "deps_token",
     "package_root",
     "subsystem_for_module",
     "subsystem_for_path",
     "subsystem_hashes",
-    "subsystem_hashes_at_rev",
     "touch",
 ]

@@ -21,18 +21,12 @@ Environment knob (honoured by :func:`subsystem_hashes`):
     ``"arch=x,eval=y"`` mixes a salt into the named subsystems only.
     Tests use it to simulate a source edit in one subsystem without
     touching files; naming every subsystem invalidates everything.
-
-Delta sweeps (``repro sweep --since <rev>``) compare the working tree's
-hashes against :func:`subsystem_hashes_at_rev`, which reads blobs
-straight out of git (``ls-tree`` + ``cat-file --batch``) and hashes them
-byte-identically to the working-tree scan.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import subprocess
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -72,10 +66,6 @@ _DIR_MAP: Dict[str, str] = {
 _FILE_MAP: Dict[str, str] = {
     "jsonout.py": "eval",  # CLI output convention: never affects results
 }
-
-
-class DepsError(RuntimeError):
-    """Subsystem hashing failed (typically: git unavailable / bad rev)."""
 
 
 def package_root() -> Path:
@@ -122,18 +112,15 @@ def _digest(entries: Iterable[Tuple[str, bytes]]) -> str:
     return digest.hexdigest()[:16]
 
 
-def _bucketed(files: Iterable[Tuple[str, bytes]]) -> Dict[str, str]:
-    buckets: Dict[str, List[Tuple[str, bytes]]] = {s: [] for s in SUBSYSTEMS}
-    for relpath, content in sorted(files):
-        buckets[subsystem_for_path(relpath)].append((relpath, content))
-    return {name: _digest(entries) for name, entries in buckets.items()}
-
-
 def _scan_tree(root: Path) -> Dict[str, str]:
-    return _bucketed(
+    files = sorted(
         (path.relative_to(root).as_posix(), path.read_bytes())
         for path in root.rglob("*.py")
     )
+    buckets: Dict[str, List[Tuple[str, bytes]]] = {s: [] for s in SUBSYSTEMS}
+    for relpath, content in files:
+        buckets[subsystem_for_path(relpath)].append((relpath, content))
+    return {name: _digest(entries) for name, entries in buckets.items()}
 
 
 def _parse_salt(raw: str) -> Dict[str, str]:
@@ -189,99 +176,3 @@ def deps_token(names: Iterable[str]) -> Dict[str, str]:
     """The validity token a cache entry stores: ``{subsystem: hash}``."""
     hashes = subsystem_hashes()
     return {name: hashes[name] for name in sorted(set(names)) if name in hashes}
-
-
-# ---------------------------------------------------------------------------
-# git: subsystem hashes at a revision
-# ---------------------------------------------------------------------------
-
-def _git(args: List[str], cwd: Path, input_bytes: Optional[bytes] = None) -> bytes:
-    try:
-        proc = subprocess.run(
-            ["git", *args],
-            cwd=str(cwd),
-            input=input_bytes,
-            capture_output=True,
-            check=True,
-        )
-    except FileNotFoundError as err:
-        raise DepsError("git executable not found") from err
-    except subprocess.CalledProcessError as err:
-        detail = err.stderr.decode(errors="replace").strip()
-        raise DepsError(f"git {' '.join(args[:2])} failed: {detail}") from err
-    return proc.stdout
-
-
-def _repo_root(package: Path) -> Path:
-    out = _git(["rev-parse", "--show-toplevel"], cwd=package)
-    return Path(out.decode().strip())
-
-
-def subsystem_hashes_at_rev(
-    rev: str,
-    repo_root: Optional[Path] = None,
-    package: Optional[Path] = None,
-) -> Dict[str, str]:
-    """Subsystem hashes of the package as committed at git ``rev``.
-
-    Reads blobs directly from the object store (no checkout) and hashes
-    them with the exact byte recipe of the working-tree scan, so equal
-    trees produce equal hashes.  Raises :class:`DepsError` when git or
-    the revision is unavailable.
-    """
-    package = Path(package) if package is not None else package_root()
-    root = Path(repo_root) if repo_root is not None else _repo_root(package)
-    prefix = package.resolve().relative_to(root.resolve()).as_posix()
-
-    listing = _git(["ls-tree", "-r", "-z", rev, "--", prefix], cwd=root)
-    entries: List[Tuple[str, str]] = []  # (oid, relpath-within-package)
-    for record in listing.split(b"\0"):
-        if not record:
-            continue
-        header, _, path = record.partition(b"\t")
-        fields = header.split()
-        if len(fields) != 3 or fields[1] != b"blob":
-            continue
-        relpath = path.decode()
-        if not relpath.endswith(".py"):
-            continue
-        if prefix and relpath.startswith(prefix + "/"):
-            relpath = relpath[len(prefix) + 1:]
-        entries.append((fields[2].decode(), relpath))
-
-    if not entries:
-        return _bucketed([])
-
-    batch_input = "".join(oid + "\n" for oid, _ in entries).encode()
-    blob = _git(["cat-file", "--batch"], cwd=root, input_bytes=batch_input)
-    files: List[Tuple[str, bytes]] = []
-    pos = 0
-    for oid, relpath in entries:
-        nl = blob.index(b"\n", pos)
-        header = blob[pos:nl].split()
-        if len(header) < 3 or header[1] != b"blob":
-            raise DepsError(f"unexpected cat-file record for {oid}: {header!r}")
-        size = int(header[2])
-        start = nl + 1
-        files.append((relpath, blob[start:start + size]))
-        pos = start + size + 1  # trailing newline after each blob
-    return _bucketed(files)
-
-
-def changed_subsystems_since(
-    rev: str,
-    repo_root: Optional[Path] = None,
-    package: Optional[Path] = None,
-) -> List[str]:
-    """Subsystems whose hash differs between ``rev`` and the present.
-
-    "The present" means :func:`subsystem_hashes` — the working tree with
-    the salt override applied — matching exactly what cache
-    validation compares entries against, so a delta sweep's re-run set
-    agrees with what the cache will actually miss on.
-    """
-    old = subsystem_hashes_at_rev(rev, repo_root=repo_root, package=package)
-    new = subsystem_hashes() if package is None else subsystem_hashes(package)
-    return sorted(
-        name for name in SUBSYSTEMS if old.get(name) != new.get(name)
-    )

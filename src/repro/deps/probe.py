@@ -5,11 +5,10 @@ Two complementary mechanisms, both cheap enough for the hot path:
 * **Declared touch points.**  The handful of chokepoints every
   simulation funnels through call :func:`touch` with their subsystem
   name — ``Workload.build`` -> ``workloads``, ``CapriCompiler.compile``
-  -> ``compiler``, ``build_system`` -> ``arch``,
-  ``PersistencyChecker.attach`` -> ``check``, ``capture_trace`` ->
-  ``trace``, and the reference ``golden_run`` -> ``fault``.  With no
-  probe active a touch is a dict lookup and a return — nothing to
-  allocate, nothing to lock.
+  -> ``compiler``, ``build_system`` and ``build_replay_system`` ->
+  ``arch``, ``PersistencyChecker.attach`` -> ``check``.  With no probe
+  active a touch is a dict lookup and a return — nothing to allocate,
+  nothing to lock.
 * **Import scan.**  On exit the probe diffs ``sys.modules`` against its
   entry snapshot and maps any newly imported ``repro.*`` module to its
   subsystem — belt and braces for code paths that slip past the declared

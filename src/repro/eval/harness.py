@@ -15,12 +15,11 @@ to the :mod:`repro.sweep` engine: deduplicated baselines, configurable
 worker pool, on-disk memoisation keyed by spec fingerprint (so mutating
 ``scale``/``params``/``quantum`` on a live harness gets fresh baselines,
 never a stale hit), structured progress.  Crash-consistency campaigns go
-through :meth:`EvalHarness.fault_campaign`.
+through :func:`repro.fault.campaign.run_workload_campaign`.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, Mapping, Optional, Sequence, Union
 
 from repro.api import RunResult, RunSpec
@@ -78,7 +77,6 @@ class EvalHarness:
         progress=None,
         strict: bool = True,
         timeout_s: Optional[float] = None,
-        since: Optional[str] = None,
     ) -> Dict[str, Dict[str, RunResult]]:
         """Run ``names`` × ``configs`` through the sweep engine.
 
@@ -86,14 +84,11 @@ class EvalHarness:
         is serial in-process; ``workers=N`` fans out over N processes.
         ``cache="default"`` memoises on disk under
         :func:`repro.sweep.cache.default_cache_dir` (``REPRO_CACHE_DIR``
-        overrides); pass ``None`` to disable.  ``since`` (a git rev)
-        additionally produces the delta report — which subsystems changed
-        since that revision and which figures moved — on
-        ``last_sweep_report.delta``.  Returns ``{name: {label:
+        overrides); pass ``None`` to disable.  Returns ``{name: {label:
         RunResult}}``, each result carrying its baseline cycles; the
         engine's :class:`~repro.sweep.engine.SweepReport` (per-spec
-        status, wall-clock, cache counters) lands on
-        :attr:`last_sweep_report`.
+        status, including why each spec re-ran, wall-clock, cache
+        counters) lands on :attr:`last_sweep_report`.
         """
         from repro.sweep.engine import SweepError, run_specs
 
@@ -108,7 +103,6 @@ class EvalHarness:
             cache=cache,
             progress=progress,
             timeout_s=timeout_s,
-            since=since,
         )
         self.last_sweep_report = report
         if strict and not report.ok:
@@ -119,25 +113,3 @@ class EvalHarness:
             if result is not None:
                 table.setdefault(spec.workload, {})[spec.label] = result
         return table
-
-    # -- robustness ---------------------------------------------------------
-
-    def fault_campaign(self, name: str, campaign_config=None):
-        """Run a crash-consistency fault-injection campaign on a benchmark.
-
-        Sweeps crash points of ``name`` under :mod:`repro.fault` with this
-        harness's scale and parameters (``campaign_config`` itself is left
-        untouched); returns a :class:`~repro.fault.campaign.CampaignResult`.
-        A ``campaign_config`` with ``depth`` > 1 also injects crash chains
-        into recovery itself (:func:`repro.fault.campaign.run_crash_point`).
-        """
-        from repro.fault.campaign import CampaignConfig, run_workload_campaign
-
-        cc = campaign_config or CampaignConfig()
-        cc = replace(
-            cc,
-            params=cc.params or self.params,
-            quantum=self.quantum,
-            check=cc.check or self.check,
-        )
-        return run_workload_campaign(name, cc, scale=self.scale)

@@ -75,9 +75,6 @@ def golden_run(
     its event count (the observer callbacks the crash injector would have
     delegated) is the sweep's crash-point universe.
     """
-    from repro.deps import touch
-
-    touch("fault")  # usage-probe dependency recording
     machine = Machine(module, quantum=quantum)
     for func_name, args in spawns:
         machine.spawn(func_name, args)

@@ -19,8 +19,7 @@ against the spec.  This package is that engine for the Capri stack:
   program through the fault campaign (crash at every observer event,
   replay-accelerated via :mod:`repro.trace`), every recovered state
   judged against the allowed set, minimized witnesses on forbidden
-  outcomes, verdicts cached in the :class:`repro.api.ResultCache`
-  ``litmus`` namespace.
+  outcomes.
 
 CLI: ``python -m repro litmus generate|run|explore|mutants``.
 """

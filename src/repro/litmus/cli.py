@@ -95,22 +95,14 @@ def _run(args, json_out) -> int:
 
     programs = litmus_corpus(args.seed_list)
     start = time.perf_counter()
-    verdicts = [
-        run_litmus_program(
-            p,
-            threshold=args.threshold,
-            cache=None if args.no_cache else "default",
-        )
-        for p in programs
-    ]
+    verdicts = [run_litmus_program(p, threshold=args.threshold) for p in programs]
     wall = time.perf_counter() - start
     forbidden = sum(v.forbidden for v in verdicts)
     if json_out != "-":
         for v in verdicts:
             line = (
                 f"{v.name}: {v.crash_points} crash points, {v.checks} checks, "
-                f"{v.forbidden} forbidden"
-                + (" [cached]" if v.cached else f" ({v.elapsed:.2f}s)")
+                f"{v.forbidden} forbidden ({v.elapsed:.2f}s)"
             )
             print(line)
             if v.witness is not None:
@@ -196,7 +188,7 @@ def _explore(args, json_out) -> int:
     return 1 if violations else 0
 
 
-def _mutants(args, json_out) -> int:
+def _mutants(args, parser, json_out) -> int:
     from repro.litmus.generate import litmus_corpus
     from repro.litmus.matrix import run_litmus_mutants
 
@@ -207,12 +199,12 @@ def _mutants(args, json_out) -> int:
         else None
     )
     start = time.perf_counter()
-    result = run_litmus_mutants(
-        programs,
-        mutants=mutants,
-        threshold=args.threshold,
-        cache=None if args.no_cache else "default",
-    )
+    try:
+        result = run_litmus_mutants(
+            programs, mutants=mutants, threshold=args.threshold
+        )
+    except ValueError as err:
+        parser.error(f"--mutants: {err}")
     wall = time.perf_counter() - start
     caught, total = result.detection_rate
     if json_out != "-":
@@ -281,11 +273,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help="mutants: comma-separated mutation names (default: all planted)",
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="do not read or write the litmus verdict cache",
-    )
     add_json_arg(parser)
     args = parser.parse_args(argv)
     try:
@@ -303,4 +290,4 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run(args, json_out)
     if args.mode == "explore":
         return _explore(args, json_out)
-    return _mutants(args, json_out)
+    return _mutants(args, parser, json_out)

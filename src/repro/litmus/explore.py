@@ -191,9 +191,6 @@ def explore_program(
     """
     if max_schedules < 1:
         raise ValueError(f"max_schedules must be >= 1, got {max_schedules}")
-    from repro.deps import touch
-
-    touch("litmus")
     if params is None:
         from repro.litmus.matrix import litmus_params
 

@@ -122,9 +122,6 @@ class LitmusProgram:
 
 def generate_program(seed: int, quantum: int = LITMUS_QUANTUM) -> LitmusProgram:
     """Deterministically generate one litmus program from ``seed``."""
-    from repro.deps import touch
-
-    touch("litmus")
     rng = random.Random(0xC0FFEE ^ (seed * 0x9E3779B9))
     harts = rng.choice((2, 2, 3))  # bias toward the classic 2-hart shape
     regions = rng.randint(2, 3)

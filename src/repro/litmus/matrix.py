@@ -27,15 +27,12 @@ any corruption recovery quarantines is itself a protocol bug.
 The sweep ascends, so the first forbidden crash index is event-minimal;
 the emitted :class:`LitmusWitness` is re-confirmed by the interpreted
 reference source (:class:`repro.fault.oracle.InterpretedSource`) at the
-same crash point.  Verdicts are cached in the
-:class:`~repro.sweep.cache.ResultCache` ``litmus`` namespace under a
-content fingerprint with :mod:`repro.deps` staleness tokens.
+same crash point.  Verdicts are recomputed on every call: the result
+cache holds simulations only.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -101,12 +98,6 @@ class LitmusWitness:
         d["mutations"] = list(self.mutations)
         return d
 
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "LitmusWitness":
-        data = dict(payload)
-        data["mutations"] = tuple(data.get("mutations", ()))
-        return cls(**data)
-
 
 @dataclass
 class LitmusVerdict:
@@ -122,7 +113,6 @@ class LitmusVerdict:
     elapsed: float
     witness: Optional[LitmusWitness] = None
     replay_rebuilds: int = 0
-    cached: bool = False
 
     @property
     def ok(self) -> bool:
@@ -142,46 +132,6 @@ class LitmusVerdict:
             "witness": self.witness.to_payload() if self.witness else None,
             "replay_rebuilds": self.replay_rebuilds,
         }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "LitmusVerdict":
-        witness = payload.get("witness")
-        return cls(
-            name=payload["name"],
-            seed=payload["seed"],
-            content_hash=payload["content_hash"],
-            mutations=tuple(payload.get("mutations", ())),
-            crash_points=payload["crash_points"],
-            forbidden=payload["forbidden"],
-            checks=payload["checks"],
-            elapsed=payload.get("elapsed", 0.0),
-            witness=LitmusWitness.from_payload(witness) if witness else None,
-            replay_rebuilds=payload.get("replay_rebuilds", 0),
-            cached=True,
-        )
-
-
-def verdict_fingerprint(
-    program: LitmusProgram,
-    threshold: int,
-    params,
-    mutations,
-) -> str:
-    """Content address of one (program, config, mutations) verdict."""
-    from dataclasses import asdict as params_asdict
-
-    spec = {
-        "schema": 1,
-        "kind": "litmus",
-        "seed": program.seed,
-        "program": program.content_hash(),
-        "threshold": threshold,
-        "quantum": program.quantum,
-        "params": params_asdict(params),
-        "mutations": sorted(mutations.active) if mutations else [],
-    }
-    blob = json.dumps(spec, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 # --------------------------------------------------------------------- judge
@@ -332,7 +282,7 @@ def run_litmus_program(
     mutations=None,
     threshold: int = 32,
     params=None,
-    cache="default",
+    cache=None,
     stop_on_forbidden: bool = False,
     max_steps: int = 2_000_000,
 ) -> LitmusVerdict:
@@ -342,102 +292,93 @@ def run_litmus_program(
     judge a fourth, *order* component — drain reorderings of committed
     values are value-invisible to single-crash recovery (every
     permutation of committed redo lands on the same word), so only the
-    automaton can flag them (``reorder_phase2``).
+    automaton can flag them (``reorder_phase2``).  ``cache`` is read by
+    no code: verdicts are never stored.  It stays only because the
+    benchmark harness (perfbench/workloads.py) passes ``cache=None``;
+    drop it with the next change to the benchmark.
     """
-    from repro.deps import UsageProbe, deps_token, touch
-    from repro.sweep.cache import resolve_cache
-
-    touch("litmus")
     if params is None:
         params = litmus_params()
-    fingerprint = verdict_fingerprint(program, threshold, params, mutations)
-    store = resolve_cache(cache)
-    if store is not None:
-        payload = store.get(fingerprint, kind="litmus")
-        if payload is not None and payload.get("content_hash") == program.content_hash():
-            return LitmusVerdict.from_payload(payload)
-
     started = time.perf_counter()
-    with UsageProbe() as probe:
-        from repro.fault.campaign import CampaignConfig
-        from repro.fault.oracle import InterpretedSource
-        from repro.trace.record import capture_trace
-        from repro.trace.replay import TraceCampaignSource, golden_from_trace
+    from repro.fault.campaign import CampaignConfig
+    from repro.fault.oracle import InterpretedSource
+    from repro.trace.record import capture_trace
+    from repro.trace.replay import TraceCampaignSource, golden_from_trace
 
-        trace = capture_trace(
-            program.module,
-            program.spawns,
-            quantum=program.quantum,
-            max_steps=max_steps,
-        )
-        snapshots = oracle_snapshots(trace)
-        finals = per_core_last_writes(trace)
-        mw_addrs = frozenset(multi_writer_addrs(trace))
-        golden_data = golden_from_trace(trace).data
-        config = CampaignConfig(
-            threshold=threshold,
-            quantum=program.quantum,
-            params=params,
-            check=True,
-            max_steps=max_steps,
-            mutations=mutations,
-        )
-        # Mutations plant in the replayed *system* (pipeline bugs) and in
-        # recovery below (recovery bugs) — each layer reads its own flags.
-        source = TraceCampaignSource(trace, config)
+    trace = capture_trace(
+        program.module,
+        program.spawns,
+        quantum=program.quantum,
+        max_steps=max_steps,
+    )
+    snapshots = oracle_snapshots(trace)
+    finals = per_core_last_writes(trace)
+    mw_addrs = frozenset(multi_writer_addrs(trace))
+    golden_data = golden_from_trace(trace).data
+    config = CampaignConfig(
+        threshold=threshold,
+        quantum=program.quantum,
+        params=params,
+        check=True,
+        max_steps=max_steps,
+        mutations=mutations,
+    )
+    # Mutations plant in the replayed *system* (pipeline bugs) and in
+    # recovery below (recovery bugs) — each layer reads its own flags.
+    source = TraceCampaignSource(trace, config)
 
-        forbidden = 0
-        checks = 0
-        witness: Optional[LitmusWitness] = None
-        for k in range(len(trace)):
-            state, _io, facade = source.capture_at(k)
-            if state is None:
-                break
-            failures, point_checks = _judge_point(
-                program, k, snapshots[k], state, mw_addrs, finals,
-                golden_data, mutations, max_steps,
+    forbidden = 0
+    checks = 0
+    witness: Optional[LitmusWitness] = None
+    for k in range(len(trace)):
+        state, _io, facade = source.capture_at(k)
+        if state is None:
+            break
+        failures, point_checks = _judge_point(
+            program, k, snapshots[k], state, mw_addrs, finals,
+            golden_data, mutations, max_steps,
+        )
+        checks += point_checks
+        if facade.report.violations:
+            failures.append(
+                {
+                    "component": "order",
+                    "kinds": sorted(
+                        {v.kind for v in facade.report.violations}
+                    ),
+                }
             )
-            checks += point_checks
-            if facade.report.violations:
-                failures.append(
-                    {
-                        "component": "order",
-                        "kinds": sorted(
-                            {v.kind for v in facade.report.violations}
-                        ),
-                    }
+        if failures:
+            forbidden += 1
+            if witness is None:
+                witness = LitmusWitness(
+                    name=program.name,
+                    seed=program.seed,
+                    event_index=k,
+                    event=repr(trace.event(k)),
+                    failures=failures,
+                    mutations=tuple(sorted(mutations.active))
+                    if mutations
+                    else (),
                 )
-            if failures:
-                forbidden += 1
-                if witness is None:
-                    witness = LitmusWitness(
-                        name=program.name,
-                        seed=program.seed,
-                        event_index=k,
-                        event=repr(trace.event(k)),
-                        failures=failures,
-                        mutations=tuple(sorted(mutations.active))
-                        if mutations
-                        else (),
+                # Confirm the minimized witness off the replay path:
+                # the interpreted reference (same mutations) at the
+                # same crash point must agree.
+                direct_state, _, direct_checker = InterpretedSource(
+                    program.module, program.spawns, config
+                ).capture_at(k)
+                if direct_state is not None:
+                    direct_failures, _ = _judge_point(
+                        program, k, snapshots[k], direct_state, mw_addrs,
+                        finals, golden_data, mutations, max_steps,
                     )
-                    # Confirm the minimized witness off the replay path:
-                    # the interpreted reference (same mutations) at the
-                    # same crash point must agree.
-                    direct_state, _, direct_checker = InterpretedSource(
-                        program.module, program.spawns, config
-                    ).capture_at(k)
-                    if direct_state is not None:
-                        direct_failures, _ = _judge_point(
-                            program, k, snapshots[k], direct_state, mw_addrs,
-                            finals, golden_data, mutations, max_steps,
-                        )
-                        witness.confirmed = bool(
-                            direct_failures or direct_checker.report.violations
-                        )
-                if stop_on_forbidden:
-                    break
+                    witness.confirmed = bool(
+                        direct_failures or direct_checker.report.violations
+                    )
+            if stop_on_forbidden:
+                break
 
-    verdict = LitmusVerdict(
+    return LitmusVerdict(
         name=program.name,
         seed=program.seed,
         content_hash=program.content_hash(),
@@ -449,11 +390,6 @@ def run_litmus_program(
         witness=witness,
         replay_rebuilds=source.rebuilds,
     )
-    if store is not None and not stop_on_forbidden:
-        payload = verdict.to_payload()
-        payload["deps"] = deps_token(set(probe.subsystems()) | {"litmus"})
-        store.put(fingerprint, payload, kind="litmus")
-    return verdict
 
 
 @dataclass
@@ -499,7 +435,6 @@ def run_litmus_mutants(
     mutants: Optional[Sequence[str]] = None,
     threshold: int = 32,
     params=None,
-    cache="default",
 ) -> LitmusMutantsResult:
     """Unmutated control + one matrix sweep per planted protocol bug.
 
@@ -509,20 +444,26 @@ def run_litmus_mutants(
     reach recoverable state.  A mutant counts as detected when any
     (program, regime) matrix observes a forbidden outcome; the sweep
     short-circuits per mutant on the first (event-minimal, confirmed)
-    witness.
+    witness.  Raises :class:`ValueError` naming the known mutants, before
+    any sweep runs, if ``mutants`` names an unknown one.
     """
     from repro.arch.persistence import ProtocolMutations
     from repro.check.mutants import MUTANT_EXPECTATIONS
 
     if mutants is None:
         mutants = list(MUTANT_EXPECTATIONS)
+    unknown = [name for name in mutants if name not in MUTANT_EXPECTATIONS]
+    if unknown:
+        raise ValueError(
+            f"unknown mutant {unknown[0]!r} "
+            f"(known: {', '.join(MUTANT_EXPECTATIONS)})"
+        )
     points = param_points() if params is None else (params,)
     control_forbidden = 0
     for program in programs:
         for point in points:
             verdict = run_litmus_program(
-                program, mutations=None, threshold=threshold, params=point,
-                cache=cache,
+                program, mutations=None, threshold=threshold, params=point
             )
             control_forbidden += verdict.forbidden
 
@@ -537,7 +478,6 @@ def run_litmus_mutants(
                     mutations=ProtocolMutations.single(name),
                     threshold=threshold,
                     params=point,
-                    cache=None,  # short-circuited sweeps: don't cache partials
                     stop_on_forbidden=True,
                 )
                 if verdict.forbidden:

@@ -79,9 +79,7 @@ def oracle_snapshots(trace) -> List[OutcomeSnapshot]:
     the end-of-run set.
     """
     from repro.check.model import PersistencyModel
-    from repro.deps import touch
 
-    touch("litmus")
     model = PersistencyModel()
     out = [outcome_snapshot(model)]
     for i in range(len(trace)):

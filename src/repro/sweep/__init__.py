@@ -11,11 +11,11 @@ This package exploits both facts:
 * :mod:`repro.sweep.cache` — an on-disk cache keyed by spec fingerprint
   (workload, scale, config, threshold, params, quantum), validated per
   entry against the recorded subsystem dependencies (:mod:`repro.deps`),
-  so warm re-runs of ``EvalHarness.sweep``, the ablations, and
-  fault-campaign golden runs are near-instant and survive unrelated
-  source edits,
-* ``python -m repro sweep`` — the command-line front end (``--since
-  <rev>`` reports exactly which figures a code change moved, and why).
+  so warm re-runs of ``EvalHarness.sweep`` and the ablations are
+  near-instant and survive unrelated source edits,
+* ``python -m repro sweep`` — the command-line front end; every sweep
+  names, for each spec it re-ran, the subsystems that invalidated its
+  cache entry and whether its cycles moved.
 """
 
 from repro.sweep.cache import (
@@ -26,8 +26,6 @@ from repro.sweep.cache import (
     resolve_cache,
 )
 from repro.sweep.engine import (
-    DeltaReport,
-    SpecDelta,
     SpecStatus,
     SweepError,
     SweepReport,
@@ -40,8 +38,6 @@ __all__ = [
     "ResultCache",
     "default_cache_dir",
     "resolve_cache",
-    "DeltaReport",
-    "SpecDelta",
     "SpecStatus",
     "SweepError",
     "SweepReport",

@@ -1,27 +1,23 @@
-"""On-disk content-addressed result cache.
+"""On-disk content-addressed result cache for simulations.
 
 Layout (one JSON file per completed run, sharded by fingerprint prefix)::
 
     <root>/
       runs/a3/a3f0…e9.json     completed SystemMetrics payloads
-      litmus/41/41bc…77.json   litmus verdicts (repro.litmus)
-      …                        any other namespace ("kind")
 
 Keys are :meth:`repro.api.RunSpec.fingerprint` digests — pure parameter
 addresses since fingerprint schema 2.  *Validity* under code change is
-decided per entry: a payload carrying a ``deps`` map (``{subsystem:
-content-hash}``, recorded by the usage probe that watched the original
-run) is served only while every named subsystem's current hash
-(:func:`repro.deps.subsystem_hashes`) still matches — so editing an eval
-script leaves simulations warm, while editing ``arch/`` invalidates
-exactly the entries that exercised the architecture.  Entries written
-before dependencies were recorded carry only a whole-tree version
-stamp (:data:`PRE_DEPS_KEY`) and are always stale: there is no longer a
-whole-tree hash to check them against.  Entries with neither
-(hand-rolled test payloads) are trusted as-is.
+decided per entry by one rule: a payload is served only when it carries
+a non-empty ``deps`` map (``{subsystem: content-hash}``, recorded by the
+usage probe that watched the original run) whose every hash still
+matches the current code (:func:`repro.deps.subsystem_hashes`) — so
+editing an eval script leaves simulations warm, while editing ``arch/``
+invalidates exactly the entries that exercised the architecture.  Any
+other payload is stale, named by the pseudo-subsystem ``"<no-deps>"``.
 Stale entries count as misses (and into :attr:`ResultCache.stale` /
-:attr:`ResultCache.stale_log` for delta reporting) and are overwritten
-in place by the re-run — quarantine stays reserved for corruption.
+:attr:`ResultCache.stale_log`, which the sweep engine reads to say why
+a spec re-ran and what it used to measure) and are overwritten in place
+by the re-run — quarantine stays reserved for corruption.
 
 Writes are atomic (temp file + ``os.replace``); unreadable or torn
 entries are *quarantined* (renamed to ``*.corrupt``) and treated as
@@ -36,19 +32,12 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.deps import subsystem_hashes
 
 #: Environment override for the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: The whole-tree version stamp of entries that predate ``deps`` maps.
-PRE_DEPS_KEY = "code_version"
-
-#: What :attr:`ResultCache.stale_log` names as the stale "subsystem" of
-#: such an entry.
-PRE_DEPS_STALE = "<pre-deps>"
 
 #: Default location, relative to the working directory.
 DEFAULT_CACHE_DIR = os.path.join("results", ".sweep-cache")
@@ -69,22 +58,24 @@ class ResultCache:
         self.quarantined = 0
         #: entries refused because a recorded dependency went stale.
         self.stale = 0
-        #: (kind, fingerprint) -> {"subsystems": [...], "metrics": ...}
-        #: for every stale refusal this session — the delta report reads
-        #: this to explain *why* a spec re-ran and what it used to say.
-        self.stale_log: Dict[Tuple[str, str], Dict[str, Any]] = {}
+        #: fingerprint -> {"subsystems": [...], "metrics": ...} for each
+        #: fingerprint whose latest :meth:`get` was a stale refusal — the
+        #: sweep engine reads this to explain *why* a spec re-ran and
+        #: what it used to say.
+        self.stale_log: Dict[str, Dict[str, Any]] = {}
 
     # -- paths ---------------------------------------------------------------
 
-    def path_for(self, fingerprint: str, kind: str = "runs") -> Path:
-        return self.root / kind / fingerprint[:2] / f"{fingerprint}.json"
+    def path_for(self, fingerprint: str) -> Path:
+        return self.root / "runs" / fingerprint[:2] / f"{fingerprint}.json"
 
     # -- access --------------------------------------------------------------
 
-    def get(self, fingerprint: str, kind: str = "runs") -> Optional[Dict[str, Any]]:
+    def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         """The stored payload, or ``None`` (corrupt entries quarantined,
         dependency-stale entries counted and refused)."""
-        path = self.path_for(fingerprint, kind)
+        path = self.path_for(fingerprint)
+        self.stale_log.pop(fingerprint, None)
         try:
             with open(path, "r") as fh:
                 payload = json.load(fh)
@@ -100,7 +91,7 @@ class ResultCache:
         stale = self._stale_subsystems(payload)
         if stale:
             self.stale += 1
-            self.stale_log[(kind, fingerprint)] = {
+            self.stale_log[fingerprint] = {
                 "subsystems": stale,
                 "metrics": payload.get("metrics"),
             }
@@ -113,26 +104,20 @@ class ResultCache:
     def _stale_subsystems(payload: Dict[str, Any]) -> List[str]:
         """Which recorded dependencies no longer match the current code.
 
-        An entry with a ``deps`` map is checked subsystem by subsystem;
-        one with only the pre-deps version stamp is always stale
-        (reported as the pseudo-subsystem :data:`PRE_DEPS_STALE`); one
-        with neither is trusted — there is nothing to validate against.
+        An entry without a non-empty ``deps`` map has nothing that can
+        vouch for it and is always stale, as ``["<no-deps>"]``.
         """
         deps = payload.get("deps")
-        if isinstance(deps, dict) and deps:
-            current = subsystem_hashes()
-            return sorted(
-                name
-                for name, stored in deps.items()
-                if current.get(name) != stored
-            )
-        if PRE_DEPS_KEY in payload:
-            return [PRE_DEPS_STALE]
-        return []
+        if not isinstance(deps, dict) or not deps:
+            return ["<no-deps>"]
+        current = subsystem_hashes()
+        return sorted(
+            name for name, stored in deps.items() if current.get(name) != stored
+        )
 
-    def put(self, fingerprint: str, payload: Dict[str, Any], kind: str = "runs") -> Path:
+    def put(self, fingerprint: str, payload: Dict[str, Any]) -> Path:
         """Atomically persist ``payload`` under ``fingerprint``."""
-        path = self.path_for(fingerprint, kind)
+        path = self.path_for(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
         record = dict(payload)
         record.setdefault("fingerprint", fingerprint)
@@ -163,18 +148,13 @@ class ResultCache:
 
     # -- maintenance -----------------------------------------------------------
 
-    def entry_count(self, kind: str = "runs") -> int:
-        base = self.root / kind
-        if not base.is_dir():
-            return 0
-        return sum(1 for _ in base.glob("*/*.json"))
+    def entry_count(self) -> int:
+        return sum(1 for _ in (self.root / "runs").glob("*/*.json"))
 
     def clear(self) -> int:
-        """Delete every entry (all kinds); returns the number removed."""
+        """Delete every entry; returns the number removed."""
         removed = 0
-        if not self.root.is_dir():
-            return 0
-        for path in self.root.glob("*/*/*.json"):
+        for path in (self.root / "runs").glob("*/*.json"):
             try:
                 path.unlink()
                 removed += 1

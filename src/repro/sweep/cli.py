@@ -13,10 +13,11 @@ Examples::
     python -m repro sweep --benchmarks ssca2,genome --thresholds 64 \\
         --scale 0.05 --cache-dir .ci-cache --min-hit-rate 0.9
 
-    # Delta sweep: what did the working tree change since HEAD~1, which
-    # cached figures does that invalidate, and did the numbers move?
-    python -m repro sweep --benchmarks ssca2,genome --thresholds 64 \\
-        --scale 0.05 --since HEAD~1
+Every sweep says why each spec ran: a spec whose cache entry went stale
+ends its progress line ``(stale: arch)``, the summary prints a
+``CHANGED … old -> new cycles`` line for each re-run whose cycles moved,
+and ``--json`` carries one entry per spec (state, role, shared, stale
+subsystems, old and new ``exec_cycles``).
 
 Exit status is non-zero if any spec failed, or if ``--min-hit-rate`` was
 given and the observed cache hit rate fell below it.
@@ -29,12 +30,13 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from repro.compiler import OptConfig
-from repro.deps import DepsError
 from repro.eval.report import format_table
 from repro.jsonout import add_json_arg, write_envelope
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    from repro.eval.figures import FIGURE_SUITES
+
     parser = argparse.ArgumentParser(
         prog="python -m repro sweep",
         description="Parallel benchmark sweep with persistent result cache",
@@ -45,7 +47,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="comma-separated registry names, or 'all' (the figure suites)",
     )
     parser.add_argument(
-        "--suite", default=None, help="restrict 'all' to one figure suite"
+        "--suite",
+        default=None,
+        choices=list(FIGURE_SUITES),
+        help="restrict 'all' to one figure suite",
     )
     parser.add_argument(
         "--thresholds",
@@ -76,14 +81,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     add_json_arg(parser)
     parser.add_argument(
-        "--since",
-        metavar="REV",
-        default=None,
-        help="delta mode: diff subsystem hashes against git REV and "
-        "report which cached figures the change invalidated (and "
-        "whether their values moved)",
-    )
-    parser.add_argument(
         "--min-hit-rate", type=float, default=None,
         help="exit non-zero if the cache hit rate is below this fraction",
     )
@@ -93,7 +90,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     from repro.arch.params import SimParams
-    from repro.eval.figures import FIGURE_SUITES
     from repro.eval.harness import EvalHarness
 
     if args.benchmarks == "all":
@@ -134,12 +130,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             progress=progress,
             strict=False,
             timeout_s=args.timeout,
-            since=args.since,
         )
     except KeyError as err:
         parser.error(str(err.args[0] if err.args else err))
-    except DepsError as err:
-        parser.error(f"--since {args.since}: {err}")
     report = harness.last_sweep_report
 
     columns = list(configs.keys())
@@ -163,8 +156,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         print()
         print(report.summary())
-        if report.delta is not None:
-            print(report.delta.summary())
 
     if json_out:
         data = {
@@ -181,9 +172,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "wall_s": report.wall_s,
                 "workers": report.workers,
             },
+            "specs": [status.to_dict() for status in report.statuses],
         }
-        if report.delta is not None:
-            data["delta"] = report.delta.to_dict()
         write_envelope(json_out, "sweep", data)
         if json_out != "-":
             print(f"wrote {json_out}")

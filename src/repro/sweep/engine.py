@@ -52,7 +52,14 @@ ProgressFn = Callable[["SpecStatus"], None]
 
 @dataclass
 class SpecStatus:
-    """Structured progress for one scheduled spec (baselines included)."""
+    """Structured progress for one scheduled spec (baselines included).
+
+    The one per-spec record of a sweep: besides its lifecycle state it
+    says why the spec ran.  A spec whose cache entry went stale carries
+    the subsystems that invalidated it and the entry's old
+    ``exec_cycles``; an ``ok`` status with stale subsystems is a
+    re-simulation.
+    """
 
     spec: RunSpec
     fingerprint: str
@@ -62,38 +69,35 @@ class SpecStatus:
     error: str = ""
     #: served by an earlier run of the same program this call.
     shared: bool = False
+    #: subsystems whose edit made the cached entry stale.
+    stale_subsystems: List[str] = field(default_factory=list)
+    #: the stale entry's ``exec_cycles``.
+    old_exec_cycles: Optional[float] = None
+    #: this call's ``exec_cycles`` (``None`` when the spec failed).
+    new_exec_cycles: Optional[float] = None
+
+    @property
+    def resimulated(self) -> bool:
+        return self.state == OK and bool(self.stale_subsystems)
+
+    @property
+    def moved(self) -> bool:
+        """A re-simulation whose cycles differ from the stale entry's."""
+        return (
+            self.resimulated
+            and self.old_exec_cycles is not None
+            and self.old_exec_cycles != self.new_exec_cycles
+        )
 
     def line(self) -> str:
         tag = "(baseline)" if self.role == "baseline" else ""
         if self.shared:
-            tag = f"{tag} (shared)".lstrip()
+            tag = f"{tag} (shared)"
+        if self.resimulated:
+            tag = f"{tag} (stale: {','.join(self.stale_subsystems)})"
+        tag = tag.lstrip()
         out = f"{self.state:>7}  {self.spec.describe():<40} {self.wall_s:7.2f}s {tag}"
         return out.rstrip()
-
-
-@dataclass
-class SpecDelta:
-    """One spec's fate in a delta sweep (``run_specs(..., since=rev)``)."""
-
-    spec: RunSpec
-    fingerprint: str
-    role: str = "run"
-    #: "warm" (served from cache), "resimulated" (cache entry went
-    #: dependency-stale), "new" (never cached), or "failed".
-    outcome: str = "warm"
-    #: which recorded dependencies invalidated the old entry.
-    stale_subsystems: List[str] = field(default_factory=list)
-    old_exec_cycles: Optional[float] = None
-    new_exec_cycles: Optional[float] = None
-
-    @property
-    def value_changed(self) -> bool:
-        """Did the re-run actually move the figure?"""
-        return (
-            self.old_exec_cycles is not None
-            and self.new_exec_cycles is not None
-            and self.old_exec_cycles != self.new_exec_cycles
-        )
 
     def to_dict(self) -> Dict:
         return {
@@ -101,64 +105,11 @@ class SpecDelta:
             "label": self.spec.label,
             "fingerprint": self.fingerprint,
             "role": self.role,
-            "outcome": self.outcome,
+            "state": self.state,
+            "shared": self.shared,
             "stale_subsystems": list(self.stale_subsystems),
             "old_exec_cycles": self.old_exec_cycles,
             "new_exec_cycles": self.new_exec_cycles,
-            "value_changed": self.value_changed,
-        }
-
-
-@dataclass
-class DeltaReport:
-    """What changed since a git revision, and what it cost to find out."""
-
-    since: str
-    #: subsystems whose content hash differs from ``since``.
-    changed_subsystems: List[str] = field(default_factory=list)
-    entries: List[SpecDelta] = field(default_factory=list)
-
-    def by_outcome(self, outcome: str) -> List[SpecDelta]:
-        return [e for e in self.entries if e.outcome == outcome]
-
-    @property
-    def changed_figures(self) -> List[SpecDelta]:
-        """Re-runs whose metrics actually differ from the stale entry."""
-        return [e for e in self.entries if e.value_changed]
-
-    def summary(self) -> str:
-        counts = {
-            o: len(self.by_outcome(o))
-            for o in ("warm", "resimulated", "new", "failed")
-        }
-        changed = ", ".join(self.changed_subsystems) or "none"
-        lines = [
-            f"delta since {self.since}: changed subsystems: {changed}",
-            f"  {len(self.entries)} specs — {counts['warm']} warm, "
-            f"{counts['resimulated']} re-simulated, {counts['new']} new, "
-            f"{counts['failed']} failed",
-        ]
-        moved = self.changed_figures
-        if moved:
-            for entry in moved:
-                why = ",".join(entry.stale_subsystems) or "?"
-                lines.append(
-                    f"  CHANGED {entry.spec.describe():<40} "
-                    f"{entry.old_exec_cycles:.0f} -> "
-                    f"{entry.new_exec_cycles:.0f} cycles  ({why})"
-                )
-        elif counts["resimulated"]:
-            lines.append("  figures unchanged (re-runs reproduced old values)")
-        else:
-            lines.append("  figures unchanged")
-        return "\n".join(lines)
-
-    def to_dict(self) -> Dict:
-        return {
-            "since": self.since,
-            "changed_subsystems": list(self.changed_subsystems),
-            "entries": [e.to_dict() for e in self.entries],
-            "changed_figures": [e.to_dict() for e in self.changed_figures],
         }
 
 
@@ -179,8 +130,6 @@ class SweepReport:
     failures: int = 0
     wall_s: float = 0.0
     workers: int = 0
-    #: populated by ``run_specs(..., since=rev)``: what changed and why.
-    delta: Optional[DeltaReport] = None
 
     @property
     def ok(self) -> bool:
@@ -210,6 +159,23 @@ class SweepReport:
                 f"  FAILED {status.spec.describe()}: "
                 f"{first[-1] if first else 'unknown error'}"
             )
+        rerun = [s for s in self.statuses if s.resimulated]
+        if rerun:
+            stale = sorted({name for s in rerun for name in s.stale_subsystems})
+            lines.append(
+                f"  re-simulated {len(rerun)} stale entries "
+                f"({', '.join(stale)})"
+            )
+        moved = [s for s in rerun if s.moved]
+        for status in moved:
+            lines.append(
+                f"  CHANGED {status.spec.describe():<40} "
+                f"{status.old_exec_cycles:.0f} -> "
+                f"{status.new_exec_cycles:.0f} cycles  "
+                f"({','.join(status.stale_subsystems)})"
+            )
+        if not moved:
+            lines.append("  figures unchanged")
         return "\n".join(lines)
 
 
@@ -314,7 +280,6 @@ def run_specs(
     cache: Union[ResultCache, str, None, bool] = None,
     progress: Optional[ProgressFn] = None,
     timeout_s: Optional[float] = None,
-    since: Optional[str] = None,
 ) -> SweepReport:
     """Execute ``specs`` (plus their derived baselines) and report.
 
@@ -325,24 +290,15 @@ def run_specs(
     Per-spec ``timeout_s`` is enforced with ``SIGALRM`` inside workers
     (parallel mode only — a serial alarm would kill the caller).
 
-    ``since`` turns this into a **delta sweep**: the report's
-    :attr:`~SweepReport.delta` explains, against git revision ``since``,
-    which subsystems changed, which specs that invalidated (with the old
-    vs new metrics), and which stayed warm.  The execution itself is
-    unchanged — dependency validation in the cache already re-runs
-    exactly the stale specs; ``since`` adds the explanation.
+    Every status says why its spec ran: a miss on a dependency-stale
+    cache entry copies the entry's stale subsystems and old
+    ``exec_cycles`` from :attr:`ResultCache.stale_log
+    <repro.sweep.cache.ResultCache.stale_log>` onto the spec's
+    :class:`SpecStatus`.
     """
     started = time.perf_counter()
     store = resolve_cache(cache)
     report = SweepReport(workers=workers)
-    changed_subsystems: List[str] = []
-    if since is not None:
-        # Function-level import so tests monkeypatch the fingerprint
-        # module's attribute and this picks the patch up.
-        from repro.deps import fingerprint as _fingerprint
-
-        changed_subsystems = _fingerprint.changed_subsystems_since(since)
-
     fps = [spec.fingerprint() for spec in specs]
 
     # Wave 0: deduplicated baselines (incl. input specs that *are* volatile
@@ -375,6 +331,10 @@ def run_specs(
     def finish(status: SpecStatus) -> None:
         if status.state == FAILED:
             report.failures += 1
+        else:
+            status.new_exec_cycles = completed[status.fingerprint].get(
+                "exec_cycles"
+            )
         if progress is not None:
             progress(status)
 
@@ -394,6 +354,12 @@ def run_specs(
                 continue
             if store is not None:
                 report.cache_misses += 1
+                stale = store.stale_log.get(fp)
+                if stale is not None:
+                    status.stale_subsystems = list(stale["subsystems"])
+                    old = stale["metrics"]
+                    if isinstance(old, dict):
+                        status.old_exec_cycles = old.get("exec_cycles")
             # A spec whose baseline already failed cannot be normalised;
             # mark it failed without burning a worker on it.
             base_fp = (
@@ -450,7 +416,6 @@ def run_specs(
                     store.put(
                         fp,
                         {
-                            "kind": "metrics",
                             "deps": deps_token(deps),
                             "workload": status.spec.workload,
                             "label": status.spec.label,
@@ -485,42 +450,6 @@ def run_specs(
                 from_cache=statuses_by_fp[fp].state == CACHED,
             )
         )
-
-    if since is not None:
-        delta = DeltaReport(since=since, changed_subsystems=changed_subsystems)
-        stale_log = store.stale_log if store is not None else {}
-        for fp, status in statuses_by_fp.items():
-            stale_info = stale_log.get(("runs", fp))
-            if status.state == FAILED:
-                outcome = "failed"
-            elif status.state == CACHED:
-                outcome = "warm"
-            elif stale_info is not None:
-                outcome = "resimulated"
-            else:
-                outcome = "new"
-            old_cycles = None
-            if stale_info is not None and isinstance(
-                stale_info.get("metrics"), dict
-            ):
-                old_cycles = stale_info["metrics"].get("exec_cycles")
-            new_metrics = completed.get(fp)
-            delta.entries.append(
-                SpecDelta(
-                    spec=status.spec,
-                    fingerprint=fp,
-                    role=status.role,
-                    outcome=outcome,
-                    stale_subsystems=list(
-                        stale_info["subsystems"] if stale_info else []
-                    ),
-                    old_exec_cycles=old_cycles,
-                    new_exec_cycles=(
-                        new_metrics.get("exec_cycles") if new_metrics else None
-                    ),
-                )
-            )
-        report.delta = delta
 
     report.wall_s = time.perf_counter() - started
     return report

@@ -289,9 +289,6 @@ def capture_trace(
     returned trace carries the golden data image, I/O log, and event
     count.
     """
-    from repro.deps import touch
-
-    touch("trace")  # usage-probe dependency recording
     machine = Machine(module, quantum=quantum)
     for func_name, args in spawns:
         machine.spawn(func_name, args)

@@ -58,7 +58,7 @@ def build_replay_system(
     """
     from repro.deps import touch
 
-    touch("arch", "trace")  # usage-probe dependency recording
+    touch("arch")  # usage-probe dependency recording
     params = params or SimParams.scaled()
     system = CapriSystem(
         params,

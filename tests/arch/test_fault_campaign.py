@@ -149,34 +149,6 @@ class TestCheckedCampaign:
         )
 
 
-class TestHarnessWiring:
-    def test_eval_harness_campaign(self):
-        from repro.eval.harness import EvalHarness
-
-        harness = EvalHarness(scale=0.05)
-        result = harness.fault_campaign(
-            "genome",
-            CampaignConfig(sample=5, minimize=False),
-        )
-        assert result.workload == "genome"
-        assert result.ok, result.failures[0]
-
-    def test_eval_harness_leaves_caller_config_unchanged(self):
-        from dataclasses import asdict
-
-        from repro.arch.params import SimParams
-        from repro.eval.harness import EvalHarness
-
-        harness = EvalHarness(
-            scale=0.05, params=SimParams.scaled(), quantum=16, check=True
-        )
-        config = CampaignConfig(sample=3, minimize=False)
-        before = asdict(config)
-        result = harness.fault_campaign("genome", config)
-        assert result.ok, result.failures[0]
-        assert asdict(config) == before
-
-
 class TestCli:
     def test_main_clean_sweep_exits_zero(self, capsys):
         from repro.fault.cli import main

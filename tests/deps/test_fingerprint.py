@@ -1,33 +1,15 @@
 """Subsystem partition + per-subsystem content hashing (repro.deps)."""
 
-import subprocess
-
 import pytest
 
 from repro.deps import (
     SUBSYSTEMS,
-    DepsError,
-    changed_subsystems_since,
     deps_token,
     package_root,
     subsystem_for_module,
     subsystem_for_path,
     subsystem_hashes,
-    subsystem_hashes_at_rev,
 )
-
-
-def _in_git_checkout() -> bool:
-    try:
-        subprocess.run(
-            ["git", "rev-parse", "--verify", "HEAD"],
-            cwd=package_root(),
-            capture_output=True,
-            check=True,
-        )
-        return True
-    except (OSError, subprocess.CalledProcessError):
-        return False
 
 
 class TestPartition:
@@ -125,25 +107,3 @@ class TestHashes:
         assert set(token) == {"arch", "core"}
         hashes = subsystem_hashes()
         assert token["arch"] == hashes["arch"]
-
-
-@pytest.mark.skipif(
-    not _in_git_checkout(), reason="needs the repository's git history"
-)
-class TestGitRev:
-    def test_head_hashes_match_clean_working_tree_scan(self):
-        # Any difference between HEAD and the working tree is exactly the
-        # uncommitted edits — changed_subsystems_since reports those.
-        at_head = subsystem_hashes_at_rev("HEAD")
-        assert set(at_head) == set(SUBSYSTEMS)
-        changed = changed_subsystems_since("HEAD")
-        current = subsystem_hashes()
-        for name in SUBSYSTEMS:
-            if name in changed:
-                assert at_head[name] != current[name]
-            else:
-                assert at_head[name] == current[name]
-
-    def test_bad_rev_raises_deps_error(self):
-        with pytest.raises(DepsError):
-            subsystem_hashes_at_rev("no-such-rev-xyzzy")

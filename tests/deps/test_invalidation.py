@@ -7,12 +7,13 @@ files), so these tests exercise the same validation path a real source
 edit would.
 """
 
+import json
+
 import pytest
 
-from repro.api import ResultCache, RunSpec
+from repro.api import ResultCache, RunSpec, metrics_to_dict
 from repro.compiler import OptConfig
 from repro.deps import deps_token
-from repro.sweep.cache import PRE_DEPS_KEY, PRE_DEPS_STALE
 from repro.sweep.engine import run_specs
 
 TINY = 0.05
@@ -37,7 +38,7 @@ class TestCacheValidation:
         monkeypatch.setenv("REPRO_SUBSYSTEM_SALT", "arch=edited")
         assert store.get("fp") is None
         assert store.stale == 1
-        assert store.stale_log[("runs", "fp")]["subsystems"] == ["arch"]
+        assert store.stale_log["fp"]["subsystems"] == ["arch"]
 
     def test_non_dependent_edit_leaves_entry_warm(self, tmp_path, monkeypatch):
         store = ResultCache(tmp_path)
@@ -52,22 +53,36 @@ class TestCacheValidation:
         # whole-tree version stamp: nothing can vouch for them, so they
         # are refused (and re-run), never trusted as-is.
         store = ResultCache(tmp_path)
-        payload = {"metrics": {"exec_cycles": 1.0}, PRE_DEPS_KEY: "old"}
+        payload = {"metrics": {"exec_cycles": 1.0}, "code_version": "old"}
         if deps is not None:
             payload["deps"] = deps
         store.put("fp", payload)
         assert store.get("fp") is None
         assert store.get("fp") is None
         assert store.stale == 2 and store.hits == 0
-        assert store.stale_log[("runs", "fp")] == {
-            "subsystems": [PRE_DEPS_STALE],
+        assert store.stale_log["fp"] == {
+            "subsystems": ["<no-deps>"],
             "metrics": {"exec_cycles": 1.0},
         }
 
-    def test_entry_without_any_token_is_trusted(self, tmp_path):
+    def test_entry_without_any_token_is_stale(self, tmp_path):
+        # One validity rule: a payload with no deps map at all is refused
+        # like a pre-deps one — nothing can vouch for it.
         store = ResultCache(tmp_path)
         store.put("fp", {"metrics": {"exec_cycles": 1.0}})
-        assert store.get("fp") is not None
+        assert store.get("fp") is None
+        assert store.stale_log["fp"]["subsystems"] == ["<no-deps>"]
+
+    def test_stale_log_names_only_the_latest_lookup(self, tmp_path, monkeypatch):
+        store = ResultCache(tmp_path)
+        store.put("fp", {"metrics": {}, "deps": deps_token(["arch", "core"])})
+        monkeypatch.setenv("REPRO_SUBSYSTEM_SALT", "arch=edited")
+        assert store.get("fp") is None and "fp" in store.stale_log
+        # The entry goes away: a plain miss must not inherit the old
+        # refusal's reason.
+        store.path_for("fp").unlink()
+        assert store.get("fp") is None
+        assert "fp" not in store.stale_log
 
     def test_deps_take_precedence_over_pre_deps_stamp(self, tmp_path):
         # A matching deps token keeps the entry valid even when it also
@@ -76,7 +91,7 @@ class TestCacheValidation:
         token = deps_token(["eval"])
         store.put(
             "fp",
-            {"metrics": {}, "deps": token, PRE_DEPS_KEY: "something-old"},
+            {"metrics": {}, "deps": token, "code_version": "something-old"},
         )
         assert store.get("fp") is not None
 
@@ -114,6 +129,30 @@ class TestSweepInvalidation:
         # never touched the compiler and stays warm.
         assert report.simulations == 2
         assert report.cache_hits == 1
+
+    def test_entry_in_the_previous_format_is_served_warm(self, tmp_path):
+        # The payload the sweep engine wrote before the cache stored
+        # simulations only (it carried a "kind" tag), at the same path.
+        specs = [spec(), spec().baseline()]
+        deps = deps_token(["arch", "compiler", "core", "workloads"])
+        for run, result in zip(specs, run_specs(specs).results):
+            fp = run.fingerprint()
+            path = tmp_path / "runs" / fp[:2] / f"{fp}.json"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps({
+                "kind": "metrics",
+                "deps": deps,
+                "workload": run.workload,
+                "label": run.label,
+                "wall_s": 0.1,
+                "metrics": metrics_to_dict(result.metrics),
+                "fingerprint": fp,
+                "created": 0.0,
+            }))
+        report = run_specs(specs, cache=tmp_path)
+        assert report.simulations == 0
+        assert report.cache_hits == len(specs)
+        assert all(not s.stale_subsystems for s in report.statuses)
 
     def test_stored_payload_carries_deps_token(self, tmp_path):
         specs = self._warm(tmp_path)

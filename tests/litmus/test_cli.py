@@ -44,3 +44,27 @@ def test_explore_program_refuses_an_empty_schedule_budget(budget):
 
     with pytest.raises(ValueError, match="max_schedules must be >= 1"):
         explore_program(generate_program(0), max_schedules=budget)
+
+
+def test_unknown_mutant_is_a_usage_error_before_any_sweep(monkeypatch, capsys):
+    import repro.litmus.matrix as matrix
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran before the mutant names were checked")
+
+    monkeypatch.setattr(matrix, "run_litmus_program", no_sweep)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["mutants", "--seeds", "1", "--mutants", "skip_undo_log,nope"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown mutant 'nope'" in err
+    assert "skip_undo_log" in err and "recovery_stale_pc" in err
+
+
+def test_run_leaves_the_cache_dir_empty(tmp_path, monkeypatch, capsys):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+    assert main(["run", "--seeds", "1"]) == 0
+    assert "0 forbidden" in capsys.readouterr().out
+    assert list(cache_dir.iterdir()) == []

@@ -3,10 +3,9 @@
 These pin the *exact* content hashes, shapes, and end-of-run allowed
 outcome sets of the default corpus seeds (``repro litmus``'s
 ``DEFAULT_SEEDS``).  If any of them moves, you changed the generator
-(or the oracle's commit/contribution rules) — every cached litmus
-verdict in every user's cache directory silently misses, and any
-baseline numbers quoted in EXPERIMENTS.md describe programs that no
-longer exist.  That can be the right call, but it must be deliberate
+(or the oracle's commit/contribution rules) — the benchmark's
+litmus-corpus digest moves, and any baseline numbers quoted in
+EXPERIMENTS.md describe programs that no longer exist.  That can be the right call, but it must be deliberate
 (mirroring ``tests/deps/test_golden_fingerprint.py``):
 
 1. re-pin ``GOLDEN_PROGRAMS`` / ``GOLDEN_OUTCOMES`` below by running::
@@ -25,7 +24,7 @@ longer exist.  That can be the right call, but it must be deliberate
            print(seed, {hex(a): sorted(v) for a, v in s.allowed.items()})
        PY
 
-2. bump the ``schema`` field in ``LitmusVerdict.to_payload`` if cached
+2. bump the ``schema`` field in ``LitmusVerdict.to_payload`` if
    verdicts are no longer comparable,
 3. note the change in DESIGN.md and re-measure EXPERIMENTS.md.
 """
@@ -130,5 +129,5 @@ class TestExplorerCampaignAgreement:
         from repro.litmus.matrix import run_litmus_program
 
         for p in litmus_corpus(range(3)):
-            verdict = run_litmus_program(p, cache=None)
+            verdict = run_litmus_program(p)
             assert verdict.ok, (p.seed, verdict.witness)

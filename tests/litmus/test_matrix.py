@@ -1,4 +1,6 @@
-"""The litmus crash matrix: judging, witnesses, caching, fingerprints."""
+"""The litmus crash matrix: judging, witnesses, drain regimes."""
+
+import json
 
 import pytest
 
@@ -7,11 +9,8 @@ from repro.litmus.generate import generate_program
 from repro.litmus.matrix import (
     EXPECTED_MISSES,
     LitmusMutantsResult,
-    LitmusVerdict,
-    litmus_params,
     param_points,
     run_litmus_program,
-    verdict_fingerprint,
 )
 
 
@@ -21,28 +20,6 @@ def program():
 
 
 class TestFingerprint:
-    def test_sensitive_to_inputs(self, program):
-        base = verdict_fingerprint(program, 32, litmus_params(), None)
-        other_program = generate_program(2)
-        assert verdict_fingerprint(other_program, 32, litmus_params(), None) != base
-        assert verdict_fingerprint(program, 64, litmus_params(), None) != base
-        assert (
-            verdict_fingerprint(program, 32, litmus_params(throttled=False), None)
-            != base
-        )
-        assert (
-            verdict_fingerprint(
-                program, 32, litmus_params(), ProtocolMutations.single("skip_undo_log")
-            )
-            != base
-        )
-
-    def test_stable_across_calls(self, program):
-        again = generate_program(1)
-        assert verdict_fingerprint(program, 32, litmus_params(), None) == (
-            verdict_fingerprint(again, 32, litmus_params(), None)
-        )
-
     def test_param_points_are_two_regimes(self):
         throttled, fast = param_points()
         assert throttled.nvm_write_parallelism < fast.nvm_write_parallelism
@@ -50,7 +27,7 @@ class TestFingerprint:
 
 class TestUnmutatedMatrix:
     def test_faithful_protocol_has_no_forbidden_outcomes(self, program):
-        verdict = run_litmus_program(program, cache=None)
+        verdict = run_litmus_program(program)
         assert verdict.ok
         assert verdict.forbidden == 0
         assert verdict.witness is None
@@ -61,11 +38,18 @@ class TestUnmutatedMatrix:
         assert verdict.content_hash == program.content_hash()
 
     def test_payload_round_trip(self, program):
-        verdict = run_litmus_program(program, cache=None)
-        again = LitmusVerdict.from_payload(verdict.to_payload())
-        assert again.cached
-        assert (again.name, again.forbidden, again.checks) == (
-            verdict.name,
+        # The payload shape is pinned: perfbench's litmus-corpus digest
+        # hashes it, so a new field would move that digest.
+        verdict = run_litmus_program(program)
+        payload = verdict.to_payload()
+        assert json.loads(json.dumps(payload)) == payload
+        assert list(payload) == [
+            "schema", "name", "seed", "content_hash", "mutations",
+            "crash_points", "forbidden", "checks", "elapsed", "witness",
+            "replay_rebuilds",
+        ]
+        assert payload["schema"] == 1
+        assert (payload["forbidden"], payload["checks"]) == (
             verdict.forbidden,
             verdict.checks,
         )
@@ -76,7 +60,6 @@ class TestTeeth:
         verdict = run_litmus_program(
             program,
             mutations=ProtocolMutations.single("skip_undo_log"),
-            cache=None,
             stop_on_forbidden=True,
         )
         assert verdict.forbidden >= 1
@@ -94,35 +77,9 @@ class TestTeeth:
         verdict = run_litmus_program(
             program,
             mutations=ProtocolMutations.single("recovery_skip_redo"),
-            cache=None,
             stop_on_forbidden=True,
         )
         assert verdict.forbidden >= 1
-
-
-class TestCaching:
-    def test_warm_path_round_trips(self, program, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        cold = run_litmus_program(program)
-        assert not cold.cached
-        warm = run_litmus_program(program)
-        assert warm.cached
-        assert (warm.forbidden, warm.checks, warm.crash_points) == (
-            cold.forbidden,
-            cold.checks,
-            cold.crash_points,
-        )
-
-    def test_deps_token_stored(self, program, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        from repro.sweep.cache import resolve_cache
-
-        run_litmus_program(program)
-        store = resolve_cache("default")
-        fp = verdict_fingerprint(program, 32, litmus_params(), None)
-        payload = store.get(fp, kind="litmus")
-        assert payload is not None
-        assert "litmus" in payload["deps"]
 
 
 class TestMutantsResult:

@@ -24,7 +24,7 @@ SUBSET = (
 class TestMutantSweep:
     def test_subset_sweep_meets_budget(self):
         programs = litmus_corpus((1,))
-        result = run_litmus_mutants(programs, mutants=list(SUBSET), cache=None)
+        result = run_litmus_mutants(programs, mutants=list(SUBSET))
         assert result.control_forbidden == 0
         assert result.detected["skip_undo_log"]
         assert result.detected["reorder_phase2"]
@@ -37,9 +37,7 @@ class TestMutantSweep:
 
     def test_witnesses_are_confirmed_and_carry_the_mutation(self):
         programs = litmus_corpus((1,))
-        result = run_litmus_mutants(
-            programs, mutants=["skip_undo_log"], cache=None
-        )
+        result = run_litmus_mutants(programs, mutants=["skip_undo_log"])
         w = result.witnesses["skip_undo_log"]
         assert w["confirmed"] is True
         assert w["mutations"] == ["skip_undo_log"]

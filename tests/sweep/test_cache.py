@@ -3,6 +3,7 @@
 import json
 import os
 
+from repro.deps import deps_token
 from repro.sweep.cache import (
     CACHE_DIR_ENV,
     ResultCache,
@@ -13,10 +14,14 @@ from repro.sweep.cache import (
 FP = "ab" + "0" * 62
 
 
+def entry(**fields):
+    """A hand-made payload the cache will serve: it carries a deps map."""
+    return {"deps": deps_token(["core"]), **fields}
+
+
 def test_put_get_roundtrip(tmp_path):
     cache = ResultCache(tmp_path)
-    payload = {"kind": "metrics", "metrics": {"exec_cycles": 123.5}}
-    cache.put(FP, payload)
+    cache.put(FP, entry(metrics={"exec_cycles": 123.5}))
     got = cache.get(FP)
     assert got["metrics"] == {"exec_cycles": 123.5}
     assert got["fingerprint"] == FP
@@ -31,19 +36,16 @@ def test_miss_counts(tmp_path):
 
 def test_sharded_layout(tmp_path):
     cache = ResultCache(tmp_path)
-    cache.put(FP, {"x": 1})
+    cache.put(FP, entry(x=1))
     expected = tmp_path / "runs" / FP[:2] / f"{FP}.json"
     assert expected.is_file()
+    assert cache.path_for(FP) == expected
     assert json.loads(expected.read_text())["x"] == 1
-    cache.put(FP, {"x": 2}, kind="golden")
-    assert (tmp_path / "golden" / FP[:2] / f"{FP}.json").is_file()
-    assert cache.get(FP)["x"] == 1  # kinds are separate namespaces
-    assert cache.get(FP, kind="golden")["x"] == 2
 
 
 def test_corrupt_entry_quarantined(tmp_path):
     cache = ResultCache(tmp_path)
-    cache.put(FP, {"x": 1})
+    cache.put(FP, entry(x=1))
     path = cache.path_for(FP)
     with open(path, "w") as fh:
         fh.write("{ not json !!!")
@@ -52,14 +54,14 @@ def test_corrupt_entry_quarantined(tmp_path):
     assert not os.path.exists(path)
     assert os.path.exists(f"{path}.corrupt")
     # The slot is refillable after quarantine.
-    cache.put(FP, {"x": 2})
+    cache.put(FP, entry(x=2))
     assert cache.get(FP)["x"] == 2
 
 
 def test_entry_count_and_clear(tmp_path):
     cache = ResultCache(tmp_path)
     for i in range(3):
-        cache.put(f"{i:02x}" + "0" * 62, {"i": i})
+        cache.put(f"{i:02x}" + "0" * 62, entry(i=i))
     assert cache.entry_count() == 3
     cache.clear()
     assert cache.entry_count() == 0
@@ -67,7 +69,7 @@ def test_entry_count_and_clear(tmp_path):
 
 def test_stats_summary(tmp_path):
     cache = ResultCache(tmp_path)
-    cache.put(FP, {"x": 1})
+    cache.put(FP, entry(x=1))
     cache.get(FP)
     cache.get("cd" + "0" * 62)
     stats = cache.stats()

@@ -18,6 +18,7 @@ import os
 
 import pytest
 
+from repro.deps import deps_token
 from repro.sweep.cache import ResultCache
 
 #: All fingerprints share the "ab" prefix: one shard directory, maximum
@@ -34,6 +35,7 @@ def _hammer(root, writer_id, barrier):
     barrier.wait()
     for i in range(WRITES_PER_PROC):
         payload = {
+            "deps": deps_token(["core"]),
             "writer": writer_id,
             "iteration": i,
             # Bulk makes torn writes observable if renames weren't atomic.
@@ -126,7 +128,8 @@ def test_interprocess_visibility(tmp_path):
     ctx = multiprocessing.get_context("fork")
 
     def _write(root):
-        ResultCache(root).put(SAME_FP, {"writer": 7, "iteration": 0,
+        ResultCache(root).put(SAME_FP, {"deps": deps_token(["core"]),
+                                        "writer": 7, "iteration": 0,
                                         "bulk": [7000] * 200})
 
     child = ctx.Process(target=_write, args=(str(tmp_path),))

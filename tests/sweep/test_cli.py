@@ -115,6 +115,13 @@ class TestSweepCLI:
         assert rc == 1
         capsys.readouterr()
 
+    def test_unknown_suite_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            sweep_main(["--suite", "nope", "--cache-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "'nope'" in err and "splash3" in err
+
     @pytest.mark.parametrize("thresholds", ["32,abc", "x"])
     def test_non_integer_thresholds_are_a_usage_error(
         self, thresholds, tmp_path, capsys
