@@ -1,7 +1,7 @@
 """Shared fixtures for the figure-regeneration benchmarks.
 
-Benchmarks run the same harness as ``python -m repro figures`` at a
-reduced workload scale so the whole suite finishes in minutes.  Every
+Benchmarks run the same spec grids and sweep engine as ``python -m repro
+figures`` at a reduced workload scale so the whole suite finishes in minutes.  Every
 benchmark also *asserts the paper's qualitative shape* (who wins, which
 direction the trend goes), so a regression in the reproduction fails the
 bench run rather than silently producing different tables.
@@ -9,10 +9,15 @@ bench run rather than silently producing different tables.
 
 from __future__ import annotations
 
+from typing import Dict, Mapping, Optional
+
 import pytest
 
+from repro.api import RunResult
 from repro.arch.params import SimParams
-from repro.eval.harness import EvalHarness
+from repro.compiler import OptConfig
+from repro.eval.figures import grid
+from repro.sweep import run_specs
 
 #: Workload scale for benchmark runs (full tables use 1.0 via the CLI).
 BENCH_SCALE = 0.4
@@ -38,7 +43,13 @@ def _isolated_sweep_cache(tmp_path_factory):
         os.environ[CACHE_DIR_ENV] = previous
 
 
-@pytest.fixture(scope="session")
-def harness() -> EvalHarness:
-    """Session-wide harness: volatile baselines are computed once."""
-    return EvalHarness(params=SimParams.scaled(), scale=BENCH_SCALE)
+def sweep_row(
+    name: str,
+    configs: Mapping[str, OptConfig],
+    params: Optional[SimParams] = None,
+) -> Dict[str, RunResult]:
+    """``name``'s ``{label: RunResult}`` row at :data:`BENCH_SCALE`;
+    volatile baselines come from the session's result cache after their
+    first run."""
+    specs = grid([name], configs, BENCH_SCALE, params)
+    return run_specs(specs, cache="default").table()[name]

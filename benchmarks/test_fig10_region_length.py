@@ -13,17 +13,17 @@ import pytest
 from repro.compiler import OptConfig, region_means
 from repro.workloads import get_workload
 
-from benchmarks.conftest import REPRESENTATIVES
+from benchmarks.conftest import BENCH_SCALE, REPRESENTATIVES, sweep_row
 
 
 @pytest.mark.parametrize("name", REPRESENTATIVES)
-def test_fig10_region_instructions(benchmark, harness, name):
+def test_fig10_region_instructions(benchmark, name):
     ladder = OptConfig.ladder(256)
 
     def run_ladder():
         # The figure's own path: region means from the ladder's sweep cells.
-        row = harness.sweep([name], ladder)[name]
-        _, spawns = get_workload(name).build(harness.scale)
+        row = sweep_row(name, ladder)
+        _, spawns = get_workload(name).build(BENCH_SCALE)
         return {
             label: region_means(r.metrics, spawns)[0] for label, r in row.items()
         }

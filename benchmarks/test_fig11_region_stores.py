@@ -11,19 +11,19 @@ import pytest
 from repro.compiler import OptConfig, region_means
 from repro.workloads import get_workload
 
-from benchmarks.conftest import REPRESENTATIVES
+from benchmarks.conftest import BENCH_SCALE, REPRESENTATIVES, sweep_row
 
 THRESHOLD = 256
 
 
 @pytest.mark.parametrize("name", REPRESENTATIVES)
-def test_fig11_region_stores(benchmark, harness, name):
+def test_fig11_region_stores(benchmark, name):
     ladder = OptConfig.ladder(THRESHOLD)
 
     def run_ladder():
         # The figure's own path: region means from the ladder's sweep cells.
-        row = harness.sweep([name], ladder)[name]
-        _, spawns = get_workload(name).build(harness.scale)
+        row = sweep_row(name, ladder)
+        _, spawns = get_workload(name).build(BENCH_SCALE)
         return {
             label: region_means(r.metrics, spawns)[1] for label, r in row.items()
         }

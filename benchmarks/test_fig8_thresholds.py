@@ -12,16 +12,16 @@ import pytest
 from repro.compiler import OptConfig
 from repro.eval.figures import FIG8_THRESHOLDS
 
-from benchmarks.conftest import REPRESENTATIVES
+from benchmarks.conftest import REPRESENTATIVES, sweep_row
 
 SHORT_SERIES = [32, 64, 256, 1024]
 
 
 @pytest.mark.parametrize("name", REPRESENTATIVES)
-def test_fig8_threshold_series(benchmark, harness, name):
+def test_fig8_threshold_series(benchmark, name):
     def run_series():
         configs = {f"t{t}": OptConfig.licm(t) for t in SHORT_SERIES}
-        row = harness.sweep([name], configs)[name]
+        row = sweep_row(name, configs)
         return {t: row[f"t{t}"].normalized_cycles for t in SHORT_SERIES}
 
     series = benchmark.pedantic(run_series, rounds=1, iterations=1)

@@ -9,15 +9,15 @@ import pytest
 
 from repro.compiler import OptConfig
 
-from benchmarks.conftest import REPRESENTATIVES
+from benchmarks.conftest import REPRESENTATIVES, sweep_row
 
 
 @pytest.mark.parametrize("name", REPRESENTATIVES)
-def test_fig9_opt_ladder(benchmark, harness, name):
+def test_fig9_opt_ladder(benchmark, name):
     ladder = OptConfig.ladder(256)
 
     def run_ladder():
-        row = harness.sweep([name], ladder)[name]
+        row = sweep_row(name, ladder)
         return {label: r.normalized_cycles for label, r in row.items()}
 
     series = benchmark.pedantic(run_ladder, rounds=1, iterations=1)

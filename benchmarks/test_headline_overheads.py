@@ -12,12 +12,14 @@ not the same decimals.  EXPERIMENTS.md records paper-vs-measured values.
 
 from repro.eval.figures import headline
 
+from benchmarks.conftest import BENCH_SCALE
+
 PAPER = {"cpu2017": 0.0, "stamp": 12.4, "splash3": 9.1, "overall": 5.1}
 
 
-def test_headline_suite_overheads(benchmark, harness):
+def test_headline_suite_overheads(benchmark):
     overheads = benchmark.pedantic(
-        lambda: headline(threshold=256, harness=harness), rounds=1, iterations=1
+        lambda: headline(scale=BENCH_SCALE, threshold=256), rounds=1, iterations=1
     )
     # Headline band: lightweight WSP — single digits overall.
     assert 0.0 <= overheads["overall"] < 10.0, overheads

@@ -12,27 +12,20 @@ import pytest
 
 from repro.arch.params import PersistMode, SimParams
 from repro.compiler import OptConfig
-from repro.eval.harness import EvalHarness
 
-from benchmarks.conftest import BENCH_SCALE, REPRESENTATIVES
+from benchmarks.conftest import sweep_row
 
-
-@pytest.fixture(scope="module")
-def sync_harness():
-    return EvalHarness(
-        params=SimParams.scaled().with_(persist_mode=PersistMode.SYNC),
-        scale=BENCH_SCALE,
-    )
+SYNC = SimParams.scaled().with_(persist_mode=PersistMode.SYNC)
 
 
 @pytest.mark.parametrize("name", ["519.lbm_r", "508.namd_r", "radix"])
-def test_naive_sync_vs_capri(benchmark, harness, sync_harness, name):
+def test_naive_sync_vs_capri(benchmark, name):
     def run_pair():
-        capri = harness.sweep([name], {"capri": OptConfig.licm(256)})
-        naive = sync_harness.sweep([name], {"naive": OptConfig.ckpt(256)})
+        capri = sweep_row(name, {"capri": OptConfig.licm(256)})
+        naive = sweep_row(name, {"naive": OptConfig.ckpt(256)}, SYNC)
         return (
-            capri[name]["capri"].normalized_cycles,
-            naive[name]["naive"].normalized_cycles,
+            capri["capri"].normalized_cycles,
+            naive["naive"].normalized_cycles,
         )
 
     capri, naive = benchmark.pedantic(run_pair, rounds=1, iterations=1)

@@ -13,9 +13,9 @@ Run:  python examples/threshold_sweep.py [--workload NAME]
 
 import argparse
 
-from repro.arch.params import SimParams
+from repro.api import RunSpec
 from repro.compiler import OptConfig, region_means
-from repro.eval.harness import EvalHarness
+from repro.sweep import run_specs
 from repro.workloads import get_workload, workload_names
 
 #: 136 bytes per back-end entry: 8B address + two 64B lines (Figure 5).
@@ -30,12 +30,16 @@ def main() -> None:
     parser.add_argument("--scale", type=float, default=0.5)
     args = parser.parse_args()
 
-    harness = EvalHarness(params=SimParams.scaled(), scale=args.scale)
     name = args.workload
     thresholds = [32, 64, 128, 256, 512, 1024]
-    row = harness.sweep(
-        [name], {f"t{t}": OptConfig.licm(t) for t in thresholds}
-    )[name]
+    # One labelled spec per threshold; the engine adds the volatile
+    # baseline each result is normalised against.
+    specs = [
+        RunSpec(workload=name, scale=args.scale, config=OptConfig.licm(t),
+                label=f"t{t}")
+        for t in thresholds
+    ]
+    row = run_specs(specs, cache="default").table()[name]
     _, spawns = get_workload(name).build(args.scale)
     baseline = row[f"t{thresholds[0]}"].baseline_cycles
     print(f"benchmark: {name} (baseline {baseline:.0f} cycles)\n")

@@ -1,8 +1,8 @@
 """The public run API: one spec in, one result envelope out.
 
-Every runner in the repository — :class:`repro.eval.harness.EvalHarness`,
-the :mod:`repro.sweep` engine, the ablation sweeps, the fault campaign —
-describes a simulation by the same frozen :class:`RunSpec` and receives a
+Every runner in the repository — the :mod:`repro.sweep` engine behind the
+figures and ablations, the fault campaign, the checker CLI — describes a
+simulation by the same frozen :class:`RunSpec` and receives a
 :class:`RunResult`.  A spec is *content-addressable*: its
 :meth:`RunSpec.fingerprint` hashes every behaviour-affecting parameter,
 so two specs with equal fingerprints describe the same simulation and a
@@ -182,6 +182,8 @@ class RunSpec:
         bits = [self.workload, f"t{self.effective_threshold}"]
         if not self.effective_persistence:
             bits.append("volatile")
+        if self.threads is not None:
+            bits.append(f"{self.threads}harts")
         if self.check:
             bits.append("check")
         if self.label:
@@ -313,8 +315,7 @@ def execute_spec(
 ) -> RunResult:
     """Build, (maybe) compile, and simulate one :class:`RunSpec`.
 
-    The single run primitive behind the harness and the sweep engine's
-    workers.
+    The single run primitive behind the sweep engine's workers.
 
     The whole run executes under a :class:`repro.deps.UsageProbe`; the
     result's :attr:`~RunResult.deps` names the subsystems exercised, and

@@ -196,6 +196,35 @@ class SimParams:
             dram_cache_size_bytes=256 * 1024,
         )
 
+    @staticmethod
+    def tight() -> "SimParams":
+        """:meth:`scaled` with every cache shrunk hard and the NVM write
+        port throttled: the stress hierarchy of the mutant matrix
+        (:mod:`repro.check.mutants`), ``repro check --matrix-params`` and
+        the stale-read prevention ablation.
+
+        The caches (L1 512 B, L2 1 KiB, DRAM cache 1 KiB) are small
+        enough that even short runs evict dirty lines into NVM *while
+        proxy entries are still in flight* — the regular-path writebacks
+        the two invalidation mutants (``drop_invalidation``,
+        ``invalidate_everything``) need in order to act at all.
+
+        The write port is throttled (``nvm_write_parallelism=8``): at the
+        default 256-way parallelism phase-2 drain keeps pace with the
+        core and committed entries leave the back-end within nanoseconds
+        of their boundary, which closes the cross-region address-reuse
+        windows (``merge_across_regions``) and the
+        writeback-hits-live-entry window before they can open.
+        Throttled, the proxy FIFO runs tens of entries deep — the Section
+        5.2.2 backlog regime.
+        """
+        return SimParams.scaled().with_(
+            l1_size_bytes=512,
+            l2_size_bytes=1024,
+            dram_cache_size_bytes=1024,
+            nvm_write_parallelism=8,
+        )
+
     def with_(self, **kwargs) -> "SimParams":
         """Functional update, e.g. ``params.with_(persist_mode=SYNC)``."""
         return replace(self, **kwargs)

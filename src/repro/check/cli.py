@@ -36,7 +36,6 @@ from repro.arch.params import SimParams
 from repro.check.mutants import (
     MUTANT_EXPECTATIONS,
     checked_run,
-    matrix_params,
     run_mutant_matrix,
 )
 from repro.compiler import RegionFormationError
@@ -65,7 +64,7 @@ def _sanitized(args, parser, json_out) -> int:
             parser.error(f"--thresholds: expected integers, got {args.thresholds!r}")
     else:
         thresholds = [args.threshold]
-    params = matrix_params() if args.matrix_params else SimParams.scaled()
+    params = SimParams.tight() if args.matrix_params else SimParams.scaled()
 
     failures = 0
     records = []

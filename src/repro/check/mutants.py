@@ -86,32 +86,6 @@ CRASH_FRACTIONS = (0.35, 0.55, 0.75, 0.9)
 _MAX_STEPS = 50_000_000
 
 
-def matrix_params() -> SimParams:
-    """Simulation parameters for the mutant matrix.
-
-    :meth:`SimParams.scaled` with every cache shrunk hard (the
-    stale-read test sizes) so even short matrix runs evict dirty lines
-    into NVM *while proxy entries are still in flight* — the
-    regular-path writebacks the two invalidation mutants
-    (``drop_invalidation``, ``invalidate_everything``) need in order to
-    act at all.
-
-    The write port is also throttled (``nvm_write_parallelism=8``): at
-    the default 256-way parallelism phase-2 drain keeps pace with the
-    core and committed entries leave the back-end within nanoseconds of
-    their boundary, which closes the cross-region address-reuse windows
-    (``merge_across_regions``) and the writeback-hits-live-entry window
-    before they can open.  Throttled, the proxy FIFO runs tens of
-    entries deep — the Section 5.2.2 backlog regime.
-    """
-    return SimParams.scaled().with_(
-        l1_size_bytes=512,
-        l2_size_bytes=1024,
-        dram_cache_size_bytes=1024,
-        nvm_write_parallelism=8,
-    )
-
-
 @dataclass
 class MutantOutcome:
     """One mutant's detection result across the matrix workloads."""
@@ -246,9 +220,14 @@ def run_mutant_matrix(
     often, which is the window ``reorder_phase2`` and
     ``merge_across_regions`` need to act.
 
+    ``params`` defaults to :meth:`SimParams.tight`, whose shrunken caches
+    and throttled write port open the windows the mutants need.
+
     The baseline and every persistence-path mutant are interpreted
     (:func:`checked_run`); each workload's trace is captured once for the
     one probe source shared by the baseline and recovery-mutant probes.
+    Raises :class:`ValueError`, before any run, if ``mutants`` is empty
+    (a matrix of no mutants detects nothing) or names an unknown one.
     """
     from repro.api import RunSpec, build_spec
     from repro.compiler import OptConfig
@@ -257,8 +236,10 @@ def run_mutant_matrix(
     from repro.trace.replay import TraceCampaignSource
 
     start = time.perf_counter()
-    params = params if params is not None else matrix_params()
+    params = params if params is not None else SimParams.tight()
     names = tuple(mutants) if mutants is not None else tuple(MUTANT_EXPECTATIONS)
+    if not names:
+        raise ValueError("no mutants to check: the mutant list is empty")
     for name in names:
         if name not in MUTANT_EXPECTATIONS:
             raise ValueError(f"unknown mutant {name!r}")

@@ -16,48 +16,48 @@ each choice on our substrate — the "what if" companion to Figure 8:
 * :func:`inlining_ablation` — the extension pass: what call-boundary
   removal buys on call-dense code.
 
-Every sweep builds :class:`~repro.api.RunSpec` lists and routes them
-through the :mod:`repro.sweep` engine, so ``workers=N`` parallelises the
+Every sweep builds labelled :class:`~repro.api.RunSpec` lists and routes
+them through the :mod:`repro.sweep` engine
+(:func:`~repro.eval.figures.run_grid`), so ``workers=N`` parallelises the
 grid and completed cells are served from the on-disk result cache.
+:func:`render_ablation` is the one renderer of each table, shared by this
+CLI and ``repro report``.
 
 Command line::
 
-    python -m repro ablations {frontend,proxybw,nvmbw,prevention,inlining,all}
-        [--workers N]
+    python -m repro ablations {frontend,cores,proxybw,nvmbw,prevention,inlining,all}
+        [--scale S] [--workers N]
 """
 
 from __future__ import annotations
 
 import argparse
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.api import RunResult, RunSpec
+from repro.api import RunSpec
 from repro.arch.params import SimParams
 from repro.compiler import OptConfig
-from repro.eval.report import format_table
+from repro.eval.figures import grid, normalized, run_grid
+from repro.eval.report import format_table, scale_arg
 from repro.workloads.probes import STREAM_PROBE
 
 #: Store-dense benchmarks stress the proxy pipeline hardest.
 DEFAULT_BENCHMARKS = ["519.lbm_r", "radix", "508.namd_r"]
 
 
-def _sweep(specs: Sequence[RunSpec], workers: int) -> List[RunResult]:
-    """Run specs through the engine; raise on any failure."""
-    from repro.sweep.engine import SweepError, run_specs
-
-    report = run_specs(specs, workers=workers, cache="default")
-    if not report.ok:
-        raise SweepError(report)
-    return report.results
-
-
-def _cells_from(
-    specs: Sequence[RunSpec], results: Sequence[RunResult]
-) -> Dict[str, Dict[str, float]]:
-    cells: Dict[str, Dict[str, float]] = {}
-    for spec, result in zip(specs, results):
-        cells.setdefault(spec.workload, {})[spec.label] = result.normalized_cycles
-    return cells
+def _param_grid(
+    benchmarks: Sequence[str],
+    params: Mapping[str, SimParams],
+    scale: float,
+    threshold: int,
+) -> List[RunSpec]:
+    """Full Capri at ``threshold`` under each labelled parameter set."""
+    return [
+        RunSpec(workload=name, scale=scale, config=OptConfig.licm(threshold),
+                params=p, label=label)
+        for name in benchmarks
+        for label, p in params.items()
+    ]
 
 
 def frontend_size_sweep(
@@ -73,20 +73,12 @@ def frontend_size_sweep(
     path bandwidth even a handful of entries absorbs store bursts, which
     is itself the finding: the paper's 32-entry front end is generous.
     """
-    specs = [
-        RunSpec(
-            workload=name,
-            scale=scale,
-            config=OptConfig.licm(threshold),
-            params=SimParams.scaled().with_(
-                frontend_entries=size, proxy_xfer_ns=8.0
-            ),
-            label=str(size),
-        )
-        for name in benchmarks
+    params = {
+        str(size): SimParams.scaled().with_(frontend_entries=size, proxy_xfer_ns=8.0)
         for size in sizes
-    ]
-    return _cells_from(specs, _sweep(specs, workers))
+    }
+    specs = _param_grid(benchmarks, params, scale, threshold)
+    return normalized(run_grid(specs, workers))
 
 
 def proxy_bandwidth_sweep(
@@ -97,18 +89,12 @@ def proxy_bandwidth_sweep(
     workers: int = 0,
 ) -> Dict[str, Dict[str, float]]:
     """Normalised cycles vs proxy-path initiation interval per entry."""
-    specs = [
-        RunSpec(
-            workload=name,
-            scale=scale,
-            config=OptConfig.licm(threshold),
-            params=SimParams.scaled().with_(proxy_xfer_ns=interval),
-            label=f"{interval}ns",
-        )
-        for name in benchmarks
+    params = {
+        f"{interval}ns": SimParams.scaled().with_(proxy_xfer_ns=interval)
         for interval in intervals_ns
-    ]
-    return _cells_from(specs, _sweep(specs, workers))
+    }
+    specs = _param_grid(benchmarks, params, scale, threshold)
+    return normalized(run_grid(specs, workers))
 
 
 def nvm_bandwidth_sweep(
@@ -119,18 +105,12 @@ def nvm_bandwidth_sweep(
     workers: int = 0,
 ) -> Dict[str, Dict[str, float]]:
     """Normalised cycles vs effective NVM write parallelism."""
-    specs = [
-        RunSpec(
-            workload=name,
-            scale=scale,
-            config=OptConfig.licm(threshold),
-            params=SimParams.scaled().with_(nvm_write_parallelism=p),
-            label=f"x{p}",
-        )
-        for name in benchmarks
+    params = {
+        f"x{p}": SimParams.scaled().with_(nvm_write_parallelism=p)
         for p in parallelism
-    ]
-    return _cells_from(specs, _sweep(specs, workers))
+    }
+    specs = _param_grid(benchmarks, params, scale, threshold)
+    return normalized(run_grid(specs, workers))
 
 
 def prevention_cost(
@@ -141,34 +121,21 @@ def prevention_cost(
 ) -> Dict[str, Dict[str, float]]:
     """Stale-read prevention on/off: cycles, skipped redos, stale reads.
 
-    Uses a shrunken hierarchy so regular-path writebacks actually race the
-    proxy path.
+    Uses :meth:`SimParams.tight` so regular-path writebacks actually race
+    the proxy path.
     """
-    tiny = SimParams.scaled().with_(
-        l1_size_bytes=512,
-        l2_size_bytes=1024,
-        dram_cache_size_bytes=1024,
-        nvm_write_parallelism=8,
-    )
-    specs = [
-        RunSpec(
-            workload=name,
-            scale=scale,
-            config=OptConfig.licm(threshold),
-            params=tiny.with_(stale_read_prevention=prevention),
-            label="on" if prevention else "off",
-        )
-        for name in benchmarks
-        for prevention in (True, False)
-    ]
-    results = _sweep(specs, workers)
+    params = {
+        tag: SimParams.tight().with_(stale_read_prevention=tag == "on")
+        for tag in ("on", "off")
+    }
+    specs = _param_grid(benchmarks, params, scale, threshold)
     cells: Dict[str, Dict[str, float]] = {}
-    for spec, result in zip(specs, results):
-        row = cells.setdefault(spec.workload, {})
-        tag = spec.label
-        row[f"cycles_{tag}"] = result.normalized_cycles
-        row[f"skipped_{tag}"] = float(result.metrics.nvm_writes_skipped)
-        row[f"stale_{tag}"] = float(result.metrics.stale_reads)
+    for name, row in run_grid(specs, workers).items():
+        cells[name] = {}
+        for tag, result in row.items():
+            cells[name][f"cycles_{tag}"] = result.normalized_cycles
+            cells[name][f"skipped_{tag}"] = float(result.metrics.nvm_writes_skipped)
+            cells[name][f"stale_{tag}"] = float(result.metrics.stale_reads)
     return cells
 
 
@@ -179,20 +146,11 @@ def inlining_ablation(
     workers: int = 0,
 ) -> Dict[str, Dict[str, float]]:
     """Full Capri vs full Capri + small-function inlining (extension)."""
-    specs = [
-        RunSpec(
-            workload=name,
-            scale=scale,
-            config=config,
-            label=label,
-        )
-        for name in benchmarks
-        for label, config in (
-            ("full", OptConfig.licm(threshold)),
-            ("+inlining", OptConfig.inlined(threshold)),
-        )
-    ]
-    return _cells_from(specs, _sweep(specs, workers))
+    configs = {
+        "full": OptConfig.licm(threshold),
+        "+inlining": OptConfig.inlined(threshold),
+    }
+    return normalized(run_grid(grid(benchmarks, configs, scale), workers))
 
 
 def core_scaling(
@@ -219,7 +177,7 @@ def core_scaling(
         for name in benchmarks
         for t in threads
     ]
-    return _cells_from(specs, _sweep(specs, workers))
+    return normalized(run_grid(specs, workers))
 
 
 _ABLATIONS = {
@@ -250,19 +208,23 @@ _ABLATIONS = {
 }
 
 
+def render_ablation(name: str, scale: float = 0.5, workers: int = 0) -> str:
+    """Run one ablation of :data:`_ABLATIONS` and render its table."""
+    fn, title = _ABLATIONS[name]
+    cells = fn(scale=scale, workers=workers)
+    columns: List[str] = list(next(iter(cells.values())).keys())
+    return format_table(title, list(cells), columns, cells)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro ablations")
     parser.add_argument("ablation", choices=[*_ABLATIONS, "all"])
-    parser.add_argument("--scale", type=float, default=0.5)
+    parser.add_argument("--scale", type=scale_arg, default=0.5)
     parser.add_argument("--workers", type=int, default=0,
                         help="sweep-engine worker processes (0 = serial)")
     args = parser.parse_args(argv)
     names = list(_ABLATIONS) if args.ablation == "all" else [args.ablation]
     for name in names:
-        fn, title = _ABLATIONS[name]
-        cells = fn(scale=args.scale, workers=args.workers)
-        rows = list(cells.keys())
-        columns: List[str] = list(next(iter(cells.values())).keys())
-        print(format_table(title, rows, columns, cells))
+        print(render_ablation(name, scale=args.scale, workers=args.workers))
         print()
     return 0

@@ -13,20 +13,13 @@ from __future__ import annotations
 import argparse
 import os
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.arch.params import SimParams
-from repro.compiler import OptConfig
-from repro.eval import figures
-from repro.eval.ablations import (
-    core_scaling,
-    inlining_ablation,
-    nvm_bandwidth_sweep,
-    prevention_cost,
-)
+from repro.eval.ablations import render_ablation
 from repro.eval.energy import drain_budgets
+from repro.eval.figures import render_figure
 from repro.eval.recovery_analysis import analyze_recovery
-from repro.eval.report import add_suite_gmeans, format_table
+from repro.eval.report import format_table, scale_arg
 
 
 def _md_block(text: str) -> str:
@@ -52,54 +45,16 @@ def generate_report(scale: float = 1.0, workers: int = 0) -> str:
         "",
     ]
 
-    for fig in ["fig8", "fig9", "fig10", "fig11"]:
-        parts.append(f"## {fig}")
+    for fig in ["fig8", "fig9", "fig10", "fig11", "headline", "naive"]:
+        parts.append("## naive comparison" if fig == "naive" else f"## {fig}")
         parts.append(f"`python -m repro figures {fig} --scale {scale}`")
-        parts.append(
-            _md_block(figures.render_figure(fig, scale=scale, workers=workers))
-        )
-
-    parts.append("## headline")
-    parts.append(f"`python -m repro figures headline --scale {scale}`")
-    over = figures.headline(scale=scale, workers=workers)
-    lines = ["suite      overhead", "-----      --------"]
-    for suite, pct in over.items():
-        lines.append(f"{suite:10s} {pct:6.1f}%")
-    parts.append(_md_block("\n".join(lines)))
-
-    parts.append("## naive comparison")
-    parts.append(f"`python -m repro figures naive --scale {scale}`")
-    cells = figures.naive_comparison(scale=scale, workers=workers)
-    rows = add_suite_gmeans(
-        cells, figures.FIGURE_SUITES, ["capri", "naive-sync"]
-    )
-    parts.append(
-        _md_block(
-            format_table(
-                "Capri (async) vs naive synchronous persistence",
-                rows,
-                ["capri", "naive-sync"],
-                cells,
-            )
-        )
-    )
+        parts.append(_md_block(render_figure(fig, scale=scale, workers=workers)))
 
     parts.append("## extension analyses")
     parts.append("`python -m repro ablations nvmbw|prevention|inlining|cores`")
-    ablation_scale = min(scale, 0.5)
-    for title, cells in [
-        ("NVM write parallelism",
-         nvm_bandwidth_sweep(scale=ablation_scale, workers=workers)),
-        ("Stale-read prevention",
-         prevention_cost(scale=ablation_scale, workers=workers)),
-        ("Inlining extension",
-         inlining_ablation(scale=ablation_scale, workers=workers)),
-        ("Core-count scaling",
-         core_scaling(scale=ablation_scale, workers=workers)),
-    ]:
-        rows = list(cells.keys())
-        columns = list(next(iter(cells.values())).keys())
-        parts.append(_md_block(format_table(title, rows, columns, cells)))
+    for name in ["nvmbw", "prevention", "inlining", "cores"]:
+        table = render_ablation(name, scale=min(scale, 0.5), workers=workers)
+        parts.append(_md_block(table))
 
     parts.append("## recovery latency")
     parts.append("`python -m repro recovery`")
@@ -141,7 +96,7 @@ def generate_report(scale: float = 1.0, workers: int = 0) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro report")
     parser.add_argument("--out", default="results/REPORT.md")
-    parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--scale", type=scale_arg, default=1.0)
     parser.add_argument("--workers", type=int, default=0,
                         help="sweep-engine worker processes (0 = serial)")
     args = parser.parse_args(argv)

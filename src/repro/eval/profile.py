@@ -212,11 +212,12 @@ def measure_throughput(name: str, scale: float = 0.5) -> Dict[str, float]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    from repro.eval.report import format_table, scale_arg
     from repro.jsonout import add_json_arg, write_envelope
 
     parser = argparse.ArgumentParser(prog="python -m repro profile")
     parser.add_argument("names", nargs="*", default=None)
-    parser.add_argument("--scale", type=float, default=0.5)
+    parser.add_argument("--scale", type=scale_arg, default=0.5)
     add_json_arg(
         parser,
         help="emit machine-readable characterisation + throughput "
@@ -226,8 +227,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     json_out = args.json_out
     names = args.names or workload_names()
-
-    from repro.eval.report import format_table
 
     cells: Dict[str, Dict[str, float]] = {}
     columns: List[str] = []

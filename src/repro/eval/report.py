@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import math
 from typing import Dict, Iterable, List, Mapping, Sequence
 
@@ -14,6 +15,20 @@ def geomean(values: Iterable[float]) -> float:
     if any(v <= 0 for v in vals):
         raise ValueError("geomean requires positive values")
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
+
+
+def scale_arg(text: str) -> float:
+    """``argparse`` type of every eval CLI's ``--scale``: a usage error
+    (exit 2) naming the value unless it is a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number greater than 0, got {text!r}"
+        )
+    return value
 
 
 def format_table(

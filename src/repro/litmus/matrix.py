@@ -445,13 +445,18 @@ def run_litmus_mutants(
     (program, regime) matrix observes a forbidden outcome; the sweep
     short-circuits per mutant on the first (event-minimal, confirmed)
     witness.  Raises :class:`ValueError` naming the known mutants, before
-    any sweep runs, if ``mutants`` names an unknown one.
+    any sweep runs, if ``mutants`` is empty (a matrix of no mutants
+    detects nothing) or names an unknown one.
     """
     from repro.arch.persistence import ProtocolMutations
     from repro.check.mutants import MUTANT_EXPECTATIONS
 
     if mutants is None:
         mutants = list(MUTANT_EXPECTATIONS)
+    if not mutants:
+        raise ValueError(
+            f"no mutants to check (known: {', '.join(MUTANT_EXPECTATIONS)})"
+        )
     unknown = [name for name in mutants if name not in MUTANT_EXPECTATIONS]
     if unknown:
         raise ValueError(

@@ -7,12 +7,14 @@ This package exploits both facts:
 
 * :func:`repro.sweep.engine.run_specs` — topologically schedules specs
   (volatile baselines first), fans them out across a ``multiprocessing``
-  pool, and reports structured per-spec progress,
+  pool, and reports structured per-spec progress;
+  :meth:`~repro.sweep.engine.SweepReport.table` gives every grid its
+  ``{workload: {label: RunResult}}`` cells,
 * :mod:`repro.sweep.cache` — an on-disk cache keyed by spec fingerprint
   (workload, scale, config, threshold, params, quantum), validated per
   entry against the recorded subsystem dependencies (:mod:`repro.deps`),
-  so warm re-runs of ``EvalHarness.sweep`` and the ablations are
-  near-instant and survive unrelated source edits,
+  so warm re-runs of the figures and ablations are near-instant and
+  survive unrelated source edits,
 * ``python -m repro sweep`` — the command-line front end; every sweep
   names, for each spec it re-ran, the subsystems that invalidated its
   cache entry and whether its cycles moved.

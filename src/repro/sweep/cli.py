@@ -89,8 +89,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.arch.params import SimParams
-    from repro.eval.harness import EvalHarness
+    from repro.api import RunSpec
+    from repro.sweep.engine import run_specs
 
     if args.benchmarks == "all":
         suites = (
@@ -116,33 +116,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not args.quiet:
         progress = lambda status: print(f"  {status.line()}", file=sys.stderr)
 
-    harness = EvalHarness(
-        params=SimParams.scaled(),
-        scale=args.scale,
-        quantum=args.quantum,
+    specs = [
+        RunSpec(workload=name, scale=args.scale, config=config,
+                quantum=args.quantum, label=label)
+        for name in names
+        for label, config in configs.items()
+    ]
+    report = run_specs(
+        specs,
+        workers=args.workers,
+        cache=cache,
+        progress=progress,
+        timeout_s=args.timeout,
     )
-    try:
-        table = harness.sweep(
-            names,
-            configs,
-            workers=args.workers,
-            cache=cache,
-            progress=progress,
-            strict=False,
-            timeout_s=args.timeout,
-        )
-    except KeyError as err:
-        parser.error(str(err.args[0] if err.args else err))
-    report = harness.last_sweep_report
 
     columns = list(configs.keys())
-    cells = {
-        name: {
-            label: result.normalized_cycles
-            for label, result in table.get(name, {}).items()
-        }
-        for name in names
-    }
+    # Failed specs have no result: their cells stay empty.
+    cells: Dict[str, Dict[str, float]] = {name: {} for name in names}
+    for result in report.results:
+        if result is not None:
+            cells[result.spec.workload][result.spec.label] = (
+                result.normalized_cycles
+            )
     rows = [name for name in names if cells.get(name)]
     json_out = args.json_out
     if json_out != "-":

@@ -143,6 +143,20 @@ class SweepReport:
     def failed_statuses(self) -> List[SpecStatus]:
         return [s for s in self.statuses if s.state == FAILED]
 
+    def table(self) -> Dict[str, Dict[str, RunResult]]:
+        """The results as ``{workload: {label: RunResult}}``.
+
+        Every figure and ablation grid reads its cells from here.
+        Raises :class:`SweepError` if any spec failed: a table never has
+        silent holes.
+        """
+        if not self.ok:
+            raise SweepError(self)
+        table: Dict[str, Dict[str, RunResult]] = {}
+        for result in self.results:
+            table.setdefault(result.spec.workload, {})[result.spec.label] = result
+        return table
+
     def summary(self) -> str:
         lines = [
             f"sweep: {len(self.results)} specs "
@@ -174,13 +188,13 @@ class SweepReport:
                 f"{status.new_exec_cycles:.0f} cycles  "
                 f"({','.join(status.stale_subsystems)})"
             )
-        if not moved:
+        if not moved and self.ok:
             lines.append("  figures unchanged")
         return "\n".join(lines)
 
 
 class SweepError(RuntimeError):
-    """Raised by strict callers when a sweep has failures."""
+    """Raised by :meth:`SweepReport.table` when a sweep has failures."""
 
     def __init__(self, report: SweepReport) -> None:
         failed = report.failed_statuses()

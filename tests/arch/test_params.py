@@ -88,3 +88,13 @@ class TestDerived:
     def test_backend_override(self):
         p = SimParams.paper().with_(backend_entries=512)
         assert p.backend_capacity(256) == 513
+
+    def test_tight_is_scaled_with_tiny_caches_and_a_throttled_port(self):
+        scaled, tight = SimParams.scaled(), SimParams.tight()
+        assert tight == scaled.with_(
+            l1_size_bytes=512,
+            l2_size_bytes=1024,
+            dram_cache_size_bytes=1024,
+            nvm_write_parallelism=8,
+        )
+        assert tight.nvm_write_ns == scaled.nvm_write_ns

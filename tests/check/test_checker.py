@@ -4,11 +4,12 @@ import pytest
 
 from repro.api import RunSpec, build_spec
 from repro.arch.crash import CrashPlan, run_built_until_crash
+from repro.arch.params import SimParams
 from repro.arch.persistence import ProtocolMutations
 from repro.arch.system import build_system, run_workload
 from repro.check import PersistencyViolationError
 from repro.check.checker import PersistencyChecker
-from repro.check.mutants import checked_run, matrix_params
+from repro.check.mutants import checked_run
 from repro.check.violations import (
     CORRUPT_UNDO,
     LOST_REDO,
@@ -31,7 +32,7 @@ def genome():
 
 @pytest.fixture(scope="module")
 def params():
-    return matrix_params()
+    return SimParams.tight()
 
 
 class TestCleanRuns:
@@ -157,14 +158,6 @@ class TestApiIntegration:
         assert "check" in spec.describe()
         result = execute_spec(spec)
         assert result.metrics.exec_cycles > 0
-
-    def test_harness_threads_check_flag(self):
-        from repro.eval.harness import EvalHarness
-
-        h = EvalHarness(scale=SCALE, check=True)
-        assert h.spec("genome").check is True
-        # Baselines are volatile — never checked.
-        assert h.spec("genome").baseline().check is False
 
     def test_campaign_second_oracle_clean(self):
         from repro.fault.campaign import CampaignConfig, run_workload_campaign

@@ -25,3 +25,16 @@ def test_bad_scale_or_threshold_is_a_usage_error(argv, message, capsys):
         main(argv)
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_empty_mutant_list_is_a_usage_error(monkeypatch, capsys):
+    import repro.check.mutants as mutants
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a matrix run started with no mutants to check")
+
+    monkeypatch.setattr(mutants, "checked_run", no_run)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--mutants", "--mutant", ","])
+    assert exit_info.value.code == 2
+    assert "mutant list is empty" in capsys.readouterr().err

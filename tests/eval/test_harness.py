@@ -1,4 +1,4 @@
-"""Tests for the evaluation harness and the figure entry points.
+"""Tests for the spec grids behind the figures and the figure entry points.
 
 Figure functions run at a tiny scale here — these tests check wiring and
 invariants (normalisation, caching, labels), not the published numbers;
@@ -7,7 +7,6 @@ the shape assertions live in benchmarks/.
 
 import pytest
 
-from repro.arch.params import SimParams
 from repro.compiler import OptConfig
 from repro.eval.figures import (
     ALL_BENCHMARKS,
@@ -17,50 +16,34 @@ from repro.eval.figures import (
     fig9,
     fig10,
     fig11,
+    grid,
     headline,
     main,
     render_figure,
 )
-from repro.eval.harness import EvalHarness
+from repro.sweep import run_specs
 
 TINY = 0.1
 
 
-@pytest.fixture(scope="module")
-def harness():
-    return EvalHarness(params=SimParams.scaled(), scale=TINY)
+def sweep(configs):
+    """ssca2 × ``configs`` at TINY through the default result cache."""
+    return run_specs(grid(["ssca2"], configs, TINY), cache="default")
 
 
 class TestHarness:
-    def test_baseline_cached(self, harness):
-        first = harness.sweep(["ssca2"], {"full": OptConfig.licm(64)})
-        again = harness.sweep(["ssca2"], {"full": OptConfig.licm(64)})
-        assert harness.last_sweep_report.simulations == 0
+    def test_baseline_cached(self):
+        first = sweep({"full": OptConfig.licm(64)}).table()
+        report = sweep({"full": OptConfig.licm(64)})
+        again = report.table()
+        assert report.simulations == 0
         assert (
             again["ssca2"]["full"].baseline_cycles
             == first["ssca2"]["full"].baseline_cycles
         )
 
-    def test_baseline_cache_not_stale_after_mutation(self):
-        """The footgun: name-keyed caching served stale cycles after a
-        live harness's scale/params/quantum changed.  Fingerprint keying
-        gets a fresh baseline per combination."""
-        h = EvalHarness(params=SimParams.scaled(), scale=TINY)
-        configs = {"full": OptConfig.licm(64)}
-
-        def baseline() -> float:
-            return h.sweep(["ssca2"], configs)["ssca2"]["full"].baseline_cycles
-
-        small = baseline()
-        h.scale = TINY * 4
-        large = baseline()
-        assert large > small
-        h.scale = TINY
-        assert baseline() == small
-        assert h.last_sweep_report.simulations == 0
-
-    def test_run_produces_normalized_cycles(self, harness):
-        table = harness.sweep(["ssca2"], {"full": OptConfig.licm(64)})
+    def test_run_produces_normalized_cycles(self):
+        table = sweep({"full": OptConfig.licm(64)}).table()
         result = table["ssca2"]["full"]
         assert result.normalized_cycles >= 1.0
         assert result.normalized_cycles == (
@@ -72,8 +55,8 @@ class TestHarness:
         assert result.spec.label == "full"
         assert result.spec.workload == "ssca2"
 
-    def test_volatile_config_normalizes_to_one(self, harness):
-        table = harness.sweep(["ssca2"], {"volatile": OptConfig.volatile()})
+    def test_volatile_config_normalizes_to_one(self):
+        table = sweep({"volatile": OptConfig.volatile()}).table()
         assert table["ssca2"]["volatile"].normalized_cycles == 1.0
 
 
@@ -82,27 +65,27 @@ class TestFigureFunctions:
         assert "os" not in FIGURE_SUITES
         assert len(ALL_BENCHMARKS) == 19
 
-    def test_fig8_structure(self, harness):
-        cells = fig8(suite="cpu2017", thresholds=[32, 256], harness=harness)
+    def test_fig8_structure(self):
+        cells = fig8(scale=TINY, suite="cpu2017", thresholds=[32, 256])
         assert set(cells) == set(FIGURE_SUITES["cpu2017"])
         for row in cells.values():
             assert set(row) == {"32", "256"}
             assert all(v > 0 for v in row.values())
 
-    def test_fig9_structure(self, harness):
-        cells = fig9(suite="cpu2017", harness=harness)
+    def test_fig9_structure(self):
+        cells = fig9(scale=TINY, suite="cpu2017")
         ladder = list(OptConfig.ladder().keys())
         for row in cells.values():
             assert list(row.keys()) == ladder
 
-    def test_fig10_fig11_positive(self, harness):
+    def test_fig10_fig11_positive(self):
         for fn in (fig10, fig11):
-            cells = fn(suite="cpu2017", harness=harness)
+            cells = fn(scale=TINY, suite="cpu2017")
             for row in cells.values():
                 assert all(v >= 0 for v in row.values())
 
-    def test_headline_keys(self, harness):
-        out = headline(harness=harness)
+    def test_headline_keys(self):
+        out = headline(scale=TINY)
         assert set(out) == {"cpu2017", "stamp", "splash3", "overall"}
 
     def test_fig8_threshold_constant(self):

@@ -10,10 +10,10 @@ headline may simulate anything.
 
 import pytest
 
-from repro.arch.params import SimParams
+import repro.sweep.engine as engine
+from repro.api import RunSpec
 from repro.compiler import CapriCompiler, OptConfig, RegionStatsObserver
 from repro.eval.figures import ALL_BENCHMARKS, fig9, fig10, fig11, headline
-from repro.eval.harness import EvalHarness
 from repro.isa.machine import Machine
 from repro.workloads import get_workload
 
@@ -24,15 +24,23 @@ THRESHOLD = 256
 @pytest.fixture(scope="module")
 def derived():
     """fig10/fig11 tables plus the simulation counts of each call after fig9."""
-    h = EvalHarness(params=SimParams.scaled(), scale=SCALE)
-    fig9(harness=h, threshold=THRESHOLD)
-    sims = {}
-    tables = {}
-    for fn in (fig10, fig11, headline):
-        out = fn(harness=h, threshold=THRESHOLD)
-        sims[fn.__name__] = h.last_sweep_report.simulations
-        tables[fn.__name__] = out
-    return h, tables, sims
+    reports = []
+    run_specs = engine.run_specs
+
+    def spy(*args, **kwargs):
+        reports.append(run_specs(*args, **kwargs))
+        return reports[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "run_specs", spy)
+        fig9(scale=SCALE, threshold=THRESHOLD)
+        sims = {}
+        tables = {}
+        for fn in (fig10, fig11, headline):
+            out = fn(scale=SCALE, threshold=THRESHOLD)
+            sims[fn.__name__] = reports[-1].simulations
+            tables[fn.__name__] = out
+    return tables, sims
 
 
 def _observed(name: str, quantum: int):
@@ -50,14 +58,14 @@ def _observed(name: str, quantum: int):
 
 
 def test_figures_after_fig9_run_no_simulations(derived):
-    _, _, sims = derived
+    _, sims = derived
     assert sims == {"fig10": 0, "fig11": 0, "headline": 0}
 
 
 @pytest.mark.parametrize("name", ALL_BENCHMARKS)
 def test_derived_means_equal_observer(derived, name):
-    h, tables, _ = derived
-    observed = _observed(name, h.quantum)
+    tables, _ = derived
+    observed = _observed(name, RunSpec(name).quantum)
     for label, stats in observed.items():
         assert stats.regions_executed > 0, label
         assert tables["fig10"][name][label] == stats.avg_instructions, label

@@ -216,9 +216,10 @@ def test_boundary_before_drain(compiled):
     pre-boundary drain as premature-persist, so a clean checked run is
     the contract's witness.
     """
-    from repro.check.mutants import checked_run, matrix_params
+    from repro.arch.params import SimParams
+    from repro.check.mutants import checked_run
 
     module, spawns = compiled
-    checker, error = checked_run(module, spawns, matrix_params(), 64)
+    checker, error = checked_run(module, spawns, SimParams.tight(), 64)
     assert error is None
     assert checker.report.ok, checker.report.summary()

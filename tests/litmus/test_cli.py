@@ -68,3 +68,17 @@ def test_run_leaves_the_cache_dir_empty(tmp_path, monkeypatch, capsys):
     assert main(["run", "--seeds", "1"]) == 0
     assert "0 forbidden" in capsys.readouterr().out
     assert list(cache_dir.iterdir()) == []
+
+
+def test_empty_mutant_list_is_a_usage_error_before_any_sweep(monkeypatch, capsys):
+    import repro.litmus.matrix as matrix
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran with no mutants to check")
+
+    monkeypatch.setattr(matrix, "run_litmus_program", no_sweep)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["mutants", "--seeds", "1", "--mutants", ","])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "no mutants to check" in err and "skip_undo_log" in err

@@ -50,6 +50,16 @@ class TestRunSpec:
         assert base.seed == 0 and base.label == "baseline"
         assert base.workload == "ssca2" and base.scale == TINY
 
+    def test_describe_names_the_hart_count(self):
+        # Core scaling's baselines differ only in threads.
+        names = [
+            RunSpec(workload="ocean", threads=t, label=f"{t}c").baseline().describe()
+            for t in (1, 2, 4, 8)
+        ]
+        assert len(set(names)) == 4
+        assert names[2] == "ocean:t256:volatile:4harts:baseline"
+        assert "harts" not in spec().describe()
+
 
 class TestFingerprint:
     def test_stable_and_derived_defaults_collide(self):
@@ -147,11 +157,14 @@ class TestExecute:
 
 class TestHarnessShim:
     def test_run_spec_volatile_normalizes_to_one(self):
-        from repro.eval.harness import EvalHarness
+        from repro.sweep import run_specs
 
-        h = EvalHarness(params=SimParams.scaled(), scale=TINY)
-        assert not h.spec("ssca2", OptConfig.volatile()).effective_persistence
-        table = h.sweep(["ssca2"], {"volatile": OptConfig.volatile()}, cache=None)
+        spec = RunSpec(
+            workload="ssca2", scale=TINY, config=OptConfig.volatile(),
+            params=SimParams.scaled(), label="volatile",
+        )
+        assert not spec.effective_persistence
+        table = run_specs([spec], cache=None).table()
         result = table["ssca2"]["volatile"]
         assert result.metrics.exec_cycles == result.baseline_cycles
         assert result.normalized_cycles == 1.0

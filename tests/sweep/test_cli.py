@@ -115,6 +115,25 @@ class TestSweepCLI:
         assert rc == 1
         capsys.readouterr()
 
+    def test_failed_specs_do_not_say_figures_unchanged(self, tmp_path, capsys):
+        rc = sweep_main(
+            [
+                "--benchmarks",
+                "genome",
+                "--scale",
+                "0",
+                "--thresholds",
+                "32",
+                "--cache-dir",
+                str(tmp_path),
+                "--quiet",
+            ]
+        )
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert out.count("FAILED") == 2
+        assert "figures unchanged" not in out
+
     def test_unknown_suite_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:
             sweep_main(["--suite", "nope", "--cache-dir", str(tmp_path)])
@@ -140,6 +159,31 @@ class TestSweepCLI:
             )
         assert exit_info.value.code == 2
         assert f"got {thresholds!r}" in capsys.readouterr().err
+
+
+class TestScaleIsValidated:
+    """Every eval CLI refuses a scale no workload can build at."""
+
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figures", "fig8", "--suite", "stamp"],
+            ["ablations", "cores"],
+            ["report"],
+            ["profile", "genome"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_bad_scale_is_a_usage_error(self, argv, scale, tmp_path, capsys):
+        out = str(tmp_path / "REPORT.md")
+        extra = ["--out", out] if argv[0] == "report" else []
+        with pytest.raises(SystemExit) as exit_info:
+            repro_main([*argv, *extra, "--scale", scale])
+        assert exit_info.value.code == 2
+        assert f"--scale: must be a finite number greater than 0, got {scale!r}" in (
+            capsys.readouterr().err
+        )
 
 
 def _usage_subcommands():

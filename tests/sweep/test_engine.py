@@ -5,7 +5,7 @@ import pytest
 from repro.api import RunSpec
 from repro.arch.params import SimParams
 from repro.compiler import OptConfig
-from repro.eval.harness import EvalHarness
+from repro.eval.figures import grid
 from repro.sweep import ResultCache, SweepError, run_specs
 
 TINY = 0.05
@@ -85,9 +85,9 @@ class TestWarmCache:
             assert b.from_cache
 
     def test_harness_sweep_served_from_cache(self, tmp_path, monkeypatch):
-        """Acceptance criterion: a repeated EvalHarness.sweep over >=2
+        """Acceptance criterion: a repeated grid sweep over >=2
         workloads x 3 configs is served entirely from the on-disk cache
-        (0 re-simulations), even from a brand-new harness."""
+        (0 re-simulations), from freshly built specs."""
         from repro.sweep.cache import CACHE_DIR_ENV
 
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
@@ -97,13 +97,13 @@ class TestWarmCache:
             "256": OptConfig.licm(256),
             "ckpt": OptConfig.ckpt(256),
         }
-        h1 = EvalHarness(params=PARAMS, scale=TINY)
-        cold = h1.sweep(names, configs)
-        assert h1.last_sweep_report.simulations > 0
-        h2 = EvalHarness(params=PARAMS, scale=TINY)
-        warm = h2.sweep(names, configs)
-        assert h2.last_sweep_report.simulations == 0
-        assert h2.last_sweep_report.hit_rate == 1.0
+        first = run_specs(grid(names, configs, TINY, PARAMS), cache="default")
+        cold = first.table()
+        assert first.simulations > 0
+        second = run_specs(grid(names, configs, TINY, PARAMS), cache="default")
+        warm = second.table()
+        assert second.simulations == 0
+        assert second.hit_rate == 1.0
         for name in names:
             for label in configs:
                 assert (
@@ -163,14 +163,12 @@ class TestFailureHandling:
         from repro.sweep.cache import CACHE_DIR_ENV
 
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        h = EvalHarness(params=PARAMS, scale=TINY)
+        specs = grid(["no-such-workload"], {"full": OptConfig.licm(64)}, TINY)
+        report = run_specs(specs, cache="default")
         with pytest.raises(SweepError) as exc:
-            h.sweep(["no-such-workload"], {"full": OptConfig.licm(64)})
+            report.table()
         assert exc.value.report.failures == 2
-        out = h.sweep(
-            ["no-such-workload"], {"full": OptConfig.licm(64)}, strict=False
-        )
-        assert out == {}  # failed specs are simply absent
+        assert report.results == [None]  # failed specs have no result
 
     def test_progress_callback_sees_every_status(self, tmp_path):
         events = []
