@@ -16,7 +16,7 @@ This package implements Section 4 of the paper on our IR substrate:
   (Section 4.4.2),
 * :mod:`repro.compiler.pipeline` — the :class:`CapriCompiler` facade and
   the :class:`OptConfig` ladder used by Figure 9,
-* :mod:`repro.compiler.stats` — static/dynamic region statistics for
+* :mod:`repro.compiler.stats` — dynamic region statistics for
   Figures 10 and 11.
 """
 
@@ -32,12 +32,7 @@ from repro.compiler.verify_capri import (
     verify_capri_function,
     verify_capri_module,
 )
-from repro.compiler.stats import (
-    RegionStatsObserver,
-    region_means,
-    static_region_stats,
-    StaticRegionStats,
-)
+from repro.compiler.stats import RegionStatsObserver, region_means
 
 __all__ = [
     "CapriCompiler",
@@ -57,6 +52,4 @@ __all__ = [
     "verify_capri_module",
     "RegionStatsObserver",
     "region_means",
-    "static_region_stats",
-    "StaticRegionStats",
 ]

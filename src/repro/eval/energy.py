@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.arch.params import SimParams
+from repro.compiler.regions import MIN_THRESHOLD
 
 #: Energy to write one 64-byte line to NVM (nJ) — order of magnitude for
 #: PCM-class media (set/reset energy dominates).
@@ -117,6 +118,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.cores < 1:
         parser.error(f"--cores must be >= 1, got {args.cores}")
+    if args.threshold < MIN_THRESHOLD:
+        parser.error(
+            f"--threshold must be >= {MIN_THRESHOLD}, got {args.threshold}"
+        )
     budgets = drain_budgets(
         num_cores=args.cores,
         threshold=args.threshold,

@@ -3,38 +3,51 @@
 ``python -m repro report [--out results/REPORT.md] [--scale S]``
 regenerates the complete evaluation — the four paper figures, the
 headline and naive comparisons, and the extension analyses — and writes
-a single self-contained markdown report with a reproduction manifest
-(command lines, scale, configuration) so a reader can audit exactly how
-each table was produced.
+a single self-contained markdown report.  Each block is the captured
+stdout of the ``python -m repro`` command printed above it, run with
+exactly the arguments printed, so a reader can reproduce any table alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import time
 from typing import List, Optional, Sequence
 
-from repro.eval.ablations import render_ablation
-from repro.eval.energy import drain_budgets
-from repro.eval.figures import render_figure
-from repro.eval.recovery_analysis import analyze_recovery
-from repro.eval.report import format_table, scale_arg
+from repro.eval.report import scale_arg
 
 
-def _md_block(text: str) -> str:
-    return "```\n" + text + "\n```\n"
+def _command(argv: List[str]) -> List[str]:
+    """The report lines for one command: its printed form and its stdout.
+
+    The command runs through the same dispatcher as ``python -m repro``,
+    with stdout captured; its trailing blank lines are dropped.
+    """
+    from repro.__main__ import main as repro_main
+
+    line = "python -m repro " + " ".join(argv)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = repro_main(argv)
+    if rc:
+        raise RuntimeError(f"`{line}` exited {rc}")
+    return [f"`{line}`", "```\n" + out.getvalue().rstrip("\n") + "\n```\n"]
 
 
 def generate_report(scale: float = 1.0, workers: int = 0) -> str:
     """Build the full markdown report; heavy (runs every experiment).
 
     ``workers`` fans the figure grids and ablation sweeps out through the
-    :mod:`repro.sweep` engine; completed runs are memoised in the on-disk
-    result cache, so regenerating a report after small code changes only
-    re-simulates what the change invalidated.
+    :mod:`repro.sweep` engine (and is printed in their command lines);
+    completed runs are memoised in the on-disk result cache, so
+    regenerating a report after small code changes only re-simulates
+    what the change invalidated.
     """
     start = time.time()
+    sweep_opts = ["--workers", str(workers)] if workers else []
     parts: List[str] = [
         "# Capri reproduction — full evaluation report",
         "",
@@ -47,44 +60,19 @@ def generate_report(scale: float = 1.0, workers: int = 0) -> str:
 
     for fig in ["fig8", "fig9", "fig10", "fig11", "headline", "naive"]:
         parts.append("## naive comparison" if fig == "naive" else f"## {fig}")
-        parts.append(f"`python -m repro figures {fig} --scale {scale}`")
-        parts.append(_md_block(render_figure(fig, scale=scale, workers=workers)))
+        parts += _command(["figures", fig, "--scale", str(scale), *sweep_opts])
 
+    # The extension analyses cap the scale at 0.5 to bound their run time.
+    small = str(min(scale, 0.5))
     parts.append("## extension analyses")
-    parts.append("`python -m repro ablations nvmbw|prevention|inlining|cores`")
     for name in ["nvmbw", "prevention", "inlining", "cores"]:
-        table = render_ablation(name, scale=min(scale, 0.5), workers=workers)
-        parts.append(_md_block(table))
+        parts += _command(["ablations", name, "--scale", small, *sweep_opts])
 
     parts.append("## recovery latency")
-    parts.append("`python -m repro recovery`")
-    sweep = analyze_recovery("genome", threshold=256, scale=min(scale, 0.5))
-    parts.append(
-        _md_block(
-            f"crash points: {len(sweep.costs)}\n"
-            f"max entries scanned: {sweep.max_entries} "
-            f"(capacity bound {256 + 33})\n"
-            f"estimated recovery: mean {sweep.mean_ns / 1000:.2f} us, "
-            f"max {sweep.max_ns / 1000:.2f} us"
-        )
-    )
+    parts += _command(["recovery", "--scale", small])
 
     parts.append("## residual energy (Section 1.2)")
-    parts.append("`python -m repro energy --memory-mode`")
-    budgets = drain_budgets(num_cores=8, include_dram_cache=True)
-    cells = {name: b.row() for name, b in budgets.items()}
-    parts.append(
-        _md_block(
-            format_table(
-                "Drain budget at power failure (memory-mode eADR)",
-                list(budgets),
-                ["KB", "drain_us", "energy_uJ"],
-                cells,
-                fmt="{:,.1f}",
-                row_header="scheme",
-            )
-        )
-    )
+    parts += _command(["energy", "--memory-mode"])
 
     parts.append(
         f"---\nGenerated in {time.time() - start:.0f} s by "

@@ -13,11 +13,6 @@ be tuned against them:
 * region profile after Capri compilation (dynamic lengths, checkpoint
   fractions).
 
-It also measures simulator *throughput* per workload — functional
-instructions/second, trace-capture events/second with its overhead, and
-full-system (interpreted) events/second — which feeds the performance
-table in docs/PERFORMANCE.md.
-
 Command line::
 
     python -m repro profile [names...] [--scale S]
@@ -28,15 +23,14 @@ Command line::
 from __future__ import annotations
 
 import argparse
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.api import RunSpec, build_spec
 from repro.compiler import OptConfig
 from repro.compiler.stats import RegionStatsObserver
 from repro.isa.machine import Machine
-from repro.isa.trace import Observer
+from repro.isa.trace import Observer, TeeObserver
 from repro.workloads import get_workload, workload_names
 
 
@@ -47,7 +41,6 @@ class CharacterizationObserver(Observer):
         self.line_bytes = line_bytes
         self.kind_counts: Dict[str, int] = {}
         self.words: Set[int] = set()
-        self.store_words: Set[int] = set()
         self.loads = 0
         self.stores = 0
         self.calls = 0
@@ -67,12 +60,10 @@ class CharacterizationObserver(Observer):
     def on_store(self, core, addr, value, old):
         self.stores += 1
         self.words.add(addr)
-        self.store_words.add(addr)
 
     def on_atomic(self, core, addr, value, old):
         self.atomics += 1
         self.words.add(addr)
-        self.store_words.add(addr)
 
     @property
     def lines_touched(self) -> int:
@@ -91,7 +82,6 @@ class WorkloadProfile:
     call_density: float  # calls per 1000 instructions
     atomic_density: float
     branch_fraction: float
-    working_set_words: int
     working_set_lines: int
     # after full Capri compilation at threshold 256:
     avg_region_instrs: float
@@ -132,20 +122,10 @@ def profile_workload(
     )
     robs = RegionStatsObserver()
     cobs = CharacterizationObserver()
-
-    class Both(Observer):
-        def __getattribute__(self, attr):
-            if attr.startswith("on_"):
-                def fan(*args, **kw):
-                    getattr(robs, attr)(*args, **kw)
-                    getattr(cobs, attr)(*args, **kw)
-                return fan
-            return super().__getattribute__(attr)
-
     cmachine = Machine(capri)
     for fn, args in spawns:
         cmachine.spawn(fn, args)
-    cmachine.run(Both())
+    cmachine.run(TeeObserver(robs, cobs))
 
     n = max(1, obs.retired)
     ckpts = cobs.kind_counts.get("CheckpointStore", 0)
@@ -161,54 +141,11 @@ def profile_workload(
             obs.kind_counts.get("Branch", 0) + obs.kind_counts.get("Jump", 0)
         )
         / n,
-        working_set_words=len(obs.words),
         working_set_lines=obs.lines_touched,
         avg_region_instrs=robs.stats.avg_instructions,
         avg_region_stores=robs.stats.avg_stores,
         ckpt_fraction=ckpts / max(1, cobs.retired),
     )
-
-
-def measure_throughput(name: str, scale: float = 0.5) -> Dict[str, float]:
-    """Simulator throughput on one workload, all three execution paths.
-
-    Returns a flat dict: functional interpreter instructions/second,
-    trace capture overhead (events/second plus slowdown vs the bare
-    functional run), and interpreted full-system events/second.
-    Single measurement each — these feed a documentation table, not a
-    statistics engine; use benchmarks/ for calibrated numbers.
-    """
-    from repro.arch.system import run_workload
-    from repro.trace.record import capture_trace
-
-    spec = RunSpec(workload=name, scale=scale)
-    compiled, spawns = build_spec(spec)
-
-    start = time.perf_counter()
-    machine = Machine(compiled)
-    for fn, fargs in spawns:
-        machine.spawn(fn, fargs)
-    machine.run(Observer())
-    t_functional = time.perf_counter() - start
-
-    start = time.perf_counter()
-    trace = capture_trace(compiled, spawns)
-    t_capture = time.perf_counter() - start
-
-    start = time.perf_counter()
-    run_workload(compiled, spawns, threshold=spec.effective_threshold)
-    t_interpreted = time.perf_counter() - start
-
-    events = len(trace)
-    instrs = machine.total_retired
-    return {
-        "instructions": instrs,
-        "events": events,
-        "functional_instr_per_s": instrs / max(t_functional, 1e-9),
-        "capture_events_per_s": events / max(t_capture, 1e-9),
-        "capture_overhead_x": t_capture / max(t_functional, 1e-9),
-        "interpreted_events_per_s": events / max(t_interpreted, 1e-9),
-    }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -220,13 +157,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--scale", type=scale_arg, default=0.5)
     add_json_arg(
         parser,
-        help="emit machine-readable characterisation + throughput "
-        "(instr/s, events/s, capture overhead) as a schema-versioned "
-        "envelope to PATH ('-' for stdout, suppressing the table)",
+        help="emit the machine-readable characterisation as a "
+        "schema-versioned envelope to PATH ('-' for stdout, suppressing "
+        "the table)",
     )
     args = parser.parse_args(argv)
     json_out = args.json_out
     names = args.names or workload_names()
+    for name in names:
+        try:
+            get_workload(name)
+        except KeyError as err:
+            parser.error(err.args[0])
 
     cells: Dict[str, Dict[str, float]] = {}
     columns: List[str] = []
@@ -239,7 +181,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             payload[name] = {
                 "suite": profile.suite,
                 "characterisation": profile.row(),
-                "throughput": measure_throughput(name, scale=args.scale),
             }
     if json_out:
         write_envelope(

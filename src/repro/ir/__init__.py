@@ -11,10 +11,9 @@ Design points
   uses and they are identified by small integer indices.  This mirrors the
   paper's checkpoint storage, a global array with one fixed slot per
   architectural register (Section 4.2).
-* The IR is not SSA.  Capri's analyses (liveness, reaching definitions,
-  backward slicing) are classic bit-vector dataflow problems over a CFG of
-  basic blocks, which is exactly what the paper's checkpoint-set analysis
-  needs.
+* The IR is not SSA.  Capri's analyses (liveness, reaching definitions)
+  are classic bit-vector dataflow problems over a CFG of basic blocks,
+  which is exactly what the paper's checkpoint-set analysis needs.
 * Capri-specific instructions (:class:`~repro.ir.instructions.RegionBoundary`
   and :class:`~repro.ir.instructions.CheckpointStore`) are first-class
   members of the instruction set so that instrumented and uninstrumented
@@ -50,7 +49,6 @@ from repro.ir.builder import IRBuilder, FunctionBuilder
 from repro.ir.cfg import CFG, DomTree, Loop, natural_loops
 from repro.ir.liveness import LivenessInfo, compute_liveness
 from repro.ir.reaching import ReachingDefs, compute_reaching_defs
-from repro.ir.slicing import backward_slice
 from repro.ir.verifier import VerificationError, verify_function, verify_module
 from repro.ir.printer import format_function, format_module
 from repro.ir.parser import (
@@ -96,7 +94,6 @@ __all__ = [
     "compute_liveness",
     "ReachingDefs",
     "compute_reaching_defs",
-    "backward_slice",
     "VerificationError",
     "verify_function",
     "verify_module",

@@ -162,7 +162,7 @@ class CollectingObserver(Observer):
 
 
 class CountingObserver(Observer):
-    """Cheap aggregate counters; used by the compiler-stats harness."""
+    """Cheap aggregate counters of one run's event stream."""
 
     def __init__(self) -> None:
         self.retired = 0

@@ -6,7 +6,7 @@ from hypothesis import given, settings, HealthCheck
 from hypothesis import strategies as st
 
 from repro.compiler import CapriCompiler, OptConfig
-from repro.compiler.stats import RegionStatsObserver, static_region_stats
+from repro.compiler.stats import RegionStatsObserver
 from repro.isa import CountingObserver, Machine
 from tests.compiler.conftest import build_loop_kernel, random_program, run_main
 
@@ -110,15 +110,9 @@ class TestRegionStats:
             obs = RegionStatsObserver()
             Machine(out).run_function("main", observer=obs)
             lengths[name] = obs.stats.avg_instructions
-        assert lengths["+unrolling"] > lengths["+ckpt"]
-
-    def test_static_stats(self):
-        module, _ = build_loop_kernel()
-        out = CapriCompiler(OptConfig.ckpt(64)).compile(module).module
-        s = static_region_stats(out.function("kernel"))
-        assert s.num_regions == s.num_boundaries
-        assert s.num_checkpoints > 0
-        assert s.avg_static_instrs > 0
+        # Section 4.3: short loops keep regions far below the threshold
+        # until unrolling merges iterations into one region.
+        assert lengths["+unrolling"] > 3 * lengths["+ckpt"]
 
     def test_stores_per_region_below_threshold(self):
         module, _ = build_loop_kernel(n=60)

@@ -37,7 +37,9 @@ def compile_kernel(threshold=32, config=None):
 
 
 class TestPositive:
-    @pytest.mark.parametrize("threshold", [16, 64, 256])
+    # The budget bounds every path between boundaries, so at 32 it also
+    # bounds every region the kernel executes.
+    @pytest.mark.parametrize("threshold", [16, 32, 64, 256])
     def test_loop_kernel_all_thresholds(self, threshold):
         out = compile_kernel(threshold)
         verify_capri_module(out, threshold)

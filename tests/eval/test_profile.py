@@ -1,6 +1,8 @@
 """Tests for the workload profiler — including the shape claims DESIGN.md
 makes about the stand-ins, asserted quantitatively."""
 
+import json
+
 import pytest
 
 from repro.eval.profile import (
@@ -86,3 +88,26 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "radix" in out
         assert "st/100" in out
+
+    def test_unknown_workload_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["radix", "nosuch", "--scale", str(SCALE)])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "unknown workload 'nosuch'" in captured.err
+        assert "radix" in captured.err  # lists the known names
+        assert captured.out == ""  # nothing was profiled
+
+    def test_json_is_the_table(self, capsys):
+        names = ["radix", "genome"]
+        rc = main([*names, "--scale", "0.1", "--json", "-"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        workloads = doc["data"]["workloads"]
+        assert sorted(workloads) == sorted(names)
+        for name in names:
+            profile = profile_workload(name, scale=0.1)
+            assert workloads[name] == {
+                "suite": profile.suite,
+                "characterisation": profile.row(),
+            }

@@ -1,4 +1,4 @@
-"""Tests for liveness, reaching definitions, and backward slicing."""
+"""Tests for liveness and reaching definitions."""
 
 import pytest
 
@@ -7,9 +7,7 @@ from repro.ir import (
     IRBuilder,
     compute_liveness,
     compute_reaching_defs,
-    backward_slice,
 )
-from repro.ir.slicing import slice_instructions, slice_is_reconstructible
 from repro.ir.values import Reg
 
 
@@ -145,72 +143,3 @@ class TestReachingDefs:
         rd = compute_reaching_defs(func)
         assert len(rd.defs_of[x.index]) == 2
 
-
-class TestBackwardSlice:
-    def test_pure_slice_is_reconstructible(self):
-        b = IRBuilder("m")
-        with b.function("f", params=["a"]) as f:
-            x = f.add(f.param(0), 1)
-            y = f.mul(x, 2)
-            f.ret(y)
-        func = b.module.function("f")
-        rd = compute_reaching_defs(func)
-        # Slice of y at the ret: depends on the mul and the add, then hits
-        # the parameter => incomplete.
-        sites, complete = backward_slice(func, rd, "entry", 2, y.index)
-        assert not complete  # reaches parameter a
-
-    def test_slice_of_constant_chain_completes(self):
-        b = IRBuilder("m")
-        with b.function("f") as f:
-            x = f.li(5)
-            y = f.add(x, 1)
-            z = f.mul(y, y)
-            f.ret(z)
-        func = b.module.function("f")
-        rd = compute_reaching_defs(func)
-        sites, complete = backward_slice(func, rd, "entry", 3, z.index)
-        assert complete
-        assert len(sites) == 3
-        assert slice_is_reconstructible(func, sites)
-
-    def test_slice_through_load_not_reconstructible(self):
-        b = IRBuilder("m")
-        with b.function("f") as f:
-            a = f.li(0x10000)
-            v = f.load(a)
-            w = f.add(v, 1)
-            f.ret(w)
-        func = b.module.function("f")
-        rd = compute_reaching_defs(func)
-        sites, complete = backward_slice(func, rd, "entry", 3, w.index)
-        assert complete
-        assert not slice_is_reconstructible(func, sites)
-
-    def test_slice_instruction_order(self):
-        b = IRBuilder("m")
-        with b.function("f") as f:
-            x = f.li(5)
-            y = f.add(x, 1)
-            f.ret(y)
-        func = b.module.function("f")
-        rd = compute_reaching_defs(func)
-        sites, complete = backward_slice(func, rd, "entry", 2, y.index)
-        assert complete
-        instrs = slice_instructions(func, sites)
-        assert len(instrs) == 2
-        # Producer before consumer.
-        assert instrs[0].defs()[0] == x
-        assert instrs[1].defs()[0] == y
-
-    def test_slice_size_cap(self):
-        b = IRBuilder("m")
-        with b.function("f") as f:
-            x = f.li(1)
-            for _ in range(100):
-                x = f.add(x, 1)
-            f.ret(x)
-        func = b.module.function("f")
-        rd = compute_reaching_defs(func)
-        sites, complete = backward_slice(func, rd, "entry", 101, x.index, max_sites=10)
-        assert not complete
