@@ -20,6 +20,7 @@ Volatile state — register files, L1/L2, the DRAM cache, and the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.nvm import WpqRecord
@@ -83,7 +84,9 @@ class CrashState:
         )
 
 
-def capture_crash_state(system: CapriSystem) -> CrashState:
+def capture_crash_state(
+    system: CapriSystem, previous: Optional[CrashState] = None
+) -> CrashState:
     """Snapshot the persistent domain of a (possibly mid-run) system.
 
     The containers are copied, so post-capture execution cannot change
@@ -99,25 +102,58 @@ def capture_crash_state(system: CapriSystem) -> CrashState:
     WPQ record, and brings the checkpoint-slot shadow words up to date
     from the values written.  Each is computed once — a later capture
     sharing the entry, record or slot write finds it done.
+
+    ``previous`` is an earlier snapshot of the same system.  When the
+    live domain still equals it, it is returned itself rather than a
+    copy: recovery reads only the domain (§5.4), and callers tamper with
+    clones, never with a snapshot in place.  A snapshot that was edited
+    in place no longer equals the live domain, so it is never handed
+    out again.
     """
     if system.persist is None:
         raise ValueError("cannot capture crash state of a volatile system")
     core_entries = [
         pipe.entries_in_order() for pipe in system.persist.pipelines
     ]
+    nvm = system.nvm
+    if previous is not None and _holds_domain(previous, core_entries, nvm):
+        return previous
     for entries in core_entries:
         for entry in entries:
             entry.intact  # a first read fixes the checksum and seals it
-    wpq = list(system.nvm.wpq)
+    wpq = list(nvm.wpq)
     for rec in wpq:
         rec.checksum  # a first read fixes the checksum
     return CrashState(
-        nvm_image=dict(system.nvm.image),
+        nvm_image=dict(nvm.image),
         core_entries=core_entries,
         num_cores=len(core_entries),
-        pc_checkpoints=dict(system.nvm.pc_checkpoints),
+        pc_checkpoints=dict(nvm.pc_checkpoints),
         wpq=wpq,
-        ckpt_shadow=dict(system.nvm.ckpt_shadow),
+        ckpt_shadow=dict(nvm.ckpt_shadow),
+    )
+
+
+def _same_objects(live, held) -> bool:
+    return len(live) == len(held) and all(map(is_, live, held))
+
+
+def _holds_domain(state: CrashState, core_entries, nvm) -> bool:
+    """Does ``state`` hold exactly the live persistent domain?
+
+    Proxy entries and WPQ records are compared by identity: both are
+    never edited (a merge, valid-bit swap or tear makes a new object),
+    so the same objects in the same order are the same contents, and
+    every NVM write appends a new WPQ record.  The word maps are
+    compared by value, which also catches a snapshot edited in place.
+    """
+    return (
+        len(state.core_entries) == len(core_entries)
+        and all(map(_same_objects, core_entries, state.core_entries))
+        and _same_objects(nvm.wpq, state.wpq)
+        and nvm.pc_checkpoints == state.pc_checkpoints
+        and nvm.ckpt_shadow == state.ckpt_shadow
+        and nvm.image == state.nvm_image
     )
 
 

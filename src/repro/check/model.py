@@ -179,6 +179,9 @@ class PersistencyModel(Observer):
         #: skip them — the writeback races the recovery passes).
         self.wb_addrs: set = set()
         self.checks = 0
+        #: bumped by every mutator below, so an unchanged version means
+        #: every whole-state check would read the same model.
+        self.version = 0
 
     def core(self, core: int) -> CoreModel:
         cm = self.cores.get(core)
@@ -191,6 +194,7 @@ class PersistencyModel(Observer):
 
     def machine_store(self, core: int, addr: int, value: int, old: int) -> None:
         """An architectural store (or atomic) retired on ``core``."""
+        self.version += 1
         cm = self.core(core)
         w = self.writers.get(addr)
         if w is None:
@@ -206,10 +210,12 @@ class PersistencyModel(Observer):
             rec[2] = value
 
     def machine_ckpt(self, core: int, slot_addr: int, value: int) -> None:
+        self.version += 1
         self.core(core).staging[slot_addr] = value
 
     def machine_boundary(self, core: int, region_id: int, continuation: Any) -> None:
         """A region boundary retired; commit the open region if it emits."""
+        self.version += 1
         cm = self.core(core)
         emit = bool(cm.open_stores) or bool(cm.staging) or region_id == -1
         if not emit:
@@ -246,6 +252,7 @@ class PersistencyModel(Observer):
     def entry_created(
         self, core: int, seq: int, addr: int, undo: int, redo: int
     ) -> List[Finding]:
+        self.version += 1
         cm = self.core(core)
         self.checks += 1
         out: List[Finding] = []
@@ -288,6 +295,7 @@ class PersistencyModel(Observer):
     def entry_merged(
         self, core: int, seq: int, addr: int, redo: int
     ) -> List[Finding]:
+        self.version += 1
         cm = self.core(core)
         self.checks += 1
         out: List[Finding] = []
@@ -339,6 +347,7 @@ class PersistencyModel(Observer):
     def redo_drained(
         self, core: int, seq: int, addr: int, value: int
     ) -> List[Finding]:
+        self.version += 1
         cm = self.core(core)
         self.checks += 1
         out: List[Finding] = []
@@ -418,6 +427,7 @@ class PersistencyModel(Observer):
         return out
 
     def redo_skipped(self, core: int, seq: int, addr: int) -> List[Finding]:
+        self.version += 1
         cm = self.core(core)
         self.checks += 1
         out: List[Finding] = []
@@ -461,6 +471,7 @@ class PersistencyModel(Observer):
         ckpts_written: Dict[int, int],
         pc_written: bool,
     ) -> List[Finding]:
+        self.version += 1
         cm = self.core(core)
         self.checks += 1
         out: List[Finding] = []
@@ -548,6 +559,7 @@ class PersistencyModel(Observer):
         """A dirty line word reached NVM via the regular path: with
         stale-read prevention on, every live redo word for ``addr`` is
         now superseded and must not drain (Section 5.3.2)."""
+        self.version += 1
         self.wb_addrs.add(addr)
         if not self.prevention:
             return

@@ -38,7 +38,7 @@ from repro.api import RunSpec
 from repro.arch.params import SimParams
 from repro.compiler import OptConfig
 from repro.eval.figures import grid, normalized, run_grid
-from repro.eval.report import format_table, scale_arg
+from repro.eval.report import format_table, scale_arg, workers_arg
 from repro.workloads.probes import STREAM_PROBE
 
 #: Store-dense benchmarks stress the proxy pipeline hardest.
@@ -220,7 +220,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro ablations")
     parser.add_argument("ablation", choices=[*_ABLATIONS, "all"])
     parser.add_argument("--scale", type=scale_arg, default=0.5)
-    parser.add_argument("--workers", type=int, default=0,
+    parser.add_argument("--workers", type=workers_arg, default=0,
                         help="sweep-engine worker processes (0 = serial)")
     args = parser.parse_args(argv)
     names = list(_ABLATIONS) if args.ablation == "all" else [args.ablation]

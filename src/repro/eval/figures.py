@@ -39,6 +39,7 @@ from repro.eval.report import (
     geomean,
     render_bars,
     scale_arg,
+    workers_arg,
 )
 from repro.workloads import SUITES, get_workload
 
@@ -272,7 +273,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--suite", choices=list(FIGURE_SUITES), default=None)
     parser.add_argument("--chart", action="store_true",
                         help="render bar charts instead of tables")
-    parser.add_argument("--workers", type=int, default=0,
+    parser.add_argument("--workers", type=workers_arg, default=0,
                         help="sweep-engine worker processes (0 = serial)")
     args = parser.parse_args(argv)
 

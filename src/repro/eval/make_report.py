@@ -17,7 +17,7 @@ import os
 import time
 from typing import List, Optional, Sequence
 
-from repro.eval.report import scale_arg
+from repro.eval.report import scale_arg, workers_arg
 
 
 def _command(argv: List[str]) -> List[str]:
@@ -85,7 +85,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro report")
     parser.add_argument("--out", default="results/REPORT.md")
     parser.add_argument("--scale", type=scale_arg, default=1.0)
-    parser.add_argument("--workers", type=int, default=0,
+    parser.add_argument("--workers", type=workers_arg, default=0,
                         help="sweep-engine worker processes (0 = serial)")
     args = parser.parse_args(argv)
     report = generate_report(scale=args.scale, workers=args.workers)

@@ -31,6 +31,23 @@ def scale_arg(text: str) -> float:
     return value
 
 
+def workers_arg(text: str) -> int:
+    """``argparse`` type of every sweep-running CLI's ``--workers``: a
+    usage error (exit 2) naming the value unless it is an integer from
+    0 (serial) to :data:`~repro.sweep.engine.MAX_WORKERS`."""
+    from repro.sweep.engine import MAX_WORKERS
+
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value <= MAX_WORKERS:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer from 0 to {MAX_WORKERS}, got {text!r}"
+        )
+    return value
+
+
 def format_table(
     title: str,
     rows: Sequence[str],

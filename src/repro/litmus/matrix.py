@@ -242,7 +242,6 @@ def _judge_point(
 ) -> Tuple[List[Dict[str, object]], int]:
     """Recover + judge one captured crash state end to end."""
     from repro.arch.recovery import RecoveryError, recover, resume_and_finish
-    from repro.fault.oracle import data_image
     from repro.isa.machine import MachineError
 
     try:
@@ -268,8 +267,11 @@ def _judge_point(
             {"component": "resume-run", "error": type(exc).__name__, "detail": str(exc)}
         )
         return failures, checks + 1
+    # The judge reads only ``program.addrs``, none of them checkpoint
+    # storage (run_litmus_program refuses such a program), so the live
+    # memory needs no masked copy.
     final_failures, final_checks = _judge_final_state(
-        program, snap, mw_addrs, finals, golden_data, data_image(machine)
+        program, snap, mw_addrs, finals, golden_data, machine.memory
     )
     return failures + final_failures, checks + final_checks
 
@@ -297,6 +299,15 @@ def run_litmus_program(
     benchmark harness (perfbench/workloads.py) passes ``cache=None``;
     drop it with the next change to the benchmark.
     """
+    from repro.ir.module import is_ckpt_addr
+
+    in_ckpt = [addr for addr in program.addrs if is_ckpt_addr(addr)]
+    if in_ckpt:
+        raise ValueError(
+            f"litmus program {program.name!r} observes checkpoint storage "
+            f"at {in_ckpt[0]:#x}; its final words are judged on the "
+            "resumed machine's unmasked memory"
+        )
     if params is None:
         params = litmus_params()
     started = time.perf_counter()

@@ -30,7 +30,7 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from repro.compiler import OptConfig
-from repro.eval.report import format_table
+from repro.eval.report import format_table, workers_arg
 from repro.jsonout import add_json_arg, write_envelope
 
 
@@ -65,7 +65,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--quantum", type=int, default=32)
     parser.add_argument(
-        "--workers", type=int, default=0, help="worker processes (0 = serial)"
+        "--workers", type=workers_arg, default=0,
+        help="worker processes (0 = serial)",
     )
     parser.add_argument(
         "--cache-dir",

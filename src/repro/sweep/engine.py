@@ -279,6 +279,11 @@ def _worker(
                 signal.signal(signal.SIGALRM, old_handler)
 
 
+#: The most worker processes a sweep will start: ``run_specs`` and every
+#: CLI's ``--workers`` refuse more before any pool exists.
+MAX_WORKERS = 64
+
+
 def _pool_context():
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else None)
@@ -298,7 +303,9 @@ def run_specs(
     """Execute ``specs`` (plus their derived baselines) and report.
 
     ``workers=0`` (or 1) runs serially in-process; ``workers=N`` fans out
-    over an ``N``-process pool.  ``cache`` accepts anything
+    over an ``N``-process pool.  Any other value — below 0, above
+    :data:`MAX_WORKERS`, or not an integer — raises :class:`ValueError`
+    before anything runs.  ``cache`` accepts anything
     :func:`~repro.sweep.cache.resolve_cache` does; ``None`` disables disk
     memoisation (completed runs are still deduplicated within the call).
     Per-spec ``timeout_s`` is enforced with ``SIGALRM`` inside workers
@@ -310,6 +317,11 @@ def run_specs(
     <repro.sweep.cache.ResultCache.stale_log>` onto the spec's
     :class:`SpecStatus`.
     """
+    if not (isinstance(workers, int) and 0 <= workers <= MAX_WORKERS):
+        raise ValueError(
+            f"workers must be an integer from 0 to {MAX_WORKERS}, "
+            f"got {workers!r}"
+        )
     started = time.perf_counter()
     store = resolve_cache(cache)
     report = SweepReport(workers=workers)

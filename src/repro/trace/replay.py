@@ -27,6 +27,14 @@ violations are monotone in the prefix, so the per-point report is the
 stream-prefix violations plus this point's own whole-state findings,
 capped per point — exactly what a fresh checker at that point would
 hold.
+
+Most crash points leave the persistent domain as the point before left
+it (85% of the litmus corpus's), so a point whose domain did not change
+gets the previous point's snapshot object back, and skips the
+crash-state comparison when the checker's model did not change either
+(:attr:`~repro.check.model.PersistencyModel.version`) and the previous
+comparison found nothing: the same read-only check of the same inputs
+would find nothing again.
 """
 
 from __future__ import annotations
@@ -138,6 +146,10 @@ class TraceCampaignSource:
     point.  Requests behind the cursor (or after a terminal
     :meth:`CapriSystem.finish`, which drains destructively) rebuild from
     event 0; :attr:`rebuilds` counts them.
+
+    Consecutive points may return the same snapshot object: capture is
+    still called once per point, and hands back the previous point's
+    snapshot when the live domain equals it (see the module docstring).
     """
 
     def __init__(self, trace: ExecTrace, config) -> None:
@@ -170,6 +182,11 @@ class TraceCampaignSource:
         #: violations flagged while *streaming* events — monotone in the
         #: prefix, hence shared by every later point's report.
         self._stream = CheckReport()
+        #: the last point's snapshot, and the model version its crash-state
+        #: comparison ran at when that comparison found nothing (else
+        #: ``None``): see :meth:`capture_at`.
+        self._last_state = None
+        self._clean_version: Optional[int] = None
 
     def _drain_new(self) -> Tuple[List[Violation], int]:
         """Take the violations (and suppressed count) the checker flagged
@@ -224,13 +241,24 @@ class TraceCampaignSource:
             state = None
         else:
             self._advance_to(event_index)
-            state = capture_crash_state(self.system)
+            previous = self._last_state
+            state = self._last_state = capture_crash_state(
+                self.system, previous
+            )
             if self.checker is not None:
-                # Own containers, sealed shared entries and a read-only
-                # whole-state check: the live cursor is unperturbed and
-                # keeps marching.
-                self.checker.check_crash_state(state)
-                point_violations, point_suppressed = self._drain_new()
+                model = self.checker.model
+                if state is previous and model.version == self._clean_version:
+                    # Same snapshot, same model: the comparison would
+                    # find nothing again.  It still counts as a check.
+                    model.checks += 1
+                else:
+                    # Own containers, sealed shared entries and a read-only
+                    # whole-state check: the live cursor is unperturbed and
+                    # keeps marching.
+                    self.checker.check_crash_state(state)
+                    point_violations, point_suppressed = self._drain_new()
+                    clean = not point_violations and not point_suppressed
+                    self._clean_version = model.version if clean else None
         facade = (
             _PointChecker(self, point_violations, point_suppressed)
             if self.checker is not None

@@ -128,10 +128,10 @@ def _cases(program, model: str, monkeypatch) -> List[Tuple[CrashState, int]]:
     seen: Dict[str, Set[int]] = {}
     real = replay.capture_crash_state
 
-    def capture(system):
+    def capture(system, previous=None):
         seen.clear()
         seen.update(_unread(system))
-        return real(system)
+        return real(system, previous)
 
     monkeypatch.setattr(replay, "capture_crash_state", capture)
     cursor = TraceCampaignSource(trace, CampaignConfig(threshold=THRESHOLD))
@@ -164,6 +164,42 @@ def test_tear_of_a_never_read_checksum_is_caught(program, model, monkeypatch):
         rec = recover(faulted, module, strict=False)
         assert not rec.report.clean, (model, seed)
         assert any(f.kind == kind for f in rec.report.findings), (model, seed)
+
+
+@pytest.mark.parametrize("model", sorted(EXPECTED))
+def test_tear_of_a_shared_snapshot_is_caught(program, model):
+    """A point whose domain did not change gets the previous point's
+    snapshot back; tampering with it must be caught as at any other
+    point, and must not reach the snapshot the next point shares."""
+    module, trace = program
+    error, kind = EXPECTED[model]
+    cursor = TraceCampaignSource(trace, CampaignConfig(threshold=THRESHOLD))
+    previous = None
+    cases = 0
+    for k in range(len(trace)):
+        state, _, _ = cursor.capture_at(k)
+        shared, previous = state is previous, state
+        if not shared:
+            continue
+        slots = _verified_slots(state, module) if model == "corrupt-ckpt" else None
+        for seed in range(8):
+            faulted, notes = apply_faults(
+                state, get_models([model]), random.Random(seed)
+            )
+            if notes and (slots is None or notes[0].addr in slots):
+                break
+        else:
+            continue
+        with pytest.raises(error):
+            recover(faulted, module, strict=True)
+        rec = recover(faulted, module, strict=False)
+        assert not rec.report.clean, (model, k, seed)
+        assert any(f.kind == kind for f in rec.report.findings), (model, k, seed)
+        assert recover(state, module, strict=True).report.clean, (model, k)
+        cases += 1
+        if cases == CASES:
+            break
+    assert cases == CASES, f"{model}: too few shared snapshots to tamper with"
 
 
 def test_capture_leaves_no_checksum_to_compute(program):

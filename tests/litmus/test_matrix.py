@@ -55,6 +55,19 @@ class TestUnmutatedMatrix:
         )
 
 
+    def test_program_observing_checkpoint_storage_is_refused(self, program):
+        # The final-image judge reads the resumed machine's memory
+        # unmasked, so checkpoint words must never be among its addrs.
+        from dataclasses import replace
+
+        from repro.ir.module import ckpt_slot_addr
+
+        slot = ckpt_slot_addr(0, 0, 0)
+        bad = replace(program, private_addrs=[*program.private_addrs, slot])
+        with pytest.raises(ValueError, match=f"{slot:#x}"):
+            run_litmus_program(bad)
+
+
 class TestTeeth:
     def test_planted_mutant_yields_confirmed_minimal_witness(self, program):
         verdict = run_litmus_program(

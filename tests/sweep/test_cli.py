@@ -6,6 +6,7 @@ import pytest
 
 from repro.__main__ import main as repro_main
 from repro.sweep.cli import main as sweep_main
+from repro.sweep.engine import MAX_WORKERS
 
 SWEEP_ARGS = [
     "--benchmarks",
@@ -184,6 +185,58 @@ class TestScaleIsValidated:
         assert f"--scale: must be a finite number greater than 0, got {scale!r}" in (
             capsys.readouterr().err
         )
+
+
+class TestWorkersIsValidated:
+    """Every sweep-running CLI and the engine refuse a worker count
+    outside 0..MAX_WORKERS before any pool starts."""
+
+    @pytest.fixture(autouse=True)
+    def no_pool(self, monkeypatch):
+        import repro.sweep.engine as engine
+
+        def refuse():
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(engine, "_pool_context", refuse)
+
+    @pytest.mark.parametrize(
+        "workers", ["-3", "-1", str(MAX_WORKERS + 1), "1000000", "two"]
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figures", "fig8", "--suite", "stamp", "--scale", "0.05"],
+            ["ablations", "cores", "--scale", "0.05"],
+            ["report", "--scale", "0.05"],
+            ["sweep", *SWEEP_ARGS, "--no-cache", "--quiet"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_bad_workers_is_a_usage_error(self, argv, workers, tmp_path, capsys):
+        out = str(tmp_path / "REPORT.md")
+        extra = ["--out", out] if argv[0] == "report" else []
+        with pytest.raises(SystemExit) as exit_info:
+            repro_main([*argv, *extra, "--workers", workers])
+        assert exit_info.value.code == 2
+        assert (
+            f"--workers: must be an integer from 0 to {MAX_WORKERS}, "
+            f"got {workers!r}"
+        ) in capsys.readouterr().err
+
+    def test_bounds_are_accepted(self):
+        from repro.eval.report import workers_arg
+
+        assert workers_arg("0") == 0
+        assert workers_arg(str(MAX_WORKERS)) == MAX_WORKERS
+
+    @pytest.mark.parametrize("workers", [-1, MAX_WORKERS + 1, 10**6, 2.5])
+    def test_run_specs_refuses_before_running(self, workers):
+        from repro.api import RunSpec
+        from repro.sweep.engine import run_specs
+
+        with pytest.raises(ValueError, match=f"got {workers!r}"):
+            run_specs([RunSpec("ssca2", scale=0.05)], workers=workers)
 
 
 def _usage_subcommands():
