@@ -21,7 +21,7 @@ from repro.fault.campaign import (
     run_campaign,
     run_workload_campaign,
 )
-from repro.fault.oracle import InterpretedSource, golden_run
+from repro.fault.oracle import InterpretedSource
 from repro.isa import Machine
 from repro.trace.record import capture_trace
 from repro.workloads import get_workload
@@ -73,7 +73,6 @@ def test_exhaustive_campaign_speedup(benchmark):
         module,
         spawns,
         config,
-        golden=golden_run(module, spawns),
         source=InterpretedSource(module, spawns, config),
     )
     t_interp = time.perf_counter() - start

@@ -95,18 +95,8 @@ class PersistencyChecker(Observer):
         default_addr: Optional[int] = None,
     ) -> None:
         for kind, detail, addr, seq in findings:
-            if addr is None:
-                addr = default_addr
-            self.report.add(
-                Violation(
-                    kind=kind,
-                    core=core,
-                    detail=detail,
-                    event_index=self.event_index,
-                    addr=addr,
-                    seq=seq,
-                    witness=minimize_witness(self._ring, core=core, addr=addr),
-                )
+            self._crash_violation(
+                kind, core, detail, default_addr if addr is None else addr, seq
             )
 
     def _witness(self, *ev) -> None:
@@ -361,6 +351,8 @@ class PersistencyChecker(Observer):
         addr: Optional[int] = None,
         seq: Optional[int] = None,
     ) -> None:
+        """Report one finding, streaming or whole-state, with its
+        minimized witness: the one place a :class:`Violation` is built."""
         self.report.add(
             Violation(
                 kind=kind,

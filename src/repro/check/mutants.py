@@ -21,11 +21,10 @@ end-of-run :meth:`~repro.check.checker.PersistencyChecker.finalize`
 still runs).  Recovery-path mutants cannot fire during forward
 execution; they are detected by crashing at several points through a
 faithful campaign source (:class:`repro.trace.replay.TraceCampaignSource`,
-driven by each workload's event stream captured once with
-:func:`repro.trace.record.capture_trace`), recovering with the mutation
-planted, and checking the recovered state against the model's committed
-prefix.  Mutations live in the simulated pipelines and in recovery,
-never in the event stream.
+built once per workload, which captures its event stream once),
+recovering with the mutation planted, and checking the recovered state
+against the model's committed prefix.  Mutations live in the simulated
+pipelines and in recovery, never in the event stream.
 """
 
 from __future__ import annotations
@@ -224,15 +223,14 @@ def run_mutant_matrix(
     and throttled write port open the windows the mutants need.
 
     The baseline and every persistence-path mutant are interpreted
-    (:func:`checked_run`); each workload's trace is captured once for the
-    one probe source shared by the baseline and recovery-mutant probes.
+    (:func:`checked_run`); each workload gets one probe source, shared by
+    the baseline and recovery-mutant probes.
     Raises :class:`ValueError`, before any run, if ``mutants`` is empty
     (a matrix of no mutants detects nothing) or names an unknown one.
     """
     from repro.api import RunSpec, build_spec
     from repro.compiler import OptConfig
     from repro.fault.campaign import CampaignConfig
-    from repro.trace.record import capture_trace
     from repro.trace.replay import TraceCampaignSource
 
     start = time.perf_counter()
@@ -251,9 +249,13 @@ def run_mutant_matrix(
         module, spawns = build_spec(
             RunSpec(workload=wl, scale=scale, config=OptConfig.licm(threshold))
         )
-        trace = capture_trace(module, spawns, max_steps=_MAX_STEPS)
         source = TraceCampaignSource(
-            trace, CampaignConfig(params=params, threshold=threshold, check=True)
+            module,
+            spawns,
+            CampaignConfig(
+                params=params, threshold=threshold, check=True,
+                max_steps=_MAX_STEPS,
+            ),
         )
         built[wl] = (module, spawns, source)
         checker, error = checked_run(module, spawns, params, threshold)

@@ -8,12 +8,15 @@ surviving front-/back-end entries (at most FE + BE ≈ threshold + 33
 entries per core) plus one register reload and the region's recovery
 blocks.
 
-:func:`analyze_recovery` sweeps crash points over a workload — captured
-once and replayed by one :class:`~repro.trace.replay.TraceCampaignSource`
-— and reports, per crash: entries scanned, undo/redo words written,
-checkpoint slots reloaded, recovery-block instructions executed, and a
-wall-clock estimate under the Table 1 latencies.  :func:`recovery_latency_model` turns one
-:class:`~repro.arch.recovery.RecoveredState` into nanoseconds.
+:func:`analyze_recovery` sweeps crash points over a workload through
+one crash source, ``TraceCampaignSource(module, spawns, config)``
+(:mod:`repro.trace.replay`), which captures the workload once at the
+config's quantum and step budget and replays it — and reports, per
+crash: entries scanned, undo/redo words written, checkpoint slots
+reloaded, recovery-block instructions executed, and a wall-clock
+estimate under the Table 1 latencies.  :func:`recovery_latency_model`
+turns one :class:`~repro.arch.recovery.RecoveredState` into
+nanoseconds.
 
 Command line::
 
@@ -32,7 +35,6 @@ from repro.arch.params import SimParams
 from repro.arch.recovery import RecoveredState, recover
 from repro.compiler import OptConfig, RegionFormationError
 from repro.fault.campaign import CampaignConfig
-from repro.trace.record import capture_trace
 from repro.trace.replay import TraceCampaignSource
 
 
@@ -132,7 +134,8 @@ def analyze_recovery(
     )
     capri, spawns = build_spec(spec)
     source = TraceCampaignSource(
-        capture_trace(capri, spawns),
+        capri,
+        spawns,
         CampaignConfig(params=params or SimParams.scaled(), threshold=threshold),
     )
     sweep = RecoverySweep(workload=workload_name, threshold=threshold)

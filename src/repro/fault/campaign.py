@@ -2,13 +2,14 @@
 
 One campaign = one workload × one fault combination × a set of crash
 points (every observer event, or a deterministic seeded sample for long
-traces).  The workload's event stream is captured once per campaign,
-in memory (:func:`repro.trace.record.capture_trace`; traces are never
-stored on disk); every crash point is then served by a *source*
-replaying it (:class:`repro.trace.replay.TraceCampaignSource`), which
-takes every setting, planted mutations included, from the campaign's
-:class:`CampaignConfig`.  Per point,
-:func:`run_crash_point`:
+traces).  Every crash point is served by one crash *source*, built from
+the program and the campaign's :class:`CampaignConfig` (which supplies
+every setting, planted mutations included):
+``TraceCampaignSource(module, spawns, config)``
+(:mod:`repro.trace.replay`) captures the workload's event stream once,
+in memory (traces are never stored on disk), and replays it.  The
+source also owns the golden result every point is judged against
+(``source.golden``).  Per point, :func:`run_crash_point`:
 
 1. advances the source to the crash point and captures the persistent
    domain (``source.capture_at``),
@@ -450,7 +451,6 @@ def _chain_seed(seed: int, event_index: int, prefix: Tuple[int, ...]) -> int:
 def run_crash_point(
     module: Module,
     spawns: Sequence[Tuple[str, Sequence[int]]],
-    golden: GoldenResult,
     event_index: int,
     models: Sequence[FaultModel],
     config: CampaignConfig,
@@ -463,12 +463,13 @@ def run_crash_point(
     point's single-crash verdict; chain leaves follow, each after the
     longer chains that extend it.
 
-    ``source`` serves the crash capture: anything with a
-    ``capture_at(event_index) -> (state, pre_crash_io, checker)`` method —
+    ``source`` serves the crash capture and the golden result: anything
+    with a ``capture_at(event_index) -> (state, pre_crash_io, checker)``
+    method and a ``golden`` —
     :class:`repro.trace.replay.TraceCampaignSource` in campaigns, the
     reference :class:`repro.fault.oracle.InterpretedSource` in tests and
-    the exhaustive-campaign benchmark; both are configured by ``config``.
-    Everything downstream (fault injection, recovery, resume, judging,
+    the exhaustive-campaign benchmark; both are built from
+    ``(module, spawns, config)``.  Everything downstream (fault injection, recovery, resume, judging,
     secondary crashes on :class:`CrashState` clones) is state-based and
     identical either way.
     """
@@ -543,7 +544,7 @@ def run_crash_point(
         return judge_recovered(
             module,
             spawns,
-            golden,
+            source.golden,
             event_index,
             recovered,
             pre_crash_io,
@@ -639,46 +640,36 @@ def run_campaign(
     spawns: Sequence[Tuple[str, Sequence[int]]],
     config: Optional[CampaignConfig] = None,
     name: str = "<module>",
-    golden: Optional[GoldenResult] = None,
     source=None,
 ) -> CampaignResult:
     """Sweep crash points over an already-compiled module.
 
-    By default the module's event stream is captured once into an
-    :class:`~repro.trace.record.ExecTrace`, which yields the golden
-    result and serves every crash point by replay.  A caller holding a
-    trace passes its ``source`` (and ``golden``); the reference
-    :class:`~repro.fault.oracle.InterpretedSource` is passed the same way,
-    with ``golden=golden_run(...)``.
+    ``source`` defaults to the replay source,
+    ``TraceCampaignSource(module, spawns, config)``, which captures the
+    module's event stream once; the reference
+    :class:`~repro.fault.oracle.InterpretedSource` is built and passed
+    the same way.  The golden result is the source's own
+    (``source.golden``).
     """
     config = config or CampaignConfig()
     models = get_models(config.models)
     if source is None:
-        from repro.trace.record import capture_trace
-        from repro.trace.replay import TraceCampaignSource, golden_from_trace
+        from repro.trace.replay import TraceCampaignSource
 
-        trace = capture_trace(
-            module, spawns, quantum=config.quantum, max_steps=config.max_steps
-        )
-        source = TraceCampaignSource(trace, config)
-        if golden is None:
-            golden = golden_from_trace(trace)
-    elif golden is None:
-        raise ValueError("a caller-supplied source needs its golden result")
-    points = select_crash_points(
-        golden.total_events, config.sample, config.seed
-    )
+        source = TraceCampaignSource(module, spawns, config)
+    total_events = source.golden.total_events
+    points = select_crash_points(total_events, config.sample, config.seed)
     result = CampaignResult(
         workload=name,
         models=tuple(m.name for m in models),
         strict=config.strict,
         seed=config.seed,
-        total_events=golden.total_events,
+        total_events=total_events,
         depth=max(1, config.depth),
     )
     for at in points:
         outcomes, truncated = run_crash_point(
-            module, spawns, golden, at, models, config, source
+            module, spawns, at, models, config, source
         )
         result.outcomes.extend(outcomes)
         result.truncated_chains += truncated
@@ -693,7 +684,6 @@ def run_campaign(
             outcomes, _ = run_crash_point(
                 module,
                 spawns,
-                golden,
                 index,
                 get_models(model_names),
                 probe,
@@ -717,10 +707,11 @@ def run_workload_campaign(
     """Build a registry workload, compile it with Capri, and sweep it.
 
     The program is ``workload`` compiled with ``licm(config.threshold)``
-    at ``scale``; :func:`run_campaign` captures its trace once, in
-    memory.  ``cache`` is read by no code: traces are never stored.  It
-    stays only because the benchmark harness (perfbench/workloads.py)
-    passes ``cache=None``; drop it with the next change to the benchmark.
+    at ``scale``; :func:`run_campaign`'s crash source captures its
+    trace once, in memory.  ``cache`` is read by no code: traces are
+    never stored.  It stays only because the benchmark harness
+    (perfbench/workloads.py) passes ``cache=None``; drop it with the
+    next change to the benchmark.
     """
     from repro.api import RunSpec, build_spec
     from repro.compiler import OptConfig

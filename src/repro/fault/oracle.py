@@ -22,16 +22,22 @@ event index downward.
 :class:`InterpretedSource` is the reference crash-capture engine: it
 re-interprets the IR from event 0 to every crash point.  Campaigns run on
 captured-trace replay (:class:`repro.trace.replay.TraceCampaignSource`);
-this source is what that engine is pinned against, configured by the
-same :class:`~repro.fault.campaign.CampaignConfig`.  The comparison
-lives in the tests (``tests/trace/test_campaign_replay.py``) and in the
-exhaustive-campaign benchmark
+this source is what that engine is pinned against.  Both crash sources
+are built the same way, ``Source(module, spawns, config)`` from the
+program and one :class:`~repro.fault.campaign.CampaignConfig`, and both
+own the program's :class:`GoldenResult` as ``source.golden``: the replay
+source reads it off its captured trace, this one runs
+:func:`golden_run` independently.  The comparison lives in the tests
+(``tests/trace/test_campaign_replay.py``,
+``tests/trace/test_source_parity.py``) and in the exhaustive-campaign
+benchmark
 (``benchmarks/test_trace_replay.py::test_exhaustive_campaign_speedup``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.crash import CrashPlan, run_built_until_crash
@@ -103,7 +109,9 @@ class InterpretedSource:
 
     Every capture runs a fresh system from event 0, so a sweep costs
     O(events²/2); :attr:`rebuilds` counts the captures after the first
-    (each one re-runs from event 0).
+    (each one re-runs from event 0).  :attr:`golden` is an independent
+    crash-free :func:`golden_run` at the same quantum and step budget,
+    run on first use.
     """
 
     def __init__(self, module: Module, spawns, config) -> None:
@@ -111,6 +119,15 @@ class InterpretedSource:
         self.spawns = spawns
         self.config = config
         self._captures = 0
+
+    @cached_property
+    def golden(self) -> GoldenResult:
+        return golden_run(
+            self.module,
+            self.spawns,
+            quantum=self.config.quantum,
+            max_steps=self.config.max_steps,
+        )
 
     @property
     def rebuilds(self) -> int:

@@ -1,11 +1,11 @@
 """The litmus execution matrix: crash everywhere, judge every outcome.
 
-For one program the matrix (1) captures the golden event stream once
-(:func:`repro.trace.record.capture_trace`), (2) derives one
-:class:`~repro.litmus.oracle.OutcomeSnapshot` per crash index, then
-(3) sweeps a crash at **every** observer event through the
-replay-accelerated campaign engine
-(:class:`repro.trace.replay.TraceCampaignSource`) and judges each
+For one program the matrix (1) builds its crash source,
+:class:`repro.trace.replay.TraceCampaignSource`, which captures the
+golden event stream once, (2) derives one
+:class:`~repro.litmus.oracle.OutcomeSnapshot` per crash index from the
+source's trace, then (3) sweeps a crash at **every** observer event
+through that replay-accelerated source and judges each
 recovered state on three components:
 
 * **nvm** — every data word of the recovered NVM image is in the
@@ -313,19 +313,8 @@ def run_litmus_program(
     started = time.perf_counter()
     from repro.fault.campaign import CampaignConfig
     from repro.fault.oracle import InterpretedSource
-    from repro.trace.record import capture_trace
-    from repro.trace.replay import TraceCampaignSource, golden_from_trace
+    from repro.trace.replay import TraceCampaignSource
 
-    trace = capture_trace(
-        program.module,
-        program.spawns,
-        quantum=program.quantum,
-        max_steps=max_steps,
-    )
-    snapshots = oracle_snapshots(trace)
-    finals = per_core_last_writes(trace)
-    mw_addrs = frozenset(multi_writer_addrs(trace))
-    golden_data = golden_from_trace(trace).data
     config = CampaignConfig(
         threshold=threshold,
         quantum=program.quantum,
@@ -336,7 +325,12 @@ def run_litmus_program(
     )
     # Mutations plant in the replayed *system* (pipeline bugs) and in
     # recovery below (recovery bugs) — each layer reads its own flags.
-    source = TraceCampaignSource(trace, config)
+    source = TraceCampaignSource(program.module, program.spawns, config)
+    trace = source.trace
+    snapshots = oracle_snapshots(trace)
+    finals = per_core_last_writes(trace)
+    mw_addrs = frozenset(multi_writer_addrs(trace))
+    golden_data = source.golden.data
 
     forbidden = 0
     checks = 0

@@ -30,7 +30,7 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from repro.compiler import OptConfig
-from repro.eval.report import format_table, workers_arg
+from repro.eval.report import format_table, scale_arg, workers_arg
 from repro.jsonout import add_json_arg, write_envelope
 
 
@@ -62,7 +62,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="sweep the Figure 9 optimisation ladder instead of thresholds",
     )
-    parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--scale", type=scale_arg, default=1.0)
     parser.add_argument("--quantum", type=int, default=32)
     parser.add_argument(
         "--workers", type=workers_arg, default=0,
@@ -75,10 +75,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--no-cache", action="store_true", help="disable the on-disk cache"
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-spec timeout in seconds (parallel mode only)",
     )
     add_json_arg(parser)
     parser.add_argument(
@@ -124,11 +120,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for label, config in configs.items()
     ]
     report = run_specs(
-        specs,
-        workers=args.workers,
-        cache=cache,
-        progress=progress,
-        timeout_s=args.timeout,
+        specs, workers=args.workers, cache=cache, progress=progress
     )
 
     columns = list(configs.keys())

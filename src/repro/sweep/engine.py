@@ -16,7 +16,7 @@ rule in :meth:`~repro.api.MemoRun.serves` decides when the earlier run's
 metrics are exactly this spec's.
 
 Degradation contract: a worker exception (unknown workload, compiler
-bug, timeout) marks *that spec* failed with the captured traceback and
+bug) marks *that spec* failed with the captured traceback and
 the sweep continues; an instrumented spec whose baseline failed is marked
 failed without being run.  Parallel results are bit-identical to serial
 ones — both paths round-trip metrics through the same JSON-able dict
@@ -27,7 +27,6 @@ deterministic.
 from __future__ import annotations
 
 import multiprocessing
-import signal
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -214,14 +213,6 @@ class SweepError(RuntimeError):
 # worker
 # ---------------------------------------------------------------------------
 
-class _Timeout(Exception):
-    pass
-
-
-def _alarm_handler(signum, frame):  # pragma: no cover - signal path
-    raise _Timeout("spec timed out")
-
-
 #: A pool worker's simulation memo, fresh in each worker process.
 _worker_memo: Optional[SimulationMemo] = None
 
@@ -232,7 +223,7 @@ def _start_worker() -> None:
 
 
 def _worker(
-    job: Tuple[str, RunSpec, Optional[float]],
+    job: Tuple[str, RunSpec],
     memo: Optional[SimulationMemo] = None,
 ):
     """Run one spec; always returns, never raises (pool stays healthy).
@@ -244,14 +235,9 @@ def _worker(
     parallel, serial and warm runs bit-identical.  ``memo`` defaults to
     the pool worker's own.
     """
-    fingerprint, spec, timeout_s = job
+    fingerprint, spec = job
     start = time.perf_counter()
-    old_handler = None
-    use_alarm = timeout_s is not None and hasattr(signal, "SIGALRM")
     try:
-        if use_alarm:
-            old_handler = signal.signal(signal.SIGALRM, _alarm_handler)
-            signal.setitimer(signal.ITIMER_REAL, timeout_s)
         result = execute_spec(spec, memo if memo is not None else _worker_memo)
         return (
             fingerprint,
@@ -272,11 +258,6 @@ def _worker(
             traceback.format_exc(),
             False,
         )
-    finally:
-        if use_alarm:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            if old_handler is not None:
-                signal.signal(signal.SIGALRM, old_handler)
 
 
 #: The most worker processes a sweep will start: ``run_specs`` and every
@@ -298,7 +279,6 @@ def run_specs(
     workers: int = 0,
     cache: Union[ResultCache, str, None, bool] = None,
     progress: Optional[ProgressFn] = None,
-    timeout_s: Optional[float] = None,
 ) -> SweepReport:
     """Execute ``specs`` (plus their derived baselines) and report.
 
@@ -308,8 +288,6 @@ def run_specs(
     before anything runs.  ``cache`` accepts anything
     :func:`~repro.sweep.cache.resolve_cache` does; ``None`` disables disk
     memoisation (completed runs are still deduplicated within the call).
-    Per-spec ``timeout_s`` is enforced with ``SIGALRM`` inside workers
-    (parallel mode only — a serial alarm would kill the caller).
 
     Every status says why its spec ran: a miss on a dependency-stale
     cache entry copies the entry's stale subsystems and old
@@ -365,7 +343,7 @@ def run_specs(
             progress(status)
 
     def run_wave(wave: Dict[str, SpecStatus]) -> None:
-        todo: List[Tuple[str, RunSpec, Optional[float]]] = []
+        todo: List[Tuple[str, RunSpec]] = []
         for fp, status in wave.items():
             if fp in completed:  # already produced this call
                 status.state = CACHED
@@ -402,7 +380,7 @@ def run_specs(
                     finish(status)
                     continue
             status.state = RUNNING
-            todo.append((fp, status.spec, timeout_s if workers > 1 else None))
+            todo.append((fp, status.spec))
 
         if not todo:
             return
@@ -415,7 +393,7 @@ def run_specs(
                     outcomes.append(outcome)
             except Exception as err:  # broken pool: fail what never returned
                 seen = {fp for fp, *_ in outcomes}
-                for fp, spec, _ in todo:
+                for fp, _ in todo:
                     if fp not in seen:
                         outcomes.append(
                             (fp, FAILED, None, [], 0.0,

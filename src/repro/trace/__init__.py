@@ -6,15 +6,12 @@ arch/persistence/checker layers straight from the columns to each crash
 point (:mod:`repro.trace.replay`) — the crash source,
 :class:`TraceCampaignSource`, behind every fault campaign
 (:mod:`repro.fault.campaign`).  Traces live only in memory: each
-campaign captures its own.  Crash-free runs are always interpreted.
+source captures its own from the program it is built from.  Crash-free
+runs are always interpreted.
 """
 
 from repro.trace.record import ExecTrace, TraceRecorder, capture_trace
-from repro.trace.replay import (
-    TraceCampaignSource,
-    build_replay_system,
-    golden_from_trace,
-)
+from repro.trace.replay import TraceCampaignSource, build_replay_system
 
 __all__ = [
     "ExecTrace",
@@ -22,5 +19,4 @@ __all__ = [
     "capture_trace",
     "TraceCampaignSource",
     "build_replay_system",
-    "golden_from_trace",
 ]

@@ -35,9 +35,11 @@ Boundary continuations are rare structured objects and live in a side
 table.
 
 The trace also carries everything a fault campaign derives from the
-golden run: the initial durable image, the final data image (checkpoint
-log area masked), the I/O log, and the total event count — so golden
-results, crash plans, and replay systems all come from the trace alone.
+golden run: the initial durable image, the final data image (masked by
+the differential oracle's own :func:`~repro.fault.oracle.data_image`),
+the I/O log, and, as its length, the total event count — so the crash
+source's golden result, its crash points and its replay system all come
+from the trace alone.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ from __future__ import annotations
 from array import array
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.ir.module import Module, is_ckpt_addr
+from repro.fault.oracle import data_image
+from repro.ir.module import Module
 from repro.isa.machine import Machine
 from repro.isa.trace import (
     EV_ATOMIC,
@@ -60,7 +63,8 @@ from repro.isa.trace import (
     Observer,
 )
 
-# Integer kind tags for the ``kinds`` column.
+# Integer kind tags for the ``kinds`` column; :meth:`ExecTrace.event`
+# maps each back to the string tag of :mod:`repro.isa.trace`.
 K_RETIRE = 0
 K_LOAD = 1
 K_STORE = 2
@@ -70,20 +74,6 @@ K_FENCE = 5
 K_ATOMIC = 6
 K_HALT = 7
 K_IO = 8
-
-#: kind tag -> the string tag :class:`~repro.isa.trace.CollectingObserver`
-#: uses, so :meth:`ExecTrace.event` round-trips to the same tuples.
-KIND_TAGS = (
-    EV_RETIRE,
-    EV_LOAD,
-    EV_STORE,
-    EV_CKPT,
-    EV_BOUNDARY,
-    EV_FENCE,
-    EV_ATOMIC,
-    EV_HALT,
-    EV_IO,
-)
 
 
 class ExecTrace:
@@ -101,7 +91,6 @@ class ExecTrace:
         "initial_data",
         "final_data",
         "io_log",
-        "total_retired",
     )
 
     def __init__(self) -> None:
@@ -123,16 +112,10 @@ class ExecTrace:
         self.final_data: Dict[int, int] = {}
         #: (core, port, value) in issue order.
         self.io_log: List[Tuple[int, int, int]] = []
-        self.total_retired = 0
 
     # -- introspection -------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.kinds)
-
-    @property
-    def total_events(self) -> int:
-        """Event count in the crash-index universe (one per callback)."""
         return len(self.kinds)
 
     def event(self, i: int) -> Tuple[Any, ...]:
@@ -297,11 +280,6 @@ def capture_trace(
     trace = recorder.trace
     trace.num_cores = max(1, len(spawns))
     trace.initial_data = dict(module.initial_data)
-    trace.final_data = {
-        addr: value
-        for addr, value in machine.memory.items()
-        if not is_ckpt_addr(addr)
-    }
+    trace.final_data = data_image(machine)
     trace.io_log = list(machine.io_log)
-    trace.total_retired = machine.total_retired
     return trace

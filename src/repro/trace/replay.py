@@ -7,7 +7,10 @@ and the crash injector can all be driven straight from the columns —
 no IR re-interpretation, no functional machine.  The one consumer is the
 crash source, :class:`TraceCampaignSource`, behind fault campaigns, the
 litmus and mutant matrices and the recovery-cost sweep (crash-free runs
-are interpreted).  Campaign crash points ascend
+are interpreted).  Like the interpreted reference it is built from the
+program, ``(module, spawns, config)``: it captures its own trace and
+owns the golden result derived from it, so no caller handles a trace
+to crash a program.  Campaign crash points ascend
 (:func:`~repro.fault.campaign.select_crash_points` sorts), so *one*
 replay system advanced monotonically serves every point: total arch
 work across an exhaustive sweep is O(events) instead of O(events²/2) —
@@ -47,6 +50,7 @@ from repro.arch.params import SimParams
 from repro.arch.system import CapriSystem
 from repro.check.violations import CheckReport, Violation
 from repro.fault.oracle import GoldenResult
+from repro.ir.module import Module
 from repro.isa.trace import Observer, TeeObserver
 from repro.trace.record import ExecTrace
 
@@ -77,20 +81,6 @@ def build_replay_system(
     )
     system.nvm.image.update(trace.initial_data)
     return system
-
-
-def golden_from_trace(trace: ExecTrace) -> GoldenResult:
-    """The differential oracle's golden result, straight off the trace.
-
-    Exactly what :func:`repro.fault.oracle.golden_run` would recompute:
-    the trace records the final data image with the same checkpoint-log
-    masking, the full I/O log, and one event per observer callback.
-    """
-    return GoldenResult(
-        data=dict(trace.final_data),
-        io_log=list(trace.io_log),
-        total_events=len(trace),
-    )
 
 
 class _PointChecker:
@@ -129,16 +119,19 @@ class _PointChecker:
 
 
 class TraceCampaignSource:
-    """The crash source behind every sweep: single-pass replay of a
-    captured trace over ascending crash points.
+    """The crash source behind every sweep: single-pass replay of the
+    program's captured trace over ascending crash points.
 
-    What :func:`repro.fault.campaign.run_campaign` accepts as ``source``:
-    anything with the ``capture_at(event_index)`` contract.  Every
-    setting comes from the sweep's
-    :class:`~repro.fault.campaign.CampaignConfig`: ``params``,
-    ``threshold``, ``check`` and ``mutations`` (whose pipeline flags
-    plant protocol bugs in the replayed system; recovery flags act only
-    in recovery).
+    Built like :class:`~repro.fault.oracle.InterpretedSource`, from the
+    program and the sweep's :class:`~repro.fault.campaign.CampaignConfig`:
+    the constructor captures :attr:`trace` at ``config.quantum`` within
+    ``config.max_steps``, and :attr:`golden` (the differential oracle's
+    golden result) comes straight off it — the trace records the final
+    data image, the full I/O log and one event per observer callback,
+    exactly what :func:`~repro.fault.oracle.golden_run` would recompute.
+    ``params``, ``threshold``, ``check`` and ``mutations`` (whose
+    pipeline flags plant protocol bugs in the replayed system; recovery
+    flags act only in recovery) configure the replay.
 
     ``capture_at(k)`` advances the live system from its current position
     to event ``k`` and snapshots the persistent domain — so an exhaustive
@@ -152,9 +145,19 @@ class TraceCampaignSource:
     snapshot when the live domain equals it (see the module docstring).
     """
 
-    def __init__(self, trace: ExecTrace, config) -> None:
-        self.trace = trace
+    def __init__(self, module: Module, spawns, config) -> None:
+        # Looked up per call, so a patched ``capture_trace`` is the one run.
+        from repro.trace.record import capture_trace
+
         self.config = config
+        self.trace = trace = capture_trace(
+            module, spawns, quantum=config.quantum, max_steps=config.max_steps
+        )
+        self.golden = GoldenResult(
+            data=dict(trace.final_data),
+            io_log=list(trace.io_log),
+            total_events=len(trace),
+        )
         self.rebuilds = -1  # the constructor's own _reset is not a rebuild
         self._io_positions = trace.io_positions()
         self._reset()

@@ -24,7 +24,6 @@ from repro.arch.proxy import KIND_BOUNDARY, KIND_DATA, ProxyEntry, entry_checksu
 from repro.fault.campaign import CampaignConfig
 from repro.fault.models import apply_faults, available_models, get_models
 from repro.isa.machine import Continuation
-from repro.trace.record import capture_trace
 from repro.trace.replay import TraceCampaignSource
 
 from tests.arch.conftest import (
@@ -138,19 +137,24 @@ class TestSeal:
 
 
 @pytest.fixture(scope="module")
-def loop_trace():
-    """A single-hart trace whose stores merge within regions."""
-    module = compile_capri(
+def loop_program():
+    """A single-hart program whose stores merge within regions."""
+    return compile_capri(
         build_update_loop(n_iters=40, arr_words=4), threshold=THRESHOLD
     )
-    return capture_trace(module, [("main", [])], quantum=32)
 
 
-def _mergeable_point(trace):
+def _source(module):
+    return TraceCampaignSource(
+        module, [("main", [])], CampaignConfig(threshold=THRESHOLD)
+    )
+
+
+def _mergeable_point(module):
     """The first crash point whose capture holds a boundary entry and a
     mergeable one."""
-    cursor = TraceCampaignSource(trace, CampaignConfig(threshold=THRESHOLD))
-    for k in range(len(trace)):
+    cursor = _source(module)
+    for k in range(len(cursor.trace)):
         state, _, _ = cursor.capture_at(k)
         (pipe,) = cursor.system.persist.pipelines
         (held,) = state.core_entries
@@ -165,13 +169,13 @@ def _ids(state):
 
 
 class TestSharing:
-    def test_capture_shares_live_entries(self, loop_trace):
-        _, _, state, pipe, _ = _mergeable_point(loop_trace)
+    def test_capture_shares_live_entries(self, loop_program):
+        _, _, state, pipe, _ = _mergeable_point(loop_program)
         assert _ids(state) == {id(e) for e in pipe.entries_in_order()}
         assert _ids(state.clone()) == _ids(state)
 
-    def test_hardware_edits_leave_the_snapshot_unchanged(self, loop_trace):
-        _, _, state, pipe, addr = _mergeable_point(loop_trace)
+    def test_hardware_edits_leave_the_snapshot_unchanged(self, loop_program):
+        _, _, state, pipe, addr = _mergeable_point(loop_program)
         frozen = entry_payloads(state.core_entries)
         assert all(e.intact for es in state.core_entries for e in es)
         edit_through_hardware(pipe, addr)
@@ -182,11 +186,11 @@ class TestSharing:
 
     @pytest.mark.parametrize("model", available_models())
     def test_fault_models_touch_neither_capture_nor_cursor(
-        self, loop_trace, model
+        self, loop_program, model
     ):
-        k, cursor, state, _, _ = _mergeable_point(loop_trace)
+        k, cursor, state, _, _ = _mergeable_point(loop_program)
         later = k + 3
-        reference = TraceCampaignSource(loop_trace, CampaignConfig(threshold=THRESHOLD))
+        reference = _source(loop_program)
         expect_now = entry_payloads(reference.capture_at(k)[0].core_entries)
         expect_later = entry_payloads(
             reference.capture_at(later)[0].core_entries

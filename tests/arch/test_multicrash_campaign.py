@@ -153,21 +153,18 @@ class TestDeterminism:
 
     def test_point_runner_returns_truncation(self):
         from repro.fault.models import get_models
-        from repro.trace.record import capture_trace
-        from repro.trace.replay import TraceCampaignSource, golden_from_trace
+        from repro.trace.replay import TraceCampaignSource
 
         module = compile_capri(build_update_loop(n_iters=8, arr_words=8))
         spawns = [("main", [])]
-        trace = capture_trace(module, spawns)
         cfg = _config(secondary_sample=None, max_chains_per_point=2)
         outcomes, truncated = run_crash_point(
             module,
             spawns,
-            golden_from_trace(trace),
             40,
             get_models(["clean"]),
             cfg,
-            TraceCampaignSource(trace, cfg),
+            TraceCampaignSource(module, spawns, cfg),
         )
         assert outcomes and truncated > 0
 

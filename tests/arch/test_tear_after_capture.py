@@ -32,7 +32,6 @@ from repro.arch.recovery import (
 from repro.fault.campaign import CampaignConfig
 from repro.fault.models import FaultNote, apply_faults, get_models
 from repro.ir.module import ckpt_slot_addr
-from repro.trace.record import capture_trace
 from repro.trace.replay import TraceCampaignSource
 
 from tests.arch.conftest import build_pointer_chase, compile_capri
@@ -55,11 +54,16 @@ EXPECTED = {
 
 
 @pytest.fixture(scope="module")
-def program():
+def module():
     """Calls and branches: checkpoint slots are rewritten often enough
     that a fresh write can leave the WPQ journal before a capture."""
-    module = compile_capri(build_pointer_chase(depth=30), threshold=THRESHOLD)
-    return module, capture_trace(module, [("main", [])], quantum=32)
+    return compile_capri(build_pointer_chase(depth=30), threshold=THRESHOLD)
+
+
+def _source(module) -> TraceCampaignSource:
+    return TraceCampaignSource(
+        module, [("main", [])], CampaignConfig(threshold=THRESHOLD)
+    )
 
 
 def _unread(system) -> Dict[str, Set[int]]:
@@ -120,11 +124,10 @@ def _verified_slots(state: CrashState, module) -> Set[int]:
     return resumed - rewritten
 
 
-def _cases(program, model: str, monkeypatch) -> List[Tuple[CrashState, int]]:
+def _cases(module, model: str, monkeypatch) -> List[Tuple[CrashState, int]]:
     """Up to CASES ``(faulted state, seed)`` pairs, one per captured point,
     in which ``model`` tampered with a structure no one had read a
     checksum of before that point's capture."""
-    module, trace = program
     seen: Dict[str, Set[int]] = {}
     real = replay.capture_crash_state
 
@@ -134,9 +137,9 @@ def _cases(program, model: str, monkeypatch) -> List[Tuple[CrashState, int]]:
         return real(system, previous)
 
     monkeypatch.setattr(replay, "capture_crash_state", capture)
-    cursor = TraceCampaignSource(trace, CampaignConfig(threshold=THRESHOLD))
+    cursor = _source(module)
     found = []
-    for k in range(0, len(trace), STRIDE):
+    for k in range(0, len(cursor.trace), STRIDE):
         state, _, _ = cursor.capture_at(k)
         if model == "corrupt-ckpt":
             seen["slots"] &= _verified_slots(state, module)
@@ -153,10 +156,9 @@ def _cases(program, model: str, monkeypatch) -> List[Tuple[CrashState, int]]:
 
 
 @pytest.mark.parametrize("model", sorted(EXPECTED))
-def test_tear_of_a_never_read_checksum_is_caught(program, model, monkeypatch):
-    module, _ = program
+def test_tear_of_a_never_read_checksum_is_caught(module, model, monkeypatch):
     error, kind = EXPECTED[model]
-    cases = _cases(program, model, monkeypatch)
+    cases = _cases(module, model, monkeypatch)
     assert len(cases) == CASES, f"{model}: too few unread targets"
     for faulted, seed in cases:
         with pytest.raises(error):
@@ -167,16 +169,15 @@ def test_tear_of_a_never_read_checksum_is_caught(program, model, monkeypatch):
 
 
 @pytest.mark.parametrize("model", sorted(EXPECTED))
-def test_tear_of_a_shared_snapshot_is_caught(program, model):
+def test_tear_of_a_shared_snapshot_is_caught(module, model):
     """A point whose domain did not change gets the previous point's
     snapshot back; tampering with it must be caught as at any other
     point, and must not reach the snapshot the next point shares."""
-    module, trace = program
     error, kind = EXPECTED[model]
-    cursor = TraceCampaignSource(trace, CampaignConfig(threshold=THRESHOLD))
+    cursor = _source(module)
     previous = None
     cases = 0
-    for k in range(len(trace)):
+    for k in range(len(cursor.trace)):
         state, _, _ = cursor.capture_at(k)
         shared, previous = state is previous, state
         if not shared:
@@ -202,13 +203,12 @@ def test_tear_of_a_shared_snapshot_is_caught(program, model):
     assert cases == CASES, f"{model}: too few shared snapshots to tamper with"
 
 
-def test_capture_leaves_no_checksum_to_compute(program):
+def test_capture_leaves_no_checksum_to_compute(module):
     """The barrier itself: whatever a snapshot holds has its checksum
     when capture returns, so no later read can compute one from state a
     fault model has touched."""
-    _, trace = program
-    cursor = TraceCampaignSource(trace, CampaignConfig(threshold=THRESHOLD))
-    for k in range(0, len(trace), STRIDE):
+    cursor = _source(module)
+    for k in range(0, len(cursor.trace), STRIDE):
         state, _, _ = cursor.capture_at(k)
         assert not _unread(cursor.system)["slots"]
         held = [e for entries in state.core_entries for e in entries]

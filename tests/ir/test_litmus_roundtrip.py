@@ -47,8 +47,7 @@ class TestLitmusRoundTrip:
         roundtrip(generate_program(seed))
 
     def test_reparsed_program_executes_identically(self):
-        from repro.trace.record import capture_trace
-        from repro.trace.replay import golden_from_trace
+        from repro.fault.oracle import golden_run
 
         p = generate_program(3)
         reparsed = roundtrip(p)
@@ -56,10 +55,6 @@ class TestLitmusRoundTrip:
         reparsed.initial_data = dict(p.module.initial_data)
         verify_module(reparsed)
 
-        golden = golden_from_trace(
-            capture_trace(p.module, p.spawns, quantum=p.quantum)
-        )
-        again = golden_from_trace(
-            capture_trace(reparsed, p.spawns, quantum=p.quantum)
-        )
+        golden = golden_run(p.module, p.spawns, quantum=p.quantum)
+        again = golden_run(reparsed, p.spawns, quantum=p.quantum)
         assert again.data == golden.data

@@ -97,21 +97,19 @@ class TestExplorerCampaignAgreement:
         from repro.fault.campaign import CampaignConfig
         from repro.litmus.explore import explore_program
         from repro.litmus.matrix import litmus_params
-        from repro.trace.record import capture_trace
         from repro.trace.replay import TraceCampaignSource
 
         for seed in (0, 1):
             p = generate_program(seed)
             explored = explore_program(p, max_schedules=60, pipeline_schedules=0)
-            trace = capture_trace(p.module, p.spawns, quantum=p.quantum)
             config = CampaignConfig(
                 threshold=32,
                 quantum=p.quantum,
                 params=litmus_params(),
             )
-            source = TraceCampaignSource(trace, config)
-            stride = max(1, len(trace) // 24)
-            for k in range(0, len(trace), stride):
+            source = TraceCampaignSource(p.module, p.spawns, config)
+            stride = max(1, len(source.trace) // 24)
+            for k in range(0, len(source.trace), stride):
                 state, _io, _facade = source.capture_at(k)
                 if state is None:
                     break

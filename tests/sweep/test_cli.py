@@ -120,9 +120,9 @@ class TestSweepCLI:
         rc = sweep_main(
             [
                 "--benchmarks",
-                "genome",
+                "no-such-workload",
                 "--scale",
-                "0",
+                "0.05",
                 "--thresholds",
                 "32",
                 "--cache-dir",
@@ -134,6 +134,12 @@ class TestSweepCLI:
         out = capsys.readouterr().out
         assert out.count("FAILED") == 2
         assert "figures unchanged" not in out
+
+    def test_timeout_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            sweep_main([*SWEEP_ARGS, "--no-cache", "--timeout", "5"])
+        assert exit_info.value.code == 2
+        assert "--timeout" in capsys.readouterr().err
 
     def test_unknown_suite_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -163,7 +169,8 @@ class TestSweepCLI:
 
 
 class TestScaleIsValidated:
-    """Every eval CLI refuses a scale no workload can build at."""
+    """Every eval CLI and the sweep refuse a scale no workload can build
+    at."""
 
     @pytest.mark.parametrize("scale", ["0", "-1", "nan"])
     @pytest.mark.parametrize(
@@ -173,6 +180,7 @@ class TestScaleIsValidated:
             ["ablations", "cores"],
             ["report"],
             ["profile", "genome"],
+            ["sweep", "--benchmarks", "genome", "--thresholds", "64", "--no-cache"],
         ],
         ids=lambda argv: argv[0],
     )

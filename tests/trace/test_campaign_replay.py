@@ -10,7 +10,7 @@ from repro.fault.campaign import (
     run_campaign,
     run_workload_campaign,
 )
-from repro.fault.oracle import InterpretedSource, golden_run
+from repro.fault.oracle import InterpretedSource
 
 
 def _verdicts(result):
@@ -39,9 +39,6 @@ def _reference_campaign(workload, config, scale):
         spawns,
         config,
         name=workload,
-        golden=golden_run(
-            module, spawns, quantum=config.quantum, max_steps=config.max_steps
-        ),
         source=InterpretedSource(module, spawns, config),
     )
 
@@ -119,8 +116,7 @@ def test_checked_verdicts_identical_past_the_violation_cap():
     ``+N suppressed`` in place of the point's own violations."""
     from repro.arch.persistence import ProtocolMutations
     from repro.check.violations import _MAX_VIOLATIONS
-    from repro.trace.record import capture_trace
-    from repro.trace.replay import TraceCampaignSource, golden_from_trace
+    from repro.trace.replay import TraceCampaignSource
 
     flagged = []
 
@@ -138,14 +134,12 @@ def test_checked_verdicts_identical_past_the_violation_cap():
     )
     interpreted = _reference_campaign("genome", config, 0.05)
     module, spawns = _compiled("genome", config, 0.05)
-    trace = capture_trace(module, spawns, quantum=config.quantum)
     replayed = run_campaign(
         module,
         spawns,
         config,
         name="genome",
-        golden=golden_from_trace(trace),
-        source=Tap(trace, config),
+        source=Tap(module, spawns, config),
     )
     assert _verdicts(interpreted) == _verdicts(replayed)
     assert sum(
@@ -170,8 +164,7 @@ def test_exhaustive_sweep_single_pass():
     """Exhaustive ascending sweeps are the point of the cursor: the
     whole campaign must complete on one replay system (zero rebuilds)."""
     from repro.compiler import CapriCompiler, OptConfig
-    from repro.trace.record import capture_trace
-    from repro.trace.replay import TraceCampaignSource, golden_from_trace
+    from repro.trace.replay import TraceCampaignSource
     from repro.workloads import get_workload
 
     config = CampaignConfig(threshold=32, minimize=False)
@@ -179,20 +172,10 @@ def test_exhaustive_sweep_single_pass():
     module = (
         CapriCompiler(OptConfig.licm(config.threshold)).compile(module).module
     )
-    trace = capture_trace(
-        module, spawns, quantum=config.quantum, max_steps=config.max_steps
-    )
-    source = TraceCampaignSource(trace, config)
-    result = run_campaign(
-        module,
-        spawns,
-        config,
-        name="genome",
-        golden=golden_from_trace(trace),
-        source=source,
-    )
+    source = TraceCampaignSource(module, spawns, config)
+    result = run_campaign(module, spawns, config, name="genome", source=source)
     assert result.ok
-    assert len(result.outcomes) == len(trace)
+    assert len(result.outcomes) == len(source.trace)
     assert source.rebuilds == 0
     assert result.to_stats()["rebuilds"] == 0
 

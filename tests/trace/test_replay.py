@@ -1,6 +1,7 @@
 """Replay equivalence: the batched columnar replay must be observably
 identical to re-interpreting the program — the crash source's system
-run crash-free, crash states, pre-crash I/O and the golden oracle."""
+run crash-free, crash states and pre-crash I/O (its golden result is
+pinned in ``test_source_parity.py``)."""
 
 import dataclasses
 
@@ -13,14 +14,9 @@ from repro.check.checker import PersistencyChecker
 from repro.check.mutants import checked_run
 from repro.compiler import CapriCompiler, OptConfig
 from repro.fault.campaign import CampaignConfig
-from repro.fault.oracle import golden_run
 from repro.isa.trace import TeeObserver
 from repro.trace.record import capture_trace
-from repro.trace.replay import (
-    TraceCampaignSource,
-    build_replay_system,
-    golden_from_trace,
-)
+from repro.trace.replay import TraceCampaignSource, build_replay_system
 from repro.workloads import get_workload
 
 
@@ -89,15 +85,6 @@ def test_checked_replay_is_clean(captured_program):
     assert checker.report.checks == reference.report.checks
 
 
-def test_golden_from_trace_matches_golden_run(captured):
-    module, spawns, trace = captured
-    golden = golden_run(module, spawns, quantum=32)
-    from_trace = golden_from_trace(trace)
-    assert from_trace.data == golden.data
-    assert from_trace.io_log == golden.io_log
-    assert from_trace.total_events == golden.total_events
-
-
 def _interpreted(module, spawns, k):
     """The reference crash state: interpret the IR to event ``k``."""
     state = run_until_crash(module, spawns, CrashPlan(k), threshold=32, quantum=32)
@@ -111,7 +98,7 @@ def test_replay_until_crash_matches_interpreted(captured):
     module, spawns, trace = captured
     n = len(trace)
     for k in (0, 1, n // 3, n - 1):
-        source = TraceCampaignSource(trace, CampaignConfig(threshold=32))
+        source = TraceCampaignSource(module, spawns, CampaignConfig(threshold=32))
         replayed, _, _ = source.capture_at(k)
         assert replayed is not None, k
         assert _canon_state(replayed) == _interpreted(module, spawns, k), k
@@ -121,7 +108,7 @@ def test_replay_until_crash_past_end_returns_none(captured):
     module, spawns, trace = captured
     n = len(trace)
     assert run_until_crash(module, spawns, CrashPlan(n), threshold=32) is None
-    source = TraceCampaignSource(trace, CampaignConfig(threshold=32))
+    source = TraceCampaignSource(module, spawns, CampaignConfig(threshold=32))
     state, _, _ = source.capture_at(n)
     assert state is None
 
@@ -133,7 +120,7 @@ def test_cursor_single_pass_matches_fresh_replays(captured):
     module, spawns, trace = captured
     n = len(trace)
     points = sorted({0, 1, n // 4, n // 3, n // 2, (3 * n) // 4, n - 1})
-    cursor = TraceCampaignSource(trace, CampaignConfig(threshold=32))
+    cursor = TraceCampaignSource(module, spawns, CampaignConfig(threshold=32))
     for k in points:
         state, _, checker = cursor.capture_at(k)
         assert _canon_state(state) == _interpreted(module, spawns, k), k
@@ -144,7 +131,7 @@ def test_cursor_single_pass_matches_fresh_replays(captured):
 def test_cursor_rewind_rebuilds_and_stays_correct(captured):
     module, spawns, trace = captured
     n = len(trace)
-    cursor = TraceCampaignSource(trace, CampaignConfig(threshold=32))
+    cursor = TraceCampaignSource(module, spawns, CampaignConfig(threshold=32))
     late, _, _ = cursor.capture_at(n - 1)
     assert cursor.rebuilds == 0
     early, _, _ = cursor.capture_at(n // 2)  # behind the cursor: rebuild
@@ -157,7 +144,7 @@ def test_cursor_past_end_runs_out_and_reports_none(captured):
     n = len(trace)
     # The interpreted run ends before a crash at the last index + 1, too.
     assert run_until_crash(module, spawns, CrashPlan(n), threshold=32) is None
-    cursor = TraceCampaignSource(trace, CampaignConfig(threshold=32))
+    cursor = TraceCampaignSource(module, spawns, CampaignConfig(threshold=32))
     state, io, checker = cursor.capture_at(n + 5)
     assert state is None and checker is None
     assert io == [tuple(ev) for ev in trace.io_log]
@@ -201,7 +188,7 @@ def test_cursor_pre_crash_io_matches_machine():
     reference = InterpretedSource(module, spawns, CampaignConfig(threshold=32))
     first = positions[0]
     for k in (first - 1, first, first + 1, mid - 1, mid, mid + 1, len(trace) - 1):
-        cursor = TraceCampaignSource(trace, CampaignConfig(threshold=32))
+        cursor = TraceCampaignSource(module, spawns, CampaignConfig(threshold=32))
         _, replayed_io, _ = cursor.capture_at(k)
         _, io, _ = reference.capture_at(k)
         assert replayed_io == io, k

@@ -34,7 +34,6 @@ from repro.check.violations import STALE_REDO_OVERWRITE
 from repro.fault.campaign import CampaignConfig
 from repro.litmus.generate import generate_program, litmus_corpus
 from repro.litmus.matrix import litmus_params, run_litmus_program
-from repro.trace.record import capture_trace
 from repro.trace.replay import TraceCampaignSource
 
 
@@ -55,14 +54,10 @@ def program():
     return generate_program(1)
 
 
-@pytest.fixture(scope="module")
-def trace(program):
-    return capture_trace(program.module, program.spawns, quantum=program.quantum)
-
-
-def _source(program, trace, check=True, throttled=True):
+def _source(program, check=True, throttled=True):
     return TraceCampaignSource(
-        trace,
+        program.module,
+        program.spawns,
         CampaignConfig(
             threshold=32,
             quantum=program.quantum,
@@ -72,11 +67,11 @@ def _source(program, trace, check=True, throttled=True):
     )
 
 
-def test_shared_snapshot_equals_a_fresh_capture(program, trace):
-    source = _source(program, trace)
+def test_shared_snapshot_equals_a_fresh_capture(program):
+    source = _source(program)
     previous = None
     shared = 0
-    for k in range(len(trace)):
+    for k in range(len(source.trace)):
         state, _, _ = source.capture_at(k)
         fresh = capture_crash_state(source.system)
         assert fresh is not state
@@ -84,15 +79,15 @@ def test_shared_snapshot_equals_a_fresh_capture(program, trace):
         shared += state is previous
         previous = state
     # Most points of a litmus matrix leave the domain as it was.
-    assert shared > len(trace) // 2
+    assert shared > len(source.trace) // 2
 
 
-def _full_point(program, trace):
+def _full_point(program):
     """A replay system advanced to a point whose snapshot has every
     container non-empty, and that snapshot (un-throttled drains reach
     the checkpoint array early)."""
-    source = _source(program, trace, check=False, throttled=False)
-    for k in range(len(trace)):
+    source = _source(program, check=False, throttled=False)
+    for k in range(len(source.trace)):
         state, _, _ = source.capture_at(k)
         if (
             any(state.core_entries)
@@ -135,8 +130,8 @@ def _flip_image(state):
     [_swap_entry, _swap_wpq_record, _retarget_pc, _flip_shadow, _flip_image],
     ids=["core_entries", "wpq", "pc_checkpoints", "ckpt_shadow", "nvm_image"],
 )
-def test_snapshot_edited_in_place_is_not_shared(program, trace, tamper):
-    system, _ = _full_point(program, trace)
+def test_snapshot_edited_in_place_is_not_shared(program, tamper):
+    system, _ = _full_point(program)
     state = capture_crash_state(system)
     assert capture_crash_state(system, state) is state
     expect = _contents(capture_crash_state(system))
@@ -146,8 +141,8 @@ def test_snapshot_edited_in_place_is_not_shared(program, trace, tamper):
     assert _contents(fresh) == expect
 
 
-def test_snapshot_of_another_core_count_is_not_shared(program, trace):
-    system, _ = _full_point(program, trace)
+def test_snapshot_of_another_core_count_is_not_shared(program):
+    system, _ = _full_point(program)
     state = capture_crash_state(system)
     state.core_entries.append([])
     assert capture_crash_state(system, state) is not state
@@ -186,8 +181,8 @@ def test_every_mutator_moves_the_version(mutator):
     assert model.version > before
 
 
-def _point_with_live_entry(source, trace):
-    for k in range(len(trace)):
+def _point_with_live_entry(source):
+    for k in range(len(source.trace)):
         state, _, facade = source.capture_at(k)
         model = source.checker.model
         if facade.report.ok and any(cm.merge_map for cm in model.cores.values()):
@@ -195,12 +190,12 @@ def _point_with_live_entry(source, trace):
     raise AssertionError("no clean point with a live entry")
 
 
-def test_model_change_with_unchanged_domain_rechecks(program, trace):
+def test_model_change_with_unchanged_domain_rechecks(program):
     """A writeback that reaches the checker but not the system leaves the
     domain as it was; the comparison must still run, and it must keep
     running while its violation stands."""
-    source = _source(program, trace)
-    k = _point_with_live_entry(source, trace)
+    source = _source(program)
+    k = _point_with_live_entry(source)
     state, _, _ = source.capture_at(k)
     checks = source.checker.model.checks
     again, _, facade = source.capture_at(k)
@@ -215,9 +210,9 @@ def test_model_change_with_unchanged_domain_rechecks(program, trace):
         assert STALE_REDO_OVERWRITE in kinds
 
 
-def test_rebuild_captures_afresh(program, trace):
-    source = _source(program, trace)
-    late, _, _ = source.capture_at(len(trace) - 2)
+def test_rebuild_captures_afresh(program):
+    source = _source(program)
+    late, _, _ = source.capture_at(len(source.trace) - 2)
     early, _, _ = source.capture_at(1)  # behind the cursor: rebuild
     assert source.rebuilds == 1
     assert early is not late
