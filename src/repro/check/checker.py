@@ -241,7 +241,14 @@ class PersistencyChecker(Observer):
                         f"(seq {rec.seq})",
                         seq=rec.seq,
                     )
-        self._check_recoverability(state.nvm_image)
+        if model.prevention:
+            # Reference-recover the image with the model's expected
+            # surviving entries and require the committed prefix back.
+            self._check_values(
+                model.reference_recovery(state.nvm_image),
+                "reference recovery of",
+                verb="yields",
+            )
         self.model.checks += 1
 
     def _compare_entry(self, core: int, pos: int, expect, entry) -> None:
@@ -365,43 +372,59 @@ class PersistencyChecker(Observer):
             )
         )
 
-    def _check_recoverability(self, nvm_image: Dict[int, int]) -> None:
-        """Reference-recover ``nvm_image`` with the model's expected
-        surviving entries and require the committed prefix back.  Value
-        checks are meaningful only with stale-read prevention on (the
-        ablation knob deliberately lets NVM run stale).  Every address
-        is judged against :meth:`PersistencyModel.allowed_values`, the
-        one contribution rule (the litmus oracle projects the same
-        set): a single-writer address must equal its one member, a
-        multi-writer address must be a member — unless a regular-path
-        writeback touched it, in which case only the structural checks
-        apply."""
-        if not self.model.prevention:
+    def _check_values(
+        self,
+        image: Dict[int, int],
+        site: str,
+        verb: str = "is",
+        include_rollback: bool = True,
+        quarantined: frozenset = frozenset(),
+        premature: bool = False,
+    ) -> None:
+        """Judge every written word of ``image`` (checkpoint slots aside)
+        against :meth:`PersistencyModel.allowed_values`, the one
+        contribution rule: a single-writer word must equal its one
+        member, then a multi-writer word must be a member unless a
+        regular-path writeback touched it.  Meaningful only with
+        stale-read prevention on.  ``quarantined`` cores are exempt, and
+        any quarantine exempts every multi-writer word (dropping whole
+        cores shrinks the contribution set per-address unattributably).
+        With ``premature``, a single-writer word holding its writer's
+        open speculative store is a ``premature-persist``.
+        """
+        from repro.ir.module import is_ckpt_addr
+
+        model = self.model
+        if not model.prevention:
             return
-        recovered = self.model.reference_recovery(nvm_image)
-        for addr in self.model.single_writer_addrs():
-            (want,) = self.model.allowed_values(addr)
-            got = recovered.get(addr, 0)
-            if got != want:
-                core = self.model.writers.get(addr, -1)
+        for multi in (False, True) if not quarantined else (False,):
+            for addr, writer in model.writers.items():
+                if (writer == MULTI_WRITER) != multi or is_ckpt_addr(addr):
+                    continue
+                if writer in quarantined or (multi and addr in model.wb_addrs):
+                    continue
+                allowed = model.allowed_values(addr, include_rollback)
+                got = image.get(addr, 0)
+                if got in allowed:
+                    continue
+                if multi:
+                    self._crash_violation(
+                        LOST_REDO,
+                        -1,
+                        f"{site} multi-writer addr {addr:#x} {verb} {got}, "
+                        f"allowed set is {sorted(allowed)}",
+                        addr=addr,
+                    )
+                    continue
+                cm = model.cores.get(writer)
+                open_store = cm.open_stores.get(addr) if premature and cm else None
+                leaked = open_store is not None and got == open_store[2]
+                (want,) = allowed
                 self._crash_violation(
-                    LOST_REDO,
-                    core if core != MULTI_WRITER else -1,
-                    f"reference recovery of addr {addr:#x} yields {got}, "
+                    PREMATURE_PERSIST if leaked else LOST_REDO,
+                    writer,
+                    f"{site} addr {addr:#x} {verb} {got}, "
                     f"committed prefix requires {want}",
-                    addr=addr,
-                )
-        for addr in self.model.multi_writer_addrs():
-            if addr in self.model.wb_addrs:
-                continue
-            allowed = self.model.allowed_values(addr)
-            got = recovered.get(addr, 0)
-            if got not in allowed:
-                self._crash_violation(
-                    LOST_REDO,
-                    -1,
-                    f"reference recovery of multi-writer addr {addr:#x} "
-                    f"yields {got}, allowed set is {sorted(allowed)}",
                     addr=addr,
                 )
 
@@ -410,58 +433,14 @@ class PersistencyChecker(Observer):
         recovery protocol against the committed prefix.  Only meaningful
         for clean recoveries (no injected corruption) — quarantined
         cores are exempt by design."""
-        from repro.ir.module import is_ckpt_addr
-
         model = self.model
-        quarantined = set(recovered.report.quarantined_cores)
-        if model.prevention:
-            for addr in model.single_writer_addrs():
-                if is_ckpt_addr(addr):
-                    continue
-                core = model.writers.get(addr, -1)
-                if core in quarantined:
-                    continue
-                (want,) = model.allowed_values(addr)
-                got = recovered.nvm_image.get(addr, 0)
-                if got != want:
-                    # Distinguish "uncommitted value leaked" from "committed
-                    # value lost": if the recovered value matches the last
-                    # *speculative* store, recovery persisted uncommitted
-                    # state.
-                    cm = model.cores.get(core)
-                    spec = (
-                        cm.open_stores.get(addr, [None, None, None])[2]
-                        if cm is not None
-                        else None
-                    )
-                    kind = PREMATURE_PERSIST if got == spec and spec is not None else LOST_REDO
-                    self._crash_violation(
-                        kind,
-                        core if core != MULTI_WRITER else -1,
-                        f"recovered value of addr {addr:#x} is {got}, "
-                        f"committed prefix requires {want}",
-                        addr=addr,
-                    )
-            if not quarantined:
-                # Multi-writer words: the recovered value must come from
-                # some touching core's contribution (``allowed_values``).
-                # Quarantine drops whole cores from recovery, which
-                # shrinks the contribution set in ways the model cannot
-                # attribute per-address, so any quarantine skips these.
-                for addr in model.multi_writer_addrs():
-                    if is_ckpt_addr(addr) or addr in model.wb_addrs:
-                        continue
-                    allowed = model.allowed_values(addr)
-                    got = recovered.nvm_image.get(addr, 0)
-                    if got not in allowed:
-                        self._crash_violation(
-                            LOST_REDO,
-                            -1,
-                            f"recovered value of multi-writer addr "
-                            f"{addr:#x} is {got}, allowed set is "
-                            f"{sorted(allowed)}",
-                            addr=addr,
-                        )
+        quarantined = frozenset(recovered.report.quarantined_cores)
+        self._check_values(
+            recovered.nvm_image,
+            "recovered value of",
+            quarantined=quarantined,
+            premature=True,
+        )
         from repro.arch.proxy import _continuation_key
 
         for core, cm in model.cores.items():
@@ -520,40 +499,17 @@ class PersistencyChecker(Observer):
                         seq=item.seq,
                     )
         leftover_committed = any(
-            (isinstance(i, BoundaryMirror) and i.seq in cm.committed)
-            or (isinstance(i, EntryMirror) and i.seq in cm.committed)
+            item.seq in cm.committed
             for cm in model.cores.values()
-            for i in cm.emitted
+            for item in cm.emitted
         )
         if model.prevention and not leftover_committed:
             image = system.nvm.image
-            for addr in model.single_writer_addrs():
-                (want,) = model.allowed_values(addr, include_rollback=False)
-                got = image.get(addr, 0)
-                if got != want:
-                    core = model.writers.get(addr, -1)
-                    self._crash_violation(
-                        LOST_REDO,
-                        core if core != MULTI_WRITER else -1,
-                        f"final NVM value of addr {addr:#x} is {got}, "
-                        f"committed prefix requires {want}",
-                        addr=addr,
-                    )
-            for addr in model.multi_writer_addrs():
-                if addr in model.wb_addrs:
-                    continue
-                # Nothing is open or pending after the terminal drain,
-                # so only committed-last values contribute.
-                allowed = model.allowed_values(addr, include_rollback=False)
-                got = image.get(addr, 0)
-                if got not in allowed:
-                    self._crash_violation(
-                        LOST_REDO,
-                        -1,
-                        f"final NVM value of multi-writer addr {addr:#x} "
-                        f"is {got}, allowed set is {sorted(allowed)}",
-                        addr=addr,
-                    )
+            # Nothing is open or pending after the terminal drain, so
+            # only committed-last values contribute.
+            self._check_values(
+                image, "final NVM value of", include_rollback=False
+            )
             for slot, want in model.committed_ckpt.items():
                 got = image.get(slot)
                 if got != want:

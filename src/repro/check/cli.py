@@ -38,15 +38,12 @@ from repro.check.mutants import (
     checked_run,
     run_mutant_matrix,
 )
-from repro.compiler import RegionFormationError
-from repro.jsonout import add_json_arg, write_envelope
+from repro.jsonout import (
+    add_json_arg, comma_list, text_printer, threshold_arg, usage_errors, write_envelope,
+)
 
 
-def _parse_csv(text: str) -> List[str]:
-    return [item.strip() for item in text.split(",") if item.strip()]
-
-
-def _sanitized(args, parser, json_out) -> int:
+def _sanitized(args, parser) -> int:
     from repro.api import RunSpec, build_spec
     from repro.compiler import OptConfig
     from repro.workloads import workload_names
@@ -54,24 +51,19 @@ def _sanitized(args, parser, json_out) -> int:
     if args.all:
         names = workload_names()
     elif args.workload:
-        names = _parse_csv(args.workload)
+        names = args.workload
     else:
         parser.error("sanitized mode needs --workload or --all")
-    if args.thresholds:
-        try:
-            thresholds = [int(t) for t in _parse_csv(args.thresholds)]
-        except ValueError:
-            parser.error(f"--thresholds: expected integers, got {args.thresholds!r}")
-    else:
-        thresholds = [args.threshold]
+    thresholds = args.thresholds or [args.threshold]
     params = SimParams.tight() if args.matrix_params else SimParams.scaled()
+    say = text_printer(args.json_out)
 
     failures = 0
     records = []
     for name in names:
         for threshold in thresholds:
             start = time.perf_counter()
-            try:
+            with usage_errors(parser):
                 module, spawns = build_spec(
                     RunSpec(
                         workload=name,
@@ -79,19 +71,16 @@ def _sanitized(args, parser, json_out) -> int:
                         config=OptConfig.licm(threshold),
                     )
                 )
-            except (KeyError, ValueError, RegionFormationError) as err:
-                parser.error(str(err.args[0] if err.args else err))
             checker, error = checked_run(module, spawns, params, threshold)
             report = checker.report
             ok = report.ok and error is None
             wall = time.perf_counter() - start
             status = "clean" if ok else "VIOLATED"
-            if json_out != "-":
-                print(
-                    f"{name:20s} t{threshold:<5d} {status:8s} "
-                    f"{report.summary()}  ({wall:.1f}s)"
-                    + (f"  [{error}]" if error else "")
-                )
+            say(
+                f"{name:20s} t{threshold:<5d} {status:8s} "
+                f"{report.summary()}  ({wall:.1f}s)"
+                + (f"  [{error}]" if error else "")
+            )
             records.append({
                 "workload": name,
                 "threshold": threshold,
@@ -106,13 +95,11 @@ def _sanitized(args, parser, json_out) -> int:
             })
             if not ok:
                 failures += 1
-                if json_out != "-":
-                    print(report.format())
+                say(report.format())
     verdict = "PASS" if failures == 0 else f"FAIL ({failures} run(s) violated)"
-    if json_out != "-":
-        print(f"sanitized runs: {len(names)} workload(s) x "
-              f"{len(thresholds)} threshold(s) — {verdict}")
-    if json_out:
+    say(f"sanitized runs: {len(names)} workload(s) x "
+        f"{len(thresholds)} threshold(s) — {verdict}")
+    if args.json_out:
         payload = {
             "mode": "sanitized",
             "verdict": verdict,
@@ -121,27 +108,22 @@ def _sanitized(args, parser, json_out) -> int:
             "checks": sum(r["checks"] for r in records),
             "runs": records,
         }
-        write_envelope(json_out, "check", payload)
-        if json_out != "-":
-            print(f"checker stats written to {json_out}")
+        write_envelope(
+            args.json_out, "check", payload, written="checker stats written to"
+        )
     return 0 if failures == 0 else 1
 
 
-def _mutants(args, parser, json_out) -> int:
-    workloads = _parse_csv(args.workloads)
-    mutants = _parse_csv(args.mutant) if args.mutant else None
-    try:
+def _mutants(args, parser) -> int:
+    with usage_errors(parser):
         result = run_mutant_matrix(
-            workloads=workloads,
+            workloads=args.workloads,
             scale=args.scale if args.scale is not None else 1.0,
             threshold=args.threshold,
-            mutants=mutants,
+            mutants=args.mutant,
         )
-    except (KeyError, ValueError, RegionFormationError) as err:
-        parser.error(str(err.args[0] if err.args else err))
-    if json_out != "-":
-        print(result.format())
-    if json_out:
+    text_printer(args.json_out)(result.format())
+    if args.json_out:
         payload = {
             "mode": "mutants",
             "ok": result.ok,
@@ -170,9 +152,9 @@ def _mutants(args, parser, json_out) -> int:
                 for o in result.outcomes
             ],
         }
-        write_envelope(json_out, "check", payload)
-        if json_out != "-":
-            print(f"checker stats written to {json_out}")
+        write_envelope(
+            args.json_out, "check", payload, written="checker stats written to"
+        )
     return 0 if result.ok else 1
 
 
@@ -190,6 +172,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--workload",
+        type=comma_list(str, "workloads"),
         help="comma-separated registry workloads to sanitize",
     )
     parser.add_argument(
@@ -206,12 +189,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--threshold",
-        type=int,
+        type=threshold_arg,
         default=None,
         help="region threshold (default: 256 sanitized, 32 for --mutants)",
     )
     parser.add_argument(
         "--thresholds",
+        type=comma_list(threshold_arg, "thresholds"),
         help="comma-separated threshold sweep (sanitized mode only)",
     )
     parser.add_argument(
@@ -223,11 +207,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--workloads",
+        type=comma_list(str, "workloads"),
         default="genome,hot-writeback",
         help="matrix workloads for --mutants (default: %(default)s)",
     )
     parser.add_argument(
         "--mutant",
+        type=comma_list(str, "mutants"),
         help="comma-separated mutant subset for --mutants "
         f"(known: {', '.join(MUTANT_EXPECTATIONS)})",
     )
@@ -238,13 +224,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         "('-' for stdout)",
     )
     args = parser.parse_args(argv)
-    json_out = args.json_out
+    from repro.workloads import get_workload
 
+    with usage_errors(parser):  # an unknown name, before anything runs
+        for name in (args.workloads if args.mutants else args.workload) or ():
+            get_workload(name)
     if args.mutants:
         if args.threshold is None:
             args.threshold = 32
-        return _mutants(args, parser, json_out)
+        return _mutants(args, parser)
     if args.threshold is None:
         args.threshold = 256
-    return _sanitized(args, parser, json_out)
+    return _sanitized(args, parser)
 

@@ -38,7 +38,8 @@ from repro.api import RunSpec
 from repro.arch.params import SimParams
 from repro.compiler import OptConfig
 from repro.eval.figures import grid, normalized, run_grid
-from repro.eval.report import format_table, scale_arg, workers_arg
+from repro.eval.report import format_table
+from repro.jsonout import scale_arg, workers_arg
 from repro.workloads.probes import STREAM_PROBE
 
 #: Store-dense benchmarks stress the proxy pipeline hardest.

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.arch.params import SimParams
-from repro.compiler.regions import MIN_THRESHOLD
+from repro.jsonout import int_arg, threshold_arg
 
 #: Energy to write one 64-byte line to NVM (nJ) — order of magnitude for
 #: PCM-class media (set/reset energy dominates).
@@ -108,20 +108,14 @@ def drain_budgets(
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro energy")
-    parser.add_argument("--cores", type=int, default=8)
-    parser.add_argument("--threshold", type=int, default=256)
+    parser.add_argument("--cores", type=int_arg(1), default=8)
+    parser.add_argument("--threshold", type=threshold_arg, default=256)
     parser.add_argument(
         "--memory-mode",
         action="store_true",
         help="put the off-chip DRAM cache in eADR's persistent domain",
     )
     args = parser.parse_args(argv)
-    if args.cores < 1:
-        parser.error(f"--cores must be >= 1, got {args.cores}")
-    if args.threshold < MIN_THRESHOLD:
-        parser.error(
-            f"--threshold must be >= {MIN_THRESHOLD}, got {args.threshold}"
-        )
     budgets = drain_budgets(
         num_cores=args.cores,
         threshold=args.threshold,

@@ -33,14 +33,8 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from repro.api import RunResult, RunSpec
 from repro.arch.params import PersistMode, SimParams
 from repro.compiler import OptConfig, region_means
-from repro.eval.report import (
-    add_suite_gmeans,
-    format_table,
-    geomean,
-    render_bars,
-    scale_arg,
-    workers_arg,
-)
+from repro.eval.report import add_suite_gmeans, format_table, geomean, render_bars
+from repro.jsonout import scale_arg, workers_arg
 from repro.workloads import SUITES, get_workload
 
 #: The threshold series of Figure 8 (the text also discusses 32 and 64).

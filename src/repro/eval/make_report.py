@@ -17,7 +17,7 @@ import os
 import time
 from typing import List, Optional, Sequence
 
-from repro.eval.report import scale_arg, workers_arg
+from repro.jsonout import scale_arg, workers_arg
 
 
 def _command(argv: List[str]) -> List[str]:

@@ -149,8 +149,10 @@ def profile_workload(
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.eval.report import format_table, scale_arg
-    from repro.jsonout import add_json_arg, write_envelope
+    from repro.eval.report import format_table
+    from repro.jsonout import (
+        add_json_arg, scale_arg, text_printer, usage_errors, write_envelope,
+    )
 
     parser = argparse.ArgumentParser(prog="python -m repro profile")
     parser.add_argument("names", nargs="*", default=None)
@@ -162,13 +164,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "the table)",
     )
     args = parser.parse_args(argv)
-    json_out = args.json_out
     names = args.names or workload_names()
-    for name in names:
-        try:
+    with usage_errors(parser):  # an unknown workload, before any profiling
+        for name in names:
             get_workload(name)
-        except KeyError as err:
-            parser.error(err.args[0])
 
     cells: Dict[str, Dict[str, float]] = {}
     columns: List[str] = []
@@ -177,20 +176,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         profile = profile_workload(name, scale=args.scale)
         cells[name] = profile.row()
         columns = list(cells[name].keys())
-        if json_out:
-            payload[name] = {
-                "suite": profile.suite,
-                "characterisation": profile.row(),
-            }
-    if json_out:
-        write_envelope(
-            json_out,
-            "profile",
-            {"scale": args.scale, "workloads": payload},
-        )
-        if json_out == "-":
-            return 0
-    print(
+        payload[name] = {
+            "suite": profile.suite,
+            "characterisation": cells[name],
+        }
+    text_printer(args.json_out)(
         format_table(
             "Workload characterisation "
             "(store/load density per 100 instrs, calls/atomics per 1k, "
@@ -201,6 +191,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             fmt="{:.1f}",
         )
     )
-    if json_out:
-        print(f"profile written to {json_out}")
+    if args.json_out:
+        write_envelope(
+            args.json_out,
+            "profile",
+            {"scale": args.scale, "workloads": payload},
+            written="profile written to",
+        )
     return 0

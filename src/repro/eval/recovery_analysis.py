@@ -33,8 +33,9 @@ from repro.api import RunSpec, build_spec
 from repro.arch.crash import CrashState
 from repro.arch.params import SimParams
 from repro.arch.recovery import RecoveredState, recover
-from repro.compiler import OptConfig, RegionFormationError
+from repro.compiler import OptConfig
 from repro.fault.campaign import CampaignConfig
+from repro.jsonout import threshold_arg, usage_errors
 from repro.trace.replay import TraceCampaignSource
 
 
@@ -154,13 +155,11 @@ def analyze_recovery(
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro recovery")
     parser.add_argument("--workload", default="genome")
-    parser.add_argument("--threshold", type=int, default=256)
+    parser.add_argument("--threshold", type=threshold_arg, default=256)
     parser.add_argument("--scale", type=float, default=0.4)
     args = parser.parse_args(argv)
-    try:
+    with usage_errors(parser):  # an unknown workload or a bad scale
         sweep = analyze_recovery(args.workload, args.threshold, args.scale)
-    except (KeyError, ValueError, RegionFormationError) as err:
-        parser.error(str(err.args[0] if err.args else err))
     print(
         f"Recovery-cost sweep: {sweep.workload}, threshold {sweep.threshold} "
         f"({len(sweep.costs)} crash points)\n"

@@ -1,8 +1,11 @@
-"""Report rendering: geometric means and paper-style text tables."""
+"""Report rendering: geometric means and paper-style text tables.
+
+Rendering only: the argument types the CLIs parse their options with
+(``--scale``, ``--workers``, ...) live in :mod:`repro.jsonout`.
+"""
 
 from __future__ import annotations
 
-import argparse
 import math
 from typing import Dict, Iterable, List, Mapping, Sequence
 
@@ -15,37 +18,6 @@ def geomean(values: Iterable[float]) -> float:
     if any(v <= 0 for v in vals):
         raise ValueError("geomean requires positive values")
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
-
-
-def scale_arg(text: str) -> float:
-    """``argparse`` type of every eval CLI's ``--scale``: a usage error
-    (exit 2) naming the value unless it is a finite number above 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number greater than 0, got {text!r}"
-        )
-    return value
-
-
-def workers_arg(text: str) -> int:
-    """``argparse`` type of every sweep-running CLI's ``--workers``: a
-    usage error (exit 2) naming the value unless it is an integer from
-    0 (serial) to :data:`~repro.sweep.engine.MAX_WORKERS`."""
-    from repro.sweep.engine import MAX_WORKERS
-
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if not 0 <= value <= MAX_WORKERS:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer from 0 to {MAX_WORKERS}, got {text!r}"
-        )
-    return value
 
 
 def format_table(

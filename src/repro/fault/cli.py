@@ -24,10 +24,12 @@ from __future__ import annotations
 import argparse
 from typing import List, Optional
 
-from repro.compiler import RegionFormationError
 from repro.fault.campaign import CampaignConfig, run_workload_campaign
 from repro.fault.models import available_models
-from repro.jsonout import add_json_arg, write_envelope
+from repro.jsonout import (
+    add_json_arg, comma_list, int_arg, text_printer, threshold_arg, usage_errors,
+    write_envelope,
+)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -41,16 +43,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="registry workload name (see repro.workloads)",
     )
     parser.add_argument("--scale", type=float, default=0.3)
-    parser.add_argument("--threshold", type=int, default=32)
+    parser.add_argument("--threshold", type=threshold_arg, default=32)
     parser.add_argument(
         "--sample",
-        type=int,
+        type=int_arg(0),
         default=None,
         help="crash-point sample size (default: exhaustive)",
     )
     parser.add_argument("--seed", type=lambda s: int(s, 0), default=0xCA9121)
     parser.add_argument(
         "--models",
+        type=comma_list(str, "models"),
         default="clean",
         help="comma-separated fault models, or 'all' "
         f"(known: {', '.join(available_models())})",
@@ -83,7 +86,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--depth",
-        type=int,
+        type=int_arg(1),
         default=1,
         help="total crashes per chain: 1 = single-crash sweep; K > 1 also "
         "injects crashes into recovery itself, up to K failures "
@@ -91,14 +94,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--secondary-sample",
-        type=int,
+        type=int_arg(0),
         default=12,
         help="recovery-step crash indices sampled per chain level "
         "(0 = exhaustive; default 12)",
     )
     parser.add_argument(
         "--max-chains",
-        type=int,
+        type=int_arg(1),
         default=96,
         help="chain budget per primary crash point (skipped chains are "
         "reported, never silent; default 96)",
@@ -110,20 +113,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "envelope ('-' for stdout)",
     )
     args = parser.parse_args(argv)
-    json_out = args.json_out
-
-    if args.depth < 1:
-        parser.error("--depth must be >= 1")
-    if args.sample is not None and args.sample < 0:
-        parser.error("--sample must be >= 0")
-    if args.secondary_sample < 0:
-        parser.error("--secondary-sample must be >= 0")
-    if args.max_chains < 1:
-        parser.error("--max-chains must be >= 1")
-
-    model_names = tuple(
-        name.strip() for name in args.models.split(",") if name.strip()
-    )
+    model_names = tuple(args.models)
     # Default mode: strict for clean sweeps (any raise is a bug), lenient
     # when injecting faults (we want containment, not fail-stop).
     strict = args.strict
@@ -142,18 +132,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         secondary_sample=args.secondary_sample or None,
         max_chains_per_point=args.max_chains,
     )
-    try:
-        result = run_workload_campaign(
-            args.workload, config, scale=args.scale
+    # an unknown workload or fault model, or a bad scale
+    with usage_errors(parser):
+        result = run_workload_campaign(args.workload, config, scale=args.scale)
+    text_printer(args.json_out)(result.summary())
+    if args.json_out:
+        write_envelope(
+            args.json_out, "fault", result.to_stats(), written="stats written to"
         )
-    # unknown workload or fault model, bad scale, threshold too small
-    except (KeyError, ValueError, RegionFormationError) as err:
-        parser.error(str(err.args[0] if err.args else err))
-    if json_out != "-":
-        print(result.summary())
-    if json_out:
-        write_envelope(json_out, "fault", result.to_stats())
-        if json_out != "-":
-            print(f"stats written to {json_out}")
     return 0 if result.ok else 1
 

@@ -187,10 +187,16 @@ def explore_program(
 ) -> ExploreResult:
     """Explore ``program``'s interleavings; see the module docstring.
 
-    Raises :class:`ValueError` if ``max_schedules`` is below 1.
+    Raises :class:`ValueError`, before any schedule runs, if
+    ``max_schedules`` is below 1 or ``threshold`` below
+    :data:`~repro.compiler.regions.MIN_THRESHOLD`.
     """
+    from repro.compiler.regions import MIN_THRESHOLD
+
     if max_schedules < 1:
         raise ValueError(f"max_schedules must be >= 1, got {max_schedules}")
+    if threshold < MIN_THRESHOLD:
+        raise ValueError(f"threshold {threshold} below minimum {MIN_THRESHOLD}")
     if params is None:
         from repro.litmus.matrix import litmus_params
 

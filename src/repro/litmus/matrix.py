@@ -298,9 +298,15 @@ def run_litmus_program(
     no code: verdicts are never stored.  It stays only because the
     benchmark harness (perfbench/workloads.py) passes ``cache=None``;
     drop it with the next change to the benchmark.
+
+    Raises :class:`ValueError`, before any capture, if ``threshold`` is
+    below :data:`~repro.compiler.regions.MIN_THRESHOLD`.
     """
+    from repro.compiler.regions import MIN_THRESHOLD
     from repro.ir.module import is_ckpt_addr
 
+    if threshold < MIN_THRESHOLD:
+        raise ValueError(f"threshold {threshold} below minimum {MIN_THRESHOLD}")
     in_ckpt = [addr for addr in program.addrs if is_ckpt_addr(addr)]
     if in_ckpt:
         raise ValueError(
@@ -451,7 +457,8 @@ def run_litmus_mutants(
     short-circuits per mutant on the first (event-minimal, confirmed)
     witness.  Raises :class:`ValueError` naming the known mutants, before
     any sweep runs, if ``mutants`` is empty (a matrix of no mutants
-    detects nothing) or names an unknown one.
+    detects nothing) or names an unknown one; the control sweep's first
+    :func:`run_litmus_program` refuses a threshold below the minimum.
     """
     from repro.arch.persistence import ProtocolMutations
     from repro.check.mutants import MUTANT_EXPECTATIONS

@@ -30,8 +30,11 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from repro.compiler import OptConfig
-from repro.eval.report import format_table, scale_arg, workers_arg
-from repro.jsonout import add_json_arg, write_envelope
+from repro.eval.report import format_table
+from repro.jsonout import (
+    add_json_arg, comma_list, fraction_arg, int_arg, scale_arg, text_printer,
+    threshold_arg, workers_arg, write_envelope,
+)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -43,6 +46,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--benchmarks",
+        type=comma_list(str, "benchmarks"),
         default="all",
         help="comma-separated registry names, or 'all' (the figure suites)",
     )
@@ -54,6 +58,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--thresholds",
+        type=comma_list(threshold_arg, "thresholds"),
         default="256",
         help="comma-separated region store thresholds (full-Capri config)",
     )
@@ -63,7 +68,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="sweep the Figure 9 optimisation ladder instead of thresholds",
     )
     parser.add_argument("--scale", type=scale_arg, default=1.0)
-    parser.add_argument("--quantum", type=int, default=32)
+    parser.add_argument("--quantum", type=int_arg(1), default=32)
     parser.add_argument(
         "--workers", type=workers_arg, default=0,
         help="worker processes (0 = serial)",
@@ -78,7 +83,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     add_json_arg(parser)
     parser.add_argument(
-        "--min-hit-rate", type=float, default=None,
+        "--min-hit-rate", type=fraction_arg, default=None,
         help="exit non-zero if the cache hit rate is below this fraction",
     )
     parser.add_argument(
@@ -89,7 +94,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.api import RunSpec
     from repro.sweep.engine import run_specs
 
-    if args.benchmarks == "all":
+    if args.benchmarks == ["all"]:
         suites = (
             FIGURE_SUITES
             if args.suite is None
@@ -97,16 +102,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         names = [name for members in suites.values() for name in members]
     else:
-        names = [n.strip() for n in args.benchmarks.split(",") if n.strip()]
+        names = args.benchmarks
 
     if args.ladder:
         configs: Dict[str, OptConfig] = OptConfig.ladder()
     else:
-        try:
-            thresholds = [int(t) for t in args.thresholds.split(",") if t.strip()]
-        except ValueError:
-            parser.error(f"--thresholds: expected integers, got {args.thresholds!r}")
-        configs = {str(t): OptConfig.licm(t) for t in thresholds}
+        configs = {str(t): OptConfig.licm(t) for t in args.thresholds}
 
     cache = None if args.no_cache else (args.cache_dir or "default")
     progress = None
@@ -132,20 +133,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 result.normalized_cycles
             )
     rows = [name for name in names if cells.get(name)]
-    json_out = args.json_out
-    if json_out != "-":
-        print(
-            format_table(
-                f"Sweep: normalized cycles at scale {args.scale}",
-                rows,
-                columns,
-                cells,
-            )
-        )
-        print()
-        print(report.summary())
+    say = text_printer(args.json_out)
+    title = f"Sweep: normalized cycles at scale {args.scale}"
+    say(format_table(title, rows, columns, cells))
+    say()
+    say(report.summary())
 
-    if json_out:
+    if args.json_out:
         data = {
             "scale": args.scale,
             "columns": columns,
@@ -162,9 +156,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             },
             "specs": [status.to_dict() for status in report.statuses],
         }
-        write_envelope(json_out, "sweep", data)
-        if json_out != "-":
-            print(f"wrote {json_out}")
+        write_envelope(args.json_out, "sweep", data, written="wrote")
 
     if args.min_hit_rate is not None and report.hit_rate < args.min_hit_rate:
         print(

@@ -37,4 +37,4 @@ def test_empty_mutant_list_is_a_usage_error(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["--mutants", "--mutant", ","])
     assert exit_info.value.code == 2
-    assert "mutant list is empty" in capsys.readouterr().err
+    assert "--mutant: no mutants in ','" in capsys.readouterr().err

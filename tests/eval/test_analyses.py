@@ -180,7 +180,8 @@ class TestEnergy:
         with pytest.raises(SystemExit) as exit_info:
             energy_main(["--cores", cores])
         assert exit_info.value.code == 2
-        assert f"--cores must be >= 1, got {cores}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"--cores: must be an integer >= 1, got {cores!r}" in err
 
     @pytest.mark.parametrize("threshold", ["7", "0", "-5"])
     def test_cli_refuses_threshold_below_minimum(self, threshold, capsys):
@@ -188,4 +189,4 @@ class TestEnergy:
             energy_main(["--threshold", threshold])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert f"--threshold must be >= 8, got {threshold}" in err
+        assert f"--threshold: threshold {threshold} below minimum 8" in err

@@ -15,18 +15,18 @@ from repro.litmus.cli import main
         (["run", "--seeds", "3-1"], "bad seed or range '3-1'"),
         (["run", "--seeds", "1-"], "bad seed or range '1-'"),
         (["run", "--seeds", ","], "no seeds in ','"),
-        (["run", "--count", "0"], "--count must be >= 1, got 0"),
+        (["run", "--count", "0"], "--count: must be an integer >= 1, got '0'"),
         (
             ["explore", "--seeds", "0", "--step-limit", "-1"],
-            "--step-limit must be >= 0, got -1",
+            "--step-limit: must be an integer >= 0, got '-1'",
         ),
         (
             ["explore", "--seeds", "0", "--max-schedules", "-5"],
-            "--max-schedules must be >= 1, got -5",
+            "--max-schedules: must be an integer >= 1, got '-5'",
         ),
         (
             ["explore", "--seeds", "0", "--max-schedules", "0"],
-            "--max-schedules must be >= 1, got 0",
+            "--max-schedules: must be an integer >= 1, got '0'",
         ),
     ],
 )
@@ -80,5 +80,7 @@ def test_empty_mutant_list_is_a_usage_error_before_any_sweep(monkeypatch, capsys
     with pytest.raises(SystemExit) as exit_info:
         main(["mutants", "--seeds", "1", "--mutants", ","])
     assert exit_info.value.code == 2
-    err = capsys.readouterr().err
-    assert "no mutants to check" in err and "skip_undo_log" in err
+    assert "--mutants: no mutants in ','" in capsys.readouterr().err
+    # The library refuses an empty list too, naming the known mutants.
+    with pytest.raises(ValueError, match="no mutants to check.*skip_undo_log"):
+        matrix.run_litmus_mutants([], mutants=[])

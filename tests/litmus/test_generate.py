@@ -97,11 +97,14 @@ class TestSeedArgumentParsing:
     """The CLI's --seeds grammar: comma lists with a-b ranges."""
 
     def test_lists_ranges_and_mixtures(self):
-        from repro.litmus.cli import DEFAULT_SEEDS, _parse_seeds
+        from repro.litmus.cli import DEFAULT_SEEDS, _parser, _seed_list
 
-        assert _parse_seeds("0,1,2", None) == [0, 1, 2]
-        assert _parse_seeds("0-5", None) == [0, 1, 2, 3, 4, 5]
-        assert _parse_seeds("0,3,5-8", None) == [0, 3, 5, 6, 7, 8]
-        assert _parse_seeds(" 1 , 4-4 ", None) == [1, 4]
-        assert _parse_seeds(None, 2) == [0, 1]
-        assert _parse_seeds(None, None) == list(DEFAULT_SEEDS)
+        def seeds(*argv):
+            return _seed_list(_parser().parse_args(["run", *argv]))
+
+        assert seeds("--seeds", "0,1,2") == [0, 1, 2]
+        assert seeds("--seeds", "0-5") == [0, 1, 2, 3, 4, 5]
+        assert seeds("--seeds", "0,3,5-8") == [0, 3, 5, 6, 7, 8]
+        assert seeds("--seeds", " 1 , 4-4 ") == [1, 4]
+        assert seeds("--count", "2") == [0, 1]
+        assert seeds() == list(DEFAULT_SEEDS)

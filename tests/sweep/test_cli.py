@@ -233,7 +233,7 @@ class TestWorkersIsValidated:
         ) in capsys.readouterr().err
 
     def test_bounds_are_accepted(self):
-        from repro.eval.report import workers_arg
+        from repro.jsonout import workers_arg
 
         assert workers_arg("0") == 0
         assert workers_arg(str(MAX_WORKERS)) == MAX_WORKERS
@@ -283,3 +283,111 @@ class TestSingleEntryPoint:
         )
         assert proc.returncode != 0
         assert "repro.fault" in proc.stderr
+
+
+#: Invocations that once ran (or ran part of) a check, a sweep or a
+#: campaign on a malformed argument -- or passed after checking nothing
+#: -- each with the words of its refusal.
+MALFORMED = [
+    (["check", "--workload", ",", "--scale", "0.05"], "no workloads in ','"),
+    (
+        ["check", "--workload", "genome", "--scale", "0.05", "--thresholds", ","],
+        "no thresholds in ','",
+    ),
+    (
+        ["check", "--workload", "genome", "--scale", "0.05", "--thresholds", "64,4"],
+        "threshold 4 below minimum 8, got '64,4'",
+    ),
+    (["check", "--all", "--thresholds", "64,4"], "threshold 4 below minimum 8"),
+    (
+        ["check", "--mutants", "--workloads", ",", "--mutant", "skip_undo_log"],
+        "no workloads in ','",
+    ),
+    (
+        ["sweep", "--benchmarks", ",", "--scale", "0.05", "--no-cache"],
+        "no benchmarks in ','",
+    ),
+    (
+        ["sweep", "--thresholds", ",", "--scale", "0.05", "--no-cache"],
+        "no thresholds in ','",
+    ),
+    (
+        ["sweep", *SWEEP_ARGS, "--no-cache", "--min-hit-rate", "nan"],
+        "--min-hit-rate: must be a number from 0 to 1, got 'nan'",
+    ),
+    (
+        ["sweep", *SWEEP_ARGS, "--no-cache", "--min-hit-rate", "5"],
+        "--min-hit-rate: must be a number from 0 to 1, got '5'",
+    ),
+    (
+        ["sweep", *SWEEP_ARGS, "--no-cache", "--quantum", "0"],
+        "--quantum: must be an integer >= 1, got '0'",
+    ),
+    (
+        ["sweep", "--benchmarks", "ssca2", "--thresholds", "0", "--no-cache"],
+        "threshold 0 below minimum 8",
+    ),
+    (
+        ["fault", "--workload", "genome", "--scale", "0.05", "--sample", "5",
+         "--models", ","],
+        "no models in ','",
+    ),
+    (
+        ["litmus", "run", "--seeds", "0", "--threshold", "-5"],
+        "threshold -5 below minimum 8",
+    ),
+    (["litmus", "run", "--seeds", "0", "--threshold", "0"], "threshold 0 below"),
+    (["litmus", "run", "--seeds", "0", "--threshold", "3"], "threshold 3 below"),
+    (["litmus", "mutants", "--threshold", "-5"], "threshold -5 below minimum 8"),
+]
+
+
+class TestMalformedArguments:
+    """Every subcommand refuses a malformed argument as a usage error
+    (exit 2) naming it, with nothing on stdout and nothing run."""
+
+    @pytest.fixture(autouse=True)
+    def no_simulation(self, monkeypatch):
+        import repro.api
+        import repro.sweep.engine
+        from repro.isa.machine import Machine
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a malformed invocation started running")
+
+        monkeypatch.setattr(Machine, "run", refuse)
+        monkeypatch.setattr(repro.api, "build_spec", refuse)
+        monkeypatch.setattr(repro.sweep.engine, "run_specs", refuse)
+
+    @pytest.mark.parametrize(
+        "argv, message", MALFORMED, ids=[" ".join(a) for a, _ in MALFORMED]
+    )
+    def test_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            repro_main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+
+class TestJsonToStdout:
+    """``--json -`` owns stdout: exactly one envelope and nothing else."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fault", "--workload", "genome", "--scale", "0.05", "--sample", "2",
+             "--no-minimize"],
+            ["check", "--workload", "genome", "--scale", "0.05"],
+            ["litmus", "run", "--seeds", "1"],
+            ["sweep", "--benchmarks", "genome", "--thresholds", "64", "--scale",
+             "0.05", "--no-cache", "--quiet"],
+            ["profile", "genome", "--scale", "0.05"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_one_document(self, argv, capsys):
+        assert repro_main([*argv, "--json", "-"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["schema"] == 1 and doc["command"] == argv[0]
