@@ -188,6 +188,13 @@ class RecoveredState:
     steps: int = 0
     #: True once the final recovery-complete commit step has applied.
     committed: bool = False
+    #: what :func:`recover` computed this from — the snapshot object, the
+    #: module, ``strict`` and ``mutations`` — for its ``previous=`` test
+    #: (``None`` for a bare :func:`run_recovery`).
+    snapshot: Optional[CrashState] = field(default=None, repr=False, compare=False)
+    module: Optional[Module] = field(default=None, repr=False, compare=False)
+    strict: Optional[bool] = field(default=None, compare=False)
+    mutations: object = field(default=None, compare=False)
 
 
 def _eval_recovery_block(rb: RecoveryBlock, regs: List[int]) -> None:
@@ -218,7 +225,11 @@ def _first_torn_boundary(
 
 
 def recover(
-    state: CrashState, module: Module, strict: bool = True, mutations=None
+    state: CrashState,
+    module: Module,
+    strict: bool = True,
+    mutations=None,
+    previous: Optional[RecoveredState] = None,
 ) -> RecoveredState:
     """Run the Section 5.4 protocol over a crash snapshot.
 
@@ -237,8 +248,28 @@ def recover(
     entries are shared (recovery never edits an entry), so the caller's
     snapshot is never mutated.  Use :func:`run_recovery` directly to
     model a recovery that can itself lose power.
+
+    ``previous`` is an earlier result of this function.  When it was
+    computed from this very snapshot object with the same ``module``,
+    ``strict`` and ``mutations``, it is returned itself rather than
+    recomputed: recovery is a function of the snapshot alone (§5.4), and
+    :func:`~repro.arch.crash.capture_crash_state` hands the same
+    snapshot object back only while the persistent domain is unchanged.
+    Callers read a recovered state and never edit it.  A recovery that
+    raised produced nothing to pass on, so it runs (and raises) again.
     """
-    return run_recovery(state.clone(), module, strict=strict, mutations=mutations)
+    if (
+        previous is not None
+        and previous.snapshot is state
+        and previous.module is module
+        and previous.strict == strict
+        and previous.mutations == mutations
+    ):
+        return previous
+    out = run_recovery(state.clone(), module, strict=strict, mutations=mutations)
+    out.snapshot, out.module = state, module
+    out.strict, out.mutations = strict, mutations
+    return out
 
 
 def run_recovery(

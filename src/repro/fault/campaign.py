@@ -14,7 +14,9 @@ source also owns the golden result every point is judged against
 1. advances the source to the crash point and captures the persistent
    domain (``source.capture_at``),
 2. applies the fault models to a clone of the snapshot,
-3. recovers (strict or lenient) and resumes to completion,
+3. recovers (strict or lenient) and resumes to completion; a point
+   whose snapshot is the previous point's object, unfaulted, gets the
+   previous point's recovery back (``recover(..., previous=)``),
 4. judges the outcome against the differential oracle.
 
 Outcome classification — the campaign's contract is **zero silent
@@ -184,6 +186,10 @@ class CampaignResult:
     #: times the source rebuilt its system from event 0 — the failure
     #: minimizer bisects downward, behind the replay cursor.
     rebuilds: int = 0
+    #: points whose recovery ran the §5.4 protocol and succeeded, rather
+    #: than sharing the previous point's (telemetry; not in
+    #: :meth:`to_stats`).
+    recoveries: int = 0
 
     @property
     def failures(self) -> List[CrashOutcome]:
@@ -249,7 +255,7 @@ class CampaignResult:
             f"seed={self.seed:#x}"
             + (f"  depth={self.depth}" if self.depth > 1 else ""),
             f"  crash points: {len(self.outcomes)} of {self.total_events} "
-            "events",
+            f"events; {self.recoveries} recoveries computed",
         ]
         for status, n in sorted(self.counts().items()):
             lines.append(f"  {status:>16}: {n}")
@@ -455,13 +461,19 @@ def run_crash_point(
     models: Sequence[FaultModel],
     config: CampaignConfig,
     source,
-) -> Tuple[List[CrashOutcome], int]:
+    previous: Optional[RecoveredState] = None,
+) -> Tuple[List[CrashOutcome], int, Optional[RecoveredState]]:
     """Crash at one event index, inject, recover, resume, judge — and,
     with ``config.depth`` > 1, sweep the crash chains rooted there.
 
-    Returns ``(outcomes, truncated_chains)``.  The first outcome is the
-    point's single-crash verdict; chain leaves follow, each after the
-    longer chains that extend it.
+    Returns ``(outcomes, truncated_chains, recovered)``.  The first
+    outcome is the point's single-crash verdict; chain leaves follow,
+    each after the longer chains that extend it.  ``recovered`` is the
+    point's primary recovery (``None`` when none succeeded); pass it as
+    the next point's ``previous`` and :func:`recover` hands it back when
+    that point's snapshot is the same object.  Faulted points recover a
+    fresh clone, so they never share.  Chain re-entries never share
+    either, and everything after the primary recovery runs per point.
 
     ``source`` serves the crash capture and the golden result: anything
     with a ``capture_at(event_index) -> (state, pre_crash_io, checker)``
@@ -481,9 +493,9 @@ def run_crash_point(
                 "model-violation",
                 detail=checker.report.summary(),
             )
-        ], 0
+        ], 0, None
     if state is None:
-        return [CrashOutcome(event_index, "finished")], 0
+        return [CrashOutcome(event_index, "finished")], 0, None
 
     # The clean model changes nothing, so a point with no other model
     # needs neither its RNG nor a clone of the state.
@@ -494,7 +506,11 @@ def run_crash_point(
 
     try:
         ref = recover(
-            mutated, module, strict=config.strict, mutations=config.mutations
+            mutated,
+            module,
+            strict=config.strict,
+            mutations=config.mutations,
+            previous=previous,
         )
     except RecoveryError as err:
         if notes:
@@ -513,7 +529,7 @@ def run_crash_point(
                     f"{type(err).__name__}: {err}"
                 ),
             )
-        return [outcome], 0
+        return [outcome], 0, None
 
     def judge(recovered: RecoveredState, chain: Tuple[int, ...] = ()):
         if checker is not None and not notes:
@@ -555,7 +571,7 @@ def run_crash_point(
 
     outcomes = [judge(ref)]
     if config.depth <= 1:
-        return outcomes, 0
+        return outcomes, 0, ref
 
     budget = max(1, config.max_chains_per_point)
     truncated = 0
@@ -632,7 +648,7 @@ def run_crash_point(
             outcomes.append(judge(final, chain))
 
     sweep(mutated, (), ref.steps)
-    return outcomes, truncated
+    return outcomes, truncated, ref
 
 
 def run_campaign(
@@ -667,12 +683,16 @@ def run_campaign(
         total_events=total_events,
         depth=max(1, config.depth),
     )
+    recovered = None
     for at in points:
-        outcomes, truncated = run_crash_point(
-            module, spawns, at, models, config, source
+        previous = recovered
+        outcomes, truncated, recovered = run_crash_point(
+            module, spawns, at, models, config, source, previous
         )
         result.outcomes.extend(outcomes)
         result.truncated_chains += truncated
+        if recovered is not None and recovered is not previous:
+            result.recoveries += 1
 
     if config.minimize and result.failures and not result.failures[0].chain:
         first = result.failures[0]
@@ -681,7 +701,7 @@ def run_campaign(
             probe = replace(
                 config, models=model_names, minimize=False, depth=1
             )
-            outcomes, _ = run_crash_point(
+            outcomes, _, _ = run_crash_point(
                 module,
                 spawns,
                 index,

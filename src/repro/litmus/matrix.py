@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.litmus.generate import LitmusProgram
 from repro.litmus.oracle import (
@@ -44,6 +44,9 @@ from repro.litmus.oracle import (
     oracle_snapshots,
     per_core_last_writes,
 )
+
+if TYPE_CHECKING:
+    from repro.arch.recovery import RecoveredState
 
 #: Mutants the litmus matrix is *expected to miss*: both corrupt the
 #: cache-invalidation path, which only acts on regular-path writebacks —
@@ -239,19 +242,33 @@ def _judge_point(
     golden_data,
     mutations,
     max_steps: int,
-) -> Tuple[List[Dict[str, object]], int]:
-    """Recover + judge one captured crash state end to end."""
+    previous: Optional[RecoveredState] = None,
+) -> Tuple[List[Dict[str, object]], int, Optional[RecoveredState]]:
+    """Recover + judge one captured crash state end to end.
+
+    Returns ``(failures, checks, recovered)``: ``recovered`` is the
+    point's :class:`~repro.arch.recovery.RecoveredState` (``None`` when
+    recovery raised), for the next point's ``previous`` —
+    :func:`~repro.arch.recovery.recover` hands it back when that point's
+    snapshot is the same object.  The judges and the resume run per
+    point either way.
+    """
     from repro.arch.recovery import RecoveryError, recover, resume_and_finish
     from repro.isa.machine import MachineError
 
     try:
         recovered = recover(
-            state, program.module, strict=False, mutations=mutations
+            state,
+            program.module,
+            strict=False,
+            mutations=mutations,
+            previous=previous,
         )
     except RecoveryError as exc:
         return (
             [{"component": "recovery", "error": type(exc).__name__, "detail": str(exc)}],
             1,
+            None,
         )
     failures, checks = _judge_crash_state(program, snap, recovered)
     try:
@@ -266,14 +283,14 @@ def _judge_point(
         failures.append(
             {"component": "resume-run", "error": type(exc).__name__, "detail": str(exc)}
         )
-        return failures, checks + 1
+        return failures, checks + 1, recovered
     # The judge reads only ``program.addrs``, none of them checkpoint
     # storage (run_litmus_program refuses such a program), so the live
     # memory needs no masked copy.
     final_failures, final_checks = _judge_final_state(
         program, snap, mw_addrs, finals, golden_data, machine.memory
     )
-    return failures + final_failures, checks + final_checks
+    return failures + final_failures, checks + final_checks, recovered
 
 
 # --------------------------------------------------------------------- matrix
@@ -341,13 +358,14 @@ def run_litmus_program(
     forbidden = 0
     checks = 0
     witness: Optional[LitmusWitness] = None
+    recovered = None
     for k in range(len(trace)):
         state, _io, facade = source.capture_at(k)
         if state is None:
             break
-        failures, point_checks = _judge_point(
+        failures, point_checks, recovered = _judge_point(
             program, k, snapshots[k], state, mw_addrs, finals,
-            golden_data, mutations, max_steps,
+            golden_data, mutations, max_steps, recovered,
         )
         checks += point_checks
         if facade.report.violations:
@@ -379,7 +397,7 @@ def run_litmus_program(
                     program.module, program.spawns, config
                 ).capture_at(k)
                 if direct_state is not None:
-                    direct_failures, _ = _judge_point(
+                    direct_failures, _, _ = _judge_point(
                         program, k, snapshots[k], direct_state, mw_addrs,
                         finals, golden_data, mutations, max_steps,
                     )

@@ -158,7 +158,7 @@ class TestDeterminism:
         module = compile_capri(build_update_loop(n_iters=8, arr_words=8))
         spawns = [("main", [])]
         cfg = _config(secondary_sample=None, max_chains_per_point=2)
-        outcomes, truncated = run_crash_point(
+        outcomes, truncated, _ = run_crash_point(
             module,
             spawns,
             40,

@@ -3,6 +3,9 @@ its I/O check."""
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.arch.recovery import RecoveryReport
 from repro.fault.oracle import GoldenResult, data_image, differential_check
 from repro.ir.module import (
@@ -72,6 +75,40 @@ class TestDifferentialCheck:
         verdict = differential_check(golden, finished)
         assert not verdict.equivalent
         assert verdict.mismatched_addrs == [DATA_BASE, DATA_BASE + 8]
+
+
+def _masked_verdict(golden, finished):
+    """The comparison on a masked copy of the resumed memory, as the
+    oracle made it before it compared in place."""
+    final = data_image(finished)
+    addrs = set(golden.data) | set(final)
+    return sorted(
+        addr for addr in addrs if golden.data.get(addr, 0) != final.get(addr, 0)
+    )
+
+
+#: Data words, and checkpoint words at both ends of the log area.
+_ADDRS = st.sampled_from(
+    [DATA_BASE + 8 * i for i in range(6)]
+    + [CKPT_BASE, CKPT_BASE + 8, CKPT_END - 8, CKPT_END]
+)
+_IMAGE = st.dictionaries(_ADDRS, st.integers(-2, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(golden=_IMAGE, memory=_IMAGE)
+def test_in_place_comparison_matches_the_masked_copy(golden, memory):
+    golden = GoldenResult(
+        data={a: v for a, v in golden.items() if not is_ckpt_addr(a)},
+        io_log=[],
+        total_events=0,
+    )
+    finished = _machine(memory)
+    verdict = differential_check(golden, finished)
+    expected = _masked_verdict(golden, finished)
+    assert verdict.mismatched_addrs == expected
+    assert verdict.equivalent == (not expected)
+    assert finished.memory == memory  # compared, not edited
 
 
 class TestIoCheck:

@@ -14,15 +14,17 @@ and the previous comparison was clean.  These tests pin both rules:
   an unchanged domain (a writeback the checker saw) re-runs the
   comparison;
 * a comparison that flagged a violation is never reused;
-* with sharing turned off, every litmus corpus program, faithful and
-  under each planted mutant, produces the same per-point judgements,
-  per-point checker reports and verdict payload.
+* with sharing turned off (fresh snapshots, and ``recover`` never
+  handed the previous point's recovery), every litmus corpus program,
+  faithful and under each planted mutant, produces the same per-point
+  judgements, per-point checker reports and verdict payload.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import repro.arch.recovery as recovery
 import repro.litmus.matrix as matrix
 import repro.trace.replay as replay
 from repro.arch.crash import CrashState, capture_crash_state
@@ -231,9 +233,9 @@ def _record_run(program, mutations, monkeypatch):
     capture_at = TraceCampaignSource.capture_at
 
     def judge_point(program, k, snap, state, *rest):
-        failures, checks = judge(program, k, snap, state, *rest)
+        failures, checks, recovered = judge(program, k, snap, state, *rest)
         judged.append((k, failures, checks))
-        return failures, checks
+        return failures, checks, recovered
 
     def record_capture(self, k):
         state, io, facade = capture_at(self, k)
@@ -263,14 +265,19 @@ def corpus():
 @pytest.mark.parametrize("mutant", [None, *MUTANT_EXPECTATIONS])
 def test_sharing_off_gives_the_same_payloads(corpus, mutant, monkeypatch):
     mutations = ProtocolMutations.single(mutant) if mutant else None
-    real = replay.capture_crash_state
+    capture = replay.capture_crash_state
+    recover = recovery.recover
 
-    def unshared(system, previous=None):
-        return real(system)
+    def unshared_capture(system, previous=None):
+        return capture(system)
+
+    def unshared_recover(state, module, strict=True, mutations=None, previous=None):
+        return recover(state, module, strict=strict, mutations=mutations)
 
     for program in corpus:
         shared = _record_run(program, mutations, monkeypatch)
         with monkeypatch.context() as patch:
-            patch.setattr(replay, "capture_crash_state", unshared)
+            patch.setattr(replay, "capture_crash_state", unshared_capture)
+            patch.setattr(recovery, "recover", unshared_recover)
             fresh = _record_run(program, mutations, monkeypatch)
         assert shared == fresh, (program.name, mutant)
