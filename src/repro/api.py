@@ -9,11 +9,11 @@ so two specs with equal fingerprints describe the same simulation and a
 completed run can be memoised on disk (:mod:`repro.sweep.cache`).
 
 Code-change invalidation is *dependency-recorded*, not key-embedded
-(fingerprint schema 2): :func:`execute_spec` runs under a
-:class:`repro.deps.UsageProbe` and reports which subsystems the run
-exercised (:attr:`RunResult.deps`); cache entries store those
-subsystems' content hashes and stay valid until one of *them* changes —
-editing an eval script no longer cold-starts every simulation.
+(fingerprint schema 2): :func:`spec_deps` names the subsystems a spec's
+run depends on, :func:`execute_spec` reports them
+(:attr:`RunResult.deps`), and cache entries store those subsystems'
+content hashes and stay valid until one of *them* changes — editing an
+eval script no longer cold-starts every simulation.
 
 This module is also the **stable facade**: everything in ``__all__`` is
 public API with compatibility expectations; reach into submodules only
@@ -34,7 +34,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from repro.arch.params import SimParams
 from repro.arch.system import SystemMetrics, build_system, run_system
 from repro.compiler import CapriCompiler, OptConfig
-from repro.deps import UsageProbe, subsystem_hashes
+from repro.deps import subsystem_hashes
 from repro.ir.module import Module
 from repro.ir.printer import format_module
 
@@ -205,10 +205,10 @@ class RunResult:
     baseline_cycles: Optional[float] = None
     wall_s: float = 0.0
     from_cache: bool = False
-    #: Subsystems this run exercised (sorted), as recorded by the usage
-    #: probe around :func:`execute_spec` — the dependency set a cache
-    #: entry stores for precise invalidation.  ``()`` for cache-served
-    #: results (their validity was already checked against stored deps).
+    #: Subsystems this run depends on (sorted, :func:`spec_deps`) — the
+    #: dependency set a cache entry stores for precise invalidation.
+    #: ``()`` for cache-served results (their validity was already
+    #: checked against stored deps).
     deps: Tuple[str, ...] = ()
     #: The metrics are those of an earlier run of the same program in
     #: the same sweep (see :func:`execute_spec`'s ``memo``).
@@ -310,6 +310,22 @@ def simulation_key(
     return digest.hexdigest()
 
 
+def spec_deps(spec: RunSpec) -> Tuple[str, ...]:
+    """The subsystems a run of ``spec`` depends on, sorted.
+
+    Every run builds a workload (``workloads``) in IR and executes it
+    (``core``) on the architecture (``arch``); an instrumented run also
+    compiles it (``compiler``), and a checked one attaches the checker
+    (``check``).
+    """
+    deps = ["arch", "core", "workloads"]
+    if spec.effective_config.instrumented:
+        deps.append("compiler")
+    if spec.check:
+        deps.append("check")
+    return tuple(sorted(deps))
+
+
 def execute_spec(
     spec: RunSpec, memo: Optional[SimulationMemo] = None
 ) -> RunResult:
@@ -317,43 +333,41 @@ def execute_spec(
 
     The single run primitive behind the sweep engine's workers.
 
-    The whole run executes under a :class:`repro.deps.UsageProbe`; the
-    result's :attr:`~RunResult.deps` names the subsystems exercised, and
-    the sweep engine stores them with the cached metrics so only changes
-    to *those* subsystems invalidate the entry.
+    The result's :attr:`~RunResult.deps` is :func:`spec_deps`; the
+    sweep engine stores it with the cached metrics so only changes to
+    *those* subsystems invalidate the entry.
 
     ``memo`` holds the simulations already run in one sweep.  The spec
     is still built and compiled; if the memo holds a run of the same
     :func:`simulation_key` that :meth:`~MemoRun.serves` this spec's
     back-end capacity, its metrics come back (``shared``) with the deps
-    of both probes, so the cache still invalidates on a simulator
-    change.  Otherwise the spec is simulated and, once it succeeds,
-    added to the memo.
+    of both runs, so the cache invalidates on a change to either.
+    Otherwise the spec is simulated and, once it succeeds, added to the
+    memo.
     """
     start = time.perf_counter()
     params = spec.effective_params
     capacity = params.backend_capacity(spec.effective_threshold)
     earlier = None
-    with UsageProbe() as probe:
-        module, spawns = build_spec(spec)
-        if memo is not None:
-            key = simulation_key(spec, module, spawns)
-            earlier = next(
-                (run for run in memo.get(key, ()) if run.serves(capacity)), None
-            )
-        if earlier is None:
-            machine, system = build_system(
-                module,
-                spawns,
-                params=params,
-                threshold=spec.effective_threshold,
-                persistence=spec.effective_persistence,
-                quantum=spec.quantum,
-            )
-            metrics = run_system(
-                machine, system, max_steps=spec.max_steps, check=spec.check
-            )
-    deps = probe.subsystems()
+    module, spawns = build_spec(spec)
+    if memo is not None:
+        key = simulation_key(spec, module, spawns)
+        earlier = next(
+            (run for run in memo.get(key, ()) if run.serves(capacity)), None
+        )
+    if earlier is None:
+        machine, system = build_system(
+            module,
+            spawns,
+            params=params,
+            threshold=spec.effective_threshold,
+            persistence=spec.effective_persistence,
+            quantum=spec.quantum,
+        )
+        metrics = run_system(
+            machine, system, max_steps=spec.max_steps, check=spec.check
+        )
+    deps = spec_deps(spec)
     if earlier is not None:
         metrics = copy.deepcopy(earlier.metrics)
         deps = tuple(sorted({*deps, *earlier.deps}))
@@ -408,8 +422,8 @@ __all__ = [
     "metrics_to_dict",
     "metrics_from_dict",
     # versioning / dependency fingerprints (repro.deps)
+    "spec_deps",
     "subsystem_hashes",
-    "UsageProbe",
     # result cache (repro.sweep.cache)
     "ResultCache",
     "resolve_cache",

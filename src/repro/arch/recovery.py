@@ -712,7 +712,6 @@ def resume_and_finish(
     spawns: Sequence[Tuple[str, Sequence[int]]],
     quantum: int = 32,
     max_steps: int = 50_000_000,
-    observer=None,
 ) -> Machine:
     """Restart execution from a recovered state and run to completion.
 
@@ -721,5 +720,5 @@ def resume_and_finish(
     finished machine (its memory is the post-recovery final state).
     """
     machine = _build_resumed_machine(recovered, module, spawns, quantum)
-    machine.run(observer, max_steps=max_steps)
+    machine.run(max_steps=max_steps)
     return machine

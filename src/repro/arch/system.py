@@ -285,9 +285,6 @@ def build_system(
     (:mod:`repro.check.mutants`); leave ``None`` for the faithful
     protocol.
     """
-    from repro.deps import touch
-
-    touch("arch")  # usage-probe dependency recording
     params = params or SimParams.scaled()
     machine = Machine(module, quantum=quantum)
     for func_name, args in spawns:

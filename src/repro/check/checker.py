@@ -74,9 +74,6 @@ class PersistencyChecker(Observer):
         """Create a checker and register it as ``system``'s persistence
         watcher.  The caller still must tee the machine event stream to
         the checker (see module docstring)."""
-        from repro.deps import touch
-
-        touch("check")  # usage-probe dependency recording
         if system.persist is None:
             raise ValueError(
                 "persistency checking requires a persistent system "

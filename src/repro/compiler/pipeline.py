@@ -153,9 +153,6 @@ class CapriCompiler:
         instrumented output — checkpoint coverage, region budgets, and
         recovery-block purity — raising on any violation.
         """
-        from repro.deps import touch
-
-        touch("compiler")  # usage-probe dependency recording
         cfg = self.config
         out = clone_module(module)
         result = CompileResult(module=out, config=cfg)

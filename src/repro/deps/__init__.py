@@ -1,18 +1,14 @@
-"""Subsystem fingerprints + usage probes: dependency-aware invalidation.
+"""Subsystem fingerprints: dependency-aware invalidation.
 
-``repro.deps`` answers two questions the result cache needs:
+:func:`subsystem_hashes` partitions the package into declared
+subsystems and content-hashes each (:mod:`repro.deps.fingerprint`).
+Which of them one run depends on is a function of its spec
+(:func:`repro.api.spec_deps`).
 
-1. *What version is each part of the code at?* —
-   :func:`subsystem_hashes` partitions the package into declared
-   subsystems and content-hashes each (:mod:`repro.deps.fingerprint`).
-2. *Which parts did this run actually use?* — :class:`UsageProbe` /
-   :func:`touch` record the subsystems exercised by one execution
-   (:mod:`repro.deps.probe`).
-
-A cache entry stores ``deps_token(probe.subsystems())`` and stays valid
-as long as those subsystems' hashes are unchanged; when one changes, the
-cache names it, and every sweep reports which subsystems invalidated
-each spec it re-ran (:class:`repro.sweep.engine.SpecStatus`).
+A cache entry stores ``deps_token(result.deps)`` and stays valid as long
+as those subsystems' hashes are unchanged; when one changes, the cache
+names it, and every sweep reports which subsystems invalidated each spec
+it re-ran (:class:`repro.sweep.engine.SpecStatus`).
 """
 
 from repro.deps.fingerprint import (
@@ -20,20 +16,15 @@ from repro.deps.fingerprint import (
     SUBSYSTEMS,
     deps_token,
     package_root,
-    subsystem_for_module,
     subsystem_for_path,
     subsystem_hashes,
 )
-from repro.deps.probe import UsageProbe, touch
 
 __all__ = [
     "SUBSYSTEM_SALT_ENV",
     "SUBSYSTEMS",
-    "UsageProbe",
     "deps_token",
     "package_root",
-    "subsystem_for_module",
     "subsystem_for_path",
     "subsystem_hashes",
-    "touch",
 ]

@@ -3,11 +3,11 @@
 The package is partitioned into declared *subsystems* — compiler, arch,
 check, workloads, trace, fault, litmus, eval glue, plus a ``core`` of
 shared plumbing — and each gets one sha256 content hash over its source
-files.  Cache entries (:mod:`repro.sweep.cache`) record the subsystem
-hashes their run actually depended on (:mod:`repro.deps.probe`), so a
+files.  Cache entries (:mod:`repro.sweep.cache`) record the hashes of
+the subsystems their run depends on (:func:`repro.api.spec_deps`), so a
 source change invalidates exactly the dependent entries instead of the
 whole cache: editing an eval script leaves every simulation warm, while
-editing ``arch/`` re-runs only the runs that exercised the architecture.
+editing ``compiler/`` re-runs only the instrumented runs.
 
 The partition is *path-prefix declared*, not inferred: every ``.py``
 file under ``src/repro`` maps to exactly one subsystem via
@@ -48,7 +48,6 @@ SUBSYSTEMS: Tuple[str, ...] = (
 
 #: First path component under ``src/repro`` -> subsystem.
 _DIR_MAP: Dict[str, str] = {
-    "ir": "compiler",
     "compiler": "compiler",
     "arch": "arch",
     "check": "check",
@@ -58,6 +57,7 @@ _DIR_MAP: Dict[str, str] = {
     "litmus": "litmus",
     "eval": "eval",
     "sweep": "eval",  # engine/cache/CLI glue: orchestration, not semantics
+    "ir": "core",  # every run builds its program in IR and executes it
     "isa": "core",  # the functional machine: everything executes on it
     "deps": "core",
 }
@@ -79,23 +79,6 @@ def subsystem_for_path(relpath: str) -> str:
     if len(parts) == 1:
         return _FILE_MAP.get(parts[0], "core")
     return _DIR_MAP.get(parts[0], "core")
-
-
-def subsystem_for_module(module_name: str) -> Optional[str]:
-    """Subsystem owning a dotted module name, or ``None`` if foreign.
-
-    ``repro.arch.nvm`` -> ``"arch"``; ``repro.api`` -> ``"core"``;
-    ``json`` -> ``None``.
-    """
-    parts = module_name.split(".")
-    if parts[0] != "repro":
-        return None
-    if len(parts) == 1:
-        return "core"
-    sub = _DIR_MAP.get(parts[1])
-    if sub is not None:
-        return sub
-    return _FILE_MAP.get(parts[1] + ".py", "core")
 
 
 # ---------------------------------------------------------------------------

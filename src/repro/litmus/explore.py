@@ -183,7 +183,6 @@ def explore_program(
     pipeline_schedules: int = 6,
     step_limit: Optional[int] = None,
     threshold: int = 32,
-    params=None,
 ) -> ExploreResult:
     """Explore ``program``'s interleavings; see the module docstring.
 
@@ -197,10 +196,9 @@ def explore_program(
         raise ValueError(f"max_schedules must be >= 1, got {max_schedules}")
     if threshold < MIN_THRESHOLD:
         raise ValueError(f"threshold {threshold} below minimum {MIN_THRESHOLD}")
-    if params is None:
-        from repro.litmus.matrix import litmus_params
+    from repro.litmus.matrix import litmus_params
 
-        params = litmus_params()
+    params = litmus_params()
     counts = program.instr_counts()
     capped = (
         counts

@@ -173,8 +173,6 @@ def generate_program(seed: int, quantum: int = LITMUS_QUANTUM) -> LitmusProgram:
     return program
 
 
-def litmus_corpus(
-    seeds: Sequence[int], quantum: int = LITMUS_QUANTUM
-) -> List[LitmusProgram]:
+def litmus_corpus(seeds: Sequence[int]) -> List[LitmusProgram]:
     """Generate one program per seed (the corpus helpers' entry point)."""
-    return [generate_program(seed, quantum=quantum) for seed in seeds]
+    return [generate_program(seed) for seed in seeds]

@@ -463,20 +463,19 @@ def run_litmus_mutants(
     programs: Sequence[LitmusProgram],
     mutants: Optional[Sequence[str]] = None,
     threshold: int = 32,
-    params=None,
 ) -> LitmusMutantsResult:
     """Unmutated control + one matrix sweep per planted protocol bug.
 
-    Every sweep visits both drain regimes of :func:`param_points`
-    (unless ``params`` pins one): the throttled point keeps
-    merge/reorder windows open, the fast point lets corrupted drains
-    reach recoverable state.  A mutant counts as detected when any
-    (program, regime) matrix observes a forbidden outcome; the sweep
-    short-circuits per mutant on the first (event-minimal, confirmed)
-    witness.  Raises :class:`ValueError` naming the known mutants, before
-    any sweep runs, if ``mutants`` is empty (a matrix of no mutants
-    detects nothing) or names an unknown one; the control sweep's first
-    :func:`run_litmus_program` refuses a threshold below the minimum.
+    Every sweep visits both drain regimes of :func:`param_points`: the
+    throttled point keeps merge/reorder windows open, the fast point
+    lets corrupted drains reach recoverable state.  A mutant counts as
+    detected when any (program, regime) matrix observes a forbidden
+    outcome; the sweep short-circuits per mutant on the first
+    (event-minimal, confirmed) witness.  Raises :class:`ValueError`
+    naming the known mutants, before any sweep runs, if ``mutants`` is
+    empty (a matrix of no mutants detects nothing) or names an unknown
+    one; the control sweep's first :func:`run_litmus_program` refuses a
+    threshold below the minimum.
     """
     from repro.arch.persistence import ProtocolMutations
     from repro.check.mutants import MUTANT_EXPECTATIONS
@@ -493,7 +492,7 @@ def run_litmus_mutants(
             f"unknown mutant {unknown[0]!r} "
             f"(known: {', '.join(MUTANT_EXPECTATIONS)})"
         )
-    points = param_points() if params is None else (params,)
+    points = param_points()
     control_forbidden = 0
     for program in programs:
         for point in points:

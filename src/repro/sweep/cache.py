@@ -8,8 +8,8 @@ Layout (one JSON file per completed run, sharded by fingerprint prefix)::
 Keys are :meth:`repro.api.RunSpec.fingerprint` digests — pure parameter
 addresses since fingerprint schema 2.  *Validity* under code change is
 decided per entry by one rule: a payload is served only when it carries
-a non-empty ``deps`` map (``{subsystem: content-hash}``, recorded by the
-usage probe that watched the original run) whose every hash still
+a non-empty ``deps`` map (``{subsystem: content-hash}`` over the
+original run's :func:`repro.api.spec_deps`) whose every hash still
 matches the current code (:func:`repro.deps.subsystem_hashes`) — so
 editing an eval script leaves simulations warm, while editing ``arch/``
 invalidates exactly the entries that exercised the architecture.  Any

@@ -229,7 +229,7 @@ def _worker(
     """Run one spec; always returns, never raises (pool stays healthy).
 
     Returns ``(fingerprint, state, metrics_dict | None, deps, wall_s,
-    error, shared)`` where ``deps`` is the probed subsystem tuple.
+    error, shared)`` where ``deps`` is the spec's subsystem tuple.
     Metrics travel as plain dicts so the parent rebuilds them through
     the exact same code path a cache hit uses — that is what makes
     parallel, serial and warm runs bit-identical.  ``memo`` defaults to

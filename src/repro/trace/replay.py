@@ -59,7 +59,6 @@ def build_replay_system(
     trace: ExecTrace,
     params: Optional[SimParams] = None,
     threshold: int = 256,
-    persistence: bool = True,
     mutations=None,
 ) -> CapriSystem:
     """A :class:`CapriSystem` ready to consume ``trace``.
@@ -68,15 +67,11 @@ def build_replay_system(
     same core count, same durable-image seeding (the trace carries the
     module's initial data).
     """
-    from repro.deps import touch
-
-    touch("arch")  # usage-probe dependency recording
     params = params or SimParams.scaled()
     system = CapriSystem(
         params,
         num_cores=trace.num_cores,
         threshold=threshold,
-        persistence=persistence,
         mutations=mutations,
     )
     system.nvm.image.update(trace.initial_data)

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.deps import touch
 from repro.ir.module import Module
 from repro.workloads import kvstore, oskernel, probes, spec, splash, stamp
 
@@ -35,7 +34,6 @@ class Workload:
         ``threads`` overrides the hart count for multithreaded workloads
         (core-count scaling); single-threaded builders ignore it.
         """
-        touch("workloads")  # usage-probe dependency recording
         s = self.default_scale if scale is None else scale
         if not (math.isfinite(s) and s > 0):
             raise ValueError(

@@ -6,7 +6,6 @@ from repro.deps import (
     SUBSYSTEMS,
     deps_token,
     package_root,
-    subsystem_for_module,
     subsystem_for_path,
     subsystem_hashes,
 )
@@ -17,7 +16,7 @@ class TestPartition:
         "relpath, subsystem",
         [
             ("arch/system.py", "arch"),
-            ("ir/module.py", "compiler"),
+            ("ir/module.py", "core"),  # every run builds and executes IR
             ("compiler/pipeline.py", "compiler"),
             ("sweep/engine.py", "eval"),
             ("eval/figures.py", "eval"),
@@ -37,22 +36,6 @@ class TestPartition:
 
     def test_unknown_top_level_falls_back_to_core(self):
         assert subsystem_for_path("new_layer/thing.py") == "core"
-
-    @pytest.mark.parametrize(
-        "module, subsystem",
-        [
-            ("repro", "core"),
-            ("repro.api", "core"),
-            ("repro.jsonout", "eval"),
-            ("repro.ir.module", "compiler"),
-            ("repro.arch.persistence", "arch"),
-            ("repro.sweep.cache", "eval"),
-            ("os.path", None),
-            ("reprotastic", None),
-        ],
-    )
-    def test_module_mapping(self, module, subsystem):
-        assert subsystem_for_module(module) == subsystem
 
     def test_every_source_file_lands_in_a_declared_subsystem(self):
         root = package_root()

@@ -1,75 +1,14 @@
-"""Usage-probe semantics: touch broadcast, import diff, nesting."""
+"""A run's dependencies: ``spec_deps`` and what ``execute_spec`` records."""
 
-from repro.deps import UsageProbe, touch
-from repro.deps import probe as probe_mod
+import pytest
 
-
-class TestTouch:
-    def test_noop_without_active_probe(self):
-        assert not probe_mod.active()
-        touch("arch", "trace")  # must not raise or leak state
-        with UsageProbe() as probe:
-            pass
-        assert probe.subsystems() == ("core",)
-
-    def test_touch_records_into_active_probe(self):
-        with UsageProbe() as probe:
-            touch("arch")
-            touch("check", "fault")
-        assert set(probe.subsystems()) == {"arch", "check", "core", "fault"}
-
-    def test_unknown_names_ignored(self):
-        with UsageProbe() as probe:
-            touch("not-a-subsystem")
-        assert probe.subsystems() == ("core",)
-
-    def test_core_always_included(self):
-        with UsageProbe() as probe:
-            pass
-        assert "core" in probe.subsystems()
-
-
-class TestNesting:
-    def test_touch_broadcasts_to_all_active_probes(self):
-        with UsageProbe() as outer:
-            with UsageProbe() as inner:
-                touch("trace")
-            touch("arch")
-        assert "trace" in outer.subsystems()
-        assert "arch" in outer.subsystems()
-        assert "trace" in inner.subsystems()
-        assert "arch" not in inner.subsystems()
-
-    def test_stack_unwinds_cleanly_on_error(self):
-        try:
-            with UsageProbe():
-                raise RuntimeError("boom")
-        except RuntimeError:
-            pass
-        assert not probe_mod.active()
-
-
-class TestImportDiff:
-    def test_fresh_repro_import_is_attributed(self, monkeypatch):
-        import sys
-
-        victim = "repro.deps._probe_import_victim"
-        monkeypatch.delitem(sys.modules, victim, raising=False)
-        monkeypatch.setattr(
-            probe_mod, "subsystem_for_module",
-            lambda name: "workloads" if name == victim else None,
-        )
-        with UsageProbe() as probe:
-            sys.modules[victim] = object()  # simulate an import
-        del sys.modules[victim]
-        assert "workloads" in probe.subsystems()
+from repro.api import RunSpec, execute_spec, spec_deps
+from repro.compiler import OptConfig
+from repro.deps import subsystem_for_path
 
 
 class TestExecuteSpecIntegration:
     def test_execute_spec_records_exercised_subsystems(self):
-        from repro.api import RunSpec, execute_spec
-        from repro.compiler import OptConfig
-
         result = execute_spec(
             RunSpec(workload="ssca2", scale=0.05, config=OptConfig.licm(64))
         )
@@ -80,13 +19,6 @@ class TestExecuteSpecIntegration:
         assert "fault" not in deps
 
     def test_baseline_skips_compiler(self):
-        from repro.api import RunSpec, execute_spec
-        from repro.compiler import OptConfig
-        from repro.workloads import get_workload
-
-        # Warm the builder's imports outside any probe so the import
-        # diff can't attribute repro.ir to this cold process's run.
-        get_workload("ssca2").build(0.05)
         result = execute_spec(
             RunSpec(
                 workload="ssca2", scale=0.05, config=OptConfig.volatile()
@@ -95,3 +27,40 @@ class TestExecuteSpecIntegration:
         deps = set(result.deps)
         assert {"core", "workloads", "arch"} <= deps
         assert "compiler" not in deps
+
+
+class TestSpecDeps:
+    @pytest.mark.parametrize(
+        "config, check, deps",
+        [
+            (OptConfig.volatile(), False, ("arch", "core", "workloads")),
+            (OptConfig.licm(64), False, ("arch", "compiler", "core", "workloads")),
+            (
+                OptConfig.licm(64),
+                True,
+                ("arch", "check", "compiler", "core", "workloads"),
+            ),
+        ],
+    )
+    def test_set_follows_the_spec(self, config, check, deps):
+        spec = RunSpec(workload="genome", scale=0.05, config=config, check=check)
+        assert spec_deps(spec) == deps
+
+    def test_baseline_depends_on_the_ir(self):
+        # Every run builds its program in IR and executes IR
+        # instructions, so an ir/ edit must invalidate a volatile
+        # baseline as well as the instrumented runs.
+        spec = RunSpec(workload="genome", scale=0.05, config=OptConfig.volatile())
+        for relpath in ("ir/instructions.py", "ir/module.py", "ir/builder.py"):
+            assert subsystem_for_path(relpath) in spec_deps(spec), relpath
+
+    def test_execute_spec_stores_spec_deps(self):
+        memo = {}
+        spec = RunSpec(workload="genome", scale=0.05, config=OptConfig.licm(256))
+        first = execute_spec(spec, memo)
+        shared = execute_spec(
+            RunSpec(workload="genome", scale=0.05, config=OptConfig.licm(512)),
+            memo,
+        )
+        assert shared.shared  # served from the memo, not simulated
+        assert first.deps == shared.deps == spec_deps(spec)
