@@ -108,6 +108,15 @@ class RunSpec:
     check: bool = False
     label: str = ""
 
+    def __post_init__(self) -> None:
+        # The checker needs a persistent system; refuse here, before a
+        # fingerprint or a workload build, not inside execute_spec.
+        if self.check and not self.config.instrumented:
+            raise ValueError(
+                "check=True needs an instrumented config: a volatile run "
+                "has no persistent state to check"
+            )
+
     # -- effective (derived) values -----------------------------------------
 
     @property

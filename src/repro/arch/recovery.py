@@ -673,8 +673,7 @@ def _build_resumed_machine(
     spawns: Sequence[Tuple[str, Sequence[int]]],
     quantum: int,
 ) -> Machine:
-    machine = Machine(module, quantum=quantum)
-    machine.memory = dict(recovered.nvm_image)
+    machine = Machine(module, quantum=quantum, memory=dict(recovered.nvm_image))
     quarantined = set(recovered.report.quarantined_cores)
     for core, resume in enumerate(recovered.resumes):
         if core in quarantined:
@@ -690,15 +689,13 @@ def _build_resumed_machine(
                     f"core {core}: no spawn configuration for cold restart"
                 )
             func_name, args = spawns[core]
-            func = module.functions[func_name]
             cold = Continuation(
                 func_name=func_name,
-                label=func.entry.label,
+                label=module.functions[func_name].entry.label,
                 index=0,
                 callstack=(),
             )
-            regs = list(args) + [0] * (func.num_regs - len(args))
-            machine.resume(core, cold, regs)
+            machine.resume(core, cold, args)
     for core in range(len(recovered.resumes), len(spawns)):
         func_name, args = spawns[core]
         hart = machine.spawn(func_name, args)

@@ -27,6 +27,19 @@ suspends the caller frame and starts the callee with arguments in
   A suspended frame's registers cannot change before its ``Ret``, so each
   frame's snapshot is made once, at the first boundary that needs it.
 
+Steppers
+--------
+Each hart runs as a *stepper*, a generator over the machine's one
+interpreter loop (:meth:`Machine._steps`), made once per hart per run.
+Sent a budget, it runs that quantum and yields the count retired;
+between quanta it keeps the run's constants and the hart's block state
+in its locals, so a quantum costs a ``send`` and not a set-up.
+:meth:`Machine.run` drives the steppers round robin and rebuilds its
+list of live harts only when one halts; a schedule explorer takes the
+same steppers from :meth:`Machine.stepper` and sends budgets of one.
+A run without an observer, such as every resumed crash point, makes no
+observer call at all (contract item 5 in :mod:`repro.isa.trace`).
+
 Retire runs
 -----------
 Most retired instructions produce nothing but ``on_retire``.  An
@@ -56,8 +69,8 @@ the first unobserved run that enters the region there and kept in the
 entry's ``BasicBlock.code``, so every ``Machine`` over the module shares
 it.  Compiled code has exactly the effect of interpreting its blocks
 without an observer, and it cannot raise.  Observed runs never use it:
-the interpreter loop in :meth:`Machine._run_quantum` stays the only path
-that delivers events, and the reference semantics.
+the interpreter loop in :meth:`Machine._steps` stays the only path that
+delivers events, and the reference semantics.
 """
 
 from __future__ import annotations
@@ -69,6 +82,7 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Generator,
     List,
     Optional,
     Sequence,
@@ -197,27 +211,37 @@ class Hart:
         "halted",
         "started",
         "spawn_args",
-        "spawn_func",
         "retired",
         "exit_value",
     )
 
-    def __init__(self, core_id: int, func: Function, args: Sequence[int]) -> None:
+    def __init__(
+        self,
+        core_id: int,
+        func: Function,
+        label: str,
+        index: int,
+        regs: List[int],
+        callstack: List[Frame],
+        spawn_args: Optional[Tuple[int, ...]],
+    ) -> None:
+        """A hart at ``func``'s ``label``/``index``.  A spawned hart has
+        its ``spawn_args``, checkpointed when it first runs; a resumed
+        hart has None and starts without spawn-time events."""
         self.core_id = core_id
         self.func = func
-        self.label = func.entry.label
-        self.index = 0
-        self.regs: List[int] = [0] * func.num_regs
-        for i, a in enumerate(args):
-            self.regs[i] = wrap_word(a)
-        self.callstack: List[Frame] = []
+        self.label = label
+        self.index = index
+        self.regs = regs
+        self.callstack = callstack
         #: ``callstack``'s frame snapshots, or ``None`` once a call,
         #: return or resume changed the stack (:meth:`continuation`).
-        self._frames: Optional[Tuple[FrameSnapshot, ...]] = ()
+        self._frames: Optional[Tuple[FrameSnapshot, ...]] = (
+            None if callstack else ()
+        )
         self.halted = False
-        self.started = False
-        self.spawn_func = func.name
-        self.spawn_args = tuple(wrap_word(a) for a in args)
+        self.started = spawn_args is None
+        self.spawn_args = spawn_args or ()
         self.retired = 0
         #: Value returned by the top-level ``Ret`` (0 until then).
         self.exit_value = 0
@@ -245,6 +269,10 @@ class Hart:
 
 
 _NULL_OBSERVER = Observer()
+
+#: A hart's stepper (:meth:`Machine.stepper`): sent a budget, it yields
+#: the number of instructions retired.
+Stepper = Generator[int, int, None]
 
 
 # -- compiled regions -----------------------------------------------------------
@@ -597,14 +625,24 @@ class Machine:
         Instructions executed per hart per scheduling turn.  Round-robin
         with a fixed quantum keeps multi-hart runs deterministic; a lone
         live hart runs on without yielding.
+    memory:
+        The word memory to run over, taken as is (a recovered image);
+        by default a copy of the module's initial data.
     """
 
-    def __init__(self, module: Module, quantum: int = 32) -> None:
+    def __init__(
+        self,
+        module: Module,
+        quantum: int = 32,
+        memory: Optional[Dict[int, int]] = None,
+    ) -> None:
         if quantum < 1:
             raise ValueError("quantum must be >= 1")
         self.module = module
         self.quantum = quantum
-        self.memory: Dict[int, int] = dict(module.initial_data)
+        self.memory: Dict[int, int] = (
+            dict(module.initial_data) if memory is None else memory
+        )
         self.harts: List[Hart] = []
         self.total_retired = 0
         #: External-device output log: (core, port, value) in issue order.
@@ -625,7 +663,13 @@ class Machine:
                 f"spawn {func_name!r}: {len(args)} args, expected {func.num_params}"
             )
         _check_core_id(len(self.harts))
-        hart = Hart(len(self.harts), func, args)
+        spawn_args = tuple(wrap_word(a) for a in args)
+        regs = [0] * func.num_regs
+        for i, a in enumerate(spawn_args):
+            regs[i] = a
+        hart = Hart(
+            len(self.harts), func, func.entry.label, 0, regs, [], spawn_args
+        )
         self.harts.append(hart)
         return hart
 
@@ -639,26 +683,32 @@ class Machine:
         caller frames from the continuation snapshot.
         """
         _check_core_id(core_id)
-        func = self.module.functions[continuation.func_name]
-        hart = Hart(core_id, func, ())
-        hart.label = continuation.label
-        hart.index = continuation.index
-        # wrap_word is the identity on in-range words, which is nearly all.
-        hart.regs = [v if WORD_MIN <= v <= WORD_MAX else wrap_word(v) for v in regs]
-        if len(hart.regs) < func.num_regs:
-            hart.regs.extend([0] * (func.num_regs - len(hart.regs)))
-        hart.callstack = [
-            Frame(
-                self.module.functions[name],
-                label,
-                index,
-                list(saved_regs),
-                ret_reg,
-            )
-            for (name, label, index, saved_regs, ret_reg) in continuation.callstack
-        ]
-        hart._frames = None
-        hart.started = True  # no spawn-time events on resume
+        functions = self.module.functions
+        func = functions[continuation.func_name]
+        words = list(regs)
+        # Fault models can corrupt checkpoint slots; nearly every file
+        # holds only machine words already.
+        if words and (min(words) < WORD_MIN or max(words) > WORD_MAX):
+            words = [wrap_word(v) for v in words]
+        if len(words) < func.num_regs:
+            words.extend([0] * (func.num_regs - len(words)))
+        callstack = (
+            [
+                Frame(functions[name], label, index, list(saved_regs), ret_reg)
+                for (name, label, index, saved_regs, ret_reg) in continuation.callstack
+            ]
+            if continuation.callstack
+            else []
+        )
+        hart = Hart(
+            core_id,
+            func,
+            continuation.label,
+            continuation.index,
+            words,
+            callstack,
+            None,  # no spawn-time events on resume
+        )
         while len(self.harts) <= core_id:
             self.harts.append(None)  # type: ignore[arg-type]
         self.harts[core_id] = hart
@@ -678,34 +728,50 @@ class Machine:
     ) -> int:
         """Round-robin execute all harts until they halt; return retired count.
 
-        Raises :class:`MachineError` if ``max_steps`` instructions retire
+        Each live hart gets a stepper (see :meth:`_steps`), made once for
+        the run, and the run sends them quanta in turn.  Raises
+        :class:`MachineError` if ``max_steps`` instructions retire
         without completion (runaway loop guard).
         """
-        obs = observer or _NULL_OBSERVER
-        # Region code this run has checked against its blocks (see
-        # ``_run_compiled``); an observed run interprets every block.
-        codes: Optional[Dict["BasicBlock", Optional[RegionRun]]] = (
-            {} if obs is _NULL_OBSERVER else None
-        )
+        live = [
+            (hart, self.stepper(hart, observer))
+            for hart in self.harts
+            if hart is not None and not hart.halted
+        ]
         steps_left = max_steps
-        live = [h for h in self.harts if h is not None and not h.halted]
         while live:
             progressed = False
+            halted = False
             # A lone hart has no one to yield to, and no observer sees
             # quantum boundaries: give it the whole remaining budget.
             quantum = self.quantum if len(live) > 1 else steps_left
-            for hart in live:
-                if hart.halted:
-                    continue
-                n = self._run_quantum(hart, obs, min(quantum, steps_left), codes)
+            for hart, step in live:
+                n = step.send(quantum if quantum < steps_left else steps_left)
                 steps_left -= n
-                progressed = progressed or n > 0
+                if n:
+                    progressed = True
                 if steps_left <= 0:
                     raise MachineError(f"machine exceeded max_steps={max_steps}")
-            live = [h for h in live if not h.halted]
+                if hart.halted:
+                    halted = True
+            if halted:
+                live = [(hart, step) for hart, step in live if not hart.halted]
             if live and not progressed:
                 raise MachineError("no hart can make progress")
         return self.total_retired
+
+    def stepper(self, hart: Hart, observer: Optional[Observer] = None) -> Stepper:
+        """A stepper for ``hart`` (see :meth:`_steps`), ready for budgets.
+
+        ``stepper.send(budget)`` runs up to ``budget`` of the hart's
+        instructions, delivering their events to ``observer``, and returns
+        how many retired.  :meth:`run` drives one per live hart; a
+        schedule explorer sends budgets of one in the order it chooses.
+        Nothing else may change ``hart`` while its stepper is in use.
+        """
+        step = self._steps(hart, observer or _NULL_OBSERVER)
+        next(step)
+        return step
 
     def _start_hart(self, hart: Hart, obs: Observer) -> None:
         """Emit spawn-time events: argument checkpoints + an implicit boundary.
@@ -713,38 +779,47 @@ class Machine:
         The implicit boundary (region id -1) gives crash recovery a
         committed resume point covering "crash before the first compiler
         boundary commits"; its continuation is simply the spawn point.
+        An unobserved run only writes the checkpoints.
         """
         hart.started = True
         core = hart.core_id
+        observed = obs is not _NULL_OBSERVER
         for i, value in enumerate(hart.spawn_args):
             addr = ckpt_slot_addr(core, i, 0)
             self.memory[addr] = value
-            obs.on_ckpt(core, i, value, addr)
-        obs.on_boundary(core, -1, hart.continuation())
+            if observed:
+                obs.on_ckpt(core, i, value, addr)
+        if observed:
+            obs.on_boundary(core, -1, hart.continuation())
 
-    def _run_quantum(
-        self,
-        hart: Hart,
-        obs: Observer,
-        budget: int,
-        codes: Optional[Dict["BasicBlock", Optional[RegionRun]]] = None,
-    ) -> int:
-        """Execute up to ``budget`` instructions on ``hart``.
+    def _steps(self, hart: Hart, obs: Observer) -> Stepper:
+        """``hart``'s stepper: the machine's one interpreter loop.
 
-        The current block's instruction list, the index into it and the
-        register file live in locals; they are reloaded only when control
-        leaves the block (``Branch``/``Jump``/``Call``/``Ret``).
+        A generator, primed by one ``next``.  Each ``send(budget)`` runs
+        a *quantum* of up to ``budget`` instructions, the first one
+        delivering the spawn-time events of a hart that never ran, and
+        yields how many retired.  A halted hart's stepper yields 0.
+
+        The run's constants (memory, core, the observer flags, the bound
+        callbacks, the core's slot base) and the block state (the
+        current block's instruction list, the index into it, the
+        register file and the frame's slot base) stay in the generator's
+        locals across quanta.  The block state is reloaded only when
+        control leaves the block (``Branch``/``Jump``/``Call``/``Ret``).
         ``hart.index`` is written back before every callback that reads
         the hart's position (``on_boundary``'s continuation, the call and
-        return helpers) and, through ``finally``, on every exit, so an
-        observer that raises mid-quantum leaves the hart at the
-        instruction whose event it was delivering.
+        return helpers) and, through ``finally``, on every exit from a
+        quantum, so an observer that raises mid-quantum leaves the hart
+        at the instruction whose event it was delivering, and a later
+        :meth:`run` starts a new stepper there.  The ``yield`` stands
+        outside the quantum's ``try``: a stepper closed or collected while
+        suspended delivers nothing.
 
         An unobserved run (``obs`` is the null observer, as for every
-        resumed crash point) skips the two pieces of work only an
-        observer consumes: the per-instruction ``on_retire`` call and the
-        boundary's continuation snapshot.  Every architectural effect is
-        the same either way.
+        resumed crash point) makes no observer call at all: no
+        ``on_retire``, no load, store or checkpoint event, no boundary
+        continuation, and a ``Store`` does not read the word it
+        overwrites.  Every architectural effect is the same either way.
 
         An observer whose class overrides ``on_retire_run`` gets its
         retires in runs: nothing per instruction, and the count retired
@@ -754,227 +829,258 @@ class Machine:
         halt) and, in the ``finally``, at quantum end or before an error
         leaves the quantum.  Each retire is counted once, and every run
         before an event holds at least that event's own instruction.
-        Any other observer gets ``on_retire`` per instruction, and pays
-        one ``runs`` test per other event.
+        Such an observer pays no test per event beyond ``runs``; any
+        other observer gets ``on_retire`` per instruction, and pays the
+        ``runs`` and ``observed`` tests per other event.
 
-        Such a run also passes ``codes``, its memo of compiled regions.
-        Then every time the hart stands at index 0 of a block, at quantum
-        start, after a ``Branch`` or ``Jump`` and on a call's entry,
-        :meth:`_run_compiled` runs compiled regions for as long as each
-        next whole block compiles and fits the remaining budget.  The
-        rest is interpreted here, so quanta, ``max_steps`` trip points
-        and mid-block resumes are unchanged.  An observed run
+        An unobserved stepper also keeps ``codes``, its memo of compiled
+        regions.  Then every time the hart stands at index 0 of a block,
+        at quantum start, after a ``Branch`` or ``Jump`` and on a call's
+        entry, :meth:`_run_compiled` runs compiled regions for as long as
+        each next whole block compiles and fits the remaining budget.
+        The rest is interpreted here, so quanta, ``max_steps`` trip
+        points and mid-block resumes are unchanged.  An observed run
         pays one ``codes is not None`` test per block entry.
         """
-        if budget <= 0:
-            return 0
-        if not hart.started:
-            self._start_hart(hart, obs)
-        if hart.halted:
-            return 0
-        executed = 0
         memory = self.memory
         core = hart.core_id
         observed = obs is not _NULL_OBSERVER
+        # Region code this stepper has checked against its blocks (see
+        # ``_run_compiled``); an observed run interprets every block.
+        codes: Optional[Dict["BasicBlock", Optional[RegionRun]]] = (
+            None if observed else {}
+        )
         # An observer that takes retire runs is owed ``executed - flushed``
         # retires; any other observer gets ``on_retire`` per instruction.
         runs = type(obs).on_retire_run is not Observer.on_retire_run
-        on_run = obs.on_retire_run
-        flushed = 0
         per_instr = observed and not runs
+        on_run = obs.on_retire_run
         on_retire = obs.on_retire
+        on_load = obs.on_load
+        on_store = obs.on_store
+        on_ckpt = obs.on_ckpt
+        core_slots = CKPT_BASE + core * CKPT_CORE_STRIDE
         blocks = hart.func.blocks
         instrs = blocks[hart.label].instrs
         index = hart.index
         regs = hart.regs
-        core_slots = CKPT_BASE + core * CKPT_CORE_STRIDE
         slot_base = core_slots + len(hart.callstack) * CKPT_FRAME_STRIDE
-        if codes is not None and index == 0:
-            label, executed = self._run_compiled(
-                codes, hart.func, hart.label, regs, slot_base, budget
-            )
-            hart.label = label
-            instrs = blocks[label].instrs
-        try:
-            while executed < budget:
-                instr = instrs[index]
-                cls = type(instr)
-                if per_instr:
-                    on_retire(core, cls.__name__)
-                executed += 1
+        executed = 0
+        while True:
+            budget = yield executed
+            executed = 0
+            if budget <= 0:
+                continue
+            if not hart.started:
+                self._start_hart(hart, obs)
+            if hart.halted:
+                continue
+            flushed = 0
+            if codes is not None and index == 0:
+                label, executed = self._run_compiled(
+                    codes, hart.func, hart.label, regs, slot_base, budget
+                )
+                hart.label = label
+                instrs = blocks[label].instrs
+            try:
+                while executed < budget:
+                    instr = instrs[index]
+                    cls = type(instr)
+                    if per_instr:
+                        on_retire(core, cls.__name__)
+                    executed += 1
 
-                if cls is BinOp:
-                    lhs = instr.lhs
-                    rhs = instr.rhs
-                    value = BINARY_OPS[instr.op](
-                        regs[lhs.index] if type(lhs) is Reg else lhs.value,
-                        regs[rhs.index] if type(rhs) is Reg else rhs.value,
-                    )
-                    # wrap_word is the identity on in-range words.
-                    if not WORD_MIN <= value <= WORD_MAX:
-                        value = wrap_word(value)
-                    regs[instr.dst.index] = value
-                    index += 1
-                elif cls is Branch:
-                    c = instr.cond
-                    cond = regs[c.index] if type(c) is Reg else c.value
-                    label = instr.if_true if cond != 0 else instr.if_false
-                    if codes is not None:
-                        label, n = self._run_compiled(
-                            codes, hart.func, label, regs, slot_base,
-                            budget - executed,
+                    if cls is BinOp:
+                        lhs = instr.lhs
+                        rhs = instr.rhs
+                        value = BINARY_OPS[instr.op](
+                            regs[lhs.index] if type(lhs) is Reg else lhs.value,
+                            regs[rhs.index] if type(rhs) is Reg else rhs.value,
                         )
-                        executed += n
-                    hart.label = label
-                    instrs = blocks[label].instrs
-                    index = 0
-                elif cls is Jump:
-                    label = instr.target
-                    if codes is not None:
-                        label, n = self._run_compiled(
-                            codes, hart.func, label, regs, slot_base,
-                            budget - executed,
+                        # wrap_word is the identity on in-range words.
+                        if not WORD_MIN <= value <= WORD_MAX:
+                            value = wrap_word(value)
+                        regs[instr.dst.index] = value
+                        index += 1
+                    elif cls is Branch:
+                        c = instr.cond
+                        cond = regs[c.index] if type(c) is Reg else c.value
+                        label = instr.if_true if cond != 0 else instr.if_false
+                        if codes is not None:
+                            label, n = self._run_compiled(
+                                codes, hart.func, label, regs, slot_base,
+                                budget - executed,
+                            )
+                            executed += n
+                        hart.label = label
+                        instrs = blocks[label].instrs
+                        index = 0
+                    elif cls is Jump:
+                        label = instr.target
+                        if codes is not None:
+                            label, n = self._run_compiled(
+                                codes, hart.func, label, regs, slot_base,
+                                budget - executed,
+                            )
+                            executed += n
+                        hart.label = label
+                        instrs = blocks[label].instrs
+                        index = 0
+                    elif cls is Load:
+                        base = instr.addr
+                        addr = (
+                            regs[base.index] if type(base) is Reg else base.value
+                        ) + instr.offset
+                        value = regs[instr.dst.index] = memory.get(addr, 0)
+                        if runs:
+                            on_run(core, executed - flushed)
+                            flushed = executed
+                            on_load(core, addr, value)
+                        elif observed:
+                            on_load(core, addr, value)
+                        index += 1
+                    elif cls is CheckpointStore:
+                        reg = instr.src.index
+                        value = regs[reg]
+                        if reg >= MAX_REGS:
+                            raise ValueError(
+                                f"register index {reg} outside checkpoint storage"
+                            )
+                        addr = slot_base + reg * WORD_BYTES
+                        memory[addr] = value
+                        if runs:
+                            on_run(core, executed - flushed)
+                            flushed = executed
+                            on_ckpt(core, reg, value, addr)
+                        elif observed:
+                            on_ckpt(core, reg, value, addr)
+                        index += 1
+                    elif cls is Store:
+                        base = instr.addr
+                        addr = (
+                            regs[base.index] if type(base) is Reg else base.value
+                        ) + instr.offset
+                        v = instr.value
+                        value = regs[v.index] if type(v) is Reg else v.value
+                        if runs:
+                            old = memory.get(addr, 0)
+                            memory[addr] = value
+                            on_run(core, executed - flushed)
+                            flushed = executed
+                            on_store(core, addr, value, old)
+                        elif observed:
+                            old = memory.get(addr, 0)
+                            memory[addr] = value
+                            on_store(core, addr, value, old)
+                        else:
+                            memory[addr] = value
+                        index += 1
+                    elif cls is Move:
+                        src = instr.src
+                        regs[instr.dst.index] = (
+                            regs[src.index] if type(src) is Reg else src.value
                         )
-                        executed += n
-                    hart.label = label
-                    instrs = blocks[label].instrs
-                    index = 0
-                elif cls is Load:
-                    base = instr.addr
-                    addr = (
-                        regs[base.index] if type(base) is Reg else base.value
-                    ) + instr.offset
-                    value = regs[instr.dst.index] = memory.get(addr, 0)
-                    if runs:
-                        on_run(core, executed - flushed)
-                        flushed = executed
-                    obs.on_load(core, addr, value)
-                    index += 1
-                elif cls is CheckpointStore:
-                    if runs:
-                        on_run(core, executed - flushed)
-                        flushed = executed
-                    reg = instr.src.index
-                    value = regs[reg]
-                    if reg >= MAX_REGS:
-                        raise ValueError(
-                            f"register index {reg} outside checkpoint storage"
-                        )
-                    addr = slot_base + reg * WORD_BYTES
-                    memory[addr] = value
-                    obs.on_ckpt(core, reg, value, addr)
-                    index += 1
-                elif cls is Store:
-                    base = instr.addr
-                    addr = (
-                        regs[base.index] if type(base) is Reg else base.value
-                    ) + instr.offset
-                    v = instr.value
-                    value = regs[v.index] if type(v) is Reg else v.value
-                    old = memory.get(addr, 0)
-                    memory[addr] = value
-                    if runs:
-                        on_run(core, executed - flushed)
-                        flushed = executed
-                    obs.on_store(core, addr, value, old)
-                    index += 1
-                elif cls is Move:
-                    src = instr.src
-                    regs[instr.dst.index] = (
-                        regs[src.index] if type(src) is Reg else src.value
-                    )
-                    index += 1
-                elif cls is RegionBoundary:
-                    # The continuation points at the *next* instruction:
-                    # the first instruction of the region this boundary
-                    # opens.
-                    index += 1
-                    if observed:
+                        index += 1
+                    elif cls is RegionBoundary:
+                        # The continuation points at the *next* instruction:
+                        # the first instruction of the region this boundary
+                        # opens.
+                        index += 1
+                        if observed:
+                            hart.index = index
+                            if runs:
+                                on_run(core, executed - flushed)
+                                flushed = executed
+                            obs.on_boundary(
+                                core, instr.region_id, hart.continuation()
+                            )
+                    elif cls is UnOp:
+                        s = instr.src
+                        a = regs[s.index] if type(s) is Reg else s.value
+                        regs[instr.dst.index] = eval_unop(instr.op, a)
+                        index += 1
+                    elif cls is Call or cls is Ret:
                         hart.index = index
                         if runs:
                             on_run(core, executed - flushed)
                             flushed = executed
-                        obs.on_boundary(
-                            core, instr.region_id, hart.continuation()
+                        if cls is Call:
+                            self._do_call(hart, instr, obs)
+                        else:
+                            self._do_ret(hart, instr, obs)
+                            if hart.halted:
+                                break
+                        blocks = hart.func.blocks
+                        index = hart.index
+                        regs = hart.regs
+                        slot_base = (
+                            core_slots + len(hart.callstack) * CKPT_FRAME_STRIDE
                         )
-                elif cls is UnOp:
-                    s = instr.src
-                    a = regs[s.index] if type(s) is Reg else s.value
-                    regs[instr.dst.index] = eval_unop(instr.op, a)
-                    index += 1
-                elif cls is Call or cls is Ret:
-                    hart.index = index
-                    if runs:
-                        on_run(core, executed - flushed)
-                        flushed = executed
-                    if cls is Call:
-                        self._do_call(hart, instr, obs)
-                    else:
-                        self._do_ret(hart, instr, obs)
-                        if hart.halted:
-                            break
-                    blocks = hart.func.blocks
-                    index = hart.index
-                    regs = hart.regs
-                    slot_base = core_slots + len(hart.callstack) * CKPT_FRAME_STRIDE
-                    if codes is not None and index == 0:
-                        hart.label, n = self._run_compiled(
-                            codes, hart.func, hart.label, regs, slot_base,
-                            budget - executed,
-                        )
-                        executed += n
-                    instrs = blocks[hart.label].instrs
-                elif cls is AtomicRMW:
-                    base = instr.addr
-                    addr = (
-                        regs[base.index] if type(base) is Reg else base.value
-                    ) + instr.offset
-                    v = instr.value
-                    value = regs[v.index] if type(v) is Reg else v.value
-                    old = memory.get(addr, 0)
-                    new = eval_atomic(instr.op, old, value)
-                    memory[addr] = new
-                    regs[instr.dst.index] = old
-                    if runs:
-                        on_run(core, executed - flushed)
-                        flushed = executed
-                    obs.on_atomic(core, addr, new, old)
-                    index += 1
-                elif cls is Fence:
-                    if runs:
-                        on_run(core, executed - flushed)
-                        flushed = executed
-                    obs.on_fence(core)
-                    index += 1
-                elif cls is IOWrite:
-                    v = instr.value
-                    value = regs[v.index] if type(v) is Reg else v.value
-                    self.io_log.append((core, instr.port, value))
-                    if runs:
-                        on_run(core, executed - flushed)
-                        flushed = executed
-                    obs.on_io(core, instr.port, value)
-                    index += 1
-                elif cls is Halt:
-                    hart.halted = True
-                    if runs:
-                        on_run(core, executed - flushed)
-                        flushed = executed
-                    obs.on_halt(core)
-                    break
-                elif cls is Nop:
-                    index += 1
-                else:  # pragma: no cover - defensive
-                    raise MachineError(f"unknown instruction {instr!r}")
-        finally:
-            hart.index = index
-            # The quantum's last retires; after a machine error, the
-            # retires before it.
-            if runs and executed != flushed:
-                on_run(core, executed - flushed)
-        hart.retired += executed
-        self.total_retired += executed
-        return executed
+                        if codes is not None and index == 0:
+                            hart.label, n = self._run_compiled(
+                                codes, hart.func, hart.label, regs, slot_base,
+                                budget - executed,
+                            )
+                            executed += n
+                        instrs = blocks[hart.label].instrs
+                    elif cls is AtomicRMW:
+                        base = instr.addr
+                        addr = (
+                            regs[base.index] if type(base) is Reg else base.value
+                        ) + instr.offset
+                        v = instr.value
+                        value = regs[v.index] if type(v) is Reg else v.value
+                        old = memory.get(addr, 0)
+                        new = eval_atomic(instr.op, old, value)
+                        memory[addr] = new
+                        regs[instr.dst.index] = old
+                        if runs:
+                            on_run(core, executed - flushed)
+                            flushed = executed
+                            obs.on_atomic(core, addr, new, old)
+                        elif observed:
+                            obs.on_atomic(core, addr, new, old)
+                        index += 1
+                    elif cls is Fence:
+                        if runs:
+                            on_run(core, executed - flushed)
+                            flushed = executed
+                            obs.on_fence(core)
+                        elif observed:
+                            obs.on_fence(core)
+                        index += 1
+                    elif cls is IOWrite:
+                        v = instr.value
+                        value = regs[v.index] if type(v) is Reg else v.value
+                        self.io_log.append((core, instr.port, value))
+                        if runs:
+                            on_run(core, executed - flushed)
+                            flushed = executed
+                            obs.on_io(core, instr.port, value)
+                        elif observed:
+                            obs.on_io(core, instr.port, value)
+                        index += 1
+                    elif cls is Halt:
+                        hart.halted = True
+                        if runs:
+                            on_run(core, executed - flushed)
+                            flushed = executed
+                            obs.on_halt(core)
+                        elif observed:
+                            obs.on_halt(core)
+                        break
+                    elif cls is Nop:
+                        index += 1
+                    else:  # pragma: no cover - defensive
+                        raise MachineError(f"unknown instruction {instr!r}")
+            finally:
+                hart.index = index
+                # The quantum's last retires; after a machine error, the
+                # retires before it.
+                if runs and executed != flushed:
+                    on_run(core, executed - flushed)
+            hart.retired += executed
+            self.total_retired += executed
 
     def _run_compiled(
         self,
@@ -990,9 +1096,9 @@ class Machine:
         Stops at the first block that is interpreted or longer than what
         is left of ``budget``, and returns its label, where the caller
         goes on at index 0, with the number of instructions retired.
-        ``codes`` holds each entry block's code once this run has checked
-        it against the blocks it inlines; nothing can edit them while an
-        unobserved run is in progress.
+        ``codes`` holds each entry block's code once the stepper has
+        checked it against the blocks it inlines; nothing can edit them
+        while an unobserved run is in progress.
         """
         memory = self.memory
         blocks = func.blocks
@@ -1025,10 +1131,12 @@ class Machine:
         # registers, written to the callee-depth slots (see module docs).
         callee_depth = hart.depth + 1
         core = hart.core_id
+        observed = obs is not _NULL_OBSERVER
         for i, value in enumerate(args):
             addr = ckpt_slot_addr(core, i, callee_depth)
             self.memory[addr] = value
-            obs.on_ckpt(core, i, value, addr)
+            if observed:
+                obs.on_ckpt(core, i, value, addr)
         hart.callstack.append(
             Frame(
                 hart.func,
@@ -1054,7 +1162,8 @@ class Machine:
         if not hart.callstack:
             hart.exit_value = value
             hart.halted = True
-            obs.on_halt(hart.core_id)
+            if obs is not _NULL_OBSERVER:
+                obs.on_halt(hart.core_id)
             return
         frame = hart.callstack.pop()
         hart._frames = None

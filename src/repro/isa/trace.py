@@ -56,11 +56,10 @@ injector) may rely on the following, pinned by
    retire run is one tick per retire it carries, so batching moves no
    crash index.  Ticks are defined for observed runs only.  A run
    without an observer (``Machine.run()`` with none) delivers nothing,
-   and may dispatch nothing at all: it skips ``on_retire`` and the
-   boundary continuations, runs compiled regions with no callback in
-   them, and sends what it still dispatches to a no-op.  Any observer
-   that is passed, a plain :class:`Observer` included, gets every
-   callback.
+   and may dispatch nothing at all: it makes no observer call, builds
+   no boundary continuation, and runs compiled regions with no callback
+   in them.  Any observer that is passed, a plain :class:`Observer`
+   included, gets every callback.
 """
 
 from __future__ import annotations

@@ -139,11 +139,11 @@ def _spec_run(
     for name, args in program.spawns:
         machine.spawn(name, args)
     model = PersistencyModel()
+    steppers = [machine.stepper(hart, model) for hart in machine.harts]
     for h in schedule:
-        hart = machine.harts[h]
-        if hart.halted:
+        if machine.harts[h].halted:
             continue
-        machine._run_quantum(hart, model, 1)
+        steppers[h].send(1)
         for addr in model.writers:
             union.setdefault(addr, set()).update(model.allowed_values(addr))
 
@@ -168,10 +168,10 @@ def _pipeline_run(
     )
     checker = PersistencyChecker.attach(system)
     tee = TeeObserver(checker, system)
+    steppers = [machine.stepper(hart, tee) for hart in machine.harts]
     for h in schedule:
-        hart = machine.harts[h]
-        if not hart.halted:
-            machine._run_quantum(hart, tee, 1)
+        if not machine.harts[h].halted:
+            steppers[h].send(1)
     system.finish()
     checker.finalize(system)
     return [v.kind for v in checker.report.violations]

@@ -159,6 +159,24 @@ class TestApiIntegration:
         result = execute_spec(spec)
         assert result.metrics.exec_cycles > 0
 
+    def test_checked_volatile_spec_is_refused_before_any_build(self, monkeypatch):
+        from repro.compiler import OptConfig
+        from repro.workloads.registry import Workload
+
+        def build(*args, **kwargs):
+            raise AssertionError("a refused spec built its workload")
+
+        monkeypatch.setattr(Workload, "build", build)
+        with pytest.raises(ValueError, match="instrumented config"):
+            RunSpec(
+                workload="genome", scale=SCALE, config=OptConfig.volatile(), check=True
+            )
+        # Deriving one is refused too; the baseline clears ``check``.
+        spec = RunSpec(workload="genome", scale=SCALE, check=True)
+        with pytest.raises(ValueError, match="instrumented config"):
+            spec.with_(config=OptConfig.volatile())
+        assert spec.baseline().config == OptConfig.volatile()
+
     def test_campaign_second_oracle_clean(self):
         from repro.fault.campaign import CampaignConfig, run_workload_campaign
 

@@ -22,10 +22,17 @@ An observer that takes retire runs gets its retires buffered, so
 :class:`TestRetireRuns` holds the expanded stream it sees to the
 oracle's per-instruction stream, and a batching raiser to the same
 interrupted hart.
+
+Each hart runs as a stepper that keeps its state across quanta, so
+:class:`TestSteppers` holds random multi-hart programs, a run after an
+observer raised, a closed or collected stepper, unobserved runs and
+the litmus explorer to the oracle or to recorded results.
 """
 
 from __future__ import annotations
 
+import gc
+import hashlib
 from typing import Tuple
 
 import pytest
@@ -62,6 +69,7 @@ from repro.ir.instructions import (
 )
 from repro.ir.module import Module, ckpt_slot_addr
 from repro.ir.values import WORD_MAX, WORD_MIN, Imm, Reg
+from repro.isa import machine as machine_module
 from repro.isa.machine import (
     _REGION_MAX_INSTRS,
     Continuation,
@@ -76,6 +84,8 @@ from repro.isa.trace import (
     Observer,
     TickCountingObserver,
 )
+from repro.litmus.explore import explore_program
+from repro.litmus.generate import litmus_corpus
 from repro.workloads import get_workload
 from tests.arch.test_io import build_logger
 
@@ -92,7 +102,7 @@ class ReferenceMachine(Machine):
             for hart in live:
                 if hart.halted:
                     continue
-                n = self._run_quantum(hart, obs, min(self.quantum, steps_left))
+                n = self._reference_quantum(hart, obs, min(self.quantum, steps_left))
                 steps_left -= n
                 progressed = progressed or n > 0
                 if steps_left <= 0:
@@ -102,7 +112,7 @@ class ReferenceMachine(Machine):
                 raise MachineError("no hart can make progress")
         return self.total_retired
 
-    def _run_quantum(self, hart: Hart, obs: Observer, budget: int) -> int:
+    def _reference_quantum(self, hart: Hart, obs: Observer, budget: int) -> int:
         if budget <= 0:
             return 0
         if not hart.started:
@@ -667,8 +677,8 @@ class TestObserverDelivery:
 
         monkeypatch.setattr(Hart, "continuation", counting)
         _build(Machine, module, spawns, 32).run()
-        # One per spawn prologue, none at the compiler's boundaries.
-        assert sorted(calls) == list(range(len(spawns)))
+        # None, not even for the spawn prologues' boundaries.
+        assert calls == []
 
         del calls[:]
         obs = CountingObserver()
@@ -694,12 +704,12 @@ class TestObserverDelivery:
         assert sum(ticks.values()) == expected.events
         assert ticks["on_retire"] > 0
 
-        # The null observer is the only one the machine skips.
+        # The null observer is the only one the machine skips, and it
+        # skips every callback, the spawn prologues' included.
         ticks.clear()
         machine = _build(Machine, module, spawns, 32)
         machine.run()
-        assert "on_retire" not in ticks
-        assert ticks["on_boundary"] == len(spawns)
+        assert ticks == {}
 
 
 # -- the one-call ALU -------------------------------------------------------
@@ -1183,3 +1193,149 @@ class TestRetireRuns:
         got = _batched_like_reference(module, spawns, quantum)
         # Retires were delivered in runs, not one at a time.
         assert quantum == 1 or max(got.runs) > 1
+
+
+# -- steppers -----------------------------------------------------------------
+
+#: Registers of a random hart function; the loop counter sits above them,
+#: where the random bodies cannot reach it.
+_S_COUNTER = Reg(_NREGS)
+
+
+def _hart_function(name: str, head, loop, tail, iters: int, halts: bool) -> Function:
+    """``head``, then ``iters`` rounds of ``loop`` + a call to ``g``, then
+    ``tail``, ending in ``Halt`` or a top-level ``Ret``."""
+    func = Function(name, num_params=_NREGS, num_regs=_NREGS + 1)
+    func.new_block("entry").instrs = [
+        *head,
+        Move(_S_COUNTER, Imm(iters)),
+        Jump("loop"),
+    ]
+    func.new_block("loop").instrs = [
+        *loop,
+        Call("g", (Reg(1), Reg(2)), Reg(3)),
+        BinOp("sub", _S_COUNTER, _S_COUNTER, Imm(1)),
+        Branch(_S_COUNTER, "loop", "done"),
+    ]
+    func.new_block("done").instrs = [*tail, Halt() if halts else Ret(Reg(0))]
+    return func
+
+
+def _harts_module(callee, harts) -> Module:
+    """One function per hart (:func:`_hart_function`), each calling the
+    shared ``g(a, b)``, whose body is ``callee`` and which returns ``r0``."""
+    module = Module("harts")
+    g = Function("g", num_params=2, num_regs=_NREGS)
+    g.new_block("entry").instrs = [*callee, Ret(Reg(0))]
+    module.add_function(g)
+    for k, shape in enumerate(harts):
+        module.add_function(_hart_function(f"h{k}", *shape))
+    return module
+
+
+_S_HART = st.tuples(
+    _R_BODY, _R_BODY, _R_BODY, st.integers(1, 4), st.booleans()
+)
+
+
+class TestSteppers:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        callee=_R_BODY,
+        harts=st.lists(_S_HART, min_size=2, max_size=3),
+        args=_B_ARGS,
+        quantum=st.sampled_from([1, 3, 4, 7, 32]),
+        trip=st.floats(0, 1),
+    )
+    def test_random_harts_match_reference(self, callee, harts, args, quantum, trip):
+        module = _harts_module(callee, harts)
+        spawns = [(f"h{k}", tuple(args)) for k in range(len(harts))]
+        outcomes, _ = _three_runs(module, spawns, quantum)
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        total = outcomes[2][0][2]
+        # A trip point anywhere in the run, mostly inside a quantum.
+        max_steps = max(1, int(trip * total))
+        tripped, _ = _three_runs(module, spawns, quantum, max_steps)
+        assert tripped[0] == tripped[1] == tripped[2]
+        assert tripped[2][1] == f"machine exceeded max_steps={max_steps}"
+
+    @pytest.mark.parametrize("second", ["observed", "unobserved"])
+    @pytest.mark.parametrize("compiled", [False, True])
+    def test_run_after_a_raise_continues_like_reference(self, compiled, second):
+        module, spawns = _calls_module(compiled)
+        spawns = spawns * 2
+        obs = CollectingObserver()
+        _build(Machine, module, spawns, 7).run(obs)
+        mid_quantum = 0
+        for k in range(0, len(obs.events), 11):
+            outcomes = []
+            for cls in (ReferenceMachine, Machine):
+                machine = _build(cls, module, spawns, 7)
+                with pytest.raises(Fired):
+                    machine.run(RaiseAt(k))
+                mid_quantum += cls is Machine and any(
+                    h.index > 0 for h in machine.harts
+                )
+                rest = CollectingObserver() if second == "observed" else None
+                machine.run(rest)
+                outcomes.append((_architectural(machine), rest and rest.events))
+            assert outcomes[0] == outcomes[1], f"diverged after event {k}"
+        assert mid_quantum > 10
+
+    @pytest.mark.parametrize("ending", ["close", "collect"])
+    def test_suspended_stepper_delivers_nothing_when_ended(self, ending):
+        module, spawns = _calls_module()
+        machine = _build(Machine, module, spawns, 32)
+        got = RunCollector()
+        step = machine.stepper(machine.harts[0], got)
+        for budget in (3, 5, 2):
+            assert step.send(budget) == budget
+            # Each quantum's retires are delivered by its end.
+            assert sum(got.runs) == machine.harts[0].retired
+        # Suspend it after a quantum that ended in a retire run.
+        while got.events[-1][0] != EV_RETIRE:
+            step.send(1)
+        delivered = list(got.events)
+        if ending == "close":
+            step.close()
+        else:
+            del step
+            gc.collect()
+        assert got.events == delivered
+        assert machine.harts[0].index > 0
+
+    def test_unobserved_runs_make_no_observer_call(
+        self, genome, ocean, logger, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError("an unobserved run called its observer")
+
+        for name in (
+            "on_retire", "on_retire_run", "on_load", "on_store", "on_ckpt",
+            "on_boundary", "on_fence", "on_atomic", "on_halt", "on_io",
+        ):
+            monkeypatch.setattr(machine_module._NULL_OBSERVER, name, refuse)
+        programs = [genome, ocean, logger, _calls_module()]
+        programs += [(p.module, p.spawns) for p in litmus_corpus(range(4))]
+        for module, spawns in programs:
+            machine = _build(Machine, module, spawns, 4)
+            assert machine.run() > 0
+            assert all(h.halted for h in machine.harts)
+
+    def test_explore_program_matches_recorded_results(self):
+        # The digest of ``explore_program``'s results for corpus seeds
+        # 0-15 under the default arguments, as the interpreter loop
+        # produced them before harts ran as steppers.
+        digest = hashlib.sha256()
+        for program in litmus_corpus(range(16)):
+            r = explore_program(program)
+            row = (
+                r.name, r.seed, r.schedule_universe, r.schedules_run,
+                r.exhaustive, r.step_limit,
+                sorted((addr, sorted(v)) for addr, v in r.allowed.items()),
+                r.pipeline_schedules, r.pipeline_violations, r.pipeline_kinds,
+            )
+            digest.update(repr(row).encode())
+        assert digest.hexdigest() == (
+            "40f27ffec00f47cc7151a61352c2cf8b1e925be37789ca41f9310184ef0279e7"
+        )
