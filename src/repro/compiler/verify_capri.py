@@ -22,9 +22,10 @@ tests and the randomized property suite call it on every configuration.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.ir.cfg import CFG
+from repro.ir.dataflow import bit_indices, solve_forward
 from repro.ir.function import Function
 from repro.ir.instructions import (
     BinOp,
@@ -36,7 +37,6 @@ from repro.ir.instructions import (
 )
 from repro.ir.liveness import compute_liveness
 from repro.ir.module import Module
-from repro.ir.reaching import compute_reaching_defs
 
 _PURE = (BinOp, UnOp, Move)
 
@@ -98,68 +98,20 @@ def check_region_budget(func: Function, threshold: int) -> None:
             )
 
 
-def _find_uncovered_boundary(
-    func: Function,
-    cfg: CFG,
-    liveness,
-    recovered: Dict[str, Set[int]],
-    d_label: str,
-    d_index: int,
-    reg: int,
-) -> Optional[str]:
-    """Path-sensitive coverage check for one definition of ``reg``.
-
-    Walks every path from just after the def, stopping a path when the
-    register is checkpointed (slot now correct) or redefined (a later
-    def takes responsibility).  Reaching a region boundary where ``reg``
-    is live *without* a checkpoint is a violation — unless the region
-    carries a recovery block for ``reg`` (pruning's replacement); the
-    walk then continues, because later boundaries need their own cover.
-
-    Returns the violating boundary block label, or ``None``.
-    """
-
-    def scan_block(label: str, start: int) -> Tuple[str, Optional[List[str]]]:
-        """('covered'|'killed'|'fallthrough', successors) for one block."""
-        instrs = func.blocks[label].instrs
-        for i in range(start, len(instrs)):
-            instr = instrs[i]
-            if isinstance(instr, CheckpointStore) and instr.src.index == reg:
-                return "covered", None
-            if any(d.index == reg for d in instr.defs()):
-                return "killed", None
-            if isinstance(instr, RegionBoundary) and i == 0:
-                pass  # handled by the caller on block entry
-        return "fallthrough", cfg.succs.get(label, [])
-
-    # Seed: the remainder of the defining block.
-    state, succs = scan_block(d_label, d_index + 1)
-    if state != "fallthrough":
-        return None
-    work: List[str] = list(succs or [])
-    seen: Set[str] = set()
-    while work:
-        label = work.pop()
-        if label in seen or label not in func.blocks:
-            continue
-        seen.add(label)
-        block = func.blocks[label]
-        if block.instrs and isinstance(block.instrs[0], RegionBoundary):
-            if reg in liveness.live_in.get(label, frozenset()):
-                if reg not in recovered.get(label, set()):
-                    return label
-        state, succs = scan_block(label, 0)
-        if state == "fallthrough":
-            work.extend(succs or [])
-    return None
-
-
 def check_checkpoint_coverage(func: Function) -> None:
     """Invariant 2: every region live-in register is restorable.
 
-    For every definition of every register, every redefinition-free path
-    to a boundary where the register is live must pass a checkpoint (or
-    the region must carry a recovery block).
+    One forward gen/kill problem on :func:`solve_forward`.  Bit *i* is the
+    *i*-th definition site, in (RPO, instruction) order.  A definition of
+    r is generated where it occurs, and a later definition of r or a
+    ``ckpt r`` kills it.  A definition still in ``IN`` of a boundary block
+    where r is live, and no recovery block of that region rebuilds r,
+    reaches the boundary with no checkpoint on some path.  A
+    never-redefined parameter has no site: the caller's argument
+    checkpoints cover it.
+
+    The report names the first uncovered definition in bit order and the
+    first boundary in RPO that it reaches, whatever the hash seed.
     """
     regions = func.meta.get("regions")
     if regions is None:
@@ -167,26 +119,60 @@ def check_checkpoint_coverage(func: Function) -> None:
             f"{func.name}: no region metadata (was the module compiled?)"
         )
     cfg = CFG(func)
-    liveness = compute_liveness(func, cfg)
-    rdefs = compute_reaching_defs(func, cfg)
-    recovered: Dict[str, Set[int]] = {
-        r.entry_block: {
-            rb.target for rb in func.recovery_blocks.get(r.region_id, [])
-        }
+    sites: List[Tuple[str, int, int]] = []
+    reg_mask: Dict[int, int] = {}
+    gen: Dict[str, int] = {}
+    block_kills: Dict[str, Set[int]] = {}
+    for label in cfg.rpo:
+        uncovered: Dict[int, int] = {}
+        killed: Set[int] = set()
+        for i, instr in enumerate(func.blocks[label].instrs):
+            if isinstance(instr, CheckpointStore):
+                uncovered.pop(instr.src.index, None)
+                killed.add(instr.src.index)
+            for d in instr.defs():
+                bit = 1 << len(sites)
+                sites.append((label, i, d.index))
+                reg_mask[d.index] = reg_mask.get(d.index, 0) | bit
+                uncovered[d.index] = bit
+                killed.add(d.index)
+        gen[label] = sum(uncovered.values())
+        block_kills[label] = killed
+    # Masks of distinct bits, or of distinct registers' sites, are
+    # disjoint, so each ``sum`` here and below is their union.
+    kill = {
+        label: sum(reg_mask.get(reg, 0) for reg in regs)
+        for label, regs in block_kills.items()
+    }
+    reach_in, _ = solve_forward(cfg, gen, kill)
+
+    live_in = compute_liveness(func, cfg).in_mask
+    recovered: Dict[str, int] = {
+        r.entry_block: sum({
+            1 << rb.target for rb in func.recovery_blocks.get(r.region_id, [])
+        })
         for r in regions
     }
-    # Sites in (RPO, instruction) order, so the violation reported is the
-    # first in program order, whatever the hash seed.
-    for (d_label, d_index, reg) in rdefs.sites:
-        violation = _find_uncovered_boundary(
-            func, cfg, liveness, recovered, d_label, d_index, reg
+    boundaries = _boundary_blocks(func)
+    violations: List[Tuple[str, int]] = []
+    for label in cfg.rpo:
+        if label not in boundaries:
+            continue
+        exposed = 0
+        for reg in bit_indices(live_in[label] & ~recovered.get(label, 0)):
+            exposed |= reg_mask.get(reg, 0)
+        exposed &= reach_in[label]
+        if exposed:
+            violations.append((label, exposed))
+    if violations:
+        first = min(mask & -mask for _, mask in violations)
+        boundary = next(label for label, mask in violations if mask & first)
+        d_label, d_index, reg = sites[first.bit_length() - 1]
+        raise CapriInvariantError(
+            f"{func.name}: def of r{reg} at {d_label}[{d_index}] "
+            f"reaches boundary block {boundary!r} (r{reg} live) "
+            "with no checkpoint or recovery block on the path"
         )
-        if violation is not None:
-            raise CapriInvariantError(
-                f"{func.name}: def of r{reg} at {d_label}[{d_index}] "
-                f"reaches boundary block {violation!r} (r{reg} live) "
-                "with no checkpoint or recovery block on the path"
-            )
 
 
 def check_recovery_blocks(func: Function) -> None:
