@@ -37,7 +37,7 @@ def data_state(machine):
 
 def main() -> None:
     module, layout = build_kv_service_module()
-    capri = CapriCompiler(OptConfig.licm(256)).compile(module, validate=True).module
+    capri = CapriCompiler(OptConfig.licm(256)).compile(module).module
     spawns = [("main", [NUM_OPS])]
     params = SimParams.scaled()
 

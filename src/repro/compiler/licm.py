@@ -173,11 +173,6 @@ class _LoopScan:
         return False
 
 
-def _dedupe_in_block(func: Function) -> int:
-    """Drop earlier duplicate checkpoints of a register within a block."""
-    return sum(_dedupe_block(block) for block in func.blocks.values())
-
-
 def _dedupe_block(block: BasicBlock) -> int:
     """Drop earlier duplicate checkpoints of a register within ``block``."""
     last_ckpt: Dict[int, int] = {}

@@ -19,6 +19,8 @@ passes per function, bottom of Section 4's pipeline:
 unroll -> form regions -> insert checkpoints -> prune -> licm.  The CFG,
 loops and liveness region formation computes serve every later pass, and
 reaching definitions are computed once (see :mod:`repro.compiler.facts`).
+A checkpointing compile then verifies its output statically
+(:mod:`repro.compiler.verify_capri`).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from repro.compiler.licm import move_checkpoints_out_of_loops
 from repro.compiler.pruning import prune_checkpoints
 from repro.compiler.regions import form_regions_with_facts
 from repro.compiler.unrolling import speculative_unroll
+from repro.compiler.verify_capri import verify_capri_module
 
 #: Default region store threshold (paper Section 3.2: 256 by default).
 DEFAULT_THRESHOLD = 256
@@ -145,13 +148,15 @@ class CapriCompiler:
     def __init__(self, config: Optional[OptConfig] = None) -> None:
         self.config = config or OptConfig()
 
-    def compile(self, module: Module, validate: bool = False) -> CompileResult:
+    def compile(self, module: Module) -> CompileResult:
         """Clone ``module`` and apply the configured passes to every function.
 
-        ``validate=True`` additionally runs the static whole-system-
-        persistence verifier (:mod:`repro.compiler.verify_capri`) over the
-        instrumented output — checkpoint coverage, region budgets, and
-        recovery-block purity — raising on any violation.
+        A checkpointing compile ends with the static whole-system-
+        persistence verifier (:mod:`repro.compiler.verify_capri`) over its
+        output — region budgets, checkpoint coverage and recovery-block
+        purity — and raises
+        :class:`~repro.compiler.verify_capri.CapriInvariantError` on a
+        violation: a compiler bug fails the compile, not a later crash run.
         """
         cfg = self.config
         out = clone_module(module)
@@ -183,8 +188,6 @@ class CapriCompiler:
                     )
             result.function_stats[func.name] = stats
         verify_module(out)
-        if validate and cfg.checkpoints:
-            from repro.compiler.verify_capri import verify_capri_module
-
+        if cfg.checkpoints:
             verify_capri_module(out, cfg.threshold)
         return result

@@ -350,24 +350,3 @@ def _split_oversized_block(
         func.add_block(BasicBlock(new_label, tail))
         current = new_label
 
-
-def region_of_block(func: Function) -> Dict[str, int]:
-    """Map each reachable block to the region id covering it.
-
-    A block belongs to the region of the nearest boundary block on any path
-    from the entry; by construction all paths into a non-boundary block come
-    from a single region's subgraph, so the mapping is well defined.
-    """
-    cfg = CFG(func)
-    boundary_ids: Dict[str, int] = {}
-    for region in func.meta.get("regions", []):
-        boundary_ids[region.entry_block] = region.region_id
-    mapping: Dict[str, int] = {}
-    for label in cfg.rpo:
-        if label in boundary_ids:
-            mapping[label] = boundary_ids[label]
-        else:
-            preds = [p for p in cfg.preds[label] if p in mapping]
-            if preds:
-                mapping[label] = mapping[preds[0]]
-    return mapping

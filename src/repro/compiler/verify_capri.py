@@ -16,8 +16,10 @@ program, independently of the passes that established them:
    over the restored register file, so they must be pure ALU/move code
    and their inputs must themselves be covered (not pruned).
 
-Run via :func:`verify_capri_module` after compilation; the pipeline's
-tests and the randomized property suite call it on every configuration.
+:meth:`~repro.compiler.pipeline.CapriCompiler.compile` runs
+:func:`verify_capri_module` on every checkpointing compile, so each sweep,
+campaign and check verifies the programs it runs.  Per function, the three
+checks share one :class:`CFG` and one liveness solution.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.ir.instructions import (
     RegionBoundary,
     UnOp,
 )
-from repro.ir.liveness import compute_liveness
+from repro.ir.liveness import LivenessInfo, compute_liveness
 from repro.ir.module import Module
 
 _PURE = (BinOp, UnOp, Move)
@@ -54,13 +56,12 @@ def _boundary_blocks(func: Function) -> Dict[str, int]:
     return out
 
 
-def check_region_budget(func: Function, threshold: int) -> None:
+def check_region_budget(func: Function, cfg: CFG, threshold: int) -> None:
     """Invariant 1: worst-case stores between boundaries <= threshold.
 
     Longest-path over the boundary-free subgraph, counting real stores,
     checkpoint stores, and call argument checkpoints (machine-emitted).
     """
-    cfg = CFG(func)
     boundaries = set(_boundary_blocks(func))
     weights: Dict[str, int] = {}
     for label in cfg.rpo:
@@ -98,14 +99,18 @@ def check_region_budget(func: Function, threshold: int) -> None:
             )
 
 
-def check_checkpoint_coverage(func: Function) -> None:
+def check_checkpoint_coverage(
+    func: Function, cfg: CFG, liveness: LivenessInfo
+) -> None:
     """Invariant 2: every region live-in register is restorable.
 
-    One forward gen/kill problem on :func:`solve_forward`.  Bit *i* is the
-    *i*-th definition site, in (RPO, instruction) order.  A definition of
-    r is generated where it occurs, and a later definition of r or a
-    ``ckpt r`` kills it.  A definition still in ``IN`` of a boundary block
-    where r is live, and no recovery block of that region rebuilds r,
+    One forward gen/kill problem on :func:`solve_forward`.  A register is
+    *exposed* at a boundary block where it is live and no recovery block
+    of that region rebuilds it; only definitions of registers exposed
+    somewhere are tracked.  Bit *i* is the *i*-th such definition site,
+    in (RPO, instruction) order.  A definition of r is generated where it
+    occurs, and a later definition of r or a ``ckpt r`` kills it.  A
+    definition still in ``IN`` of a boundary block where r is exposed
     reaches the boundary with no checkpoint on some path.  A
     never-redefined parameter has no site: the caller's argument
     checkpoints cover it.
@@ -113,12 +118,22 @@ def check_checkpoint_coverage(func: Function) -> None:
     The report names the first uncovered definition in bit order and the
     first boundary in RPO that it reaches, whatever the hash seed.
     """
-    regions = func.meta.get("regions")
-    if regions is None:
-        raise CapriInvariantError(
-            f"{func.name}: no region metadata (was the module compiled?)"
-        )
-    cfg = CFG(func)
+    recovered: Dict[str, int] = {
+        r.entry_block: sum({
+            1 << rb.target for rb in func.recovery_blocks.get(r.region_id, [])
+        })
+        for r in func.meta["regions"]
+    }
+    boundaries = _boundary_blocks(func)
+    exposed_regs: Dict[str, int] = {
+        label: liveness.in_mask[label] & ~recovered.get(label, 0)
+        for label in cfg.rpo
+        if label in boundaries
+    }
+    watched = 0
+    for regs in exposed_regs.values():
+        watched |= regs
+
     sites: List[Tuple[str, int, int]] = []
     reg_mask: Dict[int, int] = {}
     gen: Dict[str, int] = {}
@@ -131,6 +146,8 @@ def check_checkpoint_coverage(func: Function) -> None:
                 uncovered.pop(instr.src.index, None)
                 killed.add(instr.src.index)
             for d in instr.defs():
+                if not watched >> d.index & 1:
+                    continue
                 bit = 1 << len(sites)
                 sites.append((label, i, d.index))
                 reg_mask[d.index] = reg_mask.get(d.index, 0) | bit
@@ -146,20 +163,10 @@ def check_checkpoint_coverage(func: Function) -> None:
     }
     reach_in, _ = solve_forward(cfg, gen, kill)
 
-    live_in = compute_liveness(func, cfg).in_mask
-    recovered: Dict[str, int] = {
-        r.entry_block: sum({
-            1 << rb.target for rb in func.recovery_blocks.get(r.region_id, [])
-        })
-        for r in regions
-    }
-    boundaries = _boundary_blocks(func)
     violations: List[Tuple[str, int]] = []
-    for label in cfg.rpo:
-        if label not in boundaries:
-            continue
+    for label, regs in exposed_regs.items():
         exposed = 0
-        for reg in bit_indices(live_in[label] & ~recovered.get(label, 0)):
+        for reg in bit_indices(regs):
             exposed |= reg_mask.get(reg, 0)
         exposed &= reach_in[label]
         if exposed:
@@ -175,11 +182,9 @@ def check_checkpoint_coverage(func: Function) -> None:
         )
 
 
-def check_recovery_blocks(func: Function) -> None:
+def check_recovery_blocks(func: Function, liveness: LivenessInfo) -> None:
     """Invariant 3: recovery blocks are pure and their inputs covered."""
-    regions = {r.region_id: r for r in func.meta.get("regions", [])}
-    cfg = CFG(func)
-    liveness = compute_liveness(func, cfg)
+    regions = {r.region_id: r for r in func.meta["regions"]}
     for region_id, blocks in func.recovery_blocks.items():
         region = regions.get(region_id)
         recovered_targets = {rb.target for rb in blocks}
@@ -219,9 +224,15 @@ def check_recovery_blocks(func: Function) -> None:
 
 def verify_capri_function(func: Function, threshold: int) -> None:
     """All three invariants for one instrumented function."""
-    check_region_budget(func, threshold)
-    check_checkpoint_coverage(func)
-    check_recovery_blocks(func)
+    if func.meta.get("regions") is None:
+        raise CapriInvariantError(
+            f"{func.name}: no region metadata (was the module compiled?)"
+        )
+    cfg = CFG(func)
+    liveness = compute_liveness(func, cfg)
+    check_region_budget(func, cfg, threshold)
+    check_checkpoint_coverage(func, cfg, liveness)
+    check_recovery_blocks(func, liveness)
 
 
 def verify_capri_module(module: Module, threshold: int) -> None:

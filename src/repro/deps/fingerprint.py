@@ -1,9 +1,11 @@
 """Subsystem-granularity content fingerprints.
 
 The package is partitioned into declared *subsystems* — compiler, arch,
-check, workloads, trace, fault, litmus, eval glue, plus a ``core`` of
-shared plumbing — and each gets one sha256 content hash over its source
-files.  Cache entries (:mod:`repro.sweep.cache`) record the hashes of
+check, workloads, eval glue, plus a ``core`` of shared plumbing — and
+each gets one sha256 content hash over its source files.  Only a
+subsystem some run can depend on is declared; code no simulation
+depends on (the crash, litmus and trace drivers among it) hashes into
+``eval``.  Cache entries (:mod:`repro.sweep.cache`) record the hashes of
 the subsystems their run depends on (:func:`repro.api.spec_deps`), so a
 source change invalidates exactly the dependent entries instead of the
 whole cache: editing an eval script leaves every simulation warm, while
@@ -40,9 +42,6 @@ SUBSYSTEMS: Tuple[str, ...] = (
     "compiler",
     "core",
     "eval",
-    "fault",
-    "litmus",
-    "trace",
     "workloads",
 )
 
@@ -52,9 +51,9 @@ _DIR_MAP: Dict[str, str] = {
     "arch": "arch",
     "check": "check",
     "workloads": "workloads",
-    "trace": "trace",
-    "fault": "fault",
-    "litmus": "litmus",
+    "trace": "eval",  # crash sources and replay: read by no RunSpec run
+    "fault": "eval",
+    "litmus": "eval",
     "eval": "eval",
     "sweep": "eval",  # engine/cache/CLI glue: orchestration, not semantics
     "ir": "core",  # every run builds its program in IR and executes it

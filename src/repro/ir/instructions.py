@@ -472,11 +472,6 @@ class IOWrite(Instr):
         return f"io[{self.port}] = {self.value}"
 
 
-def is_memory_access(instr: Instr) -> bool:
-    """True for instructions that touch data memory."""
-    return isinstance(instr, (Load, Store, AtomicRMW, CheckpointStore))
-
-
 def terminator_targets(instr: Instr) -> Sequence[str]:
     """Successor block labels of a terminator instruction."""
     if isinstance(instr, Jump):

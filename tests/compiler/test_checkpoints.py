@@ -218,7 +218,7 @@ class TestLICM:
             assert (rv0, d0) == (rv1, d1), f"n={n}"
 
     def test_dedupe_in_block(self):
-        from repro.compiler.licm import _dedupe_in_block
+        from repro.compiler.licm import _dedupe_block
         from repro.ir.function import Function
         from repro.ir.instructions import Move, Ret
         from repro.ir.values import Imm, Reg
@@ -229,13 +229,13 @@ class TestLICM:
         blk.append(CheckpointStore(Reg(0)))
         blk.append(CheckpointStore(Reg(0)))  # duplicate, no redef between
         blk.append(Ret())
-        removed = _dedupe_in_block(func)
+        removed = _dedupe_block(blk)
         assert removed == 1
         ckpts = [i for i in blk.instrs if isinstance(i, CheckpointStore)]
         assert len(ckpts) == 1
 
     def test_dedupe_keeps_ckpts_across_redefs(self):
-        from repro.compiler.licm import _dedupe_in_block
+        from repro.compiler.licm import _dedupe_block
         from repro.ir.function import Function
         from repro.ir.instructions import Move, Ret
         from repro.ir.values import Imm, Reg
@@ -247,5 +247,5 @@ class TestLICM:
         blk.append(Move(Reg(0), Imm(2)))  # redefinition
         blk.append(CheckpointStore(Reg(0)))
         blk.append(Ret())
-        removed = _dedupe_in_block(func)
+        removed = _dedupe_block(blk)
         assert removed == 0

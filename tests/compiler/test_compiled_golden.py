@@ -2,7 +2,8 @@
 
 For every registry workload (scale 0.05), a sha256 over what the compiler
 produces under the six Figure 8 thresholds and the Figure 9 ladder at
-threshold 256, each compiled with ``validate=True``: the printed module
+threshold 256, each verified by ``compile`` itself (every checkpointing
+compile runs :mod:`repro.compiler.verify_capri`): the printed module
 (recovery blocks included), ``CompileResult.function_stats``, and every
 region's live-in set.  A pass or analysis change that alters any
 instruction, statistic or checkpoint set fails here, naming the workload.
@@ -52,7 +53,7 @@ def workload_digest(name: str) -> str:
     module, _ = get_workload(name).build(SCALE)
     h = hashlib.sha256()
     for config in golden_configs():
-        result = CapriCompiler(config).compile(module, validate=True)
+        result = CapriCompiler(config).compile(module)
         h.update(repr(config).encode())
         h.update(render(result).encode())
     return h.hexdigest()

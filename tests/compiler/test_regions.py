@@ -7,7 +7,6 @@ from repro.compiler.clone import clone_module
 from repro.compiler.regions import (
     MIN_THRESHOLD,
     RegionFormationError,
-    region_of_block,
     split_blocks,
 )
 from repro.ir import CFG, IRBuilder, natural_loops, verify_module
@@ -195,25 +194,6 @@ class TestSplitBlocks:
         func = cloned.function("kernel")
         mandatory = split_blocks(func)
         assert func.entry.label in mandatory
-
-
-class TestRegionOfBlock:
-    def test_every_reachable_block_mapped(self):
-        module, _ = build_loop_kernel()
-        out = instrument(module)
-        func = out.function("kernel")
-        mapping = region_of_block(func)
-        cfg = CFG(func)
-        for label in cfg.rpo:
-            assert label in mapping
-
-    def test_boundary_blocks_map_to_own_region(self):
-        module, _ = build_loop_kernel()
-        out = instrument(module)
-        func = out.function("kernel")
-        mapping = region_of_block(func)
-        for region in func.meta["regions"]:
-            assert mapping[region.entry_block] == region.region_id
 
 
 class TestSemanticsPreservation:

@@ -3,6 +3,8 @@
 Positive: every compiled configuration of every workload passes.
 Negative: hand-sabotaged instrumentation is caught — deleted checkpoints,
 oversized regions, impure recovery blocks.
+Pipeline: ``CapriCompiler.compile`` runs the verifier on every
+checkpointing compile, and on no region-only or volatile one.
 Reference: the coverage check, one gen/kill problem on the IR's dataflow
 solver, gives the verdict of the per-definition path search it replaced
 (kept here), names the same definition, and names a boundary that
@@ -20,7 +22,7 @@ from typing import Dict, Optional, Set, Tuple
 import pytest
 
 import repro
-from repro.compiler import CapriCompiler, OptConfig
+from repro.compiler import CapriCompiler, OptConfig, pipeline
 from repro.compiler.verify_capri import (
     CapriInvariantError,
     check_checkpoint_coverage,
@@ -54,6 +56,12 @@ def compile_kernel(threshold=32, config=None):
     module, _ = build_loop_kernel(n=30)
     cfg = config or OptConfig.licm(threshold)
     return CapriCompiler(cfg).compile(module).module
+
+
+def check_coverage(func: Function) -> None:
+    """Invariant 2 alone, over a fresh CFG and liveness of ``func``."""
+    cfg = CFG(func)
+    check_checkpoint_coverage(func, cfg, compute_liveness(func, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +148,7 @@ def assert_matches_reference(func: Function) -> bool:
     return whether they flag it."""
     expected = reference_violation(func)
     try:
-        check_checkpoint_coverage(func)
+        check_coverage(func)
     except CapriInvariantError as exc:
         assert expected is not None, f"only the dataflow flags: {exc}"
         (d_label, d_index, reg), boundaries = expected
@@ -226,7 +234,7 @@ class TestNegative:
         label, i = sites[0]
         del func.blocks[label].instrs[i]
         with pytest.raises(CapriInvariantError, match="no checkpoint"):
-            check_checkpoint_coverage(func)
+            check_coverage(func)
         assert assert_matches_reference(func)
 
     def test_oversized_region_detected(self):
@@ -243,7 +251,7 @@ class TestNegative:
                     )
                 break
         with pytest.raises(CapriInvariantError, match="stores"):
-            check_region_budget(func, 32)
+            check_region_budget(func, CFG(func), 32)
 
     def test_impure_recovery_block_detected(self):
         out = compile_kernel(32)
@@ -253,7 +261,7 @@ class TestNegative:
             RecoveryBlock(1, [Load(Reg(1), Imm(0x1000), 0)])
         ]
         with pytest.raises(CapriInvariantError, match="impure"):
-            check_recovery_blocks(func)
+            check_recovery_blocks(func, compute_liveness(func))
 
     def test_recovery_block_missing_target_detected(self):
         out = compile_kernel(32)
@@ -263,7 +271,7 @@ class TestNegative:
             RecoveryBlock(1, [Move(Reg(2), Imm(5))])  # defines r2, not r1
         ]
         with pytest.raises(CapriInvariantError, match="never"):
-            check_recovery_blocks(func)
+            check_recovery_blocks(func, compute_liveness(func))
 
     def test_recovery_block_reading_pruned_register_detected(self):
         out = compile_kernel(32)
@@ -274,7 +282,7 @@ class TestNegative:
             RecoveryBlock(2, [Move(Reg(2), Imm(5))]),
         ]
         with pytest.raises(CapriInvariantError, match="reads pruned register r2"):
-            check_recovery_blocks(func)
+            check_recovery_blocks(func, compute_liveness(func))
 
     def test_recovery_block_clobbering_live_in_detected(self):
         out = compile_kernel(32)
@@ -290,7 +298,7 @@ class TestNegative:
             ])
         ]
         with pytest.raises(CapriInvariantError, match=f"clobbers live-in r{temp}"):
-            check_recovery_blocks(func)
+            check_recovery_blocks(func, compute_liveness(func))
 
     @pytest.mark.parametrize(
         "workload", ["genome", "deep-call", "531.deepsjeng_r"]
@@ -313,7 +321,7 @@ class TestNegative:
         with b.function("f") as f:
             f.ret()
         with pytest.raises(CapriInvariantError, match="region metadata"):
-            check_checkpoint_coverage(b.module.function("f"))
+            verify_capri_function(b.module.function("f"), 32)
 
     def test_missing_boundary_cycle_detected(self):
         """Strip a loop header's boundary: the budget check must see the
@@ -329,7 +337,7 @@ class TestNegative:
         assert isinstance(block.instrs[0], RegionBoundary)
         del block.instrs[0]
         with pytest.raises(CapriInvariantError, match="cycle"):
-            check_region_budget(func, 32)
+            check_region_budget(func, CFG(func), 32)
 
 
 #: Builds a function whose register x has four defs (entry and three
@@ -337,7 +345,7 @@ class TestNegative:
 #: strips every checkpoint, and prints the coverage violation.
 _UNCOVERED_DEFS = """
 from repro.compiler import CapriCompiler, OptConfig
-from repro.compiler.verify_capri import CapriInvariantError, check_checkpoint_coverage
+from repro.compiler.verify_capri import CapriInvariantError, verify_capri_function
 from repro.ir import IRBuilder
 from repro.ir.instructions import CheckpointStore
 
@@ -356,7 +364,7 @@ for block in func.blocks.values():
         ins for ins in block.instrs if not isinstance(ins, CheckpointStore)
     ]
 try:
-    check_checkpoint_coverage(func)
+    verify_capri_function(func, 32)
 except CapriInvariantError as exc:
     print(exc)
 """
@@ -418,13 +426,13 @@ class TestHandBuiltCoverage:
             CapriInvariantError,
             match=r"def of r1 at mid\[0\] reaches boundary block 'next'",
         ):
-            check_checkpoint_coverage(func)
+            check_coverage(func)
         assert assert_matches_reference(func)
 
     def test_checkpoint_covers_the_definition(self):
         func = self._redefined()
         func.blocks["mid"].instrs.insert(1, CheckpointStore(Reg(1)))
-        check_checkpoint_coverage(func)
+        check_coverage(func)
         assert not assert_matches_reference(func)
 
     def test_recovery_block_exempts_only_its_own_region(self):
@@ -435,10 +443,10 @@ class TestHandBuiltCoverage:
             CapriInvariantError,
             match=r"def of r1 at mid\[0\] reaches boundary block 'last'",
         ):
-            check_checkpoint_coverage(func)
+            check_coverage(func)
         assert assert_matches_reference(func)
         func.recovery_blocks[2] = [RecoveryBlock(1, [Move(Reg(1), Imm(1))])]
-        check_checkpoint_coverage(func)
+        check_coverage(func)
         assert not assert_matches_reference(func)
 
     def test_never_redefined_parameter_is_covered(self):
@@ -448,16 +456,31 @@ class TestHandBuiltCoverage:
             regions=[(0, "entry"), (1, "next")],
             num_params=1,
         )
-        check_checkpoint_coverage(func)
+        check_coverage(func)
         assert not assert_matches_reference(func)
 
 
 class TestPipelineIntegration:
-    def test_compiler_validate_flag(self):
-        module, _ = build_loop_kernel(n=20)
-        result = CapriCompiler(OptConfig.licm(32)).compile(module, validate=True)
-        assert result.module is not None
+    """``compile`` verifies exactly its checkpointing outputs."""
 
-    def test_validate_skipped_for_volatile(self):
+    @staticmethod
+    def verified(monkeypatch, config) -> bool:
+        calls = []
+
+        def spy(module, threshold):
+            calls.append(threshold)
+            verify_capri_module(module, threshold)
+
+        monkeypatch.setattr(pipeline, "verify_capri_module", spy)
         module, _ = build_loop_kernel(n=20)
-        CapriCompiler(OptConfig.volatile()).compile(module, validate=True)
+        CapriCompiler(config).compile(module)
+        assert calls in ([], [config.threshold])
+        return bool(calls)
+
+    @pytest.mark.parametrize("config_name", list(OptConfig.ladder(32)))
+    def test_which_compiles_verify(self, monkeypatch, config_name):
+        config = OptConfig.ladder(32)[config_name]
+        assert self.verified(monkeypatch, config) == config.checkpoints
+
+    def test_validate_skipped_for_volatile(self, monkeypatch):
+        assert not self.verified(monkeypatch, OptConfig.volatile())

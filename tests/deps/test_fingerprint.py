@@ -25,8 +25,9 @@ class TestPartition:
             ("api.py", "core"),
             ("jsonout.py", "eval"),
             ("check/checker.py", "check"),
-            ("fault/campaign.py", "fault"),
-            ("trace/replay.py", "trace"),
+            ("fault/campaign.py", "eval"),  # no run depends on it
+            ("trace/replay.py", "eval"),
+            ("litmus/matrix.py", "eval"),
             ("workloads/registry.py", "workloads"),
             ("service/daemon.py", "core"),  # retired subsystem: old revs still hash
         ],

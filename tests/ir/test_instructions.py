@@ -26,7 +26,6 @@ from repro.ir.instructions import (
     eval_atomic,
     eval_binop,
     eval_unop,
-    is_memory_access,
     terminator_targets,
 )
 from repro.ir.values import Imm, Reg
@@ -111,13 +110,6 @@ class TestTraits:
         assert not Fence().is_terminator
         assert not Nop().is_terminator
         assert not RegionBoundary(0).is_terminator
-
-    def test_memory_access_predicate(self):
-        assert is_memory_access(Load(Reg(0), Imm(0)))
-        assert is_memory_access(Store(Imm(0), Imm(0)))
-        assert is_memory_access(AtomicRMW("add", Reg(0), Imm(0), Imm(1)))
-        assert is_memory_access(CheckpointStore(Reg(0)))
-        assert not is_memory_access(Fence())
 
     def test_terminator_targets(self):
         assert terminator_targets(Jump("a")) == ("a",)
