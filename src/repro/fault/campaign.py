@@ -389,7 +389,7 @@ def judge_recovered(
         status,
         detail=(
             f"{len(verdict.mismatched_addrs)} addrs diverge "
-            f"(first: {[hex(a) for a in verdict.mismatched_addrs[:4]]}), "
+            f"(first: {golden.describe(verdict.mismatched_addrs[:4])}), "
             f"io_ok={verdict.io_ok}, report: {report.summary()}"
         ),
         injected=len(notes),

@@ -1,7 +1,9 @@
 """The differential recovery oracle.
 
 A crash-free *golden run* fixes the workload's observable behaviour: the
-final data-segment memory image and the per-core I/O trace.  A
+final data-segment memory image and the per-core I/O trace.  It also
+records, per address, the cores that stored to it, so a divergence can
+name the golden writers of each word it finds.  A
 crashed-recovered-resumed execution is **observationally equivalent**
 when
 
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.arch.crash import CrashPlan, run_built_until_crash
 from repro.arch.recovery import RecoveryReport
@@ -50,22 +52,56 @@ from repro.isa.trace import TickCountingObserver
 IoEvent = Tuple[int, int, int]  # (core, port, value)
 
 
-def data_image(machine: Machine) -> Dict[int, int]:
-    """Final data-segment memory, log area (checkpoint storage) masked."""
-    return {
-        addr: value
-        for addr, value in machine.memory.items()
-        if not CKPT_BASE <= addr < CKPT_END
-    }
-
-
 @dataclass
 class GoldenResult:
-    """What a crash-free execution observably produced."""
+    """What a crash-free execution observably produced.
 
-    data: Dict[int, int]
+    ``image`` is the final memory, which a resumed run that did the same
+    work ends with word for word, and ``data`` the same memory with the
+    log area (checkpoint storage) masked.  ``writers`` maps each address
+    a store or atomic wrote to the cores that wrote it.
+    """
+
+    image: Dict[int, int]
     io_log: List[IoEvent]
     total_events: int
+    writers: Dict[int, FrozenSet[int]]
+    data: Dict[int, int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.data = {
+            addr: value
+            for addr, value in self.image.items()
+            if not CKPT_BASE <= addr < CKPT_END
+        }
+
+    def describe(self, addrs: Sequence[int]) -> str:
+        """``addrs`` in hex, each with the cores that wrote it in this run."""
+        named = []
+        for addr in addrs:
+            cores = sorted(self.writers.get(addr, ()))
+            if not cores:
+                by = "no core"
+            elif len(cores) == 1:
+                by = f"core {cores[0]}"
+            else:
+                by = "cores " + ", ".join(map(str, cores))
+            named.append(f"{addr:#x} written by {by}")
+        return "; ".join(named)
+
+
+class _GoldenObserver(TickCountingObserver):
+    """Counts events, and records the cores that store to each address."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writers: Dict[int, set] = {}
+
+    def on_store(self, core, addr, value, old):
+        self.events += 1
+        self.writers.setdefault(addr, set()).add(core)
+
+    on_atomic = on_store
 
 
 def golden_run(
@@ -84,12 +120,13 @@ def golden_run(
     machine = Machine(module, quantum=quantum)
     for func_name, args in spawns:
         machine.spawn(func_name, args)
-    counter = TickCountingObserver()
+    counter = _GoldenObserver()
     machine.run(counter, max_steps=max_steps)
     return GoldenResult(
-        data=data_image(machine),
+        image=dict(machine.memory),
         io_log=list(machine.io_log),
         total_events=counter.events,
+        writers={a: frozenset(c) for a, c in counter.writers.items()},
     )
 
 
@@ -207,22 +244,30 @@ def differential_check(
 ) -> OracleVerdict:
     """Compare a recovered-and-resumed execution against the golden run.
 
-    The resumed memory is compared in place, with checkpoint storage
-    skipped, as :func:`data_image` would mask it: an absent word reads
-    as zero on both sides, and ``golden.data`` holds no checkpoint word.
+    A resumed memory equal to ``golden.image`` matches word for word, so
+    it is judged by that one compare; most resumed runs end there,
+    because re-execution from a checkpoint is deterministic.  Any other
+    memory is compared in place, with checkpoint storage skipped as
+    ``golden.data`` skips it: an absent word reads as zero on both sides,
+    and ``golden.data`` holds no checkpoint word.  Either way the I/O
+    check runs.
     """
     memory = finished.memory
     data = golden.data
-    mismatched = [
-        addr
-        for addr in memory.keys() - data.keys()
-        if memory[addr] and not CKPT_BASE <= addr < CKPT_END
-    ]
-    if not data.items() <= memory.items():
-        mismatched += [
-            addr for addr, value in data.items() if memory.get(addr, 0) != value
+    mismatched = []
+    if memory != golden.image:
+        mismatched = [
+            addr
+            for addr in memory.keys() - data.keys()
+            if memory[addr] and not CKPT_BASE <= addr < CKPT_END
         ]
-    mismatched.sort()
+        if not data.items() <= memory.items():
+            mismatched += [
+                addr
+                for addr, value in data.items()
+                if memory.get(addr, 0) != value
+            ]
+        mismatched.sort()
 
     observed = list(pre_crash_io) + list(finished.io_log)
     fenced = set(report.quarantined_cores) if report is not None else set()

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.ir.function import Function
-from repro.ir.values import WORD_BYTES
+from repro.ir.values import WORD_BYTES, WORD_MAX, WORD_MIN
 
 #: Start of the workload data segment.
 DATA_BASE = 0x0001_0000
@@ -111,24 +111,31 @@ class Module:
         """Allocate ``num_words`` 8-byte words; return the base address.
 
         ``init`` optionally provides initial word values (zero-filled
-        otherwise — the simulated memory defaults to zero).  Allocations are
-        line-aligned by default so distinct objects never share a cache
-        line, keeping workload cache behaviour predictable.
+        otherwise — the simulated memory defaults to zero); each must be a
+        signed 64-bit word.  Allocations are line-aligned by default so
+        distinct objects never share a cache line, keeping workload cache
+        behaviour predictable.
         """
         if num_words <= 0:
             raise ValueError("allocation must have at least one word")
         if name in self.symbols:
             raise ValueError(f"duplicate symbol {name!r}")
+        init = init if init is not None else []
+        if len(init) > num_words:
+            raise ValueError("initializer longer than allocation")
+        for i, value in enumerate(init):
+            if not WORD_MIN <= value <= WORD_MAX:
+                raise ValueError(
+                    f"initializer of {name!r} at index {i} is {value}, "
+                    "outside the signed 64-bit word range"
+                )
         base = (self._next_addr + align - 1) // align * align
         self._next_addr = base + num_words * WORD_BYTES
         if self._next_addr > CKPT_BASE:
             raise MemoryError("data segment overflows into checkpoint storage")
         self.symbols[name] = base
-        if init is not None:
-            if len(init) > num_words:
-                raise ValueError("initializer longer than allocation")
-            for i, value in enumerate(init):
-                self.initial_data[base + i * WORD_BYTES] = value
+        for i, value in enumerate(init):
+            self.initial_data[base + i * WORD_BYTES] = value
         return base
 
     def __repr__(self) -> str:

@@ -67,7 +67,9 @@ that no longer fits the hart's budget, so it stops at the same block
 boundary as running its blocks one by one would.  Its code is made on
 the first unobserved run that enters the region there and kept in the
 entry's ``BasicBlock.code``, so every ``Machine`` over the module shares
-it.  Compiled code has exactly the effect of interpreting its blocks
+it.  It wraps a ``BinOp`` result into a word only where the value's
+span, tracked along the code's paths, can leave the word range.
+Compiled code has exactly the effect of interpreting its blocks
 without an observer, and it cannot raise.  Observed runs never use it:
 the interpreter loop in :meth:`Machine._steps` stays the only path that
 delivers events, and the reference semantics.
@@ -300,7 +302,6 @@ _UNCHECKED: Any = object()
 
 #: Globals of the generated functions: the machine's own helpers.
 _REGION_GLOBALS: Dict[str, Any] = {
-    "wrap_word": wrap_word,
     "eval_unop": eval_unop,
     **{f"op_{name}": fn for name, fn in BINARY_OPS.items()},
 }
@@ -310,8 +311,75 @@ _INFIX = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^"}
 _SHIFT = {"shl": "<<", "shr": ">>"}
 _COMPARE = {"slt": "<", "sle": "<=", "sgt": ">", "sge": ">=", "seq": "==", "sne": "!="}
 
-#: Wraps local ``{0}`` into a machine word, as the interpreter's ``BinOp`` does.
-_WRAP = f"if not {WORD_MIN} <= {{0}} <= {WORD_MAX}: {{0}} = wrap_word({{0}})"
+#: The values a register of a region's code can hold, ``(lo, hi)``
+#: inclusive; None is any Python int (``Load`` does not wrap, and memory
+#: may hold words out of range).
+Span = Optional[Tuple[int, int]]
+
+#: ``BinOp``s whose result is a word when both operands are words.
+_CLOSED = frozenset(("and", "or", "xor", "shr", "min", "max"))
+
+
+def _is_word(span: Span) -> bool:
+    return span is not None and WORD_MIN <= span[0] and span[1] <= WORD_MAX
+
+
+def _binop_span(op: str, a: Span, b: Span) -> Span:
+    """The span of ``a <op> b`` before it is wrapped into a word.
+
+    Compares give [0, 1]; ``and`` with a non-negative word operand ``m``
+    gives [0, max m] whatever the other operand is; ``add``, ``sub``,
+    ``mul`` and ``shl`` by a known amount follow interval arithmetic;
+    the other ops of :data:`_CLOSED` give a word from two words; anything
+    else (``div``, ``rem``, ``shl`` by a register, an unknown operand)
+    may be any int.
+    """
+    if op in _COMPARE:
+        return (0, 1)
+    if op == "and":
+        masks = [s[1] for s in (a, b) if _is_word(s) and s[0] >= 0]
+        if masks:
+            return (0, min(masks))
+    if a is None or b is None:
+        return None
+    if op == "add":
+        return (a[0] + b[0], a[1] + b[1])
+    if op == "sub":
+        return (a[0] - b[1], a[1] - b[0])
+    if op == "mul":
+        ends = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+        return (min(ends), max(ends))
+    if op == "shl" and b[0] == b[1]:
+        return (a[0] << (b[0] & 63), a[1] << (b[0] & 63))
+    if op in _CLOSED and _is_word(a) and _is_word(b):
+        return (WORD_MIN, WORD_MAX)
+    return None
+
+
+def _hull(a: Dict[int, Tuple[int, int]], b: Dict[int, Tuple[int, int]]):
+    """The spans a register may have after either of two paths: a register
+    with a span on only one of them may be any int."""
+    return {
+        r: (min(x[0], y[0]), max(x[1], y[1]))
+        for r, x in a.items()
+        if (y := b.get(r)) is not None
+    }
+
+
+def _wrap(local: str, span: Span) -> Optional[str]:
+    """The statement that wraps ``local`` into a word, as the interpreter's
+    ``BinOp`` does, testing only the bounds ``span`` can leave; None if
+    ``span`` is a word range."""
+    low = span is None or span[0] < WORD_MIN
+    high = span is None or span[1] > WORD_MAX
+    if low and high:
+        test = f"not {WORD_MIN} <= {local} <= {WORD_MAX}"
+    elif low or high:
+        test = f"{local} < {WORD_MIN}" if low else f"{local} > {WORD_MAX}"
+    else:
+        return None
+    mask, offset = WORD_MAX - WORD_MIN, -WORD_MIN
+    return f"if {test}: {local} = (({local} + {offset}) & {mask}) - {offset}"
 
 
 def _compilable(func: Function, instrs: List[Any]) -> bool:
@@ -388,7 +456,18 @@ def _compile_region(func: Function, entry: str, block: "BasicBlock") -> RegionCo
       other arm duplicates its tail, within :data:`_REGION_MAX_INSTRS`
       instructions and :data:`_REGION_MAX_DEPTH` nested ``if`` levels;
     * before each inlined block, a block that does not fit the budget
-      exits, so the region stops where block-by-block execution would.
+      exits, so the region stops where block-by-block execution would;
+    * a ``BinOp`` wraps its result into a word only where it can leave
+      the word range.  A forward pass over the emitted paths keeps a span
+      per register (:func:`_binop_span`): registers at the entry and
+      loaded registers may hold any int, an immediate is exact, a
+      ``Move`` copies its source's span, and a ``BinOp`` or ``UnOp``
+      result is a word once wrapped.  Each branch arm starts from a copy
+      of the spans, and where arms meet the code goes on from the hull of
+      those that fall through.  A result whose span is a word range gets
+      no test, one that can cross only one bound gets a one-sided test,
+      and any other gets the full test; the wrap itself is written inline
+      (:func:`_wrap`).  ``div``, ``rem`` and ``UnOp`` keep theirs.
 
     ``run`` is None if ``entry`` must be interpreted.  The inlined blocks
     are ``(label, block, copy of its instructions)``, the entry first.
@@ -427,6 +506,18 @@ def _compile_region(func: Function, entry: str, block: "BasicBlock") -> RegionCo
     path = {entry}
     size = 0
     loads = False
+    # The span of each register at the point being emitted; a register
+    # without one may be any int, as every register is at the entry.
+    spans: Dict[int, Tuple[int, int]] = {}
+
+    def span(op: Any) -> Span:
+        return spans.get(op.index) if type(op) is Reg else (op.value, op.value)
+
+    def assign(reg: Reg, value: Span) -> None:
+        if value is None:
+            spans.pop(reg.index, None)
+        else:
+            spans[reg.index] = value
 
     def read(op: Any) -> str:
         if type(op) is not Reg:
@@ -478,6 +569,11 @@ def _compile_region(func: Function, entry: str, block: "BasicBlock") -> RegionCo
             if cls is BinOp:
                 op, lhs, rhs = instr.op, read(instr.lhs), read(instr.rhs)
                 dst = write(instr.dst)
+                value_span = _binop_span(op, span(instr.lhs), span(instr.rhs))
+                assign(
+                    instr.dst,
+                    value_span if _is_word(value_span) else (WORD_MIN, WORD_MAX),
+                )
                 if op in _COMPARE:
                     test = f"{lhs} {_COMPARE[op]} {rhs}"
                     lines.append(f"{pad}{dst} = 1 if {test} else 0")
@@ -492,17 +588,23 @@ def _compile_region(func: Function, entry: str, block: "BasicBlock") -> RegionCo
                     value = f"{lhs} {_SHIFT[op]} {amount}"
                 else:
                     value = f"op_{op}({lhs}, {rhs})"
-                lines.extend([f"{pad}{dst} = {value}", pad + _WRAP.format(dst)])
+                lines.append(f"{pad}{dst} = {value}")
+                wrap = _wrap(dst, value_span)
+                if wrap is not None:
+                    lines.append(pad + wrap)
             elif cls is UnOp:
                 src = read(instr.src)
                 dst = write(instr.dst)
+                assign(instr.dst, (WORD_MIN, WORD_MAX))
                 lines.append(f"{pad}{dst} = eval_unop({instr.op!r}, {src})")
             elif cls is Move:
                 src = read(instr.src)
+                assign(instr.dst, span(instr.src))
                 lines.append(f"{pad}{write(instr.dst)} = {src}")
             elif cls is Load:
                 loads = True
                 addr = address(instr.addr, instr.offset)
+                assign(instr.dst, None)
                 lines.append(f"{pad}{write(instr.dst)} = get({addr}, 0)")
             elif cls is Store:
                 addr = address(instr.addr, instr.offset)
@@ -519,7 +621,10 @@ def _compile_region(func: Function, entry: str, block: "BasicBlock") -> RegionCo
     ) -> bool:
         """Emit the code from the start of ``label`` until the path
         reaches ``join``, where it falls through, or ends; return True if
-        some path falls through.  ``first`` inlines ``label`` unchecked."""
+        some path falls through.  ``first`` inlines ``label`` unchecked.
+        ``spans`` goes from its state at the start of ``label`` to its
+        state where the code falls through."""
+        nonlocal spans
         pad = "    " * (depth + 2)
         mine = []
         try:
@@ -550,21 +655,27 @@ def _compile_region(func: Function, entry: str, block: "BasicBlock") -> RegionCo
                     label = t
                 else:
                     join_here = join if join in (t, f) else joins.get(label, join)
-                    if f == join_here:
-                        lines.append(f"{pad}if {c}:")
-                        sequence(t, join_here, depth + 1)
-                    elif t == join_here:
-                        lines.append(f"{pad}if not {c}:")
-                        sequence(f, join_here, depth + 1)
+                    # Each arm starts from a copy of the spans here, and
+                    # the code after the ``if`` from the hull of the arms
+                    # that fall through to it.
+                    before = dict(spans)
+                    if f == join_here or t == join_here:
+                        arm, test = (t, c) if f == join_here else (f, f"not {c}")
+                        lines.append(f"{pad}if {test}:")
+                        falls = sequence(arm, join_here, depth + 1)
+                        spans = _hull(before, spans) if falls else before
                     else:
                         lines.append(f"{pad}if {c}:")
                         if not sequence(t, join_here, depth + 1):
                             # The true arm never falls through: the false
                             # arm goes on at this level.
+                            spans = before
                             label = f
                             continue
+                        after_true, spans = spans, dict(before)
                         lines.append(f"{pad}else:")
-                        sequence(f, join_here, depth + 1)
+                        falls = sequence(f, join_here, depth + 1)
+                        spans = _hull(after_true, spans) if falls else after_true
                     label = join_here
             return True
         finally:

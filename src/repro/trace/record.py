@@ -35,9 +35,9 @@ Boundary continuations are rare structured objects and live in a side
 table.
 
 The trace also carries everything a fault campaign derives from the
-golden run: the initial durable image, the final data image (masked by
-the differential oracle's own :func:`~repro.fault.oracle.data_image`),
-the I/O log, and, as its length, the total event count — so the crash
+golden run: the initial durable image, the final memory, the I/O log,
+and, as its length, the total event count; the cores that wrote each
+address come from the columns (:meth:`ExecTrace.writers`).  So the crash
 source's golden result, its crash points and its replay system all come
 from the trace alone.
 """
@@ -45,9 +45,8 @@ from the trace alone.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.fault.oracle import data_image
 from repro.ir.module import Module
 from repro.isa.machine import Machine
 from repro.isa.trace import (
@@ -89,7 +88,7 @@ class ExecTrace:
         "continuations",
         "num_cores",
         "initial_data",
-        "final_data",
+        "final_memory",
         "io_log",
     )
 
@@ -107,9 +106,9 @@ class ExecTrace:
         self.num_cores = 1
         #: the module's initial durable image (seeds replay NVM).
         self.initial_data: Dict[int, int] = {}
-        #: final data-segment memory, checkpoint log area masked — the
+        #: the final memory, checkpoint log area included: the
         #: differential oracle's golden image.
-        self.final_data: Dict[int, int] = {}
+        self.final_memory: Dict[int, int] = {}
         #: (core, port, value) in issue order.
         self.io_log: List[Tuple[int, int, int]] = []
 
@@ -146,6 +145,14 @@ class ExecTrace:
         """Event indices of the I/O events, in order (aligned with
         :attr:`io_log`)."""
         return [i for i, k in enumerate(self.kinds) if k == K_IO]
+
+    def writers(self) -> Dict[int, FrozenSet[int]]:
+        """The cores whose stores or atomics wrote each address."""
+        found: Dict[int, set] = {}
+        for kind, core, addr in zip(self.kinds, self.cores, self.a):
+            if kind == K_STORE or kind == K_ATOMIC:
+                found.setdefault(addr, set()).add(core)
+        return {addr: frozenset(cores) for addr, cores in found.items()}
 
     # -- replay --------------------------------------------------------------
 
@@ -269,7 +276,7 @@ def capture_trace(
     The capture run costs one *functional* pass (interpreter dispatch
     only, no timing/persistence simulation) — the same price as
     :func:`repro.fault.oracle.golden_run`, which this subsumes: the
-    returned trace carries the golden data image, I/O log, and event
+    returned trace carries the golden memory image, I/O log, and event
     count.
     """
     machine = Machine(module, quantum=quantum)
@@ -280,6 +287,6 @@ def capture_trace(
     trace = recorder.trace
     trace.num_cores = max(1, len(spawns))
     trace.initial_data = dict(module.initial_data)
-    trace.final_data = data_image(machine)
+    trace.final_memory = dict(machine.memory)
     trace.io_log = list(machine.io_log)
     return trace

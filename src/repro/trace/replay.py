@@ -122,8 +122,9 @@ class TraceCampaignSource:
     the constructor captures :attr:`trace` at ``config.quantum`` within
     ``config.max_steps``, and :attr:`golden` (the differential oracle's
     golden result) comes straight off it — the trace records the final
-    data image, the full I/O log and one event per observer callback,
-    exactly what :func:`~repro.fault.oracle.golden_run` would recompute.
+    memory, the full I/O log and one event per observer callback, and
+    its columns name each address's writers: exactly what
+    :func:`~repro.fault.oracle.golden_run` would recompute.
     ``params``, ``threshold``, ``check`` and ``mutations`` (whose
     pipeline flags plant protocol bugs in the replayed system; recovery
     flags act only in recovery) configure the replay.
@@ -149,9 +150,10 @@ class TraceCampaignSource:
             module, spawns, quantum=config.quantum, max_steps=config.max_steps
         )
         self.golden = GoldenResult(
-            data=dict(trace.final_data),
+            image=dict(trace.final_memory),
             io_log=list(trace.io_log),
             total_events=len(trace),
+            writers=trace.writers(),
         )
         self.rebuilds = -1  # the constructor's own _reset is not a rebuild
         self._io_positions = trace.io_positions()

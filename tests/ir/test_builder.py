@@ -13,7 +13,7 @@ from repro.ir import (
 )
 from repro.ir.builder import FunctionBuilder
 from repro.ir.module import Module
-from repro.ir.values import Reg
+from repro.ir.values import WORD_MAX, WORD_MIN, Reg
 
 
 def build(name="m"):
@@ -229,6 +229,16 @@ class TestModuleData:
         m = Module()
         with pytest.raises(ValueError):
             m.alloc("a", 0)
+
+    @pytest.mark.parametrize("value", [WORD_MAX + 1, WORD_MIN - 1, 1 << 70])
+    def test_init_outside_word_range_rejected(self, value):
+        m = Module()
+        with pytest.raises(ValueError, match=r"'table' at index 2 is "):
+            m.alloc("table", 4, init=[0, 1, value])
+        # Nothing was allocated: the symbol is free and no word was set.
+        assert m.symbols == {} and m.initial_data == {}
+        base = m.alloc("table", 4, init=[WORD_MIN, WORD_MAX])
+        assert m.initial_data == {base: WORD_MIN, base + 8: WORD_MAX}
 
     def test_duplicate_function_rejected(self):
         b = build()

@@ -1017,12 +1017,16 @@ def _chain_module(links: int, shape: str) -> Module:
     return module
 
 
-def _unobserved_like_reference(module, spawns, quantum, max_steps=50_000_000):
-    """The reference and an unobserved production run leave the same
-    architectural outcome and fail alike; returns the production machine."""
+def _unobserved_like_reference(
+    module, spawns, quantum, max_steps=50_000_000, memory=None
+):
+    """The reference and an unobserved production run, both started with
+    ``memory`` added to the module's, leave the same architectural outcome
+    and fail alike; returns the production machine."""
     outcomes = []
     for cls in (ReferenceMachine, Machine):
         machine = _build(cls, module, spawns, quantum)
+        machine.memory.update(memory or {})
         error = None
         try:
             machine.run(max_steps=max_steps)
@@ -1031,6 +1035,130 @@ def _unobserved_like_reference(module, spawns, quantum, max_steps=50_000_000):
         outcomes.append((_architectural(machine), error))
     assert outcomes[0] == outcomes[1]
     return machine
+
+
+#: Words the arithmetic programs load: memory may hold any int, since
+#: ``Load`` does not wrap (a corrupted checkpoint slot holds one).
+_A_ADDRS = [_OUT + 0x400 + 8 * i for i in range(4)]
+_A_WORD = st.one_of(
+    st.sampled_from([
+        WORD_MAX, WORD_MIN, WORD_MAX + 1, WORD_MIN - 1, 1 << 64, -(1 << 70),
+        (1 << 64) + 5, 0, -1, 255,
+    ]),
+    st.integers(WORD_MAX + 1, 1 << 80),
+    st.integers(-(1 << 80), WORD_MIN - 1),
+    st.integers(WORD_MIN, WORD_MAX),
+)
+#: Masks of both signs, shift amounts past 63, the hash constant of
+#: genome's loop, and edge words.
+_A_IMMS = [
+    0, 1, -1, 3, 15, 63, 64, 65, 255, 1023, -8, -256, 2654435761,
+    WORD_MAX, WORD_MIN, 1 << 62,
+]
+_A_OPS = [
+    "mul", "shl", "and", "shr", "min", "max", "add", "sub", "xor", "or",
+    "slt", "div", "rem",
+]
+#: Two registers, so that most values feed later instructions.
+_A_REG = st.integers(0, 1).map(Reg)
+_A_IMM = st.sampled_from(_A_IMMS).map(Imm)
+_A_OPERAND = st.one_of(_A_REG, _A_IMM)
+_A_INSTR = st.one_of(
+    st.builds(BinOp, st.sampled_from(_A_OPS), _A_REG, _A_OPERAND, _A_OPERAND),
+    st.builds(Load, _A_REG, st.sampled_from(_A_ADDRS).map(Imm)),
+    st.builds(Store, _A_REG, st.sampled_from(_A_ADDRS).map(Imm)),
+    st.builds(Move, _A_REG, _A_OPERAND),
+    st.builds(UnOp, st.sampled_from(sorted(UNARY_OPS)), _A_REG, _A_REG),
+)
+
+
+def _make(reg: Reg):
+    """``reg`` loaded, masked, moved in or negated, or left as it is."""
+    return st.one_of(
+        st.none(),
+        st.builds(Load, st.just(reg), st.sampled_from(_A_ADDRS).map(Imm)),
+        st.builds(BinOp, st.just("and"), st.just(reg), st.just(reg), _A_IMM),
+        st.builds(Move, st.just(reg), _A_IMM),
+        st.builds(UnOp, st.just("neg"), st.just(reg), st.just(reg)),
+    )
+
+
+#: ``r0`` and ``r1`` made, combined by one of the ops whose spans the
+#: region tracks, and stored: a later wrap would hide a missing one, since
+#: wrapping commutes with ``add``, ``mul`` and the bitwise ops.
+_A_CHAIN = st.builds(
+    lambda make0, make1, op, lhs, rhs, addr: [
+        *(m for m in (make0, make1) if m is not None),
+        BinOp(op, Reg(0), lhs, rhs),
+        Store(Reg(0), Imm(addr)),
+    ],
+    _make(Reg(0)),
+    _make(Reg(1)),
+    st.sampled_from(["mul", "shl", "and", "shr", "min", "max", "add", "sub"]),
+    st.one_of(st.just(Reg(0)), st.just(Reg(1)), _A_IMM),
+    st.one_of(st.just(Reg(1)), st.just(Reg(0)), _A_IMM),
+    st.sampled_from(_A_ADDRS),
+)
+_A_BODY = st.lists(st.one_of(_A_INSTR.map(lambda i: [i]), _A_CHAIN), max_size=4).map(
+    lambda parts: [instr for part in parts for instr in part]
+)
+#: A branch arm moves immediates into registers, and the code where the
+#: arms meet uses them at once, so the spans there come from both arms.
+_A_ARM = st.lists(st.builds(Move, _A_REG, _A_IMM), min_size=1, max_size=2)
+_A_USE = st.builds(
+    lambda op, rhs, addr: [BinOp(op, Reg(0), Reg(0), rhs), Store(Reg(0), Imm(addr))],
+    st.sampled_from(["mul", "shl", "add", "sub", "and", "min", "max"]),
+    _A_OPERAND,
+    st.sampled_from(_A_ADDRS),
+)
+
+
+def _arith_module(bodies, arms, uses, conds, trips) -> Module:
+    """``f`` runs a loop unrolled twice, with a diamond in the first copy
+    and a triangle in the second, then dumps every register and returns.
+
+    The copies run ``head``/``body``/``d_true`` or ``d_false``/``join``
+    and ``head.u1``/``body.u1``/``tri``/``latch``; ``latch`` goes back to
+    ``head``.  Every block but ``done`` compiles.
+    """
+    entry, head, body, join, head_u1, latch = bodies
+    (d_true, d_false, tri), (use_join, use_latch) = arms, uses
+    c_diamond, c_tri = conds
+    f = Function("f", num_params=_NREGS, num_regs=_NREGS + 2)
+
+    def header(label, instrs, then):
+        return (
+            label,
+            [
+                *instrs,
+                BinOp("sub", _COUNTER, _COUNTER, Imm(1)),
+                BinOp("sge", _FLAG, _COUNTER, Imm(0)),
+                Branch(_FLAG, then, "exit"),
+            ],
+        )
+
+    for label, instrs in (
+        ("entry", [*entry, Move(_COUNTER, Imm(trips)), Jump("head")]),
+        header("head", head, "body"),
+        ("body", [*body, Branch(c_diamond, "d_true", "d_false")]),
+        ("d_true", [*d_true, Jump("join")]),
+        ("d_false", [*d_false, Jump("join")]),
+        ("join", [*use_join, *join, Jump("head.u1")]),
+        header("head.u1", head_u1, "body.u1"),
+        ("body.u1", [Branch(c_tri, "tri", "latch")]),
+        ("tri", [*tri, Jump("latch")]),
+        ("latch", [*use_latch, *latch, Jump("head")]),
+        (
+            "exit",
+            [*(Store(Reg(i), Imm(_OUT + 0x300), 8 * i) for i in range(_NREGS)),
+             Jump("done")],
+        ),
+        ("done", [Ret(Reg(0))]),
+    ):
+        f.new_block(label).instrs = instrs
+    module = Module("arith")
+    module.add_function(f)
+    return module
 
 
 class TestCompiledRegions:
@@ -1053,6 +1181,32 @@ class TestCompiledRegions:
         spawns = [(func, tuple(args))] * harts
         machine = _unobserved_like_reference(module, spawns, quantum, max_steps)
         if harts == 1 and max_steps > 100:
+            assert machine.compiled_retired > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bodies=st.lists(_A_BODY, min_size=6, max_size=6),
+        arms=st.lists(_A_ARM, min_size=3, max_size=3),
+        uses=st.lists(_A_USE, min_size=2, max_size=2),
+        conds=st.lists(_A_REG, min_size=2, max_size=2),
+        trips=st.integers(0, 5),
+        args=_B_ARGS,
+        words=st.lists(_A_WORD, min_size=len(_A_ADDRS), max_size=len(_A_ADDRS)),
+        quantum=st.sampled_from([1, 7, 32]),
+        max_steps=st.sampled_from([50_000_000, 3, 20, 45]),
+    )
+    def test_overflow_guards_match_reference(
+        self, bodies, arms, uses, conds, trips, args, words, quantum, max_steps
+    ):
+        """Arithmetic chains over loaded non-words and edge words, across
+        diamonds and an unrolled loop, wrap exactly where the reference
+        does."""
+        module = _arith_module(bodies, arms, uses, conds, trips)
+        machine = _unobserved_like_reference(
+            module, [("f", tuple(args))], quantum, max_steps,
+            memory=dict(zip(_A_ADDRS, words)),
+        )
+        if max_steps > 100:
             assert machine.compiled_retired > 0
 
     def test_loop_runs_in_one_region(self):
@@ -1121,6 +1275,155 @@ class TestCompiledRegions:
             if block.code is not None and block.code[2] is not None:
                 inlined = sum(len(instrs) for _, _, instrs in block.code[1])
                 assert inlined <= _REGION_MAX_INSTRS
+
+
+# -- overflow guards ------------------------------------------------------------
+
+#: ``f``'s parameter: the region's analysis knows nothing of it.
+_X = Reg(0)
+_LOADED = _OUT + 0x500
+_BYTE = BinOp("and", Reg(1), _X, Imm(255))  # r1 in [0, 255]
+
+#: One block each, ending in ``r2 = ...``: the wrap tests its code gets.
+_GUARD_CASES = {
+    "immediates are exact": (
+        [Move(Reg(1), Imm(5)), BinOp("add", Reg(2), Reg(1), Imm(7))], []),
+    "an entry register may be any int": (
+        [BinOp("add", Reg(2), _X, Imm(0))], ["full"]),
+    "a loaded word may be any int": (
+        [Load(Reg(1), Imm(_LOADED)), BinOp("add", Reg(2), Reg(1), Imm(0))],
+        ["full"]),
+    "a Move copies its span": (
+        [_BYTE, Move(Reg(3), Reg(1)), BinOp("add", Reg(2), Reg(3), Imm(1))], []),
+    "a compare is 0 or 1": (
+        [BinOp("slt", Reg(1), _X, Imm(5)), BinOp("add", Reg(2), Reg(1), Imm(1))],
+        []),
+    "and with a non-negative mask": ([BinOp("and", Reg(2), _X, Imm(255))], []),
+    "and with a negative mask": ([BinOp("and", Reg(2), _X, Imm(-8))], ["full"]),
+    "a negative and stays a word": (
+        [BinOp("and", Reg(1), _X, Imm(-8)),
+         BinOp("add", Reg(2), Reg(1), Imm(WORD_MIN))],
+        ["full", "low"]),
+    **{
+        f"{op} of two words": (
+            [UnOp("neg", Reg(1), _X), UnOp("not", Reg(3), _X),
+             BinOp(op, Reg(2), Reg(1), Reg(3))],
+            [])
+        for op in ("and", "or", "xor", "shr", "min", "max")
+    },
+    "min with any int": (
+        [UnOp("neg", Reg(1), _X), BinOp("min", Reg(2), Reg(1), _X)], ["full"]),
+    "shl by a constant": ([_BYTE, BinOp("shl", Reg(2), Reg(1), Imm(3))], []),
+    "shl by a constant past the top": (
+        [_BYTE, BinOp("shl", Reg(2), Reg(1), Imm(60))], ["high"]),
+    "shl by a register": (
+        [_BYTE, BinOp("and", Reg(3), _X, Imm(63)),
+         BinOp("shl", Reg(2), Reg(1), Reg(3))],
+        ["full"]),
+    "sub below the bottom": (
+        [_BYTE, BinOp("sub", Reg(2), Imm(WORD_MIN), Reg(1))], ["low"]),
+    "mul in range": (
+        [BinOp("and", Reg(1), _X, Imm(1023)),
+         BinOp("mul", Reg(2), Reg(1), Imm(2654435761))],
+        []),
+    "mul past the top": (
+        [_BYTE, BinOp("mul", Reg(2), Reg(1), Imm(WORD_MAX))], ["high"]),
+    "div keeps its wrap": (
+        [Move(Reg(1), Imm(10)), BinOp("div", Reg(2), Reg(1), Imm(3))], ["full"]),
+    "a UnOp result is a word": (
+        [UnOp("abs", Reg(1), _X), BinOp("add", Reg(2), Reg(1), Imm(0))], []),
+}
+
+
+def _guarded(instrs, join_arms=None) -> Module:
+    """``f(x)`` runs ``instrs``, stores ``r2`` and returns it.  With
+    ``join_arms``, ``instrs`` first branches on ``x`` to arms that meet
+    again before the store."""
+    func = Function("f", num_params=1, num_regs=4)
+    func.new_block("body").instrs = list(instrs)
+    for label, arm in (join_arms or {}).items():
+        func.new_block(label).instrs = [*arm, Jump("join")]
+    if join_arms is not None:
+        func.new_block("join").instrs = [
+            BinOp("add", Reg(2), Reg(1), Imm(1)),
+            Jump("store"),
+        ]
+    else:
+        func.blocks["body"].instrs.append(Jump("store"))
+    func.new_block("store").instrs = [Store(Reg(2), Imm(_OUT)), Jump("done")]
+    func.new_block("done").instrs = [Ret(Reg(2))]
+    module = Module("guards")
+    module.add_function(func)
+    return module
+
+
+def _guards(module, monkeypatch):
+    """The kind of each wrap test in the code made for ``f``'s regions:
+    ``full``, or ``high``/``low`` for a test of one bound."""
+    sources = []
+
+    def capture(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(machine_module, "compile", capture, raising=False)
+    Machine(module).run_function("f", (0,))
+    monkeypatch.undo()
+    tests = [
+        line.strip().split(":")[0]
+        for source in sources
+        for line in source.splitlines()
+        if " = ((" in line
+    ]
+    return [
+        "full" if " not " in test else "high" if ">" in test else "low"
+        for test in tests
+    ]
+
+
+_GUARD_INPUTS = [0, 1, -1, 5, 60, 63, WORD_MAX, WORD_MIN, 1 << 62]
+_GUARD_LOADS = [WORD_MAX + 1, WORD_MIN - 1, 1 << 70, WORD_MAX, -1]
+
+
+class TestOverflowGuards:
+    """A region wraps a ``BinOp`` result only where it can leave the word
+    range, and still wraps exactly where the interpreter does."""
+
+    @pytest.mark.parametrize("case", sorted(_GUARD_CASES))
+    def test_rule(self, case, monkeypatch):
+        instrs, kinds = _GUARD_CASES[case]
+        module = _guarded(instrs)
+        assert _guards(module, monkeypatch) == kinds
+        for x in _GUARD_INPUTS:
+            for word in _GUARD_LOADS:
+                machine = _unobserved_like_reference(
+                    module, [("f", (x,))], 32, memory={_LOADED: word}
+                )
+                # Only the ``Ret`` was interpreted.
+                assert machine.compiled_retired == machine.total_retired - 1
+
+    @pytest.mark.parametrize("values", [(1, WORD_MAX), (WORD_MAX, 1)])
+    @pytest.mark.parametrize("shape", ["diamond", "triangle-true", "triangle-false"])
+    def test_arms_meet_in_their_hull(self, shape, values, monkeypatch):
+        """``r1`` is one value before the branch or on one arm and another
+        on the other arm; ``r1 + 1`` past the join overflows on one path
+        only, so its test must cover both."""
+        first, second = values
+        if shape == "diamond":
+            branch = Branch(_X, "t", "f")
+            arms = {"t": [Move(Reg(1), Imm(first))], "f": [Move(Reg(1), Imm(second))]}
+        else:
+            branch = Branch(_X, *(("t", "join") if shape == "triangle-true"
+                                  else ("join", "t")))
+            arms = {"t": [Move(Reg(1), Imm(second))]}
+        module = _guarded([Move(Reg(1), Imm(first)), branch], arms)
+        assert _guards(module, monkeypatch) == ["high"]
+        for x in (0, 1):
+            machine = _unobserved_like_reference(module, [("f", (x,))], 32)
+            assert machine.compiled_retired == machine.total_retired - 1
+        assert {
+            Machine(module).run_function("f", (x,)) for x in (0, 1)
+        } == {2, WORD_MIN}
 
 
 # -- retire runs --------------------------------------------------------------

@@ -85,6 +85,12 @@ def test_campaign_flags_seven_points_and_checker_is_silent(program):
     assert result.counts() == {"ok": 121, "mismatch": 7}
     assert result.failures[0].event_index == 11
     assert result.minimized.event_index == 11
+    # Each detail names the golden writers of the words it lists: both
+    # harts wrote the counter, and each its own private word.
+    for failure in result.failures:
+        assert f"{COUNTER:#x} written by cores 0, 1;" in failure.detail
+        assert f"{private_addr(0):#x} written by core 0" in failure.detail
+        assert f"{private_addr(1):#x} written by core 1" in failure.detail
 
 
 def test_litmus_final_judge_flags_the_same_points(program):

@@ -4,8 +4,8 @@
 ``config.quantum`` within ``config.max_steps`` and reads the golden
 result off it; ``InterpretedSource(module, spawns, config)`` runs
 :func:`~repro.fault.oracle.golden_run` independently.  Built from the
-same program and config, the two must agree on the final data image, the
-I/O log and the event count.  Ocean runs four harts at quantum 7, where
+same program and config, the two must agree on the final memory, masked
+and whole, the I/O log, the event count and each address's writers.  Ocean runs four harts at quantum 7, where
 the interleaving (and so the event count) differs from the default
 quantum, so a trace captured at the wrong quantum fails here; the
 logger's two harts put their I/O in a quantum-dependent order.
@@ -20,6 +20,7 @@ from repro.compiler import CapriCompiler, OptConfig
 from repro.fault.campaign import CampaignConfig
 from repro.fault.oracle import InterpretedSource
 from repro.ir import IRBuilder, verify_module
+from repro.ir.module import is_ckpt_addr
 from repro.trace.replay import TraceCampaignSource
 
 
@@ -76,11 +77,21 @@ def _goldens(name: str, quantum: int):
 def test_both_sources_own_the_same_golden(name, quantum):
     replayed, interpreted = _goldens(name, quantum)
     assert replayed.data == interpreted.data
+    assert replayed.image == interpreted.image
+    assert replayed.writers == interpreted.writers
     assert replayed.io_log == interpreted.io_log
     assert replayed.total_events == interpreted.total_events
     assert replayed.total_events > 0
+    # The masked image is the image without its checkpoint words.
+    assert replayed.data == {
+        a: v for a, v in replayed.image.items() if not is_ckpt_addr(a)
+    }
+    assert replayed.image.keys() > replayed.data.keys()
+    assert set(replayed.writers) <= set(replayed.image)
     if name == "logger":
         assert {core for core, _, _ in replayed.io_log} == {0, 1}
+        # Each hart stores only to its own half of ``records``.
+        assert set(replayed.writers.values()) == {frozenset({0}), frozenset({1})}
 
 
 @pytest.mark.parametrize("name, quantum", [("ocean", 7), ("logger", 3)])
